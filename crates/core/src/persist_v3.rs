@@ -1626,7 +1626,11 @@ mod tests {
 
     fn valid_file_bytes() -> Vec<u8> {
         let memo = trained_memo();
-        let path = tmp("hostile_base.dm3");
+        // One file per test thread: the hostile tests run in parallel.
+        let path = tmp(&format!(
+            "hostile_base_{:?}.dm3",
+            std::thread::current().id()
+        ));
         memo.save_memo_file_v3(&path, 2).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

@@ -1,11 +1,28 @@
 //! A minimal scoped-thread fork/join helper.
 //!
 //! The engine's waves are all embarrassingly parallel maps over job
-//! slices, so a work-stealing pool would be overkill: scoped threads with
-//! an atomic bump index balance load perfectly well when per-item cost
-//! varies, and results are merged back *by index*, which is what keeps
-//! the engine's output order (and therefore its statistics) identical to
-//! the serial analyzer's.
+//! slices, so a work-stealing pool would be overkill: threads pulling
+//! from an atomic bump index balance load perfectly well when per-item
+//! cost varies, and results are merged back *by index*, which is what
+//! keeps the engine's output order (and therefore its statistics)
+//! identical to the serial analyzer's.
+//!
+//! # Inline, then spill
+//!
+//! The calling thread is worker 0: it pulls items from the shared index
+//! itself, and spawns the other `workers - 1` helpers only if items are
+//! still left once the wave has run for [`SPILL_AFTER_NANOS`]. A warm
+//! request's waves are a few dozen memo probes each and finish inline
+//! with no spawn at all; large waves and coarse items (leader solves,
+//! per-program graph builds) still fan out, at most that much later.
+//!
+//! Spawning per wave is what made every wave pay for threads: a scoped
+//! spawn plus join costs 16–18 µs per thread (34 µs for the two helpers
+//! of a `workers = 2` wave) on a 2-core Intel Xeon VM, so a 10-pair warm
+//! request's four waves spent more on spawns than on analysis. The
+//! spill budget is a few spawns' worth of inline work: long enough that
+//! cheap waves never spawn, short enough to be noise next to any wave
+//! that needs helpers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -13,18 +30,26 @@ use std::time::Instant;
 
 use dda_obs::{WaveReport, WorkerWork};
 
+/// How long the calling thread works a wave alone before spawning
+/// helpers for what is left (see the module docs for the measurement).
+const SPILL_AFTER_NANOS: u64 = 50_000;
+
+/// One worker's share of a wave: `(index, result)` pairs plus its work.
+type Part<R> = (Vec<(usize, R)>, WorkerWork);
+
 /// Applies `f` to every item, spreading work across up to `workers`
 /// threads, and returns the results in item order — plus a measurement
 /// of the wave: wall time and, per worker, items processed, busy
 /// nanoseconds inside `f`, and the delay before the first item was
-/// picked up. Falls back to a plain serial map when a single worker (or
-/// a trivial slice) makes threads pointless; the fallback reports one
-/// worker whose busy time is the wall time.
+/// picked up. Worker 0 is the calling thread; helpers are spawned only
+/// when the wave outlasts the inline budget, so a cheap wave reports
+/// one worker. A single worker (or a trivial slice) is a plain serial
+/// map whose one worker's busy time is the wall time.
 ///
 /// The report is plain data (see [`WaveReport`]) so this module needs
 /// no knowledge of the metrics registry, and the item-ordered merge
 /// keeps results schedule-independent — only the nanosecond readings
-/// (and, in parallel mode, the per-worker task split) vary run to run.
+/// (and, when helpers spawn, the per-worker task split) vary run to run.
 pub(crate) fn par_map_metered<T, R, F>(workers: usize, items: &[T], f: F) -> (Vec<R>, WaveReport)
 where
     T: Sync,
@@ -45,36 +70,45 @@ where
         };
         return (out, report);
     }
-    let threads = workers.min(items.len());
     let next = AtomicUsize::new(0);
-    let parts: Vec<(Vec<(usize, R)>, WorkerWork)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    let mut work = WorkerWork::default();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        if work.tasks == 0 {
-                            work.queue_wait_nanos = elapsed_nanos(wave_start);
-                        }
-                        let item_start = Instant::now();
-                        local.push((i, f(i, &items[i])));
-                        work.busy_nanos += elapsed_nanos(item_start);
-                        work.tasks += 1;
-                    }
-                    (local, work)
+    // Pulls items off the shared index until none are left or the wave
+    // is `budget` nanoseconds old.
+    let drain = |part: &mut Part<R>, budget: u64| {
+        let (local, work) = part;
+        while elapsed_nanos(wave_start) < budget {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            if work.tasks == 0 {
+                work.queue_wait_nanos = elapsed_nanos(wave_start);
+            }
+            let item_start = Instant::now();
+            local.push((i, f(i, &items[i])));
+            work.busy_nanos += elapsed_nanos(item_start);
+            work.tasks += 1;
+        }
+    };
+    let mut parts: Vec<Part<R>> = vec![(Vec::new(), WorkerWork::default())];
+    drain(&mut parts[0], SPILL_AFTER_NANOS);
+    let left = items.len().saturating_sub(next.load(Ordering::Relaxed));
+    if left > 0 {
+        thread::scope(|scope| {
+            let helpers: Vec<_> = (0..(workers - 1).min(left))
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut part = (Vec::new(), WorkerWork::default());
+                        drain(&mut part, u64::MAX);
+                        part
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("engine worker panicked"))
-            .collect()
-    });
+                .collect();
+            drain(&mut parts[0], u64::MAX);
+            for h in helpers {
+                parts.push(h.join().expect("engine worker panicked"));
+            }
+        });
+    }
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
     let mut report = WaveReport {
         wall_nanos: elapsed_nanos(wave_start),
@@ -157,5 +191,28 @@ mod tests {
             let total: u64 = wave.workers.iter().map(|w| w.tasks).sum();
             assert_eq!(total, 100, "every item is counted exactly once");
         }
+    }
+
+    #[test]
+    fn cheap_wave_runs_inline_without_spawning() {
+        let items: Vec<u64> = (0..10).collect();
+        let (out, wave) = par_map_metered(4, &items, |_, &x| x * 2);
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(wave.workers.len(), 1, "a cheap wave spawned helpers");
+        assert_eq!(wave.workers[0].tasks, 10);
+    }
+
+    #[test]
+    fn slow_wave_spills_to_helpers_and_keeps_order() {
+        let items: Vec<usize> = (0..8).collect();
+        let (out, wave) = par_map_metered(4, &items, |i, &x| {
+            assert_eq!(i, x);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            x + 100
+        });
+        assert_eq!(out, items.iter().map(|x| x + 100).collect::<Vec<_>>());
+        assert!(wave.workers.len() > 1, "a 1 ms-per-item wave never spilled");
+        let total: u64 = wave.workers.iter().map(|w| w.tasks).sum();
+        assert_eq!(total, 8);
     }
 }

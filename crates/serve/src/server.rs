@@ -4,11 +4,21 @@
 //! [`MetricsRegistry`], and one cumulative statistics accumulator.
 //!
 //! ```text
+//!            blocking accept
 //! acceptor ──try_send──▶ bounded queue ──▶ worker × max_in_flight
-//!    │ (full → 429 shed)                        │
-//!    ▼                                          ▼
-//! SIGTERM / /shutdown ──▶ drain ──▶ atomic memo persist
+//!  ▲  │ (full → 429, half-close)                 │
+//!  │  └──▶ linger thread (drain ≤ 250 ms, close)   ▼
+//!  └── wake() ◀── ServerHandle::shutdown / POST /shutdown / SIGTERM watcher
+//!                                  then: drain ──▶ atomic memo persist
 //! ```
+//!
+//! The acceptor blocks in `accept` with no timer: nothing sits between
+//! a connection arriving and it being queued. Shutdown sets a flag and
+//! then makes one loopback connection to the listen port, which is what
+//! returns the acceptor from `accept` to read the flag. Shedding costs
+//! the acceptor one small write: draining the shed client's request
+//! bytes, so that it reads the 429 rather than an RST, is handed to a
+//! separate linger thread.
 //!
 //! Admission control is two-layered: the queue bound caps waiting
 //! connections (overflow is shed with 429 and counted), and the worker
@@ -18,7 +28,8 @@
 //! with sound conservative partial results (see
 //! [`dda_engine::analyze_batch`]).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read as _;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -83,6 +94,18 @@ pub struct ServeConfig {
 
 /// Captures kept on disk before the oldest is evicted.
 const MAX_CAPTURES: usize = 64;
+
+/// How long a shed connection is kept open after its 429 to drain the
+/// request bytes the client is still sending.
+const SHED_LINGER: Duration = Duration::from_millis(250);
+
+/// Shed connections waiting for the linger thread; beyond this they are
+/// closed at once.
+const SHED_LINGER_DEPTH: usize = 64;
+
+/// Bound on the wake-up connect. It only waits when the listen backlog
+/// is full, and then the acceptor has connections to return with anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -184,9 +207,21 @@ struct State {
     flight: FlightRecorder,
     capture: Option<CaptureStore>,
     shutdown: AtomicBool,
+    /// Where `State::wake` connects: the listen address, with an
+    /// unspecified IP replaced by the loopback address of its family.
+    wake_addr: SocketAddr,
     default_deadline_ms: u64,
     max_in_flight: u64,
     normalize: bool,
+}
+
+impl State {
+    /// Sets the shutdown flag, then connects once to the listen port so
+    /// the acceptor returns from its blocking `accept` and reads it.
+    fn wake(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT);
+    }
 }
 
 /// A cloneable handle onto a running (or not-yet-run) server: request
@@ -196,10 +231,13 @@ struct State {
 pub struct ServerHandle(Arc<State>);
 
 impl ServerHandle {
-    /// Asks the accept loop to stop; in-flight and queued requests
-    /// drain first, then the memo table is persisted.
+    /// Stops the accept loop: sets the shutdown flag and wakes the
+    /// acceptor with one loopback connection, so no other nudge is
+    /// needed. Returns at once; [`Server::run`] then drains in-flight
+    /// and queued requests and persists the memo table. Called before
+    /// `run`, it makes `run` return as soon as it starts.
     pub fn shutdown(&self) {
-        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.0.wake();
     }
 
     /// Requests handled so far (shed connections not included).
@@ -278,9 +316,15 @@ impl Server {
     /// Bind failures and unreadable/corrupt memo files, located.
     pub fn bind(cfg: &ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("{}: {e}", cfg.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
+        let mut wake_addr = listener
+            .local_addr()
+            .map_err(|e| format!("local_addr: {e}"))?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         let shards = cfg.shards.max(1);
         let memo = SharedMemo::with_capacity(shards, cfg.memo_max_bytes);
         // A memo loaded from a v3 archive persists back as v3 on
@@ -324,6 +368,7 @@ impl Server {
                 .clone()
                 .map(|dir| CaptureStore::new(dir, cfg.slow_ms, MAX_CAPTURES)),
             shutdown: AtomicBool::new(false),
+            wake_addr,
             default_deadline_ms: cfg.deadline_ms,
             max_in_flight: cfg.max_in_flight.max(1) as u64,
             normalize: cfg.normalize,
@@ -364,7 +409,7 @@ impl Server {
     /// Fatal accept errors and memo-persistence failures.
     pub fn run(self) -> Result<(), String> {
         #[cfg(unix)]
-        signals::install();
+        let (watcher_stop, watcher) = signals::install(&self.state);
 
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(self.queue_depth.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -382,26 +427,32 @@ impl Server {
             }));
         }
 
+        let (linger_tx, linger_rx) = mpsc::sync_channel::<(TcpStream, Instant)>(SHED_LINGER_DEPTH);
+        let linger = std::thread::spawn(move || {
+            for (stream, until) in linger_rx {
+                drain_until(stream, until);
+            }
+        });
+
+        // No timer on this path: `accept` blocks until a client connects
+        // or `State::wake` does, and the flag is re-read after every accept.
         loop {
-            let stop = self.state.shutdown.load(Ordering::SeqCst);
-            #[cfg(unix)]
-            let stop = stop || signals::triggered();
-            if stop {
+            let accepted = self.listener.accept();
+            if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _)) => match tx.try_send(stream) {
                     Ok(()) => {}
-                    Err(mpsc::TrySendError::Full(stream)) => {
+                    Err(mpsc::TrySendError::Full(mut stream)) => {
                         self.state.shed.inc();
                         self.state.requests_by.inc("(accept)", "shed");
-                        shed_connection(stream);
+                        refuse(&mut stream);
+                        // A full linger queue drops the socket at once.
+                        let _ = linger_tx.try_send((stream, Instant::now() + SHED_LINGER));
                     }
                     Err(mpsc::TrySendError::Disconnected(_)) => break,
                 },
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
                 Err(e) => return Err(format!("accept: {e}")),
             }
         }
@@ -411,6 +462,13 @@ impl Server {
         drop(tx);
         for worker in workers {
             let _ = worker.join();
+        }
+        drop(linger_tx);
+        let _ = linger.join();
+        #[cfg(unix)]
+        {
+            drop(watcher_stop);
+            let _ = watcher.join();
         }
         if let Some(path) = &self.memo_path {
             match self.memo_format {
@@ -424,13 +482,25 @@ impl Server {
 }
 
 /// SIGTERM/SIGINT handling without external crates: a `signal(2)` FFI
-/// binding flips an atomic the accept loop polls. Store-only handler —
-/// async-signal-safe by construction.
+/// binding flips an atomic (store-only, so async-signal-safe by
+/// construction), and a watcher thread turns it into `State::wake`.
+/// The acceptor cannot rely on `accept` failing with EINTR instead:
+/// glibc's `signal` sets `SA_RESTART`, and the signal may land on any
+/// thread. The watcher's poll bounds only how long a signal takes to
+/// shut the server down, never request latency.
 #[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    use super::State;
 
     static TRIGGERED: AtomicBool = AtomicBool::new(false);
+
+    const POLL: Duration = Duration::from_millis(50);
 
     extern "C" fn on_signal(_signum: i32) {
         TRIGGERED.store(true, Ordering::SeqCst);
@@ -443,31 +513,50 @@ mod signals {
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
 
-    pub fn install() {
+    /// Installs the handlers and starts the watcher, which exits once
+    /// it has woken the server or the returned sender is dropped.
+    pub fn install(state: &Arc<State>) -> (mpsc::Sender<()>, JoinHandle<()>) {
         unsafe {
             signal(SIGTERM, on_signal as extern "C" fn(i32) as usize);
             signal(SIGINT, on_signal as extern "C" fn(i32) as usize);
         }
-    }
-
-    pub fn triggered() -> bool {
-        TRIGGERED.load(Ordering::SeqCst)
+        let (stop, stopped) = mpsc::channel::<()>();
+        let state = Arc::clone(state);
+        let watcher = std::thread::spawn(move || {
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(POLL) {
+                if TRIGGERED.load(Ordering::SeqCst) {
+                    state.wake();
+                    return;
+                }
+            }
+        });
+        (stop, watcher)
     }
 }
 
-/// Refuses a connection with 429 without blocking the acceptor on
-/// analysis work. The request bytes already in flight are drained
-/// (briefly, bounded by a short timeout) before the socket drops —
-/// closing with unread data would RST the peer before it reads the
-/// response.
-fn shed_connection(mut stream: TcpStream) {
+/// Refuses a connection with 429 and half-closes it, without reading:
+/// a small write into an empty send buffer, so it never blocks the
+/// acceptor. The client sees the 429 and then end of stream.
+fn refuse(stream: &mut TcpStream) {
     let resp = Response::text(429, "server busy: accept queue full\n");
-    let _ = http::write_response(&mut stream, &resp);
+    let _ = http::write_response(stream, &resp);
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+}
+
+/// Drains a refused connection's incoming bytes until the client closes
+/// or `until` passes, then drops it. Closing with unread data would RST
+/// the peer, possibly before it has read the 429; past `until`, only
+/// bytes that already arrived are read.
+fn drain_until(mut stream: TcpStream, until: Instant) {
     let mut sink = [0u8; 4096];
-    while let Ok(n) = std::io::Read::read(&mut stream, &mut sink) {
-        if n == 0 {
+    loop {
+        let left = until.saturating_duration_since(Instant::now());
+        let set = if left.is_zero() {
+            stream.set_nonblocking(true)
+        } else {
+            stream.set_read_timeout(Some(left))
+        };
+        if set.is_err() || !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
             break;
         }
     }
@@ -522,7 +611,7 @@ fn route(state: &State, req: &Request) -> Response {
             debug_request(state, &p["/debug/requests/".len()..])
         }
         ("GET" | "POST", "/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.wake();
             Response::ok("shutting down\n".into(), "text/plain")
         }
         ("GET" | "POST", _) => Response::text(404, "not found\n"),

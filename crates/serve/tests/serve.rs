@@ -6,6 +6,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use dda_core::{AnalyzerConfig, DependenceAnalyzer, SharedMemo};
 use dda_serve::render::batch_json_line;
@@ -21,11 +22,18 @@ fn start(cfg: ServeConfig) -> (SocketAddr, ServerHandle, std::thread::JoinHandle
     (addr, handle, join)
 }
 
-/// Stops a started server and joins its thread.
-fn stop(addr: SocketAddr, handle: &ServerHandle, join: std::thread::JoinHandle<()>) {
+/// Stops a started server and joins its thread: `shutdown` alone must
+/// end `run`, within two seconds.
+fn stop(handle: &ServerHandle, join: std::thread::JoinHandle<()>) {
     handle.shutdown();
-    // Nudge the acceptor out of its poll sleep.
-    let _ = TcpStream::connect(addr);
+    let start = Instant::now();
+    while !join.is_finished() {
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "run() outlived ServerHandle::shutdown"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     join.join().expect("server thread");
 }
 
@@ -129,7 +137,7 @@ fn healthz_and_metrics_answer() {
     let (status, _, _) = request(addr, "PUT", "/analyze", FLOW);
     assert_eq!(status, 405);
 
-    stop(addr, &handle, join);
+    stop(&handle, join);
 }
 
 #[test]
@@ -158,7 +166,7 @@ fn cold_sequential_requests_match_the_cli_serializer_byte_for_byte() {
         assert_eq!(body, format!("{want_line}\n"), "label {label}");
     }
     assert_eq!(handle.deadline_exceeded(), 0);
-    stop(addr, &handle, join);
+    stop(&handle, join);
 }
 
 #[test]
@@ -193,7 +201,7 @@ fn batch_manifests_resolve_and_located_errors_come_back_as_400() {
     assert_eq!(status, 400);
     assert!(body.contains("parse error"), "{body}");
 
-    stop(addr, &handle, join);
+    stop(&handle, join);
 }
 
 #[test]
@@ -235,7 +243,7 @@ fn eviction_under_a_byte_cap_never_changes_verdicts() {
         "resident bytes {} exceed the cap",
         handle.memo_bytes()
     );
-    stop(addr, &handle, join);
+    stop(&handle, join);
 }
 
 #[test]
@@ -271,7 +279,7 @@ fn a_tight_deadline_returns_conservative_partials_not_a_hang() {
     assert_eq!(status, 200);
     assert!(!head.contains("X-DDA-Deadline-Exceeded"), "{head}");
 
-    stop(addr, &handle, join);
+    stop(&handle, join);
 }
 
 #[test]
@@ -323,7 +331,103 @@ fn admission_control_sheds_with_429_when_saturated() {
     let (status, _, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
 
-    stop(addr, &handle, join);
+    stop(&handle, join);
+}
+
+#[test]
+fn a_silent_shed_client_does_not_stall_the_acceptor() {
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        max_in_flight: 1,
+        queue_depth: 1,
+        ..ServeConfig::default()
+    });
+    let healthz = "GET /healthz HTTP/1.1\r\nHost: dda\r\nContent-Length: 0\r\n\r\n";
+
+    // Saturate: a silent holder occupies the only worker, a second
+    // connection fills the only queue slot.
+    let mut holder = TcpStream::connect(addr).expect("connect holder");
+    for _ in 0..250 {
+        if handle.in_flight() == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(handle.in_flight(), 1, "worker never picked up the holder");
+    let mut queued = TcpStream::connect(addr).expect("connect queued");
+    queued.write_all(healthz.as_bytes()).expect("send queued");
+
+    // A shed client that connects and never sends a byte...
+    let mut silent = TcpStream::connect(addr).expect("connect silent");
+    let start = Instant::now();
+    // ...must not hold up the 429 of the connection after it.
+    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    let took = start.elapsed();
+    assert_eq!(status, 429, "{body}");
+    assert!(
+        took < Duration::from_millis(100),
+        "the next shed took {took:?}: the acceptor waited on the silent client"
+    );
+    // The silent client still reads its 429, not a reset.
+    let mut reply = String::new();
+    silent
+        .read_to_string(&mut reply)
+        .expect("silent client reads");
+    assert!(reply.starts_with("HTTP/1.1 429"), "{reply}");
+    assert_eq!(handle.shed(), 2);
+
+    holder.write_all(healthz.as_bytes()).expect("send held");
+    let mut reply = String::new();
+    holder.read_to_string(&mut reply).expect("recv held");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    let mut reply = String::new();
+    queued.read_to_string(&mut reply).expect("recv queued");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    stop(&handle, join);
+}
+
+#[test]
+fn shutdown_wakes_a_server_bound_to_the_unspecified_address() {
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServeConfig::default()
+    });
+    let local = SocketAddr::from(([127, 0, 0, 1], addr.port()));
+    let (status, _, _) = request(local, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    stop(&handle, join);
+}
+
+#[test]
+fn shutdown_before_run_returns_at_once() {
+    let server = Server::bind(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let handle = server.handle();
+    handle.shutdown();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+    stop(&handle, join);
+}
+
+#[test]
+fn sequential_round_trips_on_an_idle_server_wait_on_no_timer() {
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    });
+    let start = Instant::now();
+    for _ in 0..100 {
+        let (status, _, _) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+    }
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(300),
+        "100 idle /healthz round trips took {took:?}"
+    );
+    stop(&handle, join);
 }
 
 #[test]
@@ -366,7 +470,7 @@ fn graceful_shutdown_drains_and_persists_the_memo_atomically() {
         semantic_view(first.trim_end())
     );
     assert!(warm.contains("\"cached\":true"), "{warm}");
-    stop(addr2, &handle2, join2);
+    stop(&handle2, join2);
 }
 
 /// A server started on a v3 binary memo serves warm verdicts, exposes
@@ -386,7 +490,7 @@ fn v3_memo_restart_serves_warm_and_persists_v3() {
     let (addr, handle, join) = start(cfg_v2);
     let (status, _, cold) = request(addr, "POST", "/analyze?file=flow.loop", FLOW);
     assert_eq!(status, 200);
-    stop(addr, &handle, join);
+    stop(&handle, join);
     let memo = SharedMemo::new(4);
     memo.load_memo_file(&v2_path).expect("v2 loads");
     memo.save_memo_file_v3(&v3_path, 4).expect("v3 saves");
@@ -475,7 +579,7 @@ fn concurrent_clients_get_serial_verdicts_across_workers_and_shards() {
             c.join().expect("client thread");
         }
         assert_eq!(handle.requests(), 12);
-        stop(addr, &handle, join);
+        stop(&handle, join);
     }
 }
 
@@ -530,7 +634,7 @@ proptest! {
         for c in clients {
             c.join().expect("client thread");
         }
-        stop(addr, &handle, join);
+        stop(&handle, join);
     }
 }
 
@@ -684,6 +788,6 @@ fn debug_endpoints_expose_traced_requests_and_slow_captures() {
         Some(1.0)
     );
 
-    stop(addr, &handle, join);
+    stop(&handle, join);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -550,3 +550,78 @@ fn serve_parallel_matches_cli_and_exposes_graph_metrics() {
     let status = child.wait().expect("server exits");
     assert!(status.success(), "clean shutdown");
 }
+
+/// SIGTERM on a running `dda serve` shuts it down promptly and still
+/// persists the memo table: the signal wakes the blocked acceptor.
+#[cfg(unix)]
+#[test]
+fn serve_exits_on_sigterm_and_persists_memo() {
+    use std::io::{BufRead, BufReader, Read as _};
+    use std::time::{Duration, Instant};
+
+    let dir = std::env::temp_dir().join("dda_cli_serve_sigterm");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let memo = dir.join("memo.dda");
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dda"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--memo",
+            memo.to_str().unwrap(),
+        ])
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("server starts");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let mut banner = String::new();
+    stderr.read_line(&mut banner).expect("startup banner");
+    let addr = banner
+        .trim()
+        .rsplit(' ')
+        .next()
+        .expect("listening address")
+        .to_owned();
+
+    let src = "for i = 1 to 9 { a[i + 1] = a[i]; }";
+    let mut conn = std::net::TcpStream::connect(&addr).expect("connect");
+    write!(
+        conn,
+        "POST /analyze HTTP/1.1\r\nHost: dda\r\nContent-Length: {}\r\n\r\n{src}",
+        src.len()
+    )
+    .expect("send");
+    let mut reply = String::new();
+    conn.read_to_string(&mut reply).expect("recv");
+    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .expect("kill runs");
+    assert!(killed.success());
+    let start = Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break status;
+        }
+        if start.elapsed() > Duration::from_secs(2) {
+            let _ = child.kill();
+            panic!("dda serve still running 2 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "clean shutdown: {status}");
+    let (out, err, ok) = run_cli(
+        &["analyze", "-", "--memo-load", memo.to_str().unwrap()],
+        src,
+    );
+    assert!(ok, "{err}");
+    assert!(
+        out.contains("[cached]"),
+        "the persisted memo is warm:\n{out}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
