@@ -1,28 +1,27 @@
 //! The whole-program dependence analyzer.
 //!
 //! Ties every piece together the way the paper's SUIF implementation does:
-//! enumerate reference pairs, short-circuit constant subscripts, memoize,
-//! run extended-GCD preprocessing, cascade the exact tests, refine
-//! direction vectors with pruning, and keep the statistics behind
+//! enumerate reference pairs and run each through the shared per-pair
+//! step ([`steps::resolve_pair`]) — short-circuit constant subscripts,
+//! memoize, run extended-GCD preprocessing, cascade the exact tests,
+//! refine direction vectors with pruning — keeping the statistics behind
 //! Tables 1–5 and 7.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::path::Path;
 
 use dda_ir::{extract_accesses, reference_pairs, Access, Program};
 
 use crate::certificate::Certificate;
 use crate::fourier_motzkin::FmLimits;
-use crate::gcd::{
-    expand_lattice, refute_equalities, solve_equalities, solve_equalities_restricted,
-    witness_for_problem, EqOutcome,
-};
-use crate::memo::{nobounds_key, CanonicalKey, MemoTable};
-use crate::pipeline::{ClassifiedKind, GcdVerdict, NullProbe, PipelineConfig, Probe, TraceEvent};
+use crate::gcd::{EqOutcome, Lattice};
+use crate::memo::SharedMemo;
+use crate::persist::{MemoFormat, PersistError};
+use crate::pipeline::{NullProbe, PipelineConfig, Probe};
 use crate::problem::DependenceProblem;
 use crate::result::{DependenceResult, Direction, DirectionVector, DistanceVector};
 use crate::stats::AnalysisStats;
-use crate::steps::{self, Classified, ReduceEffects};
+use crate::steps::{self, MemoSource, MemoUse, ReduceEffects};
 
 /// Memoization flavour (Section 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -124,7 +123,7 @@ pub struct ProgramReport {
 impl ProgramReport {
     /// Assembles a report from per-pair reports (in enumeration order)
     /// and the program's statistics delta. Used by the batch engine,
-    /// which reconstructs both outside the serial analyzer.
+    /// which assembles both from its waves.
     #[must_use]
     pub fn from_parts(pairs: Vec<PairReport>, stats: AnalysisStats) -> ProgramReport {
         ProgramReport { pairs, stats }
@@ -205,7 +204,9 @@ pub struct CachedOutcome {
 ///
 /// The analyzer owns its memo tables, so reusing one instance across
 /// programs models the paper's "store the hash table across compilations"
-/// extension.
+/// extension. They are the same [`SharedMemo`] the batch engine uses, in
+/// one shard, so both persist in the same formats and warm-start each
+/// other.
 ///
 /// # Examples
 ///
@@ -224,12 +225,17 @@ pub struct CachedOutcome {
 /// );
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DependenceAnalyzer {
     config: AnalyzerConfig,
-    pub(crate) full_memo: MemoTable<CachedOutcome>,
-    pub(crate) gcd_memo: MemoTable<EqOutcome>,
+    memo: SharedMemo,
     stats: AnalysisStats,
+}
+
+impl Default for DependenceAnalyzer {
+    fn default() -> DependenceAnalyzer {
+        DependenceAnalyzer::with_config(AnalyzerConfig::default())
+    }
 }
 
 impl DependenceAnalyzer {
@@ -244,7 +250,8 @@ impl DependenceAnalyzer {
     pub fn with_config(config: AnalyzerConfig) -> DependenceAnalyzer {
         DependenceAnalyzer {
             config,
-            ..DependenceAnalyzer::default()
+            memo: SharedMemo::new(1),
+            stats: AnalysisStats::default(),
         }
     }
 
@@ -264,32 +271,68 @@ impl DependenceAnalyzer {
     /// Number of distinct entries in the full-result memo table.
     #[must_use]
     pub fn memo_entries(&self) -> usize {
-        self.full_memo.unique_entries()
+        self.memo.full.unique_entries()
     }
 
     /// Number of distinct entries in the no-bounds (GCD) memo table.
     #[must_use]
     pub fn gcd_memo_entries(&self) -> usize {
-        self.gcd_memo.unique_entries()
+        self.memo.gcd.unique_entries()
     }
 
     /// Traffic counters of the full-result memo table.
     #[must_use]
     pub fn full_memo_counters(&self) -> crate::memo::MemoCounters {
-        self.full_memo.counters()
+        self.memo.full.counters()
     }
 
     /// Traffic counters of the no-bounds (GCD) memo table.
     #[must_use]
     pub fn gcd_memo_counters(&self) -> crate::memo::MemoCounters {
-        self.gcd_memo.counters()
+        self.memo.gcd.counters()
     }
 
-    /// Clears memo tables and statistics.
+    /// Clears memo tables (including an attached archive tier) and
+    /// statistics.
     pub fn reset(&mut self) {
-        self.full_memo.clear();
-        self.gcd_memo.clear();
+        self.memo = SharedMemo::new(1);
         self.stats = AnalysisStats::default();
+    }
+
+    /// Serializes both memo tables (see [`SharedMemo::export_memo`]).
+    #[must_use]
+    pub fn export_memo(&self) -> String {
+        self.memo.export_memo()
+    }
+
+    /// Loads entries from exported text (see [`SharedMemo::import_memo`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a located [`PersistError`] on malformed content.
+    pub fn import_memo(&mut self, text: &str) -> Result<(), PersistError> {
+        self.memo.import_memo(text)
+    }
+
+    /// Writes the memo tables as `dda-memo v2` text, atomically (see
+    /// [`SharedMemo::save_memo_file`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn save_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+        self.memo.save_memo_file(path)
+    }
+
+    /// Warm-starts from v2 text or a v3 archive and reports which format
+    /// it found (see [`SharedMemo::load_memo_file`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; format errors surface as
+    /// [`std::io::ErrorKind::InvalidData`].
+    pub fn load_memo_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<MemoFormat> {
+        self.memo.load_memo_file(path)
     }
 
     /// Analyzes every reference pair of `program` (which should already be
@@ -333,190 +376,72 @@ impl DependenceAnalyzer {
         common: usize,
         probe: &mut P,
     ) -> PairReport {
-        let report = self.pair_inner(a, b, common, probe);
-        if P::ACTIVE {
-            probe.record(TraceEvent::PairFinished {
-                result: report.result.clone(),
-                from_cache: report.from_cache,
-            });
-        }
-        report
+        let classified = steps::classify_pair(a, b, common, self.config.symbolic);
+        let mut source = OnTheSpot {
+            config: &self.config,
+            memo: &self.memo,
+        };
+        let out = steps::resolve_pair(&self.config, a, b, common, &classified, &mut source, probe);
+        self.stats.add(&out.stats);
+        out.report
     }
+}
 
-    fn pair_inner<P: Probe>(
-        &mut self,
-        a: &Access,
-        b: &Access,
-        common: usize,
-        probe: &mut P,
-    ) -> PairReport {
-        self.stats.pairs += 1;
-        let template = steps::pair_template(a, b, common);
-        if P::ACTIVE {
-            probe.record(TraceEvent::PairStarted {
-                array: template.array.clone(),
-                a_access: template.a_access,
-                b_access: template.b_access,
-                common,
-            });
-        }
+/// The serial analyzer's [`MemoSource`]: looks up, solves and inserts on
+/// the spot.
+struct OnTheSpot<'a> {
+    config: &'a AnalyzerConfig,
+    memo: &'a SharedMemo,
+}
 
-        let problem = match steps::classify_pair(a, b, common, self.config.symbolic) {
-            // Constant subscripts: no dependence testing at all.
-            Classified::Constant { dependent } => {
-                self.stats.constant += 1;
-                if P::ACTIVE {
-                    probe.record(TraceEvent::Classified {
-                        kind: ClassifiedKind::Constant { dependent },
-                    });
+impl MemoSource for OnTheSpot<'_> {
+    fn gcd(&mut self, problem: &DependenceProblem) -> Option<(Option<EqOutcome>, MemoUse)> {
+        let key = steps::gcd_key(self.config, problem);
+        let (canonical, used) = match &key {
+            None => (steps::solve_gcd(problem, None), MemoUse::Unkeyed),
+            Some(nk) => match self.memo.lookup_gcd(&nk.key) {
+                Some(hit) => (Some(hit), MemoUse::Hit),
+                None => {
+                    let solved = steps::solve_gcd(problem, Some(nk));
+                    // Overflows are not cached: a later pair recomputes.
+                    if let Some(v) = &solved {
+                        self.memo.gcd.insert(nk.key.clone(), v.clone());
+                    }
+                    (solved, MemoUse::Miss)
                 }
-                let report =
-                    steps::constant_report(template, dependent, self.config.compute_directions);
-                self.note_outcome(&report);
-                return report;
-            }
-            Classified::Unbuildable => {
-                self.stats.assumed += 1;
-                if P::ACTIVE {
-                    probe.record(TraceEvent::Classified {
-                        kind: ClassifiedKind::Unbuildable,
-                    });
-                }
-                let report = steps::assumed_report(template, self.config.compute_directions);
-                self.note_outcome(&report);
-                return report;
-            }
-            Classified::Problem(p) => p,
-        };
-        if P::ACTIVE {
-            probe.record(TraceEvent::Classified {
-                kind: ClassifiedKind::Problem {
-                    vars: problem.num_vars(),
-                    equations: problem.eq_coeffs.len(),
-                    bounds: problem.bounds.len(),
-                },
-            });
-        }
-
-        // Extended GCD through the no-bounds memo — consulted for every
-        // non-constant pair, bounds or not, exactly like the paper's
-        // Table 2 "without bounds" column.
-        let gcd_start = if P::ACTIVE {
-            Some(Instant::now())
-        } else {
-            None
-        };
-        let (eq_outcome, gcd_cached) = self.gcd_phase(&problem);
-        if P::ACTIVE {
-            let nanos = gcd_start.map_or(0, |s| {
-                u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
-            });
-            let verdict = match &eq_outcome {
-                None => GcdVerdict::Overflow,
-                Some(EqOutcome::Independent { .. }) => GcdVerdict::Independent,
-                Some(EqOutcome::Lattice(_)) => GcdVerdict::Lattice,
-            };
-            probe.record(TraceEvent::Gcd {
-                verdict,
-                cached: gcd_cached,
-                nanos,
-            });
-        }
-        let lattice = match eq_outcome {
-            None => {
-                self.stats.assumed += 1;
-                self.note_outcome(&template);
-                return template; // overflow: assume dependent
-            }
-            Some(EqOutcome::Independent { refutation }) => {
-                self.stats.gcd_independent += 1;
-                // The witness rode along with the (possibly cached)
-                // outcome; refactorize only when none transferred.
-                let refutation = refutation.or_else(|| refute_equalities(&problem));
-                let report = steps::gcd_independent_report(template, refutation);
-                self.note_outcome(&report);
-                return report;
-            }
-            Some(EqOutcome::Lattice(l)) => l,
-        };
-
-        // Full-result memo (see `steps::full_key` for the symmetric
-        // canonicalization contract).
-        let full_key: Option<(CanonicalKey, bool)> = steps::full_key(&self.config, &problem);
-        if let Some((ck, flipped)) = &full_key {
-            self.stats.memo_queries += 1;
-            if let Some(cached) = self.full_memo.get(&ck.key) {
-                self.stats.memo_hits += 1;
-                if P::ACTIVE {
-                    probe.record(TraceEvent::CacheHit);
-                }
-                let cached = cached.clone();
-                let report = steps::rehydrate_hit(self.config.memo, cached, ck, *flipped, template);
-                self.note_outcome(&report);
-                return report;
-            }
-        }
-
-        let mut fx = ReduceEffects::default();
-        let report = steps::analyze_reduced_probed(
-            &self.config,
-            &problem,
-            &lattice,
-            template,
-            &mut fx,
-            probe,
-        );
-        fx.apply_to(&mut self.stats);
-        if let Some((ck, flipped)) = full_key {
-            self.full_memo.insert(
-                ck.key.clone(),
-                steps::canonical_outcome(&report, &ck, flipped),
-            );
-        }
-        self.note_outcome(&report);
-        report
-    }
-
-    /// Runs the extended GCD test through the no-bounds memo table,
-    /// returning a lattice over all problem variables plus whether the
-    /// memo table supplied it.
-    fn gcd_phase(&mut self, problem: &DependenceProblem) -> (Option<EqOutcome>, bool) {
-        if self.config.memo == MemoMode::Off {
-            return (solve_equalities(problem), false);
-        }
-        let improved = self.config.memo == MemoMode::Improved;
-        let nk = nobounds_key(problem, improved);
-        self.stats.gcd_memo_queries += 1;
-        let mut cached = false;
-        let canonical = if let Some(hit) = self.gcd_memo.get(&nk.key) {
-            self.stats.gcd_memo_hits += 1;
-            cached = true;
-            Some(hit.clone())
-        } else {
-            let computed =
-                solve_equalities_restricted(&problem.eq_coeffs, &problem.eq_rhs, &nk.kept_vars);
-            if let Some(v) = &computed {
-                self.gcd_memo.insert(nk.key.clone(), v.clone());
-            }
-            computed
-        };
-        let expanded = canonical.map(|eq| match eq {
-            // The cached witness is in canonical row order; reorder it
-            // onto this problem's rows (arity mismatches degrade to
-            // `None`, and the caller refactorizes).
-            EqOutcome::Independent { refutation } => EqOutcome::Independent {
-                refutation: refutation
-                    .and_then(|w| witness_for_problem(problem, &nk.kept_vars, &w)),
             },
-            EqOutcome::Lattice(l) => {
-                EqOutcome::Lattice(expand_lattice(&l, &nk.kept_vars, problem.num_vars()))
-            }
-        });
-        (expanded, cached)
+        };
+        Some((steps::expand_gcd(problem, key.as_ref(), canonical), used))
     }
 
-    fn note_outcome(&mut self, report: &PairReport) {
-        steps::note_outcome(&mut self.stats, report);
+    fn full<P: Probe>(
+        &mut self,
+        problem: &DependenceProblem,
+        lattice: &Lattice,
+        template: PairReport,
+        probe: &mut P,
+    ) -> Option<(PairReport, ReduceEffects, MemoUse)> {
+        // See `steps::full_key` for the symmetric canonicalization
+        // contract.
+        let key = steps::full_key(self.config, problem);
+        if let Some((ck, flipped)) = &key {
+            if let Some(cached) = self.memo.lookup_full(&ck.key) {
+                let report = steps::rehydrate_hit(self.config.memo, cached, ck, *flipped, template);
+                return Some((report, ReduceEffects::default(), MemoUse::Hit));
+            }
+        }
+        let mut fx = ReduceEffects::default();
+        let report =
+            steps::analyze_reduced_probed(self.config, problem, lattice, template, &mut fx, probe);
+        let used = match key {
+            None => MemoUse::Unkeyed,
+            Some((ck, flipped)) => {
+                let outcome = steps::canonical_outcome(&report, &ck, flipped);
+                self.memo.full.insert(ck.key, outcome);
+                MemoUse::Miss
+            }
+        };
+        Some((report, fx, used))
     }
 }
 

@@ -56,6 +56,7 @@ pub mod explain;
 pub mod fourier_motzkin;
 pub mod gcd;
 pub mod graph;
+pub mod json;
 pub mod loop_residue;
 pub mod memo;
 pub mod persist;

@@ -330,9 +330,8 @@ pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
     }
 }
 
-/// Estimated resident size of a memo value, used by the byte-capped
-/// eviction policy of [`ShardedMemoTable`] and the byte accounting of
-/// [`MemoTable`].
+/// Estimated resident size of a memo value, used by the byte accounting
+/// and byte-capped eviction policy of [`ShardedMemoTable`].
 ///
 /// Weights are *estimates* of heap plus inline size, not allocator
 /// truth: the point is a stable, deterministic measure so a byte cap
@@ -376,9 +375,7 @@ fn key_bytes(key: &MemoKey) -> u64 {
     2 * vec_i64_bytes(&key.0)
 }
 
-/// A point-in-time read of one memo table's traffic counters, shared by
-/// [`MemoTable`] and [`ShardedMemoTable`] so observability code can
-/// treat serial and sharded tables uniformly.
+/// A point-in-time read of one [`ShardedMemoTable`]'s traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoCounters {
     /// Lookups performed.
@@ -402,130 +399,6 @@ impl MemoCounters {
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.queries.saturating_sub(self.hits)
-    }
-}
-
-/// A memo table with hit/miss and byte accounting.
-#[derive(Debug, Clone)]
-pub struct MemoTable<V> {
-    map: HashMap<MemoKey, V, PaperHashBuilder>,
-    queries: u64,
-    hits: u64,
-    warm_loads: u64,
-    bytes: u64,
-}
-
-impl<V> Default for MemoTable<V> {
-    fn default() -> MemoTable<V> {
-        MemoTable::new()
-    }
-}
-
-impl<V> MemoTable<V> {
-    /// Creates an empty table.
-    #[must_use]
-    pub fn new() -> MemoTable<V> {
-        MemoTable {
-            map: HashMap::with_hasher(PaperHashBuilder),
-            queries: 0,
-            hits: 0,
-            warm_loads: 0,
-            bytes: 0,
-        }
-    }
-
-    /// Looks up a key, counting the query.
-    pub fn get(&mut self, key: &MemoKey) -> Option<&V> {
-        self.queries += 1;
-        let hit = self.map.get(key);
-        if hit.is_some() {
-            self.hits += 1;
-        }
-        hit
-    }
-
-    /// Inserts a computed result.
-    pub fn insert(&mut self, key: MemoKey, value: V)
-    where
-        V: MemoWeight,
-    {
-        let kb = key_bytes(&key);
-        self.bytes += kb + value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
-        if let Some(old) = self.map.insert(key, value) {
-            self.bytes -= kb + old.weight_bytes() + ENTRY_OVERHEAD_BYTES;
-        }
-    }
-
-    /// Inserts an entry loaded from a persisted memo file, counting it
-    /// as a warm-start load. Semantically identical to [`insert`];
-    /// the extra counter only feeds telemetry.
-    ///
-    /// [`insert`]: MemoTable::insert
-    pub fn insert_warm(&mut self, key: MemoKey, value: V)
-    where
-        V: MemoWeight,
-    {
-        self.warm_loads += 1;
-        self.insert(key, value);
-    }
-
-    /// Number of lookups performed.
-    #[must_use]
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Number of lookups that hit.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Entries loaded via [`insert_warm`](MemoTable::insert_warm).
-    #[must_use]
-    pub fn warm_loads(&self) -> u64 {
-        self.warm_loads
-    }
-
-    /// Number of distinct entries stored.
-    #[must_use]
-    pub fn unique_entries(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Estimated bytes held by stored entries.
-    #[must_use]
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// All traffic counters in one read. The serial table is unbounded
-    /// (no eviction), so `evictions` and `capacity_bytes` are zero.
-    #[must_use]
-    pub fn counters(&self) -> MemoCounters {
-        MemoCounters {
-            queries: self.queries,
-            hits: self.hits,
-            warm_loads: self.warm_loads,
-            entries: self.map.len() as u64,
-            bytes: self.bytes,
-            evictions: 0,
-            capacity_bytes: 0,
-        }
-    }
-
-    /// Iterates over stored entries (unspecified order).
-    pub fn entries(&self) -> impl Iterator<Item = (&MemoKey, &V)> {
-        self.map.iter()
-    }
-
-    /// Clears contents and counters.
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.queries = 0;
-        self.hits = 0;
-        self.warm_loads = 0;
-        self.bytes = 0;
     }
 }
 
@@ -570,9 +443,9 @@ struct Entry<V> {
 /// threads insert leader results and read cached outcomes through `&self`,
 /// so the table can be shared across a `std::thread::scope` without a
 /// global lock. Query/hit counters are atomic and count *table traffic*
-/// (one consult per distinct key per batch in the engine), which is a
-/// different notion from the serial-equivalent per-pair accounting in
-/// [`AnalysisStats`](crate::stats::AnalysisStats).
+/// (one consult per pair in the serial analyzer, per distinct key per
+/// batch in the engine), which is a different notion from the per-pair
+/// accounting in [`AnalysisStats`](crate::stats::AnalysisStats).
 ///
 /// # Bounded capacity
 ///
@@ -864,12 +737,12 @@ impl<V> ShardedMemoTable<V> {
     }
 }
 
-/// Both sharded tables of the batch engine: the no-bounds (GCD) table and
-/// the with-bounds full-result table — the concurrent counterpart of the
-/// pair of [`MemoTable`]s inside
-/// [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer). Persists
-/// in the same `dda-memo v1` format (see `persist`), so serial and batch
-/// runs can warm-start each other.
+/// The memo of every analysis driver: the no-bounds (GCD) table and the
+/// with-bounds full-result table. The batch engine shares one across its
+/// worker threads (and `dda serve` across requests); the serial
+/// [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) owns a
+/// one-shard instance. Persists as `dda-memo v2` text or a v3 archive
+/// (see `persist`), so any run can warm-start any other.
 #[derive(Debug)]
 pub struct SharedMemo {
     /// With-bounds full-result table.
@@ -1330,53 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn table_counts_hits_and_misses() {
-        let mut t: MemoTable<u32> = MemoTable::new();
-        let k = MemoKey(vec![1, 2, 3]);
-        assert!(t.get(&k).is_none());
-        t.insert(k.clone(), 42);
-        assert_eq!(t.get(&k), Some(&42));
-        assert_eq!(t.queries(), 2);
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.unique_entries(), 1);
-        t.clear();
-        assert_eq!(t.queries(), 0);
-        assert_eq!(t.unique_entries(), 0);
-    }
-
-    #[test]
-    fn table_counters_exact_on_scripted_sequence() {
-        // Scripted: 1 warm load, then miss / warm-hit / miss / insert /
-        // hit. Every counter must match the script exactly.
-        let mut t: MemoTable<u32> = MemoTable::new();
-        let warm = MemoKey(vec![9, 9]);
-        let cold = MemoKey(vec![1, 2]);
-        t.insert_warm(warm.clone(), 7);
-        assert!(t.get(&cold).is_none()); // miss
-        assert_eq!(t.get(&warm), Some(&7)); // hit (warm entry)
-        assert!(t.get(&cold).is_none()); // miss
-        t.insert(cold.clone(), 3);
-        assert_eq!(t.get(&cold), Some(&3)); // hit
-        let c = t.counters();
-        assert_eq!(
-            c,
-            MemoCounters {
-                queries: 4,
-                hits: 2,
-                warm_loads: 1,
-                entries: 2,
-                bytes: t.bytes(),
-                evictions: 0,
-                capacity_bytes: 0,
-            }
-        );
-        assert!(c.bytes > 0, "stored entries must be accounted");
-        assert_eq!(c.misses(), 2);
-        t.clear();
-        assert_eq!(t.counters(), MemoCounters::default());
-    }
-
-    #[test]
     fn sharded_counters_exact_on_scripted_sequence() {
         let t: ShardedMemoTable<u32> = ShardedMemoTable::new(3);
         let warm = MemoKey(vec![9, 9]);
@@ -1412,7 +1238,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_inserts_and_replacements() {
-        let mut t: MemoTable<u32> = MemoTable::new();
+        let t: ShardedMemoTable<u32> = ShardedMemoTable::new(2);
         assert_eq!(t.bytes(), 0);
         t.insert(MemoKey(vec![1, 2]), 5);
         let one = t.bytes();

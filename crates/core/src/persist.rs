@@ -60,7 +60,7 @@ fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
 
 use dda_linalg::Matrix;
 
-use crate::analyzer::{CachedOutcome, DependenceAnalyzer};
+use crate::analyzer::CachedOutcome;
 use crate::certificate::{
     Certificate, Derivation, DirTree, FmTree, RefProof, Rule, SystemRefutation,
 };
@@ -685,111 +685,12 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
     ))
 }
 
-// --- analyzer-level API ---------------------------------------------------
-
-impl DependenceAnalyzer {
-    /// Serializes both memo tables to the versioned text format.
-    ///
-    /// Entries are emitted in sorted key order, so exports are
-    /// deterministic and diff-friendly.
-    #[must_use]
-    pub fn export_memo(&self) -> String {
-        let mut out = String::from(HEADER);
-        out.push('\n');
-        let mut gcd: Vec<_> = self.gcd_memo.entries().collect();
-        gcd.sort_by_key(|(k, _)| (*k).clone());
-        for (k, v) in gcd {
-            encode_gcd(k, v, &mut out);
-        }
-        let mut full: Vec<_> = self.full_memo.entries().collect();
-        full.sort_by_key(|(k, _)| (*k).clone());
-        for (k, v) in full {
-            encode_full(k, v, &mut out);
-        }
-        out
-    }
-
-    /// Loads entries from a previously exported table into this
-    /// analyzer's memo tables (existing entries are kept; imported keys
-    /// overwrite colliding ones).
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`PersistError`] on any malformed content; the
-    /// tables may then be partially updated.
-    pub fn import_memo(&mut self, text: &str) -> Result<(), PersistError> {
-        let mut lines = text.lines().enumerate();
-        let v2 = match lines.next() {
-            Some((_, h)) if h.trim() == HEADER => true,
-            Some((_, h)) if h.trim() == HEADER_V1 => false,
-            Some((_, h)) => return err(1, format!("bad header `{h}`")),
-            None => return err(1, "empty file"),
-        };
-        for (idx, line) in lines {
-            let line_no = idx + 1;
-            let trimmed = line.trim();
-            if trimmed.is_empty() || trimmed.starts_with('#') {
-                continue;
-            }
-            let mut f = Fields::new(trimmed, line_no);
-            match f.next_str()? {
-                "gcd" => {
-                    let (k, v) = decode_gcd(&mut f, v2)?;
-                    f.finish()?;
-                    self.gcd_memo.insert_warm(k, v);
-                }
-                "full" => {
-                    let (k, v) = decode_full(&mut f, v2)?;
-                    f.finish()?;
-                    self.full_memo.insert_warm(k, v);
-                }
-                other => return err(line_no, format!("unknown record `{other}`")),
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes [`export_memo`](Self::export_memo) to a file atomically
-    /// (temp file in the same directory plus rename), so an interrupted
-    /// save never corrupts an existing memo.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.export_memo())
-    }
-
-    /// Reads a memo file — either text (see
-    /// [`import_memo`](Self::import_memo)) or a binary v3 archive, which
-    /// is decoded eagerly since the serial analyzer's tables are not
-    /// shared — and reports which format it found.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; format errors are wrapped as
-    /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load_memo_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<MemoFormat> {
-        let path = path.as_ref();
-        if crate::persist_v3::is_v3_file(path)? {
-            let archive = crate::persist_v3::MemoArchive::open(path)?;
-            archive
-                .for_each_gcd(|k, v| self.gcd_memo.insert_warm(k, v))
-                .and_then(|()| archive.for_each_full(|k, v| self.full_memo.insert_warm(k, v)))
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-            return Ok(MemoFormat::V3Binary);
-        }
-        let text = fs::read_to_string(path)?;
-        self.import_memo(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(MemoFormat::V2Text)
-    }
-}
+// --- table-level API ----------------------------------------------------
 
 impl SharedMemo {
-    /// Serializes both sharded tables to the same `dda-memo v1` format as
-    /// [`DependenceAnalyzer::export_memo`], in sorted key order — so a
-    /// batch run can warm-start a serial analyzer and vice versa.
+    /// Serializes both tables to the versioned text format, in sorted key
+    /// order, so exports are deterministic and diff-friendly whatever the
+    /// shard count.
     #[must_use]
     pub fn export_memo(&self) -> String {
         let (gcd, full) = self.merged_entries();
@@ -837,9 +738,8 @@ impl SharedMemo {
         (gcd.into_iter().collect(), full.into_iter().collect())
     }
 
-    /// Loads entries from a previously exported table (from either a
-    /// serial analyzer or another shared table). Existing entries are
-    /// kept; imported keys overwrite colliding ones.
+    /// Loads entries from a previously exported table. Existing entries
+    /// are kept; imported keys overwrite colliding ones.
     ///
     /// # Errors
     ///
@@ -952,6 +852,7 @@ impl SharedMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::DependenceAnalyzer;
     use dda_ir::parse_program;
 
     fn trained_analyzer() -> DependenceAnalyzer {

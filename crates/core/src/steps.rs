@@ -1,16 +1,19 @@
-//! Single-pair analysis steps, factored out of the serial analyzer.
+//! The per-pair analysis step shared by every driver.
 //!
-//! [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) and the
-//! batch engine (`dda-engine`) must produce bit-identical reports, so the
-//! per-pair logic lives here as pure functions over explicit inputs: the
-//! serial analyzer threads its own memo tables and statistics through
-//! them, while the engine replays the same steps across worker threads
-//! and reconstructs the statistics in enumeration order.
+//! [`resolve_pair`] is the paper's single pass over one reference pair:
+//! classify, consult the memo, run the extended GCD, cascade the exact
+//! tests, refine directions, count. It is the one place the per-pair
+//! counting rules live. Both drivers call it and differ only in their
+//! [`MemoSource`]: the serial
+//! [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) looks up,
+//! solves and inserts on the spot, while the batch engine (`dda-engine`)
+//! hands back what its parallel leader waves already computed.
 //!
-//! Every function is deterministic: same inputs, same output, no hidden
-//! state. That property is what makes the engine's leader-election
-//! parallelism sound — any thread may compute a key's result and every
-//! other pair with that key can reuse it verbatim.
+//! The other functions are the pure pieces the step and the engine's
+//! waves are built from. Every one is deterministic: same inputs, same
+//! output, no hidden state. That property is what makes the engine's
+//! leader-election parallelism sound — any thread may compute a key's
+//! result and every other pair with that key can reuse it verbatim.
 
 use dda_ir::Access;
 
@@ -20,9 +23,14 @@ use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, PairReport};
 use crate::cascade::CascadeOutcome;
 use crate::certificate::Certificate;
 use crate::direction::{analyze_directions, DirectionAnalysis, DirectionConfig};
-use crate::gcd::{reduce_with_lattice, Lattice};
-use crate::memo::{bounds_key, CanonicalKey};
-use crate::pipeline::{run_pipeline_collect, NullProbe, Probe, TraceEvent};
+use crate::gcd::{
+    expand_lattice, reduce_with_lattice, refute_equalities, solve_equalities,
+    solve_equalities_restricted, witness_for_problem, EqOutcome, Lattice,
+};
+use crate::memo::{bounds_key, nobounds_key, CanonicalKey, NoBoundsKey};
+use crate::pipeline::{
+    run_pipeline_collect, ClassifiedKind, GcdVerdict, NullProbe, Probe, TraceEvent,
+};
 use crate::problem::{build_problem, constant_compare, DependenceProblem};
 use crate::result::{
     Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
@@ -128,7 +136,7 @@ pub fn assumed_report(mut template: PairReport, compute_directions: bool) -> Pai
 
 /// Finishes a pair the extended GCD test proved independent.
 /// `refutation` is the divisibility witness from
-/// [`refute_equalities`](crate::gcd::refute_equalities); `None` degrades
+/// [`refute_equalities`]; `None` degrades
 /// the certificate to [`Certificate::Unverified`] without touching the
 /// verdict.
 #[must_use]
@@ -145,6 +153,59 @@ pub fn gcd_independent_report(
         None => Certificate::Unverified,
     };
     template
+}
+
+/// The no-bounds (GCD) memo key for a problem, or `None` when
+/// memoization is off.
+#[must_use]
+pub fn gcd_key(config: &AnalyzerConfig, problem: &DependenceProblem) -> Option<NoBoundsKey> {
+    (config.memo != MemoMode::Off).then(|| nobounds_key(problem, config.memo == MemoMode::Improved))
+}
+
+/// Runs the extended GCD test. With a memo key it solves the canonical
+/// system over the key's kept variables (the form the memo stores);
+/// without one it solves the problem as built.
+#[must_use]
+pub fn solve_gcd(problem: &DependenceProblem, key: Option<&NoBoundsKey>) -> Option<EqOutcome> {
+    match key {
+        Some(nk) => solve_equalities_restricted(&problem.eq_coeffs, &problem.eq_rhs, &nk.kept_vars),
+        None => solve_equalities(problem),
+    }
+}
+
+/// Maps a [`solve_gcd`] outcome for `key` back onto `problem`: lattices
+/// expand to every problem variable, and refutation witnesses (kept in
+/// canonical row order) are reordered onto the problem's rows — an arity
+/// mismatch degrades to `None`, and the caller refactorizes. Keyless
+/// outcomes are already in problem space.
+#[must_use]
+pub fn expand_gcd(
+    problem: &DependenceProblem,
+    key: Option<&NoBoundsKey>,
+    outcome: Option<EqOutcome>,
+) -> Option<EqOutcome> {
+    let Some(nk) = key else {
+        return outcome;
+    };
+    outcome.map(|eq| match eq {
+        EqOutcome::Independent { refutation } => EqOutcome::Independent {
+            refutation: refutation.and_then(|w| witness_for_problem(problem, &nk.kept_vars, &w)),
+        },
+        EqOutcome::Lattice(l) => {
+            EqOutcome::Lattice(expand_lattice(&l, &nk.kept_vars, problem.num_vars()))
+        }
+    })
+}
+
+/// The telemetry verdict of one extended-GCD outcome (`None` is an
+/// overflowed solve).
+#[must_use]
+pub fn gcd_verdict(outcome: Option<&EqOutcome>) -> GcdVerdict {
+    match outcome {
+        None => GcdVerdict::Overflow,
+        Some(EqOutcome::Independent { .. }) => GcdVerdict::Independent,
+        Some(EqOutcome::Lattice(_)) => GcdVerdict::Lattice,
+    }
 }
 
 /// The full-result memo key for a problem, or `None` when memoization is
@@ -469,4 +530,202 @@ pub fn note_outcome(stats: &mut AnalysisStats, report: &PairReport) {
         stats.dependent_pairs += 1;
     }
     stats.direction_vectors_found += report.direction_vectors.len() as u64;
+}
+
+/// How a [`MemoSource`] served one lookup — all the per-pair counting
+/// rules need to know about the memo.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MemoUse {
+    /// No memo key (memoization off): the pair solved for itself.
+    Unkeyed,
+    /// The memo was consulted and missed; the value was computed fresh.
+    Miss,
+    /// The memo answered with an entry written during this run.
+    Hit,
+    /// The memo answered with an entry that predates this run (a warm
+    /// start or an earlier batch): the verdict is spliced, not re-solved.
+    Warm,
+}
+
+impl MemoUse {
+    fn is_hit(self) -> bool {
+        matches!(self, MemoUse::Hit | MemoUse::Warm)
+    }
+
+    /// Counts one lookup into a table's query and hit counters.
+    fn count(self, queries: &mut u64, hits: &mut u64) {
+        if self != MemoUse::Unkeyed {
+            *queries += 1;
+        }
+        if self.is_hit() {
+            *hits += 1;
+        }
+    }
+}
+
+/// Where [`resolve_pair`] gets a pair's memoized values from. Each method
+/// answers `None` when a deadline cancelled the computation it needed.
+pub trait MemoSource {
+    /// The pair's extended-GCD outcome, expanded to every problem
+    /// variable (see [`expand_gcd`]; an inner `None` is an overflow).
+    fn gcd(&mut self, problem: &DependenceProblem) -> Option<(Option<EqOutcome>, MemoUse)>;
+
+    /// The full analysis of a pair whose equalities have `lattice`: a
+    /// memo hit rehydrated onto `template` (with no statistics effects),
+    /// or a fresh [`analyze_reduced_probed`] report and its effects.
+    fn full<P: Probe>(
+        &mut self,
+        problem: &DependenceProblem,
+        lattice: &Lattice,
+        template: PairReport,
+        probe: &mut P,
+    ) -> Option<(PairReport, ReduceEffects, MemoUse)>;
+}
+
+/// What [`resolve_pair`] produced for one pair.
+#[derive(Debug)]
+pub struct Resolution {
+    /// The pair's report.
+    pub report: PairReport,
+    /// The pair's statistics delta.
+    pub stats: AnalysisStats,
+    /// The verdict came straight from a warm memo entry (the incremental
+    /// fast path); otherwise the pair was resolved in this run.
+    pub spliced: bool,
+    /// A deadline cancelled a computation the pair needed: the report is
+    /// the bare conservative template.
+    pub cancelled: bool,
+}
+
+/// Analyzes one classified pair, reporting every step to `probe`: the
+/// memo and solver work comes from `source`, and every statistics
+/// counter of the pair is decided here.
+///
+/// A cancelled pair comes back as the conservative template, counted as
+/// assumed, with none of the memo accounting a completed visit would do.
+pub fn resolve_pair<S: MemoSource, P: Probe>(
+    config: &AnalyzerConfig,
+    a: &Access,
+    b: &Access,
+    common: usize,
+    classified: &Classified,
+    source: &mut S,
+    probe: &mut P,
+) -> Resolution {
+    let template = pair_template(a, b, common);
+    if P::ACTIVE {
+        probe.record(TraceEvent::PairStarted {
+            array: template.array.clone(),
+            a_access: template.a_access,
+            b_access: template.b_access,
+            common,
+        });
+    }
+    let mut stats = AnalysisStats {
+        pairs: 1,
+        ..AnalysisStats::default()
+    };
+    let mut classified_as = |kind| {
+        if P::ACTIVE {
+            probe.record(TraceEvent::Classified { kind });
+        }
+    };
+    let (report, spliced, cancelled) = match classified {
+        // Constant subscripts: no dependence testing at all.
+        Classified::Constant { dependent } => {
+            stats.constant += 1;
+            classified_as(ClassifiedKind::Constant {
+                dependent: *dependent,
+            });
+            let report = constant_report(template, *dependent, config.compute_directions);
+            (report, false, false)
+        }
+        Classified::Unbuildable => {
+            stats.assumed += 1;
+            classified_as(ClassifiedKind::Unbuildable);
+            let report = assumed_report(template, config.compute_directions);
+            (report, false, false)
+        }
+        Classified::Problem(problem) => {
+            classified_as(ClassifiedKind::Problem {
+                vars: problem.num_vars(),
+                equations: problem.eq_coeffs.len(),
+                bounds: problem.bounds.len(),
+            });
+            match resolve_problem(problem, template, source, probe, &mut stats) {
+                Some((report, spliced)) => (report, spliced, false),
+                None => {
+                    stats = AnalysisStats {
+                        pairs: 1,
+                        assumed: 1,
+                        ..AnalysisStats::default()
+                    };
+                    (pair_template(a, b, common), false, true)
+                }
+            }
+        }
+    };
+    note_outcome(&mut stats, &report);
+    if P::ACTIVE {
+        probe.record(TraceEvent::PairFinished {
+            result: report.result.clone(),
+            from_cache: report.from_cache,
+        });
+    }
+    Resolution {
+        report,
+        stats,
+        spliced,
+        cancelled,
+    }
+}
+
+/// The memoized part of [`resolve_pair`]: the extended GCD through the
+/// no-bounds memo — consulted for every non-constant pair, bounds or
+/// not, exactly like the paper's Table 2 "without bounds" column — then
+/// the full-result memo or a fresh cascade. Returns the report and
+/// whether it was spliced, or `None` when cancelled.
+fn resolve_problem<S: MemoSource, P: Probe>(
+    problem: &DependenceProblem,
+    template: PairReport,
+    source: &mut S,
+    probe: &mut P,
+    stats: &mut AnalysisStats,
+) -> Option<(PairReport, bool)> {
+    let gcd_start = P::ACTIVE.then(Instant::now);
+    let (eq_outcome, gcd_use) = source.gcd(problem)?;
+    gcd_use.count(&mut stats.gcd_memo_queries, &mut stats.gcd_memo_hits);
+    if P::ACTIVE {
+        let nanos = gcd_start.map_or(0, |s| {
+            u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
+        });
+        probe.record(TraceEvent::Gcd {
+            verdict: gcd_verdict(eq_outcome.as_ref()),
+            cached: gcd_use.is_hit(),
+            nanos,
+        });
+    }
+    let lattice = match eq_outcome {
+        None => {
+            stats.assumed += 1;
+            return Some((template, false)); // overflow: assume dependent
+        }
+        Some(EqOutcome::Independent { refutation }) => {
+            stats.gcd_independent += 1;
+            // The witness rode along with the (possibly cached) outcome;
+            // refactorize only when none transferred.
+            let refutation = refutation.or_else(|| refute_equalities(problem));
+            let report = gcd_independent_report(template, refutation);
+            return Some((report, gcd_use == MemoUse::Warm));
+        }
+        Some(EqOutcome::Lattice(l)) => l,
+    };
+
+    let (report, fx, full_use) = source.full(problem, &lattice, template, probe)?;
+    full_use.count(&mut stats.memo_queries, &mut stats.memo_hits);
+    if P::ACTIVE && full_use.is_hit() {
+        probe.record(TraceEvent::CacheHit);
+    }
+    fx.apply_to(stats);
+    Some((report, full_use == MemoUse::Warm))
 }

@@ -4,13 +4,13 @@
 //! pairs across scoped worker threads, sharing work through the sharded
 //! concurrent memo tables of [`dda_core::SharedMemo`] — and still
 //! produces output *bit-identical* to running a single serial
-//! [`DependenceAnalyzer`](dda_core::DependenceAnalyzer) over the same
-//! programs in order: the same [`PairReport`]s, the same per-program
-//! [`AnalysisStats`], regardless of worker count.
+//! [`DependenceAnalyzer`] over the same programs in order: the same
+//! [`PairReport`]s, the same per-program [`AnalysisStats`], regardless
+//! of worker count.
 //!
 //! # How determinism survives parallelism
 //!
-//! Every per-pair step (classification, key construction, the extended
+//! Every per-pair piece (classification, key construction, the extended
 //! GCD solve, the cascade) is a pure function in [`dda_core::steps`], so
 //! results depend only on inputs, never on schedule. The engine runs in
 //! waves:
@@ -22,12 +22,14 @@
 //!    distinct key (the first pair that would reach the table in a
 //!    serial run). Leaders solve in parallel; every other pair with the
 //!    same key reuses the leader's result, exactly as a serial run would
-//!    have found it in the table.
+//!    have found it in the table. With memoization off no pair has a
+//!    key, and each solves for itself.
 //! 3. **Full analysis**: the same election over full-result keys;
 //!    leaders run the test cascade and direction refinement in parallel.
-//! 4. **Assemble** serially, in enumeration order: rebuild each
-//!    program's statistics delta by replaying the serial analyzer's
-//!    counting discipline over the precomputed outcomes.
+//! 4. **Assemble** serially, in enumeration order: every pair goes
+//!    through the same per-pair step as the serial analyzer,
+//!    [`dda_core::steps::resolve_pair`], whose memo source hands back
+//!    what the waves computed. That one function decides every counter.
 //!
 //! Because a leader is always the *first* occurrence in enumeration
 //! order, the hit/miss pattern — and therefore every statistics counter —
@@ -67,17 +69,15 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use dda_check::{check_pair, CheckOutcome};
-use dda_core::gcd::{
-    expand_lattice, refute_equalities, solve_equalities, solve_equalities_restricted,
-    witness_for_problem, EqOutcome, Lattice,
-};
-use dda_core::memo::{nobounds_key, MemoKey, NoBoundsKey};
+use dda_core::gcd::{EqOutcome, Lattice};
+use dda_core::memo::{CanonicalKey, MemoKey, NoBoundsKey};
 use dda_core::persist::PersistError;
+use dda_core::problem::DependenceProblem;
 use dda_core::stats::{AnalysisStats, StageTimings};
-use dda_core::steps::{self, Classified, ReduceEffects};
+use dda_core::steps::{self, Classified, MemoSource, MemoUse, ReduceEffects};
 use dda_core::{
-    AnalyzerConfig, CachedOutcome, DependenceKind, MemoFormat, MemoMode, PairReport, ProgramReport,
-    SharedMemo, StatsProbe,
+    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, DependenceKind, MemoFormat, MemoMode,
+    NullProbe, PairReport, Probe, ProgramReport, SharedMemo,
 };
 use dda_graph::{build_graph, ProgramGraph};
 use dda_ir::{extract_accesses, reference_pairs, Access, Program};
@@ -85,20 +85,9 @@ use dda_obs::{MemoTableKind, MetricsProbe, MetricsRegistry, TraceContext, WaveRe
 
 use pool::par_map_metered;
 
-/// The telemetry verdict of one extended-GCD outcome (`None` is an
-/// overflowed solve).
-fn gcd_verdict_of(out: Option<&EqOutcome>) -> dda_core::pipeline::GcdVerdict {
-    use dda_core::pipeline::GcdVerdict;
-    match out {
-        None => GcdVerdict::Overflow,
-        Some(EqOutcome::Independent { .. }) => GcdVerdict::Independent,
-        Some(EqOutcome::Lattice(_)) => GcdVerdict::Lattice,
-    }
-}
-
 /// The engine's observability sink: the process-global registry plus an
 /// optional request-scoped tee — the request's [`TraceContext`] local
-/// delta and trace id, as threaded by [`analyze_batch_traced`].
+/// delta and trace id, as threaded by [`analyze_batch`].
 ///
 /// `Copy`, so wave closures capture it by value. Every `record_*`
 /// forwards to the global registry and, when a request scope is
@@ -226,9 +215,8 @@ impl Default for EngineConfig {
 impl EngineConfig {
     /// The analyzer configuration the engine actually runs with:
     /// [`analyzer`](Self::analyzer) with its memo flavour replaced by
-    /// [`memo_mode`](Self::memo_mode). A serial
-    /// [`DependenceAnalyzer`](dda_core::DependenceAnalyzer) built from
-    /// this is the engine's reference semantics.
+    /// [`memo_mode`](Self::memo_mode). A serial [`DependenceAnalyzer`]
+    /// built from this is the engine's reference semantics.
     #[must_use]
     pub fn effective_analyzer_config(&self) -> AnalyzerConfig {
         AnalyzerConfig {
@@ -314,10 +302,10 @@ pub struct BatchOutcome {
 
 /// The parallel batch analyzer.
 ///
-/// Like [`DependenceAnalyzer`](dda_core::DependenceAnalyzer), an engine
-/// owns its memo tables, so one instance reused across batches models the
-/// paper's "store the hash table across compilations" extension — and its
-/// tables can be saved/loaded in the same `dda-memo v1` format.
+/// Like [`DependenceAnalyzer`], an engine owns its memo tables, so one
+/// instance reused across batches models the paper's "store the hash
+/// table across compilations" extension. Both keep them in a
+/// [`SharedMemo`], so they save and load the same files.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -351,64 +339,50 @@ enum Src<V> {
     Share(usize),
 }
 
-/// Outcome of the extended-GCD wave for one job.
-// The lattice payload uses inline storage on purpose; boxing it here would
-// add a heap allocation per batched GCD solve. The enum is consumed
-// immediately after the phase, so its stack footprint does not accumulate.
-#[allow(clippy::large_enum_variant)]
-enum GcdRes {
-    /// Constant or unbuildable pair: the GCD phase never ran.
-    Skip,
-    /// The solve overflowed; dependence is assumed.
-    Overflow,
-    /// The deadline expired before this job's solve could run;
-    /// dependence is conservatively assumed (partial result).
-    Cancelled,
-    /// Proven independent. `hit` mirrors the serial analyzer's
-    /// `gcd_memo_hits` increment for this pair.
-    Independent {
-        /// Whether a serial run would count this as a no-bounds memo hit.
-        hit: bool,
-        /// Whether the verdict came from a warm table/archive entry
-        /// (not from a leader elected in this batch) — the pair was
-        /// spliced, not re-solved.
-        warm: bool,
-        /// The solve's refutation witness, remapped to this problem's row
-        /// order (absent when the witness did not transfer, e.g. a v1
-        /// warm entry — assembly re-derives it).
-        refutation: Option<(Vec<i64>, i64)>,
-    },
-    /// A solution lattice (expanded to all problem variables).
-    Lattice {
-        /// The expanded lattice.
-        lattice: Lattice,
-        /// Whether a serial run would count this as a no-bounds memo hit.
-        hit: bool,
-    },
+/// One job's extended-GCD answer as [`MemoSource::gcd`] hands it over:
+/// `None` when the deadline cancelled the solve (and for jobs without a
+/// problem, which never ask).
+type GcdServed = Option<(Option<EqOutcome>, MemoUse)>;
+
+/// One job's full-analysis answer from the full wave.
+enum FullRes {
+    /// Computed by this job: its report and statistics effects.
+    Computed(PairReport, ReduceEffects, MemoUse),
+    /// Served from a memo entry (warm, or a leader's fresh insert);
+    /// rehydrated onto the job's template during assembly.
+    Cached(CachedOutcome, CanonicalKey, bool, MemoUse),
 }
 
-/// Outcome of the full-analysis wave for one job.
-enum FullRes {
-    /// The job never reached the full phase (no lattice).
-    NotReached,
-    /// The deadline expired before this job's cascade could run.
-    Cancelled,
-    /// Freshly computed (leader, or memoization off).
-    Computed {
-        report: PairReport,
-        fx: ReduceEffects,
-        timings: StageTimings,
-    },
-    /// Served from the memo (warm hit or a leader's freshly inserted
-    /// entry); rehydrated during assembly.
-    Cached {
-        cached: CachedOutcome,
-        ck: dda_core::memo::CanonicalKey,
-        flipped: bool,
-        /// Warm table/archive entry (spliced) vs a leader's freshly
-        /// inserted result (re-solved this batch).
-        warm: bool,
-    },
+/// The engine's [`MemoSource`]: hands one job's wave results to the
+/// shared per-pair step.
+struct Replay {
+    memo_mode: MemoMode,
+    gcd: GcdServed,
+    /// `None` when the deadline cancelled the job's cascade (and for jobs
+    /// that never reach the full phase).
+    full: Option<FullRes>,
+}
+
+impl MemoSource for Replay {
+    fn gcd(&mut self, _: &DependenceProblem) -> GcdServed {
+        self.gcd.take()
+    }
+
+    fn full<P: Probe>(
+        &mut self,
+        _: &DependenceProblem,
+        _: &Lattice,
+        template: PairReport,
+        _: &mut P,
+    ) -> Option<(PairReport, ReduceEffects, MemoUse)> {
+        Some(match self.full.take()? {
+            FullRes::Computed(report, fx, used) => (report, fx, used),
+            FullRes::Cached(cached, ck, flipped, used) => {
+                let report = steps::rehydrate_hit(self.memo_mode, cached, &ck, flipped, template);
+                (report, ReduceEffects::default(), used)
+            }
+        })
+    }
 }
 
 /// For each job's (optional) memo key, decide — serially, in enumeration
@@ -523,8 +497,7 @@ impl Engine {
         self.obs.clear();
     }
 
-    /// Serializes the memo tables (`dda-memo v1`, interchangeable with
-    /// the serial analyzer's).
+    /// Serializes the memo tables as `dda-memo v2` text.
     #[must_use]
     pub fn export_memo(&self) -> String {
         self.memo.export_memo()
@@ -583,7 +556,7 @@ impl Engine {
 
     /// Analyzes a batch of programs and returns one report per program,
     /// in input order — bit-identical to looping a serial
-    /// [`DependenceAnalyzer`](dda_core::DependenceAnalyzer) (with
+    /// [`DependenceAnalyzer`] (with
     /// [`EngineConfig::effective_analyzer_config`] and the same warm
     /// state) over the batch, for any worker or shard count.
     pub fn analyze_programs(&mut self, programs: &[Program]) -> Vec<ProgramReport> {
@@ -593,6 +566,7 @@ impl Engine {
             &self.obs,
             programs,
             Deadline::none(),
+            None,
         );
         self.stats.add(&out.stats);
         self.timings.add(&out.timings);
@@ -605,11 +579,11 @@ impl Engine {
 ///
 /// With [`Deadline::none()`] this is exactly [`Engine::analyze_programs`]
 /// (which delegates here): bit-identical to a serial
-/// [`DependenceAnalyzer`](dda_core::DependenceAnalyzer) with the same
-/// warm state, for any worker or shard count. The difference is
-/// ownership — `memo` and `obs` outlive any engine, so a caller like
-/// `dda serve` keeps one warm [`SharedMemo`] across requests while each
-/// request brings its own config and deadline.
+/// [`DependenceAnalyzer`] with the same warm state, for any worker or
+/// shard count. The difference is ownership — `memo` and `obs` outlive
+/// any engine, so a caller like `dda serve` keeps one warm
+/// [`SharedMemo`] across requests while each request brings its own
+/// config and deadline.
 ///
 /// When `deadline` expires mid-batch, remaining computation is skipped:
 /// every affected pair reports `Answer::Unknown`, resolved-by-assumed,
@@ -620,28 +594,16 @@ impl Engine {
 /// cancelled. When `config.check` is on, the auto-check is skipped for
 /// deadline-exceeded batches (conservative partials re-analyze to
 /// different, exact answers by design).
-pub fn analyze_batch(
-    config: &EngineConfig,
-    memo: &SharedMemo,
-    obs: &MetricsRegistry,
-    programs: &[Program],
-    deadline: Deadline,
-) -> BatchOutcome {
-    analyze_batch_traced(config, memo, obs, programs, deadline, None)
-}
-
-/// [`analyze_batch`] with an optional request scope: when `trace` is
-/// set, every wave report, leader election, stage timing, GCD verdict,
-/// refinement, and the batch's spliced/resolved split are *teed* into
-/// the context's local registry (in addition to `obs`) under its trace
-/// id — so a service can attribute each recording to the request that
-/// caused it.
 ///
-/// Tracing is telemetry only: one extra relaxed atomic add per event,
-/// still allocation-free on the hot path, and the returned reports,
-/// stats, and timings are bit-identical to calling [`analyze_batch`]
-/// without a scope (proptested in `tests/obs.rs`).
-pub fn analyze_batch_traced(
+/// With a request scope in `trace`, every wave report, leader election,
+/// stage timing, GCD verdict, refinement, and the batch's
+/// spliced/resolved split are *teed* into the context's local registry
+/// (in addition to `obs`) under its trace id, so a service can attribute
+/// each recording to the request that caused it. Tracing is telemetry
+/// only: one extra relaxed atomic add per event, still allocation-free
+/// on the hot path, and the returned reports, stats, and timings are
+/// bit-identical with or without a scope (proptested in `tests/obs.rs`).
+pub fn analyze_batch(
     config: &EngineConfig,
     memo: &SharedMemo,
     obs: &MetricsRegistry,
@@ -652,7 +614,6 @@ pub fn analyze_batch_traced(
     let obs = Obs::traced(obs, trace);
     let cfg = config.effective_analyzer_config();
     let workers = config.effective_workers();
-    let memo_on = cfg.memo != MemoMode::Off;
 
     // Flatten the batch into one global job list; each program owns a
     // contiguous range, so enumeration order is (program, pair).
@@ -675,142 +636,48 @@ pub fn analyze_batch_traced(
     let classified = par_map_obs(obs, workers, &jobs, |_, j| {
         steps::classify_pair(j.a, j.b, j.common, cfg.symbolic)
     });
+    // Waves 2 and 3: extended GCD, then full analysis of the lattice jobs.
+    let (gcd, mut batch_timings) = gcd_wave(obs, memo, &cfg, workers, &jobs, &classified, deadline);
+    let (full, full_timings) =
+        full_wave(obs, memo, &cfg, workers, &jobs, &classified, &gcd, deadline);
+    batch_timings.add(&full_timings);
 
-    // Wave 2: extended GCD.
-    let (gcd, gcd_timings) = if memo_on {
-        gcd_wave_memo(obs, memo, &cfg, workers, &jobs, &classified, deadline)
-    } else {
-        gcd_wave_off(obs, workers, &jobs, &classified, deadline)
-    };
-    let mut batch_timings = gcd_timings;
-
-    // Wave 3: full analysis of the surviving (lattice) jobs.
-    let full = if memo_on {
-        full_wave_memo(obs, memo, &cfg, workers, &jobs, &classified, &gcd, deadline)
-    } else {
-        full_wave_off(obs, &cfg, workers, &jobs, &classified, &gcd, deadline)
-    };
-
-    // Wave 4: serial in-order assembly, replaying the serial
-    // analyzer's counting discipline per program. Cancelled pairs are
-    // handled up front: a bare conservative template, counted as
-    // assumed, with none of the memo accounting a completed visit
-    // would have done.
+    // Wave 4: serial in-order assembly through the shared per-pair step.
     let mut batch_stats = AnalysisStats::default();
     let mut deadline_exceeded = false;
     let mut batch_spliced = 0u64;
-    let mut batch_resolved = 0u64;
     let mut reports = Vec::with_capacity(programs.len());
-    let mut gcd_it = gcd.into_iter();
-    let mut full_it = full.into_iter();
+    let mut answers = gcd.into_iter().zip(full);
     for range in ranges {
         let mut delta = AnalysisStats::default();
         let mut pair_reports = Vec::with_capacity(range.len());
         for i in range {
             let job = &jobs[i];
-            let g = gcd_it.next().expect("one GCD outcome per job");
-            let f = full_it.next().expect("one full outcome per job");
-            delta.pairs += 1;
-            // Incremental accounting: a pair is *spliced* when its
-            // verdict came straight from a warm memo entry (table or
-            // archive tier), *re-solved* otherwise. Flipped below by
-            // the warm arms.
-            let mut spliced = false;
-            let template = steps::pair_template(job.a, job.b, job.common);
-            let report = match &classified[i] {
-                Classified::Constant { dependent } => {
-                    delta.constant += 1;
-                    steps::constant_report(template, *dependent, cfg.compute_directions)
-                }
-                Classified::Unbuildable => {
-                    delta.assumed += 1;
-                    steps::assumed_report(template, cfg.compute_directions)
-                }
-                Classified::Problem(_)
-                    if matches!(g, GcdRes::Cancelled) || matches!(f, FullRes::Cancelled) =>
-                {
-                    deadline_exceeded = true;
-                    delta.assumed += 1;
-                    template
-                }
-                Classified::Problem(p) => {
-                    if memo_on {
-                        delta.gcd_memo_queries += 1;
-                    }
-                    match g {
-                        GcdRes::Skip => {
-                            unreachable!("problem jobs always run the GCD wave")
-                        }
-                        GcdRes::Cancelled => unreachable!("handled by the guard above"),
-                        // Overflows are never cached, so they are
-                        // never hits.
-                        GcdRes::Overflow => {
-                            delta.assumed += 1;
-                            template
-                        }
-                        GcdRes::Independent {
-                            hit,
-                            warm,
-                            refutation,
-                        } => {
-                            if hit {
-                                delta.gcd_memo_hits += 1;
-                            }
-                            spliced = warm;
-                            delta.gcd_independent += 1;
-                            let refutation = refutation.or_else(|| refute_equalities(p));
-                            steps::gcd_independent_report(template, refutation)
-                        }
-                        GcdRes::Lattice { hit, .. } => {
-                            if hit {
-                                delta.gcd_memo_hits += 1;
-                            }
-                            if memo_on {
-                                delta.memo_queries += 1;
-                            }
-                            match f {
-                                FullRes::NotReached => {
-                                    unreachable!("lattice jobs always run the full wave")
-                                }
-                                FullRes::Cancelled => {
-                                    unreachable!("handled by the guard above")
-                                }
-                                FullRes::Computed {
-                                    report,
-                                    fx,
-                                    timings,
-                                } => {
-                                    fx.apply_to(&mut delta);
-                                    batch_timings.add(&timings);
-                                    report
-                                }
-                                FullRes::Cached {
-                                    cached,
-                                    ck,
-                                    flipped,
-                                    warm,
-                                } => {
-                                    delta.memo_hits += 1;
-                                    spliced = warm;
-                                    steps::rehydrate_hit(cfg.memo, cached, &ck, flipped, template)
-                                }
-                            }
-                        }
-                    }
-                }
+            let (gcd, full) = answers.next().expect("one answer per job");
+            let mut source = Replay {
+                memo_mode: cfg.memo,
+                gcd,
+                full,
             };
-            if spliced {
-                batch_spliced += 1;
-            } else {
-                batch_resolved += 1;
-            }
-            steps::note_outcome(&mut delta, &report);
-            pair_reports.push(report);
+            let pair = steps::resolve_pair(
+                &cfg,
+                job.a,
+                job.b,
+                job.common,
+                &classified[i],
+                &mut source,
+                &mut NullProbe,
+            );
+            delta.add(&pair.stats);
+            deadline_exceeded |= pair.cancelled;
+            batch_spliced += u64::from(pair.spliced);
+            pair_reports.push(pair.report);
         }
         batch_stats.add(&delta);
         reports.push(ProgramReport::from_parts(pair_reports, delta));
     }
-    debug_assert_eq!(batch_spliced + batch_resolved, batch_stats.pairs);
+    // Every pair is either spliced or resolved.
+    let batch_resolved = batch_stats.pairs - batch_spliced;
     obs.record_incremental(batch_spliced, batch_resolved);
     if config.check && !deadline_exceeded {
         let summary = check_batch_obs(config, obs, programs, &reports);
@@ -830,12 +697,31 @@ pub fn analyze_batch_traced(
     }
 }
 
-/// The memoized GCD wave: parallel key construction, serial leader
-/// election, parallel leader solves, parallel per-job resolution. A
-/// leader whose turn comes after `deadline` skips its solve; it and
-/// every job sharing its key resolve to [`GcdRes::Cancelled`].
-#[allow(clippy::too_many_arguments)]
-fn gcd_wave_memo(
+/// The jobs that compute for themselves: elected leaders, plus every job
+/// that reached the phase without a key (memoization off).
+fn solvers<V>(plan: &[Option<Src<V>>], reached: impl Fn(usize) -> bool) -> Vec<usize> {
+    plan.iter()
+        .enumerate()
+        .filter_map(|(i, src)| match src {
+            Some(Src::Leader) => Some(i),
+            Some(_) => None,
+            None => reached(i).then_some(i),
+        })
+        .collect()
+}
+
+/// Number of elected leaders in a plan.
+fn leader_count<V>(plan: &[Option<Src<V>>]) -> u64 {
+    plan.iter()
+        .filter(|s| matches!(s, Some(Src::Leader)))
+        .count() as u64
+}
+
+/// The extended-GCD wave: parallel key construction, serial leader
+/// election, parallel solves, parallel per-job expansion. A solver whose
+/// turn comes after `deadline` skips its solve; it and every job sharing
+/// its key are cancelled.
+fn gcd_wave(
     obs: Obs<'_>,
     memo: &SharedMemo,
     cfg: &AnalyzerConfig,
@@ -843,213 +729,158 @@ fn gcd_wave_memo(
     jobs: &[Job<'_>],
     classified: &[Classified],
     deadline: Deadline,
-) -> (Vec<GcdRes>, StageTimings) {
-    let improved = cfg.memo == MemoMode::Improved;
-    let nkeys: Vec<Option<NoBoundsKey>> = par_map_obs(obs, workers, jobs, |i, _| {
-        classified[i].problem().map(|p| nobounds_key(p, improved))
+) -> (Vec<GcdServed>, StageTimings) {
+    let keys: Vec<Option<NoBoundsKey>> = par_map_obs(obs, workers, jobs, |i, _| {
+        classified[i].problem().and_then(|p| steps::gcd_key(cfg, p))
     });
-    let key_refs: Vec<Option<&MemoKey>> = nkeys
+    let key_refs: Vec<Option<&MemoKey>> = keys
         .iter()
         .map(|nk| nk.as_ref().map(|nk| &nk.key))
         .collect();
     let plan = elect_leaders(&key_refs, |k| memo.lookup_gcd(k));
-
-    let leader_jobs: Vec<usize> = plan
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| matches!(s, Some(Src::Leader)).then_some(i))
-        .collect();
-    obs.record_leader_elections(MemoTableKind::Gcd, leader_jobs.len() as u64);
-    let solved: Vec<Option<(Option<EqOutcome>, u64)>> =
-        par_map_obs(obs, workers, &leader_jobs, |_, &i| {
-            if deadline.expired() {
-                return None;
-            }
-            let p = classified[i].problem().expect("leaders have a problem");
-            let nk = nkeys[i].as_ref().expect("leaders have a key");
-            let start = Instant::now();
-            let out = solve_equalities_restricted(&p.eq_coeffs, &p.eq_rhs, &nk.kept_vars);
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            Some((out, nanos))
-        });
+    let solvers = solvers(&plan, |i| classified[i].problem().is_some());
+    obs.record_leader_elections(MemoTableKind::Gcd, leader_count(&plan));
+    let solved = par_map_obs(obs, workers, &solvers, |_, &i| {
+        if deadline.expired() {
+            return None;
+        }
+        let p = classified[i].problem().expect("solvers have a problem");
+        let start = Instant::now();
+        let out = steps::solve_gcd(p, keys[i].as_ref());
+        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        Some((out, nanos))
+    });
     let mut timings = StageTimings::default();
-    // Leaders absent from the map were cancelled by the deadline.
-    let mut leader_out: HashMap<usize, Option<EqOutcome>> =
-        HashMap::with_capacity(leader_jobs.len());
-    for (slot, &i) in solved.into_iter().zip(&leader_jobs) {
+    // Solvers absent from the map were cancelled by the deadline.
+    let mut solved_by: HashMap<usize, Option<EqOutcome>> = HashMap::with_capacity(solvers.len());
+    for (slot, &i) in solved.into_iter().zip(&solvers) {
         let Some((v, nanos)) = slot else {
             continue;
         };
         timings.record_gcd(nanos);
-        obs.record_gcd(gcd_verdict_of(v.as_ref()), false, nanos);
-        if let Some(v) = &v {
-            // Matches the serial analyzer: overflows are not cached.
-            memo.gcd.insert(
-                nkeys[i].as_ref().expect("leaders have a key").key.clone(),
-                v.clone(),
-            );
+        obs.record_gcd(steps::gcd_verdict(v.as_ref()), false, nanos);
+        // Overflows are not cached, as in the serial analyzer.
+        if let (Some(v), Some(nk)) = (&v, &keys[i]) {
+            memo.gcd.insert(nk.key.clone(), v.clone());
         }
-        leader_out.insert(i, v);
+        solved_by.insert(i, v);
     }
 
-    let res = par_map_obs(obs, workers, jobs, |i, _| {
-        let Some(src) = &plan[i] else {
-            return GcdRes::Skip;
-        };
-        let (canonical, hit, warm) = match src {
-            Src::Warm(v) => (Some(v.clone()), true, true),
-            Src::Leader => match leader_out.get(&i) {
-                None => return GcdRes::Cancelled,
-                Some(v) => (v.clone(), false, false),
-            },
-            Src::Share(j) => match leader_out.get(j) {
-                None => return GcdRes::Cancelled,
-                Some(v) => {
-                    // The leader's overflow was not inserted, so a serial
-                    // run would miss here and recompute the identical
-                    // `None`; anything cached is a hit.
-                    let hit = v.is_some();
-                    (v.clone(), hit, false)
-                }
-            },
-        };
-        // Telemetry: non-leader jobs were served without solving
-        // (leaders were recorded when they solved).
-        if !matches!(src, Src::Leader) {
-            obs.record_gcd(gcd_verdict_of(canonical.as_ref()), true, 0);
-        }
-        match canonical {
-            None => GcdRes::Overflow,
-            Some(EqOutcome::Independent { refutation }) => {
-                let p = classified[i]
-                    .problem()
-                    .expect("memoized jobs have a problem");
-                let nk = nkeys[i].as_ref().expect("memoized jobs have a key");
-                GcdRes::Independent {
-                    hit,
-                    warm,
-                    refutation: refutation.and_then(|w| witness_for_problem(p, &nk.kept_vars, &w)),
-                }
+    let served = par_map_obs(obs, workers, jobs, |i, _| {
+        let p = classified[i].problem()?;
+        let (canonical, used) = match &plan[i] {
+            None => (solved_by.get(&i)?.clone(), MemoUse::Unkeyed),
+            Some(Src::Leader) => (solved_by.get(&i)?.clone(), MemoUse::Miss),
+            Some(Src::Warm(v)) => (Some(v.clone()), MemoUse::Warm),
+            // The leader's overflow was not inserted, so a serial run
+            // would miss here and recompute the identical `None`;
+            // anything cached is a hit.
+            Some(Src::Share(j)) => {
+                let v = solved_by.get(j)?;
+                let used = if v.is_some() {
+                    MemoUse::Hit
+                } else {
+                    MemoUse::Miss
+                };
+                (v.clone(), used)
             }
-            Some(EqOutcome::Lattice(l)) => {
-                let p = classified[i].problem().expect("lattice implies a problem");
-                let nk = nkeys[i].as_ref().expect("memoized jobs have a key");
-                GcdRes::Lattice {
-                    lattice: expand_lattice(&l, &nk.kept_vars, p.num_vars()),
-                    hit,
-                }
-            }
+        };
+        // Telemetry: shared and warm jobs were served without solving
+        // (solvers were recorded when they solved).
+        if matches!(plan[i], Some(Src::Warm(_) | Src::Share(_))) {
+            obs.record_gcd(steps::gcd_verdict(canonical.as_ref()), true, 0);
         }
+        Some((steps::expand_gcd(p, keys[i].as_ref(), canonical), used))
     });
-    (res, timings)
+    (served, timings)
 }
 
-/// The memoized full-analysis wave over lattice jobs. Leaders whose
-/// turn comes after `deadline` skip the cascade; they and every job
-/// sharing their key resolve to [`FullRes::Cancelled`].
+/// The full-analysis wave over lattice jobs, elected like the GCD wave.
+/// Solvers whose turn comes after `deadline` skip the cascade; they and
+/// every job sharing their key are cancelled.
 #[allow(clippy::too_many_arguments)]
-fn full_wave_memo(
+fn full_wave(
     obs: Obs<'_>,
     memo: &SharedMemo,
     cfg: &AnalyzerConfig,
     workers: usize,
     jobs: &[Job<'_>],
     classified: &[Classified],
-    gcd: &[GcdRes],
+    gcd: &[GcdServed],
     deadline: Deadline,
-) -> Vec<FullRes> {
-    let fkeys = par_map_obs(obs, workers, jobs, |i, _| {
-        if !matches!(gcd[i], GcdRes::Lattice { .. }) {
-            return None;
-        }
-        steps::full_key(
-            cfg,
-            classified[i].problem().expect("lattice implies a problem"),
-        )
+) -> (Vec<Option<FullRes>>, StageTimings) {
+    let lattice = |i: usize| match &gcd[i] {
+        Some((Some(EqOutcome::Lattice(l)), _)) => Some(l),
+        _ => None,
+    };
+    let keys = par_map_obs(obs, workers, jobs, |i, _| {
+        lattice(i)?;
+        steps::full_key(cfg, classified[i].problem()?)
     });
-    let key_refs: Vec<Option<&MemoKey>> = fkeys
+    let key_refs: Vec<Option<&MemoKey>> = keys
         .iter()
         .map(|f| f.as_ref().map(|(ck, _)| &ck.key))
         .collect();
     let plan = elect_leaders(&key_refs, |k| memo.lookup_full(k));
+    let solvers = solvers(&plan, |i| lattice(i).is_some());
+    obs.record_leader_elections(MemoTableKind::Full, leader_count(&plan));
+    let computed = par_map_obs(obs, workers, &solvers, |_, &i| {
+        if deadline.expired() {
+            return None;
+        }
+        let job = &jobs[i];
+        let p = classified[i].problem().expect("solvers have a problem");
+        let l = lattice(i).expect("solvers have a lattice");
+        let template = steps::pair_template(job.a, job.b, job.common);
+        let mut fx = ReduceEffects::default();
+        let mut probe = obs.probe();
+        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut probe);
+        let cached = keys[i]
+            .as_ref()
+            .map(|(ck, flipped)| steps::canonical_outcome(&report, ck, *flipped));
+        Some((report, fx, cached, probe.timings))
+    });
 
-    let leader_jobs: Vec<usize> = plan
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| matches!(s, Some(Src::Leader)).then_some(i))
-        .collect();
-    obs.record_leader_elections(MemoTableKind::Full, leader_jobs.len() as u64);
-    let computed: Vec<Option<(PairReport, ReduceEffects, CachedOutcome, StageTimings)>> =
-        par_map_obs(obs, workers, &leader_jobs, |_, &i| {
-            if deadline.expired() {
-                return None;
-            }
-            let job = &jobs[i];
-            let p = classified[i].problem().expect("leaders have a problem");
-            let GcdRes::Lattice { lattice, .. } = &gcd[i] else {
-                unreachable!("full-wave leaders have a lattice")
-            };
-            let template = steps::pair_template(job.a, job.b, job.common);
-            let mut fx = ReduceEffects::default();
-            let mut probe = obs.probe();
-            let report =
-                steps::analyze_reduced_probed(cfg, p, lattice, template, &mut fx, &mut probe);
-            let (ck, flipped) = fkeys[i].as_ref().expect("leaders have a key");
-            let cached = steps::canonical_outcome(&report, ck, *flipped);
-            Some((report, fx, cached, probe.timings))
-        });
-
-    // Leaders absent from both maps were cancelled by the deadline.
-    let mut leader_reports: HashMap<usize, (PairReport, ReduceEffects, StageTimings)> =
-        HashMap::with_capacity(leader_jobs.len());
-    let mut leader_cached: HashMap<usize, CachedOutcome> =
-        HashMap::with_capacity(leader_jobs.len());
-    for (slot, &i) in computed.into_iter().zip(&leader_jobs) {
-        let Some((report, fx, cached, timings)) = slot else {
+    // Solvers absent from the maps were cancelled by the deadline.
+    let mut timings = StageTimings::default();
+    let mut own: HashMap<usize, (PairReport, ReduceEffects)> =
+        HashMap::with_capacity(solvers.len());
+    let mut shared: HashMap<usize, CachedOutcome> = HashMap::new();
+    for (slot, &i) in computed.into_iter().zip(&solvers) {
+        let Some((report, fx, cached, t)) = slot else {
             continue;
         };
-        let (ck, _) = fkeys[i].as_ref().expect("leaders have a key");
-        memo.full.insert(ck.key.clone(), cached.clone());
-        leader_reports.insert(i, (report, fx, timings));
-        leader_cached.insert(i, cached);
+        timings.add(&t);
+        if let (Some(cached), Some((ck, _))) = (cached, &keys[i]) {
+            memo.full.insert(ck.key.clone(), cached.clone());
+            shared.insert(i, cached);
+        }
+        own.insert(i, (report, fx));
     }
 
-    plan.iter()
-        .zip(fkeys)
+    let served = plan
+        .into_iter()
+        .zip(keys)
         .enumerate()
-        .map(|(i, (src, fk))| match src {
-            None => FullRes::NotReached,
-            Some(Src::Warm(c)) => {
-                let (ck, flipped) = fk.expect("planned jobs have a key");
-                FullRes::Cached {
-                    cached: c.clone(),
-                    ck,
-                    flipped,
-                    warm: true,
+        .map(|(i, (src, key))| {
+            let used = match src {
+                None => MemoUse::Unkeyed,
+                Some(Src::Leader) => MemoUse::Miss,
+                Some(Src::Warm(c)) => {
+                    let (ck, flipped) = key.expect("planned jobs have a key");
+                    return Some(FullRes::Cached(c, ck, flipped, MemoUse::Warm));
                 }
-            }
-            Some(Src::Leader) => match leader_reports.remove(&i) {
-                None => FullRes::Cancelled,
-                Some((report, fx, timings)) => FullRes::Computed {
-                    report,
-                    fx,
-                    timings,
-                },
-            },
-            Some(Src::Share(j)) => match leader_cached.get(j) {
-                None => FullRes::Cancelled,
-                Some(c) => {
-                    let (ck, flipped) = fk.expect("planned jobs have a key");
-                    FullRes::Cached {
-                        cached: c.clone(),
-                        ck,
-                        flipped,
-                        warm: false,
-                    }
+                Some(Src::Share(j)) => {
+                    let (ck, flipped) = key.expect("planned jobs have a key");
+                    let c = shared.get(&j)?.clone();
+                    return Some(FullRes::Cached(c, ck, flipped, MemoUse::Hit));
                 }
-            },
+            };
+            let (report, fx) = own.remove(&i)?;
+            Some(FullRes::Computed(report, fx, used))
         })
-        .collect()
+        .collect();
+    (served, timings)
 }
 
 /// One pair whose certificate failed independent verification — either
@@ -1094,32 +925,6 @@ enum Resolved {
     Verified,
     Unverified,
     Failed(String),
-}
-
-/// Re-analyzes one pair from scratch, memo-free — the serial
-/// `MemoMode::Off` path, reproduced step by step. Used to resolve
-/// [`CheckOutcome::Unverified`] reports: the fresh run carries a fresh
-/// certificate for the kernel to verify.
-fn fresh_pair_report(cfg: &AnalyzerConfig, a: &Access, b: &Access, common: usize) -> PairReport {
-    let template = steps::pair_template(a, b, common);
-    match steps::classify_pair(a, b, common, cfg.symbolic) {
-        Classified::Constant { dependent } => {
-            steps::constant_report(template, dependent, cfg.compute_directions)
-        }
-        Classified::Unbuildable => steps::assumed_report(template, cfg.compute_directions),
-        Classified::Problem(p) => match solve_equalities(&p) {
-            None => template, // overflow: dependence assumed
-            Some(EqOutcome::Independent { refutation }) => {
-                let refutation = refutation.or_else(|| refute_equalities(&p));
-                steps::gcd_independent_report(template, refutation)
-            }
-            Some(EqOutcome::Lattice(lattice)) => {
-                let mut fx = ReduceEffects::default();
-                let mut probe = StatsProbe::default();
-                steps::analyze_reduced_probed(cfg, &p, &lattice, template, &mut fx, &mut probe)
-            }
-        },
-    }
 }
 
 impl Engine {
@@ -1215,7 +1020,8 @@ fn check_batch_obs(
             CheckOutcome::Verified => Resolved::Verified,
             CheckOutcome::Rejected(e) => Resolved::Failed(e),
             CheckOutcome::Unverified => {
-                let fresh = fresh_pair_report(&resolve_cfg, j.a, j.b, j.common);
+                let fresh =
+                    DependenceAnalyzer::with_config(resolve_cfg).analyze_pair(j.a, j.b, j.common);
                 if std::mem::discriminant(&fresh.result.answer)
                     != std::mem::discriminant(&j.report.result.answer)
                 {
@@ -1281,7 +1087,8 @@ fn edge_kind_index(kind: DependenceKind) -> usize {
 /// any worker or shard count and to a serial
 /// [`build_graph`] loop over the same reports. Per-graph telemetry
 /// (edge counts by kind, parallel/sequential loop verdicts, build
-/// latency) is folded into `obs`.
+/// latency) is folded into `obs` and, with a request scope in `trace`,
+/// teed into its local registry like [`analyze_batch`]'s.
 #[must_use]
 pub fn graph_batch(
     config: &EngineConfig,
@@ -1289,25 +1096,9 @@ pub fn graph_batch(
     obs: &MetricsRegistry,
     programs: &[Program],
     deadline: Deadline,
-) -> GraphOutcome {
-    graph_batch_traced(config, memo, obs, programs, deadline, None)
-}
-
-/// [`graph_batch`] with an optional request scope — the graph
-/// counterpart of [`analyze_batch_traced`]: analysis *and* graph-build
-/// telemetry (edge counts, loop verdicts, build latency) are teed into
-/// the context's local registry, and the built graphs are bit-identical
-/// with tracing on or off.
-#[must_use]
-pub fn graph_batch_traced(
-    config: &EngineConfig,
-    memo: &SharedMemo,
-    obs: &MetricsRegistry,
-    programs: &[Program],
-    deadline: Deadline,
     trace: Option<&TraceContext>,
 ) -> GraphOutcome {
-    let batch = analyze_batch_traced(config, memo, obs, programs, deadline, trace);
+    let batch = analyze_batch(config, memo, obs, programs, deadline, trace);
     let obs = Obs::traced(obs, trace);
     let workers = config.effective_workers();
     let items: Vec<(&Program, &ProgramReport)> = programs.iter().zip(&batch.reports).collect();
@@ -1350,6 +1141,7 @@ impl Engine {
             &self.obs,
             programs,
             Deadline::none(),
+            None,
         );
         self.stats.add(&out.batch.stats);
         self.timings.add(&out.batch.timings);
@@ -1423,92 +1215,10 @@ pub fn minimize_program<F: Fn(&Program) -> bool>(program: &Program, still_fails:
     }
 }
 
-/// The GCD wave without memoization: every problem job solves its own
-/// full equality system, exactly like the serial `MemoMode::Off` path.
-fn gcd_wave_off(
-    obs: Obs<'_>,
-    workers: usize,
-    jobs: &[Job<'_>],
-    classified: &[Classified],
-    deadline: Deadline,
-) -> (Vec<GcdRes>, StageTimings) {
-    let solved = par_map_obs(obs, workers, jobs, |i, _| match classified[i].problem() {
-        None => (GcdRes::Skip, 0),
-        Some(_) if deadline.expired() => (GcdRes::Cancelled, 0),
-        Some(p) => {
-            let start = Instant::now();
-            let out = solve_equalities(p);
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let res = match out {
-                None => GcdRes::Overflow,
-                Some(EqOutcome::Independent { refutation }) => GcdRes::Independent {
-                    hit: false,
-                    warm: false,
-                    refutation,
-                },
-                Some(EqOutcome::Lattice(l)) => GcdRes::Lattice {
-                    lattice: l,
-                    hit: false,
-                },
-            };
-            (res, nanos)
-        }
-    });
-    let mut timings = StageTimings::default();
-    let res = solved
-        .into_iter()
-        .map(|(res, nanos)| {
-            if !matches!(res, GcdRes::Skip | GcdRes::Cancelled) {
-                timings.record_gcd(nanos);
-                let verdict = match &res {
-                    GcdRes::Overflow => dda_core::pipeline::GcdVerdict::Overflow,
-                    GcdRes::Independent { .. } => dda_core::pipeline::GcdVerdict::Independent,
-                    GcdRes::Lattice { .. } => dda_core::pipeline::GcdVerdict::Lattice,
-                    GcdRes::Skip | GcdRes::Cancelled => unreachable!("filtered above"),
-                };
-                obs.record_gcd(verdict, false, nanos);
-            }
-            res
-        })
-        .collect();
-    (res, timings)
-}
-
-/// The full-analysis wave without memoization: every lattice job runs the
-/// cascade itself.
-fn full_wave_off(
-    obs: Obs<'_>,
-    cfg: &AnalyzerConfig,
-    workers: usize,
-    jobs: &[Job<'_>],
-    classified: &[Classified],
-    gcd: &[GcdRes],
-    deadline: Deadline,
-) -> Vec<FullRes> {
-    par_map_obs(obs, workers, jobs, |i, job| {
-        let GcdRes::Lattice { lattice, .. } = &gcd[i] else {
-            return FullRes::NotReached;
-        };
-        if deadline.expired() {
-            return FullRes::Cancelled;
-        }
-        let p = classified[i].problem().expect("lattice implies a problem");
-        let template = steps::pair_template(job.a, job.b, job.common);
-        let mut fx = ReduceEffects::default();
-        let mut probe = obs.probe();
-        let report = steps::analyze_reduced_probed(cfg, p, lattice, template, &mut fx, &mut probe);
-        FullRes::Computed {
-            report,
-            fx,
-            timings: probe.timings,
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dda_core::DependenceAnalyzer;
+    use dda_core::StatsProbe;
     use dda_ir::parse_program;
 
     const SOURCES: &[&str] = &[
@@ -1847,7 +1557,7 @@ mod tests {
         };
         let memo = SharedMemo::new(config.shards);
         let obs = MetricsRegistry::with_workers(3);
-        let out = analyze_batch(&config, &memo, &obs, &programs, Deadline::none());
+        let out = analyze_batch(&config, &memo, &obs, &programs, Deadline::none(), None);
         assert!(!out.deadline_exceeded);
         let want = serial_reports(config.effective_analyzer_config(), &programs);
         assert_eq!(out.reports, want);
@@ -1871,6 +1581,7 @@ mod tests {
                 &obs,
                 &programs,
                 Deadline::after(Duration::ZERO),
+                None,
             );
             assert!(out.deadline_exceeded, "memo={memo_mode:?}");
             assert_eq!(out.reports.len(), programs.len());
@@ -1898,13 +1609,14 @@ mod tests {
         };
         let memo = SharedMemo::new(config.shards);
         let obs = MetricsRegistry::with_workers(2);
-        let cold = analyze_batch(&config, &memo, &obs, &programs, Deadline::none());
+        let cold = analyze_batch(&config, &memo, &obs, &programs, Deadline::none(), None);
         let warm = analyze_batch(
             &config,
             &memo,
             &obs,
             &programs,
             Deadline::after(Duration::ZERO),
+            None,
         );
         assert!(!warm.deadline_exceeded, "no fresh solves were needed");
         for (c, w) in cold.reports.iter().zip(&warm.reports) {

@@ -9,29 +9,10 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use dda_core::graph::DependenceEdge;
+use dda_core::json::json_escape;
 use dda_ir::{ForLoop, Program, Stmt};
 
 use crate::model::{LoopVerdict, ProgramGraph};
-
-/// Minimal JSON string escaping (hand-rolled: no serde in this tree).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len().saturating_add(2));
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Renders the graph in Graphviz DOT: edge-incident accesses as nodes
 /// (writes boxed, reads elliptic), one edge per oriented dependence,

@@ -86,12 +86,42 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest syntactic nesting the parser accepts. Every `for`/`if` body,
+/// parenthesis, unary minus, subscript list and binary operator adds a
+/// level. The parser and the passes over its tree recurse once per
+/// level on the native stack, so unbounded nesting in hostile input
+/// would overflow it and abort the whole process.
+const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`]. A parse error ends
+    /// the parse, so error paths never restore it.
+    depth: usize,
 }
 
 impl Parser {
+    /// Enters one nesting level, or fails at the current token.
+    fn descend(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return self.error(format!("nesting deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level down.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.descend()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
     fn peek(&self) -> &Token {
         &self.tokens[self.pos].token
     }
@@ -143,9 +173,9 @@ impl Parser {
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
         match self.peek() {
-            Token::For => self.parse_for(),
+            Token::For => self.nested(Parser::parse_for),
             Token::Read => self.parse_read(),
-            Token::If => self.parse_if(),
+            Token::If => self.nested(Parser::parse_if),
             Token::Ident(_) => self.parse_assign(),
             other => self.error(format!(
                 "expected a statement (`for`, `if`, `read`, or an assignment), found {other}"
@@ -294,33 +324,36 @@ impl Parser {
         Ok(subs)
     }
 
+    /// Each operator of a chain deepens the left-leaning tree by one
+    /// level, for the rest of the chain.
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.parse_term()?;
         loop {
-            match self.peek() {
-                Token::Plus => {
-                    self.bump();
-                    let rhs = self.parse_term()?;
-                    lhs = Expr::Add(Box::new(lhs), Box::new(rhs));
-                }
-                Token::Minus => {
-                    self.bump();
-                    let rhs = self.parse_term()?;
-                    lhs = Expr::Sub(Box::new(lhs), Box::new(rhs));
-                }
+            let op: fn(Box<Expr>, Box<Expr>) -> Expr = match self.peek() {
+                Token::Plus => Expr::Add,
+                Token::Minus => Expr::Sub,
                 _ => break,
-            }
+            };
+            self.bump();
+            self.descend()?;
+            let rhs = self.parse_term()?;
+            lhs = op(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
     fn parse_term(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.depth;
         let mut lhs = self.parse_factor()?;
         while *self.peek() == Token::Star {
             self.bump();
+            self.descend()?;
             let rhs = self.parse_factor()?;
             lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
         }
+        self.depth = outer;
         Ok(lhs)
     }
 
@@ -332,18 +365,18 @@ impl Parser {
             }
             Token::Minus => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.parse_factor()?)))
+                Ok(Expr::Neg(Box::new(self.nested(Parser::parse_factor)?)))
             }
             Token::LParen => {
                 self.bump();
-                let e = self.parse_expr()?;
+                let e = self.nested(Parser::parse_expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
             Token::Ident(name) => {
                 self.bump();
                 if *self.peek() == Token::LBracket {
-                    let subscripts = self.parse_subscripts()?;
+                    let subscripts = self.nested(Parser::parse_subscripts)?;
                     Ok(Expr::ArrayRead(ArrayRef {
                         array: name,
                         subscripts,
@@ -375,7 +408,11 @@ impl Parser {
 /// ```
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     parser.parse_program()
 }
 
@@ -386,7 +423,11 @@ pub fn parse_program(source: &str) -> Result<Program, ParseError> {
 /// Returns a [`ParseError`] on malformed input or trailing tokens.
 pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
     let tokens = tokenize(source)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let e = parser.parse_expr()?;
     if *parser.peek() != Token::Eof {
         return parser.error(format!("unexpected {} after expression", parser.peek()));
@@ -513,5 +554,49 @@ mod tests {
             let p3 = parse_program(&p2.to_string()).unwrap();
             assert_eq!(p2, p3, "fixpoint for {src}");
         }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_located_error() {
+        let deep = 100_000;
+        let parens = format!(
+            "for i = 1 to 2 {{ a[{}i{}] = 0; }}",
+            "(".repeat(deep),
+            ")".repeat(deep)
+        );
+        let loops = format!(
+            "{}a[1] = 0;{}",
+            "for i = 1 to 2 { ".repeat(deep),
+            " }".repeat(deep)
+        );
+        let ifs = format!(
+            "{}a[1] = 0;{}",
+            "if (1 < 2) { ".repeat(deep),
+            " }".repeat(deep)
+        );
+        let negs = format!("a[{}1] = 0;", "-".repeat(deep));
+        let subs = format!("a[{}1{}] = 0;", "b[".repeat(deep), "]".repeat(deep));
+        let sum = format!("a[i{}] = 0;", " + 1".repeat(deep));
+        let product = format!("a[i{}] = 0;", " * 1".repeat(deep));
+        for src in [parens, loops, ifs, negs, subs, sum, product] {
+            let err = parse_program(&src).unwrap_err();
+            assert!(
+                err.message.contains("nesting deeper than"),
+                "{}",
+                err.message
+            );
+            // Located at the token that went one level too deep.
+            assert!(err.span.start > 0 && err.span.end <= src.len());
+            assert!(err.render(&src).starts_with("parse error at 1:"));
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let depth = MAX_NESTING - 2;
+        let src = format!("a[{}i{}] = 0;", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse_program(&src).is_ok());
+        let src = format!("a[i{}] = 0;", " + 1".repeat(MAX_NESTING - 1));
+        assert!(parse_program(&src).is_ok());
     }
 }

@@ -12,7 +12,7 @@
 //!    the request.
 //! 2. **Bounded everything.** The ring holds a fixed number of
 //!    summaries; the capture directory holds at most
-//!    [`CaptureStore::max_captures`] captures, oldest evicted first.
+//!    its configured `max_captures` captures, oldest evicted first.
 //!
 //! Summaries are built from a request's [`TraceContext`] delta (plus
 //! figures the service measures around the engine call), so the span
@@ -30,8 +30,8 @@ use std::sync::Mutex;
 
 use crate::metrics::Counter;
 use crate::registry::STAGE_LABELS;
-use crate::span::json_escape;
 use crate::MetricsRegistry;
+use dda_core::json::json_escape;
 use dda_core::pipeline::TraceId;
 use dda_core::TestKind;
 
@@ -81,7 +81,7 @@ pub struct RequestSummary {
     /// Pairs actually re-solved.
     pub resolved: u64,
     /// Cascade calls per stage, indexed like
-    /// [`STAGE_LABELS`](crate::registry::STAGE_LABELS).
+    /// [`STAGE_LABELS`].
     pub stage_calls: [u64; 4],
     /// Cascade nanoseconds per stage, same indexing.
     pub stage_nanos: [u64; 4],

@@ -12,6 +12,7 @@
 //! ([`SpanRecorder::to_jsonl`]) and the folded-stack format consumed by
 //! `flamegraph.pl` / speedscope ([`SpanRecorder::to_folded`]).
 
+use dda_core::json::json_escape;
 use dda_core::pipeline::{Probe, TraceEvent, TraceId};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -182,24 +183,6 @@ impl SpanRecorder {
         }
         out
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl Probe for SpanRecorder {

@@ -3,25 +3,8 @@
 //! report rendered over the socket is byte-identical to the CLI's
 //! output for the same analysis state.
 
+use dda_core::json::json_escape;
 use dda_core::ProgramReport;
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// One JSONL record for a program's report.
 #[must_use]
@@ -85,14 +68,6 @@ pub fn batch_json_line(file: &str, report: &ProgramReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn escapes_json_metacharacters() {
-        assert_eq!(json_escape(r#"a"b\c"#), r#"a\"b\\c"#);
-        assert_eq!(json_escape("x\n\t\r"), "x\\n\\t\\r");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-        assert_eq!(json_escape("plain"), "plain");
-    }
 
     #[test]
     fn renders_a_report_as_one_json_object() {

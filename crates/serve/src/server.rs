@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 use dda_core::stats::AnalysisStats;
 use dda_core::{MemoFormat, SharedMemo};
-use dda_engine::{analyze_batch_traced, check_batch, graph_batch_traced, Deadline, EngineConfig};
+use dda_engine::{analyze_batch, check_batch, graph_batch, Deadline, EngineConfig};
 use dda_graph::render::parallel_json_line;
 use dda_obs::{
     CaptureStore, Counter, FlightRecorder, Gauge, MetricsRegistry, MetricsSnapshot, RequestOutcome,
@@ -758,7 +758,7 @@ fn analyze_traced(
     let start = Instant::now();
     let (out, graphs) = match output {
         Output::Reports => (
-            analyze_batch_traced(
+            analyze_batch(
                 &state.engine,
                 &state.memo,
                 &state.obs,
@@ -769,7 +769,7 @@ fn analyze_traced(
             None,
         ),
         Output::Parallel => {
-            let g = graph_batch_traced(
+            let g = graph_batch(
                 &state.engine,
                 &state.memo,
                 &state.obs,

@@ -205,6 +205,37 @@ fn batch_manifests_resolve_and_located_errors_come_back_as_400() {
 }
 
 #[test]
+fn deeply_nested_programs_are_rejected_and_the_server_lives_on() {
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    });
+    // An 8 KB body of 4,000 nested parentheses used to overflow a
+    // worker's stack and abort the whole process.
+    let parens = format!(
+        "for i = 1 to 10 {{ a[{}i{}] = 0; }}",
+        "(".repeat(4000),
+        ")".repeat(4000)
+    );
+    let loops = format!(
+        "{}a[1] = 0;{}",
+        "for i = 1 to 2 { ".repeat(4000),
+        "}".repeat(4000)
+    );
+    let chain = format!("for i = 1 to 10 {{ a[i{}] = 0; }}", "+1".repeat(50_000));
+    for body in [&parens, &loops, &chain] {
+        for endpoint in ["/analyze", "/parallel"] {
+            let (status, _, reply) = request(addr, "POST", endpoint, body);
+            assert_eq!(status, 400, "{endpoint}: {reply}");
+            assert!(reply.contains("nesting deeper than"), "{reply}");
+        }
+    }
+    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    stop(&handle, join);
+}
+
+#[test]
 fn eviction_under_a_byte_cap_never_changes_verdicts() {
     // A cap small enough that three distinct programs cannot all stay
     // resident. Eviction may only cost recomputation, never answers.

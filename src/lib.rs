@@ -30,7 +30,7 @@
 //!   Banerjee inequalities, Wolfe's direction-vector extension).
 //! - [`perfect`]: the synthetic PERFECT Club workload suite used by the
 //!   benchmark harness.
-//! - [`bench`]: the benchmark harness library — paper-table regeneration
+//! - [`bench`](mod@bench): the benchmark harness library — paper-table regeneration
 //!   helpers plus `bench::record`, the schema-versioned snapshot writer
 //!   and p99 regression gate behind `dda bench record` / `dda bench
 //!   gate`.

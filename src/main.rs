@@ -11,6 +11,7 @@
 use std::io::Read;
 use std::process::ExitCode;
 
+use dda::core::json::json_escape;
 use dda::core::pipeline::{ClassifiedKind, GcdVerdict, Probe, TraceEvent};
 use dda::core::{
     AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe, StatsProbe, TestKind,
@@ -20,7 +21,7 @@ use dda::graph::render::{annotate_source, graph_json_line, parallel_json_line, t
 use dda::ir::{parse_program, passes, Program};
 use dda::obs::{MetricsProbe, MetricsRegistry, MetricsSnapshot, SpanRecorder};
 use dda::serve::manifest::{self, BatchInput};
-use dda::serve::render::{batch_json_line, json_escape};
+use dda::serve::render::batch_json_line;
 
 const USAGE: &str = "\
 dda — efficient and exact data dependence analysis (PLDI 1991)

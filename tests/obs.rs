@@ -11,20 +11,17 @@
 //! 2. The engine — whose metrics registry is always on — matches the
 //!    bare serial analyzer at every worker/shard combination, so the
 //!    always-on instrumentation cannot perturb batch results either.
-//! 3. Request-scoped tracing is invisible: `analyze_batch_traced` /
-//!    `graph_batch_traced` with a [`TraceContext`] attached produce
-//!    reports, stats, spliced/resolved splits, and rendered JSONL
-//!    bit-identical to the untraced entry points — across worker and
-//!    shard counts, and on both cold and warm memo tables.
+//! 3. Request-scoped tracing is invisible: `analyze_batch` /
+//!    `graph_batch` with a [`TraceContext`] attached produce reports,
+//!    stats, spliced/resolved splits, and rendered JSONL bit-identical
+//!    to the same calls without one — across worker and shard counts,
+//!    and on both cold and warm memo tables.
 //! 4. The flight recorder stays off the analysis path: a capture
 //!    directory that cannot be created degrades to a metered error
 //!    counter, never an analysis failure.
 
 use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, ProgramReport, SharedMemo};
-use dda::engine::{
-    analyze_batch, analyze_batch_traced, graph_batch, graph_batch_traced, Deadline, Engine,
-    EngineConfig,
-};
+use dda::engine::{analyze_batch, graph_batch, Deadline, Engine, EngineConfig};
 use dda::graph::render::parallel_json_line;
 use dda::ir::{parse_program, passes, Program};
 use dda::obs::{MetricsProbe, MetricsRegistry, SpanRecorder, TraceContext, TraceId};
@@ -199,10 +196,10 @@ proptest! {
             // forwarders too).
             for round in ["cold", "warm"] {
                 let want = analyze_batch(
-                    &config, &bare_memo, &bare_obs, &programs, Deadline::none(),
+                    &config, &bare_memo, &bare_obs, &programs, Deadline::none(), None,
                 );
                 let ctx = TraceContext::new(TraceId(0xdda0_0b50_0000_0001));
-                let got = analyze_batch_traced(
+                let got = analyze_batch(
                     &config, &traced_memo, &traced_obs, &programs,
                     Deadline::none(), Some(&ctx),
                 );
@@ -226,10 +223,10 @@ proptest! {
 
             // Graph batches too: verdict JSONL must match untraced.
             let g_want = graph_batch(
-                &config, &bare_memo, &bare_obs, &programs, Deadline::none(),
+                &config, &bare_memo, &bare_obs, &programs, Deadline::none(), None,
             );
             let ctx = TraceContext::new(TraceId(7));
-            let g_got = graph_batch_traced(
+            let g_got = graph_batch(
                 &config, &traced_memo, &traced_obs, &programs,
                 Deadline::none(), Some(&ctx),
             );
