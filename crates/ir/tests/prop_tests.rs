@@ -9,6 +9,9 @@ use dda_ir::interp::execute;
 use dda_ir::{parse_program, passes};
 use proptest::prelude::*;
 
+mod common;
+use common::arb_program;
+
 /// The observable behaviour of a program: every array touch in execution
 /// order, without the access ids (passes may renumber nothing, but ids
 /// are an analysis artifact, not semantics).
@@ -22,73 +25,6 @@ fn behaviour(src: &str, normalize: bool) -> Vec<(String, Vec<i64>, bool)> {
         .into_iter()
         .map(|t| (t.array, t.element, t.is_write))
         .collect()
-}
-
-/// A random affine subscript over loop vars v0..v_depth plus scalar k.
-fn arb_subscript(depth: usize, with_scalar: bool) -> impl Strategy<Value = String> {
-    (
-        proptest::collection::vec(-2i64..=2, depth),
-        -5i64..=5,
-        prop::bool::ANY,
-    )
-        .prop_map(move |(coeffs, c, use_k)| {
-            let mut s = String::new();
-            for (k, a) in coeffs.iter().enumerate() {
-                if *a != 0 {
-                    s.push_str(&format!(" + {a} * v{k}"));
-                }
-            }
-            if with_scalar && use_k {
-                s.push_str(" + k");
-            }
-            format!("{c}{s}")
-        })
-}
-
-/// A random program exercising the normalization passes: a scalar
-/// definition, an optional induction increment, strided loops, and a few
-/// array statements.
-fn arb_program() -> impl Strategy<Value = String> {
-    (
-        1usize..=2, // depth
-        proptest::collection::vec(
-            (
-                1i64..=3,
-                3i64..=7,
-                prop::sample::select(vec![1i64, 1, 2, 3, -1]),
-            ),
-            2,
-        ),
-        -10i64..=10, // scalar init
-        0i64..=3,    // induction step (0 = none)
-        proptest::collection::vec((any::<bool>(),), 1..=2),
-    )
-        .prop_flat_map(|(depth, bounds, init, istep, stmts)| {
-            let subs = proptest::collection::vec(arb_subscript(depth, true), stmts.len() * 2);
-            (Just(depth), Just(bounds), Just(init), Just(istep), subs)
-        })
-        .prop_map(|(depth, bounds, init, istep, subs)| {
-            let mut src = format!("k = {init};\n");
-            for (lvl, (lo, hi, step)) in bounds.iter().take(depth).enumerate() {
-                if *step == 1 {
-                    src.push_str(&format!("for v{lvl} = {lo} to {hi} {{\n"));
-                } else if *step < 0 {
-                    src.push_str(&format!("for v{lvl} = {hi} to {lo} step {step} {{\n"));
-                } else {
-                    src.push_str(&format!("for v{lvl} = {lo} to {hi} step {step} {{\n"));
-                }
-            }
-            if istep > 0 {
-                src.push_str(&format!("k = k + {istep};\n"));
-            }
-            for pair in subs.chunks(2) {
-                src.push_str(&format!("arr[{}] = arr[{}] + 1;\n", pair[0], pair[1]));
-            }
-            for _ in 0..depth {
-                src.push_str("}\n");
-            }
-            src
-        })
 }
 
 proptest! {
