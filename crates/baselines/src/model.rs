@@ -59,7 +59,7 @@ fn eval_interval(e: &AffineExpr, env: &BTreeMap<&str, Interval>) -> Interval {
 fn loop_intervals(acc: &Access) -> Vec<Interval> {
     let mut env: BTreeMap<&str, Interval> = BTreeMap::new();
     let mut out = Vec::with_capacity(acc.loops.len());
-    for l in &acc.loops {
+    for l in acc.loops.iter() {
         let lo = match &l.lower {
             Bound::Affine(e) => eval_interval(e, &env).lo,
             Bound::NonAffine => None,

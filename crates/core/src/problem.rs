@@ -209,7 +209,7 @@ pub fn build_problem(
                     Subscript::NonAffine => return Err(BuildError::NonAffine),
                 }
             }
-            for l in &acc.loops {
+            for l in acc.loops.iter() {
                 for bnd in [&l.lower, &l.upper] {
                     if let Bound::Affine(e) = bnd {
                         note(e, &loop_vars);

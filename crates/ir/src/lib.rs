@@ -10,9 +10,14 @@
 //! # Pipeline
 //!
 //! 1. [`parse_program`] — text to AST.
-//! 2. [`passes::normalize`] — runs the prepasses until fixpoint.
+//! 2. [`passes::normalize`] — runs the prepasses, in place, until a
+//!    round in which no pass reports a change. A scalar definition too
+//!    large to substitute (past a fixed node budget) is left as a
+//!    mutated scalar instead of growing the program without bound.
 //! 3. [`extract_accesses`] — lowers subscripts and bounds to
-//!    [`AffineExpr`], identifies symbolic constants.
+//!    [`AffineExpr`], identifies symbolic constants. A subscript or
+//!    bound whose lowering overflows `i64` is non-affine, so its pairs
+//!    are assumed dependent rather than aborting the analysis.
 //! 4. [`reference_pairs`] — enumerates the pairs to test.
 //!
 //! # Examples

@@ -131,7 +131,7 @@ mod tests {
         assert_eq!(table.len(), 4);
         let set = extract_accesses(&p);
         for access in &set.accesses {
-            for info in &access.loops {
+            for info in access.loops.iter() {
                 assert_eq!(table.get(info.id).unwrap().var, info.var, "id {}", info.id);
             }
         }

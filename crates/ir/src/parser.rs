@@ -130,12 +130,11 @@ impl Parser {
         self.tokens[self.pos].span
     }
 
-    fn bump(&mut self) -> SpannedToken {
-        let t = self.tokens[self.pos].clone();
+    /// Steps past the current token (never past the final `Eof`).
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn error<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
@@ -145,22 +144,24 @@ impl Parser {
         })
     }
 
-    fn expect(&mut self, want: &Token) -> Result<SpannedToken, ParseError> {
+    fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
         if self.peek() == want {
-            Ok(self.bump())
+            self.bump();
+            Ok(())
         } else {
             self.error(format!("expected {want}, found {}", self.peek()))
         }
     }
 
+    /// Moves the current identifier's name out of the token list (the
+    /// parser never looks back) and steps past it.
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
-            Token::Ident(name) => {
-                self.bump();
-                Ok(name)
-            }
-            other => self.error(format!("expected identifier, found {other}")),
+        if let Token::Ident(name) = &mut self.tokens[self.pos].token {
+            let name = std::mem::take(name);
+            self.bump();
+            return Ok(name);
         }
+        self.error(format!("expected identifier, found {}", self.peek()))
     }
 
     fn parse_program(&mut self) -> Result<Program, ParseError> {
@@ -243,7 +244,7 @@ impl Parser {
             } else {
                 false
             };
-            match self.peek().clone() {
+            match *self.peek() {
                 Token::Int(v) => {
                     self.bump();
                     let s = if negative { -v } else { v };
@@ -252,7 +253,7 @@ impl Parser {
                     }
                     s
                 }
-                other => return self.error(format!("expected integer step, found {other}")),
+                ref other => return self.error(format!("expected integer step, found {other}")),
             }
         } else {
             1
@@ -358,7 +359,7 @@ impl Parser {
     }
 
     fn parse_factor(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match *self.peek() {
             Token::Int(v) => {
                 self.bump();
                 Ok(Expr::Const(v))
@@ -373,8 +374,8 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Token::Ident(name) => {
-                self.bump();
+            Token::Ident(_) => {
+                let name = self.expect_ident()?;
                 if *self.peek() == Token::LBracket {
                     let subscripts = self.nested(Parser::parse_subscripts)?;
                     Ok(Expr::ArrayRead(ArrayRef {
@@ -385,7 +386,7 @@ impl Parser {
                     Ok(Expr::Var(name))
                 }
             }
-            other => self.error(format!("expected an expression, found {other}")),
+            ref other => self.error(format!("expected an expression, found {other}")),
         }
     }
 }

@@ -1,0 +1,60 @@
+//! Hostile inputs to the front end: chains of scalar temporaries whose
+//! full substitution would take minutes (a linear chain) or build trees
+//! of millions of nodes (a doubling chain), and subscripts whose
+//! lowering overflows `i64`. Each must normalize within a second and
+//! extract to a non-affine subscript: a sound assumed-dependent pair.
+
+use std::path::Path;
+use std::time::{Duration, Instant};
+
+use dda_ir::{extract_accesses, parse_program, passes, AccessSet};
+
+fn front_end(src: &str) -> (AccessSet, Duration) {
+    let mut p = parse_program(src).expect("parses");
+    let start = Instant::now();
+    passes::normalize(&mut p);
+    let elapsed = start.elapsed();
+    (extract_accesses(&p), elapsed)
+}
+
+fn hostile(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/corpus/hostile")
+        .join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn scalar_chains_normalize_within_a_second() {
+    for name in ["chain_doubling.loop", "chain_linear.loop"] {
+        let (set, elapsed) = front_end(&hostile(name));
+        assert!(elapsed < Duration::from_secs(1), "{name}: {elapsed:?}");
+        // The write's subscript goes through the chain's last link.
+        assert!(!set.accesses[0].is_affine(), "{name}: {}", set.accesses[0]);
+        assert!(set.accesses[1].is_affine(), "{name}: {}", set.accesses[1]);
+    }
+}
+
+#[test]
+fn a_moderate_chain_is_still_substituted_in_full() {
+    let mut src = String::from("read(t0);");
+    for k in 1..=40 {
+        src.push_str(&format!("t{k} = t{} + 1;", k - 1));
+    }
+    src.push_str("for i = 1 to 10 { a[i + t40] = a[i] + 1; }");
+    let (set, _) = front_end(&src);
+    let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+    assert_eq!(
+        (sub.coeff("i"), sub.coeff("t0"), sub.constant_part()),
+        (1, 1, 40)
+    );
+    assert!(set.symbolics.contains("t0"));
+}
+
+#[test]
+fn overflowing_subscripts_are_not_affine() {
+    for name in ["overflow_sum.loop", "overflow_product.loop"] {
+        let (set, _) = front_end(&hostile(name));
+        assert!(!set.accesses[0].is_affine(), "{name}: {}", set.accesses[0]);
+    }
+}

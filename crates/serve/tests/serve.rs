@@ -236,6 +236,31 @@ fn deeply_nested_programs_are_rejected_and_the_server_lives_on() {
 }
 
 #[test]
+fn overflowing_subscripts_are_assumed_dependent_and_every_worker_survives() {
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    };
+    let requests = 2 * cfg.max_in_flight + 1;
+    let (addr, handle, join) = start(cfg);
+    // Lowering these subscripts overflows i64. That used to panic the
+    // request worker, and a handful of such requests left no worker to
+    // answer anything.
+    let bodies = [
+        "for i = 1 to 10 { a[9223372036854775807 + i + 1] = a[i] + 1; }",
+        "for i = 1 to 10 { a[4611686018427387904 * 2 * i] = a[i] + 1; }",
+    ];
+    for k in 0..requests {
+        let (status, _, reply) = request(addr, "POST", "/analyze", bodies[k % 2]);
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"assumed\""), "{reply}");
+    }
+    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    stop(&handle, join);
+}
+
+#[test]
 fn eviction_under_a_byte_cap_never_changes_verdicts() {
     // A cap small enough that three distinct programs cannot all stay
     // resident. Eviction may only cost recomputation, never answers.

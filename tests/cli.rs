@@ -391,6 +391,47 @@ fn conditional_programs_analyze() {
     assert!(stdout.contains("Independent"), "{stdout}");
 }
 
+/// Subscripts whose lowering overflows `i64` used to panic the binary
+/// (exit 101). They are not affine: the pair is assumed dependent.
+#[test]
+fn overflowing_subscripts_are_assumed_dependent() {
+    for src in [
+        "for i = 1 to 10 { a[9223372036854775807 + i + 1] = a[i] + 1; }",
+        "for i = 1 to 10 { a[4611686018427387904 * 2 * i] = a[i] + 1; }",
+    ] {
+        let (stdout, stderr, ok) = run_cli(&["analyze", "-"], src);
+        assert!(ok, "{src}: {stderr}");
+        assert!(stdout.contains("(by assumed)"), "{src}: {stdout}");
+    }
+}
+
+/// Every checked-in hostile input is answered, quickly: the overflow
+/// cases and chains of scalar temporaries that used to run for minutes.
+#[test]
+fn hostile_corpus_is_answered() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/hostile");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("hostile corpus")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "loop"))
+        .collect();
+    paths.sort();
+    assert!(paths.len() >= 5, "{paths:?}");
+    for path in paths {
+        let path = path.to_str().expect("utf-8 path");
+        let start = std::time::Instant::now();
+        let (stdout, stderr, ok) = run_cli(&["batch", path], "");
+        assert!(ok, "{path}: {stderr}");
+        assert_eq!(stdout.lines().count(), 1, "{path}: {stdout}");
+        assert!(stdout.contains("\"pairs\":[{"), "{path}: {stdout}");
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(10),
+            "{path} took {:?}",
+            start.elapsed()
+        );
+    }
+}
+
 /// Satellite regression: a manifest with a broken entry must fail the
 /// whole batch with a located error — the path as written plus the OS
 /// reason — and never emit partial JSONL for the entries before it.
