@@ -44,7 +44,7 @@ use dda_obs::MetricsRegistry;
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_batch, parse_batch};
+use common::{arb_batch, memo_v2, parse_batch};
 
 /// The frozen serial driver.
 struct Oracle {
@@ -315,10 +315,10 @@ impl Warm {
         trainer.analyze_programs(&parse_batch(&training));
         let v3 = temp_path("dda-memo3");
         trainer.save_memo_file_v3(&v3, 3).expect("v3 save");
-        Warm {
-            text: trainer.export_memo(),
-            v3,
-        }
+        let memo = trainer.memo();
+        let text = memo_v2::export_v2(&memo.gcd.snapshot(), &memo.full.snapshot());
+        assert_eq!(text, trainer.export_memo(), "frozen v2 writer diverged");
+        Warm { text, v3 }
     }
 
     fn oracle(&self, cfg: AnalyzerConfig) -> Oracle {
@@ -526,4 +526,34 @@ proptest! {
             }
         }
     }
+}
+
+/// The frozen v2 writer reproduces, byte for byte, the table the last
+/// binary with a v2 writer saved from `dda batch examples/loops/*.loop
+/// --memo-save`.
+#[test]
+fn frozen_v2_writer_reproduces_the_fixture() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(format!("{root}/examples/loops"))
+        .expect("examples/loops")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    paths.sort();
+    let sources: Vec<String> = paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("example reads"))
+        .collect();
+    let mut engine = Engine::with_config(EngineConfig {
+        check: false,
+        ..EngineConfig::default()
+    });
+    engine.analyze_programs(&parse_batch(&sources));
+    let memo = engine.memo();
+    let fixture = std::fs::read_to_string(format!("{root}/tests/corpus/memo/loops.v2.memo"))
+        .expect("fixture reads");
+    assert_eq!(
+        memo_v2::export_v2(&memo.gcd.snapshot(), &memo.full.snapshot()),
+        fixture
+    );
 }
