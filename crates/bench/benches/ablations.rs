@@ -11,7 +11,6 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dda_bench::xspace_system;
-use dda_core::cascade::run_cascade;
 use dda_core::fourier_motzkin::{fourier_motzkin, FmLimits};
 use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
@@ -90,7 +89,12 @@ fn bench_cascade_vs_fm(c: &mut Criterion) {
                 let GcdOutcome::Reduced(r) = gcd_preprocess(p).unwrap() else {
                     continue;
                 };
-                std::hint::black_box(run_cascade(&r.system));
+                std::hint::black_box(run_pipeline(
+                    &r.system,
+                    &PipelineConfig::full(),
+                    FmLimits::default(),
+                    &mut NullProbe,
+                ));
             }
         })
     });

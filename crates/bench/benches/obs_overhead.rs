@@ -1,10 +1,11 @@
 //! Overhead guard for the always-on observability layer.
 //!
-//! Three probes analyze the same corpus (the calibrated cascade
-//! patterns plus the paper's running example, memoization off so every
-//! pair emits timed events): the zero-cost `NullProbe` baseline, the
-//! `StatsProbe` the `--stats` path uses, and the `MetricsProbe` feeding
-//! the registry. The per-event recording cost is also measured bare.
+//! Two probes analyze the same corpus (the calibrated cascade patterns
+//! plus the paper's running example, memoization off so every pair
+//! emits timed events): the zero-cost `NullProbe` baseline and the
+//! `MetricsProbe` feeding the registry, which `--stats`, `--metrics`
+//! and the engine all read. The per-event recording cost is also
+//! measured bare.
 //!
 //! The numbers land in `results/obs_overhead.txt`; the probe path
 //! being allocation-free is asserted separately by the counting
@@ -17,7 +18,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use dda_core::pipeline::{GcdVerdict, Probe, StageVerdict, TraceEvent};
-use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, StatsProbe, TestKind};
+use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, TestKind};
 use dda_ir::{parse_program, passes, Program};
 use dda_obs::{MetricsProbe, MetricsRegistry};
 
@@ -54,15 +55,6 @@ fn bench_probe_overhead(c: &mut Criterion) {
             let mut a = analyzer();
             for p in &programs {
                 std::hint::black_box(a.analyze_program(p));
-            }
-        })
-    });
-    group.bench_function("analyze/stats_probe", |b| {
-        b.iter(|| {
-            let mut a = analyzer();
-            let mut probe = StatsProbe::default();
-            for p in &programs {
-                std::hint::black_box(a.analyze_program_probed(p, &mut probe));
             }
         })
     });

@@ -7,9 +7,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use dda_core::cascade::run_cascade;
+use dda_core::fourier_motzkin::FmLimits;
 use dda_core::gcd::{gcd_preprocess, GcdOutcome, Reduced};
 use dda_core::memo::{bounds_key, nobounds_key};
+use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use dda_core::problem::{build_problem, DependenceProblem};
 use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
@@ -48,7 +49,14 @@ fn bench_cascade(c: &mut Criterion) {
     for (name, src) in cases {
         let reduced = reduced_for(src);
         group.bench_function(name, |b| {
-            b.iter(|| std::hint::black_box(run_cascade(&reduced.system)))
+            b.iter(|| {
+                std::hint::black_box(run_pipeline(
+                    &reduced.system,
+                    &PipelineConfig::full(),
+                    FmLimits::default(),
+                    &mut NullProbe,
+                ))
+            })
         });
     }
     group.finish();

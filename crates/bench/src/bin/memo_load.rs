@@ -3,15 +3,14 @@
 //!
 //! Three views:
 //!
-//! 1. **Load latency** for the same trained memo persisted three ways —
-//!    v2 text (parse every record into the table), v3 buffered (read
-//!    the whole file into an aligned buffer, verify checksums, decode
-//!    nothing), and v3 mmap (map, verify checksums, decode nothing).
-//!    The v3 paths attach the archive as a lazy read tier; records
-//!    fault in on first lookup.
+//! 1. **Load latency** of the trained memo's v3 archive, read two ways —
+//!    buffered (read the whole file into an aligned buffer, verify
+//!    checksums, decode nothing) and mmap (map, verify checksums,
+//!    decode nothing). Both attach the archive as a lazy read tier;
+//!    records fault in on first lookup.
 //! 2. **Warm-batch wall time**: load + analyze the full corpus, cold vs
-//!    v2-warm vs v3-warm, on the parallel engine. Verdict equality is
-//!    asserted, not assumed.
+//!    v3-warm, on the parallel engine. Verdict equality is asserted,
+//!    not assumed.
 //! 3. **Incremental re-analysis**: edit a fraction of the corpus and
 //!    re-run warm; report the spliced/re-solved split from the
 //!    `dda_incremental_*` counters and the wall time against a full
@@ -23,7 +22,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dda_core::{MemoArchive, MemoFormat, SharedMemo};
+use dda_core::MemoArchive;
 use dda_engine::{Engine, EngineConfig};
 use dda_ir::{parse_program, Program};
 
@@ -70,39 +69,28 @@ fn ms(nanos: u64) -> f64 {
 
 fn main() {
     let programs = corpus();
-    let v2_path = tmp("memo.dda");
     let v3_path = tmp("memo.dda3");
 
-    // Train once, persist both formats.
+    // Train once and persist.
     let mut trainer = Engine::with_config(EngineConfig::default());
     let cold_start = Instant::now();
     let cold_reports = trainer.analyze_programs(&programs);
     let cold_nanos = u64::try_from(cold_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    trainer.save_memo_file(&v2_path).expect("save v2");
     trainer.save_memo_file_v3(&v3_path, 16).expect("save v3");
     let records = {
         let memo = trainer.memo();
         memo.gcd.unique_entries() + memo.full.unique_entries()
     };
-    let v2_bytes = std::fs::metadata(&v2_path).unwrap().len();
     let v3_bytes = std::fs::metadata(&v3_path).unwrap().len();
     println!(
         "corpus: {} programs, {} pairs, {records} memo records",
         programs.len(),
         trainer.stats().pairs,
     );
-    println!("file size: v2 text {v2_bytes} bytes | v3 binary {v3_bytes} bytes");
+    println!("file size: v3 binary {v3_bytes} bytes");
     println!();
 
     // --- view 1: load latency -------------------------------------------
-    let v2_load = median_nanos(|| {
-        let memo = SharedMemo::new(16);
-        assert_eq!(
-            memo.load_memo_file(&v2_path).expect("v2 loads"),
-            MemoFormat::V2Text
-        );
-        std::hint::black_box(&memo);
-    });
     let v3_buffered = median_nanos(|| {
         let archive = MemoArchive::open_buffered(&v3_path).expect("v3 buffered opens");
         std::hint::black_box(&archive);
@@ -112,29 +100,11 @@ fn main() {
         std::hint::black_box(&archive);
     });
     println!("memo load (median of {LOAD_REPS}):");
-    println!("  v2 text parse      {:>10.3} ms", ms(v2_load));
-    println!(
-        "  v3 buffered read   {:>10.3} ms   ({:.1}x vs v2)",
-        ms(v3_buffered),
-        v2_load as f64 / v3_buffered as f64
-    );
-    println!(
-        "  v3 mmap            {:>10.3} ms   ({:.1}x vs v2)",
-        ms(v3_mmap),
-        v2_load as f64 / v3_mmap as f64
-    );
+    println!("  v3 buffered read   {:>10.3} ms", ms(v3_buffered));
+    println!("  v3 mmap            {:>10.3} ms", ms(v3_mmap));
     println!();
 
     // --- view 2: warm-batch wall time -----------------------------------
-    let mut v2_engine = Engine::with_config(EngineConfig::default());
-    let v2_warm = {
-        let start = Instant::now();
-        v2_engine.load_memo_file(&v2_path).expect("v2 loads");
-        let reports = v2_engine.analyze_programs(&programs);
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        assert_eq!(reports.len(), cold_reports.len());
-        nanos
-    };
     let mut v3_engine = Engine::with_config(EngineConfig::default());
     let v3_warm = {
         let start = Instant::now();
@@ -150,11 +120,6 @@ fn main() {
     };
     println!("full-corpus batch (load + analyze):");
     println!("  cold               {:>10.3} ms", ms(cold_nanos));
-    println!(
-        "  v2 warm            {:>10.3} ms   ({:.1}x vs cold)",
-        ms(v2_warm),
-        cold_nanos as f64 / v2_warm as f64
-    );
     println!(
         "  v3 warm            {:>10.3} ms   ({:.1}x vs cold)",
         ms(v3_warm),
@@ -208,6 +173,5 @@ fn main() {
         100.0 * spliced as f64 / (spliced + resolved) as f64
     );
 
-    std::fs::remove_file(&v2_path).ok();
     std::fs::remove_file(&v3_path).ok();
 }

@@ -26,9 +26,7 @@ use dda_core::fourier_motzkin::FmLimits;
 use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::run_pipeline;
 use dda_core::problem::build_problem;
-use dda_core::{
-    AnalyzerConfig, DependenceAnalyzer, MemoMode, PipelineConfig, StatsProbe, TestKind,
-};
+use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, PipelineConfig, TestKind};
 use dda_ir::{extract_accesses, parse_program, reference_pairs};
 use dda_obs::{Histogram, LatencySummary, MetricsProbe, MetricsRegistry};
 
@@ -55,16 +53,19 @@ fn resolving_latency(kind: TestKind) -> LatencySummary {
     };
     let config = PipelineConfig::full();
     let histogram = Histogram::new();
+    let registry = MetricsRegistry::new();
+    let mut probe = MetricsProbe::new(&registry);
     for _ in 0..100 {
         std::hint::black_box(run_pipeline(
             &reduced.system,
             &config,
             FmLimits::default(),
-            &mut StatsProbe::default(),
+            &mut probe,
         ));
     }
+    let stage_nanos = || registry.stage_timings().nanos.iter().sum::<u64>();
     for _ in 0..2_000 {
-        let mut probe = StatsProbe::default();
+        let before = stage_nanos();
         let out = std::hint::black_box(run_pipeline(
             &reduced.system,
             &config,
@@ -72,7 +73,7 @@ fn resolving_latency(kind: TestKind) -> LatencySummary {
             &mut probe,
         ));
         assert_eq!(out.used, kind, "calibration drift");
-        histogram.record(probe.timings.nanos.iter().sum());
+        histogram.record(stage_nanos() - before);
     }
     histogram.summary()
 }

@@ -12,8 +12,9 @@
 use std::time::{Duration, Instant};
 
 use dda_bench::{run_suite, suite_from_env};
-use dda_core::cascade::run_cascade;
+use dda_core::fourier_motzkin::FmLimits;
 use dda_core::gcd::{gcd_preprocess, GcdOutcome};
+use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use dda_core::problem::build_problem;
 use dda_core::{AnalyzerConfig, MemoMode, TestKind};
 use dda_ir::{extract_accesses, parse_program, passes, reference_pairs};
@@ -40,11 +41,21 @@ fn time_test(kind: TestKind) -> Duration {
     // Warm up, then measure.
     let iters = 2_000u32;
     for _ in 0..100 {
-        std::hint::black_box(run_cascade(&reduced.system));
+        std::hint::black_box(run_pipeline(
+            &reduced.system,
+            &PipelineConfig::full(),
+            FmLimits::default(),
+            &mut NullProbe,
+        ));
     }
     let start = Instant::now();
     for _ in 0..iters {
-        let out = std::hint::black_box(run_cascade(&reduced.system));
+        let out = std::hint::black_box(run_pipeline(
+            &reduced.system,
+            &PipelineConfig::full(),
+            FmLimits::default(),
+            &mut NullProbe,
+        ));
         assert_eq!(out.used, kind, "calibration drift");
     }
     start.elapsed() / iters

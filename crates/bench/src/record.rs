@@ -28,9 +28,10 @@ use dda_core::fourier_motzkin::FmLimits;
 use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::run_pipeline;
 use dda_core::problem::build_problem;
-use dda_core::{DependenceAnalyzer, MemoArchive, PipelineConfig, StatsProbe, TestKind};
+use dda_core::{DependenceAnalyzer, MemoArchive, PipelineConfig, TestKind};
 use dda_engine::{Engine, EngineConfig};
 use dda_ir::{extract_accesses, parse_program, reference_pairs, Program};
+use dda_obs::{MetricsProbe, MetricsRegistry};
 use dda_perfect::perfect_suite;
 
 use crate::{scale_from_env, table1_config};
@@ -140,17 +141,20 @@ fn resolving_samples(kind: TestKind, reps: usize) -> Vec<u64> {
         panic!("pattern must reach the cascade");
     };
     let config = PipelineConfig::full();
+    let registry = MetricsRegistry::new();
+    let mut probe = MetricsProbe::new(&registry);
     for _ in 0..(reps / 10).max(20) {
         std::hint::black_box(run_pipeline(
             &reduced.system,
             &config,
             FmLimits::default(),
-            &mut StatsProbe::default(),
+            &mut probe,
         ));
     }
+    let stage_nanos = || registry.stage_timings().nanos.iter().sum::<u64>();
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut probe = StatsProbe::default();
+        let before = stage_nanos();
         let out = std::hint::black_box(run_pipeline(
             &reduced.system,
             &config,
@@ -158,7 +162,7 @@ fn resolving_samples(kind: TestKind, reps: usize) -> Vec<u64> {
             &mut probe,
         ));
         assert_eq!(out.used, kind, "calibration drift");
-        samples.push(probe.timings.nanos.iter().sum());
+        samples.push(stage_nanos() - before);
     }
     samples
 }

@@ -16,7 +16,7 @@ use crate::certificate::Certificate;
 use crate::fourier_motzkin::FmLimits;
 use crate::gcd::{EqOutcome, Lattice};
 use crate::memo::SharedMemo;
-use crate::persist::{MemoFormat, PersistError};
+use crate::persist::MemoFormat;
 use crate::pipeline::{NullProbe, PipelineConfig, Probe};
 use crate::problem::DependenceProblem;
 use crate::result::{DependenceResult, Direction, DirectionVector, DistanceVector};
@@ -299,33 +299,15 @@ impl DependenceAnalyzer {
         self.stats = AnalysisStats::default();
     }
 
-    /// Serializes both memo tables (see [`SharedMemo::export_memo`]).
+    /// The memo tables (e.g. for persistence with
+    /// [`SharedMemo::save_memo_file_v3`]).
     #[must_use]
-    pub fn export_memo(&self) -> String {
-        self.memo.export_memo()
+    pub fn memo(&self) -> &SharedMemo {
+        &self.memo
     }
 
-    /// Loads entries from exported text (see [`SharedMemo::import_memo`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`PersistError`] on malformed content.
-    pub fn import_memo(&mut self, text: &str) -> Result<(), PersistError> {
-        self.memo.import_memo(text)
-    }
-
-    /// Writes the memo tables as `dda-memo v2` text, atomically (see
-    /// [`SharedMemo::save_memo_file`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.memo.save_memo_file(path)
-    }
-
-    /// Warm-starts from v2 text or a v3 archive and reports which format
-    /// it found (see [`SharedMemo::load_memo_file`]).
+    /// Warm-starts from a v3 archive or v1/v2 text and reports which
+    /// format it found (see [`SharedMemo::load_memo_file`]).
     ///
     /// # Errors
     ///

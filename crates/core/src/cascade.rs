@@ -9,10 +9,8 @@
 //! cycle.
 
 use crate::acyclic::Trace;
-use crate::fourier_motzkin::FmLimits;
-use crate::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use crate::result::{Answer, TestKind};
-use crate::system::{Constraint, System, VarBounds};
+use crate::system::{Constraint, VarBounds};
 
 /// Result of running the cascade on a `t`-space system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,38 +21,8 @@ pub struct CascadeOutcome {
     pub used: TestKind,
 }
 
-/// Runs the cascade with default Fourier–Motzkin limits.
-///
-/// # Examples
-///
-/// ```
-/// use dda_core::system::{Constraint, System};
-/// use dda_core::cascade::run_cascade;
-/// use dda_core::result::TestKind;
-///
-/// let mut s = System::new(1);
-/// s.push(Constraint::new(vec![-1], -1)); // t ≥ 1
-/// s.push(Constraint::new(vec![1], 0));   // t ≤ 0
-/// let out = run_cascade(&s);
-/// assert!(out.answer.is_independent());
-/// assert_eq!(out.used, TestKind::Svpc);
-/// ```
-#[must_use]
-pub fn run_cascade(system: &System) -> CascadeOutcome {
-    run_cascade_with(system, FmLimits::default())
-}
-
-/// Runs the cascade with explicit Fourier–Motzkin limits.
-///
-/// A thin wrapper over [`run_pipeline`] with the full default test order
-/// and the zero-cost [`NullProbe`].
-#[must_use]
-pub fn run_cascade_with(system: &System, limits: FmLimits) -> CascadeOutcome {
-    run_pipeline(system, &PipelineConfig::full(), limits, &mut NullProbe)
-}
-
 /// Re-exported for tests: completes a witness through an elimination
-/// trace. (Public consumers use [`run_cascade`].)
+/// trace. (Public consumers use [`run_pipeline`](crate::pipeline::run_pipeline).)
 #[doc(hidden)]
 #[must_use]
 pub fn complete_with_trace(trace: &Trace, sample: &mut [i64]) -> Option<()> {
@@ -85,6 +53,18 @@ pub fn bounds_to_constraints(bounds: &VarBounds) -> Vec<Constraint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fourier_motzkin::FmLimits;
+    use crate::pipeline::{run_pipeline, NullProbe, PipelineConfig};
+    use crate::system::System;
+
+    fn full_cascade(s: &System) -> CascadeOutcome {
+        run_pipeline(
+            s,
+            &PipelineConfig::full(),
+            FmLimits::default(),
+            &mut NullProbe,
+        )
+    }
 
     fn sys(rows: &[(&[i64], i64)]) -> System {
         let n = rows.first().map_or(0, |(c, _)| c.len());
@@ -109,7 +89,7 @@ mod tests {
     #[test]
     fn svpc_resolves_single_variable_systems() {
         let s = sys(&[(&[-1, 0], -1), (&[1, 0], 10), (&[0, 1], 10), (&[0, -1], -1)]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::Svpc);
         check_dependent(&s, &out);
     }
@@ -123,7 +103,7 @@ mod tests {
             (&[0, -1, 0], -1),
             (&[0, 0, 1], 4),
         ]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::Acyclic);
         check_dependent(&s, &out);
     }
@@ -139,7 +119,7 @@ mod tests {
             (&[0, 1], 10),
             (&[0, -1], -1),
         ]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::LoopResidue);
         check_dependent(&s, &out);
     }
@@ -148,7 +128,7 @@ mod tests {
     fn loop_residue_detects_negative_cycle() {
         // t0 ≤ t1 - 1 and t1 ≤ t0 - 1: cycle of value -2.
         let s = sys(&[(&[1, -1], -1), (&[-1, 1], -1)]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::LoopResidue);
         assert!(out.answer.is_independent());
     }
@@ -158,7 +138,7 @@ mod tests {
         // 2t0 - t1 ≤ 0 and t1 - 2t0 ≤ -1: unequal magnitudes, FM territory;
         // adds to 0 ≤ -1: infeasible.
         let s = sys(&[(&[2, -1], 0), (&[-2, 1], -1)]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::FourierMotzkin);
         assert!(out.answer.is_independent());
     }
@@ -174,7 +154,7 @@ mod tests {
             (&[0, -1], 0),
             (&[0, 1], 5),
         ]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         assert_eq!(out.used, TestKind::FourierMotzkin);
         check_dependent(&s, &out);
     }
@@ -193,13 +173,13 @@ mod tests {
             (&[0, -1, 0], -1),
             (&[0, 1, 0], 10),
         ]);
-        let out = run_cascade(&s);
+        let out = full_cascade(&s);
         check_dependent(&s, &out);
     }
 
     #[test]
     fn empty_system_dependent() {
-        let out = run_cascade(&System::new(0));
+        let out = full_cascade(&System::new(0));
         assert!(matches!(out.answer, Answer::Dependent(_)));
         assert_eq!(out.used, TestKind::Svpc);
     }

@@ -474,9 +474,8 @@ impl<P: Probe> Refiner<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cascade::run_cascade;
     use crate::gcd::{gcd_preprocess, GcdOutcome};
-    use crate::pipeline::NullProbe;
+    use crate::pipeline::{run_pipeline, NullProbe};
     use crate::problem::build_problem;
     use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
@@ -489,7 +488,12 @@ mod tests {
         let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).unwrap() else {
             panic!("GCD-independent: no directions to analyze");
         };
-        let base = run_cascade(&reduced.system);
+        let base = run_pipeline(
+            &reduced.system,
+            &PipelineConfig::full(),
+            FmLimits::default(),
+            &mut NullProbe,
+        );
         assert!(!base.answer.is_independent(), "base must be dependent");
         let mut counts = TestCounts::default();
         let out = analyze_directions(&problem, &reduced, config, &mut counts, &mut NullProbe);

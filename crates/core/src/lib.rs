@@ -78,11 +78,8 @@ pub use certificate::Certificate;
 pub use memo::{MemoCounters, MemoLoadStats, MemoWeight, ShardedMemoTable, SharedMemo};
 pub use persist::MemoFormat;
 pub use persist_v3::{MemoArchive, PersistV3Error, ShardInfo, ShardSection};
-pub use pipeline::{
-    run_pipeline, NullProbe, PipelineConfig, Probe, RecordingProbe, StatsProbe, TraceEvent,
-};
+pub use pipeline::{run_pipeline, NullProbe, PipelineConfig, Probe, RecordingProbe, TraceEvent};
 pub use result::{
     Answer, DependenceKind, DependenceResult, Direction, DirectionVector, DistanceVector,
     ResolvedBy, TestKind,
 };
-pub use stats::StageTimings;

@@ -6,15 +6,16 @@
 //! programs, one could use a set of benchmarks to set up a standard table
 //! which would be used by all programs."
 //!
-//! The format is a line-oriented, versioned text encoding (plain `i64`
-//! streams — no external serialization dependency). Loading is strict:
-//! any malformed line aborts with a located error rather than silently
+//! Tables are written only as the binary v3 archive
+//! ([`crate::persist_v3`]). This module holds the table-level API and
+//! the reader for the two older line-oriented text versions, which
+//! still load but are no longer written. Loading is strict: any
+//! malformed line aborts with a located error rather than silently
 //! importing half a table.
 //!
-//! Version 2 appends each full record's [`Certificate`] so warm starts
-//! keep their evidence, and each independent gcd record's refutation
-//! witness so warm hits skip the re-derivation. Version 1 tables still
-//! load, with every full entry's certificate degraded to
+//! Version 2 text carries each full record's [`Certificate`] and each
+//! independent gcd record's refutation witness. Version 1 tables load
+//! with every full entry's certificate degraded to
 //! [`Certificate::Unverified`] and every gcd witness absent — the
 //! verdicts are reused, but `--check` re-derives their evidence.
 
@@ -27,9 +28,9 @@ use std::path::Path;
 /// filesystem, so the final step is a true rename), and the temp file
 /// is atomically renamed over the target only after the stream is
 /// flushed. A process killed mid-write leaves either the old file or a
-/// stray `.tmp` — never a truncated memo. The streaming shape lets
-/// large payloads (the v3 binary shards) go to disk without being
-/// buffered as one giant in-memory string first.
+/// stray `.tmp` — never a truncated memo. The streaming shape lets the
+/// v3 binary shards go to disk without being assembled in memory
+/// first.
 pub(crate) fn write_atomic_with(
     path: &Path,
     write: impl FnOnce(&mut dyn std::io::Write) -> std::io::Result<()>,
@@ -52,12 +53,6 @@ pub(crate) fn write_atomic_with(
     result
 }
 
-/// [`write_atomic_with`] for callers that already hold the whole
-/// payload as one string (the v2 text format).
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    write_atomic_with(path, |out| out.write_all(contents.as_bytes()))
-}
-
 use dda_linalg::Matrix;
 
 use crate::analyzer::CachedOutcome;
@@ -70,12 +65,12 @@ use crate::result::{
     Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
 };
 
-/// Magic header of the persisted format.
+/// Header of version 2 text.
 const HEADER: &str = "dda-memo v2";
-/// Previous version, still accepted on load (certificates absent).
+/// Header of version 1 text (certificates absent).
 const HEADER_V1: &str = "dda-memo v1";
 
-/// Errors raised while loading a persisted table.
+/// Errors raised while loading a text table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PersistError {
     /// 1-based line where the problem was found.
@@ -96,7 +91,8 @@ impl std::error::Error for PersistError {}
 /// first bytes (`DDAMEMO3` magic → binary, anything else → text).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoFormat {
-    /// Line-oriented `dda-memo v2` text (v1 still accepted).
+    /// Line-oriented `dda-memo` v1 or v2 text, which loads but is no
+    /// longer written.
     V2Text,
     /// Binary sharded `dda-memo v3` archive (see [`crate::persist_v3`]).
     V3Binary,
@@ -109,25 +105,7 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, PersistError> {
     })
 }
 
-// --- encoding helpers ---------------------------------------------------
-
-fn push_ints(out: &mut String, ints: &[i64]) {
-    for (i, v) in ints.iter().enumerate() {
-        if i > 0 {
-            out.push(' ');
-        }
-        out.push_str(&v.to_string());
-    }
-}
-
-fn encode_dir(d: Direction) -> char {
-    match d {
-        Direction::Lt => '<',
-        Direction::Eq => '=',
-        Direction::Gt => '>',
-        Direction::Any => '*',
-    }
-}
+// --- decoding helpers ---------------------------------------------------
 
 fn decode_dir(c: char, line: usize) -> Result<Direction, PersistError> {
     match c {
@@ -136,18 +114,6 @@ fn decode_dir(c: char, line: usize) -> Result<Direction, PersistError> {
         '>' => Ok(Direction::Gt),
         '*' => Ok(Direction::Any),
         other => err(line, format!("bad direction `{other}`")),
-    }
-}
-
-fn encode_resolved(r: ResolvedBy) -> &'static str {
-    match r {
-        ResolvedBy::Constant => "C",
-        ResolvedBy::Gcd => "G",
-        ResolvedBy::Test(TestKind::Svpc) => "T0",
-        ResolvedBy::Test(TestKind::Acyclic) => "T1",
-        ResolvedBy::Test(TestKind::LoopResidue) => "T2",
-        ResolvedBy::Test(TestKind::FourierMotzkin) => "T3",
-        ResolvedBy::Assumed => "A",
     }
 }
 
@@ -234,19 +200,7 @@ impl<'a> Fields<'a> {
     }
 }
 
-// --- certificate encode/decode ------------------------------------------
-
-fn encode_rule(r: &Rule, out: &mut String) {
-    match r {
-        Rule::Premise { coeffs, rhs } => {
-            out.push_str(&format!(" P {} ", coeffs.len()));
-            push_ints(out, coeffs);
-            out.push_str(&format!(" {rhs}"));
-        }
-        Rule::Comb { a, ca, b, cb } => out.push_str(&format!(" C {a} {ca} {b} {cb}")),
-        Rule::Div { of, d } => out.push_str(&format!(" D {of} {d}")),
-    }
-}
+// --- certificate decoding -----------------------------------------------
 
 fn decode_rule(f: &mut Fields<'_>) -> Result<Rule, PersistError> {
     Ok(match f.next_str()? {
@@ -270,29 +224,6 @@ fn decode_rule(f: &mut Fields<'_>) -> Result<Rule, PersistError> {
     })
 }
 
-fn encode_fmtree(t: &FmTree, out: &mut String) {
-    match t {
-        FmTree::Sealed(d) => {
-            out.push_str(&format!(" S {}", d.rules.len()));
-            for r in &d.rules {
-                encode_rule(r, out);
-            }
-            out.push_str(&format!(" {}", d.seal));
-        }
-        FmTree::Split {
-            var,
-            le,
-            ge,
-            left,
-            right,
-        } => {
-            out.push_str(&format!(" B {var} {le} {ge}"));
-            encode_fmtree(left, out);
-            encode_fmtree(right, out);
-        }
-    }
-}
-
 fn decode_fmtree(f: &mut Fields<'_>) -> Result<FmTree, PersistError> {
     Ok(match f.next_str()? {
         "S" => {
@@ -314,20 +245,6 @@ fn decode_fmtree(f: &mut Fields<'_>) -> Result<FmTree, PersistError> {
     })
 }
 
-fn encode_sysref(s: &SystemRefutation, out: &mut String) {
-    out.push_str(&format!(" {}", s.arena.len()));
-    for r in &s.arena {
-        encode_rule(r, out);
-    }
-    match &s.proof {
-        RefProof::Arena { seal } => out.push_str(&format!(" A {seal}")),
-        RefProof::Fm { tree } => {
-            out.push_str(" F");
-            encode_fmtree(tree, out);
-        }
-    }
-}
-
 fn decode_sysref(f: &mut Fields<'_>) -> Result<SystemRefutation, PersistError> {
     let n = f.next_count()?;
     let arena = (0..n)
@@ -345,21 +262,6 @@ fn decode_sysref(f: &mut Fields<'_>) -> Result<SystemRefutation, PersistError> {
     Ok(SystemRefutation { arena, proof })
 }
 
-fn encode_dirtree(t: &DirTree, out: &mut String) {
-    match t {
-        DirTree::Refuted(s) => {
-            out.push_str(" R");
-            encode_sysref(s, out);
-        }
-        DirTree::Split { level, lt, eq, gt } => {
-            out.push_str(&format!(" T {level}"));
-            encode_dirtree(lt, out);
-            encode_dirtree(eq, out);
-            encode_dirtree(gt, out);
-        }
-    }
-}
-
 fn decode_dirtree(f: &mut Fields<'_>) -> Result<DirTree, PersistError> {
     Ok(match f.next_str()? {
         "R" => DirTree::Refuted(decode_sysref(f)?),
@@ -371,20 +273,6 @@ fn decode_dirtree(f: &mut Fields<'_>) -> Result<DirTree, PersistError> {
         },
         other => return err(f.line, format!("bad dir tag `{other}`")),
     })
-}
-
-fn encode_lattice_part(particular: &[i64], basis: &Matrix, out: &mut String) {
-    out.push_str(&format!(
-        " {} {} {} ",
-        particular.len(),
-        basis.rows(),
-        basis.cols()
-    ));
-    push_ints(out, particular);
-    for r in 0..basis.rows() {
-        out.push(' ');
-        push_ints(out, basis.row(r));
-    }
 }
 
 fn decode_lattice_part(f: &mut Fields<'_>) -> Result<(Vec<i64>, Matrix), PersistError> {
@@ -414,42 +302,6 @@ fn decode_matrix(f: &mut Fields<'_>, rows: usize, cols: usize) -> Result<Matrix,
         }
     }
     Ok(m)
-}
-
-fn encode_cert(c: &Certificate, out: &mut String) {
-    match c {
-        Certificate::Conservative => out.push_str(" c -"),
-        Certificate::Unverified => out.push_str(" c u"),
-        Certificate::Witness { x } => {
-            out.push_str(&format!(" c W {} ", x.len()));
-            push_ints(out, x);
-        }
-        Certificate::ConstantsEqual => out.push_str(" c E"),
-        Certificate::ConstantsDiffer => out.push_str(" c N"),
-        Certificate::GcdRefutation { numer, denom } => {
-            out.push_str(&format!(" c G {} ", numer.len()));
-            push_ints(out, numer);
-            out.push_str(&format!(" {denom}"));
-        }
-        Certificate::Refuted {
-            particular,
-            basis,
-            refutation,
-        } => {
-            out.push_str(" c R");
-            encode_lattice_part(particular, basis, out);
-            encode_sysref(refutation, out);
-        }
-        Certificate::DirectionsExhausted {
-            particular,
-            basis,
-            tree,
-        } => {
-            out.push_str(" c X");
-            encode_lattice_part(particular, basis, out);
-            encode_dirtree(tree, out);
-        }
-    }
 }
 
 fn decode_cert(f: &mut Fields<'_>) -> Result<Certificate, PersistError> {
@@ -494,42 +346,7 @@ fn decode_cert(f: &mut Fields<'_>) -> Result<Certificate, PersistError> {
     })
 }
 
-// --- per-record encode/decode -------------------------------------------
-
-fn encode_gcd(key: &MemoKey, value: &EqOutcome, out: &mut String) {
-    out.push_str("gcd ");
-    out.push_str(&key.as_slice().len().to_string());
-    out.push(' ');
-    push_ints(out, key.as_slice());
-    match value {
-        EqOutcome::Independent { refutation } => {
-            out.push_str(" I");
-            match refutation {
-                Some((numer, denom)) => {
-                    out.push_str(&format!(" w {} ", numer.len()));
-                    push_ints(out, numer);
-                    out.push_str(&format!(" {denom}"));
-                }
-                None => out.push_str(" -"),
-            }
-        }
-        EqOutcome::Lattice(l) => {
-            out.push_str(" L ");
-            out.push_str(&format!(
-                "{} {} {} ",
-                l.particular.len(),
-                l.basis.rows(),
-                l.basis.cols()
-            ));
-            push_ints(out, &l.particular);
-            for r in 0..l.basis.rows() {
-                out.push(' ');
-                push_ints(out, l.basis.row(r));
-            }
-        }
-    }
-    out.push('\n');
-}
+// --- per-record decoding ------------------------------------------------
 
 fn decode_gcd(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, EqOutcome), PersistError> {
     let klen = f.next_count()?;
@@ -566,49 +383,6 @@ fn decode_gcd(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, EqOutcome), Pers
         other => return err(f.line, format!("bad gcd tag `{other}`")),
     };
     Ok((key, value))
-}
-
-fn encode_full(key: &MemoKey, value: &CachedOutcome, out: &mut String) {
-    out.push_str("full ");
-    out.push_str(&key.as_slice().len().to_string());
-    out.push(' ');
-    push_ints(out, key.as_slice());
-    let answer = match &value.result.answer {
-        Answer::Independent => "I",
-        Answer::Dependent(_) => "D",
-        Answer::Unknown => "U",
-    };
-    out.push_str(&format!(
-        " {answer} {} ",
-        encode_resolved(value.result.resolved_by)
-    ));
-    match &value.witness {
-        Some(w) => {
-            out.push_str(&format!("w {} ", w.len()));
-            push_ints(out, w);
-        }
-        None => out.push('-'),
-    }
-    out.push_str(&format!(" v {}", value.direction_vectors.len()));
-    for dv in &value.direction_vectors {
-        out.push(' ');
-        if dv.0.is_empty() {
-            out.push('.');
-        } else {
-            for d in &dv.0 {
-                out.push(encode_dir(*d));
-            }
-        }
-    }
-    out.push_str(&format!(" d {}", value.distance.0.len()));
-    for d in &value.distance.0 {
-        match d {
-            Some(v) => out.push_str(&format!(" {v}")),
-            None => out.push_str(" ?"),
-        }
-    }
-    encode_cert(&value.certificate, out);
-    out.push('\n');
 }
 
 fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome), PersistError> {
@@ -688,29 +462,14 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
 // --- table-level API ----------------------------------------------------
 
 impl SharedMemo {
-    /// Serializes both tables to the versioned text format, in sorted key
-    /// order, so exports are deterministic and diff-friendly whatever the
-    /// shard count.
-    #[must_use]
-    pub fn export_memo(&self) -> String {
-        let (gcd, full) = self.merged_entries();
-        let mut out = String::from(HEADER);
-        out.push('\n');
-        for (k, v) in &gcd {
-            encode_gcd(k, v, &mut out);
-        }
-        for (k, v) in &full {
-            encode_full(k, v, &mut out);
-        }
-        out
-    }
-
     /// Every entry visible through both residency tiers, sorted by key:
     /// the attached archive (if any) overlaid by the resident tables —
     /// so persisting a lazily-loaded memo never drops records that were
-    /// simply never faulted in.
+    /// simply never faulted in. This is exactly what
+    /// [`save_memo_file_v3`](Self::save_memo_file_v3) writes.
     #[allow(clippy::type_complexity)]
-    fn merged_entries(&self) -> (Vec<(MemoKey, EqOutcome)>, Vec<(MemoKey, CachedOutcome)>) {
+    #[must_use]
+    pub fn merged_entries(&self) -> (Vec<(MemoKey, EqOutcome)>, Vec<(MemoKey, CachedOutcome)>) {
         use std::collections::BTreeMap;
         let mut gcd: BTreeMap<MemoKey, EqOutcome> = BTreeMap::new();
         let mut full: BTreeMap<MemoKey, CachedOutcome> = BTreeMap::new();
@@ -738,14 +497,10 @@ impl SharedMemo {
         (gcd.into_iter().collect(), full.into_iter().collect())
     }
 
-    /// Loads entries from a previously exported table. Existing entries
-    /// are kept; imported keys overwrite colliding ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`PersistError`] on malformed content; the
-    /// tables may then be partially updated.
-    pub fn import_memo(&self, text: &str) -> Result<(), PersistError> {
+    /// Loads entries from v1 or v2 text. Existing entries are kept;
+    /// imported keys overwrite colliding ones. On a located
+    /// [`PersistError`] the tables may be partially updated.
+    fn import_text(&self, text: &str) -> Result<(), PersistError> {
         let mut lines = text.lines().enumerate();
         let v2 = match lines.next() {
             Some((_, h)) if h.trim() == HEADER => true,
@@ -777,21 +532,10 @@ impl SharedMemo {
         Ok(())
     }
 
-    /// Writes [`export_memo`](Self::export_memo) to a file atomically
-    /// (temp file in the same directory plus rename), so a killed
-    /// server or batch run never corrupts an existing memo.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_atomic(path.as_ref(), &self.export_memo())
-    }
-
     /// Writes both tiers as a binary v3 archive with `shard_count`
     /// payload shards per section, atomically (see
-    /// [`crate::persist_v3`]). Like [`export_memo`](Self::export_memo),
-    /// the output merges the resident tables over any attached archive.
+    /// [`crate::persist_v3`]): the [`merged_entries`](Self::merged_entries)
+    /// of the resident tables over any attached archive.
     ///
     /// # Errors
     ///
@@ -806,8 +550,7 @@ impl SharedMemo {
     }
 
     /// Reads a memo file into the sharded tables and reports which
-    /// format it found. Text files (see
-    /// [`import_memo`](Self::import_memo)) decode eagerly. A binary v3
+    /// format it found. v1 and v2 text decode eagerly. A binary v3
     /// archive is validated, then *attached* as a cold tier: records
     /// fault into the resident tables on first lookup instead of being
     /// decoded up front. If an archive is already attached (a second v3
@@ -835,10 +578,20 @@ impl SharedMemo {
             self.note_load(records, bytes, started.elapsed().as_nanos() as u64);
             return Ok(MemoFormat::V3Binary);
         }
-        let text = fs::read_to_string(path)?;
+        let bytes = fs::read(path)?;
+        let invalid = |e: PersistError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+        let text = std::str::from_utf8(&bytes).map_err(|e| {
+            let line = 1 + bytes[..e.valid_up_to()]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            invalid(PersistError {
+                line,
+                message: "invalid UTF-8".into(),
+            })
+        })?;
         let before = self.gcd.warm_loads() + self.full.warm_loads();
-        self.import_memo(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+        self.import_text(text).map_err(invalid)?;
         let records = self.gcd.warm_loads() + self.full.warm_loads() - before;
         self.note_load(
             records,
@@ -855,6 +608,10 @@ mod tests {
     use crate::analyzer::DependenceAnalyzer;
     use dda_ir::parse_program;
 
+    /// The v2 text `dda batch examples/loops/*.loop --memo-save` wrote
+    /// before v3 became the only format written.
+    const FIXTURE: &str = include_str!("../../../tests/corpus/memo/loops.v2.memo");
+
     fn trained_analyzer() -> DependenceAnalyzer {
         let src = "
             for i = 1 to 10 { a[i + 1] = a[i]; }
@@ -868,35 +625,53 @@ mod tests {
         an
     }
 
-    #[test]
-    fn export_import_round_trip() {
-        let trained = trained_analyzer();
-        let text = trained.export_memo();
-        assert!(text.starts_with(HEADER));
+    fn tmp(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("dda_persist_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
 
-        let mut fresh = DependenceAnalyzer::new();
-        fresh.import_memo(&text).unwrap();
-        assert_eq!(fresh.memo_entries(), trained.memo_entries());
-        assert_eq!(fresh.gcd_memo_entries(), trained.gcd_memo_entries());
-
-        // Round-trip stability.
-        assert_eq!(fresh.export_memo(), text);
+    /// `(gcd, full)` record lines of a text table.
+    fn text_records(text: &str) -> (usize, usize) {
+        let count = |tag: &str| text.lines().filter(|l| l.starts_with(tag)).count();
+        (count("gcd "), count("full "))
     }
 
     #[test]
-    fn imported_table_eliminates_tests() {
-        let trained = trained_analyzer();
-        let text = trained.export_memo();
+    fn v2_fixture_loads_and_round_trips_through_v3() {
+        let path = tmp("fixture.v2.memo");
+        std::fs::write(&path, FIXTURE).unwrap();
+        let memo = SharedMemo::new(4);
+        assert_eq!(memo.load_memo_file(&path).unwrap(), MemoFormat::V2Text);
+        let (gcd, full) = memo.merged_entries();
+        assert_eq!((gcd.len(), full.len()), text_records(FIXTURE));
+
+        let v3 = tmp("fixture.v3.memo");
+        memo.save_memo_file_v3(&v3, 4).unwrap();
+        let fresh = SharedMemo::new(1);
+        assert_eq!(fresh.load_memo_file(&v3).unwrap(), MemoFormat::V3Binary);
+        assert_eq!(fresh.merged_entries(), (gcd, full));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&v3).ok();
+    }
+
+    #[test]
+    fn loaded_table_eliminates_tests() {
+        let path = tmp("eliminates.memo");
+        trained_analyzer()
+            .memo()
+            .save_memo_file_v3(&path, 4)
+            .unwrap();
 
         let program = parse_program("for i = 1 to 10 { z[i + 1] = z[i]; }").unwrap();
-        // Without the import: one test.
+        // Without the load: one test.
         let mut cold = DependenceAnalyzer::new();
         let r = cold.analyze_program(&program);
         assert_eq!(r.stats.base_tests.total(), 1);
 
-        // With the import: the a[i+1]=a[i] entry answers it from cache.
+        // With the load: the a[i+1]=a[i] entry answers it from cache.
         let mut warm = DependenceAnalyzer::new();
-        warm.import_memo(&text).unwrap();
+        warm.load_memo_file(&path).unwrap();
         let r = warm.analyze_program(&program);
         assert_eq!(r.stats.base_tests.total(), 0);
         assert_eq!(r.stats.memo_hits, 1);
@@ -904,89 +679,73 @@ mod tests {
             r.pairs()[0].direction_vectors,
             cold.analyze_program(&program).pairs()[0].direction_vectors
         );
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn import_counts_warm_loads_exactly() {
-        let trained = trained_analyzer();
-        let text = trained.export_memo();
-
-        // Serial analyzer: one warm load per imported record.
-        let mut fresh = DependenceAnalyzer::new();
-        fresh.import_memo(&text).unwrap();
-        assert_eq!(
-            fresh.full_memo_counters().warm_loads,
-            trained.memo_entries() as u64
-        );
-        assert_eq!(
-            fresh.gcd_memo_counters().warm_loads,
-            trained.gcd_memo_entries() as u64
-        );
-        // Warm loads are telemetry, not traffic: no queries or hits yet.
-        assert_eq!(fresh.full_memo_counters().queries, 0);
-        assert_eq!(fresh.full_memo_counters().hits, 0);
-
-        // Sharded tables: same exact accounting.
-        let shared = SharedMemo::new(4);
-        shared.import_memo(&text).unwrap();
-        assert_eq!(
-            shared.full.counters().warm_loads,
-            trained.memo_entries() as u64
-        );
-        assert_eq!(
-            shared.gcd.counters().warm_loads,
-            trained.gcd_memo_entries() as u64
-        );
-        assert_eq!(shared.full.queries(), 0);
-    }
-
-    #[test]
-    fn export_is_deterministic() {
-        let a = trained_analyzer().export_memo();
-        let b = trained_analyzer().export_memo();
-        assert_eq!(a, b);
+    fn text_import_counts_warm_loads_exactly() {
+        let (gcd, full) = text_records(FIXTURE);
+        for shards in [1, 4] {
+            let memo = SharedMemo::new(shards);
+            memo.import_text(FIXTURE).unwrap();
+            assert_eq!(memo.full.counters().warm_loads, full as u64);
+            assert_eq!(memo.gcd.counters().warm_loads, gcd as u64);
+            // Warm loads are telemetry, not traffic: no queries or hits yet.
+            assert_eq!(memo.full.counters().queries, 0);
+            assert_eq!(memo.full.counters().hits, 0);
+        }
     }
 
     #[test]
     fn malformed_inputs_are_located() {
-        let mut an = DependenceAnalyzer::new();
-        let bad_header = an.import_memo("nope\n").unwrap_err();
+        let memo = SharedMemo::new(1);
+        let bad_header = memo.import_text("nope\n").unwrap_err();
         assert_eq!(bad_header.line, 1);
 
-        let bad_record = an.import_memo("dda-memo v2\nbogus 1 2 3\n").unwrap_err();
+        let bad_record = memo.import_text("dda-memo v2\nbogus 1 2 3\n").unwrap_err();
         assert_eq!(bad_record.line, 2);
         assert!(bad_record.message.contains("bogus"));
 
-        let truncated = an.import_memo("dda-memo v2\ngcd 3 1 2\n").unwrap_err();
+        let truncated = memo.import_text("dda-memo v2\ngcd 3 1 2\n").unwrap_err();
         assert_eq!(truncated.line, 2);
 
-        let trailing = an
-            .import_memo("dda-memo v2\ngcd 1 7 I - extra\n")
+        let trailing = memo
+            .import_text("dda-memo v2\ngcd 1 7 I - extra\n")
             .unwrap_err();
         assert!(trailing.message.contains("trailing"));
 
         // An overclaimed count fails before any allocation is sized to it.
-        let huge = an
-            .import_memo("dda-memo v2\ngcd 1 7 L 100000 100000 100000 1\n")
+        let huge = memo
+            .import_text("dda-memo v2\ngcd 1 7 L 100000 100000 100000 1\n")
             .unwrap_err();
         assert_eq!(huge.line, 2);
         assert!(huge.message.contains("exceeds"), "{}", huge.message);
 
         // Dimensions that individually pass the count check but whose
         // product overflows the line also fail before allocating.
-        let wide = an
-            .import_memo("dda-memo v2\ngcd 1 7 L 2 2 3 1 2 3 4 5\n")
+        let wide = memo
+            .import_text("dda-memo v2\ngcd 1 7 L 2 2 3 1 2 3 4 5\n")
             .unwrap_err();
         assert_eq!(wide.line, 2);
         assert!(wide.message.contains("too short"), "{}", wide.message);
     }
 
     #[test]
+    fn invalid_utf8_is_located() {
+        let path = tmp("not_utf8.memo");
+        std::fs::write(&path, b"dda-memo v2\ngcd 1 7 I -\n\xff\n").unwrap();
+        let e = SharedMemo::new(1).load_memo_file(&path).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(e.to_string(), "memo file, line 3: invalid UTF-8");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn comments_and_blank_lines_allowed() {
-        let mut an = DependenceAnalyzer::new();
-        an.import_memo("dda-memo v2\n\n# a comment\ngcd 1 7 I -\n")
+        let memo = SharedMemo::new(1);
+        memo.import_text("dda-memo v2\n\n# a comment\ngcd 1 7 I -\n")
             .unwrap();
-        assert_eq!(an.gcd_memo_entries(), 1);
+        assert_eq!(memo.gcd.unique_entries(), 1);
     }
 
     #[test]
@@ -995,7 +754,7 @@ mod tests {
         // evidence is marked Unverified.
         let shared = SharedMemo::new(2);
         shared
-            .import_memo("dda-memo v1\nfull 1 7 I T0 - v 0 d 0\n")
+            .import_text("dda-memo v1\nfull 1 7 I T0 - v 0 d 0\n")
             .unwrap();
         let entries = shared.full.snapshot();
         assert_eq!(entries.len(), 1);
@@ -1003,7 +762,7 @@ mod tests {
 
         // A v1 gcd record is a bare `I`: it loads with no refutation
         // witness (re-derived on hit).
-        shared.import_memo("dda-memo v1\ngcd 1 7 I\n").unwrap();
+        shared.import_text("dda-memo v1\ngcd 1 7 I\n").unwrap();
         let gcd = shared.gcd.snapshot();
         assert_eq!(gcd.len(), 1);
         assert_eq!(
@@ -1013,20 +772,18 @@ mod tests {
         );
 
         // The same record under a v2 header is malformed (missing cert).
-        let mut an = DependenceAnalyzer::new();
-        let e = an
-            .import_memo("dda-memo v2\nfull 1 7 I T0 - v 0 d 0\n")
+        let e = SharedMemo::new(1)
+            .import_text("dda-memo v2\nfull 1 7 I T0 - v 0 d 0\n")
             .unwrap_err();
         assert_eq!(e.line, 2);
     }
 
     #[test]
     fn truncated_v2_certificate_is_located() {
-        let mut an = DependenceAnalyzer::new();
         // The certificate promises two GCD numerators; the line ends
         // after one, so the count guard refuses before reading them.
-        let e = an
-            .import_memo("dda-memo v2\nfull 1 7 I G - v 0 d 0 c G 2 1\n")
+        let e = SharedMemo::new(1)
+            .import_text("dda-memo v2\nfull 1 7 I G - v 0 d 0 c G 2 1\n")
             .unwrap_err();
         assert_eq!(e.line, 2);
         assert!(e.message.contains("exceeds"), "{}", e.message);
@@ -1035,59 +792,41 @@ mod tests {
     #[test]
     fn refutation_certificates_round_trip() {
         // An independent-by-cascade pair stores a Refuted certificate;
-        // the full payload must survive export → import → export.
+        // the full payload must survive save → load.
         let program = parse_program("for i = 1 to 10 { z[i] = z[i + 20]; }").unwrap();
         let mut an = DependenceAnalyzer::new();
         an.analyze_program(&program);
-        let text = an.export_memo();
+        let entries = an.memo().merged_entries();
         assert!(
-            text.contains(" c R"),
-            "expected a Refuted certificate:\n{text}"
+            entries
+                .1
+                .iter()
+                .any(|(_, v)| matches!(v.certificate, Certificate::Refuted { .. })),
+            "expected a Refuted certificate: {entries:?}"
         );
+        let path = tmp("refuted.memo");
+        an.memo().save_memo_file_v3(&path, 2).unwrap();
         let mut fresh = DependenceAnalyzer::new();
-        fresh.import_memo(&text).unwrap();
-        assert_eq!(fresh.export_memo(), text);
+        fresh.load_memo_file(&path).unwrap();
+        assert_eq!(fresh.memo().merged_entries(), entries);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn shared_memo_round_trips_with_analyzer() {
         let trained = trained_analyzer();
-        let text = trained.export_memo();
+        let entries = trained.memo().merged_entries();
+        let path = tmp("analyzer_to_shared.memo");
+        trained.memo().save_memo_file_v3(&path, 16).unwrap();
 
-        // Analyzer export → shared import preserves every entry.
-        let shared = SharedMemo::new(8);
-        shared.import_memo(&text).unwrap();
-        assert_eq!(shared.gcd.unique_entries(), trained.gcd_memo_entries());
-        assert_eq!(shared.full.unique_entries(), trained.memo_entries());
-
-        // Shared export is byte-identical (same sorted-key format), so
-        // serial and batch runs can warm-start each other transparently.
-        assert_eq!(shared.export_memo(), text);
-        let mut fresh = DependenceAnalyzer::new();
-        fresh.import_memo(&shared.export_memo()).unwrap();
-        assert_eq!(fresh.export_memo(), text);
-    }
-
-    #[test]
-    fn shared_memo_export_independent_of_shard_count() {
-        let text = trained_analyzer().export_memo();
-        let a = SharedMemo::new(1);
-        a.import_memo(&text).unwrap();
-        let b = SharedMemo::new(64);
-        b.import_memo(&text).unwrap();
-        assert_eq!(a.export_memo(), b.export_memo());
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("dda_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("memo.txt");
-        let trained = trained_analyzer();
-        trained.save_memo_file(&path).unwrap();
-        let mut fresh = DependenceAnalyzer::new();
-        fresh.load_memo_file(&path).unwrap();
-        assert_eq!(fresh.export_memo(), trained.export_memo());
+        // Analyzer save → sharded load preserves every entry, whatever
+        // the shard count, so serial and batch runs warm-start each
+        // other transparently.
+        for shards in [1, 8, 64] {
+            let shared = SharedMemo::new(shards);
+            shared.load_memo_file(&path).unwrap();
+            assert_eq!(shared.merged_entries(), entries);
+        }
         std::fs::remove_file(&path).ok();
     }
 
@@ -1097,54 +836,40 @@ mod tests {
         // truncated payload, but the target was never renamed over.
         // The old memo must load unchanged, and a subsequent complete
         // save must replace both.
-        let dir = std::env::temp_dir().join("dda_persist_partial_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("memo.txt");
-        let tmp = dir.join("memo.txt.tmp");
+        let path = tmp("partial.memo");
+        let tmp_path = tmp("partial.memo.tmp");
 
         let trained = trained_analyzer();
-        trained.save_memo_file(&path).unwrap();
-        let good = std::fs::read_to_string(&path).unwrap();
-        assert!(!tmp.exists(), "no temp file after save");
+        let memo = trained.memo();
+        memo.save_memo_file_v3(&path, 4).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        assert!(!tmp_path.exists(), "no temp file after save");
 
         // A partial write dies after a few bytes of the new payload.
-        let partial = &good[..good.len() / 3];
-        std::fs::write(&tmp, partial).unwrap();
+        std::fs::write(&tmp_path, &good[..good.len() / 3]).unwrap();
 
         // The old file survives the crash byte-for-byte and still loads.
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
-        let mut fresh = DependenceAnalyzer::new();
+        assert_eq!(std::fs::read(&path).unwrap(), good);
+        let fresh = SharedMemo::new(4);
         fresh.load_memo_file(&path).unwrap();
-        assert_eq!(fresh.export_memo(), trained.export_memo());
+        assert_eq!(fresh.merged_entries(), memo.merged_entries());
 
         // The next successful save replaces the target and consumes the
         // stale temp file.
-        trained.save_memo_file(&path).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
+        memo.save_memo_file_v3(&path, 4).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), good);
         assert!(
-            !tmp.exists(),
+            !tmp_path.exists(),
             "temp file renamed away by the completed save"
         );
 
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&tmp).ok();
-    }
+        // A save that fails outright (here the temp file cannot be
+        // created) reports the error and leaves the old file as it was.
+        std::fs::create_dir(&tmp_path).unwrap();
+        assert!(SharedMemo::new(1).save_memo_file_v3(&path, 1).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), good);
 
-    #[test]
-    fn sharded_save_is_atomic_too() {
-        let dir = std::env::temp_dir().join("dda_persist_sharded_atomic");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("memo.txt");
-        let memo = SharedMemo::new(2);
-        memo.import_memo(&trained_analyzer().export_memo()).unwrap();
-        memo.save_memo_file(&path).unwrap();
-        assert!(
-            !dir.join("memo.txt.tmp").exists(),
-            "no temp file left behind"
-        );
-        let fresh = SharedMemo::new(2);
-        fresh.load_memo_file(&path).unwrap();
-        assert_eq!(fresh.export_memo(), memo.export_memo());
+        std::fs::remove_dir(&tmp_path).ok();
         std::fs::remove_file(&path).ok();
     }
 }

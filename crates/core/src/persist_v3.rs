@@ -1,6 +1,6 @@
 //! dda-memo v3: a binary, sharded, checksummed memo archive.
 //!
-//! The v2 text format ([`crate::persist`]) parses every record on load,
+//! The older text format ([`crate::persist`]) parses every record on load,
 //! so warm starts at service scale are dominated by decode rather than
 //! solving. Version 3 keeps the same logical records (gcd outcomes and
 //! full cached outcomes, both keyed by [`MemoKey`]) but lays them out as
@@ -25,7 +25,9 @@
 //!  56  header_checksum  u64 = xxh64(bytes 0..56, seed 0)
 //!
 //! Directory (section-major, 32 bytes per shard payload)
-//!   offset   u64  absolute, 8-aligned, past the directory
+//!   offset   u64  absolute: payloads follow the directory in directory
+//!                 order, each at the next 8-aligned offset, with zero
+//!                 padding between them and nothing after the last
 //!   len      u64  payload byte length
 //!   records  u64  record count (records * 16 <= len)
 //!   checksum u64  xxh64(payload, seed 0)
@@ -1167,6 +1169,10 @@ impl MemoArchive {
         let mut gcd_shards = Vec::with_capacity(shard_count);
         let mut full_shards = Vec::with_capacity(shard_count);
         let mut record_sum = 0u64;
+        // Payloads tile the file exactly, so every byte is either
+        // checksummed, a validated directory field, or zero padding:
+        // no corruption can load unnoticed.
+        let mut prev_end = payload_start as u64;
         for idx in 0..2 * shard_count {
             let at = HEADER_LEN + idx * DIR_ENTRY_LEN;
             let (section, shard) = if idx < shard_count {
@@ -1178,27 +1184,31 @@ impl MemoArchive {
             let len = u64le(&b[at + 8..]);
             let records = u64le(&b[at + 16..]);
             let checksum = u64le(&b[at + 24..]);
-            if !offset.is_multiple_of(8) {
+            let expected = prev_end.next_multiple_of(8);
+            if offset != expected {
                 return verr(
                     at as u64,
-                    format!("{section} shard {shard}: offset {offset} is not 8-aligned"),
+                    format!("{section} shard {shard}: offset {offset}, expected {expected}"),
                 );
             }
-            if offset < payload_start as u64 {
-                return verr(
-                    at as u64,
-                    format!("{section} shard {shard}: offset {offset} overlaps the directory"),
-                );
+            let end = match offset.checked_add(len) {
+                Some(end) if end <= file_len => end,
+                _ => {
+                    return verr(
+                        (at + 8) as u64,
+                        format!(
+                            "{section} shard {shard}: payload [{offset}, +{len}) runs past the file"
+                        ),
+                    )
+                }
+            };
+            if let Some(i) = b[prev_end as usize..offset as usize]
+                .iter()
+                .position(|&x| x != 0)
+            {
+                return verr(prev_end + i as u64, "nonzero padding between payloads");
             }
-            let end = offset.checked_add(len);
-            if end.is_none_or(|e| e > file_len) {
-                return verr(
-                    (at + 8) as u64,
-                    format!(
-                        "{section} shard {shard}: payload [{offset}, +{len}) runs past the file"
-                    ),
-                );
-            }
+            prev_end = end;
             // Every record costs a 16-byte index entry, so a crafted
             // record count is refuted by the payload length before it
             // sizes anything.
@@ -1228,6 +1238,12 @@ impl MemoArchive {
             } else {
                 full_shards.push(shard_meta);
             }
+        }
+        if prev_end != file_len {
+            return verr(
+                prev_end,
+                format!("{} bytes after the last payload", file_len - prev_end),
+            );
         }
         if record_sum != total_records {
             return verr(
@@ -1500,8 +1516,14 @@ mod tests {
         ";
         let mut an = DependenceAnalyzer::new();
         an.analyze_program(&parse_program(src).unwrap());
+        let (gcd, full) = an.memo().merged_entries();
         let memo = SharedMemo::new(4);
-        memo.import_memo(&an.export_memo()).unwrap();
+        for (k, v) in gcd {
+            memo.gcd.insert(k, v);
+        }
+        for (k, v) in full {
+            memo.full.insert(k, v);
+        }
         memo
     }
 
@@ -1767,6 +1789,41 @@ mod tests {
         assert_eq!(archive.get_gcd(&MemoKey::from_vec(vec![1])), None);
     }
 
+    /// Loads `bytes` through [`SharedMemo::load_memo_file`] and demands a
+    /// located `InvalidData` error: a byte offset for the v3 reader, a
+    /// line for the text reader that takes files without the v3 magic.
+    fn expect_load_located(path: &Path, bytes: &[u8], what: &str) {
+        std::fs::write(path, bytes).unwrap();
+        match SharedMemo::new(2).load_memo_file(path) {
+            Ok(format) => panic!("{what} loaded silently as {format:?}"),
+            Err(e) => {
+                let msg = e.to_string();
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {msg}");
+                assert!(
+                    msg.starts_with("memo v3 file, offset ") || msg.starts_with("memo file, line "),
+                    "{what}: unlocated error {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_byte_flip_fails_located() {
+        let good = valid_file_bytes();
+        let path = tmp("fault_injection.dm3");
+        for cut in 0..good.len() {
+            expect_load_located(&path, &good[..cut], &format!("truncation to {cut} bytes"));
+        }
+        for at in 0..good.len() {
+            for mask in [0xFF, 0x01] {
+                let mut bad = good.clone();
+                bad[at] ^= mask;
+                expect_load_located(&path, &bad, &format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn hostile_unsorted_index_is_rejected() {
         let blob_a = {
@@ -1822,8 +1879,8 @@ mod tests {
         assert_eq!(warm.lookup_full(k).as_ref(), Some(v));
         assert_eq!(warm.memo_load_stats().archive_faults, 1);
 
-        // Exports see through both tiers: byte-identical to the source.
-        assert_eq!(warm.export_memo(), memo.export_memo());
+        // Persisted entries see through both tiers.
+        assert_eq!(warm.merged_entries(), memo.merged_entries());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1841,7 +1898,7 @@ mod tests {
         // decoded eagerly into the resident tables.
         assert_eq!(warm.full.unique_entries(), memo.full.unique_entries());
         assert_eq!(warm.gcd.unique_entries(), memo.gcd.unique_entries());
-        assert_eq!(warm.export_memo(), memo.export_memo());
+        assert_eq!(warm.merged_entries(), memo.merged_entries());
         std::fs::remove_file(&path).ok();
     }
 
@@ -1858,9 +1915,8 @@ mod tests {
         assert_eq!(an.load_memo_file(&path).unwrap(), MemoFormat::V3Binary);
         assert_eq!(an.memo_entries(), 0);
         assert_eq!(an.gcd_memo_entries(), 0);
-        // Exports merge both tiers: the v2 text round trip agrees
-        // byte-for-byte.
-        assert_eq!(an.export_memo(), memo.export_memo());
+        // Persisted entries merge both tiers.
+        assert_eq!(an.memo().merged_entries(), memo.merged_entries());
         std::fs::remove_file(&path).ok();
     }
 }

@@ -4,9 +4,9 @@
 //! used to be a hardcoded call sequence. This module generalizes it into a
 //! *pipeline*: the test list is runtime-configurable ([`PipelineConfig`]),
 //! and every stage reports to a [`Probe`] — a compile-time hook that is
-//! erased entirely on the hot path ([`NullProbe`]), records typed
-//! [`TraceEvent`]s for diagnostics ([`RecordingProbe`]), or accumulates
-//! per-test wall time ([`StatsProbe`]).
+//! erased entirely on the hot path ([`NullProbe`]) or records typed
+//! [`TraceEvent`]s for diagnostics ([`RecordingProbe`]); `dda-obs`
+//! adds the probe that feeds its metrics registry.
 //!
 //! The pipeline threads a running state — scalar [`VarBounds`], residual
 //! multi-variable constraints, and the Acyclic elimination
@@ -27,7 +27,6 @@ use crate::certificate::{FmTree, RefProof, SystemRefutation, Trail};
 use crate::fourier_motzkin::{fourier_motzkin_cert, FmLimits, FmOutcome};
 use crate::loop_residue::{loop_residue_into, LoopResidueOutcome};
 use crate::result::{Answer, DependenceResult, DirectionVector, DistanceVector, TestKind};
-use crate::stats::StageTimings;
 use crate::svpc::{svpc_into, SvpcStep};
 use crate::system::{Constraint, System, VarBounds};
 
@@ -103,24 +102,6 @@ pub struct RecordingProbe {
 impl Probe for RecordingProbe {
     fn record(&mut self, event: TraceEvent) {
         self.events.push(event);
-    }
-}
-
-/// Accumulates per-test call counts and wall time, discarding everything
-/// else.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsProbe {
-    /// The accumulated timings.
-    pub timings: StageTimings,
-}
-
-impl Probe for StatsProbe {
-    fn record(&mut self, event: TraceEvent) {
-        match event {
-            TraceEvent::Stage { test, nanos, .. } => self.timings.record(test, nanos),
-            TraceEvent::Gcd { nanos, .. } => self.timings.record_gcd(nanos),
-            _ => {}
-        }
     }
 }
 
@@ -439,9 +420,25 @@ enum StepOutcome {
 
 /// Runs the configured tests over `system`, reporting to `probe`.
 ///
-/// With [`PipelineConfig::full`] this is answer-for-answer identical to
-/// [`crate::cascade::run_cascade_with`] (which is now a thin wrapper over
-/// it). An empty configuration answers `Unknown`.
+/// With [`PipelineConfig::full`] this is the paper's cascade (SVPC →
+/// Acyclic → Loop Residue → Fourier–Motzkin, see [`crate::cascade`]).
+/// An empty configuration answers `Unknown`.
+///
+/// # Examples
+///
+/// ```
+/// use dda_core::fourier_motzkin::FmLimits;
+/// use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
+/// use dda_core::result::TestKind;
+/// use dda_core::system::{Constraint, System};
+///
+/// let mut s = System::new(1);
+/// s.push(Constraint::new(vec![-1], -1)); // t ≥ 1
+/// s.push(Constraint::new(vec![1], 0));   // t ≤ 0
+/// let out = run_pipeline(&s, &PipelineConfig::full(), FmLimits::default(), &mut NullProbe);
+/// assert!(out.answer.is_independent());
+/// assert_eq!(out.used, TestKind::Svpc);
+/// ```
 #[must_use]
 pub fn run_pipeline<P: Probe>(
     system: &System,
@@ -763,16 +760,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_probe_accumulates_stage_time() {
-        let mut probe = StatsProbe::default();
+    fn every_stage_that_runs_reports_one_stage_event() {
+        let mut probe = RecordingProbe::default();
         let s = sys(&[(&[2, -1], 0), (&[-2, 1], -1)]);
         let out = run_pipeline(&s, &PipelineConfig::full(), FmLimits::default(), &mut probe);
         assert_eq!(out.used, TestKind::FourierMotzkin);
-        assert_eq!(probe.timings.calls_for(TestKind::Svpc), 1);
-        assert_eq!(probe.timings.calls_for(TestKind::Acyclic), 1);
-        assert_eq!(probe.timings.calls_for(TestKind::LoopResidue), 1);
-        assert_eq!(probe.timings.calls_for(TestKind::FourierMotzkin), 1);
-        assert_eq!(probe.timings.total_calls(), 4);
+        let stages: Vec<TestKind> = probe
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Stage { test, .. } => Some(*test),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(stages, TestKind::ALL);
     }
 
     #[test]

@@ -168,126 +168,9 @@ impl AnalysisStats {
     }
 }
 
-/// Per-test wall-time accumulators, collected by a
-/// [`StatsProbe`](crate::pipeline::StatsProbe).
-///
-/// Kept *separate* from [`AnalysisStats`] on purpose: `AnalysisStats` is
-/// compared bit-for-bit between the serial analyzer and the parallel
-/// engine, and wall times are inherently non-deterministic. Call counts
-/// here may exceed [`AnalysisStats::base_tests`] because every pipeline
-/// stage that *runs* is counted, not only the stage credited with the
-/// resolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageTimings {
-    /// Stage executions per test (indexed by [`TestKind::index`]).
-    pub calls: [u64; 4],
-    /// Accumulated wall time per test, in nanoseconds.
-    pub nanos: [u64; 4],
-    /// Extended-GCD phase executions.
-    pub gcd_calls: u64,
-    /// Accumulated extended-GCD wall time, in nanoseconds.
-    pub gcd_nanos: u64,
-}
-
-impl StageTimings {
-    /// Records one stage execution.
-    pub fn record(&mut self, kind: TestKind, nanos: u64) {
-        self.calls[kind.index()] += 1;
-        self.nanos[kind.index()] += nanos;
-    }
-
-    /// Records one extended-GCD phase execution.
-    pub fn record_gcd(&mut self, nanos: u64) {
-        self.gcd_calls += 1;
-        self.gcd_nanos += nanos;
-    }
-
-    /// Stage executions recorded for `kind`.
-    #[must_use]
-    pub fn calls_for(&self, kind: TestKind) -> u64 {
-        self.calls[kind.index()]
-    }
-
-    /// Wall time recorded for `kind`, in nanoseconds.
-    #[must_use]
-    pub fn nanos_for(&self, kind: TestKind) -> u64 {
-        self.nanos[kind.index()]
-    }
-
-    /// Mean nanoseconds per execution of `kind` (0 when it never ran).
-    #[must_use]
-    pub fn mean_nanos(&self, kind: TestKind) -> f64 {
-        let calls = self.calls_for(kind);
-        if calls == 0 {
-            return 0.0;
-        }
-        self.nanos_for(kind) as f64 / calls as f64
-    }
-
-    /// Total stage executions across all tests.
-    #[must_use]
-    pub fn total_calls(&self) -> u64 {
-        self.calls.iter().sum()
-    }
-
-    /// Adds another accumulator into this one. Aggregation order is the
-    /// caller's responsibility; the engine sums per-leader timings in job
-    /// enumeration order so the aggregate is schedule-independent in
-    /// structure.
-    pub fn add(&mut self, other: &StageTimings) {
-        for i in 0..4 {
-            self.calls[i] += other.calls[i];
-            self.nanos[i] += other.nanos[i];
-        }
-        self.gcd_calls += other.gcd_calls;
-        self.gcd_nanos += other.gcd_nanos;
-    }
-}
-
-impl fmt::Display for StageTimings {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "gcd: {} calls {:.1}ms",
-            self.gcd_calls,
-            self.gcd_nanos as f64 / 1e6
-        )?;
-        for (i, kind) in TestKind::ALL.iter().enumerate() {
-            write!(
-                f,
-                " | {kind}: {} calls {:.1}ms",
-                self.calls[i],
-                self.nanos[i] as f64 / 1e6
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stage_timings_record_and_add() {
-        let mut t = StageTimings::default();
-        t.record(TestKind::Svpc, 100);
-        t.record(TestKind::Svpc, 50);
-        t.record_gcd(30);
-        let mut u = StageTimings::default();
-        u.record(TestKind::FourierMotzkin, 1000);
-        t.add(&u);
-        assert_eq!(t.calls_for(TestKind::Svpc), 2);
-        assert_eq!(t.nanos_for(TestKind::Svpc), 150);
-        assert!((t.mean_nanos(TestKind::Svpc) - 75.0).abs() < 1e-9);
-        assert_eq!(t.mean_nanos(TestKind::Acyclic), 0.0);
-        assert_eq!(t.calls_for(TestKind::FourierMotzkin), 1);
-        assert_eq!(t.gcd_calls, 1);
-        assert_eq!(t.total_calls(), 3);
-        let shown = t.to_string();
-        assert!(shown.contains("SVPC: 2 calls"), "{shown}");
-        assert!(shown.contains("gcd: 1 calls"), "{shown}");
-    }
 
     #[test]
     fn record_and_total() {

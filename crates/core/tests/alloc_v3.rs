@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dda_core::{DependenceAnalyzer, MemoArchive, SharedMemo};
+use dda_core::{DependenceAnalyzer, MemoArchive};
 use dda_ir::parse_program;
 
 struct CountingAllocator;
@@ -49,10 +49,8 @@ fn build_archive(name: &str, n: usize) -> (PathBuf, u64) {
         let program = parse_program(&src).unwrap();
         analyzer.analyze_program(&program);
     }
-    let memo = SharedMemo::new(4);
-    memo.import_memo(&analyzer.export_memo()).unwrap();
-    memo.save_memo_file_v3(&path, 8).unwrap();
-    let records = (memo.gcd.unique_entries() + memo.full.unique_entries()) as u64;
+    analyzer.memo().save_memo_file_v3(&path, 8).unwrap();
+    let records = (analyzer.gcd_memo_entries() + analyzer.memo_entries()) as u64;
     (path, records)
 }
 

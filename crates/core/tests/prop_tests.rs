@@ -8,7 +8,7 @@
 //! explicit box bounds, which makes brute force complete.
 
 use dda_core::acyclic::{acyclic, AcyclicOutcome};
-use dda_core::cascade::{complete_with_trace, run_cascade, CascadeOutcome};
+use dda_core::cascade::{complete_with_trace, CascadeOutcome};
 use dda_core::fourier_motzkin::{fourier_motzkin, fourier_motzkin_with, FmLimits, FmOutcome};
 use dda_core::loop_residue::{loop_residue, LoopResidueOutcome};
 use dda_core::pipeline::run_pipeline;
@@ -205,7 +205,7 @@ proptest! {
     #[test]
     fn cascade_matches_brute_force(s in arb_system()) {
         let truth = brute_force(&s);
-        let out = run_cascade(&s);
+        let out = run_pipeline(&s, &PipelineConfig::full(), FmLimits::default(), &mut NullProbe);
         match out.answer {
             Answer::Independent => {
                 prop_assert!(truth.is_none(),
@@ -263,8 +263,6 @@ proptest! {
         let legacy = legacy_cascade(&s, FmLimits::default());
         let piped = run_pipeline(&s, &PipelineConfig::full(), FmLimits::default(), &mut NullProbe);
         prop_assert_eq!(&piped, &legacy, "pipeline diverged from legacy cascade on\n{}", s);
-        // And the run_cascade wrapper stays in agreement too.
-        prop_assert_eq!(&run_cascade(&s), &legacy, "wrapper diverged on\n{}", s);
     }
 
     /// Attaching a recording probe never changes the pipeline's answer.

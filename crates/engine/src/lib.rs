@@ -71,9 +71,8 @@ use std::time::{Duration, Instant};
 use dda_check::{check_pair, CheckOutcome};
 use dda_core::gcd::{EqOutcome, Lattice};
 use dda_core::memo::{CanonicalKey, MemoKey, NoBoundsKey};
-use dda_core::persist::PersistError;
 use dda_core::problem::DependenceProblem;
-use dda_core::stats::{AnalysisStats, StageTimings};
+use dda_core::stats::AnalysisStats;
 use dda_core::steps::{self, Classified, MemoSource, MemoUse, ReduceEffects};
 use dda_core::{
     AnalyzerConfig, CachedOutcome, DependenceAnalyzer, DependenceKind, MemoFormat, MemoMode,
@@ -81,7 +80,9 @@ use dda_core::{
 };
 use dda_graph::{build_graph, ProgramGraph};
 use dda_ir::{extract_accesses, reference_pairs, Access, Program};
-use dda_obs::{MemoTableKind, MetricsProbe, MetricsRegistry, TraceContext, WaveReport};
+use dda_obs::{
+    MemoTableKind, MetricsProbe, MetricsRegistry, StageTimings, TraceContext, WaveReport,
+};
 
 use pool::par_map_metered;
 
@@ -286,8 +287,6 @@ pub struct BatchOutcome {
     pub reports: Vec<ProgramReport>,
     /// Statistics summed over the batch (program enumeration order).
     pub stats: AnalysisStats,
-    /// Stage wall-time accumulated over the batch.
-    pub timings: StageTimings,
     /// Whether the deadline expired: some pairs carry conservative
     /// partial results instead of exact verdicts.
     pub deadline_exceeded: bool,
@@ -311,7 +310,6 @@ pub struct Engine {
     config: EngineConfig,
     memo: SharedMemo,
     stats: AnalysisStats,
-    timings: StageTimings,
     obs: MetricsRegistry,
 }
 
@@ -432,7 +430,6 @@ impl Engine {
         Engine {
             memo: SharedMemo::new(config.shards),
             stats: AnalysisStats::default(),
-            timings: StageTimings::default(),
             obs: MetricsRegistry::with_workers(config.effective_workers()),
             config,
         }
@@ -451,14 +448,15 @@ impl Engine {
         &self.stats
     }
 
-    /// Per-stage wall-time accumulators since construction (or the last
-    /// [`reset`](Self::reset)). Call counts are deterministic — only
-    /// *leader* solves are timed, and leader election is
-    /// schedule-independent — while the nanosecond values naturally vary
-    /// run to run. Aggregation happens in job enumeration order.
+    /// Per-stage call counts and wall time since construction (or the
+    /// last [`reset`](Self::reset)), read from the
+    /// [`metrics`](Self::metrics) registry. Call counts are
+    /// deterministic — only *leader* solves are timed, and leader
+    /// election is schedule-independent — while the nanosecond values
+    /// naturally vary run to run.
     #[must_use]
-    pub fn stage_timings(&self) -> &StageTimings {
-        &self.timings
+    pub fn stage_timings(&self) -> StageTimings {
+        self.obs.stage_timings()
     }
 
     /// The shared memo tables (e.g. for persistence).
@@ -493,36 +491,11 @@ impl Engine {
     pub fn reset(&mut self) {
         self.memo.clear();
         self.stats = AnalysisStats::default();
-        self.timings = StageTimings::default();
         self.obs.clear();
     }
 
-    /// Serializes the memo tables as `dda-memo v2` text.
-    #[must_use]
-    pub fn export_memo(&self) -> String {
-        self.memo.export_memo()
-    }
-
-    /// Warm-starts the memo tables from exported text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`PersistError`] on malformed content.
-    pub fn import_memo(&self, text: &str) -> Result<(), PersistError> {
-        self.memo.import_memo(text)
-    }
-
-    /// Writes the memo tables to a file.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn save_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        self.memo.save_memo_file(path)
-    }
-
-    /// Warm-starts the memo tables from a file — `dda-memo v2` text or a
-    /// v3 binary archive (attached as a lazily-faulted read tier) — and
+    /// Warm-starts the memo tables from a file — a v3 binary archive
+    /// (attached as a lazily-faulted read tier) or v1/v2 text — and
     /// reports which format was found.
     ///
     /// # Errors
@@ -569,7 +542,6 @@ impl Engine {
             None,
         );
         self.stats.add(&out.stats);
-        self.timings.add(&out.timings);
         out.reports
     }
 }
@@ -601,7 +573,7 @@ impl Engine {
 /// (in addition to `obs`) under its trace id, so a service can attribute
 /// each recording to the request that caused it. Tracing is telemetry
 /// only: one extra relaxed atomic add per event, still allocation-free
-/// on the hot path, and the returned reports, stats, and timings are
+/// on the hot path, and the returned reports and stats are
 /// bit-identical with or without a scope (proptested in `tests/obs.rs`).
 pub fn analyze_batch(
     config: &EngineConfig,
@@ -637,10 +609,8 @@ pub fn analyze_batch(
         steps::classify_pair(j.a, j.b, j.common, cfg.symbolic)
     });
     // Waves 2 and 3: extended GCD, then full analysis of the lattice jobs.
-    let (gcd, mut batch_timings) = gcd_wave(obs, memo, &cfg, workers, &jobs, &classified, deadline);
-    let (full, full_timings) =
-        full_wave(obs, memo, &cfg, workers, &jobs, &classified, &gcd, deadline);
-    batch_timings.add(&full_timings);
+    let gcd = gcd_wave(obs, memo, &cfg, workers, &jobs, &classified, deadline);
+    let full = full_wave(obs, memo, &cfg, workers, &jobs, &classified, &gcd, deadline);
 
     // Wave 4: serial in-order assembly through the shared per-pair step.
     let mut batch_stats = AnalysisStats::default();
@@ -690,7 +660,6 @@ pub fn analyze_batch(
     BatchOutcome {
         reports,
         stats: batch_stats,
-        timings: batch_timings,
         deadline_exceeded,
         spliced: batch_spliced,
         resolved: batch_resolved,
@@ -729,7 +698,7 @@ fn gcd_wave(
     jobs: &[Job<'_>],
     classified: &[Classified],
     deadline: Deadline,
-) -> (Vec<GcdServed>, StageTimings) {
+) -> Vec<GcdServed> {
     let keys: Vec<Option<NoBoundsKey>> = par_map_obs(obs, workers, jobs, |i, _| {
         classified[i].problem().and_then(|p| steps::gcd_key(cfg, p))
     });
@@ -750,14 +719,12 @@ fn gcd_wave(
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         Some((out, nanos))
     });
-    let mut timings = StageTimings::default();
     // Solvers absent from the map were cancelled by the deadline.
     let mut solved_by: HashMap<usize, Option<EqOutcome>> = HashMap::with_capacity(solvers.len());
     for (slot, &i) in solved.into_iter().zip(&solvers) {
         let Some((v, nanos)) = slot else {
             continue;
         };
-        timings.record_gcd(nanos);
         obs.record_gcd(steps::gcd_verdict(v.as_ref()), false, nanos);
         // Overflows are not cached, as in the serial analyzer.
         if let (Some(v), Some(nk)) = (&v, &keys[i]) {
@@ -766,7 +733,7 @@ fn gcd_wave(
         solved_by.insert(i, v);
     }
 
-    let served = par_map_obs(obs, workers, jobs, |i, _| {
+    par_map_obs(obs, workers, jobs, |i, _| {
         let p = classified[i].problem()?;
         let (canonical, used) = match &plan[i] {
             None => (solved_by.get(&i)?.clone(), MemoUse::Unkeyed),
@@ -791,8 +758,7 @@ fn gcd_wave(
             obs.record_gcd(steps::gcd_verdict(canonical.as_ref()), true, 0);
         }
         Some((steps::expand_gcd(p, keys[i].as_ref(), canonical), used))
-    });
-    (served, timings)
+    })
 }
 
 /// The full-analysis wave over lattice jobs, elected like the GCD wave.
@@ -808,7 +774,7 @@ fn full_wave(
     classified: &[Classified],
     gcd: &[GcdServed],
     deadline: Deadline,
-) -> (Vec<Option<FullRes>>, StageTimings) {
+) -> Vec<Option<FullRes>> {
     let lattice = |i: usize| match &gcd[i] {
         Some((Some(EqOutcome::Lattice(l)), _)) => Some(l),
         _ => None,
@@ -833,24 +799,21 @@ fn full_wave(
         let l = lattice(i).expect("solvers have a lattice");
         let template = steps::pair_template(job.a, job.b, job.common);
         let mut fx = ReduceEffects::default();
-        let mut probe = obs.probe();
-        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut probe);
+        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut obs.probe());
         let cached = keys[i]
             .as_ref()
             .map(|(ck, flipped)| steps::canonical_outcome(&report, ck, *flipped));
-        Some((report, fx, cached, probe.timings))
+        Some((report, fx, cached))
     });
 
     // Solvers absent from the maps were cancelled by the deadline.
-    let mut timings = StageTimings::default();
     let mut own: HashMap<usize, (PairReport, ReduceEffects)> =
         HashMap::with_capacity(solvers.len());
     let mut shared: HashMap<usize, CachedOutcome> = HashMap::new();
     for (slot, &i) in computed.into_iter().zip(&solvers) {
-        let Some((report, fx, cached, t)) = slot else {
+        let Some((report, fx, cached)) = slot else {
             continue;
         };
-        timings.add(&t);
         if let (Some(cached), Some((ck, _))) = (cached, &keys[i]) {
             memo.full.insert(ck.key.clone(), cached.clone());
             shared.insert(i, cached);
@@ -858,8 +821,7 @@ fn full_wave(
         own.insert(i, (report, fx));
     }
 
-    let served = plan
-        .into_iter()
+    plan.into_iter()
         .zip(keys)
         .enumerate()
         .map(|(i, (src, key))| {
@@ -879,8 +841,7 @@ fn full_wave(
             let (report, fx) = own.remove(&i)?;
             Some(FullRes::Computed(report, fx, used))
         })
-        .collect();
-    (served, timings)
+        .collect()
 }
 
 /// One pair whose certificate failed independent verification — either
@@ -1061,8 +1022,8 @@ fn check_batch_obs(
 pub struct GraphOutcome {
     /// One dependence graph per program, in input order.
     pub graphs: Vec<ProgramGraph>,
-    /// The underlying analysis outcome (reports, stats, timings,
-    /// deadline flag) — `graphs[i]` was built from
+    /// The underlying analysis outcome (reports, stats, deadline
+    /// flag) — `graphs[i]` was built from
     /// `batch.reports[i]`.
     pub batch: BatchOutcome,
 }
@@ -1144,7 +1105,6 @@ impl Engine {
             None,
         );
         self.stats.add(&out.batch.stats);
-        self.timings.add(&out.batch.timings);
         out
     }
 }
@@ -1218,7 +1178,6 @@ pub fn minimize_program<F: Fn(&Program) -> bool>(program: &Program, still_fails:
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dda_core::StatsProbe;
     use dda_ir::parse_program;
 
     const SOURCES: &[&str] = &[
@@ -1322,73 +1281,36 @@ mod tests {
             workers: 2,
             ..EngineConfig::default()
         };
-        let mut cold = Engine::with_config(config);
-        cold.analyze_programs(&programs);
-        let exported = cold.export_memo();
-
-        // A warm engine replays with hits everywhere a serial warm
-        // analyzer would hit.
-        let mut warm = Engine::with_config(config);
-        warm.import_memo(&exported).unwrap();
-        let got = warm.analyze_programs(&programs);
-        let mut analyzer = DependenceAnalyzer::with_config(config.effective_analyzer_config());
-        analyzer.import_memo(&exported).unwrap();
-        let want: Vec<ProgramReport> = programs
-            .iter()
-            .map(|p| analyzer.analyze_program(p))
-            .collect();
-        assert_eq!(got, want);
-        assert!(got.iter().any(|r| r.pairs().iter().any(|p| p.from_cache)));
-    }
-
-    #[test]
-    fn v3_warm_start_is_bit_identical_to_v2_at_any_workers_and_shards() {
-        let programs = batch();
         let dir = std::env::temp_dir().join("dda_engine_v3_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let v2 = dir.join("bit_identical.dda-memo");
-        let v3 = dir.join("bit_identical.dda-memo3");
-
-        let mut cold = Engine::with_config(EngineConfig::default());
+        let v3 = dir.join("round_trip.dda-memo3");
+        let mut cold = Engine::with_config(config);
         cold.analyze_programs(&programs);
-        cold.save_memo_file(&v2).unwrap();
         cold.save_memo_file_v3(&v3, 4).unwrap();
 
         // The reference: a warm serial analyzer replaying the batch.
-        let mut analyzer =
-            DependenceAnalyzer::with_config(EngineConfig::default().effective_analyzer_config());
-        analyzer.load_memo_file(&v2).unwrap();
+        let mut analyzer = DependenceAnalyzer::with_config(config.effective_analyzer_config());
+        analyzer.load_memo_file(&v3).unwrap();
         let want: Vec<ProgramReport> = programs
             .iter()
             .map(|p| analyzer.analyze_program(p))
             .collect();
+        assert!(want.iter().any(|r| r.pairs().iter().any(|p| p.from_cache)));
 
+        // A warm engine replays with hits everywhere the serial warm
+        // analyzer hits, at any worker and shard count.
         for workers in [1, 3] {
             for shards in [1, 8] {
-                let config = EngineConfig {
+                let mut warm = Engine::with_config(EngineConfig {
                     workers,
                     shards,
-                    ..EngineConfig::default()
-                };
-                let mut from_v2 = Engine::with_config(config);
-                assert_eq!(from_v2.load_memo_file(&v2).unwrap(), MemoFormat::V2Text);
-                let got_v2 = from_v2.analyze_programs(&programs);
-
-                let mut from_v3 = Engine::with_config(config);
-                assert_eq!(from_v3.load_memo_file(&v3).unwrap(), MemoFormat::V3Binary);
-                let got_v3 = from_v3.analyze_programs(&programs);
-
-                assert_eq!(got_v2, want, "v2 warm, workers={workers} shards={shards}");
-                assert_eq!(got_v3, want, "v3 warm, workers={workers} shards={shards}");
-                // The archive tier serves the same hits the resident
-                // v2 table does, so splice accounting agrees too.
-                assert_eq!(
-                    from_v3.metrics().incremental_spliced(),
-                    from_v2.metrics().incremental_spliced(),
-                );
+                    ..config
+                });
+                assert_eq!(warm.load_memo_file(&v3).unwrap(), MemoFormat::V3Binary);
+                let got = warm.analyze_programs(&programs);
+                assert_eq!(got, want, "workers={workers} shards={shards}");
             }
         }
-        std::fs::remove_file(&v2).ok();
         std::fs::remove_file(&v3).ok();
     }
 
@@ -1459,7 +1381,7 @@ mod tests {
     fn stage_timing_call_counts_are_deterministic() {
         // Only leaders are timed, and leader election replays the serial
         // miss pattern — so stage-call counts must equal what a serial
-        // analyzer's StatsProbe sees, for any worker count.
+        // analyzer's metrics probe sees, for any worker count.
         let programs = batch();
         let config = EngineConfig {
             workers: 3,
@@ -1469,21 +1391,20 @@ mod tests {
         engine.analyze_programs(&programs);
 
         let mut analyzer = DependenceAnalyzer::with_config(config.effective_analyzer_config());
-        let mut probe = StatsProbe::default();
+        let serial = MetricsRegistry::new();
+        let mut probe = MetricsProbe::new(&serial);
         for p in &programs {
             analyzer.analyze_program_probed(p, &mut probe);
         }
-        assert_eq!(engine.stage_timings().calls, probe.timings.calls);
-        // Serial probes time every GCD phase (hits included); the engine
-        // times only the solves that actually ran (the misses).
+        assert_eq!(engine.stage_timings().calls, serial.stage_timings().calls);
+        // Both time only the GCD solves that actually ran (the misses).
         let stats = engine.stats();
-        assert_eq!(
-            engine.stage_timings().gcd_calls,
-            stats.gcd_memo_queries - stats.gcd_memo_hits
-        );
+        let misses = stats.gcd_memo_queries - stats.gcd_memo_hits;
+        assert_eq!(engine.stage_timings().gcd_calls, misses);
+        assert_eq!(serial.stage_timings().gcd_calls, misses);
 
         engine.reset();
-        assert_eq!(engine.stage_timings().total_calls(), 0);
+        assert_eq!(engine.stage_timings(), StageTimings::default());
     }
 
     #[test]

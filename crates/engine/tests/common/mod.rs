@@ -7,6 +7,9 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use dda_ir::{parse_program, passes, Program};
 use proptest::prelude::*;
 
@@ -104,4 +107,11 @@ pub fn parse_batch(sources: &[String]) -> Vec<Program> {
             p
         })
         .collect()
+}
+
+/// A per-process, per-call unique temp path.
+pub fn temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("dda_engine_test_{}_{n}.{tag}", std::process::id()))
 }

@@ -15,7 +15,7 @@ use dda_engine::{Engine, EngineConfig};
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_batch, parse_batch};
+use common::{arb_batch, parse_batch, temp_path};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -70,7 +70,7 @@ proptest! {
         }
     }
 
-    /// Warm-start equivalence: a table exported by the engine warms a
+    /// Warm-start equivalence: a table saved by the engine warms a
     /// serial analyzer and a fresh engine into the same replay.
     #[test]
     fn warm_start_matches_serial_analyzer(sources in arb_batch()) {
@@ -82,23 +82,26 @@ proptest! {
         };
         let mut cold = Engine::with_config(config);
         cold.analyze_programs(&programs);
-        let exported = cold.export_memo();
+        let saved = temp_path("dda-memo3");
+        cold.save_memo_file_v3(&saved, 3).expect("v3 save");
+        let entries = cold.memo().merged_entries();
 
         let mut analyzer =
             DependenceAnalyzer::with_config(config.effective_analyzer_config());
-        analyzer.import_memo(&exported).expect("exported tables import");
+        analyzer.load_memo_file(&saved).expect("saved tables load");
         let want: Vec<ProgramReport> =
             programs.iter().map(|p| analyzer.analyze_program(p)).collect();
 
         let mut warm = Engine::with_config(config);
-        warm.import_memo(&exported).expect("exported tables import");
+        warm.load_memo_file(&saved).expect("saved tables load");
+        std::fs::remove_file(&saved).ok();
         let got = warm.analyze_programs(&programs);
         assert_eq!(got, want, "warm replay diverges\nsources: {sources:#?}");
         assert_eq!(warm.stats(), analyzer.stats());
-        // The warm run discovered nothing new: both ends re-export the
-        // same bytes.
-        assert_eq!(warm.export_memo(), exported);
-        assert_eq!(analyzer.export_memo(), exported);
+        // The warm run discovered nothing new: both ends hold the same
+        // entries.
+        assert_eq!(warm.memo().merged_entries(), entries);
+        assert_eq!(analyzer.memo().merged_entries(), entries);
     }
 
     /// Batching is invisible: one engine over the whole batch equals one

@@ -19,12 +19,12 @@
 //! bit for bit — reports, per-program and cumulative statistics, memo
 //! populations and the spliced count — for every memo mode, with
 //! symmetric canonicalization on and off, at 1, 2 and 8 workers and 1
-//! and 16 shards, cold and warm-started from `dda-memo v2` text and from
-//! a v3 archive, with and without an expired deadline.
+//! and 16 shards, cold and warm-started from `dda-memo v2` text (written
+//! by the frozen writer in `common::memo_v2`) and from a v3 archive,
+//! with and without an expired deadline.
 
 use std::collections::{HashMap, HashSet};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dda_core::gcd::{
@@ -44,7 +44,7 @@ use dda_obs::MetricsRegistry;
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_batch, memo_v2, parse_batch};
+use common::{arb_batch, memo_v2, parse_batch, temp_path};
 
 /// The frozen serial driver.
 struct Oracle {
@@ -77,13 +77,14 @@ impl Oracle {
         }
     }
 
-    /// Loads exported `dda-memo` text, going through a [`SharedMemo`]
-    /// for the decoding.
-    fn import(&mut self, text: &str) {
+    /// Loads a saved table, going through a [`SharedMemo`] for the
+    /// decoding.
+    fn load(&mut self, path: &Path) {
         let memo = SharedMemo::new(1);
-        memo.import_memo(text).expect("exported tables import");
-        self.gcd_memo.extend(memo.gcd.snapshot());
-        self.full_memo.extend(memo.full.snapshot());
+        memo.load_memo_file(path).expect("saved tables load");
+        let (gcd, full) = memo.merged_entries();
+        self.gcd_memo.extend(gcd);
+        self.full_memo.extend(full);
     }
 
     /// Starts a new batch: every entry present now counts as warm.
@@ -243,11 +244,11 @@ impl Oracle {
     }
 }
 
-/// `(gcd, full)` record counts of an exported table — the population of
-/// both residency tiers, whether or not archive records were faulted in.
-fn exported_entries(text: &str) -> (usize, usize) {
-    let count = |tag: &str| text.lines().filter(|l| l.starts_with(tag)).count();
-    (count("gcd "), count("full "))
+/// `(gcd, full)` entry counts of a memo — the population of both
+/// residency tiers, whether or not archive records were faulted in.
+fn merged_entries(memo: &SharedMemo) -> (usize, usize) {
+    let (gcd, full) = memo.merged_entries();
+    (gcd.len(), full.len())
 }
 
 /// Every memo mode, with symmetric canonicalization on and off (it is a
@@ -282,23 +283,13 @@ fn engine_config(cfg: AnalyzerConfig, workers: usize, shards: usize) -> EngineCo
 const WORKERS: [usize; 3] = [1, 2, 8];
 const SHARDS: [usize; 2] = [1, 16];
 
-/// A per-process, per-call unique temp path.
-fn temp_path(tag: &str) -> PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "dda_serial_oracle_{}_{n}.{tag}",
-        std::process::id()
-    ))
-}
-
-/// Warm state to start from: exported v2 text and a v3 archive of the
-/// same tables. The first half of the batch trains as is, so its pairs
+/// Warm state to start from: v2 text and a v3 archive of the same
+/// tables. The first half of the batch trains as is, so its pairs
 /// splice from full-table hits. The rest trains with every upper bound
 /// moved: its GCD keys are warm but its full keys are not, so warm runs
 /// mix splices with fresh cascades after warm GCD hits.
 struct Warm {
-    text: String,
+    v2: PathBuf,
     v3: PathBuf,
 }
 
@@ -315,21 +306,31 @@ impl Warm {
         trainer.analyze_programs(&parse_batch(&training));
         let v3 = temp_path("dda-memo3");
         trainer.save_memo_file_v3(&v3, 3).expect("v3 save");
-        let memo = trainer.memo();
-        let text = memo_v2::export_v2(&memo.gcd.snapshot(), &memo.full.snapshot());
-        assert_eq!(text, trainer.export_memo(), "frozen v2 writer diverged");
-        Warm { text, v3 }
+        let v2 = temp_path("dda-memo");
+        let (gcd, full) = trainer.memo().merged_entries();
+        memo_v2::save_v2(&v2, &gcd, &full).expect("v2 save");
+        Warm { v2, v3 }
+    }
+
+    /// The file a warm `start` loads.
+    fn path(&self, start: Start) -> &Path {
+        match start {
+            Start::V2 => &self.v2,
+            Start::V3 => &self.v3,
+            Start::Cold => unreachable!("cold starts load nothing"),
+        }
     }
 
     fn oracle(&self, cfg: AnalyzerConfig) -> Oracle {
         let mut oracle = Oracle::new(cfg);
-        oracle.import(&self.text);
+        oracle.load(&self.v2);
         oracle
     }
 }
 
 impl Drop for Warm {
     fn drop(&mut self) {
+        std::fs::remove_file(&self.v2).ok();
         std::fs::remove_file(&self.v3).ok();
     }
 }
@@ -414,18 +415,13 @@ proptest! {
 
             for start in [Start::V2, Start::V3] {
                 let mut analyzer = DependenceAnalyzer::with_config(cfg);
-                match start {
-                    Start::V2 => analyzer.import_memo(&warm.text).expect("v2 import"),
-                    _ => {
-                        analyzer.load_memo_file(&warm.v3).expect("v3 load");
-                    }
-                }
+                analyzer.load_memo_file(warm.path(start)).expect("warm load");
                 let got: Vec<ProgramReport> =
                     programs.iter().map(|p| analyzer.analyze_program(p)).collect();
                 prop_assert_eq!(&got, &want, "analyzer reports ({:?}): {}", start, ctx);
                 prop_assert_eq!(analyzer.stats(), &oracle.stats, "analyzer stats ({:?}): {}", start, ctx);
                 prop_assert_eq!(
-                    exported_entries(&analyzer.export_memo()),
+                    merged_entries(analyzer.memo()),
                     oracle.entries(),
                     "analyzer memo population ({:?}): {}", start, ctx
                 );
@@ -435,18 +431,13 @@ proptest! {
                 for shards in SHARDS {
                     for start in [Start::V2, Start::V3] {
                         let mut engine = Engine::with_config(engine_config(cfg, workers, shards));
-                        match start {
-                            Start::V2 => engine.import_memo(&warm.text).expect("v2 import"),
-                            _ => {
-                                engine.load_memo_file(&warm.v3).expect("v3 load");
-                            }
-                        }
+                        engine.load_memo_file(warm.path(start)).expect("warm load");
                         let got = engine.analyze_programs(&programs);
                         let at = format!("{start:?} workers={workers} shards={shards} {ctx}");
                         prop_assert_eq!(&got, &want, "engine reports: {}", at);
                         prop_assert_eq!(engine.stats(), &oracle.stats, "engine stats: {}", at);
                         prop_assert_eq!(
-                            exported_entries(&engine.export_memo()),
+                            merged_entries(engine.memo()),
                             oracle.entries(),
                             "engine memo population: {}", at
                         );
@@ -490,12 +481,8 @@ proptest! {
                             ..engine_config(cfg, workers, shards)
                         };
                         let memo = SharedMemo::new(shards);
-                        match (start, warm) {
-                            (Start::V2, Some(w)) => memo.import_memo(&w.text).expect("v2 import"),
-                            (Start::V3, Some(w)) => {
-                                memo.load_memo_file(&w.v3).expect("v3 load");
-                            }
-                            _ => {}
+                        if let Some(w) = warm {
+                            memo.load_memo_file(w.path(start)).expect("warm load");
                         }
                         let obs = MetricsRegistry::with_workers(workers);
                         let out = analyze_batch(
@@ -517,7 +504,7 @@ proptest! {
                         prop_assert_eq!(out.spliced, oracle.spliced, "splices: {}", at);
                         prop_assert_eq!(out.spliced + out.resolved, out.stats.pairs, "{}", at);
                         prop_assert_eq!(
-                            exported_entries(&memo.export_memo()),
+                            merged_entries(&memo),
                             oracle.entries(),
                             "memo population: {}", at
                         );
@@ -549,11 +536,8 @@ fn frozen_v2_writer_reproduces_the_fixture() {
         ..EngineConfig::default()
     });
     engine.analyze_programs(&parse_batch(&sources));
-    let memo = engine.memo();
+    let (gcd, full) = engine.memo().merged_entries();
     let fixture = std::fs::read_to_string(format!("{root}/tests/corpus/memo/loops.v2.memo"))
         .expect("fixture reads");
-    assert_eq!(
-        memo_v2::export_v2(&memo.gcd.snapshot(), &memo.full.snapshot()),
-        fixture
-    );
+    assert_eq!(memo_v2::export_v2(&gcd, &full), fixture);
 }

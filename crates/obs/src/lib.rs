@@ -45,7 +45,9 @@ pub mod trace;
 pub use flight::{CaptureStore, FlightRecorder, RequestOutcome, RequestSummary};
 pub use metrics::{Counter, Gauge, Histogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub use probe::MetricsProbe;
-pub use registry::{MemoTableKind, MetricsRegistry, WaveReport, WorkerWork, GRAPH_EDGE_LABELS};
+pub use registry::{
+    MemoTableKind, MetricsRegistry, StageTimings, WaveReport, WorkerWork, GRAPH_EDGE_LABELS,
+};
 pub use snapshot::{
     EngineSection, GcdSection, GraphSection, MemoSection, MetricsSnapshot, PairsSection,
     RefinementSection, ServiceSection, StageSection,

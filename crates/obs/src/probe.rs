@@ -2,11 +2,10 @@
 
 use crate::MetricsRegistry;
 use dda_core::pipeline::{Probe, TraceEvent, TraceId};
-use dda_core::StageTimings;
 
 /// A pipeline probe that records stage/GCD/refinement telemetry into a
-/// shared [`MetricsRegistry`] while also accumulating the same
-/// [`StageTimings`] a `StatsProbe` would.
+/// shared [`MetricsRegistry`]; its per-stage call counts and wall time
+/// are read back with [`MetricsRegistry::stage_timings`].
 ///
 /// Recording is allocation-free: the interesting events carry only
 /// `Copy` payloads and each lands as a few relaxed atomic adds. Events
@@ -25,10 +24,6 @@ pub struct MetricsProbe<'a> {
     registry: &'a MetricsRegistry,
     local: Option<&'a MetricsRegistry>,
     trace: Option<TraceId>,
-    /// The same per-stage wall-time aggregate `StatsProbe` collects,
-    /// so callers swapping `StatsProbe` for `MetricsProbe` keep their
-    /// timing reports unchanged.
-    pub timings: StageTimings,
 }
 
 impl<'a> MetricsProbe<'a> {
@@ -38,7 +33,6 @@ impl<'a> MetricsProbe<'a> {
             registry,
             local: None,
             trace: None,
-            timings: StageTimings::default(),
         }
     }
 
@@ -54,7 +48,6 @@ impl<'a> MetricsProbe<'a> {
             registry,
             local,
             trace,
-            timings: StageTimings::default(),
         }
     }
 }
@@ -71,7 +64,6 @@ impl Probe for MetricsProbe<'_> {
                 if let Some(local) = self.local {
                     local.record_stage(test, verdict, nanos);
                 }
-                self.timings.record(test, nanos);
             }
             TraceEvent::Gcd {
                 verdict,
@@ -82,9 +74,6 @@ impl Probe for MetricsProbe<'_> {
                 if let Some(local) = self.local {
                     local.record_gcd(verdict, cached, nanos);
                 }
-                // Exactly what `StatsProbe` does: every GCD phase is
-                // timed, cached or not.
-                self.timings.record_gcd(nanos);
             }
             TraceEvent::Directions { tests, nanos, .. } => {
                 self.registry.record_refinement(tests, nanos);
@@ -109,7 +98,7 @@ mod tests {
     use dda_core::TestKind;
 
     #[test]
-    fn probe_routes_events_into_registry_and_timings() {
+    fn probe_routes_events_into_registry() {
         let reg = MetricsRegistry::new();
         let mut probe = MetricsProbe::new(&reg);
         probe.record(TraceEvent::Stage {
@@ -138,10 +127,16 @@ mod tests {
         assert_eq!(reg.gcd_verdicts(), [0, 2, 0]);
         assert_eq!(reg.gcd_cache_hits(), 1);
         assert_eq!(reg.refinement_cascade_tests(), 3);
-        assert_eq!(probe.timings.calls_for(TestKind::Svpc), 1);
-        // Timings mirror StatsProbe: both GCD events count, cached too.
-        assert_eq!(probe.timings.gcd_calls, 2);
-        assert_eq!(probe.timings.gcd_nanos, 21);
+        // Stage timings count every stage run but only GCD solves.
+        let timings = reg.stage_timings();
+        assert_eq!(timings.calls, [1, 0, 0, 0]);
+        assert_eq!(timings.nanos, [10, 0, 0, 0]);
+        assert_eq!((timings.gcd_calls, timings.gcd_nanos), (1, 20));
+        let shown = timings.to_string();
+        assert!(
+            shown.starts_with("gcd: 1 calls 0.0ms | SVPC: 1 calls"),
+            "{shown}"
+        );
         assert_eq!(probe.trace(), None);
     }
 

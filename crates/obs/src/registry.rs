@@ -10,6 +10,8 @@
 //!
 //! [`AnalysisStats`]: dda_core::stats::AnalysisStats
 
+use std::fmt;
+
 use crate::metrics::{Counter, Histogram};
 use dda_core::pipeline::{GcdVerdict, StageVerdict};
 use dda_core::TestKind;
@@ -235,6 +237,17 @@ impl MetricsRegistry {
         std::array::from_fn(|v| self.stage_verdicts[test.index()][v].get())
     }
 
+    /// Call counts and summed wall time of every cascade stage and of
+    /// the GCD solves, read from the latency histograms.
+    pub fn stage_timings(&self) -> StageTimings {
+        StageTimings {
+            calls: std::array::from_fn(|i| self.stage_latency[i].count()),
+            nanos: std::array::from_fn(|i| self.stage_latency[i].sum()),
+            gcd_calls: self.gcd_latency.count(),
+            gcd_nanos: self.gcd_latency.sum(),
+        }
+    }
+
     /// Latency summary of non-cached GCD solves.
     pub fn gcd_latency(&self) -> crate::LatencySummary {
         self.gcd_latency.summary()
@@ -373,6 +386,47 @@ impl MetricsRegistry {
             slot.tasks.reset();
             slot.busy_nanos.reset();
         }
+    }
+}
+
+/// Per-stage call counts and wall time, as read from a registry by
+/// [`MetricsRegistry::stage_timings`] — the `stage times:` line of
+/// `dda analyze --stats` and `dda batch --stats`.
+///
+/// Kept apart from `AnalysisStats` on purpose: that is compared bit for
+/// bit between the serial analyzer and the engine, and wall times vary
+/// run to run. Stage calls count every stage that *runs*, not only the
+/// one credited with the resolution; GCD calls count solves, not memo
+/// hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageTimings {
+    /// Stage executions per test (indexed by [`TestKind::index`]).
+    pub calls: [u64; 4],
+    /// Summed wall time per test, in nanoseconds.
+    pub nanos: [u64; 4],
+    /// Extended-GCD solves.
+    pub gcd_calls: u64,
+    /// Summed extended-GCD solve time, in nanoseconds.
+    pub gcd_nanos: u64,
+}
+
+impl fmt::Display for StageTimings {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "gcd: {} calls {:.1}ms",
+            self.gcd_calls,
+            self.gcd_nanos as f64 / 1e6
+        )?;
+        for (i, kind) in TestKind::ALL.iter().enumerate() {
+            write!(
+                f,
+                " | {kind}: {} calls {:.1}ms",
+                self.calls[i],
+                self.nanos[i] as f64 / 1e6
+            )?;
+        }
+        Ok(())
     }
 }
 

@@ -36,7 +36,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dda_core::stats::AnalysisStats;
-use dda_core::{MemoFormat, SharedMemo};
+use dda_core::SharedMemo;
 use dda_engine::{analyze_batch, check_batch, graph_batch, Deadline, EngineConfig};
 use dda_graph::render::parallel_json_line;
 use dda_obs::{
@@ -301,7 +301,6 @@ pub struct Server {
     listener: TcpListener,
     state: Arc<State>,
     memo_path: Option<PathBuf>,
-    memo_format: MemoFormat,
     memo_shards: usize,
     max_in_flight: usize,
     queue_depth: usize,
@@ -327,14 +326,9 @@ impl Server {
         }
         let shards = cfg.shards.max(1);
         let memo = SharedMemo::with_capacity(shards, cfg.memo_max_bytes);
-        // A memo loaded from a v3 archive persists back as v3 on
-        // shutdown; v2 text stays v2 (one-way migration is explicit,
-        // via `dda memo convert`).
-        let mut memo_format = MemoFormat::V2Text;
         if let Some(path) = &cfg.memo_path {
             if path.exists() {
-                memo_format = memo
-                    .load_memo_file(path)
+                memo.load_memo_file(path)
                     .map_err(|e| format!("{}: {e}", path.display()))?;
             }
         }
@@ -377,7 +371,6 @@ impl Server {
             listener,
             state,
             memo_path: cfg.memo_path.clone(),
-            memo_format,
             memo_shards: shards,
             max_in_flight: cfg.max_in_flight.max(1),
             queue_depth: cfg.queue_depth,
@@ -471,11 +464,10 @@ impl Server {
             let _ = watcher.join();
         }
         if let Some(path) = &self.memo_path {
-            match self.memo_format {
-                MemoFormat::V2Text => self.state.memo.save_memo_file(path),
-                MemoFormat::V3Binary => self.state.memo.save_memo_file_v3(path, self.memo_shards),
-            }
-            .map_err(|e| format!("{}: {e}", path.display()))?;
+            self.state
+                .memo
+                .save_memo_file_v3(path, self.memo_shards)
+                .map_err(|e| format!("{}: {e}", path.display()))?;
         }
         Ok(())
     }

@@ -515,7 +515,7 @@ fn graceful_shutdown_drains_and_persists_the_memo_atomically() {
     let memo = SharedMemo::new(4);
     memo.load_memo_file(&memo_path)
         .expect("persisted memo loads");
-    assert!(memo.full.unique_entries() > 0, "warm entries survived");
+    assert!(!memo.merged_entries().1.is_empty(), "warm entries survived");
 
     // A restarted server is warm: same verdicts, now served from memo.
     let (addr2, handle2, join2) = start(cfg);
@@ -529,35 +529,26 @@ fn graceful_shutdown_drains_and_persists_the_memo_atomically() {
     stop(&handle2, join2);
 }
 
-/// A server started on a v3 binary memo serves warm verdicts, exposes
-/// load/fault metrics, and persists back in v3 on shutdown.
+/// A server started on a memo path that does not exist yet persists a
+/// v3 archive; restarted on it, it serves warm verdicts, exposes
+/// load/fault metrics, and persists v3 again.
 #[test]
-fn v3_memo_restart_serves_warm_and_persists_v3() {
+fn fresh_memo_path_persists_v3_and_restarts_warm() {
     let dir = tmpdir("persist_v3");
-    let v2_path = dir.join("memo.dda");
-    let v3_path = dir.join("memo.dda3");
-
-    // Produce a warm v2 memo the usual way, then convert it to v3.
-    let cfg_v2 = ServeConfig {
+    let path = dir.join("memo.dda3");
+    let cfg = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        memo_path: Some(v2_path.clone()),
+        memo_path: Some(path.clone()),
         ..ServeConfig::default()
     };
-    let (addr, handle, join) = start(cfg_v2);
+    let (addr, handle, join) = start(cfg.clone());
     let (status, _, cold) = request(addr, "POST", "/analyze?file=flow.loop", FLOW);
     assert_eq!(status, 200);
     stop(&handle, join);
-    let memo = SharedMemo::new(4);
-    memo.load_memo_file(&v2_path).expect("v2 loads");
-    memo.save_memo_file_v3(&v3_path, 4).expect("v3 saves");
+    assert!(dda_core::persist_v3::is_v3_file(&path).expect("readable"));
 
     // Restart on the archive: warm verdicts, load metrics exposed.
-    let cfg_v3 = ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        memo_path: Some(v3_path.clone()),
-        ..ServeConfig::default()
-    };
-    let (addr2, handle2, join2) = start(cfg_v3);
+    let (addr2, handle2, join2) = start(cfg);
     let (status, _, warm) = request(addr2, "POST", "/analyze?file=flow.loop", FLOW);
     assert_eq!(status, 200);
     assert_eq!(
@@ -583,13 +574,41 @@ fn v3_memo_restart_serves_warm_and_persists_v3() {
     join2.join().expect("server thread");
     drop(handle2);
 
-    // The archive stays v3 across restarts — no silent downgrade.
-    assert!(dda_core::persist_v3::is_v3_file(&v3_path).expect("readable"));
     let reread = SharedMemo::new(4);
     assert_eq!(
-        reread.load_memo_file(&v3_path).expect("persisted v3 loads"),
+        reread.load_memo_file(&path).expect("persisted v3 loads"),
         dda_core::MemoFormat::V3Binary
     );
+}
+
+/// A server started on v2 text (here the committed fixture) loads it,
+/// answers warm from it, and persists the table back as a v3 archive
+/// that keeps every loaded entry.
+#[test]
+fn v2_memo_loads_warm_and_persists_back_as_v3() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let dir = tmpdir("persist_v2");
+    let path = dir.join("memo.dda");
+    std::fs::copy(format!("{root}/tests/corpus/memo/loops.v2.memo"), &path).expect("fixture");
+    let before = SharedMemo::new(1);
+    before.load_memo_file(&path).expect("v2 fixture loads");
+
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        memo_path: Some(path.clone()),
+        ..ServeConfig::default()
+    });
+    let program = std::fs::read_to_string(format!("{root}/examples/loops/interchange.loop"))
+        .expect("example reads");
+    let (status, _, warm) = request(addr, "POST", "/analyze?file=interchange.loop", &program);
+    assert_eq!(status, 200);
+    assert!(warm.contains("\"cached\":true"), "{warm}");
+    stop(&handle, join);
+
+    assert!(dda_core::persist_v3::is_v3_file(&path).expect("readable"));
+    let after = SharedMemo::new(1);
+    after.load_memo_file(&path).expect("persisted v3 loads");
+    assert_eq!(after.merged_entries(), before.merged_entries());
 }
 
 /// Satellite 3: N concurrent clients hammering one warm server get

@@ -5,9 +5,10 @@
 //! cargo run --example paper_walkthrough
 //! ```
 
-use dda::core::cascade::run_cascade;
+use dda::core::fourier_motzkin::FmLimits;
 use dda::core::gcd::{gcd_preprocess, GcdOutcome};
 use dda::core::loop_residue::{loop_residue, LoopResidueOutcome};
+use dda::core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use dda::core::problem::build_problem;
 use dda::core::system::{Constraint, VarBounds};
 use dda::core::DependenceAnalyzer;
@@ -46,7 +47,12 @@ fn show(title: &str, src: &str) -> Result<(), Box<dyn std::error::Error>> {
             for c in &reduced.system.constraints {
                 println!("    {c}");
             }
-            let outcome = run_cascade(&reduced.system);
+            let outcome = run_pipeline(
+                &reduced.system,
+                &PipelineConfig::full(),
+                FmLimits::default(),
+                &mut NullProbe,
+            );
             println!(
                 "  cascade: resolved by {} -> {:?}",
                 outcome.used, outcome.answer

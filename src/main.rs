@@ -13,9 +13,7 @@ use std::process::ExitCode;
 
 use dda::core::json::json_escape;
 use dda::core::pipeline::{ClassifiedKind, GcdVerdict, Probe, TraceEvent};
-use dda::core::{
-    AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe, StatsProbe, TestKind,
-};
+use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe, TestKind};
 use dda::engine::{Engine, EngineConfig};
 use dda::graph::render::{annotate_source, graph_json_line, parallel_json_line, to_dot};
 use dda::ir::{parse_program, passes, Program};
@@ -60,10 +58,9 @@ COMMANDS:
                   counts/checksums; for v2 text the entry counts.
                   Corrupt files fail with a located error.
                   `dda memo convert <IN> <OUT> [--shards N]` rewrites a
-                  memo file (v2 text or v3) as a v3 binary archive with
-                  N hash-partitioned shards (default 16). v2 text stays
-                  loadable everywhere; conversion is the explicit
-                  migration step
+                  memo file (v1/v2 text or v3) as a v3 binary archive
+                  with N hash-partitioned shards (default 16). v1/v2
+                  text still loads everywhere, but only v3 is written
     bench       benchmark snapshots and the regression gate:
                   `dda bench record [--quick] [--out FILE]` re-runs the
                   standing measurements (per-stage resolving latency,
@@ -86,7 +83,8 @@ COMMANDS:
 
 OPTIONS:
     --workers <N>        batch worker threads (0 = one per core; default 0)
-    --shards <N>         batch memo-table shards (default 16)
+    --shards <N>         batch memo-table shards, and the archive shards
+                         --memo-save writes (default 16)
     --no-directions      skip direction/distance vectors
     --no-symbolic        assume dependence for pairs with symbolic terms
     --no-normalize       skip the normalization prepasses
@@ -124,7 +122,8 @@ OPTIONS:
                          partial lists are ablations and may assume
                          dependence where a disabled test would decide
     --memo-load <FILE>   import a persisted memo table before analyzing
-    --memo-save <FILE>   export the memo table afterwards
+    --memo-save <FILE>   write the memo table afterwards as a dda-memo v3
+                         archive with --shards shards per section
     --stats              print analysis statistics (with per-stage wall
                          times for analyze/batch)
 
@@ -787,7 +786,7 @@ fn run_batch(opts: &Options) -> Result<(), String> {
 
     if let Some(path) = &opts.memo_save {
         engine
-            .save_memo_file(path)
+            .save_memo_file_v3(path, opts.shards)
             .map_err(|e| format!("{path}: {e}"))?;
     }
     if opts.check {
@@ -884,7 +883,7 @@ fn run_graph(opts: &Options) -> Result<(), String> {
 
     if let Some(path) = &opts.memo_save {
         engine
-            .save_memo_file(path)
+            .save_memo_file_v3(path, opts.shards)
             .map_err(|e| format!("{path}: {e}"))?;
     }
     if opts.check {
@@ -1080,27 +1079,28 @@ fn run(opts: &Options) -> Result<(), String> {
             .load_memo_file(path)
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    // One analysis, observed as needed. When any consumer of the event
-    // stream is active (--trace, --metrics, --profile), record the events
-    // once and replay them into every sink; --stats alone uses the cheap
-    // timing probe, and otherwise the zero-cost null probe runs. Answers
-    // are identical in all modes — the probe only watches (pinned by the
-    // determinism proptests in tests/obs.rs).
-    let record_events = opts.trace || opts.metrics.is_some() || opts.profile.is_some();
+    // One analysis, observed as needed. When a consumer of the event
+    // stream itself is active (--trace, --profile), record the events
+    // once and replay them into the metrics registry too; --stats or
+    // --metrics alone feed the registry directly, and otherwise the
+    // zero-cost null probe runs. Answers are identical in all modes —
+    // the probe only watches (pinned by the determinism proptests in
+    // tests/obs.rs).
+    let record_events = opts.trace || opts.profile.is_some();
+    let registry = MetricsRegistry::new();
+    let mut probe = MetricsProbe::new(&registry);
     let mut recorder = RecordingProbe::default();
-    let mut timer = StatsProbe::default();
     let report = if record_events {
-        analyzer.analyze_program_probed(&program, &mut recorder)
-    } else if opts.stats {
-        analyzer.analyze_program_probed(&program, &mut timer)
+        let report = analyzer.analyze_program_probed(&program, &mut recorder);
+        for event in &recorder.events {
+            probe.record(event.clone());
+        }
+        report
+    } else if opts.stats || opts.metrics.is_some() {
+        analyzer.analyze_program_probed(&program, &mut probe)
     } else {
         analyzer.analyze_program(&program)
     };
-    if record_events && opts.stats {
-        for event in &recorder.events {
-            timer.record(event.clone());
-        }
-    }
 
     match opts.command.as_str() {
         "analyze" if opts.trace => {
@@ -1165,18 +1165,13 @@ fn run(opts: &Options) -> Result<(), String> {
             s.memo_queries,
             s.direction_vectors_found
         );
-        println!("stage times: {}", timer.timings);
+        println!("stage times: {}", registry.stage_timings());
     }
 
     if let Some(format) = opts.metrics {
-        // Replay the recorded events into the registry, then join it with
-        // the authoritative stats and the analyzer's own memo counters
-        // (no shard spread: the serial tables are unsharded).
-        let registry = MetricsRegistry::new();
-        let mut probe = MetricsProbe::new(&registry);
-        for event in &recorder.events {
-            probe.record(event.clone());
-        }
+        // Join the registry with the authoritative stats and the
+        // analyzer's own memo counters (no shard spread: the serial
+        // tables are unsharded).
         let snapshot = MetricsSnapshot::from_registry(&registry)
             .with_pairs(&report.stats)
             .with_memo_table("full", analyzer.full_memo_counters(), Vec::new())
@@ -1195,7 +1190,8 @@ fn run(opts: &Options) -> Result<(), String> {
 
     if let Some(path) = &opts.memo_save {
         analyzer
-            .save_memo_file(path)
+            .memo()
+            .save_memo_file_v3(path, opts.shards)
             .map_err(|e| format!("{path}: {e}"))?;
     }
     if opts.check {

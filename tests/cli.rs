@@ -25,6 +25,11 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
     )
 }
 
+/// A path in the repository, as a string for the command line.
+fn repo_path(rel: &str) -> String {
+    format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
+}
+
 #[test]
 fn analyze_reports_pairs() {
     let (stdout, _, ok) = run_cli(
@@ -143,6 +148,35 @@ fn memo_save_and_load_round_trip() {
     );
     assert!(ok);
     assert!(stdout.contains("[cached]"), "{stdout}");
+    let (inspect, _, ok) = run_cli(&["memo", "inspect", memo_str], "");
+    assert!(ok);
+    assert!(
+        inspect.contains("dda-memo v3, 16 shards/section"),
+        "{inspect}"
+    );
+
+    // Text tables still load: the committed v2 fixture answers an
+    // example it was trained on, and inline v1 text is accepted.
+    let example = std::fs::read_to_string(repo_path("examples/loops/interchange.loop")).unwrap();
+    let fixture = repo_path("tests/corpus/memo/loops.v2.memo");
+    let (stdout, _, ok) = run_cli(&["analyze", "-", "--memo-load", &fixture], &example);
+    assert!(ok);
+    assert!(stdout.contains("[cached]"), "{stdout}");
+    std::fs::write(&memo, "dda-memo v1\ngcd 1 7 I\n").unwrap();
+    let (_, stderr, ok) = run_cli(&["analyze", "-", "--memo-load", memo_str], &example);
+    assert!(ok, "{stderr}");
+    // `memo convert` rewrites a text table as a v3 archive.
+    let (_, stderr, ok) = run_cli(
+        &["memo", "convert", &fixture, memo_str, "--shards", "2"],
+        "",
+    );
+    assert!(ok, "{stderr}");
+    let (inspect, _, ok) = run_cli(&["memo", "inspect", memo_str], "");
+    assert!(ok);
+    assert!(
+        inspect.contains("dda-memo v3, 2 shards/section, 15 records"),
+        "{inspect}"
+    );
     std::fs::remove_file(&memo).ok();
 }
 
@@ -275,6 +309,17 @@ fn batch_memo_round_trips_and_warm_starts() {
         warm.lines().next().unwrap().contains("\"cached\":true"),
         "{warm}"
     );
+
+    // Text tables still load: the committed v2 fixture warms the
+    // examples it was trained on, and inline v1 text is accepted.
+    let example = repo_path("examples/loops/interchange.loop");
+    let fixture = repo_path("tests/corpus/memo/loops.v2.memo");
+    let (warm, _, ok) = run_cli(&["batch", &example, "--memo-load", &fixture], "");
+    assert!(ok);
+    assert!(warm.contains("\"cached\":true"), "{warm}");
+    std::fs::write(&memo, "dda-memo v1\ngcd 1 7 I\n").unwrap();
+    let (_, stderr, ok) = run_cli(&["batch", manifest, "--memo-load", memo_str], "");
+    assert!(ok, "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -522,6 +567,11 @@ fn serve_smoke_matches_batch_and_persists_memo() {
     let status = child.wait().expect("server exits");
     assert!(status.success(), "clean shutdown");
     assert!(memo.exists(), "shutdown persists the memo");
+    // The memo path did not exist before the server started: what it
+    // persists is a v3 archive.
+    let (inspect, _, ok) = run_cli(&["memo", "inspect", memo.to_str().unwrap()], "");
+    assert!(ok);
+    assert!(inspect.contains("dda-memo v3"), "{inspect}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
