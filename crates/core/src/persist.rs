@@ -29,7 +29,7 @@ use std::path::Path;
 /// is atomically renamed over the target only after the stream is
 /// flushed. A process killed mid-write leaves either the old file or a
 /// stray `.tmp` — never a truncated memo. The streaming shape lets the
-/// v3 binary shards go to disk without being assembled in memory
+/// v3 binary shards go to disk without being copied into one buffer
 /// first.
 pub(crate) fn write_atomic_with(
     path: &Path,
