@@ -2,7 +2,9 @@
 //! `dda_core::DependenceAnalyzer` so the Section 7 comparison runs both
 //! sides over identical pair universes.
 
-use dda_ir::{extract_accesses, reference_pairs, Access, Program};
+use std::sync::Arc;
+
+use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
 
 use dda_core::problem::constant_compare;
 use dda_core::DirectionVector;
@@ -16,7 +18,7 @@ use crate::wolfe::wolfe_direction_vectors;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BaselinePair {
     /// Name of the shared array.
-    pub array: String,
+    pub array: Arc<str>,
     /// Provably independent under the inexact tests.
     pub independent: bool,
     /// Direction vectors the baseline could not rule out (empty when
@@ -51,14 +53,9 @@ impl BaselineReport {
 /// Banerjee); optionally enumerates direction vectors with Wolfe's
 /// extension.
 #[must_use]
-pub fn baseline_pair(
-    a: &Access,
-    b: &Access,
-    common: usize,
-    directions: bool,
-    tests_run: &mut u64,
-) -> BaselinePair {
-    let array = a.array.clone();
+pub fn baseline_pair(pair: RefPair<'_>, directions: bool, tests_run: &mut u64) -> BaselinePair {
+    let RefPair { a, b, common, .. } = pair;
+    let array = Arc::clone(pair.array_name());
     if let Some(dependent) = constant_compare(a, b) {
         return BaselinePair {
             array,
@@ -126,7 +123,7 @@ pub fn analyze_with_baselines(program: &Program, directions: bool) -> BaselineRe
     let pairs = reference_pairs(&set, false);
     let mut report = BaselineReport::default();
     for p in pairs {
-        let verdict = baseline_pair(p.a, p.b, p.common, directions, &mut report.tests_run);
+        let verdict = baseline_pair(p, directions, &mut report.tests_run);
         report.pairs.push(verdict);
     }
     report

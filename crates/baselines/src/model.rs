@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use dda_ir::{Access, AffineExpr, Bound};
+use dda_ir::{Access, AffineExpr, Bound, Sym};
 
 use crate::interval::Interval;
 
@@ -45,10 +45,10 @@ pub struct PairModel {
 
 /// Interval-evaluates an affine bound expression over known loop
 /// intervals; symbolic variables make it unbounded.
-fn eval_interval(e: &AffineExpr, env: &BTreeMap<&str, Interval>) -> Interval {
+fn eval_interval(e: &AffineExpr, env: &BTreeMap<Sym, Interval>) -> Interval {
     let mut acc = Interval::point(e.constant_part());
     for (v, c) in e.iter_terms() {
-        let vi = env.get(v).copied().unwrap_or(Interval::UNBOUNDED);
+        let vi = env.get(&v).copied().unwrap_or(Interval::UNBOUNDED);
         acc = acc.add(&vi.scale(c));
     }
     acc
@@ -57,7 +57,7 @@ fn eval_interval(e: &AffineExpr, env: &BTreeMap<&str, Interval>) -> Interval {
 /// Computes the value interval of every loop in `acc`'s stack,
 /// outermost-in.
 fn loop_intervals(acc: &Access) -> Vec<Interval> {
-    let mut env: BTreeMap<&str, Interval> = BTreeMap::new();
+    let mut env: BTreeMap<Sym, Interval> = BTreeMap::new();
     let mut out = Vec::with_capacity(acc.loops.len());
     for l in acc.loops.iter() {
         let lo = match &l.lower {
@@ -69,7 +69,7 @@ fn loop_intervals(acc: &Access) -> Vec<Interval> {
             Bound::NonAffine => None,
         };
         let iv = Interval { lo, hi };
-        env.insert(l.var.as_str(), iv);
+        env.insert(l.var, iv);
         out.push(iv);
     }
     out
@@ -86,17 +86,17 @@ pub fn build_model(a: &Access, b: &Access, common: usize) -> Option<PairModel> {
     let ivs_a = loop_intervals(a);
     let ivs_b = loop_intervals(b);
 
-    let pos_a: BTreeMap<&str, usize> = a
+    let pos_a: BTreeMap<Sym, usize> = a
         .loops
         .iter()
         .enumerate()
-        .map(|(k, l)| (l.var.as_str(), k))
+        .map(|(k, l)| (l.var, k))
         .collect();
-    let pos_b: BTreeMap<&str, usize> = b
+    let pos_b: BTreeMap<Sym, usize> = b
         .loops
         .iter()
         .enumerate()
-        .map(|(k, l)| (l.var.as_str(), k))
+        .map(|(k, l)| (l.var, k))
         .collect();
 
     let mut dims = Vec::with_capacity(a.subscripts.len());
@@ -105,17 +105,17 @@ pub fn build_model(a: &Access, b: &Access, common: usize) -> Option<PairModel> {
         let eb = sb.as_affine()?;
         let mut common_terms = vec![(0i64, 0i64); common];
         let mut extra: Vec<(i64, Interval)> = Vec::new();
-        let mut symbolic: BTreeMap<&str, i64> = BTreeMap::new();
+        let mut symbolic: BTreeMap<Sym, i64> = BTreeMap::new();
 
         for (v, c) in ea.iter_terms() {
-            match pos_a.get(v) {
+            match pos_a.get(&v) {
                 Some(&k) if k < common => common_terms[k].0 += c,
                 Some(&k) => extra.push((c, ivs_a[k])),
                 None => *symbolic.entry(v).or_insert(0) += c,
             }
         }
         for (v, c) in eb.iter_terms() {
-            match pos_b.get(v) {
+            match pos_b.get(&v) {
                 Some(&k) if k < common => common_terms[k].1 += c,
                 Some(&k) => extra.push((-c, ivs_b[k])),
                 None => *symbolic.entry(v).or_insert(0) -= c,
@@ -135,7 +135,7 @@ pub fn build_model(a: &Access, b: &Access, common: usize) -> Option<PairModel> {
     let mut level_coupled = vec![false; common];
     for acc in [a, b] {
         for (k, l) in acc.loops.iter().enumerate() {
-            let mut mentioned: Vec<&str> = Vec::new();
+            let mut mentioned: Vec<Sym> = Vec::new();
             for bnd in [&l.lower, &l.upper] {
                 match bnd {
                     Bound::Affine(e) => mentioned.extend(e.vars()),
@@ -151,7 +151,7 @@ pub fn build_model(a: &Access, b: &Access, common: usize) -> Option<PairModel> {
             }
             // Any common loop referenced by this loop's bounds is coupled.
             for v in mentioned {
-                if let Some(&kk) = (if std::ptr::eq(acc, a) { &pos_a } else { &pos_b }).get(v) {
+                if let Some(&kk) = (if std::ptr::eq(acc, a) { &pos_a } else { &pos_b }).get(&v) {
                     if kk < common {
                         level_coupled[kk] = true;
                     }

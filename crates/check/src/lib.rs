@@ -63,7 +63,7 @@ use dda_core::certificate::{Certificate, DirTree, FmTree, RefProof, Rule, System
 use dda_core::problem::{build_problem, DependenceProblem, XVar};
 use dda_core::result::Answer;
 use dda_core::{PairReport, ProgramReport};
-use dda_ir::{extract_accesses, reference_pairs, Access, Program};
+use dda_ir::{extract_accesses, reference_pairs, Access, Program, RefPair};
 use dda_linalg::Matrix;
 
 /// The kernel's judgement on one pair's certificate.
@@ -305,12 +305,13 @@ pub fn verify_refutation(
 // Problem-level checks.
 // ---------------------------------------------------------------------
 
-fn rebuild_problem(a: &Access, b: &Access, common: usize) -> Result<DependenceProblem, String> {
+fn rebuild_problem(pair: RefPair<'_>) -> Result<DependenceProblem, String> {
     // Symbolic support is always on here: analyzer configurations with
     // symbolics disabled answer conservatively for such pairs and never
     // emit a checkable certificate, so rebuilding in the more general
     // model is safe and keeps the kernel configuration-free.
-    build_problem(a, b, common, true).map_err(|e| format!("problem construction failed: {e}"))
+    build_problem(pair.symbols, pair.a, pair.b, pair.common, true)
+        .map_err(|e| format!("problem construction failed: {e}"))
 }
 
 fn check_witness(problem: &DependenceProblem, x: &[i64]) -> Result<(), String> {
@@ -701,13 +702,8 @@ fn verify_dirtree(
 // Entry points.
 // ---------------------------------------------------------------------
 
-fn verify_claim(
-    a: &Access,
-    b: &Access,
-    common: usize,
-    answer: &Answer,
-    cert: &Certificate,
-) -> Result<(), String> {
+fn verify_claim(pair: RefPair<'_>, answer: &Answer, cert: &Certificate) -> Result<(), String> {
+    let (a, b) = (pair.a, pair.b);
     let claims_independent = matches!(
         cert,
         Certificate::ConstantsDiffer
@@ -724,18 +720,18 @@ fn verify_claim(
         Certificate::Conservative | Certificate::Unverified => {
             unreachable!("dispatched in check_pair")
         }
-        Certificate::Witness { x } => check_witness(&rebuild_problem(a, b, common)?, x),
+        Certificate::Witness { x } => check_witness(&rebuild_problem(pair)?, x),
         Certificate::ConstantsEqual => check_constants(a, b, true),
         Certificate::ConstantsDiffer => check_constants(a, b, false),
         Certificate::GcdRefutation { numer, denom } => {
-            check_gcd_refutation(&rebuild_problem(a, b, common)?, numer, *denom)
+            check_gcd_refutation(&rebuild_problem(pair)?, numer, *denom)
         }
         Certificate::Refuted {
             particular,
             basis,
             refutation,
         } => {
-            let problem = rebuild_problem(a, b, common)?;
+            let problem = rebuild_problem(pair)?;
             check_lattice(&problem, particular, basis)?;
             let pool = translate_bounds(&problem, particular, basis)?;
             verify_rows_refutation(basis.cols(), &pool, refutation)
@@ -745,7 +741,7 @@ fn verify_claim(
             basis,
             tree,
         } => {
-            let problem = rebuild_problem(a, b, common)?;
+            let problem = rebuild_problem(pair)?;
             check_lattice(&problem, particular, basis)?;
             let pool = translate_bounds(&problem, particular, basis)?;
             verify_dirtree(&problem, particular, basis, &pool, tree)
@@ -754,14 +750,14 @@ fn verify_claim(
 }
 
 /// Checks one pair's certificate against the accesses it was computed
-/// from. `common` is the number of loops enclosing both references.
+/// from.
 ///
 /// Conservative claims of dependence are trivially sound and come back
 /// [`Verified`](CheckOutcome::Verified); an *independence* verdict
 /// without checkable evidence comes back
 /// [`Unverified`](CheckOutcome::Unverified).
 #[must_use]
-pub fn check_pair(a: &Access, b: &Access, common: usize, report: &PairReport) -> CheckOutcome {
+pub fn check_pair(pair: RefPair<'_>, report: &PairReport) -> CheckOutcome {
     match &report.certificate {
         Certificate::Conservative => {
             if report.result.is_independent() {
@@ -775,7 +771,7 @@ pub fn check_pair(a: &Access, b: &Access, common: usize, report: &PairReport) ->
             }
         }
         Certificate::Unverified => CheckOutcome::Unverified,
-        cert => match verify_claim(a, b, common, &report.result.answer, cert) {
+        cert => match verify_claim(pair, &report.result.answer, cert) {
             Ok(()) => CheckOutcome::Verified,
             Err(e) => CheckOutcome::Rejected(e),
         },
@@ -810,10 +806,10 @@ pub fn check_program(
         .zip(report.pairs())
         .enumerate()
         .map(|(i, (p, r))| {
-            if r.a_access != p.a.id || r.b_access != p.b.id || r.array != p.a.array {
+            if r.a_access != p.a.id || r.b_access != p.b.id || r.array != *p.array_name() {
                 return Err(format!("pair {i} does not match the program's enumeration"));
             }
-            Ok(check_pair(p.a, p.b, p.common, r))
+            Ok(check_pair(*p, r))
         })
         .collect()
 }
@@ -904,7 +900,7 @@ mod tests {
             .iter()
             .find(|p| p.a.id == report.a_access && p.b.id == report.b_access)
             .expect("pair exists");
-        check_pair(pair.a, pair.b, pair.common, report)
+        check_pair(*pair, report)
     }
 
     #[test]

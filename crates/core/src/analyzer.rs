@@ -9,8 +9,9 @@
 
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::sync::Arc;
 
-use dda_ir::{extract_accesses, reference_pairs, Access, Program};
+use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
 
 use crate::certificate::Certificate;
 use crate::fourier_motzkin::FmLimits;
@@ -89,8 +90,8 @@ impl Default for AnalyzerConfig {
 /// The analysis of one reference pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairReport {
-    /// Name of the shared array.
-    pub array: String,
+    /// Name of the shared array, shared with the program's symbol table.
+    pub array: Arc<str>,
     /// Access id of the first reference (program order).
     pub a_access: usize,
     /// Access id of the second reference.
@@ -337,7 +338,7 @@ impl DependenceAnalyzer {
         let pairs = reference_pairs(&set, self.config.include_input_deps);
         let mut reports = Vec::with_capacity(pairs.len());
         for pair in pairs {
-            reports.push(self.analyze_pair_probed(pair.a, pair.b, pair.common, probe));
+            reports.push(self.analyze_pair_probed(pair, probe));
         }
         ProgramReport {
             pairs: reports,
@@ -345,25 +346,23 @@ impl DependenceAnalyzer {
         }
     }
 
-    /// Analyzes a single pair of accesses sharing `common` loops.
-    pub fn analyze_pair(&mut self, a: &Access, b: &Access, common: usize) -> PairReport {
-        self.analyze_pair_probed(a, b, common, &mut NullProbe)
+    /// Analyzes a single pair of accesses.
+    pub fn analyze_pair(&mut self, pair: RefPair<'_>) -> PairReport {
+        self.analyze_pair_probed(pair, &mut NullProbe)
     }
 
     /// Analyzes a single pair, reporting every step to `probe`.
     pub fn analyze_pair_probed<P: Probe>(
         &mut self,
-        a: &Access,
-        b: &Access,
-        common: usize,
+        pair: RefPair<'_>,
         probe: &mut P,
     ) -> PairReport {
-        let classified = steps::classify_pair(a, b, common, self.config.symbolic);
+        let classified = steps::classify_pair(pair, self.config.symbolic);
         let mut source = OnTheSpot {
             config: &self.config,
             memo: &self.memo,
         };
-        let out = steps::resolve_pair(&self.config, a, b, common, &classified, &mut source, probe);
+        let out = steps::resolve_pair(&self.config, pair, &classified, &mut source, probe);
         self.stats.add(&out.stats);
         out.report
     }

@@ -325,7 +325,7 @@ pub fn reduce_with_lattice(problem: &DependenceProblem, lattice: &Lattice) -> Op
 /// let p = parse_program("for i = 1 to 10 { a[2 * i] = a[2 * i + 1]; }")?;
 /// let set = extract_accesses(&p);
 /// let pairs = reference_pairs(&set, false);
-/// let problem = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true)?;
+/// let problem = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true)?;
 /// assert!(matches!(
 ///     gcd_preprocess(&problem),
 ///     Some(GcdOutcome::Independent)
@@ -356,7 +356,8 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        let problem = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem =
+            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
         gcd_preprocess(&problem).unwrap()
     }
 

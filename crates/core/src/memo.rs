@@ -1007,7 +1007,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
     }
 
     #[test]

@@ -19,6 +19,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::acyclic::{acyclic_into, AcyclicOutcome, Trace};
@@ -172,7 +173,7 @@ pub enum TraceEvent {
     /// A pair's analysis began.
     PairStarted {
         /// Array both references touch.
-        array: String,
+        array: Arc<str>,
         /// Id of the first access.
         a_access: usize,
         /// Id of the second access.

@@ -7,10 +7,10 @@
 //! constant; one equality per array dimension; and two inequalities per
 //! loop bound.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use dda_ir::{Access, AffineExpr, Bound, Subscript};
+use dda_ir::{Access, AffineExpr, Bound, LoopInfo, Subscript, Sym, SymbolTable};
 
 use crate::system::Constraint;
 
@@ -28,8 +28,9 @@ pub enum XVar {
     ExtraA(usize),
     /// A loop enclosing only the second reference.
     ExtraB(usize),
-    /// A loop-invariant unknown, shared by both sides (Section 8).
-    Symbolic(String),
+    /// A loop-invariant unknown, shared by both sides (Section 8), by
+    /// name.
+    Symbolic(Arc<str>),
 }
 
 impl fmt::Display for XVar {
@@ -150,20 +151,52 @@ pub fn constant_compare(a: &Access, b: &Access) -> Option<bool> {
     Some(all_equal)
 }
 
+/// How one reference's variables map to problem columns.
+struct Side<'a> {
+    loops: &'a [LoopInfo],
+    /// Column of the first common loop.
+    common_at: usize,
+    /// Column of the first loop below the common nest.
+    extra_at: usize,
+    common: usize,
+}
+
+impl Side<'_> {
+    /// The column of loop variable `v`, the innermost loop of that name
+    /// shadowing the outer ones.
+    fn loop_column(&self, v: Sym) -> Option<usize> {
+        let k = self.loops.iter().rposition(|l| l.var == v)?;
+        Some(if k < self.common {
+            self.common_at + k
+        } else {
+            self.extra_at + (k - self.common)
+        })
+    }
+}
+
+/// The symbolic constants of one problem, in column order (by name).
+struct Symbolics {
+    syms: Vec<Sym>,
+    /// Column of the first symbolic.
+    at: usize,
+}
+
 /// Maps an affine expression over one side's loop variables into problem
 /// coordinates. Returns the coefficient row and the constant part.
 fn map_expr(
     expr: &AffineExpr,
-    side_map: &BTreeMap<&str, usize>,
-    sym_map: &BTreeMap<&str, usize>,
+    side: &Side<'_>,
+    symbolics: &Symbolics,
     num_vars: usize,
 ) -> Result<(Vec<i64>, i64), BuildError> {
     let mut row = vec![0i64; num_vars];
-    for (name, coeff) in expr.iter_terms() {
-        let idx = side_map
-            .get(name)
-            .or_else(|| sym_map.get(name))
-            .copied()
+    for (v, coeff) in expr.iter_terms() {
+        let idx = side
+            .loop_column(v)
+            .or_else(|| {
+                let k = symbolics.syms.iter().position(|&s| s == v)?;
+                Some(symbolics.at + k)
+            })
             .ok_or(BuildError::NonAffine)?;
         row[idx] += coeff;
     }
@@ -171,7 +204,8 @@ fn map_expr(
 }
 
 /// Builds the dependence problem for accesses `a` and `b` sharing
-/// `common` enclosing loops.
+/// `common` enclosing loops. `symbols` is the table of the program the
+/// accesses come from; it orders the symbolic constants by name.
 ///
 /// `allow_symbolics` gates Section 8 support: when `false`, any
 /// loop-invariant unknown in a subscript or bound yields
@@ -182,6 +216,7 @@ fn map_expr(
 /// Returns a [`BuildError`] when the pair cannot be expressed in the
 /// paper's model; the caller assumes dependence.
 pub fn build_problem(
+    symbols: &SymbolTable,
     a: &Access,
     b: &Access,
     common: usize,
@@ -191,121 +226,105 @@ pub fn build_problem(
         return Err(BuildError::DimensionMismatch);
     }
 
-    // Collect symbolic names used anywhere in either side.
-    let mut symbolic_names: Vec<String> = Vec::new();
-    {
-        let mut note = |e: &AffineExpr, loop_vars: &[&str]| {
+    // Collect the symbolics used anywhere in either side.
+    let mut syms: Vec<Sym> = Vec::new();
+    for acc in [a, b] {
+        let mut note = |e: &AffineExpr| {
             for v in e.vars() {
-                if !loop_vars.contains(&v) && !symbolic_names.iter().any(|s| s == v) {
-                    symbolic_names.push(v.to_owned());
+                if !acc.loops.iter().any(|l| l.var == v) && !syms.contains(&v) {
+                    syms.push(v);
                 }
             }
         };
-        for acc in [a, b] {
-            let loop_vars: Vec<&str> = acc.loops.iter().map(|l| l.var.as_str()).collect();
-            for s in &acc.subscripts {
-                match s {
-                    Subscript::Affine(e) => note(e, &loop_vars),
-                    Subscript::NonAffine => return Err(BuildError::NonAffine),
-                }
+        for s in &acc.subscripts {
+            match s {
+                Subscript::Affine(e) => note(e),
+                Subscript::NonAffine => return Err(BuildError::NonAffine),
             }
-            for l in acc.loops.iter() {
-                for bnd in [&l.lower, &l.upper] {
-                    if let Bound::Affine(e) = bnd {
-                        note(e, &loop_vars);
-                    }
+        }
+        for l in acc.loops.iter() {
+            for bnd in [&l.lower, &l.upper] {
+                if let Bound::Affine(e) = bnd {
+                    note(e);
                 }
             }
         }
-        symbolic_names.sort();
     }
-    if !allow_symbolics && !symbolic_names.is_empty() {
+    if !allow_symbolics && !syms.is_empty() {
         return Err(BuildError::SymbolicDisabled);
     }
+    // Column order must not depend on first appearance: it reaches the
+    // memo key.
+    syms.sort_by(|&x, &y| symbols.name(x).cmp(symbols.name(y)));
 
     // Structural variable order.
     let extra_a = a.loops.len() - common;
     let extra_b = b.loops.len() - common;
-    let mut vars = Vec::new();
-    for k in 0..common {
-        vars.push(XVar::CommonA(k));
-    }
-    for k in 0..common {
-        vars.push(XVar::CommonB(k));
-    }
-    for k in 0..extra_a {
-        vars.push(XVar::ExtraA(k));
-    }
-    for k in 0..extra_b {
-        vars.push(XVar::ExtraB(k));
-    }
-    for s in &symbolic_names {
-        vars.push(XVar::Symbolic(s.clone()));
-    }
+    let mut vars = Vec::with_capacity(2 * common + extra_a + extra_b + syms.len());
+    vars.extend((0..common).map(XVar::CommonA));
+    vars.extend((0..common).map(XVar::CommonB));
+    vars.extend((0..extra_a).map(XVar::ExtraA));
+    vars.extend((0..extra_b).map(XVar::ExtraB));
+    vars.extend(
+        syms.iter()
+            .map(|&s| XVar::Symbolic(Arc::clone(symbols.shared_name(s)))),
+    );
     let num_vars = vars.len();
 
-    // Per-side name → variable index maps (innermost shadowing outermost).
-    let mut map_a: BTreeMap<&str, usize> = BTreeMap::new();
-    for (k, l) in a.loops.iter().enumerate() {
-        let idx = if k < common {
-            k
-        } else {
-            2 * common + (k - common)
-        };
-        map_a.insert(l.var.as_str(), idx);
-    }
-    let mut map_b: BTreeMap<&str, usize> = BTreeMap::new();
-    for (k, l) in b.loops.iter().enumerate() {
-        let idx = if k < common {
-            common + k
-        } else {
-            2 * common + extra_a + (k - common)
-        };
-        map_b.insert(l.var.as_str(), idx);
-    }
-    let sym_map: BTreeMap<&str, usize> = symbolic_names
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.as_str(), 2 * common + extra_a + extra_b + i))
-        .collect();
+    let side_a = Side {
+        loops: &a.loops,
+        common_at: 0,
+        extra_at: 2 * common,
+        common,
+    };
+    let side_b = Side {
+        loops: &b.loops,
+        common_at: common,
+        extra_at: 2 * common + extra_a,
+        common,
+    };
+    let symbolics = Symbolics {
+        syms,
+        at: 2 * common + extra_a + extra_b,
+    };
 
     // Equalities: f_d(i) − f′_d(i′) = 0 per dimension.
-    let mut eq_coeffs = Vec::new();
-    let mut eq_rhs = Vec::new();
+    let mut eq_coeffs = Vec::with_capacity(a.subscripts.len());
+    let mut eq_rhs = Vec::with_capacity(a.subscripts.len());
     for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
         let ea = sa.as_affine().ok_or(BuildError::NonAffine)?;
         let eb = sb.as_affine().ok_or(BuildError::NonAffine)?;
-        let (row_a, ca) = map_expr(ea, &map_a, &sym_map, num_vars)?;
-        let (row_b, cb) = map_expr(eb, &map_b, &sym_map, num_vars)?;
-        let row: Vec<i64> = row_a.iter().zip(&row_b).map(|(x, y)| x - y).collect();
+        let (mut row, ca) = map_expr(ea, &side_a, &symbolics, num_vars)?;
+        let (row_b, cb) = map_expr(eb, &side_b, &symbolics, num_vars)?;
+        for (x, y) in row.iter_mut().zip(&row_b) {
+            *x -= y;
+        }
         eq_coeffs.push(row);
         eq_rhs.push(cb - ca);
     }
 
     // Bounds: L ≤ i and i ≤ U for every loop instance on each side.
     let mut bounds = Vec::new();
-    let mut add_bounds = |acc: &Access, map: &BTreeMap<&str, usize>| -> Result<(), BuildError> {
-        for (k, l) in acc.loops.iter().enumerate() {
-            let var_idx = map[l.var.as_str()];
-            let _ = k;
+    for side in [&side_a, &side_b] {
+        for l in side.loops {
+            let var_idx = side.loop_column(l.var).ok_or(BuildError::NonAffine)?;
             if let Bound::Affine(lo) = &l.lower {
                 // L(x) ≤ i  ⇔  L_coeffs·x − i ≤ −L_const
-                let (mut row, c) = map_expr(lo, map, &sym_map, num_vars)?;
+                let (mut row, c) = map_expr(lo, side, &symbolics, num_vars)?;
                 row[var_idx] -= 1;
                 bounds.push(Constraint::new(row, -c));
             }
             if let Bound::Affine(up) = &l.upper {
                 // i ≤ U(x)  ⇔  i − U_coeffs·x ≤ U_const
-                let (urow, c) = map_expr(up, map, &sym_map, num_vars)?;
-                let mut row: Vec<i64> = urow.iter().map(|v| -v).collect();
+                let (mut row, c) = map_expr(up, side, &symbolics, num_vars)?;
+                for v in &mut row {
+                    *v = -*v;
+                }
                 row[var_idx] += 1;
                 bounds.push(Constraint::new(row, c));
             }
         }
-        Ok(())
-    };
-    add_bounds(a, &map_a)?;
-    add_bounds(b, &map_b)?;
+    }
 
     Ok(DependenceProblem {
         vars,
@@ -326,7 +345,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1, "expected exactly one pair");
-        build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
     }
 
     #[test]
@@ -380,12 +399,21 @@ mod tests {
     }
 
     #[test]
+    fn symbolics_are_ordered_by_name_not_first_appearance() {
+        let p = problem_for("read(z); read(a); for i = 1 to 10 { x[i + z] = x[i + 2 * a]; }");
+        let names: Vec<String> = p.vars.iter().map(ToString::to_string).collect();
+        assert_eq!(names, ["i0", "i0'", "a", "z"]);
+        // i + z = i′ + 2a  ⇒  i − i′ − 2a + z = 0
+        assert_eq!(p.eq_coeffs, vec![vec![1, -1, -2, 1]]);
+    }
+
+    #[test]
     fn symbolic_disabled_errors() {
         let src = "read(n); for i = 1 to 10 { a[i + n] = a[i]; }";
         let prog = parse_program(src).unwrap();
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
-        let err = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, false);
+        let err = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, false);
         assert_eq!(err.unwrap_err(), BuildError::SymbolicDisabled);
     }
 
@@ -395,9 +423,10 @@ mod tests {
         let prog = parse_program(src).unwrap();
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
-        let err = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, false);
+        let err = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, false);
         assert_eq!(err.unwrap_err(), BuildError::SymbolicDisabled);
-        let ok = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let ok =
+            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
         assert!(ok.has_symbolics());
     }
 
@@ -420,8 +449,9 @@ mod tests {
         let prog = parse_program("for i = 1 to 10 { a[3] = a[4]; b[5] = b[5]; }").unwrap();
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
-        let pa = pairs.iter().find(|p| p.a.array == "a").unwrap();
-        let pb = pairs.iter().find(|p| p.a.array == "b").unwrap();
+        let named = |name: &str| set.symbols.get(name).unwrap();
+        let pa = pairs.iter().find(|p| p.a.array == named("a")).unwrap();
+        let pb = pairs.iter().find(|p| p.a.array == named("b")).unwrap();
         assert_eq!(constant_compare(pa.a, pa.b), Some(false));
         assert_eq!(constant_compare(pb.a, pb.b), Some(true));
         let prog2 = parse_program("for i = 1 to 10 { c[i] = c[3]; }").unwrap();
@@ -437,7 +467,7 @@ mod tests {
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        let p = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let p = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
         assert_eq!(p.num_common, 0);
         assert_eq!(p.num_vars(), 2); // one ExtraA, one ExtraB
         assert_eq!(p.vars[0], XVar::ExtraA(0));

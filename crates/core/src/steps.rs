@@ -15,8 +15,9 @@
 //! leader-election parallelism sound — any thread may compute a key's
 //! result and every other pair with that key can reuse it verbatim.
 
-use dda_ir::Access;
+use dda_ir::RefPair;
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, PairReport};
@@ -66,11 +67,11 @@ impl Classified {
 
 /// Classifies one pair: constant short-circuit, then system construction.
 #[must_use]
-pub fn classify_pair(a: &Access, b: &Access, common: usize, symbolic: bool) -> Classified {
-    if let Some(dependent) = constant_compare(a, b) {
+pub fn classify_pair(pair: RefPair<'_>, symbolic: bool) -> Classified {
+    if let Some(dependent) = constant_compare(pair.a, pair.b) {
         return Classified::Constant { dependent };
     }
-    match build_problem(a, b, common, symbolic) {
+    match build_problem(pair.symbols, pair.a, pair.b, pair.common, symbolic) {
         Ok(p) => Classified::Problem(Box::new(p)),
         Err(_) => Classified::Unbuildable,
     }
@@ -79,12 +80,13 @@ pub fn classify_pair(a: &Access, b: &Access, common: usize, symbolic: bool) -> C
 /// The blank report every step fills in: identity fields set, verdict
 /// still "assumed dependent".
 #[must_use]
-pub fn pair_template(a: &Access, b: &Access, common: usize) -> PairReport {
+pub fn pair_template(pair: RefPair<'_>) -> PairReport {
+    let common = pair.common;
     PairReport {
-        array: a.array.clone(),
-        a_access: a.id,
-        b_access: b.id,
-        common_loop_ids: a.loops.iter().take(common).map(|l| l.id).collect(),
+        array: Arc::clone(pair.array_name()),
+        a_access: pair.a.id,
+        b_access: pair.b.id,
+        common_loop_ids: pair.a.loops.iter().take(common).map(|l| l.id).collect(),
         result: DependenceResult {
             answer: Answer::Unknown,
             resolved_by: ResolvedBy::Assumed,
@@ -605,17 +607,16 @@ pub struct Resolution {
 /// assumed, with none of the memo accounting a completed visit would do.
 pub fn resolve_pair<S: MemoSource, P: Probe>(
     config: &AnalyzerConfig,
-    a: &Access,
-    b: &Access,
-    common: usize,
+    pair: RefPair<'_>,
     classified: &Classified,
     source: &mut S,
     probe: &mut P,
 ) -> Resolution {
-    let template = pair_template(a, b, common);
+    let common = pair.common;
+    let template = pair_template(pair);
     if P::ACTIVE {
         probe.record(TraceEvent::PairStarted {
-            array: template.array.clone(),
+            array: Arc::clone(&template.array),
             a_access: template.a_access,
             b_access: template.b_access,
             common,
@@ -660,7 +661,7 @@ pub fn resolve_pair<S: MemoSource, P: Probe>(
                         assumed: 1,
                         ..AnalysisStats::default()
                     };
-                    (pair_template(a, b, common), false, true)
+                    (pair_template(pair), false, true)
                 }
             }
         }

@@ -130,7 +130,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
     }
 
     #[test]
@@ -194,7 +194,8 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         // The (w1, w2) pair has one ExtraA level and two ExtraB levels.
-        let prob = build_problem(pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let prob =
+            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
         assert!(!swappable(&prob));
     }
 }

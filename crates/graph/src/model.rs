@@ -1,10 +1,11 @@
 //! Graph construction and the loop-legality oracle.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use dda_core::graph::{dependence_graph, DependenceEdge};
 use dda_core::{Direction, ProgramReport};
-use dda_ir::{extract_accesses, loop_table, LoopTable, Program};
+use dda_ir::{extract_accesses, loop_table, LoopTable, Program, SymbolTable};
 
 /// One node of the dependence graph: a statement access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +26,7 @@ pub struct GraphNode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairSummary {
     /// Array both references touch.
-    pub array: String,
+    pub array: Arc<str>,
     /// First access id of the pair, as analyzed.
     pub a_access: usize,
     /// Second access id of the pair, as analyzed.
@@ -86,6 +87,8 @@ pub struct ProgramGraph {
     pub edges: Vec<DependenceEdge>,
     /// The program's loops, keyed by pre-order id.
     pub loops: LoopTable,
+    /// The program's symbol table, naming the loop variables.
+    pub symbols: Arc<SymbolTable>,
     /// Per-pair context, indexed by [`DependenceEdge::pair`].
     pub pairs: Vec<PairSummary>,
 }
@@ -104,7 +107,7 @@ pub fn build_graph(program: &Program, report: &ProgramReport) -> ProgramGraph {
         .iter()
         .map(|a| GraphNode {
             access: a.id,
-            label: a.to_string(),
+            label: a.display(&set.symbols).to_string(),
             is_write: a.is_write,
             stmt_index: a.stmt_index,
         })
@@ -124,6 +127,7 @@ pub fn build_graph(program: &Program, report: &ProgramReport) -> ProgramGraph {
         edges,
         loops: loop_table(program),
         pairs,
+        symbols: Arc::clone(&program.symbols),
     }
 }
 
@@ -305,7 +309,7 @@ mod tests {
             LoopVerdict::Sequential { blocking_edges } => {
                 assert_eq!(blocking_edges.len(), 1);
                 let e = &g.edges[blocking_edges[0]];
-                assert_eq!(g.pairs[e.pair].array, "a");
+                assert_eq!(&*g.pairs[e.pair].array, "a");
             }
             LoopVerdict::Parallel => panic!("a[i+1] = a[i] is carried"),
         }
@@ -366,7 +370,7 @@ mod tests {
         assert!(!v.legal);
         assert_eq!(v.blocking_edges.len(), 1);
         let e = &g.edges[v.blocking_edges[0]];
-        assert_eq!(g.pairs[e.pair].array, "b");
+        assert_eq!(&*g.pairs[e.pair].array, "b");
     }
 
     #[test]
@@ -392,7 +396,7 @@ mod tests {
         assert!(v
             .blocking_edges
             .iter()
-            .any(|&i| g.pairs[g.edges[i].pair].array == "a"));
+            .any(|&i| &*g.pairs[g.edges[i].pair].array == "a"));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use dda_core::graph::DependenceEdge;
 use dda_core::json::json_escape;
-use dda_ir::{ForLoop, Program, Stmt};
+use dda_ir::{ForLoop, Program, Stmt, SymbolTable};
 
 use crate::model::{LoopVerdict, ProgramGraph};
 
@@ -66,7 +66,7 @@ fn edge_object(
     edge: &DependenceEdge,
     level: Option<usize>,
 ) -> String {
-    let array = graph.pairs.get(edge.pair).map_or("", |p| p.array.as_str());
+    let array = graph.pairs.get(edge.pair).map_or("", |p| &*p.array);
     let mut out = format!(
         "{{\"edge\":{index},\"pair\":{},\"array\":\"{}\",\"source\":{},\"sink\":{},\
          \"kind\":\"{}\",\"vector\":\"{}\"",
@@ -108,7 +108,7 @@ pub fn graph_json_line(file: &str, graph: &ProgramGraph) -> String {
         if i > 0 {
             line.push(',');
         }
-        let array = graph.pairs.get(e.pair).map_or("", |p| p.array.as_str());
+        let array = graph.pairs.get(e.pair).map_or("", |p| &*p.array);
         let _ = write!(
             line,
             "{{\"pair\":{},\"array\":\"{}\",\"source\":{},\"sink\":{},\"kind\":\"{}\",\
@@ -133,7 +133,7 @@ pub fn graph_json_line(file: &str, graph: &ProgramGraph) -> String {
             line,
             "{{\"id\":{},\"var\":\"{}\",\"depth\":{},\"parent\":{}}}",
             l.id,
-            json_escape(&l.var),
+            json_escape(graph.symbols.name(l.var)),
             l.depth,
             l.parent.map_or("null".to_owned(), |p| p.to_string())
         );
@@ -159,7 +159,7 @@ pub fn parallel_json_line(file: &str, graph: &ProgramGraph) -> String {
             line,
             "{{\"id\":{},\"var\":\"{}\",\"depth\":{},\"parallel\":{},\"blocking\":[",
             l.id,
-            json_escape(&l.var),
+            json_escape(graph.symbols.name(l.var)),
             l.depth,
             verdict.is_parallel()
         );
@@ -211,6 +211,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
     let carried = graph.carried_loops();
     fn go(
         out: &mut String,
+        t: &SymbolTable,
         stmts: &[Stmt],
         depth: usize,
         next_id: &mut usize,
@@ -235,34 +236,63 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                     };
                     let _ = writeln!(
                         out,
-                        "{:indent$}for {var} = {lower} to {upper} {{   // {tag}",
-                        ""
+                        "{:indent$}for {} = {} to {} {{   // {tag}",
+                        "",
+                        t.name(*var),
+                        lower.display(t),
+                        upper.display(t)
                     );
-                    go(out, body, depth.saturating_add(1), next_id, carried);
+                    go(out, t, body, depth.saturating_add(1), next_id, carried);
                     let _ = writeln!(out, "{:indent$}}}", "");
                 }
                 Stmt::ArrayAssign(a) => {
-                    let _ = writeln!(out, "{:indent$}{} = {};", "", a.target, a.value);
+                    let _ = writeln!(
+                        out,
+                        "{:indent$}{} = {};",
+                        "",
+                        a.target.display(t),
+                        a.value.display(t)
+                    );
                 }
                 Stmt::ScalarAssign(a) => {
-                    let _ = writeln!(out, "{:indent$}{} = {};", "", a.name, a.value);
+                    let _ = writeln!(
+                        out,
+                        "{:indent$}{} = {};",
+                        "",
+                        t.name(a.name),
+                        a.value.display(t)
+                    );
                 }
                 Stmt::Read(n) => {
-                    let _ = writeln!(out, "{:indent$}read({n});", "");
+                    let _ = writeln!(out, "{:indent$}read({});", "", t.name(*n));
                 }
                 Stmt::If(i) => {
                     let _ = writeln!(
                         out,
                         "{:indent$}if ({} {} {}) {{",
                         "",
-                        i.lhs,
+                        i.lhs.display(t),
                         i.op.as_str(),
-                        i.rhs
+                        i.rhs.display(t)
                     );
-                    go(out, &i.then_body, depth.saturating_add(1), next_id, carried);
+                    go(
+                        out,
+                        t,
+                        &i.then_body,
+                        depth.saturating_add(1),
+                        next_id,
+                        carried,
+                    );
                     if !i.else_body.is_empty() {
                         let _ = writeln!(out, "{:indent$}}} else {{", "");
-                        go(out, &i.else_body, depth.saturating_add(1), next_id, carried);
+                        go(
+                            out,
+                            t,
+                            &i.else_body,
+                            depth.saturating_add(1),
+                            next_id,
+                            carried,
+                        );
                     }
                     let _ = writeln!(out, "{:indent$}}}", "");
                 }
@@ -271,7 +301,14 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
     }
     let mut out = String::new();
     let mut next_id = 0;
-    go(&mut out, &program.stmts, 0, &mut next_id, &carried);
+    go(
+        &mut out,
+        &program.symbols,
+        &program.stmts,
+        0,
+        &mut next_id,
+        &carried,
+    );
     out
 }
 

@@ -10,8 +10,10 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::expr::{ArrayRef, Expr};
+use crate::symbol::{Sym, SymbolTable};
 
 /// A statement of the source language.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,7 +26,7 @@ pub enum Stmt {
     ScalarAssign(ScalarAssign),
     /// `read(n);` — declares `n` as a loop-invariant unknown (symbolic
     /// constant) for the remainder of the program.
-    Read(String),
+    Read(Sym),
     /// A two-way conditional. Dependence analysis treats both branches as
     /// possibly executing (the paper's affine model has no control flow;
     /// this is the standard conservative extension).
@@ -95,7 +97,7 @@ pub struct IfStmt {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForLoop {
     /// The induction variable.
-    pub var: String,
+    pub var: Sym,
     /// Lower bound expression.
     pub lower: Expr,
     /// Upper bound expression (inclusive).
@@ -119,16 +121,23 @@ pub struct ArrayAssign {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarAssign {
     /// The written scalar.
-    pub name: String,
+    pub name: Sym,
     /// The right-hand side.
     pub value: Expr,
 }
 
-/// A whole program: a statement list.
+/// A whole program: a statement list and the table naming its symbols.
+///
+/// Two programs are equal when their statements and their tables are:
+/// the same source always interns to the same table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Program {
     /// Top-level statements.
     pub stmts: Vec<Stmt>,
+    /// Every identifier of the program, in order of first appearance.
+    /// Shared with the access sets extracted from it; a pass that adds
+    /// a name copies the table first if it is shared.
+    pub symbols: Arc<SymbolTable>,
 }
 
 impl Program {
@@ -179,34 +188,48 @@ fn write_indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
     Ok(())
 }
 
-fn write_stmt(f: &mut fmt::Formatter<'_>, s: &Stmt, depth: usize) -> fmt::Result {
+fn write_stmt(f: &mut fmt::Formatter<'_>, t: &SymbolTable, s: &Stmt, depth: usize) -> fmt::Result {
     write_indent(f, depth)?;
     match s {
         Stmt::For(l) => {
-            write!(f, "for {} = {} to {}", l.var, l.lower, l.upper)?;
+            write!(
+                f,
+                "for {} = {} to {}",
+                t.name(l.var),
+                l.lower.display(t),
+                l.upper.display(t)
+            )?;
             if l.step != 1 {
                 write!(f, " step {}", l.step)?;
             }
             writeln!(f, " {{")?;
             for inner in &l.body {
-                write_stmt(f, inner, depth + 1)?;
+                write_stmt(f, t, inner, depth + 1)?;
             }
             write_indent(f, depth)?;
             writeln!(f, "}}")
         }
-        Stmt::ArrayAssign(a) => writeln!(f, "{} = {};", a.target, a.value),
-        Stmt::ScalarAssign(a) => writeln!(f, "{} = {};", a.name, a.value),
-        Stmt::Read(n) => writeln!(f, "read({n});"),
+        Stmt::ArrayAssign(a) => {
+            writeln!(f, "{} = {};", a.target.display(t), a.value.display(t))
+        }
+        Stmt::ScalarAssign(a) => writeln!(f, "{} = {};", t.name(a.name), a.value.display(t)),
+        Stmt::Read(n) => writeln!(f, "read({});", t.name(*n)),
         Stmt::If(i) => {
-            writeln!(f, "if ({} {} {}) {{", i.lhs, i.op.as_str(), i.rhs)?;
+            writeln!(
+                f,
+                "if ({} {} {}) {{",
+                i.lhs.display(t),
+                i.op.as_str(),
+                i.rhs.display(t)
+            )?;
             for inner in &i.then_body {
-                write_stmt(f, inner, depth + 1)?;
+                write_stmt(f, t, inner, depth + 1)?;
             }
             if !i.else_body.is_empty() {
                 write_indent(f, depth)?;
                 writeln!(f, "}} else {{")?;
                 for inner in &i.else_body {
-                    write_stmt(f, inner, depth + 1)?;
+                    write_stmt(f, t, inner, depth + 1)?;
                 }
             }
             write_indent(f, depth)?;
@@ -218,7 +241,7 @@ fn write_stmt(f: &mut fmt::Formatter<'_>, s: &Stmt, depth: usize) -> fmt::Result
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for s in &self.stmts {
-            write_stmt(f, s, 0)?;
+            write_stmt(f, &self.symbols, s, 0)?;
         }
         Ok(())
     }
@@ -229,20 +252,23 @@ mod tests {
     use super::*;
 
     fn tiny() -> Program {
+        let mut symbols = SymbolTable::new();
+        let (i, a) = (symbols.intern("i"), symbols.intern("a"));
         Program {
             stmts: vec![Stmt::For(ForLoop {
-                var: "i".into(),
+                var: i,
                 lower: Expr::Const(1),
                 upper: Expr::Const(10),
                 step: 1,
                 body: vec![Stmt::ArrayAssign(ArrayAssign {
                     target: ArrayRef {
-                        array: "a".into(),
-                        subscripts: vec![Expr::var("i")],
+                        array: a,
+                        subscripts: vec![Expr::Var(i)],
                     },
                     value: Expr::Const(0),
                 })],
             })],
+            symbols: Arc::new(symbols),
         }
     }
 

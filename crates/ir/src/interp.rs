@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 
 use crate::ast::{Program, Stmt};
 use crate::expr::{ArrayRef, Expr};
+use crate::symbol::{Sym, SymbolTable};
 
 /// One concrete array access observed during execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,24 +57,25 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-struct Interp {
-    env: BTreeMap<String, i64>,
-    memory: BTreeMap<(String, Vec<i64>), i64>,
-    loop_stack: Vec<(String, i64)>,
+struct Interp<'p> {
+    symbols: &'p SymbolTable,
+    env: BTreeMap<Sym, i64>,
+    memory: BTreeMap<(Sym, Vec<i64>), i64>,
+    loop_stack: Vec<(Sym, i64)>,
     touches: Vec<Touch>,
     next_access_id: usize,
     budget: u64,
 }
 
-impl Interp {
+impl Interp<'_> {
+    fn unbound(&self, v: Sym) -> ExecError {
+        ExecError::UnboundVariable(self.symbols.name(v).to_owned())
+    }
+
     fn eval(&mut self, e: &Expr) -> Result<i64, ExecError> {
         match e {
             Expr::Const(c) => Ok(*c),
-            Expr::Var(v) => self
-                .env
-                .get(v)
-                .copied()
-                .ok_or_else(|| ExecError::UnboundVariable(v.clone())),
+            Expr::Var(v) => self.env.get(v).copied().ok_or_else(|| self.unbound(*v)),
             Expr::ArrayRead(r) => self.touch(r, false),
             Expr::Neg(x) => self.eval(x)?.checked_neg().ok_or(ExecError::Overflow),
             Expr::Add(a, b) => self
@@ -106,17 +108,13 @@ impl Interp {
             self.record_nested_reads(s)?;
         }
         self.touches.push(Touch {
-            array: r.array.clone(),
+            array: self.symbols.name(r.array).to_owned(),
             element: element.clone(),
             is_write,
             access_id,
             iteration: self.loop_stack.iter().map(|(_, v)| *v).collect(),
         });
-        Ok(self
-            .memory
-            .get(&(r.array.clone(), element))
-            .copied()
-            .unwrap_or(0))
+        Ok(self.memory.get(&(r.array, element)).copied().unwrap_or(0))
     }
 
     /// Evaluates an expression without recording reads (subscripts record
@@ -125,22 +123,14 @@ impl Interp {
     fn eval_pure(&mut self, e: &Expr) -> Result<i64, ExecError> {
         match e {
             Expr::Const(c) => Ok(*c),
-            Expr::Var(v) => self
-                .env
-                .get(v)
-                .copied()
-                .ok_or_else(|| ExecError::UnboundVariable(v.clone())),
+            Expr::Var(v) => self.env.get(v).copied().ok_or_else(|| self.unbound(*v)),
             Expr::ArrayRead(r) => {
                 // Pure evaluation (no touch recording): used for the
                 // subscripts of an access, whose nested reads are recorded
                 // separately to keep ids aligned with extraction.
                 let element: Result<Vec<i64>, ExecError> =
                     r.subscripts.iter().map(|s| self.eval_pure(s)).collect();
-                Ok(self
-                    .memory
-                    .get(&(r.array.clone(), element?))
-                    .copied()
-                    .unwrap_or(0))
+                Ok(self.memory.get(&(r.array, element?)).copied().unwrap_or(0))
             }
             Expr::Neg(x) => self.eval_pure(x)?.checked_neg().ok_or(ExecError::Overflow),
             Expr::Add(a, b) => self
@@ -181,12 +171,12 @@ impl Interp {
                     // The driver pre-binds symbolics; `read` is a no-op if
                     // already bound, else an error.
                     if !self.env.contains_key(name) {
-                        return Err(ExecError::UnboundVariable(name.clone()));
+                        return Err(self.unbound(*name));
                     }
                 }
                 Stmt::ScalarAssign(a) => {
                     let v = self.eval(&a.value)?;
-                    self.env.insert(a.name.clone(), v);
+                    self.env.insert(a.name, v);
                 }
                 Stmt::ArrayAssign(a) => {
                     // Extraction order: the write first, then RHS reads,
@@ -201,7 +191,7 @@ impl Interp {
                         .collect();
                     let element = element?;
                     self.touches.push(Touch {
-                        array: a.target.array.clone(),
+                        array: self.symbols.name(a.target.array).to_owned(),
                         element: element.clone(),
                         is_write: true,
                         access_id: write_id,
@@ -211,7 +201,7 @@ impl Interp {
                     for sub in &a.target.subscripts {
                         self.record_nested_reads(sub)?;
                     }
-                    self.memory.insert((a.target.array.clone(), element), value);
+                    self.memory.insert((a.target.array, element), value);
                 }
                 Stmt::If(i) => {
                     // Condition reads execute unconditionally, in the same
@@ -241,8 +231,8 @@ impl Interp {
                             return Err(ExecError::BudgetExhausted);
                         }
                         self.budget -= 1;
-                        self.env.insert(l.var.clone(), i);
-                        self.loop_stack.push((l.var.clone(), i));
+                        self.env.insert(l.var, i);
+                        self.loop_stack.push((l.var, i));
                         let save_id = self.next_access_id;
                         self.run(&l.body)?;
                         // Each iteration replays the same static accesses:
@@ -256,7 +246,7 @@ impl Interp {
                     self.skip_ids(&l.body);
                     match saved {
                         Some(v) => {
-                            self.env.insert(l.var.clone(), v);
+                            self.env.insert(l.var, v);
                         }
                         None => {
                             self.env.remove(&l.var);
@@ -331,7 +321,11 @@ pub fn execute(
     budget: u64,
 ) -> Result<Vec<Touch>, ExecError> {
     let mut interp = Interp {
-        env: symbolics.clone(),
+        symbols: &program.symbols,
+        env: symbolics
+            .iter()
+            .filter_map(|(name, &v)| Some((program.symbols.get(name)?, v)))
+            .collect(),
         memory: BTreeMap::new(),
         loop_stack: Vec::new(),
         touches: Vec::new(),
@@ -373,7 +367,12 @@ mod tests {
         let touches = execute(&p, &BTreeMap::new(), 100_000).unwrap();
         for t in &touches {
             let acc = &set.accesses[t.access_id];
-            assert_eq!(acc.array, t.array, "id {} array", t.access_id);
+            assert_eq!(
+                set.symbols.name(acc.array),
+                t.array,
+                "id {} array",
+                t.access_id
+            );
             assert_eq!(acc.is_write, t.is_write, "id {} rw", t.access_id);
             assert_eq!(acc.loops.len(), t.iteration.len());
         }
@@ -445,7 +444,7 @@ mod tests {
         assert_eq!(touches.len(), 4);
         for t in &touches {
             let acc = &set.accesses[t.access_id];
-            assert_eq!(acc.array, t.array);
+            assert_eq!(set.symbols.name(acc.array), t.array);
         }
     }
 }

@@ -1,14 +1,21 @@
 //! Lexer for the Fortran-like DSL.
+//!
+//! The lexer is where names are interned: every identifier becomes a
+//! [`Sym`] of the program's [`SymbolTable`], so no later stage copies or
+//! compares identifier text.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 
 use crate::parser::{ParseError, Span};
+use crate::symbol::{Named, Sym, SymbolTable};
 
 /// A lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Token {
-    /// An identifier (variable, array, or keyword candidate).
-    Ident(String),
+    /// An identifier (variable or array).
+    Ident(Sym),
     /// An integer literal.
     Int(i64),
     /// `for`
@@ -63,10 +70,22 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl Token {
+    /// Describes the token for an error message, naming identifiers from
+    /// `symbols`.
+    #[must_use]
+    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, Token> {
+        Named {
+            value: self,
+            symbols,
+        }
+    }
+}
+
+impl fmt::Display for Named<'_, Token> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Token::Ident(s) => write!(f, "identifier `{s}`"),
+        match self.value {
+            Token::Ident(s) => write!(f, "identifier `{}`", self.symbols.name(*s)),
             Token::Int(v) => write!(f, "integer `{v}`"),
             Token::For => write!(f, "`for`"),
             Token::To => write!(f, "`to`"),
@@ -106,15 +125,16 @@ pub struct SpannedToken {
     pub span: Span,
 }
 
-/// Tokenizes `source`.
+/// Tokenizes `source`, interning its identifiers into `symbols`.
 ///
 /// Comments run from `//` to end of line. Whitespace separates tokens.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on an unrecognized character or an integer
-/// literal that does not fit in `i64`.
-pub fn tokenize(source: &str) -> Result<Vec<SpannedToken>, ParseError> {
+/// Returns a [`ParseError`] on an unrecognized character, an integer
+/// literal that does not fit in `i64`, or more distinct identifiers than
+/// a [`Sym`] can number.
+pub fn tokenize(source: &str, symbols: &mut SymbolTable) -> Result<Vec<SpannedToken>, ParseError> {
     let bytes = source.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
@@ -159,7 +179,10 @@ pub fn tokenize(source: &str) -> Result<Vec<SpannedToken>, ParseError> {
                     "read" => Token::Read,
                     "if" => Token::If,
                     "else" => Token::Else,
-                    _ => Token::Ident(text.to_owned()),
+                    _ => Token::Ident(symbols.try_intern(text).ok_or_else(|| ParseError {
+                        message: "too many distinct identifiers".to_owned(),
+                        span: Span { start, end: i },
+                    })?),
                 };
                 out.push(SpannedToken {
                     token,
@@ -265,11 +288,13 @@ pub fn tokenize(source: &str) -> Result<Vec<SpannedToken>, ParseError> {
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<Token> {
-        tokenize(src)
+    /// The tokens of `src`, with identifiers shown by name.
+    fn kinds(src: &str) -> Vec<String> {
+        let mut t = SymbolTable::new();
+        tokenize(src, &mut t)
             .unwrap()
             .into_iter()
-            .map(|t| t.token)
+            .map(|tok| tok.token.display(&t).to_string())
             .collect()
     }
 
@@ -277,14 +302,14 @@ mod tests {
     fn keywords_and_idents() {
         assert_eq!(
             kinds("for i = 1 to n"),
-            vec![
-                Token::For,
-                Token::Ident("i".into()),
-                Token::Assign,
-                Token::Int(1),
-                Token::To,
-                Token::Ident("n".into()),
-                Token::Eof
+            [
+                "`for`",
+                "identifier `i`",
+                "`=`",
+                "integer `1`",
+                "`to`",
+                "identifier `n`",
+                "end of input"
             ]
         );
     }
@@ -293,49 +318,67 @@ mod tests {
     fn punctuation() {
         assert_eq!(
             kinds("a[i+1] = a[i]*2;"),
-            vec![
-                Token::Ident("a".into()),
-                Token::LBracket,
-                Token::Ident("i".into()),
-                Token::Plus,
-                Token::Int(1),
-                Token::RBracket,
-                Token::Assign,
-                Token::Ident("a".into()),
-                Token::LBracket,
-                Token::Ident("i".into()),
-                Token::RBracket,
-                Token::Star,
-                Token::Int(2),
-                Token::Semi,
+            [
+                "identifier `a`",
+                "`[`",
+                "identifier `i`",
+                "`+`",
+                "integer `1`",
+                "`]`",
+                "`=`",
+                "identifier `a`",
+                "`[`",
+                "identifier `i`",
+                "`]`",
+                "`*`",
+                "integer `2`",
+                "`;`",
+                "end of input"
+            ]
+        );
+    }
+
+    #[test]
+    fn identifiers_intern_once_in_first_appearance_order() {
+        let mut t = SymbolTable::new();
+        let toks = tokenize("z a z", &mut t).unwrap();
+        let syms: Vec<Token> = toks.into_iter().map(|tok| tok.token).collect();
+        let (z, a) = (t.intern("z"), t.intern("a"));
+        assert_eq!(
+            syms,
+            [
+                Token::Ident(z),
+                Token::Ident(a),
+                Token::Ident(z),
                 Token::Eof
             ]
         );
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn comments_skipped() {
         assert_eq!(
             kinds("1 // a comment\n2"),
-            vec![Token::Int(1), Token::Int(2), Token::Eof]
+            ["integer `1`", "integer `2`", "end of input"]
         );
     }
 
     #[test]
     fn primed_identifiers_allowed() {
         // Convenient for writing i' in documentation-style tests.
-        assert_eq!(kinds("i'"), vec![Token::Ident("i'".into()), Token::Eof]);
+        assert_eq!(kinds("i'"), ["identifier `i'`", "end of input"]);
     }
 
     #[test]
     fn bad_character_errors() {
-        let err = tokenize("a $ b").unwrap_err();
+        let err = tokenize("a $ b", &mut SymbolTable::new()).unwrap_err();
         assert!(err.message.contains('$'));
         assert_eq!(err.span.start, 2);
     }
 
     #[test]
     fn huge_literal_errors() {
-        assert!(tokenize("99999999999999999999999").is_err());
+        assert!(tokenize("99999999999999999999999", &mut SymbolTable::new()).is_err());
     }
 }

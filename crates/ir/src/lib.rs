@@ -9,7 +9,9 @@
 //!
 //! # Pipeline
 //!
-//! 1. [`parse_program`] — text to AST.
+//! 1. [`parse_program`] — text to AST. The lexer interns every
+//!    identifier into the program's [`SymbolTable`]; from there on a
+//!    name is a dense [`Sym`].
 //! 2. [`passes::normalize`] — runs the prepasses, in place, until a
 //!    round in which no pass reports a change. A scalar definition too
 //!    large to substitute (past a fixed node budget) is left as a
@@ -53,6 +55,7 @@ mod lexer;
 mod loops;
 mod parser;
 pub mod passes;
+mod symbol;
 
 pub use access::{
     extract_accesses, reference_pairs, Access, AccessSet, Bound, LoopInfo, RefPair, Subscript,
@@ -62,3 +65,4 @@ pub use expr::{AffineExpr, ArrayRef, Expr};
 pub use lexer::{tokenize, SpannedToken, Token};
 pub use loops::{loop_table, LoopMeta, LoopTable};
 pub use parser::{parse_expr, parse_program, ParseError, Span};
+pub use symbol::{Named, Sym, SymbolTable};

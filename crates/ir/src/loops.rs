@@ -16,14 +16,15 @@ use std::fmt;
 
 use crate::ast::{Program, Stmt};
 use crate::expr::Expr;
+use crate::symbol::{Named, Sym, SymbolTable};
 
 /// Metadata for one `for` loop, keyed by its pre-order id.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopMeta {
     /// Pre-order id, identical to [`LoopInfo::id`](crate::LoopInfo).
     pub id: usize,
-    /// The induction variable name.
-    pub var: String,
+    /// The induction variable.
+    pub var: Sym,
     /// Nesting depth (0 = outermost).
     pub depth: usize,
     /// Id of the directly enclosing loop, if any.
@@ -34,9 +35,27 @@ pub struct LoopMeta {
     pub upper: Expr,
 }
 
-impl fmt::Display for LoopMeta {
+impl LoopMeta {
+    /// Displays the loop header with the names in `symbols`.
+    #[must_use]
+    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, LoopMeta> {
+        Named {
+            value: self,
+            symbols,
+        }
+    }
+}
+
+impl fmt::Display for Named<'_, LoopMeta> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "for {} = {} to {}", self.var, self.lower, self.upper)
+        let (l, t) = (self.value, self.symbols);
+        write!(
+            f,
+            "for {} = {} to {}",
+            t.name(l.var),
+            l.lower.display(t),
+            l.upper.display(t)
+        )
     }
 }
 
@@ -91,7 +110,7 @@ pub fn loop_table(program: &Program) -> LoopTable {
                     let id = out.len();
                     out.push(LoopMeta {
                         id,
-                        var: l.var.clone(),
+                        var: l.var,
                         depth,
                         parent,
                         lower: l.lower.clone(),
@@ -157,7 +176,10 @@ mod tests {
     fn display_reconstructs_the_header() {
         let p = parse_program("for i = 2 to n { a[i] = 0; }").unwrap();
         let table = loop_table(&p);
-        assert_eq!(table.get(0).unwrap().to_string(), "for i = 2 to n");
+        assert_eq!(
+            table.get(0).unwrap().display(&p.symbols).to_string(),
+            "for i = 2 to n"
+        );
     }
 
     #[test]

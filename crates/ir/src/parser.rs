@@ -15,11 +15,15 @@
 //!
 //! Subscripts may be written `a[i][j]` or `a[i, j]`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
+use std::sync::Arc;
 
 use crate::ast::{ArrayAssign, ForLoop, IfStmt, Program, RelOp, ScalarAssign, Stmt};
 use crate::expr::{ArrayRef, Expr};
 use crate::lexer::{tokenize, SpannedToken, Token};
+use crate::symbol::{Sym, SymbolTable};
 
 /// A half-open byte range into the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +99,8 @@ const MAX_NESTING: usize = 256;
 
 struct Parser {
     tokens: Vec<SpannedToken>,
+    /// The names of the identifiers in `tokens`, for error messages.
+    symbols: SymbolTable,
     pos: usize,
     /// Current nesting, bounded by [`MAX_NESTING`]. A parse error ends
     /// the parse, so error paths never restore it.
@@ -144,32 +150,36 @@ impl Parser {
         })
     }
 
+    /// The current token, described for an error message.
+    fn found(&self) -> String {
+        self.peek().display(&self.symbols).to_string()
+    }
+
     fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
         if self.peek() == want {
             self.bump();
             Ok(())
         } else {
-            self.error(format!("expected {want}, found {}", self.peek()))
+            let want = want.display(&self.symbols);
+            self.error(format!("expected {want}, found {}", self.found()))
         }
     }
 
-    /// Moves the current identifier's name out of the token list (the
-    /// parser never looks back) and steps past it.
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        if let Token::Ident(name) = &mut self.tokens[self.pos].token {
-            let name = std::mem::take(name);
+    /// Steps past the current identifier and returns its symbol.
+    fn expect_ident(&mut self) -> Result<Sym, ParseError> {
+        if let Token::Ident(name) = *self.peek() {
             self.bump();
             return Ok(name);
         }
-        self.error(format!("expected identifier, found {}", self.peek()))
+        self.error(format!("expected identifier, found {}", self.found()))
     }
 
-    fn parse_program(&mut self) -> Result<Program, ParseError> {
+    fn parse_stmts(&mut self) -> Result<Vec<Stmt>, ParseError> {
         let mut stmts = Vec::new();
         while *self.peek() != Token::Eof {
             stmts.push(self.parse_stmt()?);
         }
-        Ok(Program { stmts })
+        Ok(stmts)
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
@@ -178,8 +188,9 @@ impl Parser {
             Token::Read => self.parse_read(),
             Token::If => self.nested(Parser::parse_if),
             Token::Ident(_) => self.parse_assign(),
-            other => self.error(format!(
-                "expected a statement (`for`, `if`, `read`, or an assignment), found {other}"
+            _ => self.error(format!(
+                "expected a statement (`for`, `if`, `read`, or an assignment), found {}",
+                self.found()
             )),
         }
     }
@@ -208,7 +219,12 @@ impl Parser {
             Token::Ge => RelOp::Ge,
             Token::EqEq => RelOp::Eq,
             Token::NotEq => RelOp::Ne,
-            other => return self.error(format!("expected a comparison operator, found {other}")),
+            _ => {
+                return self.error(format!(
+                    "expected a comparison operator, found {}",
+                    self.found()
+                ))
+            }
         };
         self.bump();
         let rhs = self.parse_expr()?;
@@ -253,7 +269,7 @@ impl Parser {
                     }
                     s
                 }
-                ref other => return self.error(format!("expected integer step, found {other}")),
+                _ => return self.error(format!("expected integer step, found {}", self.found())),
             }
         } else {
             1
@@ -374,8 +390,8 @@ impl Parser {
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }
-            Token::Ident(_) => {
-                let name = self.expect_ident()?;
+            Token::Ident(name) => {
+                self.bump();
                 if *self.peek() == Token::LBracket {
                     let subscripts = self.nested(Parser::parse_subscripts)?;
                     Ok(Expr::ArrayRead(ArrayRef {
@@ -386,7 +402,7 @@ impl Parser {
                     Ok(Expr::Var(name))
                 }
             }
-            ref other => self.error(format!("expected an expression, found {other}")),
+            _ => self.error(format!("expected an expression, found {}", self.found())),
         }
     }
 }
@@ -408,32 +424,44 @@ impl Parser {
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
-    let tokens = tokenize(source)?;
+    let mut symbols = SymbolTable::new();
+    let tokens = tokenize(source, &mut symbols)?;
     let mut parser = Parser {
         tokens,
+        symbols,
         pos: 0,
         depth: 0,
     };
-    parser.parse_program()
+    let stmts = parser.parse_stmts()?;
+    Ok(Program {
+        stmts,
+        symbols: Arc::new(parser.symbols),
+    })
 }
 
-/// Parses a single expression (useful in tests and examples).
+/// Parses a single expression, interning its identifiers into `symbols`
+/// (useful in tests and examples).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed input or trailing tokens.
-pub fn parse_expr(source: &str) -> Result<Expr, ParseError> {
-    let tokens = tokenize(source)?;
+pub fn parse_expr(source: &str, symbols: &mut SymbolTable) -> Result<Expr, ParseError> {
+    let tokens = tokenize(source, symbols)?;
     let mut parser = Parser {
         tokens,
+        symbols: std::mem::take(symbols),
         pos: 0,
         depth: 0,
     };
-    let e = parser.parse_expr()?;
-    if *parser.peek() != Token::Eof {
-        return parser.error(format!("unexpected {} after expression", parser.peek()));
-    }
-    Ok(e)
+    let e = parser.parse_expr().and_then(|e| {
+        if *parser.peek() == Token::Eof {
+            Ok(e)
+        } else {
+            parser.error(format!("unexpected {} after expression", parser.found()))
+        }
+    });
+    *symbols = parser.symbols;
+    e
 }
 
 #[cfg(test)]
@@ -447,7 +475,7 @@ mod tests {
         let Stmt::For(l) = &p.stmts[0] else {
             panic!("expected loop")
         };
-        assert_eq!(l.var, "i");
+        assert_eq!(p.symbols.name(l.var), "i");
         assert_eq!(l.step, 1);
         assert_eq!(l.body.len(), 1);
     }
@@ -472,7 +500,7 @@ mod tests {
     fn read_and_scalar_assign() {
         let p = parse_program("read(n); k = 2 * n + 1; a[k] = 0;").unwrap();
         assert_eq!(p.stmts.len(), 3);
-        assert!(matches!(&p.stmts[0], Stmt::Read(n) if n == "n"));
+        assert!(matches!(&p.stmts[0], Stmt::Read(n) if p.symbols.name(*n) == "n"));
         assert!(matches!(&p.stmts[1], Stmt::ScalarAssign(_)));
     }
 
@@ -486,17 +514,16 @@ mod tests {
 
     #[test]
     fn precedence() {
-        let e = parse_expr("1 + 2 * i - 3").unwrap();
+        let mut t = SymbolTable::new();
+        let e = parse_expr("1 + 2 * i - 3", &mut t).unwrap();
+        let i = t.intern("i");
         // (1 + (2*i)) - 3
         assert_eq!(
             e,
             Expr::Sub(
                 Box::new(Expr::Add(
                     Box::new(Expr::Const(1)),
-                    Box::new(Expr::Mul(
-                        Box::new(Expr::Const(2)),
-                        Box::new(Expr::var("i"))
-                    ))
+                    Box::new(Expr::Mul(Box::new(Expr::Const(2)), Box::new(Expr::Var(i))))
                 )),
                 Box::new(Expr::Const(3))
             )
@@ -505,17 +532,27 @@ mod tests {
 
     #[test]
     fn parens_and_negation() {
-        let e = parse_expr("-(i + 1) * 2").unwrap();
+        let mut t = SymbolTable::new();
+        let e = parse_expr("-(i + 1) * 2", &mut t).unwrap();
+        let i = t.intern("i");
         assert_eq!(
             e,
             Expr::Mul(
                 Box::new(Expr::Neg(Box::new(Expr::Add(
-                    Box::new(Expr::var("i")),
+                    Box::new(Expr::Var(i)),
                     Box::new(Expr::Const(1))
                 )))),
                 Box::new(Expr::Const(2))
             )
         );
+    }
+
+    #[test]
+    fn identifier_errors_name_the_identifier() {
+        let err = parse_program("for i = 1 to 10 { a[i] = b c; }").unwrap_err();
+        assert_eq!(err.message, "expected `;`, found identifier `c`");
+        let err = parse_expr("i j", &mut SymbolTable::new()).unwrap_err();
+        assert_eq!(err.message, "unexpected identifier `j` after expression");
     }
 
     #[test]

@@ -20,13 +20,14 @@ use crate::ast::{Program, Stmt};
 use crate::expr::Expr;
 use crate::passes::rewrite::{any_var, for_each_assigned, is_pure, larger_than, subst_with};
 use crate::passes::MAX_NODES;
+use crate::symbol::Sym;
 
 /// One recorded definition: its closed right-hand side and the scalars
 /// that right-hand side mentions (sorted, deduplicated), so a kill does
 /// not re-walk the tree.
 pub(super) struct Def {
     pub(super) value: Expr,
-    vars: Vec<String>,
+    vars: Vec<Sym>,
 }
 
 /// The definitions live at a program point. Every recorded right-hand
@@ -36,10 +37,10 @@ pub(super) struct Def {
 #[derive(Clone, Default)]
 pub(super) struct Defs {
     /// Shared, so the copies taken at loops and branches stay cheap.
-    defs: BTreeMap<String, Rc<Def>>,
+    defs: BTreeMap<Sym, Rc<Def>>,
     /// How many recorded right-hand sides mention each scalar: a kill of
     /// a scalar nothing mentions does not scan the definitions.
-    mentioned: BTreeMap<String, usize>,
+    mentioned: BTreeMap<Sym, usize>,
 }
 
 impl Defs {
@@ -47,23 +48,23 @@ impl Defs {
         self.defs.is_empty()
     }
 
-    pub(super) fn get(&self, name: &str) -> Option<&Def> {
-        self.defs.get(name).map(|d| &**d)
+    pub(super) fn get(&self, name: Sym) -> Option<&Def> {
+        self.defs.get(&name).map(|d| &**d)
     }
 
     /// Whether `e` mentions a scalar with a live definition.
     pub(super) fn used_in(&self, e: &Expr) -> bool {
-        !self.is_empty() && any_var(e, &|v| self.defs.contains_key(v))
+        !self.is_empty() && any_var(e, &|v| self.defs.contains_key(&v))
     }
 
     /// Substitutes every live definition into `e`; returns whether
     /// anything changed.
     pub(super) fn apply(&self, e: &mut Expr) -> bool {
-        !self.is_empty() && subst_with(e, &|v| self.defs.get(v).map(|d| &d.value))
+        !self.is_empty() && subst_with(e, &|v| self.defs.get(&v).map(|d| &d.value))
     }
 
-    fn remove(&mut self, name: &str) {
-        let Some(def) = self.defs.remove(name) else {
+    fn remove(&mut self, name: Sym) {
+        let Some(def) = self.defs.remove(&name) else {
             return;
         };
         for v in &def.vars {
@@ -78,19 +79,19 @@ impl Defs {
 
     /// Removes the definition of `name` and every definition that
     /// mentions it.
-    pub(super) fn kill(&mut self, name: &str) {
+    pub(super) fn kill(&mut self, name: Sym) {
         self.remove(name);
-        if !self.mentioned.contains_key(name) {
+        if !self.mentioned.contains_key(&name) {
             return;
         }
-        let users: Vec<String> = self
+        let users: Vec<Sym> = self
             .defs
             .iter()
-            .filter(|(_, d)| d.vars.binary_search_by(|v| v.as_str().cmp(name)).is_ok())
-            .map(|(k, _)| k.clone())
+            .filter(|(_, d)| d.vars.binary_search(&name).is_ok())
+            .map(|(&k, _)| k)
             .collect();
         for user in users {
-            self.remove(&user);
+            self.remove(user);
         }
     }
 
@@ -106,29 +107,23 @@ impl Defs {
     /// not mention `name` (that is an induction update such as
     /// `k = k + 1`), and is no larger than [`MAX_NODES`]. `finish`
     /// rewrites the recorded copy (the induction pass folds it).
-    pub(super) fn assign(&mut self, name: &str, value: &Expr, finish: impl FnOnce(&mut Expr)) {
+    pub(super) fn assign(&mut self, name: Sym, value: &Expr, finish: impl FnOnce(&mut Expr)) {
         self.kill(name);
         if !is_pure(value) || any_var(value, &|v| v == name) || larger_than(value, MAX_NODES) {
             return;
         }
         let mut value = value.clone();
         finish(&mut value);
-        let mut vars: Vec<String> = Vec::new();
-        for v in value.scalar_vars() {
-            if let Err(at) = vars.binary_search_by(|x| x.as_str().cmp(v)) {
-                vars.insert(at, v.to_owned());
+        let mut vars: Vec<Sym> = Vec::new();
+        value.for_each_var(&mut |v| {
+            if let Err(at) = vars.binary_search(&v) {
+                vars.insert(at, v);
             }
+        });
+        for &v in &vars {
+            *self.mentioned.entry(v).or_insert(0) += 1;
         }
-        for v in &vars {
-            match self.mentioned.get_mut(v) {
-                Some(count) => *count += 1,
-                None => {
-                    self.mentioned.insert(v.clone(), 1);
-                }
-            }
-        }
-        self.defs
-            .insert(name.to_owned(), Rc::new(Def { value, vars }));
+        self.defs.insert(name, Rc::new(Def { value, vars }));
     }
 }
 
@@ -136,10 +131,10 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
     let mut changed = false;
     for s in stmts.iter_mut() {
         match s {
-            Stmt::Read(n) => defs.kill(n),
+            Stmt::Read(n) => defs.kill(*n),
             Stmt::ScalarAssign(a) => {
                 changed |= defs.apply(&mut a.value);
-                defs.assign(&a.name, &a.value, |_| {});
+                defs.assign(a.name, &a.value, |_| {});
             }
             Stmt::ArrayAssign(a) => {
                 for sub in &mut a.target.subscripts {
@@ -164,11 +159,11 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
                 // a use in iteration 2 would see the *new* value.
                 let mut inner = defs.clone();
                 inner.kill_assigned_in(&l.body);
-                inner.kill(&l.var);
+                inner.kill(l.var);
                 changed |= walk(&mut l.body, &mut inner);
                 // After the loop, anything assigned inside is unknown.
                 defs.kill_assigned_in(&l.body);
-                defs.kill(&l.var);
+                defs.kill(l.var);
             }
         }
     }

@@ -20,17 +20,18 @@ use crate::ast::{ForLoop, Program, Stmt};
 use crate::expr::Expr;
 use crate::passes::forward_subst::Defs;
 use crate::passes::rewrite::{any_var, fold, for_each_assigned, rewrite_exprs, subst_scalar};
+use crate::symbol::Sym;
 
 /// Matches `k = k + c` / `k = c + k` / `k = k - c`, returning `c`.
-fn increment_of(name: &str, rhs: &Expr) -> Option<i64> {
+fn increment_of(name: Sym, rhs: &Expr) -> Option<i64> {
     match rhs {
         Expr::Add(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Var(v), Expr::Const(c)) if v == name => Some(*c),
-            (Expr::Const(c), Expr::Var(v)) if v == name => Some(*c),
+            (Expr::Var(v), Expr::Const(c)) if *v == name => Some(*c),
+            (Expr::Const(c), Expr::Var(v)) if *v == name => Some(*c),
             _ => None,
         },
         Expr::Sub(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Var(v), Expr::Const(c)) if v == name => c.checked_neg(),
+            (Expr::Var(v), Expr::Const(c)) if *v == name => c.checked_neg(),
             _ => None,
         },
         _ => None,
@@ -38,24 +39,24 @@ fn increment_of(name: &str, rhs: &Expr) -> Option<i64> {
 }
 
 /// Whether `stmts` assign `name` exactly once (loop variables count).
-fn assigned_once(stmts: &[Stmt], name: &str) -> bool {
+fn assigned_once(stmts: &[Stmt], name: Sym) -> bool {
     let mut count = 0usize;
     for_each_assigned(stmts, &mut |n| count += usize::from(n == name));
     count == 1
 }
 
 /// Whether `stmts` assign `name` at all (loop variables count).
-fn assigns(stmts: &[Stmt], name: &str) -> bool {
+fn assigns(stmts: &[Stmt], name: Sym) -> bool {
     let mut found = false;
     for_each_assigned(stmts, &mut |n| found |= n == name);
     found
 }
 
 /// Builds `init + c * (i - lower + extra)`, folded.
-fn closed_form(init: &Expr, c: i64, loop_var: &str, lower: &Expr, extra: i64) -> Expr {
+fn closed_form(init: &Expr, c: i64, loop_var: Sym, lower: &Expr, extra: i64) -> Expr {
     let iterations = Expr::Add(
         Box::new(Expr::Sub(
-            Box::new(Expr::var(loop_var)),
+            Box::new(Expr::Var(loop_var)),
             Box::new(lower.clone()),
         )),
         Box::new(Expr::Const(extra)),
@@ -72,7 +73,7 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
     let mut changed = false;
     for s in stmts.iter_mut() {
         match s {
-            Stmt::Read(n) => defs.kill(n),
+            Stmt::Read(n) => defs.kill(*n),
             Stmt::ScalarAssign(a) => {
                 // Close the RHS over current defs before recording.
                 let closed;
@@ -84,7 +85,7 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
                 } else {
                     &a.value
                 };
-                defs.assign(&a.name, value, |v| {
+                defs.assign(a.name, value, |v| {
                     fold(v);
                 });
             }
@@ -100,7 +101,7 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
             Stmt::For(l) => {
                 changed |= rewrite_loop(l, defs);
                 defs.kill_assigned_in(&l.body);
-                defs.kill(&l.var);
+                defs.kill(l.var);
             }
         }
     }
@@ -117,22 +118,22 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
     let candidates = if l.step == 1 { l.body.as_slice() } else { &[] };
     for (pos, s) in candidates.iter().enumerate() {
         let Stmt::ScalarAssign(a) = s else { continue };
-        let Some(c) = increment_of(&a.name, &a.value) else {
+        let Some(c) = increment_of(a.name, &a.value) else {
             continue;
         };
-        if !assigned_once(&l.body, &a.name) {
+        if !assigned_once(&l.body, a.name) {
             continue;
         }
-        let Some(init) = defs.get(&a.name) else {
+        let Some(init) = defs.get(a.name) else {
             continue;
         };
         // The init expression must be invariant over the loop.
         if any_var(&init.value, &|v| v == l.var || assigns(&l.body, v)) {
             continue;
         }
-        let before = closed_form(&init.value, c, &l.var, &l.lower, 0);
-        let after = closed_form(&init.value, c, &l.var, &l.lower, 1);
-        rewrites.push((pos, a.name.clone(), before, after));
+        let before = closed_form(&init.value, c, l.var, &l.lower, 0);
+        let after = closed_form(&init.value, c, l.var, &l.lower, 1);
+        rewrites.push((pos, a.name, before, after));
     }
 
     let mut changed = false;
@@ -143,14 +144,14 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
             }
             let replacement = if idx < *pos { before } else { after };
             let one = std::slice::from_mut(stmt);
-            changed |= rewrite_exprs(one, &mut |e| subst_scalar(e, name, replacement) | fold(e));
+            changed |= rewrite_exprs(one, &mut |e| subst_scalar(e, *name, replacement) | fold(e));
         }
     }
 
     // Recurse with a fresh environment seeded from invariant outer defs.
     let mut inner = defs.clone();
     inner.kill_assigned_in(&l.body);
-    inner.kill(&l.var);
+    inner.kill(l.var);
     changed | walk(&mut l.body, &mut inner)
 }
 
@@ -170,7 +171,7 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
 /// assert!(substitute_induction_variables(&mut p));
 /// let set = extract_accesses(&p);
 /// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
-/// assert_eq!(sub.coeff("i"), 2);
+/// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
 /// assert_eq!(sub.constant_part(), 0);
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```
@@ -182,17 +183,34 @@ pub fn substitute_induction_variables(program: &mut Program) -> bool {
 mod tests {
     use super::*;
     use crate::access::extract_accesses;
+    use std::sync::Arc;
+
     use crate::expr::AffineExpr;
     use crate::parser::parse_program;
+    use crate::symbol::SymbolTable;
 
     /// Runs the pass and returns the first subscript of access `idx` in
     /// affine form (None if it stayed non-affine).
-    fn run(src: &str, idx: usize) -> Option<AffineExpr> {
+    /// Subscript 0 of access `idx`, with coefficients looked up by name.
+    struct Lowered(AffineExpr, Arc<SymbolTable>);
+
+    impl Lowered {
+        fn coeff(&self, name: &str) -> i64 {
+            self.0.coeff_by_name(&self.1, name)
+        }
+
+        fn constant_part(&self) -> i64 {
+            self.0.constant_part()
+        }
+    }
+
+    fn run(src: &str, idx: usize) -> Option<Lowered> {
         let mut p = parse_program(src).unwrap();
         substitute_induction_variables(&mut p);
         crate::passes::rewrite::fold_program(&mut p);
         let set = extract_accesses(&p);
-        set.accesses[idx].subscripts[0].as_affine().cloned()
+        let sub = set.accesses[idx].subscripts[0].as_affine().cloned()?;
+        Some(Lowered(sub, set.symbols))
     }
 
     #[test]

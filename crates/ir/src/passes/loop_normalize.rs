@@ -10,24 +10,26 @@
 //! of the iteration space.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use crate::ast::{Program, Stmt};
 use crate::expr::{AffineExpr, Expr};
 use crate::passes::rewrite::{fold, larger_than, rewrite_exprs, subst_scalar};
 use crate::passes::MAX_NODES;
+use crate::symbol::{Sym, SymbolTable};
 
-fn collect_names(stmts: &[Stmt], out: &mut BTreeSet<String>) {
+fn collect_names(stmts: &[Stmt], out: &mut BTreeSet<Sym>) {
     for s in stmts {
         match s {
             Stmt::For(l) => {
-                out.insert(l.var.clone());
+                out.insert(l.var);
                 collect_names(&l.body, out);
             }
             Stmt::ScalarAssign(a) => {
-                out.insert(a.name.clone());
+                out.insert(a.name);
             }
             Stmt::Read(n) => {
-                out.insert(n.clone());
+                out.insert(*n);
             }
             Stmt::If(i) => {
                 collect_names(&i.then_body, out);
@@ -61,15 +63,17 @@ fn trip_count(lo: i64, up: i64, step: i64) -> Option<i64> {
     i64::try_from(floor).ok()
 }
 
-/// `c₀ + Σ cᵥ·v` as an expression: `c·v` terms in variable order, then
+/// `c₀ + Σ cᵥ·v` as an expression: `c·v` terms in name order, then
 /// the constant (omitted when zero, unless it is all there is).
-fn affine_to_expr(a: &AffineExpr) -> Expr {
+fn affine_to_expr(a: &AffineExpr, symbols: &SymbolTable) -> Expr {
+    let mut terms: Vec<(Sym, i64)> = a.iter_terms().collect();
+    terms.sort_by(|x, y| symbols.name(x.0).cmp(symbols.name(y.0)));
     let mut out: Option<Expr> = None;
-    for (v, c) in a.iter_terms() {
+    for (v, c) in terms {
         let term = if c == 1 {
-            Expr::var(v)
+            Expr::Var(v)
         } else {
-            Expr::Mul(Box::new(Expr::Const(c)), Box::new(Expr::var(v)))
+            Expr::Mul(Box::new(Expr::Const(c)), Box::new(Expr::Var(v)))
         };
         out = Some(match out {
             Some(sum) => Expr::Add(Box::new(sum), Box::new(term)),
@@ -83,18 +87,23 @@ fn affine_to_expr(a: &AffineExpr) -> Expr {
     }
 }
 
-struct Normalizer {
-    taken: BTreeSet<String>,
+struct Normalizer<'p> {
+    /// The program's table, copied on the first new name if shared.
+    symbols: &'p mut Arc<SymbolTable>,
+    /// Names a fresh symbol must not reuse: every loop variable, scalar
+    /// assigned or read, and fresh symbol so far.
+    taken: BTreeSet<Sym>,
     counter: usize,
 }
 
-impl Normalizer {
-    fn fresh(&mut self, stem: &str) -> String {
+impl Normalizer<'_> {
+    fn fresh(&mut self, stem: &str) -> Sym {
         loop {
             let name = format!("_{stem}{}", self.counter);
             self.counter += 1;
-            if self.taken.insert(name.clone()) {
-                return name;
+            let sym = Arc::make_mut(self.symbols).intern(&name);
+            if self.taken.insert(sym) {
+                return sym;
             }
         }
     }
@@ -118,7 +127,7 @@ impl Normalizer {
                         Box::new(lower.clone()),
                         Box::new(Expr::Mul(
                             Box::new(Expr::Const(step)),
-                            Box::new(Expr::var(&l.var)),
+                            Box::new(Expr::Var(l.var)),
                         )),
                     );
                     fold(&mut mapped);
@@ -127,10 +136,10 @@ impl Normalizer {
                     // its affine normal form instead, which is small.
                     if larger_than(&mapped, MAX_NODES) {
                         if let Some(affine) = AffineExpr::from_expr(&mapped) {
-                            mapped = affine_to_expr(&affine);
+                            mapped = affine_to_expr(&affine, self.symbols);
                         }
                     }
-                    let var = l.var.as_str();
+                    let var = l.var;
                     rewrite_exprs(&mut l.body, &mut |e| {
                         subst_scalar(e, var, &mapped) | fold(e)
                     });
@@ -140,9 +149,9 @@ impl Normalizer {
                     l.upper = match (lower, upper) {
                         (Expr::Const(lo), Expr::Const(up)) => match trip_count(lo, up, step) {
                             Some(t) => Expr::Const(t),
-                            None => Expr::var(&self.fresh("trip")),
+                            None => Expr::Var(self.fresh("trip")),
                         },
-                        _ => Expr::var(&self.fresh("trip")),
+                        _ => Expr::Var(self.fresh("trip")),
                     };
                     l.step = 1;
                 }
@@ -165,7 +174,7 @@ impl Normalizer {
 /// // Now: for i = 0 to 4 { a[1 + 2*i] = 0; }
 /// let set = extract_accesses(&p);
 /// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
-/// assert_eq!(sub.coeff("i"), 2);
+/// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
 /// assert_eq!(sub.constant_part(), 1);
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```
@@ -175,7 +184,11 @@ pub fn normalize_loops(program: &mut Program) -> bool {
     }
     let mut taken = BTreeSet::new();
     collect_names(&program.stmts, &mut taken);
-    let mut n = Normalizer { taken, counter: 0 };
+    let mut n = Normalizer {
+        symbols: &mut program.symbols,
+        taken,
+        counter: 0,
+    };
     n.walk(&mut program.stmts);
     true
 }
@@ -196,7 +209,7 @@ mod tests {
         assert_eq!(l.upper, Expr::Const(3)); // iterations 1, 4, 7, 10
         let set = extract_accesses(&p);
         let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
-        assert_eq!(sub.coeff("i"), 3);
+        assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 3);
         assert_eq!(sub.constant_part(), 1);
     }
 
@@ -208,7 +221,7 @@ mod tests {
         assert_eq!(l.upper, Expr::Const(9));
         let set = extract_accesses(&p);
         let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
-        assert_eq!(sub.coeff("i"), -1);
+        assert_eq!(sub.coeff_by_name(&set.symbols, "i"), -1);
         assert_eq!(sub.constant_part(), 10);
     }
 
@@ -217,10 +230,10 @@ mod tests {
         let mut p = parse_program("for i = 1 to n step 2 { a[i] = 0; }").unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert!(matches!(&l.upper, Expr::Var(v) if v.starts_with("_trip")));
+        assert!(matches!(&l.upper, Expr::Var(v) if p.symbols.name(*v) == "_trip0"));
         let set = extract_accesses(&p);
         // The fresh trip symbol is never assigned, so it is symbolic.
-        assert!(set.symbolics.iter().any(|s| s.starts_with("_trip")));
+        assert!(set.is_symbolic("_trip0"));
     }
 
     #[test]
@@ -248,7 +261,7 @@ mod tests {
         .unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert!(matches!(&l.upper, Expr::Var(v) if v.starts_with("_trip")));
+        assert!(matches!(&l.upper, Expr::Var(v) if p.symbols.name(*v).starts_with("_trip")));
     }
 
     #[test]
@@ -273,8 +286,11 @@ mod tests {
         // v_k = 2·v_(k-1) + 2·v_k', so the subscript v_23 weighs v0' by
         // 2^24 and v_23' by 2.
         let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
-        assert_eq!(sub.coeff("v0"), 1 << depth);
-        assert_eq!(sub.coeff(&format!("v{}", depth - 1)), 2);
+        assert_eq!(sub.coeff_by_name(&set.symbols, "v0"), 1 << depth);
+        assert_eq!(
+            sub.coeff_by_name(&set.symbols, &format!("v{}", depth - 1)),
+            2
+        );
         assert_eq!(sub.constant_part(), 1 << (depth - 1));
         assert!(p.to_string().len() < 100_000);
     }
@@ -296,8 +312,8 @@ mod tests {
         normalize_loops(&mut p);
         let set = extract_accesses(&p);
         let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
-        assert_eq!(sub.coeff("i"), 2);
-        assert_eq!(sub.coeff("j"), 5);
+        assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
+        assert_eq!(sub.coeff_by_name(&set.symbols, "j"), 5);
     }
 
     #[test]
@@ -309,7 +325,7 @@ mod tests {
         let inner = &set.accesses[0].loops[1];
         let lo = inner.lower.as_affine().unwrap();
         // j's lower bound i became 1 + 2*i.
-        assert_eq!(lo.coeff("i"), 2);
+        assert_eq!(lo.coeff_by_name(&set.symbols, "i"), 2);
         assert_eq!(lo.constant_part(), 1);
     }
 }

@@ -59,7 +59,7 @@ const MAX_NODES: usize = 128;
 /// normalize(&mut p);
 /// let set = extract_accesses(&p);
 /// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
-/// assert_eq!(sub.coeff("i"), 1);
+/// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 1);
 /// assert_eq!(sub.constant_part(), 3);
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```

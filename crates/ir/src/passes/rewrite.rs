@@ -9,14 +9,15 @@
 
 use crate::ast::{Program, Stmt};
 use crate::expr::Expr;
+use crate::symbol::Sym;
 
 /// Replaces every scalar `v` in `e` for which `lookup(v)` gives an
 /// expression with a copy of that expression. The replacements are not
 /// themselves rewritten, so several names substitute simultaneously.
-pub fn subst_with<'d>(e: &mut Expr, lookup: &impl Fn(&str) -> Option<&'d Expr>) -> bool {
+pub fn subst_with<'d>(e: &mut Expr, lookup: &impl Fn(Sym) -> Option<&'d Expr>) -> bool {
     match e {
         Expr::Const(_) => false,
-        Expr::Var(v) => match lookup(v) {
+        Expr::Var(v) => match lookup(*v) {
             Some(replacement) => {
                 *e = replacement.clone();
                 true
@@ -35,7 +36,7 @@ pub fn subst_with<'d>(e: &mut Expr, lookup: &impl Fn(&str) -> Option<&'d Expr>) 
 }
 
 /// Replaces every occurrence of scalar `name` in `e` with `replacement`.
-pub fn subst_scalar(e: &mut Expr, name: &str, replacement: &Expr) -> bool {
+pub fn subst_scalar(e: &mut Expr, name: Sym, replacement: &Expr) -> bool {
     subst_with(e, &|v| (v == name).then_some(replacement))
 }
 
@@ -138,14 +139,14 @@ pub fn rewrite_exprs(stmts: &mut [Stmt], f: &mut impl FnMut(&mut Expr) -> bool) 
     changed
 }
 
-/// Calls `f` on the name of every scalar assigned within `stmts`,
-/// including loop variables, in program order.
-pub fn for_each_assigned<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p str)) {
+/// Calls `f` on every scalar assigned within `stmts`, including loop
+/// variables, in program order.
+pub fn for_each_assigned(stmts: &[Stmt], f: &mut impl FnMut(Sym)) {
     for s in stmts {
         match s {
-            Stmt::ScalarAssign(a) => f(&a.name),
+            Stmt::ScalarAssign(a) => f(a.name),
             Stmt::For(l) => {
-                f(&l.var);
+                f(l.var);
                 for_each_assigned(&l.body, f);
             }
             Stmt::If(i) => {
@@ -158,10 +159,10 @@ pub fn for_each_assigned<'p>(stmts: &'p [Stmt], f: &mut impl FnMut(&'p str)) {
 }
 
 /// Whether `e` mentions a scalar `v` with `pred(v)`.
-pub fn any_var(e: &Expr, pred: &impl Fn(&str) -> bool) -> bool {
+pub fn any_var(e: &Expr, pred: &impl Fn(Sym) -> bool) -> bool {
     match e {
         Expr::Const(_) => false,
-        Expr::Var(v) => pred(v),
+        Expr::Var(v) => pred(*v),
         Expr::ArrayRead(r) => r.subscripts.iter().any(|s| any_var(s, pred)),
         Expr::Neg(x) => any_var(x, pred),
         Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => any_var(a, pred) || any_var(b, pred),
@@ -207,25 +208,27 @@ pub fn fold_program(program: &mut Program) -> bool {
 mod tests {
     use super::*;
     use crate::parser::parse_expr;
+    use crate::symbol::SymbolTable;
 
-    fn folded(src: &str) -> (Expr, bool) {
-        let mut e = parse_expr(src).unwrap();
+    fn folded(src: &str) -> (String, bool) {
+        let mut t = SymbolTable::new();
+        let mut e = parse_expr(src, &mut t).unwrap();
         let changed = fold(&mut e);
-        (e, changed)
+        (e.display(&t).to_string(), changed)
     }
 
     #[test]
     fn fold_collapses_constants() {
-        assert_eq!(folded("2 * 3 + 4 - 1"), (Expr::Const(9), true));
+        assert_eq!(folded("2 * 3 + 4 - 1"), ("9".into(), true));
     }
 
     #[test]
     fn fold_identities() {
-        assert_eq!(folded("i + 0"), (Expr::var("i"), true));
-        assert_eq!(folded("1 * i"), (Expr::var("i"), true));
-        assert_eq!(folded("0 * i"), (Expr::Const(0), true));
-        assert_eq!(folded("-(-(i))"), (Expr::var("i"), true));
-        assert_eq!(folded("a[2 - 0] - 0"), (parse_expr("a[2]").unwrap(), true));
+        assert_eq!(folded("i + 0"), ("i".into(), true));
+        assert_eq!(folded("1 * i"), ("i".into(), true));
+        assert_eq!(folded("0 * i"), ("0".into(), true));
+        assert_eq!(folded("-(-(i))"), ("i".into(), true));
+        assert_eq!(folded("a[2 - 0] - 0"), ("a[2]".into(), true));
     }
 
     #[test]
@@ -233,7 +236,7 @@ mod tests {
         for src in ["i + 1", "2 * i - j", "a[i + 1] * b[j]", "-i", "7"] {
             let (e, changed) = folded(src);
             assert!(!changed, "{src}");
-            assert_eq!(e, parse_expr(src).unwrap());
+            assert_eq!(e, src);
         }
     }
 
@@ -247,9 +250,11 @@ mod tests {
 
     #[test]
     fn subst_reaches_subscripts() {
-        let mut e = parse_expr("a[k + 1] + k").unwrap();
-        assert!(subst_scalar(&mut e, "k", &Expr::var("i")));
-        assert_eq!(e, parse_expr("a[i + 1] + i").unwrap());
-        assert!(!subst_scalar(&mut e, "k", &Expr::var("i")));
+        let mut t = SymbolTable::new();
+        let mut e = parse_expr("a[k + 1] + k", &mut t).unwrap();
+        let (k, i) = (t.intern("k"), t.intern("i"));
+        assert!(subst_scalar(&mut e, k, &Expr::Var(i)));
+        assert_eq!(e, parse_expr("a[i + 1] + i", &mut t).unwrap());
+        assert!(!subst_scalar(&mut e, k, &Expr::Var(i)));
     }
 }

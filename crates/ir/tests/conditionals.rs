@@ -58,10 +58,18 @@ fn branch_accesses_marked_conditional() {
     )
     .unwrap();
     let set = extract_accesses(&p);
-    let b = set.accesses.iter().find(|a| a.array == "b").unwrap();
+    let b = set
+        .accesses
+        .iter()
+        .find(|a| set.symbols.name(a.array) == "b")
+        .unwrap();
     assert!(!b.conditional);
-    for a in set.accesses.iter().filter(|a| a.array == "a") {
-        assert!(a.conditional, "{a}");
+    for a in set
+        .accesses
+        .iter()
+        .filter(|a| set.symbols.name(a.array) == "a")
+    {
+        assert!(a.conditional, "{}", a.display(&set.symbols));
     }
 }
 
@@ -69,7 +77,11 @@ fn branch_accesses_marked_conditional() {
 fn condition_reads_are_unconditional_accesses() {
     let p = parse_program("for i = 1 to 10 { if (c[i] > 0) { a[i] = 0; } }").unwrap();
     let set = extract_accesses(&p);
-    let c = set.accesses.iter().find(|a| a.array == "c").unwrap();
+    let c = set
+        .accesses
+        .iter()
+        .find(|a| set.symbols.name(a.array) == "c")
+        .unwrap();
     assert!(!c.is_write);
     assert!(!c.conditional, "the guard itself always executes");
 }
@@ -88,7 +100,10 @@ fn interpreter_takes_the_right_branch() {
     // Access ids stay aligned with extraction despite branch skipping.
     let set = extract_accesses(&p);
     for touch in &t {
-        assert_eq!(set.accesses[touch.access_id].array, touch.array);
+        assert_eq!(
+            set.symbols.name(set.accesses[touch.access_id].array),
+            touch.array
+        );
     }
 }
 
@@ -125,7 +140,11 @@ fn forward_subst_does_not_leak_across_branches() {
     passes::normalize(&mut p);
     let set = extract_accesses(&p);
     let a = &set.accesses[0];
-    assert!(!a.is_affine(), "k is branch-dependent: {a}");
+    assert!(
+        !a.is_affine(),
+        "k is branch-dependent: {}",
+        a.display(&set.symbols)
+    );
 }
 
 #[test]

@@ -1114,7 +1114,7 @@ fn run(opts: &Options) -> Result<(), String> {
             for p in &pairs {
                 print!(
                     "{}",
-                    dda::core::explain::explain_pair_with(&opts.config, p.a, p.b, p.common)
+                    dda::core::explain::explain_pair_with(&opts.config, *p)
                 );
                 println!();
             }

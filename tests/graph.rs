@@ -20,7 +20,7 @@ use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, ProgramReport};
 use dda::engine::{Engine, EngineConfig};
 use dda::graph::render::{graph_json_line, parallel_json_line};
 use dda::graph::{build_graph, LoopVerdict, ProgramGraph};
-use dda::ir::{extract_accesses, parse_program, passes, Program};
+use dda::ir::{extract_accesses, parse_program, passes, Program, RefPair};
 use proptest::prelude::*;
 
 /// A small program mixing affine and symbolic subscripts over 1–2
@@ -146,12 +146,13 @@ fn assert_blocking_certificates_check(program: &Program, report: &ProgramReport)
             let pair_index = graph.edges[e].pair;
             let pair = &graph.pairs[pair_index];
             let pair_report = &report.pairs()[pair_index];
-            let outcome = check_pair(
-                &set.accesses[pair.a_access],
-                &set.accesses[pair.b_access],
-                pair.common_loop_ids.len(),
-                pair_report,
-            );
+            let ref_pair = RefPair {
+                a: &set.accesses[pair.a_access],
+                b: &set.accesses[pair.b_access],
+                common: pair.common_loop_ids.len(),
+                symbols: &set.symbols,
+            };
+            let outcome = check_pair(ref_pair, pair_report);
             assert!(
                 !matches!(outcome, CheckOutcome::Rejected(_)),
                 "blocking edge {e} of loop {} rests on a rejected certificate: {outcome:?}",

@@ -73,9 +73,9 @@ fn mixed_affine_and_opaque_references() {
     // The quadratic pair is assumed dependent; the affine pair is still
     // analyzed exactly.
     assert_eq!(r.stats.assumed, 1);
-    let b_pair = r.pairs().iter().find(|p| p.array == "b").unwrap();
+    let b_pair = r.pairs().iter().find(|p| &*p.array == "b").unwrap();
     assert!(b_pair.result.is_independent());
-    let a_pair = r.pairs().iter().find(|p| p.array == "a").unwrap();
+    let a_pair = r.pairs().iter().find(|p| &*p.array == "a").unwrap();
     assert!(!a_pair.result.answer.is_exact());
 }
 
