@@ -30,6 +30,7 @@
 
 use std::mem;
 use std::ops::Range;
+use std::time::Instant;
 
 use dda_linalg::{num, Coeff, CoeffVec};
 
@@ -55,6 +56,11 @@ pub struct FmLimits {
     pub max_constraints: usize,
     /// Maximum branch-and-bound recursion depth.
     pub max_branch_depth: usize,
+    /// A wall-clock cutoff for branch-and-bound and direction
+    /// refinement, which then give up (`Unknown`, or `*` directions).
+    /// `None`, the default, never cuts, so answers stay deterministic;
+    /// a caller that sets it must discard what it computed past it.
+    pub deadline: Option<Instant>,
 }
 
 impl Default for FmLimits {
@@ -62,7 +68,17 @@ impl Default for FmLimits {
         FmLimits {
             max_constraints: 20_000,
             max_branch_depth: 12,
+            deadline: None,
         }
+    }
+}
+
+impl FmLimits {
+    /// Whether a deadline is set and has passed (the clock is read only
+    /// when one is set).
+    #[must_use]
+    pub fn past_deadline(&self) -> bool {
+        self.deadline.is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -209,6 +225,9 @@ fn solve(
     let mut steps: Vec<Step> = Vec::new();
 
     while let Some(pick_idx) = pick_variable(&rows, &remaining) {
+        if limits.past_deadline() {
+            return (FmOutcome::Unknown, None);
+        }
         let v = remaining.swap_remove(pick_idx);
         // Partition: move `v`'s lower rows into the arena, then its upper
         // rows, then compact the untouched rest in place. Taken slots are
@@ -481,6 +500,9 @@ fn branch(
     let (Ok(le_val), Ok(ge_val)) = (i64::try_from(le_val), i64::try_from(ge_val)) else {
         return (FmOutcome::Unknown, None);
     };
+    if limits.past_deadline() {
+        return (FmOutcome::Unknown, None);
+    }
     let mut left = Vec::with_capacity(constraints.len() + 1);
     left.extend_from_slice(constraints);
     let mut coeffs = CoeffVec::from_elem(0, num_vars);
@@ -682,6 +704,7 @@ mod tests {
         let limits = FmLimits {
             max_constraints: 1,
             max_branch_depth: 0,
+            deadline: None,
         };
         // A system that must generate a few rows.
         let (n, cs) = sys(&[(&[1, 1], 3), (&[1, -1], 0), (&[-1, 1], 0), (&[-1, -1], -1)]);

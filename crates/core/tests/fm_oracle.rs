@@ -445,7 +445,7 @@ proptest! {
         assert_identical(
             n,
             &cs,
-            FmLimits { max_constraints: 6, max_branch_depth: 1 },
+            FmLimits { max_constraints: 6, max_branch_depth: 1, deadline: None },
         )?;
     }
 }

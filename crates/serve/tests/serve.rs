@@ -338,6 +338,54 @@ fn a_tight_deadline_returns_conservative_partials_not_a_hang() {
     stop(&handle, join);
 }
 
+/// A coupled strided nest of `levels` loops: each lower bound doubles
+/// the enclosing variable, so pruning cannot shrink its 3^levels
+/// direction hierarchy.
+fn strided_nest(levels: usize) -> String {
+    let mut src = String::new();
+    for k in 0..levels {
+        let lower = if k == 0 {
+            "1".to_owned()
+        } else {
+            format!("v{0} + v{0}", k - 1)
+        };
+        src.push_str(&format!("for v{k} = {lower} to 9 step 2 {{ "));
+    }
+    let sum: Vec<String> = (0..levels).map(|k| format!("v{k}")).collect();
+    let sum = sum.join(" + ");
+    src.push_str(&format!("a[{sum}] = a[{sum}] + 1; "));
+    src.push_str(&"} ".repeat(levels));
+    src
+}
+
+#[test]
+fn a_deadline_cuts_direction_refinement_short() {
+    let (addr, handle, join) = start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        ..ServeConfig::default()
+    });
+    let nest = strided_nest(24);
+    let deadline = Duration::from_millis(200);
+    let analysis = std::thread::spawn(move || {
+        let start = Instant::now();
+        let reply = request(addr, "POST", "/analyze?deadline_ms=200", &nest);
+        (reply, start.elapsed())
+    });
+    // The service stays live while the nest is being refined.
+    let (status, _, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let ((status, head, body), elapsed) = analysis.join().expect("client thread");
+    assert_eq!(status, 200, "{body}");
+    assert!(
+        elapsed < 2 * deadline,
+        "answered after {elapsed:?}, deadline {deadline:?}"
+    );
+    assert!(head.contains("X-DDA-Deadline-Exceeded: true"), "{head}");
+    let (status, _, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    stop(&handle, join);
+}
+
 #[test]
 fn admission_control_sheds_with_429_when_saturated() {
     let (addr, handle, join) = start(ServeConfig {
