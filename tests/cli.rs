@@ -716,3 +716,40 @@ fn serve_exits_on_sigterm_and_persists_memo() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Symbols are numbered by first appearance, but no output may depend
+/// on that order. `reads_za.loop` reads its symbolic constants in
+/// reverse name order and `reads_az.loop` is the same program with the
+/// reads swapped: both must print the same JSONL (apart from the file
+/// name), the same `--explain` narration and write the same v3 memo
+/// archive, and all three must equal what the string-keyed front end
+/// produced (the `expected*` fixtures).
+#[test]
+fn symbol_order_never_reaches_an_output() {
+    let fixture = |name: &str| repo_path(&format!("tests/corpus/symbol_order/{name}"));
+    let pairs_of = |jsonl: &str| -> String {
+        let (_, pairs) = jsonl.split_once(",\"pairs\":").expect("a batch record");
+        pairs.to_owned()
+    };
+    let dir = std::env::temp_dir().join("dda_cli_symbol_order");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let want_jsonl = std::fs::read_to_string(fixture("expected.jsonl")).unwrap();
+    let want_explain = std::fs::read_to_string(fixture("expected_explain.txt")).unwrap();
+    let want_memo = std::fs::read(fixture("expected.memo")).unwrap();
+    for name in ["reads_za.loop", "reads_az.loop"] {
+        let program = fixture(name);
+        let memo = dir.join(format!("{name}.memo"));
+        let memo_str = memo.to_str().unwrap();
+        let (jsonl, stderr, ok) = run_cli(&["batch", &program, "--memo-save", memo_str], "");
+        assert!(ok, "{name}: {stderr}");
+        assert_eq!(pairs_of(&jsonl), pairs_of(&want_jsonl), "{name}: JSONL");
+        assert!(
+            std::fs::read(&memo).unwrap() == want_memo,
+            "{name}: v3 archive bytes differ"
+        );
+        let (explain, stderr, ok) = run_cli(&["analyze", &program, "--explain"], "");
+        assert!(ok, "{name}: {stderr}");
+        assert_eq!(explain, want_explain, "{name}: --explain");
+    }
+}
