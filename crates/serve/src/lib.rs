@@ -39,6 +39,9 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// The service reads untrusted requests: no panicking shortcut outside
+// tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod http;
 pub mod manifest;

@@ -32,7 +32,7 @@ use std::io::Read as _;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use dda_core::stats::AnalysisStats;
@@ -411,8 +411,10 @@ impl Server {
             let rx = Arc::clone(&rx);
             let state = Arc::clone(&self.state);
             workers.push(std::thread::spawn(move || loop {
-                // Hold the lock only to dequeue, not while handling.
-                let next = rx.lock().expect("queue lock").recv();
+                // Hold the lock only to dequeue, not while handling. No
+                // code runs under it but `recv`, so a poisoned lock still
+                // guards a usable receiver.
+                let next = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
                 match next {
                     Ok(stream) => handle_connection(&state, stream),
                     Err(_) => break, // acceptor dropped the sender: drain done
@@ -775,7 +777,13 @@ fn analyze_traced(
     if out.deadline_exceeded {
         state.deadline_exceeded.inc();
     }
-    state.stats.lock().expect("stats lock").add(&out.stats);
+    // Plain counters: a request that panicked mid-update leaves at worst
+    // one partial delta, so a poisoned lock is still worth reading.
+    state
+        .stats
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .add(&out.stats);
 
     let resp = 'resp: {
         if req.query.get("check").is_some_and(|v| v != "0") {
@@ -865,7 +873,7 @@ fn metrics_text(state: &State) -> String {
         deadline_exceeded: state.deadline_exceeded.get(),
         requests_by: state.requests_by.snapshot(),
     };
-    let stats = state.stats.lock().expect("stats lock");
+    let stats = state.stats.lock().unwrap_or_else(PoisonError::into_inner);
     MetricsSnapshot::from_registry(&state.obs)
         .with_pairs(&stats)
         .with_memo_table(
