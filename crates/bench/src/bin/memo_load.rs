@@ -3,11 +3,9 @@
 //!
 //! Three views:
 //!
-//! 1. **Load latency** of the trained memo's v3 archive, read two ways —
-//!    buffered (read the whole file into an aligned buffer, verify
-//!    checksums, decode nothing) and mmap (map, verify checksums,
-//!    decode nothing). Both attach the archive as a lazy read tier;
-//!    records fault in on first lookup.
+//! 1. **Load latency** of the trained memo's v3 archive: read the whole
+//!    file, verify checksums, decode nothing. Loading attaches the
+//!    archive as a lazy read tier; records fault in on first lookup.
 //! 2. **Warm-batch wall time**: load + analyze the full corpus, cold vs
 //!    v3-warm, on the parallel engine. Verdict equality is asserted,
 //!    not assumed.
@@ -91,17 +89,12 @@ fn main() {
     println!();
 
     // --- view 1: load latency -------------------------------------------
-    let v3_buffered = median_nanos(|| {
-        let archive = MemoArchive::open_buffered(&v3_path).expect("v3 buffered opens");
-        std::hint::black_box(&archive);
-    });
-    let v3_mmap = median_nanos(|| {
+    let v3_open = median_nanos(|| {
         let archive = MemoArchive::open(&v3_path).expect("v3 opens");
         std::hint::black_box(&archive);
     });
     println!("memo load (median of {LOAD_REPS}):");
-    println!("  v3 buffered read   {:>10.3} ms", ms(v3_buffered));
-    println!("  v3 mmap            {:>10.3} ms", ms(v3_mmap));
+    println!("  v3 open            {:>10.3} ms", ms(v3_open));
     println!();
 
     // --- view 2: warm-batch wall time -----------------------------------

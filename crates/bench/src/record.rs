@@ -104,7 +104,7 @@ pub struct BenchReport {
     pub corpus_wall: ExactSummary,
     /// Records in the memo archive used for the load measurement.
     pub memo_records: u64,
-    /// v3 memo archive open latency (mmap + checksum verify).
+    /// v3 memo archive open latency (read + checksum verify).
     pub memo_load: ExactSummary,
 }
 
@@ -232,7 +232,7 @@ pub fn record(quick: bool) -> BenchReport {
     }
 
     // 3. Memo archive load: train once, persist v3, time the open
-    // (mmap + checksum verify; records fault in lazily afterwards).
+    // (read + checksum verify; records fault in lazily afterwards).
     let programs = memo_corpus(memo_patterns);
     let mut trainer = Engine::with_config(EngineConfig::default());
     std::hint::black_box(trainer.analyze_programs(&programs));

@@ -741,8 +741,8 @@ impl<V> ShardedMemoTable<V> {
 /// with-bounds full-result table. The batch engine shares one across its
 /// worker threads (and `dda serve` across requests); the serial
 /// [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) owns a
-/// one-shard instance. Persists as `dda-memo v2` text or a v3 archive
-/// (see `persist`), so any run can warm-start any other.
+/// one-shard instance. Persists as a v3 archive and loads v1/v2 text
+/// or v3 (see `persist`), so any run can warm-start any other.
 #[derive(Debug)]
 pub struct SharedMemo {
     /// With-bounds full-result table.
@@ -769,7 +769,7 @@ pub struct MemoLoadStats {
     /// Records made available by those loads (parsed for text, indexed
     /// for binary).
     pub records: u64,
-    /// Bytes read or mapped.
+    /// Bytes read.
     pub bytes: u64,
     /// Wall-clock nanoseconds spent loading.
     pub nanos: u64,
@@ -854,7 +854,8 @@ impl SharedMemo {
     }
 
     /// The attached cold tier, if any.
-    pub(crate) fn archive_ref(&self) -> Option<&crate::persist_v3::MemoArchive> {
+    #[must_use]
+    pub fn archive_ref(&self) -> Option<&crate::persist_v3::MemoArchive> {
         self.archive.get()
     }
 

@@ -9,9 +9,12 @@
 //! Tables are written only as the binary v3 archive
 //! ([`crate::persist_v3`]). This module holds the table-level API and
 //! the reader for the two older line-oriented text versions, which
-//! still load but are no longer written. Loading is strict: any
-//! malformed line aborts with a located error rather than silently
-//! importing half a table.
+//! still load but are no longer written. The text reader keeps only
+//! record-level syntax: a record's proof fields (rules, FM and
+//! direction trees, lattices, certificates) decode through the same
+//! functions as v3's, so both formats share one nesting cap and one
+//! set of count checks. Loading is strict: any malformed line aborts
+//! with a located error rather than silently importing half a table.
 //!
 //! Version 2 text carries each full record's [`Certificate`] and each
 //! independent gcd record's refutation witness. Version 1 tables load
@@ -53,14 +56,13 @@ pub(crate) fn write_atomic_with(
     result
 }
 
-use dda_linalg::Matrix;
-
 use crate::analyzer::CachedOutcome;
-use crate::certificate::{
-    Certificate, Derivation, DirTree, FmTree, RefProof, Rule, SystemRefutation,
-};
-use crate::gcd::{EqOutcome, Lattice};
+use crate::certificate::Certificate;
+use crate::gcd::EqOutcome;
 use crate::memo::{MemoKey, SharedMemo};
+use crate::persist_v3::{
+    dec_cert, dec_lattice, invalid_data, FieldReader, MemoArchive, Tags, MAGIC,
+};
 use crate::result::{
     Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
 };
@@ -130,9 +132,13 @@ fn decode_resolved(s: &str, line: usize) -> Result<ResolvedBy, PersistError> {
     })
 }
 
-/// A small cursor over whitespace-separated fields.
+/// A small cursor over one line's whitespace-separated fields. Its
+/// [`FieldReader`] maps the grammar's one-letter tags to the indices v3
+/// stores, so the shared decoders read text as they read binary.
 struct Fields<'a> {
     parts: std::str::SplitWhitespace<'a>,
+    /// Fields not yet read.
+    left: usize,
     line: usize,
 }
 
@@ -140,56 +146,19 @@ impl<'a> Fields<'a> {
     fn new(s: &'a str, line: usize) -> Fields<'a> {
         Fields {
             parts: s.split_whitespace(),
+            left: s.split_whitespace().count(),
             line,
         }
     }
 
     fn next_str(&mut self) -> Result<&'a str, PersistError> {
         match self.parts.next() {
-            Some(p) => Ok(p),
+            Some(p) => {
+                self.left -= 1;
+                Ok(p)
+            }
             None => err(self.line, "unexpected end of line"),
         }
-    }
-
-    fn next_i64(&mut self) -> Result<i64, PersistError> {
-        let s = self.next_str()?;
-        s.parse().map_err(|_| PersistError {
-            line: self.line,
-            message: format!("bad integer `{s}`"),
-        })
-    }
-
-    fn next_usize(&mut self) -> Result<usize, PersistError> {
-        let v = self.next_i64()?;
-        usize::try_from(v).map_err(|_| PersistError {
-            line: self.line,
-            message: format!("bad count `{v}`"),
-        })
-    }
-
-    fn next_ints(&mut self, n: usize) -> Result<Vec<i64>, PersistError> {
-        (0..n).map(|_| self.next_i64()).collect()
-    }
-
-    /// Number of whitespace-separated fields left on the line.
-    fn remaining(&self) -> usize {
-        self.parts.clone().count()
-    }
-
-    /// Reads a count of items still to be decoded from this line. Every
-    /// item occupies at least one field, so any honest count is bounded
-    /// by what remains — rejecting a corrupt or crafted count *before*
-    /// the caller sizes an allocation from it.
-    fn next_count(&mut self) -> Result<usize, PersistError> {
-        let n = self.next_usize()?;
-        let left = self.remaining();
-        if n > left {
-            return err(
-                self.line,
-                format!("count {n} exceeds the {left} remaining fields"),
-            );
-        }
-        Ok(n)
     }
 
     fn finish(mut self) -> Result<(), PersistError> {
@@ -200,159 +169,44 @@ impl<'a> Fields<'a> {
     }
 }
 
-// --- certificate decoding -----------------------------------------------
+impl FieldReader for Fields<'_> {
+    type Error = PersistError;
+    const UNIT: &'static str = "fields";
+    const SCOPE: &'static str = "line";
 
-fn decode_rule(f: &mut Fields<'_>) -> Result<Rule, PersistError> {
-    Ok(match f.next_str()? {
-        "P" => {
-            let n = f.next_count()?;
-            let coeffs = f.next_ints(n)?;
-            let rhs = f.next_i64()?;
-            Rule::Premise { coeffs, rhs }
-        }
-        "C" => Rule::Comb {
-            a: f.next_usize()?,
-            ca: f.next_i64()?,
-            b: f.next_usize()?,
-            cb: f.next_i64()?,
-        },
-        "D" => Rule::Div {
-            of: f.next_usize()?,
-            d: f.next_i64()?,
-        },
-        other => return err(f.line, format!("bad rule tag `{other}`")),
-    })
-}
-
-fn decode_fmtree(f: &mut Fields<'_>) -> Result<FmTree, PersistError> {
-    Ok(match f.next_str()? {
-        "S" => {
-            let n = f.next_count()?;
-            let rules = (0..n)
-                .map(|_| decode_rule(f))
-                .collect::<Result<Vec<_>, _>>()?;
-            let seal = f.next_usize()?;
-            FmTree::Sealed(Derivation { rules, seal })
-        }
-        "B" => FmTree::Split {
-            var: f.next_usize()?,
-            le: f.next_i64()?,
-            ge: f.next_i64()?,
-            left: Box::new(decode_fmtree(f)?),
-            right: Box::new(decode_fmtree(f)?),
-        },
-        other => return err(f.line, format!("bad fm tag `{other}`")),
-    })
-}
-
-fn decode_sysref(f: &mut Fields<'_>) -> Result<SystemRefutation, PersistError> {
-    let n = f.next_count()?;
-    let arena = (0..n)
-        .map(|_| decode_rule(f))
-        .collect::<Result<Vec<_>, _>>()?;
-    let proof = match f.next_str()? {
-        "A" => RefProof::Arena {
-            seal: f.next_usize()?,
-        },
-        "F" => RefProof::Fm {
-            tree: decode_fmtree(f)?,
-        },
-        other => return err(f.line, format!("bad proof tag `{other}`")),
-    };
-    Ok(SystemRefutation { arena, proof })
-}
-
-fn decode_dirtree(f: &mut Fields<'_>) -> Result<DirTree, PersistError> {
-    Ok(match f.next_str()? {
-        "R" => DirTree::Refuted(decode_sysref(f)?),
-        "T" => DirTree::Split {
-            level: f.next_usize()?,
-            lt: Box::new(decode_dirtree(f)?),
-            eq: Box::new(decode_dirtree(f)?),
-            gt: Box::new(decode_dirtree(f)?),
-        },
-        other => return err(f.line, format!("bad dir tag `{other}`")),
-    })
-}
-
-fn decode_lattice_part(f: &mut Fields<'_>) -> Result<(Vec<i64>, Matrix), PersistError> {
-    let np = f.next_count()?;
-    let rows = f.next_count()?;
-    let cols = f.next_count()?;
-    if np != rows {
-        return err(f.line, "particular length must equal basis rows");
-    }
-    let particular = f.next_ints(np)?;
-    decode_matrix(f, rows, cols).map(|basis| (particular, basis))
-}
-
-/// Decodes a `rows × cols` matrix, validating the (file-supplied) sizes
-/// against the fields actually left on the line before allocating —
-/// a crafted `100000 100000` header is a located parse error, not a
-/// multi-gigabyte allocation.
-fn decode_matrix(f: &mut Fields<'_>, rows: usize, cols: usize) -> Result<Matrix, PersistError> {
-    let cells = rows.checked_mul(cols);
-    if cells.is_none_or(|c| c > f.remaining()) {
-        return err(f.line, format!("line too short for a {rows}x{cols} basis"));
-    }
-    let mut m = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        for c in 0..cols {
-            m[(r, c)] = f.next_i64()?;
+    fn tag(&mut self, tags: &Tags) -> Result<u8, PersistError> {
+        let tok = self.next_str()?;
+        match tags.text.iter().position(|&t| t == tok) {
+            Some(i) => Ok(i as u8),
+            None => self.fail(format!("bad {} tag `{tok}`", tags.what)),
         }
     }
-    Ok(m)
-}
 
-fn decode_cert(f: &mut Fields<'_>) -> Result<Certificate, PersistError> {
-    match f.next_str()? {
-        "c" => {}
-        other => return err(f.line, format!("expected `c`, found `{other}`")),
+    fn int(&mut self) -> Result<i64, PersistError> {
+        let s = self.next_str()?;
+        s.parse()
+            .or_else(|_| self.fail(format!("bad integer `{s}`")))
     }
-    Ok(match f.next_str()? {
-        "-" => Certificate::Conservative,
-        "u" => Certificate::Unverified,
-        "W" => {
-            let n = f.next_count()?;
-            Certificate::Witness { x: f.next_ints(n)? }
-        }
-        "E" => Certificate::ConstantsEqual,
-        "N" => Certificate::ConstantsDiffer,
-        "G" => {
-            let n = f.next_count()?;
-            let numer = f.next_ints(n)?;
-            Certificate::GcdRefutation {
-                numer,
-                denom: f.next_i64()?,
-            }
-        }
-        "R" => {
-            let (particular, basis) = decode_lattice_part(f)?;
-            Certificate::Refuted {
-                particular,
-                basis,
-                refutation: decode_sysref(f)?,
-            }
-        }
-        "X" => {
-            let (particular, basis) = decode_lattice_part(f)?;
-            Certificate::DirectionsExhausted {
-                particular,
-                basis,
-                tree: decode_dirtree(f)?,
-            }
-        }
-        other => return err(f.line, format!("bad certificate tag `{other}`")),
-    })
+
+    fn uint(&mut self) -> Result<usize, PersistError> {
+        let v = self.int()?;
+        usize::try_from(v).or_else(|_| self.fail(format!("bad count `{v}`")))
+    }
+
+    fn remaining(&self) -> usize {
+        self.left
+    }
+
+    fn fail<T>(&self, message: String) -> Result<T, PersistError> {
+        err(self.line, message)
+    }
 }
 
 // --- per-record decoding ------------------------------------------------
 
 fn decode_gcd(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, EqOutcome), PersistError> {
-    let klen = f.next_count()?;
-    let key = MemoKey::from_vec(f.next_ints(klen)?);
-    let tag = f.next_str()?;
-    let value = match tag {
+    let key = MemoKey::from_vec(f.ivec()?);
+    let value = match f.next_str()? {
         "I" if !v2 => {
             // v1 records predate refutation witnesses.
             EqOutcome::Independent { refutation: None }
@@ -360,26 +214,12 @@ fn decode_gcd(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, EqOutcome), Pers
         "I" => {
             let refutation = match f.next_str()? {
                 "-" => None,
-                "w" => {
-                    let n = f.next_count()?;
-                    let numer = f.next_ints(n)?;
-                    Some((numer, f.next_i64()?))
-                }
+                "w" => Some((f.ivec()?, f.int()?)),
                 other => return err(f.line, format!("bad refutation tag `{other}`")),
             };
             EqOutcome::Independent { refutation }
         }
-        "L" => {
-            let np = f.next_count()?;
-            let rows = f.next_count()?;
-            let cols = f.next_count()?;
-            if np != rows {
-                return err(f.line, "particular length must equal basis rows");
-            }
-            let particular = f.next_ints(np)?;
-            let basis = decode_matrix(f, rows, cols)?;
-            EqOutcome::Lattice(Lattice { particular, basis })
-        }
+        "L" => EqOutcome::Lattice(dec_lattice(f)?),
         other => return err(f.line, format!("bad gcd tag `{other}`")),
     };
     Ok((key, value))
@@ -387,8 +227,7 @@ fn decode_gcd(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, EqOutcome), Pers
 
 fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome), PersistError> {
     let line = f.line;
-    let klen = f.next_count()?;
-    let key = MemoKey::from_vec(f.next_ints(klen)?);
+    let key = MemoKey::from_vec(f.ivec()?);
     let answer = match f.next_str()? {
         "I" => Answer::Independent,
         "D" => Answer::Dependent(None),
@@ -398,17 +237,14 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
     let resolved_by = decode_resolved(f.next_str()?, line)?;
     let witness = match f.next_str()? {
         "-" => None,
-        "w" => {
-            let n = f.next_count()?;
-            Some(f.next_ints(n)?)
-        }
+        "w" => Some(f.ivec()?),
         other => return err(line, format!("bad witness tag `{other}`")),
     };
     match f.next_str()? {
         "v" => {}
         other => return err(line, format!("expected `v`, found `{other}`")),
     }
-    let nv = f.next_count()?;
+    let nv = f.count()?;
     let mut direction_vectors = Vec::with_capacity(nv);
     for _ in 0..nv {
         let tok = f.next_str()?;
@@ -424,7 +260,7 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
         "d" => {}
         other => return err(line, format!("expected `d`, found `{other}`")),
     }
-    let nd = f.next_count()?;
+    let nd = f.count()?;
     let mut distance = Vec::with_capacity(nd);
     for _ in 0..nd {
         let tok = f.next_str()?;
@@ -438,7 +274,10 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
         }
     }
     let certificate = if v2 {
-        decode_cert(f)?
+        match f.next_str()? {
+            "c" => dec_cert(f)?,
+            other => return err(line, format!("expected `c`, found `{other}`")),
+        }
     } else {
         // v1 records predate certificates: the verdict is reusable but
         // its evidence is gone.
@@ -562,23 +401,20 @@ impl SharedMemo {
     /// [`std::io::ErrorKind::InvalidData`].
     pub fn load_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<MemoFormat> {
         let started = std::time::Instant::now();
-        let path = path.as_ref();
-        if crate::persist_v3::is_v3_file(path)? {
-            let archive = crate::persist_v3::MemoArchive::open(path)?;
+        let bytes = fs::read(path)?;
+        if bytes.starts_with(&MAGIC) {
+            let archive = MemoArchive::from_bytes(bytes).map_err(invalid_data)?;
             let records = archive.total_records();
             let bytes = archive.file_len();
             if let Err(second) = self.attach_archive(archive) {
                 second
                     .for_each_gcd(|k, v| self.gcd.insert_warm(k, v))
                     .and_then(|()| second.for_each_full(|k, v| self.full.insert_warm(k, v)))
-                    .map_err(|e| {
-                        std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                    })?;
+                    .map_err(invalid_data)?;
             }
             self.note_load(records, bytes, started.elapsed().as_nanos() as u64);
             return Ok(MemoFormat::V3Binary);
         }
-        let bytes = fs::read(path)?;
         let invalid = |e: PersistError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let text = std::str::from_utf8(&bytes).map_err(|e| {
             let line = 1 + bytes[..e.valid_up_to()]
@@ -738,6 +574,33 @@ mod tests {
         assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
         assert_eq!(e.to_string(), "memo file, line 3: invalid UTF-8");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Loads a v2 text table whose one full record nests `body` 30,000
+    /// times and demands the depth cap's located error, not a stack
+    /// overflow.
+    fn expect_depth_capped(name: &str, cert: &str, body: &str) {
+        let path = tmp(name);
+        let record = format!("full 1 7 I T3 - v 0 d 0 c {cert} {}", body.repeat(30_000));
+        std::fs::write(&path, format!("{HEADER}\n{record}\n")).unwrap();
+        let e = SharedMemo::new(1).load_memo_file(&path).unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        let msg = e.to_string();
+        assert!(
+            msg.starts_with("memo file, line 2: ") && msg.ends_with("nesting exceeds depth 200"),
+            "{msg}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn deep_direction_tree_fails_located() {
+        expect_depth_capped("deep_dir.memo", "X 0 0 0", "T 0 ");
+    }
+
+    #[test]
+    fn deep_fm_tree_fails_located() {
+        expect_depth_capped("deep_fm.memo", "R 0 0 0 0 F", "B 0 0 0 ");
     }
 
     #[test]

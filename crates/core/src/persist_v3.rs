@@ -5,9 +5,8 @@
 //! solving. Version 3 keeps the same logical records (gcd outcomes and
 //! full cached outcomes, both keyed by [`MemoKey`]) but lays them out as
 //! hash-partitioned binary shards behind a fixed-width header, so a
-//! warm start is one `mmap` (or one aligned read) plus an O(shards)
-//! validation pass — no per-record work until a record is actually
-//! needed.
+//! warm start is one read of the file plus an O(shards) validation pass
+//! — no per-record work until a record is actually needed.
 //!
 //! ## Wire format (all integers little-endian)
 //!
@@ -46,6 +45,12 @@
 //! of the lie. Per-record decoding is deferred: [`MemoArchive::get_gcd`]
 //! and [`MemoArchive::get_full`] binary-search a shard index and decode
 //! exactly one record.
+//!
+//! The proof-carrying part of a record (rules, FM trees, refutations,
+//! direction trees, lattices, certificates) is one grammar in both
+//! formats. Its decoders here are generic over a `FieldReader`, which
+//! both the varint cursor below and the text reader implement, so the
+//! depth cap and every count check exist once.
 
 use std::fmt;
 use std::fs;
@@ -219,21 +224,13 @@ impl<'a> Cur<'a> {
         self.base + self.pos as u64
     }
 
-    fn fail<T>(&self, message: impl Into<String>) -> Result<T, PersistV3Error> {
-        verr(self.off(), message)
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
     fn u8(&mut self) -> Result<u8, PersistV3Error> {
         match self.buf.get(self.pos) {
             Some(&b) => {
                 self.pos += 1;
                 Ok(b)
             }
-            None => self.fail("unexpected end of record"),
+            None => self.fail("unexpected end of record".into()),
         }
     }
 
@@ -257,33 +254,6 @@ impl<'a> Cur<'a> {
         }
     }
 
-    fn ivarint(&mut self) -> Result<i64, PersistV3Error> {
-        let u = self.uvarint()?;
-        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
-    }
-
-    /// Reads a count of items still to be decoded from this record.
-    /// Every item occupies at least one byte, so any honest count is
-    /// bounded by the bytes that remain — rejecting a corrupt or
-    /// crafted count *before* the caller sizes an allocation from it
-    /// (the binary twin of `Fields::next_count` in the text decoder).
-    fn count(&mut self) -> Result<usize, PersistV3Error> {
-        let start = self.off();
-        let n = self.uvarint()?;
-        let left = self.remaining() as u64;
-        if n > left {
-            return verr(
-                start,
-                format!("count {n} exceeds the {left} remaining bytes"),
-            );
-        }
-        Ok(n as usize)
-    }
-
-    fn ivec(&mut self, n: usize) -> Result<Vec<i64>, PersistV3Error> {
-        (0..n).map(|_| self.ivarint()).collect()
-    }
-
     fn finish(&self) -> Result<(), PersistV3Error> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -294,6 +264,255 @@ impl<'a> Cur<'a> {
             ))
         }
     }
+}
+
+// --- the proof grammar, shared with the text reader ----------------------
+
+/// One variant choice of the proof grammar: v3 stores variant `i` as
+/// byte `i`, v1/v2 text as the letter `text[i]`. A reader's
+/// [`FieldReader::tag`] rejects any other tag, so each decoder's last
+/// match arm is its last variant.
+pub(crate) struct Tags {
+    /// What the tag selects, for error messages.
+    pub(crate) what: &'static str,
+    /// The text letter of each variant, in v3 byte order.
+    pub(crate) text: &'static [&'static str],
+}
+
+const RULE: Tags = Tags {
+    what: "rule",
+    text: &["P", "C", "D"],
+};
+const FM: Tags = Tags {
+    what: "fm",
+    text: &["S", "B"],
+};
+const PROOF: Tags = Tags {
+    what: "proof",
+    text: &["A", "F"],
+};
+const DIR: Tags = Tags {
+    what: "dir",
+    text: &["R", "T"],
+};
+const CERT: Tags = Tags {
+    what: "certificate",
+    text: &["-", "u", "W", "E", "N", "G", "R", "X"],
+};
+
+/// A located reader of record fields: the v3 varint cursor and the
+/// text field cursor (`persist::Fields`) both implement it, so the
+/// proof-carrying part of a record decodes through one set of
+/// functions — with one depth cap, one count check and one basis-size
+/// check for both formats.
+pub(crate) trait FieldReader {
+    /// The reader's located error.
+    type Error;
+    /// What [`remaining`](Self::remaining) counts.
+    const UNIT: &'static str;
+    /// What holds one record, for error messages.
+    const SCOPE: &'static str;
+
+    /// Reads a variant tag and returns its index in `tags`.
+    fn tag(&mut self, tags: &Tags) -> Result<u8, Self::Error>;
+    /// Reads a signed integer.
+    fn int(&mut self) -> Result<i64, Self::Error>;
+    /// Reads an unsigned index or size.
+    fn uint(&mut self) -> Result<usize, Self::Error>;
+    /// Units left in the record; every field occupies at least one.
+    fn remaining(&self) -> usize;
+    /// An error located where the reader stands.
+    fn fail<T>(&self, message: String) -> Result<T, Self::Error>;
+
+    /// Reads a count of items still to be decoded from this record.
+    /// Every item occupies at least one unit, so any honest count is
+    /// bounded by what remains — rejecting a corrupt or crafted count
+    /// *before* the caller sizes an allocation from it.
+    fn count(&mut self) -> Result<usize, Self::Error> {
+        let n = self.uint()?;
+        let left = self.remaining();
+        if n > left {
+            return self.fail(format!(
+                "count {n} exceeds the {left} remaining {}",
+                Self::UNIT
+            ));
+        }
+        Ok(n)
+    }
+
+    /// Reads `n` signed integers.
+    fn ints(&mut self, n: usize) -> Result<Vec<i64>, Self::Error> {
+        (0..n).map(|_| self.int()).collect()
+    }
+
+    /// Reads a counted vector of signed integers.
+    fn ivec(&mut self) -> Result<Vec<i64>, Self::Error> {
+        let n = self.count()?;
+        self.ints(n)
+    }
+}
+
+impl FieldReader for Cur<'_> {
+    type Error = PersistV3Error;
+    const UNIT: &'static str = "bytes";
+    const SCOPE: &'static str = "record";
+
+    fn tag(&mut self, tags: &Tags) -> Result<u8, PersistV3Error> {
+        let t = self.u8()?;
+        if usize::from(t) < tags.text.len() {
+            Ok(t)
+        } else {
+            self.fail(format!("bad {} tag {t}", tags.what))
+        }
+    }
+
+    fn int(&mut self) -> Result<i64, PersistV3Error> {
+        let u = self.uvarint()?;
+        Ok(((u >> 1) as i64) ^ -((u & 1) as i64))
+    }
+
+    fn uint(&mut self) -> Result<usize, PersistV3Error> {
+        let at = self.off();
+        let v = self.uvarint()?;
+        usize::try_from(v).map_err(|_| PersistV3Error {
+            offset: at,
+            message: format!("index {v} does not fit in usize"),
+        })
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn fail<T>(&self, message: String) -> Result<T, PersistV3Error> {
+        verr(self.off(), message)
+    }
+}
+
+fn dec_rule<R: FieldReader>(r: &mut R) -> Result<Rule, R::Error> {
+    Ok(match r.tag(&RULE)? {
+        0 => Rule::Premise {
+            coeffs: r.ivec()?,
+            rhs: r.int()?,
+        },
+        1 => Rule::Comb {
+            a: r.uint()?,
+            ca: r.int()?,
+            b: r.uint()?,
+            cb: r.int()?,
+        },
+        _ => Rule::Div {
+            of: r.uint()?,
+            d: r.int()?,
+        },
+    })
+}
+
+fn dec_rules<R: FieldReader>(r: &mut R) -> Result<Vec<Rule>, R::Error> {
+    let n = r.count()?;
+    (0..n).map(|_| dec_rule(r)).collect()
+}
+
+fn dec_fmtree<R: FieldReader>(r: &mut R, depth: usize) -> Result<FmTree, R::Error> {
+    if depth > MAX_DEPTH {
+        return r.fail(format!("proof tree nesting exceeds depth {MAX_DEPTH}"));
+    }
+    Ok(match r.tag(&FM)? {
+        0 => FmTree::Sealed(Derivation {
+            rules: dec_rules(r)?,
+            seal: r.uint()?,
+        }),
+        _ => FmTree::Split {
+            var: r.uint()?,
+            le: r.int()?,
+            ge: r.int()?,
+            left: Box::new(dec_fmtree(r, depth + 1)?),
+            right: Box::new(dec_fmtree(r, depth + 1)?),
+        },
+    })
+}
+
+fn dec_sysref<R: FieldReader>(r: &mut R) -> Result<SystemRefutation, R::Error> {
+    let arena = dec_rules(r)?;
+    let proof = match r.tag(&PROOF)? {
+        0 => RefProof::Arena { seal: r.uint()? },
+        _ => RefProof::Fm {
+            tree: dec_fmtree(r, 0)?,
+        },
+    };
+    Ok(SystemRefutation { arena, proof })
+}
+
+fn dec_dirtree<R: FieldReader>(r: &mut R, depth: usize) -> Result<DirTree, R::Error> {
+    if depth > MAX_DEPTH {
+        return r.fail(format!("direction tree nesting exceeds depth {MAX_DEPTH}"));
+    }
+    Ok(match r.tag(&DIR)? {
+        0 => DirTree::Refuted(dec_sysref(r)?),
+        _ => DirTree::Split {
+            level: r.uint()?,
+            lt: Box::new(dec_dirtree(r, depth + 1)?),
+            eq: Box::new(dec_dirtree(r, depth + 1)?),
+            gt: Box::new(dec_dirtree(r, depth + 1)?),
+        },
+    })
+}
+
+/// Decodes a lattice's particular solution and basis — of a certificate
+/// or of a gcd record.
+pub(crate) fn dec_lattice<R: FieldReader>(r: &mut R) -> Result<Lattice, R::Error> {
+    let np = r.count()?;
+    let rows = r.count()?;
+    let cols = r.count()?;
+    if np != rows {
+        return r.fail("particular length must equal basis rows".into());
+    }
+    let particular = r.ints(np)?;
+    // Every cell occupies at least one unit, so the product is bounded
+    // by what remains — a crafted `rows x cols` header fails located
+    // instead of sizing a multi-gigabyte matrix.
+    let cells = rows.checked_mul(cols);
+    if cells.is_none_or(|n| n > r.remaining()) {
+        return r.fail(format!("{} too short for a {rows}x{cols} basis", R::SCOPE));
+    }
+    let mut basis = Matrix::zeros(rows, cols);
+    for row in 0..rows {
+        for col in 0..cols {
+            basis[(row, col)] = r.int()?;
+        }
+    }
+    Ok(Lattice { particular, basis })
+}
+
+/// Decodes a certificate.
+pub(crate) fn dec_cert<R: FieldReader>(r: &mut R) -> Result<Certificate, R::Error> {
+    Ok(match r.tag(&CERT)? {
+        0 => Certificate::Conservative,
+        1 => Certificate::Unverified,
+        2 => Certificate::Witness { x: r.ivec()? },
+        3 => Certificate::ConstantsEqual,
+        4 => Certificate::ConstantsDiffer,
+        5 => Certificate::GcdRefutation {
+            numer: r.ivec()?,
+            denom: r.int()?,
+        },
+        6 => {
+            let Lattice { particular, basis } = dec_lattice(r)?;
+            Certificate::Refuted {
+                particular,
+                basis,
+                refutation: dec_sysref(r)?,
+            }
+        }
+        _ => {
+            let Lattice { particular, basis } = dec_lattice(r)?;
+            Certificate::DirectionsExhausted {
+                particular,
+                basis,
+                tree: dec_dirtree(r, 0)?,
+            }
+        }
+    })
 }
 
 // --- record encoders -----------------------------------------------------
@@ -515,184 +734,16 @@ fn enc_full_value(out: &mut Vec<u8>, v: &CachedOutcome) {
 // --- record decoders -----------------------------------------------------
 
 fn dec_key(c: &mut Cur<'_>) -> Result<MemoKey, PersistV3Error> {
-    let n = c.count()?;
-    Ok(MemoKey::from_vec(c.ivec(n)?))
-}
-
-fn dec_ivec(c: &mut Cur<'_>) -> Result<Vec<i64>, PersistV3Error> {
-    let n = c.count()?;
-    c.ivec(n)
-}
-
-fn dec_usize(c: &mut Cur<'_>) -> Result<usize, PersistV3Error> {
-    let at = c.off();
-    let v = c.uvarint()?;
-    usize::try_from(v).map_err(|_| PersistV3Error {
-        offset: at,
-        message: format!("index {v} does not fit in usize"),
-    })
-}
-
-fn dec_rule(c: &mut Cur<'_>) -> Result<Rule, PersistV3Error> {
-    Ok(match c.u8()? {
-        0 => {
-            let coeffs = dec_ivec(c)?;
-            Rule::Premise {
-                coeffs,
-                rhs: c.ivarint()?,
-            }
-        }
-        1 => {
-            let a = dec_usize(c)?;
-            let ca = c.ivarint()?;
-            let b = dec_usize(c)?;
-            let cb = c.ivarint()?;
-            Rule::Comb { a, ca, b, cb }
-        }
-        2 => {
-            let of = dec_usize(c)?;
-            Rule::Div {
-                of,
-                d: c.ivarint()?,
-            }
-        }
-        t => return c.fail(format!("bad rule tag {t}")),
-    })
-}
-
-fn dec_fmtree(c: &mut Cur<'_>, depth: usize) -> Result<FmTree, PersistV3Error> {
-    if depth > MAX_DEPTH {
-        return c.fail(format!("proof tree nesting exceeds depth {MAX_DEPTH}"));
-    }
-    Ok(match c.u8()? {
-        0 => {
-            let n = c.count()?;
-            let rules = (0..n).map(|_| dec_rule(c)).collect::<Result<Vec<_>, _>>()?;
-            let seal = dec_usize(c)?;
-            FmTree::Sealed(Derivation { rules, seal })
-        }
-        1 => {
-            let var = dec_usize(c)?;
-            let le = c.ivarint()?;
-            let ge = c.ivarint()?;
-            FmTree::Split {
-                var,
-                le,
-                ge,
-                left: Box::new(dec_fmtree(c, depth + 1)?),
-                right: Box::new(dec_fmtree(c, depth + 1)?),
-            }
-        }
-        t => return c.fail(format!("bad fm tag {t}")),
-    })
-}
-
-fn dec_sysref(c: &mut Cur<'_>) -> Result<SystemRefutation, PersistV3Error> {
-    let n = c.count()?;
-    let arena = (0..n).map(|_| dec_rule(c)).collect::<Result<Vec<_>, _>>()?;
-    let proof = match c.u8()? {
-        0 => RefProof::Arena {
-            seal: dec_usize(c)?,
-        },
-        1 => RefProof::Fm {
-            tree: dec_fmtree(c, 0)?,
-        },
-        t => return c.fail(format!("bad proof tag {t}")),
-    };
-    Ok(SystemRefutation { arena, proof })
-}
-
-fn dec_dirtree(c: &mut Cur<'_>, depth: usize) -> Result<DirTree, PersistV3Error> {
-    if depth > MAX_DEPTH {
-        return c.fail(format!("direction tree nesting exceeds depth {MAX_DEPTH}"));
-    }
-    Ok(match c.u8()? {
-        0 => DirTree::Refuted(dec_sysref(c)?),
-        1 => {
-            let level = dec_usize(c)?;
-            DirTree::Split {
-                level,
-                lt: Box::new(dec_dirtree(c, depth + 1)?),
-                eq: Box::new(dec_dirtree(c, depth + 1)?),
-                gt: Box::new(dec_dirtree(c, depth + 1)?),
-            }
-        }
-        t => return c.fail(format!("bad dir tag {t}")),
-    })
-}
-
-fn dec_lattice_part(c: &mut Cur<'_>) -> Result<(Vec<i64>, Matrix), PersistV3Error> {
-    let at = c.off();
-    let np = c.count()?;
-    let rows = c.count()?;
-    let cols = c.count()?;
-    if np != rows {
-        return verr(at, "particular length must equal basis rows");
-    }
-    let particular = c.ivec(np)?;
-    // Every cell occupies at least one byte, so the product is bounded
-    // by what remains — a crafted `rows x cols` header fails located
-    // instead of sizing a multi-gigabyte matrix.
-    let cells = rows.checked_mul(cols);
-    if cells.is_none_or(|n| n > c.remaining()) {
-        return verr(at, format!("record too short for a {rows}x{cols} basis"));
-    }
-    let mut m = Matrix::zeros(rows, cols);
-    for r in 0..rows {
-        for col in 0..cols {
-            m[(r, col)] = c.ivarint()?;
-        }
-    }
-    Ok((particular, m))
-}
-
-fn dec_cert(c: &mut Cur<'_>) -> Result<Certificate, PersistV3Error> {
-    Ok(match c.u8()? {
-        0 => Certificate::Conservative,
-        1 => Certificate::Unverified,
-        2 => Certificate::Witness { x: dec_ivec(c)? },
-        3 => Certificate::ConstantsEqual,
-        4 => Certificate::ConstantsDiffer,
-        5 => {
-            let numer = dec_ivec(c)?;
-            Certificate::GcdRefutation {
-                numer,
-                denom: c.ivarint()?,
-            }
-        }
-        6 => {
-            let (particular, basis) = dec_lattice_part(c)?;
-            Certificate::Refuted {
-                particular,
-                basis,
-                refutation: dec_sysref(c)?,
-            }
-        }
-        7 => {
-            let (particular, basis) = dec_lattice_part(c)?;
-            Certificate::DirectionsExhausted {
-                particular,
-                basis,
-                tree: dec_dirtree(c, 0)?,
-            }
-        }
-        t => return c.fail(format!("bad certificate tag {t}")),
-    })
+    Ok(MemoKey::from_vec(c.ivec()?))
 }
 
 fn dec_gcd_value(c: &mut Cur<'_>) -> Result<EqOutcome, PersistV3Error> {
     Ok(match c.u8()? {
         0 => EqOutcome::Independent { refutation: None },
-        1 => {
-            let numer = dec_ivec(c)?;
-            EqOutcome::Independent {
-                refutation: Some((numer, c.ivarint()?)),
-            }
-        }
-        2 => {
-            let (particular, basis) = dec_lattice_part(c)?;
-            EqOutcome::Lattice(Lattice { particular, basis })
-        }
+        1 => EqOutcome::Independent {
+            refutation: Some((c.ivec()?, c.int()?)),
+        },
+        2 => EqOutcome::Lattice(dec_lattice(c)?),
         t => return c.fail(format!("bad gcd tag {t}")),
     })
 }
@@ -720,7 +771,7 @@ fn dec_full_value(c: &mut Cur<'_>) -> Result<CachedOutcome, PersistV3Error> {
     let resolved_by = dec_resolved(c)?;
     let witness = match c.u8()? {
         0 => None,
-        1 => Some(dec_ivec(c)?),
+        1 => Some(c.ivec()?),
         t => return c.fail(format!("bad witness tag {t}")),
     };
     let nv = c.count()?;
@@ -744,7 +795,7 @@ fn dec_full_value(c: &mut Cur<'_>) -> Result<CachedOutcome, PersistV3Error> {
     for _ in 0..nd {
         distance.push(match c.u8()? {
             0 => None,
-            1 => Some(c.ivarint()?),
+            1 => Some(c.int()?),
             t => return c.fail(format!("bad distance tag {t}")),
         });
     }
@@ -876,119 +927,6 @@ pub(crate) fn write_memo_v3(
     write_atomic_with(path, |out| assemble(&gcd_payloads, &full_payloads, out))
 }
 
-// --- mmap region ---------------------------------------------------------
-
-#[cfg(unix)]
-mod region {
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// A read-only private mapping of a whole archive file.
-    pub(super) struct Region {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // Safety: the mapping is PROT_READ + MAP_PRIVATE over an archive
-    // that is never written through this handle; sharing immutable
-    // bytes across threads is sound.
-    unsafe impl Send for Region {}
-    unsafe impl Sync for Region {}
-
-    impl Region {
-        pub(super) fn map(file: &File, len: usize) -> io::Result<Region> {
-            if len == 0 {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, "empty file"));
-            }
-            // Safety: the fd is open for the duration of the call; the
-            // whole file is mapped read-only and privately.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr.is_null() || ptr as usize == usize::MAX {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Region { ptr, len })
-        }
-
-        pub(super) fn as_slice(&self) -> &[u8] {
-            // Safety: ptr..ptr+len is a live read-only mapping owned by
-            // this Region for its whole lifetime.
-            unsafe { std::slice::from_raw_parts(self.ptr.cast::<u8>(), self.len) }
-        }
-    }
-
-    impl Drop for Region {
-        fn drop(&mut self) {
-            // Safety: ptr/len came from a successful mmap and are
-            // unmapped exactly once.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-/// Backing bytes of an open archive: a page-cache mapping when the
-/// platform allows it, an 8-aligned owned buffer otherwise.
-enum ArchiveData {
-    #[cfg(unix)]
-    Mapped(region::Region),
-    Owned {
-        buf: Vec<u64>,
-        len: usize,
-    },
-}
-
-impl ArchiveData {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            #[cfg(unix)]
-            ArchiveData::Mapped(r) => r.as_slice(),
-            ArchiveData::Owned { buf, len } => {
-                // Safety: a `u64` buffer of `buf.len()` words is exactly
-                // `buf.len() * 8` bytes and `len <= buf.len() * 8`; byte
-                // views of integer memory are always valid.
-                unsafe { std::slice::from_raw_parts(buf.as_ptr().cast::<u8>(), *len) }
-            }
-        }
-    }
-}
-
-fn read_aligned(file: &mut fs::File, len: usize) -> io::Result<ArchiveData> {
-    use std::io::Read as _;
-    let mut buf = vec![0u64; len.div_ceil(8)];
-    // Safety: same layout argument as `ArchiveData::bytes`, mutably —
-    // the buffer is exclusively owned here.
-    let bytes = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr().cast::<u8>(), len) };
-    file.read_exact(bytes)?;
-    Ok(ArchiveData::Owned { buf, len })
-}
-
 // --- archive -------------------------------------------------------------
 
 /// Which logical table a shard belongs to.
@@ -1043,12 +981,11 @@ struct Shard {
 /// the cost of a warm start is paid per *used* record, not per stored
 /// one.
 pub struct MemoArchive {
-    data: ArchiveData,
+    data: Vec<u8>,
     shard_count: usize,
     total_records: u64,
     gcd_shards: Vec<Shard>,
     full_shards: Vec<Shard>,
-    mapped: bool,
 }
 
 impl fmt::Debug for MemoArchive {
@@ -1057,54 +994,28 @@ impl fmt::Debug for MemoArchive {
             .field("shard_count", &self.shard_count)
             .field("total_records", &self.total_records)
             .field("file_len", &self.file_len())
-            .field("mapped", &self.mapped)
             .finish()
     }
 }
 
-fn invalid_data(e: PersistV3Error) -> io::Error {
+pub(crate) fn invalid_data(e: PersistV3Error) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e.to_string())
 }
 
 impl MemoArchive {
-    /// Opens and validates an archive, preferring `mmap` (the bytes
-    /// stay in the page cache and fault in on demand) and falling back
-    /// to [`MemoArchive::open_buffered`] when mapping is unavailable.
+    /// Reads and validates an archive.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; format errors are wrapped as
     /// [`std::io::ErrorKind::InvalidData`] with a byte-offset location.
     pub fn open(path: impl AsRef<Path>) -> io::Result<MemoArchive> {
-        let path = path.as_ref();
-        let mut file = fs::File::open(path)?;
-        let len = file_len_usize(&file)?;
-        #[cfg(unix)]
-        {
-            if let Ok(r) = region::Region::map(&file, len) {
-                return MemoArchive::from_data(ArchiveData::Mapped(r), true).map_err(invalid_data);
-            }
-        }
-        let data = read_aligned(&mut file, len)?;
-        MemoArchive::from_data(data, false).map_err(invalid_data)
+        MemoArchive::from_bytes(fs::read(path)?).map_err(invalid_data)
     }
 
-    /// Opens an archive by reading it into an 8-aligned buffer — the
-    /// portable fallback path, public so benchmarks can compare it
-    /// against the mapped path directly.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MemoArchive::open`].
-    pub fn open_buffered(path: impl AsRef<Path>) -> io::Result<MemoArchive> {
-        let mut file = fs::File::open(path.as_ref())?;
-        let len = file_len_usize(&file)?;
-        let data = read_aligned(&mut file, len)?;
-        MemoArchive::from_data(data, false).map_err(invalid_data)
-    }
-
-    fn from_data(data: ArchiveData, mapped: bool) -> Result<MemoArchive, PersistV3Error> {
-        let b = data.bytes();
+    /// Validates an archive already read into memory.
+    pub(crate) fn from_bytes(data: Vec<u8>) -> Result<MemoArchive, PersistV3Error> {
+        let b = data.as_slice();
         if b.len() < HEADER_LEN {
             return verr(
                 0,
@@ -1310,7 +1221,6 @@ impl MemoArchive {
             total_records,
             gcd_shards,
             full_shards,
-            mapped,
         })
     }
 
@@ -1329,13 +1239,7 @@ impl MemoArchive {
     /// Archive length in bytes.
     #[must_use]
     pub fn file_len(&self) -> u64 {
-        self.data.bytes().len() as u64
-    }
-
-    /// Whether the archive is backed by an `mmap` (vs an owned buffer).
-    #[must_use]
-    pub fn is_mapped(&self) -> bool {
-        self.mapped
+        self.data.len() as u64
     }
 
     /// Directory metadata for every shard, section-major.
@@ -1368,7 +1272,7 @@ impl MemoArchive {
     ) -> Option<T> {
         let h = route_hash(key);
         let shard = &shards[(h % self.shard_count as u64) as usize];
-        let payload = &self.data.bytes()[shard.offset..shard.offset + shard.len];
+        let payload = &self.data[shard.offset..shard.offset + shard.len];
         let idx_hash = |j: usize| u64le(&payload[j * INDEX_ENTRY_LEN..]);
         let (mut lo, mut hi) = (0usize, shard.records);
         while lo < hi {
@@ -1423,7 +1327,7 @@ impl MemoArchive {
         mut f: impl FnMut(MemoKey, T),
     ) -> Result<(), PersistV3Error> {
         for shard in shards {
-            let payload = &self.data.bytes()[shard.offset..shard.offset + shard.len];
+            let payload = &self.data[shard.offset..shard.offset + shard.len];
             for j in 0..shard.records {
                 let e = j * INDEX_ENTRY_LEN;
                 let rec_off = u32le(&payload[e + 8..]) as usize;
@@ -1469,34 +1373,11 @@ fn key_matches(cur: &mut Cur<'_>, key: &[i64]) -> Result<bool, PersistV3Error> {
         return Ok(false);
     }
     for &want in key {
-        if cur.ivarint()? != want {
+        if cur.int()? != want {
             return Ok(false);
         }
     }
     Ok(true)
-}
-
-fn file_len_usize(file: &fs::File) -> io::Result<usize> {
-    let len = file.metadata()?.len();
-    usize::try_from(len)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file larger than address space"))
-}
-
-/// Sniffs whether `path` starts with the v3 magic (files shorter than
-/// the magic are not v3; the caller will treat them as text).
-///
-/// # Errors
-///
-/// Propagates I/O errors other than a short read.
-pub fn is_v3_file(path: &Path) -> io::Result<bool> {
-    use std::io::Read as _;
-    let mut file = fs::File::open(path)?;
-    let mut magic = [0u8; 8];
-    match file.read_exact(&mut magic) {
-        Ok(()) => Ok(magic == MAGIC),
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
-        Err(e) => Err(e),
-    }
 }
 
 #[cfg(test)]
@@ -1610,23 +1491,6 @@ mod tests {
     }
 
     #[test]
-    fn buffered_open_agrees_with_mapped_open() {
-        let memo = trained_memo();
-        let path = tmp("buffered.dm3");
-        memo.save_memo_file_v3(&path, 3).unwrap();
-        let mapped = MemoArchive::open(&path).unwrap();
-        let buffered = MemoArchive::open_buffered(&path).unwrap();
-        assert!(!buffered.is_mapped());
-        assert_eq!(mapped.total_records(), buffered.total_records());
-        for (k, v) in memo.full.snapshot() {
-            assert_eq!(buffered.get_full(&k), Some(v.clone()));
-            assert_eq!(mapped.get_full(&k), Some(v));
-        }
-        assert_eq!(mapped.shard_infos(), buffered.shard_infos());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn writes_are_deterministic_per_shard_count() {
         let memo = trained_memo();
         let a = tmp("det_a.dm3");
@@ -1705,14 +1569,13 @@ mod tests {
         );
         // A file shorter than the header never reads past its end.
         expect_located(open_bytes("trunc_header.dm3", &good[..20]), "shorter");
-        assert!(matches!(
-            is_v3_file(&{
-                let p = tmp("five.dm3");
-                std::fs::write(&p, b"DDAME").unwrap();
-                p
-            }),
-            Ok(false)
-        ));
+        // A file shorter than the magic is not an archive: the text
+        // reader takes it and rejects its header.
+        let path = tmp("five.dm3");
+        std::fs::write(&path, b"DDAME").unwrap();
+        let e = SharedMemo::new(1).load_memo_file(&path).unwrap_err();
+        assert!(e.to_string().starts_with("memo file, line 1: "), "{e}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Allocation pin for the v3 memo archive's load path.
 //!
-//! Opening a v3 archive must not allocate per record: the file maps (or
-//! reads into one aligned buffer), the directory parses into O(shards)
-//! vectors, and records stay encoded until a lookup faults them in.
-//! This test builds two archives with the same shard count whose record
-//! counts differ by ~50× and pins that `MemoArchive::open` performs the
-//! same number of heap allocations for both (modulo a tiny constant
-//! slack for the buffered-fallback read buffer).
+//! Opening a v3 archive must not allocate per record: the file reads
+//! into one buffer, the directory parses into O(shards) vectors, and
+//! records stay encoded until a lookup faults them in. This test builds
+//! two archives with the same shard count whose record counts differ by
+//! ~50× and pins that `MemoArchive::open` performs the same number of
+//! heap allocations for both (modulo a tiny constant slack).
 //!
 //! One test only — the counter is process-global, and a sibling test
 //! allocating concurrently would race the measurement window.
@@ -83,8 +82,8 @@ fn archive_open_allocations_do_not_scale_with_record_count() {
 
     // Same shard count ⇒ same directory shape. A per-record allocation
     // would add hundreds of counts to every large-archive window; allow
-    // a constant ±2 for the (size-dependent but single) fallback read
-    // buffer and allocator rounding.
+    // a constant ±2 for the (size-dependent but single) read buffer and
+    // allocator rounding.
     assert!(
         large <= small + 2,
         "archive open allocated per record: {small} allocs for {small_records} records, \

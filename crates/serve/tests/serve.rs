@@ -593,7 +593,8 @@ fn fresh_memo_path_persists_v3_and_restarts_warm() {
     let (status, _, cold) = request(addr, "POST", "/analyze?file=flow.loop", FLOW);
     assert_eq!(status, 200);
     stop(&handle, join);
-    assert!(dda_core::persist_v3::is_v3_file(&path).expect("readable"));
+    let persisted = SharedMemo::new(1).load_memo_file(&path).expect("readable");
+    assert_eq!(persisted, dda_core::MemoFormat::V3Binary);
 
     // Restart on the archive: warm verdicts, load metrics exposed.
     let (addr2, handle2, join2) = start(cfg);
@@ -653,9 +654,9 @@ fn v2_memo_loads_warm_and_persists_back_as_v3() {
     assert!(warm.contains("\"cached\":true"), "{warm}");
     stop(&handle, join);
 
-    assert!(dda_core::persist_v3::is_v3_file(&path).expect("readable"));
     let after = SharedMemo::new(1);
-    after.load_memo_file(&path).expect("persisted v3 loads");
+    let format = after.load_memo_file(&path).expect("persisted v3 loads");
+    assert_eq!(format, dda_core::MemoFormat::V3Binary);
     assert_eq!(after.merged_entries(), before.merged_entries());
 }
 

@@ -920,15 +920,16 @@ fn run_serve(opts: &Options) -> Result<(), String> {
 /// v3 archives get the full header/shard/checksum listing; v2 text gets
 /// an entry count. Corrupt files fail with the located error.
 fn memo_inspect(path: &str) -> Result<(), String> {
-    use dda::core::persist_v3::is_v3_file;
-    if is_v3_file(std::path::Path::new(path)).map_err(|e| format!("{path}: {e}"))? {
-        let archive = dda::core::MemoArchive::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let memo = dda::core::SharedMemo::new(1);
+    memo.load_memo_file(path)
+        .map_err(|e| format!("{path}: {e}"))?;
+    // A fresh table attaches the first archive it loads.
+    if let Some(archive) = memo.archive_ref() {
         println!(
-            "{path}: dda-memo v3, {} shards/section, {} records, {} bytes{}",
+            "{path}: dda-memo v3, {} shards/section, {} records, {} bytes",
             archive.shard_count(),
             archive.total_records(),
             archive.file_len(),
-            if archive.is_mapped() { ", mmapped" } else { "" }
         );
         for s in archive.shard_infos() {
             println!(
@@ -937,9 +938,6 @@ fn memo_inspect(path: &str) -> Result<(), String> {
             );
         }
     } else {
-        let memo = dda::core::SharedMemo::new(1);
-        memo.load_memo_file(path)
-            .map_err(|e| format!("{path}: {e}"))?;
         println!(
             "{path}: dda-memo v2 text, {} full + {} gcd entries",
             memo.full.unique_entries(),
