@@ -108,17 +108,6 @@ pub struct BenchReport {
     pub memo_load: ExactSummary,
 }
 
-/// Canonical lowercase stage token, matching `--tests` syntax and the
-/// registry's stage labels.
-fn stage_token(kind: TestKind) -> &'static str {
-    match kind {
-        TestKind::Svpc => "svpc",
-        TestKind::Acyclic => "acyclic",
-        TestKind::LoopResidue => "residue",
-        TestKind::FourierMotzkin => "fm",
-    }
-}
-
 /// Pipeline latency samples for `kind`'s calibrated pattern: each
 /// sample is a full cascade run in which the earlier tests pass and
 /// `kind` decides — the same patterns `stage_times` uses, but with raw
@@ -202,7 +191,7 @@ pub fn record(quick: bool) -> BenchReport {
         .iter()
         .map(|&kind| {
             (
-                stage_token(kind),
+                kind.token(),
                 ExactSummary::from_samples(resolving_samples(kind, stage_reps)),
             )
         })

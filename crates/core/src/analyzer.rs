@@ -7,7 +7,6 @@
 //! refine direction vectors with pruning — keeping the statistics behind
 //! Tables 1–5 and 7.
 
-use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use crate::memo::SharedMemo;
 use crate::persist::MemoFormat;
 use crate::pipeline::{NullProbe, PipelineConfig, Probe};
 use crate::problem::DependenceProblem;
-use crate::result::{DependenceResult, Direction, DirectionVector, DistanceVector};
+use crate::result::{DependenceResult, DirectionVector, DistanceVector};
 use crate::stats::AnalysisStats;
 use crate::steps::{self, MemoSource, MemoUse, ReduceEffects};
 
@@ -143,39 +142,6 @@ impl ProgramReport {
             .iter()
             .filter(|p| p.result.is_independent())
             .count()
-    }
-
-    /// Loop ids that (conservatively) carry a dependence: a loop cannot
-    /// be run in parallel if some dependent pair has a direction vector
-    /// carried at that loop's level.
-    #[must_use]
-    pub fn carried_dependence_loops(&self) -> BTreeSet<usize> {
-        let mut carried = BTreeSet::new();
-        for pair in &self.pairs {
-            if pair.result.is_independent() {
-                continue;
-            }
-            if pair.direction_vectors.is_empty() {
-                // Dependent but unrefined: every common loop may carry it.
-                carried.extend(pair.common_loop_ids.iter().copied());
-                continue;
-            }
-            for v in &pair.direction_vectors {
-                for (level, &id) in pair.common_loop_ids.iter().enumerate() {
-                    let outer_could_be_eq = v.0[..level]
-                        .iter()
-                        .all(|d| matches!(d, Direction::Eq | Direction::Any));
-                    let this_could_cross = matches!(
-                        v.0.get(level),
-                        Some(Direction::Lt | Direction::Gt | Direction::Any)
-                    );
-                    if outer_could_be_eq && this_could_cross {
-                        carried.insert(id);
-                    }
-                }
-            }
-        }
-        carried
     }
 }
 
@@ -540,20 +506,6 @@ mod tests {
         assert_eq!(r2.stats.assumed, 1);
         assert_eq!(r2.stats.base_tests.total(), 0);
         assert!(!r2.pairs()[0].result.answer.is_exact());
-    }
-
-    #[test]
-    fn carried_dependence_loops_drive_parallelization() {
-        // Outer loop carries nothing (distance 0 on i); inner carries the
-        // j-distance-1 dependence.
-        let src = "for i = 1 to 10 { for j = 1 to 10 {
-            a[i][j + 1] = a[i][j] + 1;
-        } }";
-        let program = parse_program(src).unwrap();
-        let mut an = DependenceAnalyzer::new();
-        let r = an.analyze_program(&program);
-        let carried = r.carried_dependence_loops();
-        assert_eq!(carried.len(), 1, "only the inner loop carries");
     }
 
     #[test]

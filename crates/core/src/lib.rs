@@ -30,6 +30,11 @@
 //! 6. [`analyzer`] drives everything over a whole program and collects
 //!    the statistics behind the paper's Tables 1–5 and 7.
 //!
+//! This crate stops at per-pair verdicts. Which loop carries a
+//! dependence, and which loops may be interchanged, is decided once, by
+//! the `dda-graph` crate, from the edges it lowers out of a
+//! [`ProgramReport`].
+//!
 //! # Quickstart
 //!
 //! ```
@@ -55,7 +60,6 @@ pub mod direction;
 pub mod explain;
 pub mod fourier_motzkin;
 pub mod gcd;
-pub mod graph;
 pub mod json;
 pub mod loop_residue;
 pub mod memo;
@@ -69,7 +73,6 @@ pub mod steps;
 pub mod svpc;
 pub mod symmetry;
 pub mod system;
-pub mod transform;
 
 pub use analyzer::{
     AnalyzerConfig, CachedOutcome, DependenceAnalyzer, MemoMode, PairReport, ProgramReport,

@@ -358,23 +358,13 @@ impl PipelineConfig {
     }
 }
 
-/// Canonical token for a test in `--tests` lists.
-fn test_token(kind: TestKind) -> &'static str {
-    match kind {
-        TestKind::Svpc => "svpc",
-        TestKind::Acyclic => "acyclic",
-        TestKind::LoopResidue => "residue",
-        TestKind::FourierMotzkin => "fm",
-    }
-}
-
 impl fmt::Display for PipelineConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, t) in self.tests().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
-            f.write_str(test_token(t))?;
+            f.write_str(t.token())?;
         }
         Ok(())
     }

@@ -23,6 +23,18 @@ impl TestKind {
         TestKind::LoopResidue,
         TestKind::FourierMotzkin,
     ];
+
+    /// Canonical lowercase token: the `--tests` syntax, the metrics
+    /// stage label and the trace and bench key for this test.
+    #[must_use]
+    pub const fn token(self) -> &'static str {
+        match self {
+            TestKind::Svpc => "svpc",
+            TestKind::Acyclic => "acyclic",
+            TestKind::LoopResidue => "residue",
+            TestKind::FourierMotzkin => "fm",
+        }
+    }
 }
 
 impl fmt::Display for TestKind {
@@ -170,16 +182,6 @@ impl DirectionVector {
     pub fn is_all_eq(&self) -> bool {
         self.0.iter().all(|&d| d == Direction::Eq)
     }
-
-    /// Whether the dependence is carried by loop `level` (0-based,
-    /// outermost first): all outer components are `=` and this one is `<`
-    /// or `>`.
-    #[must_use]
-    pub fn carried_by(&self, level: usize) -> bool {
-        self.0.len() > level
-            && self.0[..level].iter().all(|&d| d == Direction::Eq)
-            && matches!(self.0[level], Direction::Lt | Direction::Gt)
-    }
 }
 
 impl fmt::Display for DirectionVector {
@@ -264,14 +266,7 @@ mod tests {
     fn direction_vector_display() {
         let v = DirectionVector(vec![Direction::Lt, Direction::Eq, Direction::Any]);
         assert_eq!(v.to_string(), "(<, =, *)");
-    }
-
-    #[test]
-    fn carried_by_levels() {
-        let v = DirectionVector(vec![Direction::Eq, Direction::Lt, Direction::Any]);
-        assert!(!v.carried_by(0));
-        assert!(v.carried_by(1));
-        assert!(!v.carried_by(2));
+        assert!(!v.is_all_eq());
         assert!(DirectionVector(vec![Direction::Eq, Direction::Eq]).is_all_eq());
     }
 

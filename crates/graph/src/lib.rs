@@ -52,5 +52,6 @@ mod model;
 pub mod render;
 
 pub use model::{
-    build_graph, GraphNode, InterchangeVerdict, LoopVerdict, PairSummary, ProgramGraph,
+    build_graph, DependenceEdge, GraphNode, InterchangeVerdict, LoopVerdict, PairSummary,
+    ProgramGraph,
 };

@@ -1,11 +1,155 @@
 //! Graph construction and the loop-legality oracle.
+//!
+//! Every direction vector reported for a pair of references becomes one
+//! or two *oriented* edges (source executes before sink). Orientation
+//! follows the vector's leading non-`=` component: `<` keeps the pair
+//! order, `>` reverses it (and mirrors the vector), `*` is conservatively
+//! both. All-`=` vectors are loop-independent edges ordered by execution
+//! position within the iteration (reads of a statement execute before its
+//! write).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dda_core::graph::{dependence_graph, DependenceEdge};
-use dda_core::{Direction, ProgramReport};
-use dda_ir::{extract_accesses, loop_table, LoopTable, Program, SymbolTable};
+use dda_core::symmetry::{flip_direction, flip_distance};
+use dda_core::{DependenceKind, Direction, DirectionVector, DistanceVector, ProgramReport};
+use dda_ir::{extract_accesses, loop_table, AccessSet, LoopTable, Program, SymbolTable};
+
+/// One oriented dependence edge.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DependenceEdge {
+    /// Index of the [`PairReport`](dda_core::PairReport) this edge was
+    /// lowered from (into [`ProgramReport::pairs`]) — the handle that
+    /// lets a consumer fetch the certificate backing the edge.
+    pub pair: usize,
+    /// Access id of the source (executes first).
+    pub source: usize,
+    /// Access id of the sink.
+    pub sink: usize,
+    /// Flow / anti / output / input.
+    pub kind: DependenceKind,
+    /// Direction vector oriented source → sink.
+    pub vector: DirectionVector,
+    /// Distance vector oriented source → sink (per-level `None` where
+    /// the distance is not constant).
+    pub distance: DistanceVector,
+    /// The loop level carrying the dependence (outermost first), or
+    /// `None` for a loop-independent edge.
+    pub carrying_level: Option<usize>,
+}
+
+impl DependenceEdge {
+    /// Whether the edge crosses iterations of some common loop.
+    #[must_use]
+    pub fn is_loop_carried(&self) -> bool {
+        self.carrying_level.is_some()
+    }
+}
+
+/// The leading non-`=` component, if any. `Err(())` signals a leading `*`
+/// (ambiguous orientation).
+fn leading(v: &DirectionVector) -> Result<Option<Direction>, ()> {
+    for d in &v.0 {
+        match d {
+            Direction::Eq => continue,
+            Direction::Any => return Err(()),
+            other => return Ok(Some(*other)),
+        }
+    }
+    Ok(None)
+}
+
+/// The outermost level whose component is `<` with an all-`=` prefix
+/// (the carrying level of a source→sink-oriented vector).
+fn carrying_level(v: &DirectionVector) -> Option<usize> {
+    for (k, d) in v.0.iter().enumerate() {
+        match d {
+            Direction::Eq => continue,
+            _ => return Some(k),
+        }
+    }
+    None
+}
+
+/// Execution position of an access within one iteration: statements run
+/// in order, and a statement's reads run before its write.
+fn execution_pos(set: &AccessSet, access: usize) -> (usize, usize) {
+    let a = &set.accesses[access];
+    (a.stmt_index, usize::from(a.is_write))
+}
+
+/// `v` seen from the other end of the pair.
+fn mirror(v: &DirectionVector) -> DirectionVector {
+    DirectionVector(v.0.iter().map(|&d| flip_direction(d)).collect())
+}
+
+/// Lowers an analysis report to oriented edges, in pair then vector
+/// order. `set` must be the access set of the same program the report
+/// was produced from (it supplies read/write kinds and statement
+/// positions).
+fn dependence_graph(report: &ProgramReport, set: &AccessSet) -> Vec<DependenceEdge> {
+    let mut edges = Vec::new();
+    for (pair_index, pair) in report.pairs().iter().enumerate() {
+        if pair.result.is_independent() {
+            continue;
+        }
+        let vectors: &[DirectionVector] = &pair.direction_vectors;
+        let a = pair.a_access;
+        let b = pair.b_access;
+        let distance = &pair.distance;
+        let push = |edges: &mut Vec<DependenceEdge>,
+                    src: usize,
+                    dst: usize,
+                    v: DirectionVector,
+                    flipped: bool| {
+            let kind =
+                DependenceKind::classify(set.accesses[src].is_write, set.accesses[dst].is_write);
+            let carrying_level = carrying_level(&v);
+            edges.push(DependenceEdge {
+                pair: pair_index,
+                source: src,
+                sink: dst,
+                kind,
+                vector: v,
+                distance: if flipped {
+                    flip_distance(distance)
+                } else {
+                    distance.clone()
+                },
+                carrying_level,
+            });
+        };
+        if vectors.is_empty() {
+            // Unrefined (assumed) dependence: conservative both ways.
+            let n = pair.common_loop_ids.len();
+            push(&mut edges, a, b, DirectionVector::any(n), false);
+            push(&mut edges, b, a, DirectionVector::any(n), true);
+            continue;
+        }
+        for v in vectors {
+            match leading(v) {
+                Ok(Some(Direction::Lt)) | Ok(Some(Direction::Any)) => {
+                    push(&mut edges, a, b, v.clone(), false);
+                }
+                Ok(Some(Direction::Gt)) => push(&mut edges, b, a, mirror(v), true),
+                Ok(Some(Direction::Eq)) | Ok(None) => {
+                    // Loop-independent: order by execution position.
+                    if execution_pos(set, a) <= execution_pos(set, b) {
+                        push(&mut edges, a, b, v.clone(), false);
+                    } else {
+                        push(&mut edges, b, a, mirror(v), true);
+                    }
+                }
+                Err(()) => {
+                    // Leading `*`: could run either way.
+                    push(&mut edges, a, b, v.clone(), false);
+                    push(&mut edges, b, a, mirror(v), true);
+                }
+            }
+        }
+    }
+    edges
+}
 
 /// One node of the dependence graph: a statement access.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,10 +279,9 @@ impl ProgramGraph {
     /// Whether `edge` crosses iterations of loop `loop_id`: the loop
     /// appears at some level `k` of the edge's pair, every outer
     /// component of the direction vector admits `=`, and component `k`
-    /// admits `<` or `>`. Mirrors
-    /// [`ProgramReport::carried_dependence_loops`] exactly (the
-    /// predicate is invariant under the vector mirroring edge
-    /// orientation performs).
+    /// admits `<` or `>`. This is the one carried-at rule; the predicate
+    /// is invariant under the vector mirroring edge orientation
+    /// performs, so it agrees with reading the pair reports directly.
     #[must_use]
     pub fn edge_carries_at(&self, edge: &DependenceEdge, loop_id: usize) -> bool {
         let Some(pair) = self.pairs.get(edge.pair) else {
@@ -194,10 +337,9 @@ impl ProgramGraph {
         !self.edges.iter().any(|e| self.edge_carries_at(e, loop_id))
     }
 
-    /// Ids of all loops carrying some dependence — equal, by
-    /// construction, to
-    /// [`ProgramReport::carried_dependence_loops`] of the originating
-    /// report (pinned by proptest in the workspace test suite).
+    /// Ids of all loops carrying some dependence (pinned by proptest in
+    /// the workspace test suite against a frozen report-level copy of
+    /// the rule).
     #[must_use]
     pub fn carried_loops(&self) -> BTreeSet<usize> {
         self.loops
@@ -333,26 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_match_the_report_summary() {
-        for src in [
-            "for i = 1 to 100 { a[i + 1] = a[i]; }",
-            "for i = 1 to 100 { for j = 1 to 100 { a[i][j + 1] = a[i][j]; } }",
-            "for i = 2 to 100 { for j = 2 to 100 { a[i][j] = a[i - 1][j] + a[i][j - 1]; } }",
-            "for i = 1 to 10 { a[i * i] = a[i]; }",
-            "for i = 1 to 40 { s[0] = s[0] + c[i]; }",
-        ] {
-            let p = parse_program(src).unwrap();
-            let report = DependenceAnalyzer::new().analyze_program(&p);
-            let g = build_graph(&p, &report);
-            assert_eq!(
-                g.carried_loops(),
-                report.carried_dependence_loops(),
-                "{src}"
-            );
-        }
-    }
-
-    #[test]
     fn interchange_legal_for_all_lt_vectors() {
         // (<, <): swapping gives (<, <), still positive.
         let g = graph("for i = 1 to 30 { for j = 1 to 30 { a[i + 1][j + 1] = a[i][j] + 1; } }");
@@ -371,6 +493,27 @@ mod tests {
         assert_eq!(v.blocking_edges.len(), 1);
         let e = &g.edges[v.blocking_edges[0]];
         assert_eq!(&*g.pairs[e.pair].array, "b");
+    }
+
+    /// Per-nest verdicts of two sibling nests, one interchangeable and
+    /// one not, in both orders: each verdict talks about its own loops.
+    #[test]
+    fn sibling_nests_get_their_own_interchange_verdicts() {
+        let legal = "for i = 1 to 30 { for j = 1 to 30 { a[i + 1][j + 1] = a[i][j]; } }";
+        let illegal = "for p = 1 to 30 { for q = 1 to 30 { b[p + 1][q] = b[p][q + 1]; } }";
+        for (src, want) in [
+            (format!("{legal} {illegal}"), [true, false]),
+            (format!("{illegal} {legal}"), [false, true]),
+        ] {
+            let g = graph(&src);
+            let verdicts = g.interchange_verdicts();
+            let got: Vec<(usize, usize, bool)> = verdicts
+                .iter()
+                .map(|v| (v.outer, v.inner, v.legal))
+                .collect();
+            assert_eq!(got, vec![(0, 1, want[0]), (2, 3, want[1])], "{src}");
+            assert_eq!(g.carried_loops(), BTreeSet::from([0, 2]), "{src}");
+        }
     }
 
     #[test]
@@ -417,5 +560,97 @@ mod tests {
         assert_eq!(g.nodes[0].label, "a[i] (write)");
         assert!(g.nodes[0].is_write);
         assert_eq!(g.loops.len(), 2);
+    }
+}
+
+/// The edge-lowering tests, kept apart from the oracle tests above.
+#[cfg(test)]
+mod lowering_tests {
+    use super::*;
+    use dda_core::DependenceAnalyzer;
+    use dda_ir::{extract_accesses, parse_program};
+
+    fn graph(src: &str) -> (Vec<DependenceEdge>, dda_ir::AccessSet) {
+        let p = parse_program(src).unwrap();
+        let set = extract_accesses(&p);
+        let report = DependenceAnalyzer::new().analyze_program(&p);
+        (dependence_graph(&report, &set), set)
+    }
+
+    #[test]
+    fn flow_dependence_oriented_forward() {
+        let (edges, _) = graph("for i = 1 to 10 { a[i + 1] = a[i]; }");
+        assert_eq!(edges.len(), 1);
+        let e = &edges[0];
+        assert_eq!(e.kind, DependenceKind::Flow);
+        assert_eq!(e.source, 0); // the write
+        assert_eq!(e.sink, 1);
+        assert_eq!(e.vector.to_string(), "(<)");
+        assert_eq!(e.carrying_level, Some(0));
+        assert_eq!(e.pair, 0);
+        assert_eq!(e.distance.0, vec![Some(1)]);
+    }
+
+    #[test]
+    fn anti_dependence_from_reversed_vector() {
+        // Write a[i] meets read a[i+1] at i = i′ + 1: raw vector (>),
+        // oriented edge read → write with (<): an anti dependence.
+        let (edges, _) = graph("for i = 1 to 10 { a[i] = a[i + 1]; }");
+        assert_eq!(edges.len(), 1);
+        let e = &edges[0];
+        assert_eq!(e.kind, DependenceKind::Anti);
+        assert_eq!(e.source, 1); // the read executes (one iteration) first
+        assert_eq!(e.sink, 0);
+        assert_eq!(e.vector.to_string(), "(<)");
+        // The stored pair distance is mirrored along with the vector.
+        assert_eq!(e.distance.0, vec![Some(1)]);
+    }
+
+    #[test]
+    fn loop_independent_same_statement() {
+        // a[i] = a[i] + 1: same-iteration read before write: anti,
+        // not carried.
+        let (edges, _) = graph("for i = 1 to 10 { a[i] = a[i] + 1; }");
+        assert_eq!(edges.len(), 1);
+        let e = &edges[0];
+        assert_eq!(e.kind, DependenceKind::Anti);
+        assert_eq!(e.source, 1);
+        assert_eq!(e.sink, 0);
+        assert!(!e.is_loop_carried());
+    }
+
+    #[test]
+    fn output_dependence_between_statements() {
+        let (edges, _) = graph("for i = 1 to 10 { a[i + 1] = 1; a[i] = 2; }");
+        // Write a[i+1] at i meets write a[i'] at i′ = i + 1: carried WAW
+        // (source: first statement) — vector (<) from access 0 to 1.
+        assert_eq!(edges.len(), 1);
+        let e = &edges[0];
+        assert_eq!(e.kind, DependenceKind::Output);
+        assert_eq!((e.source, e.sink), (0, 1));
+        assert_eq!(e.carrying_level, Some(0));
+    }
+
+    #[test]
+    fn star_leading_vector_goes_both_ways() {
+        // Unused outer loop: vector (*, <) is ambiguous at level 0.
+        let (edges, _) = graph("for i = 1 to 10 { for j = 1 to 10 { a[j + 2] = a[j]; } }");
+        assert_eq!(edges.len(), 2);
+        assert_eq!(edges[0].source, 0);
+        assert_eq!(edges[1].source, 1);
+        assert_eq!(edges[1].vector.to_string(), "(*, >)");
+    }
+
+    #[test]
+    fn assumed_pairs_become_bidirectional_any_edges() {
+        let (edges, _) = graph("for i = 1 to 10 { a[i * i] = a[i]; }");
+        assert_eq!(edges.len(), 2);
+        assert!(edges.iter().all(|e| e.vector.to_string() == "(*)"));
+    }
+
+    #[test]
+    fn independent_pairs_produce_no_edges() {
+        let (edges, _) = graph("for i = 1 to 10 { a[i] = a[i + 10]; }");
+        assert!(edges.is_empty());
     }
 }

@@ -8,11 +8,10 @@
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use dda_core::graph::DependenceEdge;
 use dda_core::json::json_escape;
 use dda_ir::{ForLoop, Program, Stmt, SymbolTable};
 
-use crate::model::{LoopVerdict, ProgramGraph};
+use crate::model::{DependenceEdge, LoopVerdict, ProgramGraph};
 
 /// Renders the graph in Graphviz DOT: edge-incident accesses as nodes
 /// (writes boxed, reads elliptic), one edge per oriented dependence,

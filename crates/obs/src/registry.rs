@@ -18,7 +18,12 @@ use dda_core::TestKind;
 
 /// Label tokens for the four cascade stages, indexed by
 /// [`TestKind::index`].
-pub const STAGE_LABELS: [&str; 4] = ["svpc", "acyclic", "residue", "fm"];
+pub const STAGE_LABELS: [&str; 4] = [
+    TestKind::Svpc.token(),
+    TestKind::Acyclic.token(),
+    TestKind::LoopResidue.token(),
+    TestKind::FourierMotzkin.token(),
+];
 
 /// Label tokens for stage verdicts, indexed by [`stage_verdict_index`].
 pub const STAGE_VERDICT_LABELS: [&str; 4] = ["independent", "dependent", "unknown", "pass"];

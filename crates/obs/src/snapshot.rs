@@ -11,8 +11,7 @@
 
 use crate::metrics::LatencySummary;
 use crate::registry::{
-    MemoTableKind, MetricsRegistry, GCD_VERDICT_LABELS, GRAPH_EDGE_LABELS, STAGE_LABELS,
-    STAGE_VERDICT_LABELS,
+    MemoTableKind, MetricsRegistry, GCD_VERDICT_LABELS, GRAPH_EDGE_LABELS, STAGE_VERDICT_LABELS,
 };
 use dda_core::stats::AnalysisStats;
 use dda_core::{MemoCounters, TestKind};
@@ -227,7 +226,7 @@ impl MetricsSnapshot {
         let stages = TestKind::ALL
             .iter()
             .map(|&t| StageSection {
-                stage: STAGE_LABELS[t.index()],
+                stage: t.token(),
                 latency: reg.stage_latency(t),
                 verdicts: reg.stage_verdicts(t),
             })

@@ -205,8 +205,7 @@ impl Probe for SpanRecorder {
             }
             TraceEvent::Stage { test, nanos, .. } => {
                 self.ensure_root();
-                let token = crate::registry::STAGE_LABELS[test.index()];
-                self.leaf(format!("stage:{token}"), nanos);
+                self.leaf(format!("stage:{}", test.token()), nanos);
             }
             TraceEvent::RefinementStarted => {
                 self.ensure_root();

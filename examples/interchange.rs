@@ -11,46 +11,39 @@
 //! cargo run --example interchange
 //! ```
 
-use dda::core::transform::{interchange_is_legal, may_be_lexicographically_negative};
-use dda::core::{DependenceAnalyzer, DirectionVector};
+use dda::core::DependenceAnalyzer;
+use dda::graph::build_graph;
 use dda::ir::{parse_program, passes};
-
-fn interchange_levels(v: &DirectionVector, a: usize, b: usize) -> DirectionVector {
-    let mut out = v.clone();
-    out.0.swap(a, b);
-    out
-}
 
 fn check(label: &str, src: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!("=== {label} ===");
     let mut program = parse_program(src)?;
     passes::normalize(&mut program);
-    let mut analyzer = DependenceAnalyzer::new();
-    let report = analyzer.analyze_program(&program);
+    let report = DependenceAnalyzer::new().analyze_program(&program);
+    let graph = build_graph(&program, &report);
 
-    // Show the per-vector reasoning, then ask the library for the verdict.
-    for pair in report.pairs() {
-        if pair.result.is_independent() || pair.common_loop_ids.len() < 2 {
+    // Ask the graph for the verdict, then show the per-edge reasoning.
+    let verdict = graph.interchange_legal(0, 1);
+    for (k, edge) in graph.edges.iter().enumerate() {
+        if edge.vector.0.len() < 2 {
             continue;
         }
-        for v in &pair.direction_vectors {
-            let swapped = interchange_levels(v, 0, 1);
-            let bad = may_be_lexicographically_negative(&swapped);
-            println!(
-                "  {}: {v} -> {swapped}{}",
-                pair.array,
-                if bad {
-                    "   ILLEGAL (lexicographically negative)"
-                } else {
-                    ""
-                }
-            );
-        }
+        let mut swapped = edge.vector.clone();
+        swapped.0.swap(0, 1);
+        println!(
+            "  {}: {} -> {swapped}{}",
+            graph.pairs[edge.pair].array,
+            edge.vector,
+            if verdict.blocking_edges.contains(&k) {
+                "   ILLEGAL (lexicographically negative)"
+            } else {
+                ""
+            }
+        );
     }
-    let legal = interchange_is_legal(&report, 0, 1);
     println!(
         "  interchange of the outer two loops is {}\n",
-        if legal { "LEGAL" } else { "ILLEGAL" }
+        if verdict.legal { "LEGAL" } else { "ILLEGAL" }
     );
     Ok(())
 }

@@ -5,6 +5,7 @@
 //! ```
 
 use dda::core::DependenceAnalyzer;
+use dda::graph::build_graph;
 use dda::ir::parse_program;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -46,10 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 );
             }
         }
-        println!(
-            "  parallelizable: {}\n",
-            report.carried_dependence_loops().is_empty()
-        );
+        let graph = build_graph(program, &report);
+        println!("  parallelizable: {}\n", graph.carried_loops().is_empty());
     }
     Ok(())
 }

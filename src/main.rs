@@ -12,11 +12,12 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use dda::core::json::json_escape;
-use dda::core::pipeline::{ClassifiedKind, GcdVerdict, Probe, TraceEvent};
-use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe, TestKind};
+use dda::core::pipeline::{ClassifiedKind, Probe, TraceEvent};
+use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe};
 use dda::engine::{Engine, EngineConfig};
 use dda::graph::render::{annotate_source, graph_json_line, parallel_json_line, to_dot};
 use dda::ir::{parse_program, passes, Program};
+use dda::obs::registry::{gcd_verdict_index, GCD_VERDICT_LABELS};
 use dda::obs::{MetricsProbe, MetricsRegistry, MetricsSnapshot, SpanRecorder};
 use dda::serve::manifest::{self, BatchInput};
 use dda::serve::render::batch_json_line;
@@ -457,16 +458,6 @@ fn read_source(file: &str) -> std::io::Result<String> {
     }
 }
 
-/// Canonical lowercase token for a test, matching `--tests` syntax.
-fn test_token(kind: TestKind) -> &'static str {
-    match kind {
-        TestKind::Svpc => "svpc",
-        TestKind::Acyclic => "acyclic",
-        TestKind::LoopResidue => "residue",
-        TestKind::FourierMotzkin => "fm",
-    }
-}
-
 fn answer_token(answer: &dda::core::Answer) -> &'static str {
     if answer.is_independent() {
         "independent"
@@ -522,16 +513,10 @@ fn trace_event_json(event: &TraceEvent) -> String {
             verdict,
             cached,
             nanos,
-        } => {
-            let v = match verdict {
-                GcdVerdict::Independent => "independent",
-                GcdVerdict::Lattice => "lattice",
-                GcdVerdict::Overflow => "overflow",
-            };
-            format!(
-                "{{\"event\":\"gcd\",\"verdict\":\"{v}\",\"cached\":{cached},\"nanos\":{nanos}}}"
-            )
-        }
+        } => format!(
+            "{{\"event\":\"gcd\",\"verdict\":\"{}\",\"cached\":{cached},\"nanos\":{nanos}}}",
+            GCD_VERDICT_LABELS[gcd_verdict_index(*verdict)]
+        ),
         TraceEvent::Reduced { free_vars, system } => {
             let rows: Vec<String> = system
                 .constraints
@@ -552,7 +537,7 @@ fn trace_event_json(event: &TraceEvent) -> String {
         } => format!(
             "{{\"event\":\"stage_entered\",\"test\":\"{}\",\"vars\":{vars},\
              \"constraints\":{constraints},\"bounded\":{bounded}}}",
-            test_token(*test)
+            test.token()
         ),
         TraceEvent::Stage {
             test,
@@ -560,7 +545,7 @@ fn trace_event_json(event: &TraceEvent) -> String {
             nanos,
         } => format!(
             "{{\"event\":\"stage\",\"test\":\"{}\",\"verdict\":\"{verdict}\",\"nanos\":{nanos}}}",
-            test_token(*test)
+            test.token()
         ),
         TraceEvent::Witness { x } => {
             let vals: Vec<String> = x.iter().map(ToString::to_string).collect();
@@ -724,6 +709,40 @@ fn profile_batch(opts: &Options, files: &[String], programs: &[Program]) -> Resu
     write_profile_dir(dir, &spans)
 }
 
+/// The shared tail of `batch`, `graph` and `parallel`: the `--metrics`
+/// snapshot, the `--profile` replay, `--memo-save` and `--check`, in
+/// that order.
+fn finish_engine_run(
+    opts: &Options,
+    engine: &Engine,
+    files: &[String],
+    programs: &[Program],
+    reports: &[dda::core::ProgramReport],
+) -> Result<(), String> {
+    if let Some(format) = opts.metrics {
+        let memo = engine.memo();
+        let snapshot = MetricsSnapshot::from_registry(engine.metrics())
+            .with_pairs(engine.stats())
+            .with_memo_table("full", memo.full.counters(), memo.full.shard_ops())
+            .with_memo_table("gcd", memo.gcd.counters(), memo.gcd.shard_ops())
+            .with_memo_load(memo.memo_load_stats());
+        emit_metrics(format, &snapshot);
+    }
+    if opts.profile.is_some() {
+        profile_batch(opts, files, programs)?;
+    }
+
+    if let Some(path) = &opts.memo_save {
+        engine
+            .save_memo_file_v3(path, opts.shards)
+            .map_err(|e| format!("{path}: {e}"))?;
+    }
+    if opts.check {
+        run_check(opts, files, programs, reports)?;
+    }
+    Ok(())
+}
+
 /// `dda batch`: analyze every program from the inputs with the parallel
 /// engine and emit one JSON report per line, in input order.
 fn run_batch(opts: &Options) -> Result<(), String> {
@@ -771,28 +790,7 @@ fn run_batch(opts: &Options) -> Result<(), String> {
         eprintln!("stage times: {}", engine.stage_timings());
     }
 
-    if let Some(format) = opts.metrics {
-        let memo = engine.memo();
-        let snapshot = MetricsSnapshot::from_registry(engine.metrics())
-            .with_pairs(engine.stats())
-            .with_memo_table("full", memo.full.counters(), memo.full.shard_ops())
-            .with_memo_table("gcd", memo.gcd.counters(), memo.gcd.shard_ops())
-            .with_memo_load(memo.memo_load_stats());
-        emit_metrics(format, &snapshot);
-    }
-    if opts.profile.is_some() {
-        profile_batch(opts, &files, &programs)?;
-    }
-
-    if let Some(path) = &opts.memo_save {
-        engine
-            .save_memo_file_v3(path, opts.shards)
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.check {
-        run_check(opts, &files, &programs, &reports)?;
-    }
-    Ok(())
+    finish_engine_run(opts, &engine, &files, &programs, &reports)
 }
 
 /// `dda graph` / `dda parallel`: build the dependence graph for every
@@ -843,23 +841,13 @@ fn run_graph(opts: &Options) -> Result<(), String> {
 
     if opts.stats {
         let s = engine.stats();
-        let (mut parallel, mut sequential) = (0usize, 0usize);
-        for graph in &out.graphs {
-            for l in graph.loops.loops() {
-                if graph.is_parallel(l.id) {
-                    parallel += 1;
-                } else {
-                    sequential += 1;
-                }
-            }
-        }
         let edges: usize = out.graphs.iter().map(|g| g.edges.len()).sum();
         eprintln!(
             "graph: {} programs, {} edges | {} parallel loops, {} sequential",
             out.graphs.len(),
             edges,
-            parallel,
-            sequential
+            engine.metrics().graph_parallel_loops(),
+            engine.metrics().graph_sequential_loops()
         );
         eprintln!(
             "pairs: {} | constant {} | gcd-independent {} | assumed {}",
@@ -868,28 +856,7 @@ fn run_graph(opts: &Options) -> Result<(), String> {
         eprintln!("stage times: {}", engine.stage_timings());
     }
 
-    if let Some(format) = opts.metrics {
-        let memo = engine.memo();
-        let snapshot = MetricsSnapshot::from_registry(engine.metrics())
-            .with_pairs(engine.stats())
-            .with_memo_table("full", memo.full.counters(), memo.full.shard_ops())
-            .with_memo_table("gcd", memo.gcd.counters(), memo.gcd.shard_ops())
-            .with_memo_load(memo.memo_load_stats());
-        emit_metrics(format, &snapshot);
-    }
-    if opts.profile.is_some() {
-        profile_batch(opts, &files, &programs)?;
-    }
-
-    if let Some(path) = &opts.memo_save {
-        engine
-            .save_memo_file_v3(path, opts.shards)
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.check {
-        run_check(opts, &files, &programs, &out.batch.reports)?;
-    }
-    Ok(())
+    finish_engine_run(opts, &engine, &files, &programs, &out.batch.reports)
 }
 
 /// `dda serve`: run the persistent analysis service until SIGTERM,

@@ -5,8 +5,9 @@
 //!
 //! 1. **Parallel claims are consistent with the reports.** A loop the
 //!    graph marks `Parallel` has zero pair reports carrying a
-//!    dependence at its level (the analyzer's own
-//!    `carried_dependence_loops` view), in every memo mode.
+//!    dependence at its level, in every memo mode. The report-level
+//!    view is [`carried_dependence_loops`], a frozen copy of the rule
+//!    dda-core used to carry, kept here as a differential oracle.
 //! 2. **Sequential claims are re-checkable.** Every blocking edge a
 //!    `Sequential` verdict cites resolves to a pair report whose
 //!    certificate the independent proof-checking kernel accepts — a
@@ -15,8 +16,10 @@
 //!    rendered to JSONL, is byte-identical to a serial
 //!    `build_graph` loop at every worker/shard combination.
 
+use std::collections::BTreeSet;
+
 use dda::check::{check_pair, CheckOutcome};
-use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, ProgramReport};
+use dda::core::{AnalyzerConfig, DependenceAnalyzer, Direction, MemoMode, ProgramReport};
 use dda::engine::{Engine, EngineConfig};
 use dda::graph::render::{graph_json_line, parallel_json_line};
 use dda::graph::{build_graph, LoopVerdict, ProgramGraph};
@@ -94,13 +97,48 @@ fn parse_batch(sources: &[String]) -> Vec<Program> {
         .collect()
 }
 
+/// Frozen oracle: loop ids that (conservatively) carry a dependence,
+/// read straight off the pair reports. A loop cannot be run in parallel
+/// if some dependent pair has a direction vector carried at that loop's
+/// level. Do not edit: the graph's carried-at rule is checked against
+/// this copy.
+fn carried_dependence_loops(report: &ProgramReport) -> BTreeSet<usize> {
+    let mut carried = BTreeSet::new();
+    for pair in report.pairs() {
+        if pair.result.is_independent() {
+            continue;
+        }
+        if pair.direction_vectors.is_empty() {
+            // Dependent but unrefined: every common loop may carry it.
+            carried.extend(pair.common_loop_ids.iter().copied());
+            continue;
+        }
+        for v in &pair.direction_vectors {
+            for (level, &id) in pair.common_loop_ids.iter().enumerate() {
+                let outer_could_be_eq = v.0[..level]
+                    .iter()
+                    .all(|d| matches!(d, Direction::Eq | Direction::Any));
+                let this_could_cross = matches!(
+                    v.0.get(level),
+                    Some(Direction::Lt | Direction::Gt | Direction::Any)
+                );
+                if outer_could_be_eq && this_could_cross {
+                    carried.insert(id);
+                }
+            }
+        }
+    }
+    carried
+}
+
 /// Invariant 1 for one (program, report): a `Parallel` loop is exactly
 /// one the analyzer says no dependence is carried at, and a
 /// `Sequential` loop cites at least one blocking edge, every one of
 /// which is genuinely carried at that level.
 fn assert_verdicts_consistent(program: &Program, report: &ProgramReport) {
     let graph = build_graph(program, report);
-    let carried = report.carried_dependence_loops();
+    let carried = carried_dependence_loops(report);
+    assert_eq!(graph.carried_loops(), carried);
     for l in graph.loops.loops() {
         match graph.loop_verdict(l.id) {
             LoopVerdict::Parallel => {
@@ -261,4 +299,26 @@ fn perfect_corpus_classifies_every_loop() {
     }
     assert!(parallel > 0, "corpus should contain parallel loops");
     assert!(sequential > 0, "corpus should contain sequential loops");
+}
+
+/// The graph's carried loops equal the frozen report-level view on
+/// carried, nested, wavefront, assumed and reduction dependences.
+#[test]
+fn verdicts_match_the_report_summary() {
+    for src in [
+        "for i = 1 to 100 { a[i + 1] = a[i]; }",
+        "for i = 1 to 100 { for j = 1 to 100 { a[i][j + 1] = a[i][j]; } }",
+        "for i = 2 to 100 { for j = 2 to 100 { a[i][j] = a[i - 1][j] + a[i][j - 1]; } }",
+        "for i = 1 to 10 { a[i * i] = a[i]; }",
+        "for i = 1 to 40 { s[0] = s[0] + c[i]; }",
+    ] {
+        let p = parse_program(src).unwrap();
+        let report = DependenceAnalyzer::new().analyze_program(&p);
+        let g = build_graph(&p, &report);
+        assert_eq!(
+            g.carried_loops(),
+            carried_dependence_loops(&report),
+            "{src}"
+        );
+    }
 }
