@@ -80,91 +80,13 @@ use dda_core::{
 };
 use dda_graph::{build_graph, ProgramGraph};
 use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
-use dda_obs::{
-    MemoTableKind, MetricsProbe, MetricsRegistry, StageTimings, TraceContext, WaveReport,
-};
+use dda_obs::{MemoTableKind, MetricsProbe, MetricsRegistry, StageTimings, TraceContext};
 
 use pool::par_map_metered;
 
-/// The engine's observability sink: the process-global registry plus an
-/// optional request-scoped tee — the request's [`TraceContext`] local
-/// delta and trace id, as threaded by [`analyze_batch`].
-///
-/// `Copy`, so wave closures capture it by value. Every `record_*`
-/// forwards to the global registry and, when a request scope is
-/// attached, repeats the recording into the local delta — one extra
-/// relaxed atomic add per event, no locks, no allocation. Nothing here
-/// feeds back into analysis, so verdicts are bit-identical with or
-/// without a scope (proptested in `tests/obs.rs`).
-#[derive(Clone, Copy)]
-struct Obs<'a> {
-    global: &'a MetricsRegistry,
-    local: Option<&'a MetricsRegistry>,
-    trace: Option<dda_core::pipeline::TraceId>,
-}
-
-impl<'a> Obs<'a> {
-    fn untraced(global: &'a MetricsRegistry) -> Obs<'a> {
-        Obs {
-            global,
-            local: None,
-            trace: None,
-        }
-    }
-
-    fn traced(global: &'a MetricsRegistry, trace: Option<&'a TraceContext>) -> Obs<'a> {
-        Obs {
-            global,
-            local: trace.map(TraceContext::local),
-            trace: trace.map(TraceContext::id),
-        }
-    }
-
-    /// A pipeline probe for one wave leader: records into the global
-    /// registry and tees into the request scope when one is attached.
-    fn probe(self) -> MetricsProbe<'a> {
-        MetricsProbe::scoped(self.global, self.local, self.trace)
-    }
-
-    fn record_wave(self, wave: &WaveReport) {
-        self.global.record_wave(wave);
-        if let Some(local) = self.local {
-            local.record_wave(wave);
-        }
-    }
-
-    fn record_gcd(self, verdict: dda_core::pipeline::GcdVerdict, cached: bool, nanos: u64) {
-        self.global.record_gcd(verdict, cached, nanos);
-        if let Some(local) = self.local {
-            local.record_gcd(verdict, cached, nanos);
-        }
-    }
-
-    fn record_leader_elections(self, table: MemoTableKind, n: u64) {
-        self.global.record_leader_elections(table, n);
-        if let Some(local) = self.local {
-            local.record_leader_elections(table, n);
-        }
-    }
-
-    fn record_incremental(self, spliced: u64, resolved: u64) {
-        self.global.record_incremental(spliced, resolved);
-        if let Some(local) = self.local {
-            local.record_incremental(spliced, resolved);
-        }
-    }
-
-    fn record_graph(self, edges: [u64; 4], parallel: u64, sequential: u64, nanos: u64) {
-        self.global.record_graph(edges, parallel, sequential, nanos);
-        if let Some(local) = self.local {
-            local.record_graph(edges, parallel, sequential, nanos);
-        }
-    }
-}
-
 /// [`par_map`] with the wave folded into the metrics registry. Empty
 /// slices are skipped entirely so idle waves don't inflate the counts.
-fn par_map_obs<T, R, F>(obs: Obs<'_>, workers: usize, items: &[T], f: F) -> Vec<R>
+fn par_map_obs<T, R, F>(obs: MetricsProbe<'_>, workers: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -578,7 +500,7 @@ pub fn analyze_batch(
     deadline: Deadline,
     trace: Option<&TraceContext>,
 ) -> BatchOutcome {
-    let obs = Obs::traced(obs, trace);
+    let obs = MetricsProbe::scoped(obs, trace);
     let mut cfg = config.effective_analyzer_config();
     // Direction refinement and Fourier–Motzkin branch-and-bound give up
     // past the deadline; the full wave discards what they computed then.
@@ -675,7 +597,7 @@ fn leader_count<V>(plan: &[Option<Src<V>>]) -> u64 {
 /// turn comes after `deadline` skips its solve; it and every job sharing
 /// its key are cancelled.
 fn gcd_wave(
-    obs: Obs<'_>,
+    obs: MetricsProbe<'_>,
     memo: &SharedMemo,
     cfg: &AnalyzerConfig,
     workers: usize,
@@ -750,7 +672,7 @@ fn gcd_wave(
 /// every job sharing their key are cancelled.
 #[allow(clippy::too_many_arguments)]
 fn full_wave(
-    obs: Obs<'_>,
+    obs: MetricsProbe<'_>,
     memo: &SharedMemo,
     cfg: &AnalyzerConfig,
     workers: usize,
@@ -783,7 +705,8 @@ fn full_wave(
         let l = lattice(i).expect("solvers have a lattice");
         let template = steps::pair_template(*job);
         let mut fx = ReduceEffects::default();
-        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut obs.probe());
+        let mut probe = obs;
+        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut probe);
         // A cascade that ran past the deadline may have been cut short:
         // the pair is cancelled like one whose solve never started.
         if deadline.expired() {
@@ -905,14 +828,14 @@ pub fn check_batch(
     programs: &[Program],
     reports: &[ProgramReport],
 ) -> CheckSummary {
-    check_batch_obs(config, Obs::untraced(obs), programs, reports)
+    check_batch_obs(config, MetricsProbe::new(obs), programs, reports)
 }
 
-/// [`check_batch`] against the engine's internal sink, so a traced
+/// [`check_batch`] through a [`MetricsProbe`] sink, so a traced
 /// batch's auto-check waves are teed into the request scope too.
 fn check_batch_obs(
     config: &EngineConfig,
-    obs: Obs<'_>,
+    obs: MetricsProbe<'_>,
     programs: &[Program],
     reports: &[ProgramReport],
 ) -> CheckSummary {
@@ -1044,7 +967,7 @@ pub fn graph_batch(
     trace: Option<&TraceContext>,
 ) -> GraphOutcome {
     let batch = analyze_batch(config, memo, obs, programs, deadline, trace);
-    let obs = Obs::traced(obs, trace);
+    let obs = MetricsProbe::scoped(obs, trace);
     let workers = config.effective_workers();
     let items: Vec<(&Program, &ProgramReport)> = programs.iter().zip(&batch.reports).collect();
     let built = par_map_obs(obs, workers, &items, |_, (program, report)| {

@@ -182,25 +182,26 @@ fn labeled_request_counters_render_a_valid_exposition() {
     passes::normalize(&mut program);
     engine.analyze_programs(std::slice::from_ref(&program));
 
-    let memo = engine.memo();
-    let text = MetricsSnapshot::from_registry(engine.metrics())
-        .with_pairs(engine.stats())
-        .with_memo_table("full", memo.full.counters(), memo.full.shard_ops())
-        .with_memo_table("gcd", memo.gcd.counters(), memo.gcd.shard_ops())
-        .with_service(ServiceSection {
-            in_flight: 1,
-            max_in_flight: 8,
-            requests: 12,
-            shed: 2,
-            deadline_exceeded: 1,
-            requests_by: vec![
-                ("/analyze", "ok", 8),
-                ("/analyze", "deadline", 1),
-                ("/batch", "error", 1),
-                ("(accept)", "shed", 2),
-            ],
-        })
-        .to_prometheus();
+    let service = ServiceSection {
+        in_flight: 1,
+        max_in_flight: 8,
+        requests: 12,
+        shed: 2,
+        deadline_exceeded: 1,
+        requests_by: vec![
+            ("/analyze", "ok", 8),
+            ("/analyze", "deadline", 1),
+            ("/batch", "error", 1),
+            ("(accept)", "shed", 2),
+        ],
+    };
+    let text = MetricsSnapshot::new(
+        engine.metrics(),
+        engine.stats(),
+        engine.memo(),
+        Some(service),
+    )
+    .to_prometheus();
 
     let exp = parse_exposition(&text).expect("exposition must parse");
     assert_eq!(

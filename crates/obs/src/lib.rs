@@ -13,10 +13,10 @@
 //!    registry, the latter rebuilds the analyze → pair → stage
 //!    hierarchy with monotonic sequence numbers and renders JSONL or
 //!    flamegraph folded stacks.
-//! 3. **Snapshots** ([`MetricsSnapshot`]) — join the registry with the
-//!    authoritative `AnalysisStats` and memo-table counters, rendered
-//!    as Prometheus text exposition or JSON; [`prom`] parses and
-//!    validates the exposition for tests and CI.
+//! 3. **Snapshots** ([`MetricsSnapshot`]) — a view over the registry,
+//!    the authoritative `AnalysisStats` and the memo's own counters,
+//!    rendered as Prometheus text exposition or JSON; [`prom`] parses
+//!    and validates the exposition for tests and CI.
 //! 4. **Request-scoped tracing and the flight recorder**
 //!    ([`TraceContext`], [`FlightRecorder`], [`CaptureStore`]) — a
 //!    64-bit trace id plus a request-local registry delta threaded
@@ -48,9 +48,6 @@ pub use probe::MetricsProbe;
 pub use registry::{
     MemoTableKind, MetricsRegistry, StageTimings, WaveReport, WorkerWork, GRAPH_EDGE_LABELS,
 };
-pub use snapshot::{
-    EngineSection, GcdSection, GraphSection, MemoSection, MetricsSnapshot, PairsSection,
-    RefinementSection, ServiceSection, StageSection,
-};
+pub use snapshot::{memo_load_json, memo_tables_json, MetricsSnapshot, ServiceSection};
 pub use span::{Span, SpanRecorder};
 pub use trace::{TraceContext, TraceId, TraceIdGen};

@@ -328,12 +328,12 @@ dda_lat_count 2
     fn own_exposition_round_trips() {
         use crate::{MetricsRegistry, MetricsSnapshot};
         use dda_core::pipeline::StageVerdict;
-        use dda_core::TestKind;
+        use dda_core::stats::AnalysisStats;
+        use dda_core::{SharedMemo, TestKind};
         let reg = MetricsRegistry::with_workers(2);
         reg.record_stage(TestKind::Svpc, StageVerdict::Independent, 100);
-        let text = MetricsSnapshot::from_registry(&reg)
-            .with_memo_table("full", dda_core::MemoCounters::default(), vec![0, 0])
-            .to_prometheus();
+        let (stats, memo) = (AnalysisStats::default(), SharedMemo::new(2));
+        let text = MetricsSnapshot::new(&reg, &stats, &memo, None).to_prometheus();
         let exp = parse_exposition(&text).expect("our own exposition must validate");
         assert_eq!(
             exp.value(

@@ -98,12 +98,14 @@ struct WorkerSlot {
 /// The lock-free registry of `dda_*` metrics.
 ///
 /// Pipeline-facing recorders ([`record_stage`], [`record_gcd`],
-/// [`record_refinement`]) are fed by [`MetricsProbe`]; engine-facing
-/// recorders ([`record_wave`], [`record_leader_elections`]) are called
-/// by the batch engine. Memo-table and pair-outcome figures are *not*
-/// duplicated here — they are read from their authoritative sources
-/// (the memo tables' own counters and `AnalysisStats`) when a
-/// [`MetricsSnapshot`](crate::MetricsSnapshot) is taken.
+/// [`record_refinement`]) are fed by [`MetricsProbe`] as a probe;
+/// engine-facing recorders ([`record_wave`], [`record_leader_elections`])
+/// are called by the batch engine through the same [`MetricsProbe`],
+/// which tees every recording into a request scope when one is
+/// attached. Memo-table and pair-outcome figures are *not* duplicated
+/// here — a [`MetricsSnapshot`](crate::MetricsSnapshot) reads them from
+/// their authoritative sources (the memo tables' own counters and
+/// `AnalysisStats`) when it renders.
 ///
 /// [`record_stage`]: MetricsRegistry::record_stage
 /// [`record_gcd`]: MetricsRegistry::record_gcd
@@ -303,6 +305,17 @@ impl MetricsRegistry {
         self.queue_wait_nanos.get()
     }
 
+    /// Fraction of pool capacity spent busy (`busy / capacity`), in
+    /// `[0, 1]`; zero when no capacity was recorded.
+    pub fn utilization(&self) -> f64 {
+        let capacity = self.capacity_nanos();
+        if capacity == 0 {
+            0.0
+        } else {
+            self.busy_nanos() as f64 / capacity as f64
+        }
+    }
+
     /// Leader elections against one memo table.
     pub fn leader_elections(&self, table: MemoTableKind) -> u64 {
         match table {
@@ -487,6 +500,7 @@ mod tests {
         assert_eq!(reg.busy_nanos(), 1000);
         assert_eq!(reg.capacity_nanos(), 2000);
         assert_eq!(reg.queue_wait_nanos(), 30);
+        assert_eq!(reg.utilization(), 0.5);
         assert_eq!(reg.worker_tasks(), vec![3, 1]);
         assert_eq!(reg.worker_busy_nanos(), vec![700, 300]);
     }

@@ -40,8 +40,9 @@ use dda_core::SharedMemo;
 use dda_engine::{analyze_batch, check_batch, graph_batch, Deadline, EngineConfig};
 use dda_graph::render::parallel_json_line;
 use dda_obs::{
-    CaptureStore, Counter, FlightRecorder, Gauge, MetricsRegistry, MetricsSnapshot, RequestOutcome,
-    RequestSummary, ServiceSection, TraceContext, TraceId, TraceIdGen,
+    memo_load_json, memo_tables_json, CaptureStore, Counter, FlightRecorder, Gauge,
+    MetricsRegistry, MetricsSnapshot, RequestOutcome, RequestSummary, ServiceSection, TraceContext,
+    TraceId, TraceIdGen,
 };
 
 use crate::http::{self, Request, Response};
@@ -631,54 +632,17 @@ fn debug_request(state: &State, traceid: &str) -> Response {
 /// `GET /debug/memo`: shard occupancy, byte usage, and archive fault
 /// stats for both memo tables, plus flight-recorder/capture health.
 fn debug_memo_json(state: &State) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"tables\":[");
-    let table = |out: &mut String, name: &str, c: dda_core::MemoCounters, shards: Vec<u64>| {
-        let _ = write!(
-            out,
-            "{{\"table\":\"{name}\",\"entries\":{},\"bytes\":{},\"capacity_bytes\":{},\
-             \"queries\":{},\"hits\":{},\"warm_loads\":{},\"evictions\":{},\"shard_ops\":[",
-            c.entries, c.bytes, c.capacity_bytes, c.queries, c.hits, c.warm_loads, c.evictions
-        );
-        for (j, ops) in shards.into_iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{ops}");
-        }
-        out.push_str("]}");
-    };
-    table(
-        &mut out,
-        "full",
-        state.memo.full.counters(),
-        state.memo.full.shard_ops(),
-    );
-    out.push(',');
-    table(
-        &mut out,
-        "gcd",
-        state.memo.gcd.counters(),
-        state.memo.gcd.shard_ops(),
-    );
-    let load = state.memo.memo_load_stats();
-    let _ = write!(
-        out,
-        "],\"load\":{{\"files\":{},\"records\":{},\"bytes\":{},\"nanos\":{},\
-         \"archive_faults\":{}}}",
-        load.files, load.records, load.bytes, load.nanos, load.archive_faults
-    );
-    let _ = write!(
-        out,
-        ",\"flight\":{{\"capacity\":{},\"recorded\":{},\"dropped\":{},\
-         \"captured\":{},\"capture_errors\":{}}}}}",
+    format!(
+        "{{\"tables\":{},\"load\":{},\"flight\":{{\"capacity\":{},\"recorded\":{},\
+         \"dropped\":{},\"captured\":{},\"capture_errors\":{}}}}}",
+        memo_tables_json(&state.memo),
+        memo_load_json(&state.memo),
         state.flight.capacity(),
         state.flight.recorded(),
         state.flight.dropped(),
         state.capture.as_ref().map_or(0, CaptureStore::captured),
         state.capture.as_ref().map_or(0, CaptureStore::errors),
-    );
-    out
+    )
 }
 
 /// What the request body holds.
@@ -874,15 +838,5 @@ fn metrics_text(state: &State) -> String {
         requests_by: state.requests_by.snapshot(),
     };
     let stats = state.stats.lock().unwrap_or_else(PoisonError::into_inner);
-    MetricsSnapshot::from_registry(&state.obs)
-        .with_pairs(&stats)
-        .with_memo_table(
-            "full",
-            state.memo.full.counters(),
-            state.memo.full.shard_ops(),
-        )
-        .with_memo_table("gcd", state.memo.gcd.counters(), state.memo.gcd.shard_ops())
-        .with_memo_load(state.memo.memo_load_stats())
-        .with_service(service)
-        .to_prometheus()
+    MetricsSnapshot::new(&state.obs, &stats, &state.memo, Some(service)).to_prometheus()
 }

@@ -720,12 +720,7 @@ fn finish_engine_run(
     reports: &[dda::core::ProgramReport],
 ) -> Result<(), String> {
     if let Some(format) = opts.metrics {
-        let memo = engine.memo();
-        let snapshot = MetricsSnapshot::from_registry(engine.metrics())
-            .with_pairs(engine.stats())
-            .with_memo_table("full", memo.full.counters(), memo.full.shard_ops())
-            .with_memo_table("gcd", memo.gcd.counters(), memo.gcd.shard_ops())
-            .with_memo_load(memo.memo_load_stats());
+        let snapshot = MetricsSnapshot::new(engine.metrics(), engine.stats(), engine.memo(), None);
         emit_metrics(format, &snapshot);
     }
     if opts.profile.is_some() {
@@ -1134,13 +1129,7 @@ fn run(opts: &Options) -> Result<(), String> {
     }
 
     if let Some(format) = opts.metrics {
-        // Join the registry with the authoritative stats and the
-        // analyzer's own memo counters (no shard spread: the serial
-        // tables are unsharded).
-        let snapshot = MetricsSnapshot::from_registry(&registry)
-            .with_pairs(&report.stats)
-            .with_memo_table("full", analyzer.full_memo_counters(), Vec::new())
-            .with_memo_table("gcd", analyzer.gcd_memo_counters(), Vec::new());
+        let snapshot = MetricsSnapshot::new(&registry, &report.stats, analyzer.memo(), None);
         emit_metrics(format, &snapshot);
     }
     if let Some(dir) = &opts.profile {
