@@ -218,6 +218,43 @@ fn counters_are_monotone_across_warm_started_runs() {
 }
 
 #[test]
+fn analyze_warm_start_reports_memo_load_figures() {
+    // `dda analyze --memo-load` reports the same memo-load figures as
+    // `dda batch`, and its one-shard tables their shard spread.
+    let memo = scratch("analyze-warm.memo");
+    let memo_str = memo.to_string_lossy().into_owned();
+    let file = format!(
+        "{}/examples/loops/paper_example.loop",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let (_, stderr, ok) = run_cli(&["batch", &file, "--memo-save", &memo_str], "");
+    assert!(ok, "{stderr}");
+    let warm = |format: &str| {
+        let (_, stderr, ok) = run_cli(&["analyze", &file, "--memo-load", &memo_str, format], "");
+        assert!(ok, "{stderr}");
+        stderr
+    };
+    let (prom, json) = (warm("--metrics=prom"), warm("--metrics=json"));
+    let _ = std::fs::remove_file(&memo);
+
+    let exp = parse_exposition(&prom).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{prom}"));
+    assert_eq!(
+        exp.value("dda_memo_load_files_total", &[]),
+        Some(1.0),
+        "{prom}"
+    );
+    for table in ["full", "gcd"] {
+        let ops = exp.value(
+            "dda_memo_shard_ops_total",
+            &[("table", table), ("shard", "0")],
+        );
+        assert!(ops.unwrap_or(0.0) > 0.0, "{table} shard ops: {prom}");
+    }
+    assert!(json.contains("\"memo_load\":{\"files\":1,"), "{json}");
+    assert!(!json.contains("\"shard_ops\":[]"), "{json}");
+}
+
+#[test]
 fn metrics_json_is_emitted_on_stderr_for_serial_analyze() {
     let (stdout, stderr, ok) = run_cli(
         &["analyze", "-", "--metrics=json"],
