@@ -247,18 +247,6 @@ impl DependenceAnalyzer {
         self.memo.gcd.unique_entries()
     }
 
-    /// Traffic counters of the full-result memo table.
-    #[must_use]
-    pub fn full_memo_counters(&self) -> crate::memo::MemoCounters {
-        self.memo.full.counters()
-    }
-
-    /// Traffic counters of the no-bounds (GCD) memo table.
-    #[must_use]
-    pub fn gcd_memo_counters(&self) -> crate::memo::MemoCounters {
-        self.memo.gcd.counters()
-    }
-
     /// Clears memo tables (including an attached archive tier) and
     /// statistics.
     pub fn reset(&mut self) {
