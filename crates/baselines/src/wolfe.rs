@@ -71,7 +71,7 @@ fn expand(
     tests: &mut u64,
 ) {
     if idx == refine.len() {
-        out.push(DirectionVector(dirs.clone()));
+        out.push(DirectionVector(dirs.as_slice().into()));
         return;
     }
     let level = refine[idx];

@@ -15,11 +15,11 @@ use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
 use crate::certificate::Certificate;
 use crate::fourier_motzkin::FmLimits;
 use crate::gcd::{EqOutcome, Lattice};
-use crate::memo::SharedMemo;
+use crate::memo::{MemoMark, SharedMemo};
 use crate::persist::MemoFormat;
 use crate::pipeline::{NullProbe, PipelineConfig, Probe};
 use crate::problem::DependenceProblem;
-use crate::result::{DependenceResult, DirectionVector, DistanceVector};
+use crate::result::{DependenceResult, DirectionVector, DistanceVector, LevelVec};
 use crate::stats::AnalysisStats;
 use crate::steps::{self, MemoSource, MemoUse, ReduceEffects};
 
@@ -96,7 +96,7 @@ pub struct PairReport {
     /// Access id of the second reference.
     pub b_access: usize,
     /// Ids of the common enclosing loops, outermost first.
-    pub common_loop_ids: Vec<usize>,
+    pub common_loop_ids: LevelVec<usize>,
     /// The verdict and what produced it.
     pub result: DependenceResult,
     /// A witness assignment over the problem variables, when dependent.
@@ -188,7 +188,7 @@ pub struct CachedOutcome {
 /// assert!(pair.result.answer.is_dependent());
 /// assert_eq!(
 ///     pair.direction_vectors,
-///     vec![DirectionVector(vec![Direction::Lt])]
+///     vec![DirectionVector([Direction::Lt].into())]
 /// );
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -197,6 +197,7 @@ pub struct DependenceAnalyzer {
     config: AnalyzerConfig,
     memo: SharedMemo,
     stats: AnalysisStats,
+    spliced: u64,
 }
 
 impl Default for DependenceAnalyzer {
@@ -219,6 +220,7 @@ impl DependenceAnalyzer {
             config,
             memo: SharedMemo::new(1),
             stats: AnalysisStats::default(),
+            spliced: 0,
         }
     }
 
@@ -233,6 +235,15 @@ impl DependenceAnalyzer {
     #[must_use]
     pub fn stats(&self) -> &AnalysisStats {
         &self.stats
+    }
+
+    /// Pairs since construction (or the last [`reset`](Self::reset))
+    /// whose verdict was spliced from a warm memo entry: one loaded from
+    /// a memo file, or left by an earlier call. The other
+    /// `stats().pairs - spliced_pairs()` pairs were resolved.
+    #[must_use]
+    pub fn spliced_pairs(&self) -> u64 {
+        self.spliced
     }
 
     /// Number of distinct entries in the full-result memo table.
@@ -252,6 +263,7 @@ impl DependenceAnalyzer {
     pub fn reset(&mut self) {
         self.memo = SharedMemo::new(1);
         self.stats = AnalysisStats::default();
+        self.spliced = 0;
     }
 
     /// The memo tables (e.g. for persistence with
@@ -290,9 +302,12 @@ impl DependenceAnalyzer {
         let before = self.stats;
         let set = extract_accesses(program);
         let pairs = reference_pairs(&set, self.config.include_input_deps);
+        // Entries this call inserts serve later pairs as plain hits; the
+        // ones already there are warm.
+        let mark = self.memo.mark();
         let mut reports = Vec::with_capacity(pairs.len());
         for pair in pairs {
-            reports.push(self.analyze_pair_probed(pair, probe));
+            reports.push(self.resolve(pair, mark, probe));
         }
         ProgramReport {
             pairs: reports,
@@ -311,22 +326,47 @@ impl DependenceAnalyzer {
         pair: RefPair<'_>,
         probe: &mut P,
     ) -> PairReport {
+        let mark = self.memo.mark();
+        self.resolve(pair, mark, probe)
+    }
+
+    /// Runs one pair through the shared step; memo entries older than
+    /// `mark` count as warm.
+    fn resolve<P: Probe>(
+        &mut self,
+        pair: RefPair<'_>,
+        mark: MemoMark,
+        probe: &mut P,
+    ) -> PairReport {
         let classified = steps::classify_pair(pair, self.config.symbolic);
         let mut source = OnTheSpot {
             config: &self.config,
             memo: &self.memo,
+            mark,
         };
         let out = steps::resolve_pair(&self.config, pair, &classified, &mut source, probe);
         self.stats.add(&out.stats);
+        self.spliced += u64::from(out.spliced);
         out.report
     }
 }
 
 /// The serial analyzer's [`MemoSource`]: looks up, solves and inserts on
-/// the spot.
+/// the spot. Entries older than `mark` are served as warm, like the
+/// engine's entries from a warm start or an earlier batch.
 struct OnTheSpot<'a> {
     config: &'a AnalyzerConfig,
     memo: &'a SharedMemo,
+    mark: MemoMark,
+}
+
+/// How a lookup that found an entry served it.
+fn hit_use(warm: bool) -> MemoUse {
+    if warm {
+        MemoUse::Warm
+    } else {
+        MemoUse::Hit
+    }
 }
 
 impl MemoSource for OnTheSpot<'_> {
@@ -334,8 +374,8 @@ impl MemoSource for OnTheSpot<'_> {
         let key = steps::gcd_key(self.config, problem);
         let (canonical, used) = match &key {
             None => (steps::solve_gcd(problem, None), MemoUse::Unkeyed),
-            Some(nk) => match self.memo.lookup_gcd(&nk.key) {
-                Some(hit) => (Some(hit), MemoUse::Hit),
+            Some(nk) => match self.memo.lookup_gcd_since(&nk.key, self.mark) {
+                Some((hit, warm)) => (Some(hit), hit_use(warm)),
                 None => {
                     let solved = steps::solve_gcd(problem, Some(nk));
                     // Overflows are not cached: a later pair recomputes.
@@ -346,7 +386,10 @@ impl MemoSource for OnTheSpot<'_> {
                 }
             },
         };
-        Some((steps::expand_gcd(problem, key.as_ref(), canonical), used))
+        Some((
+            steps::expand_gcd(problem, key.as_ref(), canonical.as_ref()),
+            used,
+        ))
     }
 
     fn full<P: Probe>(
@@ -360,9 +403,10 @@ impl MemoSource for OnTheSpot<'_> {
         // contract.
         let key = steps::full_key(self.config, problem);
         if let Some((ck, flipped)) = &key {
-            if let Some(cached) = self.memo.lookup_full(&ck.key) {
-                let report = steps::rehydrate_hit(self.config.memo, cached, ck, *flipped, template);
-                return Some((report, ReduceEffects::default(), MemoUse::Hit));
+            if let Some((cached, warm)) = self.memo.lookup_full_since(&ck.key, self.mark) {
+                let report =
+                    steps::rehydrate_hit(self.config.memo, &cached, ck, *flipped, template);
+                return Some((report, ReduceEffects::default(), hit_use(warm)));
             }
         }
         let mut fx = ReduceEffects::default();
@@ -397,7 +441,7 @@ mod tests {
         assert!(r1.pairs()[0].result.is_independent());
         let r2 = analyze("for i = 1 to 10 { a[i + 1] = a[i] + 3; }");
         assert!(r2.pairs()[0].result.answer.is_dependent());
-        assert_eq!(r2.pairs()[0].distance.0, vec![Some(1)]);
+        assert_eq!(r2.pairs()[0].distance.0[..], [Some(1)]);
     }
 
     #[test]
@@ -450,6 +494,29 @@ mod tests {
         assert_eq!(r.stats.base_tests.total(), 1);
         assert!(r.pairs()[1].from_cache);
         assert_eq!(r.pairs()[0].result, r.pairs()[2].result);
+    }
+
+    #[test]
+    fn only_entries_from_earlier_calls_are_spliced() {
+        let src = "
+            for i = 1 to 100 { a[i + 10] = a[i] + 1; }
+            for i = 1 to 100 { b[i + 10] = b[i] + 2; }
+            for i = 1 to 100 { c[2 * i] = c[2 * i + 1] + 3; }
+        ";
+        let program = parse_program(src).unwrap();
+        let mut an = DependenceAnalyzer::new();
+        // Hits on entries this call inserted are resolved, not spliced.
+        let cold = an.analyze_program(&program);
+        assert_eq!(cold.stats.memo_hits, 1);
+        assert_eq!(an.spliced_pairs(), 0);
+        // Every entry predates the second call: full hits and the GCD
+        // refutation splice alike, with the same statistics.
+        let warm = an.analyze_program(&program);
+        assert_eq!(an.spliced_pairs(), 3);
+        assert_eq!(warm.stats.memo_hits, 2);
+        assert_eq!(warm.stats.gcd_memo_hits, 3);
+        an.reset();
+        assert_eq!(an.spliced_pairs(), 0);
     }
 
     #[test]
@@ -535,8 +602,8 @@ mod tests {
         // Orientations really are opposite.
         assert_eq!(cached.pairs()[0].direction_vectors[0].to_string(), "(<)");
         assert_eq!(cached.pairs()[1].direction_vectors[0].to_string(), "(>)");
-        assert_eq!(cached.pairs()[0].distance.0, vec![Some(1)]);
-        assert_eq!(cached.pairs()[1].distance.0, vec![Some(-1)]);
+        assert_eq!(cached.pairs()[0].distance.0[..], [Some(1)]);
+        assert_eq!(cached.pairs()[1].distance.0[..], [Some(-1)]);
     }
 
     #[test]

@@ -168,7 +168,7 @@ pub fn analyze_directions<P: Probe>(
     probe: &mut P,
 ) -> DirectionAnalysis {
     let levels = problem.num_common;
-    let mut distance = DistanceVector(vec![None; levels]);
+    let mut distance = DistanceVector::unknown(levels);
     let mut plans = Vec::with_capacity(levels);
     let mut exprs = Vec::with_capacity(levels);
 
@@ -366,7 +366,7 @@ fn try_separable<P: Probe>(
     }
 
     // Cross product, with fixed levels interleaved.
-    let mut vectors = vec![DirectionVector(vec![Direction::Any; plans.len()])];
+    let mut vectors = vec![DirectionVector::any(plans.len())];
     for (k, plan) in plans.iter().enumerate() {
         let choices: Vec<Direction> = match plan {
             LevelPlan::Fixed(d) => vec![*d],
@@ -425,7 +425,8 @@ impl<P: Probe> Refiner<'_, P> {
                 LevelPlan::Refine => Direction::Any,
             };
         }
-        self.vectors.push(DirectionVector(self.current.clone()));
+        self.vectors
+            .push(DirectionVector(self.current.as_slice().into()));
     }
 
     /// Refines from `level` down. Returns the refutation tree for this
@@ -436,7 +437,8 @@ impl<P: Probe> Refiner<'_, P> {
     /// deeper level still covers that branch's region.
     fn refine(&mut self, level: usize, extra: Vec<Constraint>) -> Option<DirTree> {
         if level == self.plans.len() {
-            self.vectors.push(DirectionVector(self.current.clone()));
+            self.vectors
+                .push(DirectionVector(self.current.as_slice().into()));
             return None;
         }
         match self.plans[level] {
@@ -559,7 +561,7 @@ mod tests {
             DirectionConfig::default(),
         );
         assert_eq!(vecs(&out), vec!["(<)"]);
-        assert_eq!(out.distance.0, vec![Some(1)]);
+        assert_eq!(out.distance.0[..], [Some(1)]);
         // Distance pruning: no tests at all.
         assert_eq!(counts.total(), 0);
         assert!(out.exact);
@@ -620,7 +622,7 @@ mod tests {
             DirectionConfig::default(),
         );
         assert_eq!(vecs(&out), vec!["(=)"]);
-        assert_eq!(out.distance.0, vec![Some(0)]);
+        assert_eq!(out.distance.0[..], [Some(0)]);
     }
 
     #[test]
@@ -772,6 +774,6 @@ mod tests {
             DirectionConfig::default(),
         );
         assert_eq!(vecs(&out), vec!["(<)"]);
-        assert_eq!(out.distance.0, vec![Some(1)]);
+        assert_eq!(out.distance.0[..], [Some(1)]);
     }
 }

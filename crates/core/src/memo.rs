@@ -24,7 +24,11 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::problem::DependenceProblem;
+use dda_linalg::SmallVec;
+
+use crate::problem::{DependenceProblem, XVar};
+use crate::result::LevelVec;
+use crate::system::Constraint;
 
 /// The paper's hash function over a stream of integers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -164,11 +168,14 @@ pub(crate) fn route_hash(key: &MemoKey) -> u64 {
     h
 }
 
+/// Problem columns kept in a key, inline for the dominant small systems.
+pub type ColumnVec = SmallVec<usize, 8>;
+
 /// Computes the set of *used* variables: those in a subscript equation,
 /// closed under co-occurrence in bound constraints.
-fn used_mask(problem: &DependenceProblem) -> Vec<bool> {
+fn used_mask(problem: &DependenceProblem) -> SmallVec<bool, 8> {
     let n = problem.num_vars();
-    let mut used = vec![false; n];
+    let mut used = SmallVec::from_elem(false, n);
     for row in &problem.eq_coeffs {
         for (v, &c) in row.iter().enumerate() {
             if c != 0 {
@@ -198,6 +205,27 @@ fn used_mask(problem: &DependenceProblem) -> Vec<bool> {
 
 const SECTION_MARKER: i64 = i64::MIN + 7;
 
+/// Sorts the `width`-wide segments of `v` in place, in the order
+/// `Vec<Vec<i64>>::sort` would put them (lexicographic; every segment
+/// has the same width). Constraint sections hold a handful of rows, so
+/// an insertion sort that rotates each segment into place is cheapest,
+/// and it needs no buffer.
+fn sort_segments(v: &mut [i64], width: usize) {
+    let seg = |i: usize| i * width..(i + 1) * width;
+    for i in 1..v.len() / width {
+        let (mut lo, mut hi) = (0, i);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if v[seg(mid)] <= v[seg(i)] {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        v[lo * width..(i + 1) * width].rotate_right(width);
+    }
+}
+
 /// A canonicalized no-bounds key: the equality system, optionally with
 /// equation-unused variables dropped, plus the variable mapping needed to
 /// rehydrate a cached solution lattice.
@@ -207,7 +235,7 @@ pub struct NoBoundsKey {
     pub key: MemoKey,
     /// Variables that survived elimination (all of them under the simple
     /// scheme). Cached lattices are expressed over exactly these.
-    pub kept_vars: Vec<usize>,
+    pub kept_vars: ColumnVec,
 }
 
 /// Encodes the equality system only (the GCD table key). With `improved`,
@@ -216,33 +244,25 @@ pub struct NoBoundsKey {
 /// loops share the factorization.
 #[must_use]
 pub fn nobounds_key(problem: &DependenceProblem, improved: bool) -> NoBoundsKey {
-    let kept_vars: Vec<usize> = if improved {
+    let kept_vars: ColumnVec = if improved {
         (0..problem.num_vars())
             .filter(|&v| problem.eq_coeffs.iter().any(|row| row[v] != 0))
             .collect()
     } else {
         (0..problem.num_vars()).collect()
     };
-    let mut v = Vec::new();
+    let width = kept_vars.len() + 1;
+    let mut v = Vec::with_capacity(2 + problem.eq_coeffs.len() * width);
     v.push(kept_vars.len() as i64);
     v.push(problem.eq_coeffs.len() as i64);
+    for (row, &rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
+        v.extend(kept_vars.iter().map(|&k| row[k]));
+        v.push(rhs);
+    }
     // Equations are a *set*: sort their encodings so semantically equal
     // systems (e.g. dimensions listed in another order, or a mirrored
     // pair) produce identical keys.
-    let mut segments: Vec<Vec<i64>> = problem
-        .eq_coeffs
-        .iter()
-        .zip(&problem.eq_rhs)
-        .map(|(row, rhs)| {
-            let mut seg: Vec<i64> = kept_vars.iter().map(|&k| row[k]).collect();
-            seg.push(*rhs);
-            seg
-        })
-        .collect();
-    segments.sort();
-    for seg in segments {
-        v.extend(seg);
-    }
+    sort_segments(&mut v[2..], width);
     NoBoundsKey {
         key: MemoKey(v),
         kept_vars,
@@ -258,7 +278,75 @@ pub struct CanonicalKey {
     pub key: MemoKey,
     /// Common loop levels that survived unused-variable elimination, in
     /// order. Direction-vector components for other levels are a free `*`.
-    pub kept_levels: Vec<usize>,
+    pub kept_levels: LevelVec<usize>,
+}
+
+/// The columns a with-bounds key keeps, in problem order, and the common
+/// levels they touch. With `improved`, unused variables are dropped.
+fn kept_columns(problem: &DependenceProblem, improved: bool) -> (ColumnVec, LevelVec<usize>) {
+    if !improved {
+        return (
+            (0..problem.num_vars()).collect(),
+            (0..problem.num_common).collect(),
+        );
+    }
+    let used = used_mask(problem);
+    let keep = (0..problem.num_vars()).filter(|&v| used[v]).collect();
+    let kept_levels = (0..problem.num_common)
+        .filter(|&k| {
+            let ia = problem
+                .var_index(&XVar::CommonA(k))
+                .expect("common var present");
+            let ib = problem
+                .var_index(&XVar::CommonB(k))
+                .expect("common var present");
+            used[ia] || used[ib]
+        })
+        .collect();
+    (keep, kept_levels)
+}
+
+/// Writes the with-bounds key over `columns` (the key's `i`-th variable
+/// is problem column `columns[i]`), negating the equality section when
+/// `negate_equalities`. `None` when a negation overflows.
+fn encode_bounds(
+    problem: &DependenceProblem,
+    columns: &[usize],
+    kept_levels: usize,
+    negate_equalities: bool,
+) -> Option<Vec<i64>> {
+    let width = columns.len() + 1;
+    let touches_kept = |c: &&Constraint| columns.iter().any(|&k| c.coeffs[k] != 0);
+    let bound_rows = problem.bounds.iter().filter(touches_kept).count();
+    let mut v = Vec::with_capacity(4 + (problem.eq_coeffs.len() + bound_rows) * width);
+    v.push(columns.len() as i64);
+    v.push(kept_levels as i64);
+    v.push(problem.eq_coeffs.len() as i64);
+    let sign = |x: i64| {
+        if negate_equalities {
+            x.checked_neg()
+        } else {
+            Some(x)
+        }
+    };
+    for (row, &rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
+        for &k in columns {
+            v.push(sign(row[k])?);
+        }
+        v.push(sign(rhs)?);
+    }
+    // Both sections are constraint *sets*: sort their encodings so
+    // semantically equal systems (reordered dimensions or bounds, e.g.
+    // from a mirrored pair) produce identical keys.
+    sort_segments(&mut v[3..], width);
+    v.push(SECTION_MARKER);
+    let bounds_at = v.len();
+    for c in problem.bounds.iter().filter(touches_kept) {
+        v.extend(columns.iter().map(|&k| c.coeffs[k]));
+        v.push(c.rhs);
+    }
+    sort_segments(&mut v[bounds_at..], width);
+    Some(v)
 }
 
 /// Encodes the whole problem. With `improved`, unused variables (and
@@ -266,68 +354,37 @@ pub struct CanonicalKey {
 /// patterns differing only in irrelevant enclosing loops collapse.
 #[must_use]
 pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
-    let (keep, kept_levels): (Vec<usize>, Vec<usize>) = if improved {
-        let used = used_mask(problem);
-        let keep = (0..problem.num_vars()).filter(|&v| used[v]).collect();
-        let kept_levels = (0..problem.num_common)
-            .filter(|&k| {
-                let ia = problem
-                    .var_index(&crate::problem::XVar::CommonA(k))
-                    .expect("common var present");
-                let ib = problem
-                    .var_index(&crate::problem::XVar::CommonB(k))
-                    .expect("common var present");
-                used[ia] || used[ib]
-            })
-            .collect();
-        (keep, kept_levels)
-    } else {
-        (
-            (0..problem.num_vars()).collect(),
-            (0..problem.num_common).collect(),
-        )
-    };
-
-    let mut v = Vec::new();
-    v.push(keep.len() as i64);
-    v.push(kept_levels.len() as i64);
-    v.push(problem.eq_coeffs.len() as i64);
-    // Both sections are constraint *sets*: sort their encodings so
-    // semantically equal systems (reordered dimensions or bounds, e.g.
-    // from a mirrored pair) produce identical keys.
-    let mut eq_segments: Vec<Vec<i64>> = problem
-        .eq_coeffs
-        .iter()
-        .zip(&problem.eq_rhs)
-        .map(|(row, rhs)| {
-            let mut seg: Vec<i64> = keep.iter().map(|&k| row[k]).collect();
-            seg.push(*rhs);
-            seg
-        })
-        .collect();
-    eq_segments.sort();
-    for seg in eq_segments {
-        v.extend(seg);
-    }
-    v.push(SECTION_MARKER);
-    let mut bound_segments: Vec<Vec<i64>> = problem
-        .bounds
-        .iter()
-        .filter(|c| keep.iter().any(|&k| c.coeffs[k] != 0))
-        .map(|c| {
-            let mut seg: Vec<i64> = keep.iter().map(|&k| c.coeffs[k]).collect();
-            seg.push(c.rhs);
-            seg
-        })
-        .collect();
-    bound_segments.sort();
-    for seg in bound_segments {
-        v.extend(seg);
-    }
+    let (keep, kept_levels) = kept_columns(problem, improved);
+    let v = encode_bounds(problem, &keep, kept_levels.len(), false)
+        .expect("an unnegated key cannot overflow");
     CanonicalKey {
         key: MemoKey(v),
         kept_levels,
     }
+}
+
+/// [`bounds_key`] of the problem's mirror (the pair with its references
+/// swapped), written straight from the original: `mirror[i]` is the
+/// original column of the mirror's `i`-th variable (see
+/// [`symmetry::mirror_columns`](crate::symmetry::mirror_columns)), and
+/// the mirror's equalities are the original's negated. The mirror keeps
+/// the same levels, so only its key is returned; `None` when negating an
+/// equality overflows.
+#[must_use]
+pub fn mirror_bounds_key(
+    problem: &DependenceProblem,
+    mirror: &[usize],
+    improved: bool,
+) -> Option<MemoKey> {
+    // Usage is a property of the variable, so the mirror keeps the
+    // positions whose original column is kept, and the same levels.
+    let (keep, kept_levels) = kept_columns(problem, improved);
+    let columns: ColumnVec = mirror
+        .iter()
+        .copied()
+        .filter(|c| keep.contains(c))
+        .collect();
+    encode_bounds(problem, &columns, kept_levels.len(), true).map(MemoKey)
 }
 
 /// Estimated resident size of a memo value, used by the byte accounting
@@ -434,6 +491,10 @@ struct Entry<V> {
     /// Second-chance bit: set by [`ShardedMemoTable::get`], cleared
     /// when the eviction hand passes over the entry.
     referenced: bool,
+    /// Position in the table's insert history (see
+    /// [`ShardedMemoTable::mark`]); 0 for an entry loaded from a
+    /// persisted memo, which predates every mark.
+    born: u64,
 }
 
 /// A concurrent memo table: `N` mutex-guarded shards, with the shard
@@ -540,12 +601,29 @@ impl<V> ShardedMemoTable<V> {
     where
         V: Clone,
     {
+        self.get_since(key, 0).map(|(v, _)| v)
+    }
+
+    /// The current point in the table's insert history: every entry
+    /// inserted from now on is newer than the mark.
+    #[must_use]
+    pub fn mark(&self) -> u64 {
+        self.inserts().wrapping_add(1)
+    }
+
+    /// [`get`](Self::get), also telling whether the entry predates
+    /// `mark` (from [`mark`](Self::mark)): inserted before the mark was
+    /// taken, or loaded from a persisted memo.
+    pub fn get_since(&self, key: &MemoKey, mark: u64) -> Option<(V, bool)>
+    where
+        V: Clone,
+    {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let hit = {
             let mut shard = self.shard(key);
             shard.map.get_mut(key).map(|e| {
                 e.referenced = true;
-                e.value.clone()
+                (e.value.clone(), e.born < mark)
             })
         };
         if hit.is_some() {
@@ -561,12 +639,20 @@ impl<V> ShardedMemoTable<V> {
     where
         V: MemoWeight,
     {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        let born = self.inserts.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
+        self.insert_born(key, value, born);
+    }
+
+    fn insert_born(&self, key: MemoKey, value: V, born: u64)
+    where
+        V: MemoWeight,
+    {
         let weight = key_bytes(&key) + value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
         let entry = Entry {
             value,
             weight,
             referenced: false,
+            born,
         };
         let mut shard = self.shard(&key);
         match shard.map.insert(key.clone(), entry) {
@@ -614,7 +700,8 @@ impl<V> ShardedMemoTable<V> {
         V: MemoWeight,
     {
         self.warm_loads.fetch_add(1, Ordering::Relaxed);
-        self.insert(key, value);
+        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.insert_born(key, value, 0);
     }
 
     /// Number of distinct entries across all shards.
@@ -760,6 +847,14 @@ pub struct SharedMemo {
     archive_faults: AtomicU64,
 }
 
+/// A point in a [`SharedMemo`]'s insert history (see
+/// [`SharedMemo::mark`]): the entries it predates are the warm ones.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoMark {
+    full: u64,
+    gcd: u64,
+}
+
 /// Telemetry for memo warm starts: one row per [`SharedMemo`], covering
 /// both text (eager) and binary (lazy) loads plus archive faults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -810,26 +905,64 @@ impl SharedMemo {
     /// of the archive stays hot.
     #[must_use]
     pub fn lookup_full(&self, key: &MemoKey) -> Option<crate::analyzer::CachedOutcome> {
-        if let Some(v) = self.full.get(key) {
-            return Some(v);
-        }
-        let v = self.archive.get()?.get_full(key)?;
-        self.archive_faults.fetch_add(1, Ordering::Relaxed);
-        self.full.insert_warm(key.clone(), v.clone());
-        Some(v)
+        self.lookup_full_since(key, MemoMark::default())
+            .map(|(v, _)| v)
     }
 
     /// Looks up a gcd entry through both residency tiers (see
     /// [`SharedMemo::lookup_full`]).
     #[must_use]
     pub fn lookup_gcd(&self, key: &MemoKey) -> Option<crate::gcd::EqOutcome> {
-        if let Some(v) = self.gcd.get(key) {
-            return Some(v);
+        self.lookup_gcd_since(key, MemoMark::default())
+            .map(|(v, _)| v)
+    }
+
+    /// The current point in both tables' insert histories.
+    #[must_use]
+    pub fn mark(&self) -> MemoMark {
+        MemoMark {
+            full: self.full.mark(),
+            gcd: self.gcd.mark(),
         }
-        let v = self.archive.get()?.get_gcd(key)?;
+    }
+
+    /// [`lookup_full`](Self::lookup_full), also telling whether the
+    /// entry predates `mark`: inserted before the mark was taken, loaded
+    /// from a memo file, or faulted from the archive tier.
+    #[must_use]
+    pub fn lookup_full_since(
+        &self,
+        key: &MemoKey,
+        mark: MemoMark,
+    ) -> Option<(crate::analyzer::CachedOutcome, bool)> {
+        self.lookup_tiered(&self.full, key, mark.full, |a| a.get_full(key))
+    }
+
+    /// [`lookup_gcd`](Self::lookup_gcd), telling whether the entry
+    /// predates `mark` (see [`SharedMemo::lookup_full_since`]).
+    #[must_use]
+    pub fn lookup_gcd_since(
+        &self,
+        key: &MemoKey,
+        mark: MemoMark,
+    ) -> Option<(crate::gcd::EqOutcome, bool)> {
+        self.lookup_tiered(&self.gcd, key, mark.gcd, |a| a.get_gcd(key))
+    }
+
+    fn lookup_tiered<V: Clone + MemoWeight>(
+        &self,
+        table: &ShardedMemoTable<V>,
+        key: &MemoKey,
+        mark: u64,
+        fault: impl FnOnce(&crate::persist_v3::MemoArchive) -> Option<V>,
+    ) -> Option<(V, bool)> {
+        if let Some(hit) = table.get_since(key, mark) {
+            return Some(hit);
+        }
+        let v = fault(self.archive.get()?)?;
         self.archive_faults.fetch_add(1, Ordering::Relaxed);
-        self.gcd.insert_warm(key.clone(), v.clone());
-        Some(v)
+        table.insert_warm(key.clone(), v.clone());
+        Some((v, true))
     }
 
     /// Warm-start telemetry for this table.

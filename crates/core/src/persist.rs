@@ -64,7 +64,8 @@ use crate::persist_v3::{
     dec_cert, dec_lattice, invalid_data, FieldReader, MemoArchive, Tags, MAGIC,
 };
 use crate::result::{
-    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
+    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, LevelVec, ResolvedBy,
+    TestKind,
 };
 
 /// Header of version 2 text.
@@ -249,9 +250,9 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
     for _ in 0..nv {
         let tok = f.next_str()?;
         if tok == "." {
-            direction_vectors.push(DirectionVector(Vec::new()));
+            direction_vectors.push(DirectionVector(LevelVec::new()));
         } else {
-            let dirs: Result<Vec<Direction>, PersistError> =
+            let dirs: Result<LevelVec<Direction>, PersistError> =
                 tok.chars().map(|c| decode_dir(c, line)).collect();
             direction_vectors.push(DirectionVector(dirs?));
         }
@@ -261,7 +262,7 @@ fn decode_full(f: &mut Fields<'_>, v2: bool) -> Result<(MemoKey, CachedOutcome),
         other => return err(line, format!("expected `d`, found `{other}`")),
     }
     let nd = f.count()?;
-    let mut distance = Vec::with_capacity(nd);
+    let mut distance = LevelVec::new();
     for _ in 0..nd {
         let tok = f.next_str()?;
         if tok == "?" {

@@ -67,7 +67,8 @@ use crate::gcd::{EqOutcome, Lattice};
 use crate::memo::{route_hash, MemoKey};
 use crate::persist::write_atomic_with;
 use crate::result::{
-    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
+    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, LevelVec, ResolvedBy,
+    TestKind,
 };
 
 /// Magic bytes opening every v3 archive.
@@ -778,7 +779,7 @@ fn dec_full_value(c: &mut Cur<'_>) -> Result<CachedOutcome, PersistV3Error> {
     let mut direction_vectors = Vec::with_capacity(nv);
     for _ in 0..nv {
         let nd = c.count()?;
-        let mut dirs = Vec::with_capacity(nd);
+        let mut dirs = LevelVec::new();
         for _ in 0..nd {
             dirs.push(match c.u8()? {
                 0 => Direction::Lt,
@@ -791,7 +792,7 @@ fn dec_full_value(c: &mut Cur<'_>) -> Result<CachedOutcome, PersistV3Error> {
         direction_vectors.push(DirectionVector(dirs));
     }
     let nd = c.count()?;
-    let mut distance = Vec::with_capacity(nd);
+    let mut distance = LevelVec::new();
     for _ in 0..nd {
         distance.push(match c.u8()? {
             0 => None,

@@ -12,6 +12,8 @@ use std::sync::Arc;
 
 use dda_ir::{Access, AffineExpr, Bound, LoopInfo, Subscript, Sym, SymbolTable};
 
+use dda_linalg::CoeffVec;
+
 use crate::system::Constraint;
 
 /// Identity of one problem variable in the original (`x`) space.
@@ -182,14 +184,15 @@ struct Symbolics {
 }
 
 /// Maps an affine expression over one side's loop variables into problem
-/// coordinates. Returns the coefficient row and the constant part.
+/// coordinates. Returns the coefficient row, inline for the dominant
+/// small systems, and the constant part.
 fn map_expr(
     expr: &AffineExpr,
     side: &Side<'_>,
     symbolics: &Symbolics,
     num_vars: usize,
-) -> Result<(Vec<i64>, i64), BuildError> {
-    let mut row = vec![0i64; num_vars];
+) -> Result<(CoeffVec, i64), BuildError> {
+    let mut row = CoeffVec::from_elem(0, num_vars);
     for (v, coeff) in expr.iter_terms() {
         let idx = side
             .loop_column(v)
@@ -294,17 +297,14 @@ pub fn build_problem(
     for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
         let ea = sa.as_affine().ok_or(BuildError::NonAffine)?;
         let eb = sb.as_affine().ok_or(BuildError::NonAffine)?;
-        let (mut row, ca) = map_expr(ea, &side_a, &symbolics, num_vars)?;
+        let (row_a, ca) = map_expr(ea, &side_a, &symbolics, num_vars)?;
         let (row_b, cb) = map_expr(eb, &side_b, &symbolics, num_vars)?;
-        for (x, y) in row.iter_mut().zip(&row_b) {
-            *x -= y;
-        }
-        eq_coeffs.push(row);
+        eq_coeffs.push(row_a.iter().zip(&row_b).map(|(x, y)| x - y).collect());
         eq_rhs.push(cb - ca);
     }
 
     // Bounds: L ≤ i and i ≤ U for every loop instance on each side.
-    let mut bounds = Vec::new();
+    let mut bounds = Vec::with_capacity(2 * (a.loops.len() + b.loops.len()));
     for side in [&side_a, &side_b] {
         for l in side.loops {
             let var_idx = side.loop_column(l.var).ok_or(BuildError::NonAffine)?;

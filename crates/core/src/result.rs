@@ -2,6 +2,18 @@
 
 use std::fmt;
 
+use dda_linalg::SmallVec;
+
+/// Common loop levels a per-level vector holds inline. Nests deeper than
+/// this spill to the heap; the dependence nests of real programs (and of
+/// the synthetic PERFECT suite) almost never are.
+pub const INLINE_LEVELS: usize = 4;
+
+/// Per-level storage: one element per common loop, inline up to
+/// [`INLINE_LEVELS`] levels, so building a report allocates nothing for
+/// it.
+pub type LevelVec<T> = SmallVec<T, INLINE_LEVELS>;
+
 /// The four cascaded tests, in the cost order the paper applies them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TestKind {
@@ -135,7 +147,7 @@ impl DependenceResult {
 }
 
 /// One component of a direction vector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Direction {
     /// `<` — the first reference's iteration precedes the second's.
     Lt,
@@ -144,6 +156,7 @@ pub enum Direction {
     /// `>` — the first reference's iteration follows the second's.
     Gt,
     /// `*` — any direction (unrefined or proven irrelevant).
+    #[default]
     Any,
 }
 
@@ -167,13 +180,13 @@ impl fmt::Display for Direction {
 
 /// A direction vector: one [`Direction`] per common loop, outermost first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct DirectionVector(pub Vec<Direction>);
+pub struct DirectionVector(pub LevelVec<Direction>);
 
 impl DirectionVector {
     /// The all-`*` vector of length `n`.
     #[must_use]
     pub fn any(n: usize) -> DirectionVector {
-        DirectionVector(vec![Direction::Any; n])
+        DirectionVector(LevelVec::from_elem(Direction::Any, n))
     }
 
     /// Whether every component is `=` — a loop-independent (same
@@ -240,7 +253,15 @@ impl fmt::Display for DependenceKind {
 
 /// A distance vector: the constant `i′ − i` per common loop when known.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct DistanceVector(pub Vec<Option<i64>>);
+pub struct DistanceVector(pub LevelVec<Option<i64>>);
+
+impl DistanceVector {
+    /// The all-unknown vector of length `n`.
+    #[must_use]
+    pub fn unknown(n: usize) -> DistanceVector {
+        DistanceVector(LevelVec::from_elem(None, n))
+    }
+}
 
 impl fmt::Display for DistanceVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -264,10 +285,10 @@ mod tests {
 
     #[test]
     fn direction_vector_display() {
-        let v = DirectionVector(vec![Direction::Lt, Direction::Eq, Direction::Any]);
+        let v = DirectionVector([Direction::Lt, Direction::Eq, Direction::Any].into());
         assert_eq!(v.to_string(), "(<, =, *)");
         assert!(!v.is_all_eq());
-        assert!(DirectionVector(vec![Direction::Eq, Direction::Eq]).is_all_eq());
+        assert!(DirectionVector([Direction::Eq, Direction::Eq].into()).is_all_eq());
     }
 
     #[test]
@@ -281,7 +302,7 @@ mod tests {
 
     #[test]
     fn distance_vector_display() {
-        let d = DistanceVector(vec![Some(2), None]);
+        let d = DistanceVector([Some(2), None].into());
         assert_eq!(d.to_string(), "(2, ?)");
     }
 

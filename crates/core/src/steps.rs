@@ -28,7 +28,7 @@ use crate::gcd::{
     expand_lattice, reduce_with_lattice, refute_equalities, solve_equalities,
     solve_equalities_restricted, witness_for_problem, EqOutcome, Lattice,
 };
-use crate::memo::{bounds_key, nobounds_key, CanonicalKey, NoBoundsKey};
+use crate::memo::{bounds_key, mirror_bounds_key, nobounds_key, CanonicalKey, NoBoundsKey};
 use crate::pipeline::{
     run_pipeline_collect, ClassifiedKind, GcdVerdict, NullProbe, Probe, TraceEvent,
 };
@@ -93,7 +93,7 @@ pub fn pair_template(pair: RefPair<'_>) -> PairReport {
         },
         witness: None,
         direction_vectors: Vec::new(),
-        distance: DistanceVector(vec![None; common]),
+        distance: DistanceVector::unknown(common),
         from_cache: false,
         certificate: Certificate::Conservative,
     }
@@ -179,22 +179,25 @@ pub fn solve_gcd(problem: &DependenceProblem, key: Option<&NoBoundsKey>) -> Opti
 /// expand to every problem variable, and refutation witnesses (kept in
 /// canonical row order) are reordered onto the problem's rows — an arity
 /// mismatch degrades to `None`, and the caller refactorizes. Keyless
-/// outcomes are already in problem space.
+/// outcomes are already in problem space. The outcome is borrowed, so a
+/// memoized one is read in place, never cloned first.
 #[must_use]
 pub fn expand_gcd(
     problem: &DependenceProblem,
     key: Option<&NoBoundsKey>,
-    outcome: Option<EqOutcome>,
+    outcome: Option<&EqOutcome>,
 ) -> Option<EqOutcome> {
     let Some(nk) = key else {
-        return outcome;
+        return outcome.cloned();
     };
     outcome.map(|eq| match eq {
         EqOutcome::Independent { refutation } => EqOutcome::Independent {
-            refutation: refutation.and_then(|w| witness_for_problem(problem, &nk.kept_vars, &w)),
+            refutation: refutation
+                .as_ref()
+                .and_then(|w| witness_for_problem(problem, &nk.kept_vars, w)),
         },
         EqOutcome::Lattice(l) => {
-            EqOutcome::Lattice(expand_lattice(&l, &nk.kept_vars, problem.num_vars()))
+            EqOutcome::Lattice(expand_lattice(l, &nk.kept_vars, problem.num_vars()))
         }
     })
 }
@@ -213,7 +216,10 @@ pub fn gcd_verdict(outcome: Option<&EqOutcome>) -> GcdVerdict {
 /// The full-result memo key for a problem, or `None` when memoization is
 /// off. With symmetric canonicalization enabled, a pair and its mirror
 /// share the lexicographically smaller key; the returned flag records
-/// whether *this* problem is the mirror of what the table stores.
+/// whether *this* problem is the mirror of what the table stores. The
+/// mirror's key is written straight from the column permutation (see
+/// [`symmetry::mirror_columns`]); a pair and its mirror keep the same
+/// levels.
 #[must_use]
 pub fn full_key(
     config: &AnalyzerConfig,
@@ -224,23 +230,54 @@ pub fn full_key(
     }
     let improved = config.memo == MemoMode::Improved;
     let own = bounds_key(problem, improved);
-    if config.memo_symmetry && symmetry::swappable(problem) {
+    if config.memo_symmetry {
         // A mirror that overflows to build just skips canonicalization.
-        if let Some(mirrored) = symmetry::swap_problem(problem) {
-            let mirror = bounds_key(&mirrored, improved);
-            if mirror.key < own.key {
-                return Some((mirror, true));
-            }
+        let mirror = symmetry::mirror_columns(problem)
+            .and_then(|columns| mirror_bounds_key(problem, &columns, improved));
+        if let Some(mirror) = mirror.filter(|m| *m < own.key) {
+            let ck = CanonicalKey {
+                key: mirror,
+                kept_levels: own.kept_levels,
+            };
+            return Some((ck, true));
         }
     }
     Some((own, false))
 }
 
-/// Restricts full-length vectors to the kept levels, deduplicating.
-fn restrict_vectors(vectors: &[DirectionVector], kept_levels: &[usize]) -> Vec<DirectionVector> {
+/// A direction as the stored (`flipped`: mirrored) orientation has it.
+fn orient(d: Direction, flipped: bool) -> Direction {
+    if flipped {
+        symmetry::flip_direction(d)
+    } else {
+        d
+    }
+}
+
+/// A distance as the stored (`flipped`: mirrored) orientation has it.
+fn orient_distance(d: Option<i64>, flipped: bool) -> Option<i64> {
+    if flipped {
+        symmetry::flip_offset(d)
+    } else {
+        d
+    }
+}
+
+/// Restricts full-length vectors to the kept levels, oriented and
+/// deduplicated.
+fn restrict_vectors(
+    vectors: &[DirectionVector],
+    kept_levels: &[usize],
+    flipped: bool,
+) -> Vec<DirectionVector> {
     let mut out: Vec<DirectionVector> = Vec::new();
     for v in vectors {
-        let restricted = DirectionVector(kept_levels.iter().map(|&k| v.0[k]).collect());
+        let restricted = DirectionVector(
+            kept_levels
+                .iter()
+                .map(|&k| orient(v.0[k], flipped))
+                .collect(),
+        );
         if !out.contains(&restricted) {
             out.push(restricted);
         }
@@ -248,65 +285,71 @@ fn restrict_vectors(vectors: &[DirectionVector], kept_levels: &[usize]) -> Vec<D
     out
 }
 
-/// Expands canonical vectors back to `common` levels, filling dropped
-/// (unused) levels with `*`.
+/// Expands canonical vectors back to `common` levels, oriented, filling
+/// dropped (unused) levels with `*`.
 fn expand_vectors(
     vectors: &[DirectionVector],
     kept_levels: &[usize],
     common: usize,
+    flipped: bool,
 ) -> Vec<DirectionVector> {
     vectors
         .iter()
         .map(|v| {
-            let mut full = vec![Direction::Any; common];
+            let mut full = DirectionVector::any(common);
             for (ci, &k) in kept_levels.iter().enumerate() {
-                full[k] = v.0[ci];
+                full.0[k] = orient(v.0[ci], flipped);
             }
-            DirectionVector(full)
+            full
         })
         .collect()
 }
 
-fn restrict_distance(d: &DistanceVector, kept_levels: &[usize]) -> DistanceVector {
-    DistanceVector(kept_levels.iter().map(|&k| d.0[k]).collect())
+fn restrict_distance(d: &DistanceVector, kept_levels: &[usize], flipped: bool) -> DistanceVector {
+    DistanceVector(
+        kept_levels
+            .iter()
+            .map(|&k| orient_distance(d.0[k], flipped))
+            .collect(),
+    )
 }
 
-fn expand_distance(d: &DistanceVector, kept_levels: &[usize], common: usize) -> DistanceVector {
-    let mut full = vec![None; common];
+fn expand_distance(
+    d: &DistanceVector,
+    kept_levels: &[usize],
+    common: usize,
+    flipped: bool,
+) -> DistanceVector {
+    let mut full = DistanceVector::unknown(common);
     for (ci, &k) in kept_levels.iter().enumerate() {
-        full[k] = d.0[ci];
+        full.0[k] = orient_distance(d.0[ci], flipped);
     }
-    DistanceVector(full)
+    full
 }
 
-/// Rehydrates a full-memo hit into a concrete report for this pair.
+/// Rehydrates a full-memo hit into a concrete report for this pair. The
+/// cached outcome is borrowed: a hit copies out only what the report
+/// keeps.
 #[must_use]
 pub fn rehydrate_hit(
     memo: MemoMode,
-    cached: CachedOutcome,
+    cached: &CachedOutcome,
     ck: &CanonicalKey,
     flipped: bool,
     mut template: PairReport,
 ) -> PairReport {
     let common = template.distance.0.len();
-    template.result = cached.result;
+    template.result = cached.result.clone();
     // Witnesses only transfer when the problems are literally identical;
     // under the improved scheme (or a mirror hit) they may not be.
     template.witness = if memo == MemoMode::Improved || flipped {
         None
     } else {
-        cached.witness
+        cached.witness.clone()
     };
-    let (vectors, distance) = if flipped {
-        (
-            symmetry::flip_vectors(&cached.direction_vectors),
-            symmetry::flip_distance(&cached.distance),
-        )
-    } else {
-        (cached.direction_vectors, cached.distance)
-    };
-    template.direction_vectors = expand_vectors(&vectors, &ck.kept_levels, common);
-    template.distance = expand_distance(&distance, &ck.kept_levels, common);
+    template.direction_vectors =
+        expand_vectors(&cached.direction_vectors, &ck.kept_levels, common, flipped);
+    template.distance = expand_distance(&cached.distance, &ck.kept_levels, common, flipped);
     template.from_cache = true;
     // Certificates speak about one concrete problem. Only a Simple-mode,
     // unflipped hit is guaranteed to be the same problem (same equations,
@@ -314,7 +357,7 @@ pub fn rehydrate_hit(
     // Improved or mirrored hit keeps the verdict but degrades checkable
     // evidence to Unverified.
     template.certificate = if memo == MemoMode::Simple && !flipped {
-        cached.certificate
+        cached.certificate.clone()
     } else if cached.certificate == Certificate::Conservative {
         Certificate::Conservative
     } else {
@@ -327,14 +370,6 @@ pub fn rehydrate_hit(
 /// report: restricted to canonical space, mirrored when the key was.
 #[must_use]
 pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) -> CachedOutcome {
-    let (vectors, distance) = if flipped {
-        (
-            symmetry::flip_vectors(&report.direction_vectors),
-            symmetry::flip_distance(&report.distance),
-        )
-    } else {
-        (report.direction_vectors.clone(), report.distance.clone())
-    };
     CachedOutcome {
         result: report.result.clone(),
         witness: if flipped {
@@ -342,8 +377,8 @@ pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) 
         } else {
             report.witness.clone()
         },
-        direction_vectors: restrict_vectors(&vectors, &ck.kept_levels),
-        distance: restrict_distance(&distance, &ck.kept_levels),
+        direction_vectors: restrict_vectors(&report.direction_vectors, &ck.kept_levels, flipped),
+        distance: restrict_distance(&report.distance, &ck.kept_levels, flipped),
         certificate: if flipped {
             // The stored verdict describes the mirror problem; this
             // pair's evidence does not.

@@ -11,66 +11,41 @@
 
 #![warn(clippy::arithmetic_side_effects)]
 
+use crate::memo::ColumnVec;
 use crate::problem::{DependenceProblem, XVar};
-use crate::result::{Direction, DirectionVector, DistanceVector};
-use crate::system::Constraint;
+use crate::result::{Direction, DistanceVector};
 
-/// Builds the mirror problem: reference roles swapped.
+/// The mirror's column permutation: `columns[i]` is the column of `p`
+/// whose variable sits at position `i` of the mirror problem (the pair
+/// with its references swapped).
 ///
 /// Variables keep the structural order (common-A block first, then
 /// common-B, extras, symbolics), so the mirror maps `CommonA(k)` ↔
-/// `CommonB(k)` and `ExtraA` ↔ `ExtraB` — a permutation of columns — and
-/// negates the equality rows (`f_b − f_a = −(f_a − f_b)`).
+/// `CommonB(k)` and `ExtraA(k)` ↔ `ExtraB(k)` and leaves symbolics in
+/// place. Its bounds are `p`'s with columns permuted, and its equality
+/// rows are `p`'s permuted and negated (`f_b − f_a = −(f_a − f_b)`).
+/// Memo keys are written from this permutation directly
+/// ([`mirror_bounds_key`](crate::memo::mirror_bounds_key)), so no mirror
+/// problem is ever built.
 ///
-/// Returns `None` when negating a row overflows (`i64::MIN` coefficient);
-/// callers then simply skip canonicalization, which is always sound.
+/// Returns `None` when the mirror is not well-defined (see
+/// [`swappable`]).
 #[must_use]
-pub fn swap_problem(p: &DependenceProblem) -> Option<DependenceProblem> {
-    let n = p.num_vars();
-    // permutation[i] = index in the original of the variable that sits at
-    // position i of the mirror.
-    let mut permutation = Vec::with_capacity(n);
-    let mut vars = Vec::with_capacity(n);
-    for v in &p.vars {
-        let (mirror, source) = match v {
-            XVar::CommonA(k) => (XVar::CommonA(*k), XVar::CommonB(*k)),
-            XVar::CommonB(k) => (XVar::CommonB(*k), XVar::CommonA(*k)),
-            XVar::ExtraA(k) => (XVar::ExtraA(*k), XVar::ExtraB(*k)),
-            XVar::ExtraB(k) => (XVar::ExtraB(*k), XVar::ExtraA(*k)),
-            XVar::Symbolic(s) => (XVar::Symbolic(s.clone()), XVar::Symbolic(s.clone())),
-        };
-        vars.push(mirror);
-        permutation.push(
-            p.var_index(&source)
-                .expect("mirror variable exists in a well-formed problem"),
-        );
+pub fn mirror_columns(p: &DependenceProblem) -> Option<ColumnVec> {
+    if !swappable(p) {
+        return None;
     }
-
-    let permute = |row: &[i64]| -> Vec<i64> { permutation.iter().map(|&src| row[src]).collect() };
-
-    let eq_coeffs: Vec<Vec<i64>> = p
-        .eq_coeffs
+    p.vars
         .iter()
-        .map(|row| permute(row).iter().map(|c| c.checked_neg()).collect())
-        .collect::<Option<_>>()?;
-    let eq_rhs: Vec<i64> = p
-        .eq_rhs
-        .iter()
-        .map(|c| c.checked_neg())
-        .collect::<Option<_>>()?;
-    let bounds: Vec<Constraint> = p
-        .bounds
-        .iter()
-        .map(|c| Constraint::new(permute(&c.coeffs), c.rhs))
-        .collect();
-
-    Some(DependenceProblem {
-        vars,
-        eq_coeffs,
-        eq_rhs,
-        bounds,
-        num_common: p.num_common,
-    })
+        .enumerate()
+        .map(|(i, v)| match v {
+            XVar::CommonA(k) => p.var_index(&XVar::CommonB(*k)),
+            XVar::CommonB(k) => p.var_index(&XVar::CommonA(*k)),
+            XVar::ExtraA(k) => p.var_index(&XVar::ExtraB(*k)),
+            XVar::ExtraB(k) => p.var_index(&XVar::ExtraA(*k)),
+            XVar::Symbolic(_) => Some(i),
+        })
+        .collect()
 }
 
 /// Whether the mirror is well-defined: swapping the ExtraA/ExtraB blocks
@@ -101,20 +76,18 @@ pub fn flip_direction(d: Direction) -> Direction {
     }
 }
 
-/// Mirrors a set of direction vectors.
-#[must_use]
-pub fn flip_vectors(vectors: &[DirectionVector]) -> Vec<DirectionVector> {
-    vectors
-        .iter()
-        .map(|v| DirectionVector(v.0.iter().map(|&d| flip_direction(d)).collect()))
-        .collect()
-}
-
-/// Mirrors a distance vector (`i′ − i` negates). A component whose
+/// Mirrors one distance component (`i′ − i` negates). A component whose
 /// negation overflows degrades to unknown — conservative, never wrong.
 #[must_use]
+pub fn flip_offset(d: Option<i64>) -> Option<i64> {
+    d.and_then(i64::checked_neg)
+}
+
+/// Mirrors a distance vector component by component (see
+/// [`flip_offset`]).
+#[must_use]
 pub fn flip_distance(d: &DistanceVector) -> DistanceVector {
-    DistanceVector(d.0.iter().map(|v| v.and_then(i64::checked_neg)).collect())
+    DistanceVector(d.0.iter().map(|&v| flip_offset(v)).collect())
 }
 
 #[cfg(test)]
@@ -122,7 +95,7 @@ pub fn flip_distance(d: &DistanceVector) -> DistanceVector {
 #[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
-    use crate::memo::bounds_key;
+    use crate::memo::{bounds_key, mirror_bounds_key};
     use crate::problem::build_problem;
     use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
@@ -134,16 +107,17 @@ mod tests {
     }
 
     #[test]
-    fn mirror_of_mirror_is_identity() {
+    fn mirror_columns_are_an_involution() {
         for src in [
             "for i = 1 to 10 { a[i + 1] = a[i]; }",
             "for i = 1 to 10 { for j = i to 10 { a[i][j] = a[j][i + 2]; } }",
             "read(n); for i = 1 to 10 { a[i + n] = a[i]; }",
         ] {
             let p = problem(src);
-            assert!(swappable(&p));
-            let back = swap_problem(&swap_problem(&p).unwrap()).unwrap();
-            assert_eq!(p, back, "{src}");
+            let mirror = mirror_columns(&p).expect("swappable");
+            for (i, &c) in mirror.iter().enumerate() {
+                assert_eq!(mirror[c], i, "{src}");
+            }
         }
     }
 
@@ -153,37 +127,28 @@ mod tests {
         let p1 = problem("for i = 1 to 10 { a[i + 1] = a[i]; }");
         let p2 = problem("for i = 1 to 10 { a[i] = a[i + 1]; }");
         assert_ne!(bounds_key(&p1, true).key, bounds_key(&p2, true).key);
-        let c1 = bounds_key(&p1, true)
-            .key
-            .min(bounds_key(&swap_problem(&p1).unwrap(), true).key);
-        let c2 = bounds_key(&p2, true)
-            .key
-            .min(bounds_key(&swap_problem(&p2).unwrap(), true).key);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn mirror_preserves_witnesses_up_to_permutation() {
-        let p = problem("for i = 1 to 10 { a[i + 1] = a[i]; }");
-        let m = swap_problem(&p).unwrap();
-        // (i, i') = (1, 2) satisfies p; the mirror swaps roles: (2, 1).
-        assert!(p.is_witness(&[1, 2]));
-        assert!(m.is_witness(&[2, 1]));
-        assert!(!m.is_witness(&[1, 2]));
+        let canonical = |p: &DependenceProblem| {
+            let mirror = mirror_bounds_key(p, &mirror_columns(p).unwrap(), true).unwrap();
+            bounds_key(p, true).key.min(mirror)
+        };
+        assert_eq!(canonical(&p1), canonical(&p2));
+        assert_eq!(
+            mirror_bounds_key(&p1, &mirror_columns(&p1).unwrap(), true),
+            Some(bounds_key(&p2, true).key)
+        );
     }
 
     #[test]
     fn flips() {
         assert_eq!(flip_direction(Direction::Lt), Direction::Gt);
+        assert_eq!(flip_direction(Direction::Gt), Direction::Lt);
         assert_eq!(flip_direction(Direction::Eq), Direction::Eq);
         assert_eq!(flip_direction(Direction::Any), Direction::Any);
-        let v = vec![DirectionVector(vec![Direction::Lt, Direction::Eq])];
+        let d = DistanceVector([Some(3), None, Some(i64::MIN)].into());
         assert_eq!(
-            flip_vectors(&v),
-            vec![DirectionVector(vec![Direction::Gt, Direction::Eq])]
+            flip_distance(&d),
+            DistanceVector([Some(-3), None, None].into())
         );
-        let d = DistanceVector(vec![Some(3), None]);
-        assert_eq!(flip_distance(&d), DistanceVector(vec![Some(-3), None]));
     }
 
     #[test]

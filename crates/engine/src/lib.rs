@@ -66,6 +66,7 @@ mod pool;
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dda_check::{check_pair, CheckOutcome};
@@ -246,8 +247,9 @@ impl Default for Engine {
 /// Where a memoizable job's value comes from, decided serially in
 /// enumeration order (see [`elect_leaders`]).
 enum Src<V> {
-    /// The shared table already had it (warm start / earlier batch).
-    Warm(V),
+    /// The shared table already had it (warm start / earlier batch):
+    /// read once per key, shared by every job with that key.
+    Warm(Arc<V>),
     /// First occurrence of the key: this job computes.
     Leader,
     /// Reuse the result of the leader job at this index.
@@ -261,11 +263,13 @@ type GcdServed = Option<(Option<EqOutcome>, MemoUse)>;
 
 /// One job's full-analysis answer from the full wave.
 enum FullRes {
-    /// Computed by this job: its report and statistics effects.
-    Computed(PairReport, ReduceEffects, MemoUse),
-    /// Served from a memo entry (warm, or a leader's fresh insert);
-    /// rehydrated onto the job's template during assembly.
-    Cached(CachedOutcome, CanonicalKey, bool, MemoUse),
+    /// Computed by this job (a solver, rare): its report and statistics
+    /// effects.
+    Computed(Box<(PairReport, ReduceEffects)>, MemoUse),
+    /// Served from a memo entry (warm, or a leader's fresh insert),
+    /// shared with every job of its key; rehydrated onto the job's
+    /// template during assembly.
+    Cached(Arc<CachedOutcome>, CanonicalKey, bool, MemoUse),
 }
 
 /// The engine's [`MemoSource`]: hands one job's wave results to the
@@ -291,9 +295,12 @@ impl MemoSource for Replay {
         _: &mut P,
     ) -> Option<(PairReport, ReduceEffects, MemoUse)> {
         Some(match self.full.take()? {
-            FullRes::Computed(report, fx, used) => (report, fx, used),
+            FullRes::Computed(computed, used) => {
+                let (report, fx) = *computed;
+                (report, fx, used)
+            }
             FullRes::Cached(cached, ck, flipped, used) => {
-                let report = steps::rehydrate_hit(self.memo_mode, cached, &ck, flipped, template);
+                let report = steps::rehydrate_hit(self.memo_mode, &cached, &ck, flipped, template);
                 (report, ReduceEffects::default(), used)
             }
         })
@@ -306,7 +313,7 @@ impl MemoSource for Replay {
 /// leader, or from an earlier leader. The memo is consulted exactly once
 /// per distinct key, so its own traffic counters track *table* load, not
 /// per-pair accounting.
-fn elect_leaders<V: Clone>(
+fn elect_leaders<V>(
     keys: &[Option<&MemoKey>],
     lookup: impl Fn(&MemoKey) -> Option<V>,
 ) -> Vec<Option<Src<V>>> {
@@ -319,12 +326,13 @@ fn elect_leaders<V: Clone>(
         };
         if let Some(prior) = seen.get(k) {
             plan.push(Some(match prior {
-                Src::Warm(v) => Src::Warm(v.clone()),
+                Src::Warm(v) => Src::Warm(Arc::clone(v)),
                 Src::Share(j) => Src::Share(*j),
                 Src::Leader => unreachable!("leaders are recorded as Share"),
             }));
         } else if let Some(v) = lookup(k) {
-            seen.insert(k, Src::Warm(v.clone()));
+            let v = Arc::new(v);
+            seen.insert(k, Src::Warm(Arc::clone(&v)));
             plan.push(Some(Src::Warm(v)));
         } else {
             seen.insert(k, Src::Share(i));
@@ -642,26 +650,26 @@ fn gcd_wave(
     par_map_obs(obs, workers, jobs, |i, _| {
         let p = classified[i].problem()?;
         let (canonical, used) = match &plan[i] {
-            None => (solved_by.get(&i)?.clone(), MemoUse::Unkeyed),
-            Some(Src::Leader) => (solved_by.get(&i)?.clone(), MemoUse::Miss),
-            Some(Src::Warm(v)) => (Some(v.clone()), MemoUse::Warm),
+            None => (solved_by.get(&i)?.as_ref(), MemoUse::Unkeyed),
+            Some(Src::Leader) => (solved_by.get(&i)?.as_ref(), MemoUse::Miss),
+            Some(Src::Warm(v)) => (Some(&**v), MemoUse::Warm),
             // The leader's overflow was not inserted, so a serial run
             // would miss here and recompute the identical `None`;
             // anything cached is a hit.
             Some(Src::Share(j)) => {
-                let v = solved_by.get(j)?;
+                let v = solved_by.get(j)?.as_ref();
                 let used = if v.is_some() {
                     MemoUse::Hit
                 } else {
                     MemoUse::Miss
                 };
-                (v.clone(), used)
+                (v, used)
             }
         };
         // Telemetry: shared and warm jobs were served without solving
         // (solvers were recorded when they solved).
         if matches!(plan[i], Some(Src::Warm(_) | Src::Share(_))) {
-            obs.record_gcd(steps::gcd_verdict(canonical.as_ref()), true, 0);
+            obs.record_gcd(steps::gcd_verdict(canonical), true, 0);
         }
         Some((steps::expand_gcd(p, keys[i].as_ref(), canonical), used))
     })
@@ -719,18 +727,18 @@ fn full_wave(
     });
 
     // Solvers absent from the maps were cancelled by the deadline.
-    let mut own: HashMap<usize, (PairReport, ReduceEffects)> =
+    let mut own: HashMap<usize, Box<(PairReport, ReduceEffects)>> =
         HashMap::with_capacity(solvers.len());
-    let mut shared: HashMap<usize, CachedOutcome> = HashMap::new();
+    let mut shared: HashMap<usize, Arc<CachedOutcome>> = HashMap::new();
     for (slot, &i) in computed.into_iter().zip(&solvers) {
         let Some((report, fx, cached)) = slot else {
             continue;
         };
         if let (Some(cached), Some((ck, _))) = (cached, &keys[i]) {
             memo.full.insert(ck.key.clone(), cached.clone());
-            shared.insert(i, cached);
+            shared.insert(i, Arc::new(cached));
         }
-        own.insert(i, (report, fx));
+        own.insert(i, Box::new((report, fx)));
     }
 
     plan.into_iter()
@@ -746,12 +754,11 @@ fn full_wave(
                 }
                 Some(Src::Share(j)) => {
                     let (ck, flipped) = key.expect("planned jobs have a key");
-                    let c = shared.get(&j)?.clone();
+                    let c = Arc::clone(shared.get(&j)?);
                     return Some(FullRes::Cached(c, ck, flipped, MemoUse::Hit));
                 }
             };
-            let (report, fx) = own.remove(&i)?;
-            Some(FullRes::Computed(report, fx, used))
+            Some(FullRes::Computed(own.remove(&i)?, used))
         })
         .collect()
 }

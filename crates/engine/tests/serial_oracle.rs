@@ -236,7 +236,8 @@ impl Oracle {
                 self.stats.memo_hits += 1;
                 let warm = !self.fresh_full.contains(&ck.key);
                 let cached = cached.clone();
-                let report = steps::rehydrate_hit(self.config.memo, cached, ck, *flipped, template);
+                let report =
+                    steps::rehydrate_hit(self.config.memo, &cached, ck, *flipped, template);
                 steps::note_outcome(&mut self.stats, &report);
                 return Some((report, warm));
             }

@@ -263,7 +263,7 @@ pub fn build_graph(program: &Program, report: &ProgramReport) -> ProgramGraph {
             array: p.array.clone(),
             a_access: p.a_access,
             b_access: p.b_access,
-            common_loop_ids: p.common_loop_ids.clone(),
+            common_loop_ids: p.common_loop_ids.to_vec(),
         })
         .collect();
     ProgramGraph {
@@ -588,7 +588,7 @@ mod lowering_tests {
         assert_eq!(e.vector.to_string(), "(<)");
         assert_eq!(e.carrying_level, Some(0));
         assert_eq!(e.pair, 0);
-        assert_eq!(e.distance.0, vec![Some(1)]);
+        assert_eq!(e.distance.0[..], [Some(1)]);
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod lowering_tests {
         assert_eq!(e.sink, 0);
         assert_eq!(e.vector.to_string(), "(<)");
         // The stored pair distance is mirrored along with the vector.
-        assert_eq!(e.distance.0, vec![Some(1)]);
+        assert_eq!(e.distance.0[..], [Some(1)]);
     }
 
     #[test]

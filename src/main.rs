@@ -1061,6 +1061,9 @@ fn run(opts: &Options) -> Result<(), String> {
     } else {
         analyzer.analyze_program(&program)
     };
+    // The analyzer is fresh: every spliced pair is this program's.
+    let spliced = analyzer.spliced_pairs();
+    registry.record_incremental(spliced, report.stats.pairs - spliced);
 
     match opts.command.as_str() {
         "analyze" if opts.trace => {

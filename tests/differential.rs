@@ -64,8 +64,11 @@ fn first_conflict(program: &Program) -> Option<String> {
                 if v.0.contains(&Direction::Any) {
                     continue; // only fully exact vectors are claims
                 }
-                let base_vecs: Vec<Vec<Direction>> =
-                    base.direction_vectors.iter().map(|b| b.0.clone()).collect();
+                let base_vecs: Vec<Vec<Direction>> = base
+                    .direction_vectors
+                    .iter()
+                    .map(|b| b.0.to_vec())
+                    .collect();
                 if !covered(&v.0, &base_vecs) {
                     return Some(format!(
                         "{} #{} vs #{}: exact direction vector {v} was pruned \

@@ -143,7 +143,7 @@ fn check_program_with(
                 if v.0.contains(&Direction::Any) {
                     continue;
                 }
-                let as_dirs: Vec<Direction> = v.0.clone();
+                let as_dirs: Vec<Direction> = v.0.to_vec();
                 assert!(
                     truth.directions.contains(&as_dirs),
                     "reported vector {v} never observed (observed {:?}) for \

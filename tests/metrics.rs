@@ -255,6 +255,51 @@ fn analyze_warm_start_reports_memo_load_figures() {
 }
 
 #[test]
+fn serial_warm_start_reports_the_incremental_split() {
+    // A pair spliced from a warm entry counts as spliced in `dda
+    // analyze` exactly as in `dda batch`: both warm-start from the same
+    // archive and splice every pair of the example.
+    let memo = scratch("split.memo");
+    let memo_str = memo.to_string_lossy().into_owned();
+    let mut train: Vec<String> = vec!["batch".into()];
+    train.extend(loop_files());
+    train.extend(["--memo-save".into(), memo_str.clone()]);
+    let train: Vec<&str> = train.iter().map(String::as_str).collect();
+    let (_, stderr, ok) = run_cli(&train, "");
+    assert!(ok, "{stderr}");
+    let file = format!(
+        "{}/examples/loops/paper_example.loop",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let split = |command: &str| {
+        let (_, stderr, ok) = run_cli(
+            &[command, &file, "--memo-load", &memo_str, "--metrics=prom"],
+            "",
+        );
+        assert!(ok, "{stderr}");
+        let exp = parse_exposition(&stderr)
+            .unwrap_or_else(|e| panic!("invalid exposition: {e}\n{stderr}"));
+        let value = |name: &str| {
+            exp.value(name, &[])
+                .unwrap_or_else(|| panic!("{name}: {stderr}"))
+        };
+        (
+            value("dda_pairs_total"),
+            value("dda_incremental_spliced_total"),
+            value("dda_incremental_resolved_total"),
+        )
+    };
+    let (analyze, batch) = (split("analyze"), split("batch"));
+    let _ = std::fs::remove_file(&memo);
+    assert_eq!(
+        analyze,
+        (2.0, 2.0, 0.0),
+        "analyze: pairs, spliced, resolved"
+    );
+    assert_eq!(batch, analyze, "batch and analyze disagree");
+}
+
+#[test]
 fn metrics_json_is_emitted_on_stderr_for_serial_analyze() {
     let (stdout, stderr, ok) = run_cli(
         &["analyze", "-", "--metrics=json"],

@@ -30,10 +30,10 @@ fn section1_opening_loops() {
     let r = analyze("for i = 1 to 10 { a[i + 1] = a[i] + 3; }");
     let p = &r.pairs()[0];
     assert!(p.result.answer.is_dependent());
-    assert_eq!(p.distance.0, vec![Some(1)]);
+    assert_eq!(p.distance.0[..], [Some(1)]);
     assert_eq!(
         p.direction_vectors,
-        vec![DirectionVector(vec![Direction::Lt])]
+        vec![DirectionVector([Direction::Lt].into())]
     );
 }
 
@@ -74,7 +74,7 @@ fn section32_svpc_friendly_shapes() {
         ResolvedBy::Test(TestKind::Svpc)
     );
     assert!(r.pairs()[0].result.answer.is_dependent());
-    assert_eq!(r.pairs()[0].distance.0, vec![Some(-3), Some(-2)]);
+    assert_eq!(r.pairs()[0].distance.0[..], [Some(-3), Some(-2)]);
 }
 
 #[test]
@@ -127,7 +127,7 @@ fn section6_direction_vector_examples() {
     let mut an = DependenceAnalyzer::new();
     let r = an.analyze_program(&program);
     // Write a[i] meets read a[i′ − 3] when i′ = i + 3: distance +3.
-    assert_eq!(r.pairs()[0].distance.0, vec![Some(3)]);
+    assert_eq!(r.pairs()[0].distance.0[..], [Some(3)]);
     assert_eq!(r.stats.direction_tests.total(), 0, "distance pruning");
 }
 
@@ -139,7 +139,7 @@ fn section6_unused_variable_star() {
     let p = &r.pairs()[0];
     assert_eq!(
         p.direction_vectors,
-        vec![DirectionVector(vec![Direction::Any, Direction::Lt])]
+        vec![DirectionVector([Direction::Any, Direction::Lt].into())]
     );
 }
 

@@ -170,7 +170,7 @@ fn deep_nest_with_triangular_bounds() {
     let r = analyze_normalized(src);
     let p = &r.pairs()[0];
     assert!(p.result.answer.is_dependent());
-    assert_eq!(p.distance.0, vec![Some(0), Some(0), Some(1)]);
+    assert_eq!(p.distance.0[..], [Some(0), Some(0), Some(1)]);
     // Only the innermost loop carries the dependence.
     assert_eq!(carried_loops(src), BTreeSet::from([2]));
 }
@@ -185,5 +185,5 @@ fn analyzer_memo_mode_off_still_exact() {
     });
     let r = off.analyze_program(&program);
     assert_eq!(r.stats.memo_queries, 0);
-    assert_eq!(r.pairs()[0].distance.0, vec![Some(2)]);
+    assert_eq!(r.pairs()[0].distance.0[..], [Some(2)]);
 }
