@@ -1,5 +1,5 @@
-//! Memo warm-start benchmark: the numbers behind the v3 binary archive
-//! (`results/memo_load.txt`).
+//! Memo warm-start benchmark: the numbers behind the dda-memo v3
+//! archive, the only memo format (`results/memo_load.txt`).
 //!
 //! Three views:
 //!

@@ -16,7 +16,6 @@ use crate::certificate::Certificate;
 use crate::fourier_motzkin::FmLimits;
 use crate::gcd::{EqOutcome, Lattice};
 use crate::memo::{MemoMark, SharedMemo};
-use crate::persist::MemoFormat;
 use crate::pipeline::{NullProbe, PipelineConfig, Probe};
 use crate::problem::DependenceProblem;
 use crate::result::{DependenceResult, DirectionVector, DistanceVector, LevelVec};
@@ -172,7 +171,7 @@ pub struct CachedOutcome {
 /// The analyzer owns its memo tables, so reusing one instance across
 /// programs models the paper's "store the hash table across compilations"
 /// extension. They are the same [`SharedMemo`] the batch engine uses, in
-/// one shard, so both persist in the same formats and warm-start each
+/// one shard, so both persist in the same format and warm-start each
 /// other.
 ///
 /// # Examples
@@ -273,14 +272,14 @@ impl DependenceAnalyzer {
         &self.memo
     }
 
-    /// Warm-starts from a v3 archive or v1/v2 text and reports which
-    /// format it found (see [`SharedMemo::load_memo_file`]).
+    /// Warm-starts from a v3 archive (see
+    /// [`SharedMemo::load_memo_file`]).
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; format errors surface as
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load_memo_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<MemoFormat> {
+    pub fn load_memo_file(&mut self, path: impl AsRef<Path>) -> std::io::Result<()> {
         self.memo.load_memo_file(path)
     }
 

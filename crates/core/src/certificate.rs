@@ -150,9 +150,8 @@ pub enum Certificate {
     /// The verdict makes no exact claim (assumed dependence, unknown, or
     /// dependence reported without a witness); there is nothing to check.
     Conservative,
-    /// An exact claim whose evidence did not transfer (v1 warm starts,
-    /// improved-mode or mirrored memo hits). `--check` resolves these by
-    /// re-analysis.
+    /// An exact claim whose evidence did not transfer (improved-mode or
+    /// mirrored memo hits). `--check` resolves these by re-analysis.
     Unverified,
     /// Dependent: a concrete integer point satisfying every equation and
     /// bound of the problem, checked by substitution.

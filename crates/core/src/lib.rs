@@ -64,7 +64,6 @@ pub mod json;
 pub mod loop_residue;
 pub mod memo;
 pub mod persist;
-pub mod persist_v3;
 pub mod pipeline;
 pub mod problem;
 pub mod result;
@@ -79,8 +78,7 @@ pub use analyzer::{
 };
 pub use certificate::Certificate;
 pub use memo::{MemoCounters, MemoLoadStats, MemoWeight, ShardedMemoTable, SharedMemo};
-pub use persist::MemoFormat;
-pub use persist_v3::{MemoArchive, PersistV3Error, ShardInfo, ShardSection};
+pub use persist::{MemoArchive, PersistV3Error, ShardInfo, ShardSection};
 pub use pipeline::{run_pipeline, NullProbe, PipelineConfig, Probe, RecordingProbe, TraceEvent};
 pub use result::{
     Answer, DependenceKind, DependenceResult, Direction, DirectionVector, DistanceVector,

@@ -828,8 +828,8 @@ impl<V> ShardedMemoTable<V> {
 /// with-bounds full-result table. The batch engine shares one across its
 /// worker threads (and `dda serve` across requests); the serial
 /// [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) owns a
-/// one-shard instance. Persists as a v3 archive and loads v1/v2 text
-/// or v3 (see `persist`), so any run can warm-start any other.
+/// one-shard instance. Persists as a v3 archive (see `persist`), so any
+/// run can warm-start any other.
 #[derive(Debug)]
 pub struct SharedMemo {
     /// With-bounds full-result table.
@@ -839,7 +839,7 @@ pub struct SharedMemo {
     /// Cold tier: a lazily-faulted v3 archive attached by a binary warm
     /// start. Records fault into the tables above on first use (and can
     /// be evicted back out — the archive keeps them).
-    archive: std::sync::OnceLock<crate::persist_v3::MemoArchive>,
+    archive: std::sync::OnceLock<crate::persist::MemoArchive>,
     load_files: AtomicU64,
     load_records: AtomicU64,
     load_bytes: AtomicU64,
@@ -856,13 +856,14 @@ pub struct MemoMark {
 }
 
 /// Telemetry for memo warm starts: one row per [`SharedMemo`], covering
-/// both text (eager) and binary (lazy) loads plus archive faults.
+/// its archive loads (the first attached lazily, any later one decoded
+/// eagerly) plus archive faults.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoLoadStats {
     /// Memo files loaded into this table.
     pub files: u64,
-    /// Records made available by those loads (parsed for text, indexed
-    /// for binary).
+    /// Records made available by those loads (indexed, not decoded,
+    /// for an attached archive).
     pub records: u64,
     /// Bytes read.
     pub bytes: u64,
@@ -954,7 +955,7 @@ impl SharedMemo {
         table: &ShardedMemoTable<V>,
         key: &MemoKey,
         mark: u64,
-        fault: impl FnOnce(&crate::persist_v3::MemoArchive) -> Option<V>,
+        fault: impl FnOnce(&crate::persist::MemoArchive) -> Option<V>,
     ) -> Option<(V, bool)> {
         if let Some(hit) = table.get_since(key, mark) {
             return Some(hit);
@@ -981,14 +982,14 @@ impl SharedMemo {
     /// one is already attached.
     pub(crate) fn attach_archive(
         &self,
-        archive: crate::persist_v3::MemoArchive,
-    ) -> Result<(), crate::persist_v3::MemoArchive> {
+        archive: crate::persist::MemoArchive,
+    ) -> Result<(), crate::persist::MemoArchive> {
         self.archive.set(archive)
     }
 
     /// The attached cold tier, if any.
     #[must_use]
-    pub fn archive_ref(&self) -> Option<&crate::persist_v3::MemoArchive> {
+    pub fn archive_ref(&self) -> Option<&crate::persist::MemoArchive> {
         self.archive.get()
     }
 

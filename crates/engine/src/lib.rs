@@ -76,8 +76,8 @@ use dda_core::problem::DependenceProblem;
 use dda_core::stats::AnalysisStats;
 use dda_core::steps::{self, Classified, MemoSource, MemoUse, ReduceEffects};
 use dda_core::{
-    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, DependenceKind, MemoFormat, MemoMode,
-    NullProbe, PairReport, Probe, ProgramReport, SharedMemo,
+    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, DependenceKind, MemoMode, NullProbe,
+    PairReport, Probe, ProgramReport, SharedMemo,
 };
 use dda_graph::{build_graph, ProgramGraph};
 use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
@@ -419,15 +419,14 @@ impl Engine {
         self.obs.clear();
     }
 
-    /// Warm-starts the memo tables from a file — a v3 binary archive
-    /// (attached as a lazily-faulted read tier) or v1/v2 text — and
-    /// reports which format was found.
+    /// Warm-starts the memo tables from a v3 archive, attached as a
+    /// lazily-faulted read tier.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; format errors surface as
     /// [`std::io::ErrorKind::InvalidData`].
-    pub fn load_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<MemoFormat> {
+    pub fn load_memo_file(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
         self.memo.load_memo_file(path)
     }
 
@@ -1220,7 +1219,7 @@ mod tests {
                     shards,
                     ..config
                 });
-                assert_eq!(warm.load_memo_file(&v3).unwrap(), MemoFormat::V3Binary);
+                warm.load_memo_file(&v3).unwrap();
                 let got = warm.analyze_programs(&programs);
                 assert_eq!(got, want, "workers={workers} shards={shards}");
             }

@@ -13,8 +13,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dda_ir::{parse_program, passes, Program};
 use proptest::prelude::*;
 
-pub mod memo_v2;
-
 /// A subscript over up to `depth` loop variables: usually affine, but
 /// sometimes symbolic (`n`) and sometimes non-affine (`b[v0 + 1]`), so
 /// every classification path gets exercised. Symbolic terms are gated to

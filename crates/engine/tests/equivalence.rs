@@ -84,7 +84,7 @@ proptest! {
         cold.analyze_programs(&programs);
         let saved = temp_path("dda-memo3");
         cold.save_memo_file_v3(&saved, 3).expect("v3 save");
-        let entries = cold.memo().merged_entries();
+        let entries = cold.memo().merged_entries().unwrap();
 
         let mut analyzer =
             DependenceAnalyzer::with_config(config.effective_analyzer_config());
@@ -100,8 +100,8 @@ proptest! {
         assert_eq!(warm.stats(), analyzer.stats());
         // The warm run discovered nothing new: both ends hold the same
         // entries.
-        assert_eq!(warm.memo().merged_entries(), entries);
-        assert_eq!(analyzer.memo().merged_entries(), entries);
+        assert_eq!(warm.memo().merged_entries().unwrap(), entries);
+        assert_eq!(analyzer.memo().merged_entries().unwrap(), entries);
     }
 
     /// Batching is invisible: one engine over the whole batch equals one

@@ -25,9 +25,10 @@
 //! bit for bit — reports, per-program and cumulative statistics, memo
 //! populations and the spliced count — for every memo mode, with
 //! symmetric canonicalization on and off, at 1, 2 and 8 workers and 1
-//! and 16 shards, cold and warm-started from `dda-memo v2` text (written
-//! by the frozen writer in `common::memo_v2`) and from a v3 archive,
-//! with and without an expired deadline.
+//! and 16 shards, cold and warm-started from a v3 archive — attached as
+//! a lazily-faulted tier, or loaded a second time so that every record
+//! is decoded into the resident tables up front — with and without an
+//! expired deadline.
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -50,7 +51,7 @@ use dda_obs::MetricsRegistry;
 use proptest::prelude::*;
 
 mod common;
-use common::{arb_batch, memo_v2, parse_batch, temp_path};
+use common::{arb_batch, parse_batch, temp_path};
 
 /// The name-resolving adapter between the current front end and the
 /// oracle's string-keyed view of it.
@@ -133,7 +134,7 @@ impl Oracle {
     fn load(&mut self, path: &Path) {
         let memo = SharedMemo::new(1);
         memo.load_memo_file(path).expect("saved tables load");
-        let (gcd, full) = memo.merged_entries();
+        let (gcd, full) = memo.merged_entries().expect("saved tables decode");
         self.gcd_memo.extend(gcd);
         self.full_memo.extend(full);
     }
@@ -310,7 +311,7 @@ impl Oracle {
 /// `(gcd, full)` entry counts of a memo — the population of both
 /// residency tiers, whether or not archive records were faulted in.
 fn merged_entries(memo: &SharedMemo) -> (usize, usize) {
-    let (gcd, full) = memo.merged_entries();
+    let (gcd, full) = memo.merged_entries().expect("warm tables decode");
     (gcd.len(), full.len())
 }
 
@@ -346,14 +347,13 @@ fn engine_config(cfg: AnalyzerConfig, workers: usize, shards: usize) -> EngineCo
 const WORKERS: [usize; 3] = [1, 2, 8];
 const SHARDS: [usize; 2] = [1, 16];
 
-/// Warm state to start from: v2 text and a v3 archive of the same
-/// tables. The first half of the batch trains as is, so its pairs
-/// splice from full-table hits. The rest trains with every upper bound
-/// moved: its GCD keys are warm but its full keys are not, so warm runs
-/// mix splices with fresh cascades after warm GCD hits.
+/// Warm state to start from: a v3 archive of a trained table. The
+/// first half of the batch trains as is, so its pairs splice from
+/// full-table hits. The rest trains with every upper bound moved: its
+/// GCD keys are warm but its full keys are not, so warm runs mix splices
+/// with fresh cascades after warm GCD hits.
 struct Warm {
-    v2: PathBuf,
-    v3: PathBuf,
+    archive: PathBuf,
 }
 
 impl Warm {
@@ -367,34 +367,35 @@ impl Warm {
         );
         let mut trainer = Engine::with_config(engine_config(cfg, 2, 4));
         trainer.analyze_programs(&parse_batch(&training));
-        let v3 = temp_path("dda-memo3");
-        trainer.save_memo_file_v3(&v3, 3).expect("v3 save");
-        let v2 = temp_path("dda-memo");
-        let (gcd, full) = trainer.memo().merged_entries();
-        memo_v2::save_v2(&v2, &gcd, &full).expect("v2 save");
-        Warm { v2, v3 }
+        let archive = temp_path("dda-memo3");
+        trainer.save_memo_file_v3(&archive, 3).expect("v3 save");
+        Warm { archive }
     }
 
-    /// The file a warm `start` loads.
-    fn path(&self, start: Start) -> &Path {
-        match start {
-            Start::V2 => &self.v2,
-            Start::V3 => &self.v3,
-            Start::Cold => unreachable!("cold starts load nothing"),
-        }
+    /// Warm-starts a table the way `start` says, through `load`.
+    fn load(
+        &self,
+        start: Start,
+        mut load: impl FnMut(&Path) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
+        let times = match start {
+            Start::Cold => 0,
+            Start::Lazy => 1,
+            Start::Eager => 2,
+        };
+        (0..times).try_for_each(|_| load(&self.archive))
     }
 
     fn oracle(&self, cfg: AnalyzerConfig) -> Oracle {
         let mut oracle = Oracle::new(cfg);
-        oracle.load(&self.v2);
+        oracle.load(&self.archive);
         oracle
     }
 }
 
 impl Drop for Warm {
     fn drop(&mut self) {
-        std::fs::remove_file(&self.v2).ok();
-        std::fs::remove_file(&self.v3).ok();
+        std::fs::remove_file(&self.archive).ok();
     }
 }
 
@@ -414,8 +415,11 @@ fn with_fixed(mut sources: Vec<String>) -> Vec<String> {
 #[derive(Clone, Copy, Debug)]
 enum Start {
     Cold,
-    V2,
-    V3,
+    /// The archive attached as a lazily-faulted tier.
+    Lazy,
+    /// The archive loaded twice: the second load cannot attach, so it
+    /// decodes every record into the resident tables.
+    Eager,
 }
 
 proptest! {
@@ -462,9 +466,9 @@ proptest! {
         }
     }
 
-    /// Warm starts from v2 text and from a v3 archive: same reports,
-    /// statistics, populations and splices as the oracle warmed from the
-    /// same tables.
+    /// Warm starts from a lazily attached and from an eagerly decoded
+    /// archive: same reports, statistics, populations and splices as the
+    /// oracle warmed from the same tables.
     #[test]
     fn warm_starts_match_the_oracle(sources in arb_batch().prop_map(with_fixed)) {
         let programs = parse_batch(&sources);
@@ -476,9 +480,9 @@ proptest! {
                 programs.iter().map(|p| oracle.analyze_program(p)).collect();
             let ctx = format!("memo={:?} symmetry={}\nsources: {sources:#?}", cfg.memo, cfg.memo_symmetry);
 
-            for start in [Start::V2, Start::V3] {
+            for start in [Start::Eager, Start::Lazy] {
                 let mut analyzer = DependenceAnalyzer::with_config(cfg);
-                analyzer.load_memo_file(warm.path(start)).expect("warm load");
+                warm.load(start, |p| analyzer.load_memo_file(p)).expect("warm load");
                 let got: Vec<ProgramReport> =
                     programs.iter().map(|p| analyzer.analyze_program(p)).collect();
                 prop_assert_eq!(&got, &want, "analyzer reports ({:?}): {}", start, ctx);
@@ -492,9 +496,9 @@ proptest! {
 
             for workers in WORKERS {
                 for shards in SHARDS {
-                    for start in [Start::V2, Start::V3] {
+                    for start in [Start::Eager, Start::Lazy] {
                         let mut engine = Engine::with_config(engine_config(cfg, workers, shards));
-                        engine.load_memo_file(warm.path(start)).expect("warm load");
+                        warm.load(start, |p| engine.load_memo_file(p)).expect("warm load");
                         let got = engine.analyze_programs(&programs);
                         let at = format!("{start:?} workers={workers} shards={shards} {ctx}");
                         prop_assert_eq!(&got, &want, "engine reports: {}", at);
@@ -523,7 +527,7 @@ proptest! {
         let programs = parse_batch(&sources);
         for cfg in configs() {
             let warm = (cfg.memo != MemoMode::Off).then(|| Warm::train(cfg, &sources));
-            for start in [Start::Cold, Start::V2, Start::V3] {
+            for start in [Start::Cold, Start::Eager, Start::Lazy] {
                 let warm = match (start, &warm) {
                     (Start::Cold, _) => None,
                     (_, Some(w)) => Some(w),
@@ -545,7 +549,7 @@ proptest! {
                         };
                         let memo = SharedMemo::new(shards);
                         if let Some(w) = warm {
-                            memo.load_memo_file(w.path(start)).expect("warm load");
+                            w.load(start, |p| memo.load_memo_file(p)).expect("warm load");
                         }
                         let obs = MetricsRegistry::with_workers(workers);
                         let out = analyze_batch(
@@ -578,11 +582,10 @@ proptest! {
     }
 }
 
-/// The frozen v2 writer reproduces, byte for byte, the table the last
-/// binary with a v2 writer saved from `dda batch examples/loops/*.loop
-/// --memo-save`.
+/// Training on `examples/loops/*.loop` and saving two shards reproduces,
+/// byte for byte, the committed archive every warm-start fixture loads.
 #[test]
-fn frozen_v2_writer_reproduces_the_fixture() {
+fn training_reproduces_the_v3_fixture() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let mut paths: Vec<PathBuf> = std::fs::read_dir(format!("{root}/examples/loops"))
         .expect("examples/loops")
@@ -599,8 +602,11 @@ fn frozen_v2_writer_reproduces_the_fixture() {
         ..EngineConfig::default()
     });
     engine.analyze_programs(&parse_batch(&sources));
-    let (gcd, full) = engine.memo().merged_entries();
-    let fixture = std::fs::read_to_string(format!("{root}/tests/corpus/memo/loops.v2.memo"))
-        .expect("fixture reads");
-    assert_eq!(memo_v2::export_v2(&gcd, &full), fixture);
+    let saved = temp_path("dda-memo3");
+    engine.save_memo_file_v3(&saved, 2).expect("v3 save");
+    let bytes = std::fs::read(&saved).expect("saved archive reads");
+    std::fs::remove_file(&saved).ok();
+    let fixture =
+        std::fs::read(format!("{root}/tests/corpus/memo/loops.v3.memo")).expect("fixture reads");
+    assert_eq!(bytes, fixture);
 }

@@ -387,7 +387,7 @@ impl<'a> MetricsSnapshot<'a> {
                 Family(
                     "dda_memo_load_files_total",
                     COUNTER,
-                    "Memo files loaded (v2 text or v3 binary).",
+                    "Memo archives loaded.",
                     one(load.files),
                 ),
                 Family(

@@ -563,7 +563,8 @@ fn graceful_shutdown_drains_and_persists_the_memo_atomically() {
     let memo = SharedMemo::new(4);
     memo.load_memo_file(&memo_path)
         .expect("persisted memo loads");
-    assert!(!memo.merged_entries().1.is_empty(), "warm entries survived");
+    let (_, full) = memo.merged_entries().expect("persisted records decode");
+    assert!(!full.is_empty(), "warm entries survived");
 
     // A restarted server is warm: same verdicts, now served from memo.
     let (addr2, handle2, join2) = start(cfg);
@@ -593,8 +594,9 @@ fn fresh_memo_path_persists_v3_and_restarts_warm() {
     let (status, _, cold) = request(addr, "POST", "/analyze?file=flow.loop", FLOW);
     assert_eq!(status, 200);
     stop(&handle, join);
-    let persisted = SharedMemo::new(1).load_memo_file(&path).expect("readable");
-    assert_eq!(persisted, dda_core::MemoFormat::V3Binary);
+    SharedMemo::new(1)
+        .load_memo_file(&path)
+        .expect("persisted v3 loads");
 
     // Restart on the archive: warm verdicts, load metrics exposed.
     let (addr2, handle2, join2) = start(cfg);
@@ -624,23 +626,20 @@ fn fresh_memo_path_persists_v3_and_restarts_warm() {
     drop(handle2);
 
     let reread = SharedMemo::new(4);
-    assert_eq!(
-        reread.load_memo_file(&path).expect("persisted v3 loads"),
-        dda_core::MemoFormat::V3Binary
-    );
+    reread.load_memo_file(&path).expect("persisted v3 loads");
 }
 
-/// A server started on v2 text (here the committed fixture) loads it,
-/// answers warm from it, and persists the table back as a v3 archive
-/// that keeps every loaded entry.
+/// A server started on the committed v3 fixture loads it, answers warm
+/// from it, and persists the table back as a v3 archive that keeps every
+/// loaded entry.
 #[test]
-fn v2_memo_loads_warm_and_persists_back_as_v3() {
+fn v3_fixture_loads_warm_and_persists_back() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let dir = tmpdir("persist_v2");
+    let dir = tmpdir("persist_fixture");
     let path = dir.join("memo.dda");
-    std::fs::copy(format!("{root}/tests/corpus/memo/loops.v2.memo"), &path).expect("fixture");
+    std::fs::copy(format!("{root}/tests/corpus/memo/loops.v3.memo"), &path).expect("fixture");
     let before = SharedMemo::new(1);
-    before.load_memo_file(&path).expect("v2 fixture loads");
+    before.load_memo_file(&path).expect("v3 fixture loads");
 
     let (addr, handle, join) = start(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -655,9 +654,47 @@ fn v2_memo_loads_warm_and_persists_back_as_v3() {
     stop(&handle, join);
 
     let after = SharedMemo::new(1);
-    let format = after.load_memo_file(&path).expect("persisted v3 loads");
-    assert_eq!(format, dda_core::MemoFormat::V3Binary);
-    assert_eq!(after.merged_entries(), before.merged_entries());
+    after.load_memo_file(&path).expect("persisted v3 loads");
+    assert_eq!(
+        after.merged_entries().expect("persisted records decode"),
+        before.merged_entries().expect("fixture records decode")
+    );
+}
+
+/// Memo files the server cannot use fail located, never panic: retired
+/// v2 text at startup, and an archive with a record that does not decode
+/// (checksums resealed, so it attaches) at the shutdown persist, which
+/// leaves the file as it was.
+#[test]
+fn unusable_memo_files_fail_located() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let dir = tmpdir("unusable_memo");
+    let path = dir.join("memo.dda");
+    let cfg = ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        memo_path: Some(path.clone()),
+        ..ServeConfig::default()
+    };
+
+    std::fs::copy(format!("{root}/tests/corpus/memo/loops.v2.memo"), &path).expect("fixture");
+    let Err(e) = Server::bind(&cfg) else {
+        panic!("a text memo must not start a server");
+    };
+    assert!(
+        e.contains("memo v3 file, offset 0x0: dda-memo v1/v2 text is no longer read"),
+        "{e}"
+    );
+
+    let short =
+        std::fs::read(format!("{root}/tests/corpus/memo/short_record.v3.memo")).expect("fixture");
+    std::fs::write(&path, &short).expect("copy");
+    let server = Server::bind(&cfg).expect("the archive attaches");
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+    handle.shutdown();
+    let e = join.join().expect("no panic").expect_err("persist fails");
+    assert!(e.contains("memo v3 file, offset "), "{e}");
+    assert_eq!(std::fs::read(&path).expect("memo reads"), short);
 }
 
 /// Satellite 3: N concurrent clients hammering one warm server get

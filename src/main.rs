@@ -53,15 +53,16 @@ COMMANDS:
                 per line; `#` comments and blanks skipped). Multiple
                 inputs are allowed and analyzed in order. Output is
                 byte-identical for any --workers/--shards.
-    memo        operate on persisted memo files:
-                  `dda memo inspect <FILE>` prints the layout — for v3
-                  binary archives the header, per-shard offsets/record
-                  counts/checksums; for v2 text the entry counts.
-                  Corrupt files fail with a located error.
-                  `dda memo convert <IN> <OUT> [--shards N]` rewrites a
-                  memo file (v1/v2 text or v3) as a v3 binary archive
-                  with N hash-partitioned shards (default 16). v1/v2
-                  text still loads everywhere, but only v3 is written
+    memo        operate on persisted memo files (dda-memo v3 archives):
+                  `dda memo inspect <FILE>` prints the layout — the
+                  header, per-shard offsets/record counts/checksums —
+                  then one line per record: section, shard, key and
+                  decoded value. Corrupt files and records that do not
+                  decode fail with a located error. To re-shard an
+                  archive: `dda batch - --memo-load A --memo-save B
+                  --shards N < /dev/null`. dda-memo v1/v2 text is no
+                  longer read; `dda memo convert` at commit 9a3ff89
+                  turns it into v3
     bench       benchmark snapshots and the regression gate:
                   `dda bench record [--quick] [--out FILE]` re-runs the
                   standing measurements (per-stage resolving latency,
@@ -122,7 +123,7 @@ OPTIONS:
                          (svpc,acyclic,residue,fm — default all four);
                          partial lists are ablations and may assume
                          dependence where a disabled test would decide
-    --memo-load <FILE>   import a persisted memo table before analyzing
+    --memo-load <FILE>   import a dda-memo v3 archive before analyzing
     --memo-save <FILE>   write the memo table afterwards as a dda-memo v3
                          archive with --shards shards per section
     --stats              print analysis statistics (with per-stage wall
@@ -878,56 +879,38 @@ fn run_serve(opts: &Options) -> Result<(), String> {
     server.run()
 }
 
-/// `dda memo inspect <FILE>`: print a persisted memo file's layout.
-/// v3 archives get the full header/shard/checksum listing; v2 text gets
-/// an entry count. Corrupt files fail with the located error.
+/// `dda memo inspect <FILE>`: print a v3 archive's layout — header,
+/// then each shard's offset, length, record count and checksum — then
+/// decode every record and print one line per record. A corrupt file,
+/// or a record that does not decode, fails with the located error.
 fn memo_inspect(path: &str) -> Result<(), String> {
-    let memo = dda::core::SharedMemo::new(1);
-    memo.load_memo_file(path)
-        .map_err(|e| format!("{path}: {e}"))?;
-    // A fresh table attaches the first archive it loads.
-    if let Some(archive) = memo.archive_ref() {
-        println!(
-            "{path}: dda-memo v3, {} shards/section, {} records, {} bytes",
-            archive.shard_count(),
-            archive.total_records(),
-            archive.file_len(),
-        );
-        for s in archive.shard_infos() {
-            println!(
-                "  {} shard {:>4}: offset {:#x}, {} bytes, {} records, checksum {:#018x}",
-                s.section, s.shard, s.offset, s.len, s.records, s.checksum
-            );
-        }
-    } else {
-        println!(
-            "{path}: dda-memo v2 text, {} full + {} gcd entries",
-            memo.full.unique_entries(),
-            memo.gcd.unique_entries()
+    use std::fmt::Write as _;
+    let archive = dda::core::MemoArchive::open(path).map_err(|e| format!("{path}: {e}"))?;
+    // Buffered, so an archive with an undecodable record prints nothing
+    // but the error.
+    let mut out = format!(
+        "{path}: dda-memo v3, {} shards/section, {} records, {} bytes\n",
+        archive.shard_count(),
+        archive.total_records(),
+        archive.file_len(),
+    );
+    for s in archive.shard_infos() {
+        let _ = writeln!(
+            out,
+            "  {} shard {:>4}: offset {:#x}, {} bytes, {} records, checksum {:#018x}",
+            s.section, s.shard, s.offset, s.len, s.records, s.checksum
         );
     }
-    Ok(())
-}
-
-/// `dda memo convert <IN> <OUT>`: load a memo file (v2 text or v3
-/// binary) and write it back as a v3 archive with `--shards` shards.
-fn memo_convert(input: &str, output: &str, shards: usize) -> Result<(), String> {
-    let memo = dda::core::SharedMemo::new(shards.max(1));
-    let format = memo
-        .load_memo_file(input)
-        .map_err(|e| format!("{input}: {e}"))?;
-    memo.save_memo_file_v3(output, shards)
-        .map_err(|e| format!("{output}: {e}"))?;
-    let from = match format {
-        dda::core::MemoFormat::V2Text => "v2 text",
-        dda::core::MemoFormat::V3Binary => "v3 binary",
-    };
-    let entries = memo.full.unique_entries() + memo.gcd.unique_entries();
-    let loaded = memo.memo_load_stats();
-    eprintln!(
-        "converted {input} ({from}, {} records) -> {output} (v3, {shards} shards)",
-        loaded.records.max(entries as u64)
-    );
+    archive
+        .for_each_record(|section, shard, key, value| {
+            let _ = writeln!(
+                out,
+                "  {section} shard {shard:>4} record {:?}: {value:?}",
+                key.as_slice()
+            );
+        })
+        .map_err(|e| format!("{path}: {e}"))?;
+    print!("{out}");
     Ok(())
 }
 
@@ -990,7 +973,7 @@ fn run_bench(opts: &Options) -> Result<(), String> {
     }
 }
 
-/// `dda memo`: inspect or convert persisted memo files.
+/// `dda memo`: inspect persisted memo files.
 fn run_memo(opts: &Options) -> Result<(), String> {
     match opts.file.as_str() {
         "inspect" => {
@@ -999,15 +982,7 @@ fn run_memo(opts: &Options) -> Result<(), String> {
             };
             memo_inspect(path)
         }
-        "convert" => {
-            let [input, output] = opts.extra_files.as_slice() else {
-                return Err("memo convert needs an input and an output file".into());
-            };
-            memo_convert(input, output, opts.shards)
-        }
-        other => Err(format!(
-            "unknown memo subcommand `{other}` (inspect or convert)"
-        )),
+        other => Err(format!("unknown memo subcommand `{other}` (inspect)")),
     }
 }
 

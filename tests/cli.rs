@@ -25,6 +25,20 @@ fn run_cli(args: &[&str], stdin: &str) -> (String, String, bool) {
     )
 }
 
+/// Runs the binary with empty stdin; returns (exit code, stdout, stderr).
+fn run_cli_code(args: &[&str]) -> (i32, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_dda"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("binary runs");
+    (
+        out.status.code().expect("exited, not killed by a signal"),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
 /// A path in the repository, as a string for the command line.
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -155,28 +169,42 @@ fn memo_save_and_load_round_trip() {
         "{inspect}"
     );
 
-    // Text tables still load: the committed v2 fixture answers an
-    // example it was trained on, and inline v1 text is accepted.
+    // The committed v3 fixture answers an example it was trained on;
+    // inline v1 text is refused, located.
     let example = std::fs::read_to_string(repo_path("examples/loops/interchange.loop")).unwrap();
-    let fixture = repo_path("tests/corpus/memo/loops.v2.memo");
+    let fixture = repo_path("tests/corpus/memo/loops.v3.memo");
     let (stdout, _, ok) = run_cli(&["analyze", "-", "--memo-load", &fixture], &example);
     assert!(ok);
     assert!(stdout.contains("[cached]"), "{stdout}");
     std::fs::write(&memo, "dda-memo v1\ngcd 1 7 I\n").unwrap();
     let (_, stderr, ok) = run_cli(&["analyze", "-", "--memo-load", memo_str], &example);
-    assert!(ok, "{stderr}");
-    // `memo convert` rewrites a text table as a v3 archive.
-    let (_, stderr, ok) = run_cli(
-        &["memo", "convert", &fixture, memo_str, "--shards", "2"],
-        "",
+    assert!(!ok);
+    assert!(stderr.contains("memo v3 file, offset 0x0"), "{stderr}");
+    // An empty batch re-shards an archive: two shards reproduce the
+    // fixture, and inspect lists its layout and every record.
+    let (code, _, stderr) = run_cli_code(&[
+        "batch",
+        "-",
+        "--memo-load",
+        &fixture,
+        "--memo-save",
+        memo_str,
+        "--shards",
+        "2",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert_eq!(
+        std::fs::read(&memo).unwrap(),
+        std::fs::read(&fixture).unwrap()
     );
-    assert!(ok, "{stderr}");
     let (inspect, _, ok) = run_cli(&["memo", "inspect", memo_str], "");
     assert!(ok);
     assert!(
         inspect.contains("dda-memo v3, 2 shards/section, 15 records"),
         "{inspect}"
     );
+    assert_eq!(inspect.matches(" record [").count(), 15, "{inspect}");
+    assert!(inspect.contains("  full shard    0 record ["), "{inspect}");
     std::fs::remove_file(&memo).ok();
 }
 
@@ -310,16 +338,75 @@ fn batch_memo_round_trips_and_warm_starts() {
         "{warm}"
     );
 
-    // Text tables still load: the committed v2 fixture warms the
-    // examples it was trained on, and inline v1 text is accepted.
+    // The committed v3 fixture warms the examples it was trained on;
+    // inline v1 text is refused, located.
     let example = repo_path("examples/loops/interchange.loop");
-    let fixture = repo_path("tests/corpus/memo/loops.v2.memo");
+    let fixture = repo_path("tests/corpus/memo/loops.v3.memo");
     let (warm, _, ok) = run_cli(&["batch", &example, "--memo-load", &fixture], "");
     assert!(ok);
     assert!(warm.contains("\"cached\":true"), "{warm}");
     std::fs::write(&memo, "dda-memo v1\ngcd 1 7 I\n").unwrap();
     let (_, stderr, ok) = run_cli(&["batch", manifest, "--memo-load", memo_str], "");
-    assert!(ok, "{stderr}");
+    assert!(!ok);
+    assert!(stderr.contains("memo v3 file, offset 0x0"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A retired text table fails at every command that reads memo files:
+/// exit 1 with a located error naming the converter, never a panic.
+#[test]
+fn text_memo_tables_are_refused_everywhere() {
+    let dir = std::env::temp_dir().join("dda_cli_text_memo");
+    std::fs::create_dir_all(&dir).unwrap();
+    let text = dir.join("loops.v2.memo");
+    std::fs::copy(repo_path("tests/corpus/memo/loops.v2.memo"), &text).unwrap();
+    let text = text.to_str().unwrap();
+    let example = repo_path("examples/loops/interchange.loop");
+    for args in [
+        vec!["analyze", &example, "--memo-load", text],
+        vec!["batch", &example, "--memo-load", text],
+        vec!["memo", "inspect", text],
+        vec!["serve", "--addr", "127.0.0.1:0", "--memo", text],
+    ] {
+        let (code, _, stderr) = run_cli_code(&args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("memo v3 file, offset 0x0: dda-memo v1/v2 text is no longer read")
+                && stderr.contains("`dda memo convert` at commit 9a3ff89"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An archive whose record no longer decodes under resealed checksums
+/// opens, so a warm start that never touches the record still runs; but
+/// every command that decodes it fails located with exit 1, never a
+/// panic, and a failed save leaves its target alone.
+#[test]
+fn resealed_undecodable_record_fails_located() {
+    let dir = std::env::temp_dir().join("dda_cli_short_record");
+    std::fs::create_dir_all(&dir).unwrap();
+    let bad = repo_path("tests/corpus/memo/short_record.v3.memo");
+    let example = repo_path("examples/loops/interchange.loop");
+    let out = dir.join("out.memo");
+    std::fs::write(&out, b"previous").unwrap();
+    let out = out.to_str().unwrap();
+
+    let (code, _, stderr) = run_cli_code(&["batch", &example, "--memo-load", &bad]);
+    assert_eq!(code, 0, "{stderr}");
+    for args in [
+        vec!["batch", &example, "--memo-load", &bad, "--memo-save", out],
+        vec!["memo", "inspect", &bad],
+    ] {
+        let (code, _, stderr) = run_cli_code(&args);
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("memo v3 file, offset"),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert_eq!(std::fs::read(out).unwrap(), b"previous");
     std::fs::remove_dir_all(&dir).ok();
 }
 
