@@ -9,7 +9,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 use dda_core::json::json_escape;
-use dda_ir::{ForLoop, Program, Stmt, SymbolTable};
+use dda_ir::{ForLoop, Program, Stmt};
 
 use crate::model::{DependenceEdge, LoopVerdict, ProgramGraph};
 
@@ -210,13 +210,14 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
     let carried = graph.carried_loops();
     fn go(
         out: &mut String,
-        t: &SymbolTable,
+        p: &Program,
         stmts: &[Stmt],
         depth: usize,
         next_id: &mut usize,
         carried: &BTreeSet<usize>,
     ) {
         let indent = depth.saturating_mul(4);
+        let t = &p.symbols;
         for s in stmts {
             match s {
                 Stmt::For(ForLoop {
@@ -238,10 +239,10 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         "{:indent$}for {} = {} to {} {{   // {tag}",
                         "",
                         t.name(*var),
-                        lower.display(t),
-                        upper.display(t)
+                        p.display_expr(*lower),
+                        p.display_expr(*upper)
                     );
-                    go(out, t, body, depth.saturating_add(1), next_id, carried);
+                    go(out, p, body, depth.saturating_add(1), next_id, carried);
                     let _ = writeln!(out, "{:indent$}}}", "");
                 }
                 Stmt::ArrayAssign(a) => {
@@ -249,8 +250,8 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         out,
                         "{:indent$}{} = {};",
                         "",
-                        a.target.display(t),
-                        a.value.display(t)
+                        p.display_ref(a.target),
+                        p.display_expr(a.value)
                     );
                 }
                 Stmt::ScalarAssign(a) => {
@@ -259,7 +260,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         "{:indent$}{} = {};",
                         "",
                         t.name(a.name),
-                        a.value.display(t)
+                        p.display_expr(a.value)
                     );
                 }
                 Stmt::Read(n) => {
@@ -270,13 +271,13 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         out,
                         "{:indent$}if ({} {} {}) {{",
                         "",
-                        i.lhs.display(t),
+                        p.display_expr(i.lhs),
                         i.op.as_str(),
-                        i.rhs.display(t)
+                        p.display_expr(i.rhs)
                     );
                     go(
                         out,
-                        t,
+                        p,
                         &i.then_body,
                         depth.saturating_add(1),
                         next_id,
@@ -286,7 +287,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         let _ = writeln!(out, "{:indent$}}} else {{", "");
                         go(
                             out,
-                            t,
+                            p,
                             &i.else_body,
                             depth.saturating_add(1),
                             next_id,
@@ -300,14 +301,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
     }
     let mut out = String::new();
     let mut next_id = 0;
-    go(
-        &mut out,
-        &program.symbols,
-        &program.stmts,
-        0,
-        &mut next_id,
-        &carried,
-    );
+    go(&mut out, program, &program.stmts, 0, &mut next_id, &carried);
     out
 }
 

@@ -6,11 +6,14 @@
 //! classifies free scalars as symbolic constants, and enumerates the pairs
 //! the analyzer must test.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::sync::Arc;
 
+use crate::arena::{ArrayRef, Expr, ExprArena};
 use crate::ast::{Program, Stmt};
-use crate::expr::{AffineExpr, ArrayRef, Expr};
+use crate::expr::AffineExpr;
 use crate::symbol::{Named, Sym, SymbolTable};
 
 /// A loop bound in affine form, or a marker that it could not be lowered.
@@ -176,7 +179,8 @@ const ASSIGNED: u8 = 1;
 const DECLARED: u8 = 2;
 const USED: u8 = 4;
 
-struct Extractor {
+struct Extractor<'p> {
+    exprs: &'p ExprArena,
     accesses: Vec<Access>,
     loop_stack: Vec<LoopInfo>,
     /// `loop_stack` as shared by the accesses recorded at each depth:
@@ -193,7 +197,7 @@ struct Extractor {
     cond_depth: usize,
 }
 
-impl Extractor {
+impl Extractor<'_> {
     fn is_loop_var(&self, v: Sym) -> bool {
         self.loop_stack.iter().any(|l| l.var == v)
     }
@@ -201,8 +205,8 @@ impl Extractor {
     /// Lowers `e` to affine form valid in the current loop context: every
     /// variable must be a loop variable in scope or an immutable scalar.
     /// Notes the scalars an affine result uses.
-    fn lower(&mut self, e: &Expr) -> Option<AffineExpr> {
-        let affine = AffineExpr::from_expr(e)?;
+    fn lower(&mut self, e: Expr) -> Option<AffineExpr> {
+        let affine = AffineExpr::from_expr(self.exprs, e)?;
         for v in affine.vars() {
             if !self.is_loop_var(v) && self.facts[v.index()] & ASSIGNED != 0 {
                 return None; // mutated scalar: not a symbolic constant
@@ -216,14 +220,14 @@ impl Extractor {
         Some(affine)
     }
 
-    fn lower_subscript(&mut self, e: &Expr) -> Subscript {
+    fn lower_subscript(&mut self, e: Expr) -> Subscript {
         match self.lower(e) {
             Some(a) => Subscript::Affine(a),
             None => Subscript::NonAffine,
         }
     }
 
-    fn lower_bound(&mut self, e: &Expr) -> Bound {
+    fn lower_bound(&mut self, e: Expr) -> Bound {
         match self.lower(e) {
             Some(a) => Bound::Affine(a),
             None => Bound::NonAffine,
@@ -231,10 +235,11 @@ impl Extractor {
     }
 
     fn record(&mut self, r: &ArrayRef, is_write: bool) {
-        let subscripts: Vec<Subscript> = r
-            .subscripts
+        let exprs = self.exprs;
+        let subscripts: Vec<Subscript> = exprs
+            .subscripts(r)
             .iter()
-            .map(|s| self.lower_subscript(s))
+            .map(|&s| self.lower_subscript(s))
             .collect();
         let depth = self.loop_stack.len();
         let loops = Arc::clone(
@@ -252,23 +257,10 @@ impl Extractor {
     }
 
     /// Records every array read inside `e`, each reference before the
-    /// reads nested in its subscripts (the order of
-    /// [`Expr::array_reads`]).
-    fn record_reads(&mut self, e: &Expr) {
-        match e {
-            Expr::Const(_) | Expr::Var(_) => {}
-            Expr::ArrayRead(r) => {
-                self.record(r, false);
-                for s in &r.subscripts {
-                    self.record_reads(s);
-                }
-            }
-            Expr::Neg(x) => self.record_reads(x),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
-                self.record_reads(a);
-                self.record_reads(b);
-            }
-        }
+    /// reads nested in its subscripts.
+    fn record_reads(&mut self, e: Expr) {
+        let exprs = self.exprs;
+        exprs.for_each_read(e, &mut |r| self.record(r, false));
     }
 
     fn walk(&mut self, stmts: &[Stmt]) {
@@ -278,29 +270,30 @@ impl Extractor {
                 Stmt::Read(n) => self.facts[n.index()] |= DECLARED,
                 Stmt::ScalarAssign(a) => {
                     // Already noted in the pre-scan; reads inside count too.
-                    self.record_reads(&a.value);
+                    self.record_reads(a.value);
                 }
                 Stmt::ArrayAssign(a) => {
                     self.record(&a.target, true);
-                    self.record_reads(&a.value);
+                    self.record_reads(a.value);
                     // Array refs nested inside subscripts count as reads.
-                    for sub in &a.target.subscripts {
+                    let exprs = self.exprs;
+                    for &sub in exprs.subscripts(&a.target) {
                         self.record_reads(sub);
                     }
                 }
                 Stmt::If(i) => {
                     // Condition reads always execute; branch accesses are
                     // conditional.
-                    self.record_reads(&i.lhs);
-                    self.record_reads(&i.rhs);
+                    self.record_reads(i.lhs);
+                    self.record_reads(i.rhs);
                     self.cond_depth += 1;
                     self.walk(&i.then_body);
                     self.walk(&i.else_body);
                     self.cond_depth -= 1;
                 }
                 Stmt::For(l) => {
-                    let lower = self.lower_bound(&l.lower);
-                    let upper = self.lower_bound(&l.upper);
+                    let lower = self.lower_bound(l.lower);
+                    let upper = self.lower_bound(l.upper);
                     self.loop_stack.push(LoopInfo {
                         id: self.next_loop_id,
                         var: l.var,
@@ -359,6 +352,7 @@ pub fn extract_accesses(program: &Program) -> AccessSet {
     let mut facts = vec![0u8; program.symbols.len()];
     mark_assigned(&program.stmts, &mut facts);
     let mut ex = Extractor {
+        exprs: &program.exprs,
         accesses: Vec::new(),
         loop_stack: Vec::new(),
         contexts: vec![None],

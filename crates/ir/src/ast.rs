@@ -8,15 +8,21 @@
 //!     a[i] = a[i + 10] + 3;
 //! }
 //! ```
+//!
+//! Statements are a tree of `Vec`s; every expression in them is an id
+//! into the program's [`ExprArena`].
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 use std::sync::Arc;
 
-use crate::expr::{ArrayRef, Expr};
+use crate::arena::{ArrayRef, Expr, ExprArena};
+use crate::expr::Shown;
 use crate::symbol::{Sym, SymbolTable};
 
 /// A statement of the source language.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub enum Stmt {
     /// A counted loop.
     For(ForLoop),
@@ -79,7 +85,7 @@ impl RelOp {
 }
 
 /// `if (lhs op rhs) { … } else { … }`
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct IfStmt {
     /// Left-hand side of the condition.
     pub lhs: Expr,
@@ -94,7 +100,7 @@ pub struct IfStmt {
 }
 
 /// A counted `for` loop with an optional non-unit step.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ForLoop {
     /// The induction variable.
     pub var: Sym,
@@ -109,7 +115,7 @@ pub struct ForLoop {
 }
 
 /// `target[subs…] = value;`
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ArrayAssign {
     /// The written element.
     pub target: ArrayRef,
@@ -118,7 +124,7 @@ pub struct ArrayAssign {
 }
 
 /// `name = value;`
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ScalarAssign {
     /// The written scalar.
     pub name: Sym,
@@ -126,14 +132,18 @@ pub struct ScalarAssign {
     pub value: Expr,
 }
 
-/// A whole program: a statement list and the table naming its symbols.
+/// A whole program: a statement list, the arena holding its
+/// expressions and the table naming its symbols.
 ///
-/// Two programs are equal when their statements and their tables are:
-/// the same source always interns to the same table.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Two programs are equal when their statements have the same shape,
+/// expressions included wherever they sit in the arenas, and their
+/// tables are equal: the same source always interns to the same table.
+#[derive(Debug, Clone, Default)]
 pub struct Program {
     /// Top-level statements.
     pub stmts: Vec<Stmt>,
+    /// Every expression node of the statements, operands before users.
+    pub exprs: ExprArena,
     /// Every identifier of the program, in order of first appearance.
     /// Shared with the access sets extracted from it; a pass that adds
     /// a name copies the table first if it is shared.
@@ -163,6 +173,50 @@ impl Program {
         count(&self.stmts)
     }
 
+    /// Displays the expression `e` of this program.
+    #[must_use]
+    pub fn display_expr(&self, e: Expr) -> Shown<'_, Expr> {
+        self.exprs.display(e, &self.symbols)
+    }
+
+    /// Displays the array reference `r` of this program.
+    #[must_use]
+    pub fn display_ref(&self, r: ArrayRef) -> Shown<'_, ArrayRef> {
+        self.exprs.display_ref(r, &self.symbols)
+    }
+
+    /// Copies every expression the statements reach into a fresh arena,
+    /// in the order the parser would have written them, and drops the
+    /// rest: the nodes that rewriting left unreachable.
+    pub fn compact(&mut self) {
+        fn copy(stmts: &mut [Stmt], from: &ExprArena, to: &mut ExprArena) {
+            for s in stmts {
+                match s {
+                    Stmt::For(l) => {
+                        l.lower = to.copy_from(from, l.lower);
+                        l.upper = to.copy_from(from, l.upper);
+                        copy(&mut l.body, from, to);
+                    }
+                    Stmt::ArrayAssign(a) => {
+                        a.target = to.copy_ref_from(from, &a.target);
+                        a.value = to.copy_from(from, a.value);
+                    }
+                    Stmt::ScalarAssign(a) => a.value = to.copy_from(from, a.value),
+                    Stmt::If(i) => {
+                        i.lhs = to.copy_from(from, i.lhs);
+                        i.rhs = to.copy_from(from, i.rhs);
+                        copy(&mut i.then_body, from, to);
+                        copy(&mut i.else_body, from, to);
+                    }
+                    Stmt::Read(_) => {}
+                }
+            }
+        }
+        let mut fresh = ExprArena::new();
+        copy(&mut self.stmts, &self.exprs, &mut fresh);
+        self.exprs = fresh;
+    }
+
     /// Maximum loop nesting depth.
     #[must_use]
     pub fn max_depth(&self) -> usize {
@@ -188,48 +242,54 @@ fn write_indent(f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
     Ok(())
 }
 
-fn write_stmt(f: &mut fmt::Formatter<'_>, t: &SymbolTable, s: &Stmt, depth: usize) -> fmt::Result {
+fn write_stmt(f: &mut fmt::Formatter<'_>, p: &Program, s: &Stmt, depth: usize) -> fmt::Result {
     write_indent(f, depth)?;
+    let t = &p.symbols;
     match s {
         Stmt::For(l) => {
             write!(
                 f,
                 "for {} = {} to {}",
                 t.name(l.var),
-                l.lower.display(t),
-                l.upper.display(t)
+                p.display_expr(l.lower),
+                p.display_expr(l.upper)
             )?;
             if l.step != 1 {
                 write!(f, " step {}", l.step)?;
             }
             writeln!(f, " {{")?;
             for inner in &l.body {
-                write_stmt(f, t, inner, depth + 1)?;
+                write_stmt(f, p, inner, depth + 1)?;
             }
             write_indent(f, depth)?;
             writeln!(f, "}}")
         }
         Stmt::ArrayAssign(a) => {
-            writeln!(f, "{} = {};", a.target.display(t), a.value.display(t))
+            writeln!(
+                f,
+                "{} = {};",
+                p.display_ref(a.target),
+                p.display_expr(a.value)
+            )
         }
-        Stmt::ScalarAssign(a) => writeln!(f, "{} = {};", t.name(a.name), a.value.display(t)),
+        Stmt::ScalarAssign(a) => writeln!(f, "{} = {};", t.name(a.name), p.display_expr(a.value)),
         Stmt::Read(n) => writeln!(f, "read({});", t.name(*n)),
         Stmt::If(i) => {
             writeln!(
                 f,
                 "if ({} {} {}) {{",
-                i.lhs.display(t),
+                p.display_expr(i.lhs),
                 i.op.as_str(),
-                i.rhs.display(t)
+                p.display_expr(i.rhs)
             )?;
             for inner in &i.then_body {
-                write_stmt(f, t, inner, depth + 1)?;
+                write_stmt(f, p, inner, depth + 1)?;
             }
             if !i.else_body.is_empty() {
                 write_indent(f, depth)?;
                 writeln!(f, "}} else {{")?;
                 for inner in &i.else_body {
-                    write_stmt(f, t, inner, depth + 1)?;
+                    write_stmt(f, p, inner, depth + 1)?;
                 }
             }
             write_indent(f, depth)?;
@@ -241,11 +301,47 @@ fn write_stmt(f: &mut fmt::Formatter<'_>, t: &SymbolTable, s: &Stmt, depth: usiz
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for s in &self.stmts {
-            write_stmt(f, &self.symbols, s, 0)?;
+            write_stmt(f, self, s, 0)?;
         }
         Ok(())
     }
 }
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        fn same(a: &[Stmt], x: &ExprArena, b: &[Stmt], y: &ExprArena) -> bool {
+            let e = |p: Expr, q: Expr| x.same(p, y, q);
+            a.len() == b.len()
+                && a.iter().zip(b).all(|pair| match pair {
+                    (Stmt::For(l), Stmt::For(m)) => {
+                        l.var == m.var
+                            && l.step == m.step
+                            && e(l.lower, m.lower)
+                            && e(l.upper, m.upper)
+                            && same(&l.body, x, &m.body, y)
+                    }
+                    (Stmt::ArrayAssign(l), Stmt::ArrayAssign(m)) => {
+                        x.same_ref(&l.target, y, &m.target) && e(l.value, m.value)
+                    }
+                    (Stmt::ScalarAssign(l), Stmt::ScalarAssign(m)) => {
+                        l.name == m.name && e(l.value, m.value)
+                    }
+                    (Stmt::Read(l), Stmt::Read(m)) => l == m,
+                    (Stmt::If(l), Stmt::If(m)) => {
+                        l.op == m.op
+                            && e(l.lhs, m.lhs)
+                            && e(l.rhs, m.rhs)
+                            && same(&l.then_body, x, &m.then_body, y)
+                            && same(&l.else_body, x, &m.else_body, y)
+                    }
+                    _ => false,
+                })
+        }
+        self.symbols == other.symbols && same(&self.stmts, &self.exprs, &other.stmts, &other.exprs)
+    }
+}
+
+impl Eq for Program {}
 
 #[cfg(test)]
 mod tests {
@@ -254,20 +350,20 @@ mod tests {
     fn tiny() -> Program {
         let mut symbols = SymbolTable::new();
         let (i, a) = (symbols.intern("i"), symbols.intern("a"));
+        let mut x = ExprArena::new();
+        let (lower, upper) = (x.constant(1), x.constant(10));
+        let sub = x.var(i);
+        let target = x.try_target(a, &[sub]).unwrap();
+        let value = x.constant(0);
         Program {
             stmts: vec![Stmt::For(ForLoop {
                 var: i,
-                lower: Expr::Const(1),
-                upper: Expr::Const(10),
+                lower,
+                upper,
                 step: 1,
-                body: vec![Stmt::ArrayAssign(ArrayAssign {
-                    target: ArrayRef {
-                        array: a,
-                        subscripts: vec![Expr::Var(i)],
-                    },
-                    value: Expr::Const(0),
-                })],
+                body: vec![Stmt::ArrayAssign(ArrayAssign { target, value })],
             })],
+            exprs: x,
             symbols: Arc::new(symbols),
         }
     }
@@ -278,6 +374,28 @@ mod tests {
         assert_eq!(p.num_stmts(), 2);
         assert_eq!(p.max_depth(), 1);
         assert_eq!(Program::new().max_depth(), 0);
+    }
+
+    #[test]
+    fn equality_ignores_arena_layout() {
+        let p = tiny();
+        // The loop's lower bound rewritten as a fresh node behind garbage.
+        let mut q = tiny();
+        let Stmt::For(l) = &mut q.stmts[0] else {
+            panic!("not a loop")
+        };
+        q.exprs.constant(7);
+        l.lower = q.exprs.constant(1);
+        assert_eq!(p, q);
+        assert!(q.exprs.len() > p.exprs.len());
+        q.compact();
+        assert_eq!(q.exprs.len(), p.exprs.len());
+        assert_eq!(p, q);
+        let Stmt::For(l) = &mut q.stmts[0] else {
+            panic!("not a loop")
+        };
+        l.lower = q.exprs.constant(2);
+        assert_ne!(p, q);
     }
 
     #[test]

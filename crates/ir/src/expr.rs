@@ -1,143 +1,81 @@
-//! Expression trees and affine (linear) forms.
+//! Expression display and affine (linear) forms.
 //!
-//! The parser produces general [`Expr`] trees; the dependence tests only
-//! understand *affine* functions of loop variables and symbolic constants.
-//! [`AffineExpr`] is that normal form, and [`AffineExpr::from_expr`]
-//! performs the lowering (after the normalization passes have done constant
+//! The parser produces general expressions in the program's
+//! [`ExprArena`]; the dependence tests only understand *affine*
+//! functions of loop variables and symbolic constants. [`AffineExpr`]
+//! is that normal form, and [`AffineExpr::from_expr`] performs the
+//! lowering (after the normalization passes have done constant
 //! propagation and substitution).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 
 use dda_linalg::SmallVec;
 
+use crate::arena::{ArrayRef, Expr, ExprArena, Node};
 use crate::symbol::{Named, Sym, SymbolTable};
 
-/// A multi-dimensional array reference, e.g. `a[i + 1][j]`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrayRef {
-    /// The array.
-    pub array: Sym,
-    /// One subscript expression per dimension.
-    pub subscripts: Vec<Expr>,
+/// An expression or array reference displayed with its arena and the
+/// names in its symbol table; see [`ExprArena::display`].
+#[derive(Debug, Clone, Copy)]
+pub struct Shown<'a, T> {
+    value: T,
+    exprs: &'a ExprArena,
+    symbols: &'a SymbolTable,
 }
 
-impl ArrayRef {
-    /// Displays the reference with the names in `symbols`.
+impl ExprArena {
+    /// Displays `e` with the names in `symbols`.
     #[must_use]
-    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, ArrayRef> {
-        Named {
-            value: self,
+    pub fn display<'a>(&'a self, e: Expr, symbols: &'a SymbolTable) -> Shown<'a, Expr> {
+        Shown {
+            value: e,
+            exprs: self,
+            symbols,
+        }
+    }
+
+    /// Displays the reference `r` with the names in `symbols`.
+    #[must_use]
+    pub fn display_ref<'a>(&'a self, r: ArrayRef, symbols: &'a SymbolTable) -> Shown<'a, ArrayRef> {
+        Shown {
+            value: r,
+            exprs: self,
             symbols,
         }
     }
 }
 
-impl fmt::Display for Named<'_, ArrayRef> {
+impl fmt::Display for Shown<'_, ArrayRef> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.symbols.name(self.value.array))?;
-        for s in &self.value.subscripts {
-            write!(f, "[{}]", s.display(self.symbols))?;
+        for &s in self.exprs.subscripts(&self.value) {
+            write!(f, "[{}]", self.with(s))?;
         }
         Ok(())
     }
 }
 
-/// A general scalar expression as written in the source program.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Expr {
-    /// An integer literal.
-    Const(i64),
-    /// A scalar variable: loop index, symbolic constant, or program scalar.
-    Var(Sym),
-    /// A read of an array element.
-    ArrayRead(ArrayRef),
-    /// Unary negation.
-    Neg(Box<Expr>),
-    /// Addition.
-    Add(Box<Expr>, Box<Expr>),
-    /// Subtraction.
-    Sub(Box<Expr>, Box<Expr>),
-    /// Multiplication.
-    Mul(Box<Expr>, Box<Expr>),
-}
-
-impl Expr {
-    /// Collects every array reference read inside this expression, in
-    /// left-to-right order.
-    #[must_use]
-    pub fn array_reads(&self) -> Vec<&ArrayRef> {
-        let mut out = Vec::new();
-        self.visit_reads(&mut out);
-        out
-    }
-
-    fn visit_reads<'a>(&'a self, out: &mut Vec<&'a ArrayRef>) {
-        match self {
-            Expr::Const(_) | Expr::Var(_) => {}
-            Expr::ArrayRead(r) => {
-                out.push(r);
-                // Reads nested inside subscripts (a[b[i]]) are accesses
-                // too, in pre-order after their parent.
-                for s in &r.subscripts {
-                    s.visit_reads(out);
-                }
-            }
-            Expr::Neg(e) => e.visit_reads(out),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
-                a.visit_reads(out);
-                b.visit_reads(out);
-            }
-        }
-    }
-
-    /// Calls `f` on every scalar variable mentioned (not array names),
-    /// left to right, repeats included.
-    pub fn for_each_var(&self, f: &mut impl FnMut(Sym)) {
-        match self {
-            Expr::Const(_) => {}
-            Expr::Var(v) => f(*v),
-            Expr::ArrayRead(r) => {
-                for s in &r.subscripts {
-                    s.for_each_var(f);
-                }
-            }
-            Expr::Neg(e) => e.for_each_var(f),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
-                a.for_each_var(f);
-                b.for_each_var(f);
-            }
-        }
-    }
-
-    /// Displays the expression with the names in `symbols`.
-    #[must_use]
-    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, Expr> {
-        Named {
-            value: self,
-            symbols,
-        }
-    }
-
-    fn is_atom(&self) -> bool {
-        matches!(self, Expr::Var(_) | Expr::ArrayRead(_) | Expr::Const(0..))
-    }
-}
-
-impl Named<'_, Expr> {
-    fn with<'b>(&self, e: &'b Expr) -> Named<'b, Expr>
-    where
-        Self: 'b,
-    {
-        Named {
+impl<T> Shown<'_, T> {
+    fn with(&self, e: Expr) -> Shown<'_, Expr> {
+        Shown {
             value: e,
+            exprs: self.exprs,
             symbols: self.symbols,
         }
+    }
+}
+
+impl Shown<'_, Expr> {
+    fn node(&self) -> Node {
+        self.exprs.node(self.value)
     }
 
     fn fmt_factor(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // A factor position (operand of `*` or `-x`) needs parentheses
         // around anything that is not an atom.
-        if self.value.is_atom() {
+        if matches!(self.node(), Node::Var(_) | Node::Read(_) | Node::Const(0..)) {
             write!(f, "{self}")
         } else {
             write!(f, "({self})")
@@ -147,7 +85,7 @@ impl Named<'_, Expr> {
     fn fmt_add_rhs(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The right operand of a left-associative `+`/`-` chain needs
         // parentheses around a nested `+`/`-`.
-        if matches!(self.value, Expr::Add(..) | Expr::Sub(..)) {
+        if matches!(self.node(), Node::Add(..) | Node::Sub(..)) {
             write!(f, "({self})")
         } else {
             write!(f, "{self}")
@@ -155,25 +93,25 @@ impl Named<'_, Expr> {
     }
 }
 
-impl fmt::Display for Named<'_, Expr> {
+impl fmt::Display for Shown<'_, Expr> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.value {
-            Expr::Const(c) => write!(f, "{c}"),
-            Expr::Var(v) => f.write_str(self.symbols.name(*v)),
-            Expr::ArrayRead(r) => write!(f, "{}", r.display(self.symbols)),
-            Expr::Neg(e) => {
+        match self.node() {
+            Node::Const(c) => write!(f, "{c}"),
+            Node::Var(v) => f.write_str(self.symbols.name(v)),
+            Node::Read(r) => write!(f, "{}", self.exprs.display_ref(r, self.symbols)),
+            Node::Neg(e) => {
                 write!(f, "-")?;
                 self.with(e).fmt_factor(f)
             }
-            Expr::Add(a, b) => {
+            Node::Add(a, b) => {
                 write!(f, "{} + ", self.with(a))?;
                 self.with(b).fmt_add_rhs(f)
             }
-            Expr::Sub(a, b) => {
+            Node::Sub(a, b) => {
                 write!(f, "{} - ", self.with(a))?;
                 self.with(b).fmt_add_rhs(f)
             }
-            Expr::Mul(a, b) => {
+            Node::Mul(a, b) => {
                 self.with(a).fmt_factor(f)?;
                 write!(f, " * ")?;
                 self.with(b).fmt_factor(f)
@@ -287,6 +225,7 @@ impl AffineExpr {
     /// Panics on `i64` overflow (dependence systems use tiny coefficients;
     /// the analyzer bails out to "assume dependent" far earlier).
     #[must_use]
+    #[allow(clippy::expect_used)] // documented panic: callers keep coefficients tiny
     pub fn add(&self, rhs: &AffineExpr) -> AffineExpr {
         let (mut x, mut y) = (self.terms.iter().peekable(), rhs.terms.iter().peekable());
         let mut terms = SmallVec::new();
@@ -340,6 +279,7 @@ impl AffineExpr {
     ///
     /// Panics on `i64` overflow.
     #[must_use]
+    #[allow(clippy::expect_used)] // documented panic: callers keep coefficients tiny
     pub fn scale(&self, k: i64) -> AffineExpr {
         if k == 0 {
             return AffineExpr::zero();
@@ -357,7 +297,7 @@ impl AffineExpr {
         }
     }
 
-    /// Lowers a general expression to affine form.
+    /// Lowers the expression `e` of `exprs` to affine form.
     ///
     /// Returns `None` when the expression is not affine: it reads an array,
     /// multiplies two non-constant subexpressions, or needs a coefficient,
@@ -367,27 +307,29 @@ impl AffineExpr {
     /// # Examples
     ///
     /// ```
-    /// use dda_ir::{parse_expr, AffineExpr, SymbolTable};
+    /// use dda_ir::{parse_expr, AffineExpr, ExprArena, SymbolTable};
     ///
-    /// let mut t = SymbolTable::new();
-    /// let a = AffineExpr::from_expr(&parse_expr("2 * i", &mut t)?).expect("affine");
+    /// let (mut t, mut x) = (SymbolTable::new(), ExprArena::new());
+    /// let e = parse_expr("2 * i", &mut t, &mut x)?;
+    /// let a = AffineExpr::from_expr(&x, e).expect("affine");
     /// assert_eq!(a.coeff(t.intern("i")), 2);
     ///
-    /// assert!(AffineExpr::from_expr(&parse_expr("i * j", &mut t)?).is_none());
+    /// let e = parse_expr("i * j", &mut t, &mut x)?;
+    /// assert!(AffineExpr::from_expr(&x, e).is_none());
     ///
-    /// let huge = parse_expr(&format!("{} + 1", i64::MAX), &mut t)?;
-    /// assert!(AffineExpr::from_expr(&huge).is_none());
+    /// let huge = parse_expr(&format!("{} + 1", i64::MAX), &mut t, &mut x)?;
+    /// assert!(AffineExpr::from_expr(&x, huge).is_none());
     /// # Ok::<(), dda_ir::ParseError>(())
     /// ```
     #[must_use]
-    pub fn from_expr(e: &Expr) -> Option<AffineExpr> {
-        match e {
-            Expr::Const(c) => return Some(AffineExpr::constant(*c)),
-            Expr::Var(v) => return Some(AffineExpr::var(*v)),
+    pub fn from_expr(exprs: &ExprArena, e: Expr) -> Option<AffineExpr> {
+        match exprs.node(e) {
+            Node::Const(c) => return Some(AffineExpr::constant(c)),
+            Node::Var(v) => return Some(AffineExpr::var(v)),
             _ => {}
         }
         let mut wide: SmallVec<(Sym, i128), INLINE_TERMS> = SmallVec::new();
-        let constant = fit(lower_into(e, 1, &mut wide)?)?;
+        let constant = fit(lower_into(exprs, e, 1, &mut wide)?)?;
         canonicalize(&mut wide, 0)?;
         let mut terms = SmallVec::new();
         for &(v, c) in wide.iter() {
@@ -415,25 +357,30 @@ impl AffineExpr {
 /// must fit in `i64`, and so must the product: that is where a lowering
 /// that does not fit gives `None`.
 fn lower_into(
-    e: &Expr,
+    exprs: &ExprArena,
+    e: Expr,
     sign: i128,
     terms: &mut SmallVec<(Sym, i128), INLINE_TERMS>,
 ) -> Option<i128> {
-    match e {
-        Expr::Const(c) => Some(sign * i128::from(*c)),
-        Expr::Var(v) => {
-            terms.push((*v, sign));
+    match exprs.node(e) {
+        Node::Const(c) => Some(sign * i128::from(c)),
+        Node::Var(v) => {
+            terms.push((v, sign));
             Some(0)
         }
-        Expr::ArrayRead(_) => None,
-        Expr::Neg(x) => lower_into(x, -sign, terms),
-        Expr::Add(a, b) => Some(lower_into(a, sign, terms)? + lower_into(b, sign, terms)?),
-        Expr::Sub(a, b) => Some(lower_into(a, sign, terms)? + lower_into(b, -sign, terms)?),
-        Expr::Mul(a, b) => {
+        Node::Read(_) => None,
+        Node::Neg(x) => lower_into(exprs, x, -sign, terms),
+        Node::Add(a, b) => {
+            Some(lower_into(exprs, a, sign, terms)? + lower_into(exprs, b, sign, terms)?)
+        }
+        Node::Sub(a, b) => {
+            Some(lower_into(exprs, a, sign, terms)? + lower_into(exprs, b, -sign, terms)?)
+        }
+        Node::Mul(a, b) => {
             let start = terms.len();
-            let ca = fit(lower_into(a, 1, terms)?)?;
+            let ca = fit(lower_into(exprs, a, 1, terms)?)?;
             let mid = canonicalize(terms, start)?;
-            let cb = fit(lower_into(b, 1, terms)?)?;
+            let cb = fit(lower_into(exprs, b, 1, terms)?)?;
             let end = canonicalize(terms, mid)?;
             // One side must be constant: scale the other side by it.
             let k = if mid == start {
@@ -564,9 +511,9 @@ mod tests {
     }
 
     fn lowered(src: &str) -> (Option<AffineExpr>, SymbolTable) {
-        let mut t = SymbolTable::new();
-        let e = crate::parser::parse_expr(src, &mut t).unwrap();
-        (AffineExpr::from_expr(&e), t)
+        let (mut t, mut x) = (SymbolTable::new(), ExprArena::new());
+        let e = crate::parser::parse_expr(src, &mut t, &mut x).unwrap();
+        (AffineExpr::from_expr(&x, e), t)
     }
 
     /// `src` lowered and displayed, or `None` when it is not affine.
@@ -632,10 +579,10 @@ mod tests {
 
     #[test]
     fn array_reads_collected_in_order() {
-        let mut t = SymbolTable::new();
-        let e = crate::parser::parse_expr("a[i] + b[j]", &mut t).unwrap();
-        let reads = e.array_reads();
-        let names: Vec<String> = reads.iter().map(|r| r.display(&t).to_string()).collect();
-        assert_eq!(names, vec!["a[i]", "b[j]"]);
+        let (mut t, mut x) = (SymbolTable::new(), ExprArena::new());
+        let e = crate::parser::parse_expr("a[i] + b[c[j]]", &mut t, &mut x).unwrap();
+        let mut names = Vec::new();
+        x.for_each_read(e, &mut |r| names.push(x.display_ref(*r, &t).to_string()));
+        assert_eq!(names, vec!["a[i]", "b[c[j]]", "c[j]"]);
     }
 }

@@ -13,8 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::arena::{ArrayRef, Expr, ExprArena, Node};
 use crate::ast::{Program, Stmt};
-use crate::expr::{ArrayRef, Expr};
 use crate::symbol::{Sym, SymbolTable};
 
 /// One concrete array access observed during execution.
@@ -58,6 +58,7 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 struct Interp<'p> {
+    exprs: &'p ExprArena,
     symbols: &'p SymbolTable,
     env: BTreeMap<Sym, i64>,
     memory: BTreeMap<(Sym, Vec<i64>), i64>,
@@ -72,21 +73,25 @@ impl Interp<'_> {
         ExecError::UnboundVariable(self.symbols.name(v).to_owned())
     }
 
-    fn eval(&mut self, e: &Expr) -> Result<i64, ExecError> {
-        match e {
-            Expr::Const(c) => Ok(*c),
-            Expr::Var(v) => self.env.get(v).copied().ok_or_else(|| self.unbound(*v)),
-            Expr::ArrayRead(r) => self.touch(r, false),
-            Expr::Neg(x) => self.eval(x)?.checked_neg().ok_or(ExecError::Overflow),
-            Expr::Add(a, b) => self
+    fn var(&self, v: Sym) -> Result<i64, ExecError> {
+        self.env.get(&v).copied().ok_or_else(|| self.unbound(v))
+    }
+
+    fn eval(&mut self, e: Expr) -> Result<i64, ExecError> {
+        match self.exprs.node(e) {
+            Node::Const(c) => Ok(c),
+            Node::Var(v) => self.var(v),
+            Node::Read(r) => self.touch(&r, false),
+            Node::Neg(x) => self.eval(x)?.checked_neg().ok_or(ExecError::Overflow),
+            Node::Add(a, b) => self
                 .eval(a)?
                 .checked_add(self.eval(b)?)
                 .ok_or(ExecError::Overflow),
-            Expr::Sub(a, b) => self
+            Node::Sub(a, b) => self
                 .eval(a)?
                 .checked_sub(self.eval(b)?)
                 .ok_or(ExecError::Overflow),
-            Expr::Mul(a, b) => self
+            Node::Mul(a, b) => self
                 .eval(a)?
                 .checked_mul(self.eval(b)?)
                 .ok_or(ExecError::Overflow),
@@ -100,11 +105,9 @@ impl Interp<'_> {
     fn touch(&mut self, r: &ArrayRef, is_write: bool) -> Result<i64, ExecError> {
         let access_id = self.next_access_id;
         self.next_access_id += 1;
-        let element: Result<Vec<i64>, ExecError> =
-            r.subscripts.iter().map(|s| self.eval_pure(s)).collect();
-        let element = element?;
+        let element = self.element(r)?;
         // Reads nested inside subscripts get their own touches.
-        for s in &r.subscripts {
+        for &s in self.exprs.subscripts(r) {
             self.record_nested_reads(s)?;
         }
         self.touches.push(Touch {
@@ -117,43 +120,52 @@ impl Interp<'_> {
         Ok(self.memory.get(&(r.array, element)).copied().unwrap_or(0))
     }
 
+    /// The element `r` names, its subscripts evaluated without recording
+    /// reads.
+    fn element(&self, r: &ArrayRef) -> Result<Vec<i64>, ExecError> {
+        self.exprs
+            .subscripts(r)
+            .iter()
+            .map(|&s| self.eval_pure(s))
+            .collect()
+    }
+
     /// Evaluates an expression without recording reads (subscripts record
     /// their nested reads separately, to keep ids aligned with
     /// extraction).
-    fn eval_pure(&mut self, e: &Expr) -> Result<i64, ExecError> {
-        match e {
-            Expr::Const(c) => Ok(*c),
-            Expr::Var(v) => self.env.get(v).copied().ok_or_else(|| self.unbound(*v)),
-            Expr::ArrayRead(r) => {
+    fn eval_pure(&self, e: Expr) -> Result<i64, ExecError> {
+        match self.exprs.node(e) {
+            Node::Const(c) => Ok(c),
+            Node::Var(v) => self.var(v),
+            Node::Read(r) => {
                 // Pure evaluation (no touch recording): used for the
                 // subscripts of an access, whose nested reads are recorded
                 // separately to keep ids aligned with extraction.
-                let element: Result<Vec<i64>, ExecError> =
-                    r.subscripts.iter().map(|s| self.eval_pure(s)).collect();
-                Ok(self.memory.get(&(r.array, element?)).copied().unwrap_or(0))
+                let element = self.element(&r)?;
+                Ok(self.memory.get(&(r.array, element)).copied().unwrap_or(0))
             }
-            Expr::Neg(x) => self.eval_pure(x)?.checked_neg().ok_or(ExecError::Overflow),
-            Expr::Add(a, b) => self
+            Node::Neg(x) => self.eval_pure(x)?.checked_neg().ok_or(ExecError::Overflow),
+            Node::Add(a, b) => self
                 .eval_pure(a)?
                 .checked_add(self.eval_pure(b)?)
                 .ok_or(ExecError::Overflow),
-            Expr::Sub(a, b) => self
+            Node::Sub(a, b) => self
                 .eval_pure(a)?
                 .checked_sub(self.eval_pure(b)?)
                 .ok_or(ExecError::Overflow),
-            Expr::Mul(a, b) => self
+            Node::Mul(a, b) => self
                 .eval_pure(a)?
                 .checked_mul(self.eval_pure(b)?)
                 .ok_or(ExecError::Overflow),
         }
     }
 
-    fn record_nested_reads(&mut self, e: &Expr) -> Result<(), ExecError> {
-        match e {
-            Expr::Const(_) | Expr::Var(_) => Ok(()),
-            Expr::ArrayRead(r) => self.touch(r, false).map(|_| ()),
-            Expr::Neg(x) => self.record_nested_reads(x),
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
+    fn record_nested_reads(&mut self, e: Expr) -> Result<(), ExecError> {
+        match self.exprs.node(e) {
+            Node::Const(_) | Node::Var(_) => Ok(()),
+            Node::Read(r) => self.touch(&r, false).map(|_| ()),
+            Node::Neg(x) => self.record_nested_reads(x),
+            Node::Add(a, b) | Node::Sub(a, b) | Node::Mul(a, b) => {
                 self.record_nested_reads(a)?;
                 self.record_nested_reads(b)
             }
@@ -175,7 +187,7 @@ impl Interp<'_> {
                     }
                 }
                 Stmt::ScalarAssign(a) => {
-                    let v = self.eval(&a.value)?;
+                    let v = self.eval(a.value)?;
                     self.env.insert(a.name, v);
                 }
                 Stmt::ArrayAssign(a) => {
@@ -183,13 +195,7 @@ impl Interp<'_> {
                     // then reads nested in the target's subscripts.
                     let write_id = self.next_access_id;
                     self.next_access_id += 1;
-                    let element: Result<Vec<i64>, ExecError> = a
-                        .target
-                        .subscripts
-                        .iter()
-                        .map(|s| self.eval_pure(s))
-                        .collect();
-                    let element = element?;
+                    let element = self.element(&a.target)?;
                     self.touches.push(Touch {
                         array: self.symbols.name(a.target.array).to_owned(),
                         element: element.clone(),
@@ -197,8 +203,8 @@ impl Interp<'_> {
                         access_id: write_id,
                         iteration: self.loop_stack.iter().map(|(_, v)| *v).collect(),
                     });
-                    let value = self.eval(&a.value)?;
-                    for sub in &a.target.subscripts {
+                    let value = self.eval(a.value)?;
+                    for &sub in self.exprs.subscripts(&a.target) {
                         self.record_nested_reads(sub)?;
                     }
                     self.memory.insert((a.target.array, element), value);
@@ -206,8 +212,8 @@ impl Interp<'_> {
                 Stmt::If(i) => {
                     // Condition reads execute unconditionally, in the same
                     // order extraction numbers them (lhs then rhs).
-                    let lhs = self.eval(&i.lhs)?;
-                    let rhs = self.eval(&i.rhs)?;
+                    let lhs = self.eval(i.lhs)?;
+                    let rhs = self.eval(i.rhs)?;
                     if i.op.eval(lhs, rhs) {
                         self.run(&i.then_body)?;
                         self.skip_ids(&i.else_body);
@@ -217,8 +223,8 @@ impl Interp<'_> {
                     }
                 }
                 Stmt::For(l) => {
-                    let lo = self.eval(&l.lower)?;
-                    let hi = self.eval(&l.upper)?;
+                    let lo = self.eval(l.lower)?;
+                    let hi = self.eval(l.upper)?;
                     let step = l.step;
                     let saved = self.env.get(&l.var).copied();
                     let mut i = lo;
@@ -258,6 +264,13 @@ impl Interp<'_> {
         Ok(())
     }
 
+    /// Number of array reads in `e`, nested ones included.
+    fn count_reads(&self, e: Expr) -> usize {
+        let mut n = 0;
+        self.exprs.for_each_read(e, &mut |_| n += 1);
+        n
+    }
+
     /// Advances the static access-id counter over `stmts` without
     /// executing them (used for zero-trip or finished loops).
     fn skip_ids(&mut self, stmts: &[Stmt]) {
@@ -265,17 +278,17 @@ impl Interp<'_> {
             match s {
                 Stmt::ArrayAssign(a) => {
                     self.next_access_id += 1; // the write
-                    self.next_access_id += count_reads(&a.value);
-                    for sub in &a.target.subscripts {
-                        self.next_access_id += count_reads(sub);
+                    self.next_access_id += self.count_reads(a.value);
+                    for &sub in self.exprs.subscripts(&a.target) {
+                        self.next_access_id += self.count_reads(sub);
                     }
                 }
                 Stmt::ScalarAssign(a) => {
-                    self.next_access_id += count_reads(&a.value);
+                    self.next_access_id += self.count_reads(a.value);
                 }
                 Stmt::For(l) => self.skip_ids(&l.body),
                 Stmt::If(i) => {
-                    self.next_access_id += count_reads(&i.lhs) + count_reads(&i.rhs);
+                    self.next_access_id += self.count_reads(i.lhs) + self.count_reads(i.rhs);
                     self.skip_ids(&i.then_body);
                     self.skip_ids(&i.else_body);
                 }
@@ -283,13 +296,6 @@ impl Interp<'_> {
             }
         }
     }
-}
-
-fn count_reads(e: &Expr) -> usize {
-    e.array_reads()
-        .iter()
-        .map(|r| 1 + r.subscripts.iter().map(count_reads).sum::<usize>())
-        .sum()
 }
 
 /// Executes `program`, binding symbolic constants from `symbolics`, and
@@ -321,6 +327,7 @@ pub fn execute(
     budget: u64,
 ) -> Result<Vec<Touch>, ExecError> {
     let mut interp = Interp {
+        exprs: &program.exprs,
         symbols: &program.symbols,
         env: symbolics
             .iter()
@@ -396,6 +403,18 @@ mod tests {
         assert_eq!(t[0].element, vec![7]);
         // The id still accounts for the skipped loop body.
         assert_eq!(t[0].access_id, 1);
+    }
+
+    #[test]
+    fn skipped_nested_reads_count_once() {
+        // The zero-trip loop's read `a[b[i]]` is two accesses, so the
+        // write after it is access 3, as extraction numbers it.
+        let src = "for i = 5 to 1 { c[i] = a[b[i]]; } d[1] = 0;";
+        let p = parse_program(src).unwrap();
+        assert_eq!(extract_accesses(&p).accesses.len(), 4);
+        let t = execute(&p, &BTreeMap::new(), 1000).unwrap();
+        assert_eq!(t.len(), 1);
+        assert_eq!((t[0].array.as_str(), t[0].access_id), ("d", 3));
     }
 
     #[test]

@@ -11,11 +11,18 @@
 //!
 //! 1. [`parse_program`] — text to AST. The lexer interns every
 //!    identifier into the program's [`SymbolTable`]; from there on a
-//!    name is a dense [`Sym`].
+//!    name is a dense [`Sym`]. Statements stay a tree of `Vec`s, but
+//!    every expression goes into the program's [`ExprArena`]: one flat
+//!    array of 16-byte [`Node`]s, each after its operands, so an
+//!    [`Expr`] is a `u32` id and parsing one allocates nothing.
 //! 2. [`passes::normalize`] — runs the prepasses, in place, until a
-//!    round in which no pass reports a change. A scalar definition too
-//!    large to substitute (past a fixed node budget) is left as a
-//!    mutated scalar instead of growing the program without bound.
+//!    round in which no pass reports a change. Folding is a forward
+//!    sweep over the arena; substitution appends the expressions it
+//!    rewrites, and a normalization that changed anything ends by
+//!    compacting the arena back to the reachable nodes. A scalar
+//!    definition too large to substitute (past a fixed node budget) is
+//!    left as a mutated scalar instead of growing the program without
+//!    bound.
 //! 3. [`extract_accesses`] — lowers subscripts and bounds to
 //!    [`AffineExpr`], identifies symbolic constants. A subscript or
 //!    bound whose lowering overflows `i64` is non-affine, so its pairs
@@ -48,6 +55,7 @@
 #![warn(missing_debug_implementations)]
 
 mod access;
+mod arena;
 mod ast;
 mod expr;
 pub mod interp;
@@ -60,9 +68,10 @@ mod symbol;
 pub use access::{
     extract_accesses, reference_pairs, Access, AccessSet, Bound, LoopInfo, RefPair, Subscript,
 };
+pub use arena::{ArrayRef, Expr, ExprArena, Node};
 pub use ast::{ArrayAssign, ForLoop, IfStmt, Program, RelOp, ScalarAssign, Stmt};
-pub use expr::{AffineExpr, ArrayRef, Expr};
+pub use expr::{AffineExpr, Shown};
 pub use lexer::{tokenize, SpannedToken, Token};
-pub use loops::{loop_table, LoopMeta, LoopTable};
+pub use loops::{loop_table, LoopHeader, LoopMeta, LoopTable};
 pub use parser::{parse_expr, parse_program, ParseError, Span};
 pub use symbol::{Named, Sym, SymbolTable};

@@ -14,9 +14,9 @@
 
 use std::fmt;
 
+use crate::arena::Expr;
 use crate::ast::{Program, Stmt};
-use crate::expr::Expr;
-use crate::symbol::{Named, Sym, SymbolTable};
+use crate::symbol::Sym;
 
 /// Metadata for one `for` loop, keyed by its pre-order id.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,32 +29,41 @@ pub struct LoopMeta {
     pub depth: usize,
     /// Id of the directly enclosing loop, if any.
     pub parent: Option<usize>,
-    /// Source-level lower bound (pre-lowering, for display).
+    /// Source-level lower bound (pre-lowering, for display), in the
+    /// program's arena.
     pub lower: Expr,
-    /// Source-level upper bound (pre-lowering, for display).
+    /// Source-level upper bound (pre-lowering, for display), in the
+    /// program's arena.
     pub upper: Expr,
 }
 
 impl LoopMeta {
-    /// Displays the loop header with the names in `symbols`.
+    /// Displays the loop header of this loop of `program`.
     #[must_use]
-    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, LoopMeta> {
-        Named {
-            value: self,
-            symbols,
+    pub fn display<'a>(&'a self, program: &'a Program) -> LoopHeader<'a> {
+        LoopHeader {
+            meta: self,
+            program,
         }
     }
 }
 
-impl fmt::Display for Named<'_, LoopMeta> {
+/// A loop header displayed with its program; see [`LoopMeta::display`].
+#[derive(Debug, Clone, Copy)]
+pub struct LoopHeader<'a> {
+    meta: &'a LoopMeta,
+    program: &'a Program,
+}
+
+impl fmt::Display for LoopHeader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (l, t) = (self.value, self.symbols);
+        let (l, p) = (self.meta, self.program);
         write!(
             f,
             "for {} = {} to {}",
-            t.name(l.var),
-            l.lower.display(t),
-            l.upper.display(t)
+            p.symbols.name(l.var),
+            p.display_expr(l.lower),
+            p.display_expr(l.upper)
         )
     }
 }
@@ -113,8 +122,8 @@ pub fn loop_table(program: &Program) -> LoopTable {
                         var: l.var,
                         depth,
                         parent,
-                        lower: l.lower.clone(),
-                        upper: l.upper.clone(),
+                        lower: l.lower,
+                        upper: l.upper,
                     });
                     go(&l.body, depth.saturating_add(1), Some(id), out);
                 }
@@ -177,7 +186,7 @@ mod tests {
         let p = parse_program("for i = 2 to n { a[i] = 0; }").unwrap();
         let table = loop_table(&p);
         assert_eq!(
-            table.get(0).unwrap().display(&p.symbols).to_string(),
+            table.get(0).unwrap().display(&p).to_string(),
             "for i = 2 to n"
         );
     }

@@ -14,14 +14,19 @@
 //! ```
 //!
 //! Subscripts may be written `a[i][j]` or `a[i, j]`.
+//!
+//! Expressions go straight into the program's [`ExprArena`], each node
+//! after its operands, so parsing an expression allocates nothing of
+//! its own: the only allocations are the statement lists of bodies, the
+//! symbol table's names and the amortized growth of the arrays.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 use std::sync::Arc;
 
+use crate::arena::{ArrayRef, Expr, ExprArena, Node};
 use crate::ast::{ArrayAssign, ForLoop, IfStmt, Program, RelOp, ScalarAssign, Stmt};
-use crate::expr::{ArrayRef, Expr};
 use crate::lexer::{tokenize, SpannedToken, Token};
 use crate::symbol::{Sym, SymbolTable};
 
@@ -101,6 +106,11 @@ struct Parser {
     tokens: Vec<SpannedToken>,
     /// The names of the identifiers in `tokens`, for error messages.
     symbols: SymbolTable,
+    /// The nodes parsed so far.
+    exprs: ExprArena,
+    /// Subscripts of the array references still open, innermost last:
+    /// a list moves into `exprs` once its last `]` is read.
+    pending: Vec<Expr>,
     pos: usize,
     /// Current nesting, bounded by [`MAX_NESTING`]. A parse error ends
     /// the parse, so error paths never restore it.
@@ -126,6 +136,30 @@ impl Parser {
         let out = f(self)?;
         self.depth -= 1;
         Ok(out)
+    }
+
+    fn new(tokens: Vec<SpannedToken>, symbols: SymbolTable, exprs: ExprArena) -> Parser {
+        Parser {
+            tokens,
+            symbols,
+            exprs,
+            pending: Vec::new(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The error for an arena that cannot take another node.
+    fn too_large<T>(&self) -> Result<T, ParseError> {
+        self.error("expressions too large: more than 2^32 nodes or subscripts")
+    }
+
+    /// Appends `node` to the arena, or fails at the current token.
+    fn push(&mut self, node: Node) -> Result<Expr, ParseError> {
+        match self.exprs.try_push(node) {
+            Some(e) => Ok(e),
+            None => self.too_large(),
+        }
     }
 
     fn peek(&self) -> &Token {
@@ -304,17 +338,11 @@ impl Parser {
     fn parse_assign(&mut self) -> Result<Stmt, ParseError> {
         let name = self.expect_ident()?;
         if *self.peek() == Token::LBracket {
-            let subscripts = self.parse_subscripts()?;
+            let target = self.parse_subscripts(name)?;
             self.expect(&Token::Assign)?;
             let value = self.parse_expr()?;
             self.expect(&Token::Semi)?;
-            Ok(Stmt::ArrayAssign(ArrayAssign {
-                target: ArrayRef {
-                    array: name,
-                    subscripts,
-                },
-                value,
-            }))
+            Ok(Stmt::ArrayAssign(ArrayAssign { target, value }))
         } else {
             self.expect(&Token::Assign)?;
             let value = self.parse_expr()?;
@@ -323,13 +351,14 @@ impl Parser {
         }
     }
 
-    /// Parses `[e][e]…` or `[e, e, …]` (or a mixture).
-    fn parse_subscripts(&mut self) -> Result<Vec<Expr>, ParseError> {
-        let mut subs = Vec::new();
+    /// Parses `[e][e]…` or `[e, e, …]` (or a mixture) after `array`.
+    fn parse_subscripts(&mut self, array: Sym) -> Result<ArrayRef, ParseError> {
+        let open = self.pending.len();
         while *self.peek() == Token::LBracket {
             self.bump();
             loop {
-                subs.push(self.parse_expr()?);
+                let e = self.parse_expr()?;
+                self.pending.push(e);
                 if *self.peek() == Token::Comma {
                     self.bump();
                 } else {
@@ -338,7 +367,12 @@ impl Parser {
             }
             self.expect(&Token::RBracket)?;
         }
-        Ok(subs)
+        let r = self.exprs.try_target(array, &self.pending[open..]);
+        self.pending.truncate(open);
+        match r {
+            Some(r) => Ok(r),
+            None => self.too_large(),
+        }
     }
 
     /// Each operator of a chain deepens the left-leaning tree by one
@@ -347,15 +381,15 @@ impl Parser {
         let outer = self.depth;
         let mut lhs = self.parse_term()?;
         loop {
-            let op: fn(Box<Expr>, Box<Expr>) -> Expr = match self.peek() {
-                Token::Plus => Expr::Add,
-                Token::Minus => Expr::Sub,
+            let op: fn(Expr, Expr) -> Node = match self.peek() {
+                Token::Plus => Node::Add,
+                Token::Minus => Node::Sub,
                 _ => break,
             };
             self.bump();
             self.descend()?;
             let rhs = self.parse_term()?;
-            lhs = op(Box::new(lhs), Box::new(rhs));
+            lhs = self.push(op(lhs, rhs))?;
         }
         self.depth = outer;
         Ok(lhs)
@@ -368,7 +402,7 @@ impl Parser {
             self.bump();
             self.descend()?;
             let rhs = self.parse_factor()?;
-            lhs = Expr::Mul(Box::new(lhs), Box::new(rhs));
+            lhs = self.push(Node::Mul(lhs, rhs))?;
         }
         self.depth = outer;
         Ok(lhs)
@@ -378,11 +412,12 @@ impl Parser {
         match *self.peek() {
             Token::Int(v) => {
                 self.bump();
-                Ok(Expr::Const(v))
+                self.push(Node::Const(v))
             }
             Token::Minus => {
                 self.bump();
-                Ok(Expr::Neg(Box::new(self.nested(Parser::parse_factor)?)))
+                let x = self.nested(Parser::parse_factor)?;
+                self.push(Node::Neg(x))
             }
             Token::LParen => {
                 self.bump();
@@ -393,13 +428,10 @@ impl Parser {
             Token::Ident(name) => {
                 self.bump();
                 if *self.peek() == Token::LBracket {
-                    let subscripts = self.nested(Parser::parse_subscripts)?;
-                    Ok(Expr::ArrayRead(ArrayRef {
-                        array: name,
-                        subscripts,
-                    }))
+                    let r = self.nested(|p| p.parse_subscripts(name))?;
+                    self.push(Node::Read(r))
                 } else {
-                    Ok(Expr::Var(name))
+                    self.push(Node::Var(name))
                 }
             }
             _ => self.error(format!("expected an expression, found {}", self.found())),
@@ -426,33 +458,28 @@ impl Parser {
 pub fn parse_program(source: &str) -> Result<Program, ParseError> {
     let mut symbols = SymbolTable::new();
     let tokens = tokenize(source, &mut symbols)?;
-    let mut parser = Parser {
-        tokens,
-        symbols,
-        pos: 0,
-        depth: 0,
-    };
+    let mut parser = Parser::new(tokens, symbols, ExprArena::new());
     let stmts = parser.parse_stmts()?;
     Ok(Program {
         stmts,
+        exprs: parser.exprs,
         symbols: Arc::new(parser.symbols),
     })
 }
 
-/// Parses a single expression, interning its identifiers into `symbols`
-/// (useful in tests and examples).
+/// Parses a single expression into `exprs`, interning its identifiers
+/// into `symbols` (useful in tests and examples).
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] on malformed input or trailing tokens.
-pub fn parse_expr(source: &str, symbols: &mut SymbolTable) -> Result<Expr, ParseError> {
+pub fn parse_expr(
+    source: &str,
+    symbols: &mut SymbolTable,
+    exprs: &mut ExprArena,
+) -> Result<Expr, ParseError> {
     let tokens = tokenize(source, symbols)?;
-    let mut parser = Parser {
-        tokens,
-        symbols: std::mem::take(symbols),
-        pos: 0,
-        depth: 0,
-    };
+    let mut parser = Parser::new(tokens, std::mem::take(symbols), std::mem::take(exprs));
     let e = parser.parse_expr().and_then(|e| {
         if *parser.peek() == Token::Eof {
             Ok(e)
@@ -461,6 +488,7 @@ pub fn parse_expr(source: &str, symbols: &mut SymbolTable) -> Result<Expr, Parse
         }
     });
     *symbols = parser.symbols;
+    *exprs = parser.exprs;
     e
 }
 
@@ -512,46 +540,68 @@ mod tests {
         assert!(parse_program("for i = 1 to 2 step 0 { }").is_err());
     }
 
+    /// `src` parsed, and the arena holding it.
+    fn parsed(src: &str, t: &mut SymbolTable) -> (Expr, ExprArena) {
+        let mut x = ExprArena::new();
+        let e = parse_expr(src, t, &mut x).unwrap();
+        (e, x)
+    }
+
     #[test]
     fn precedence() {
         let mut t = SymbolTable::new();
-        let e = parse_expr("1 + 2 * i - 3", &mut t).unwrap();
+        let (e, x) = parsed("1 + 2 * i - 3", &mut t);
         let i = t.intern("i");
         // (1 + (2*i)) - 3
-        assert_eq!(
-            e,
-            Expr::Sub(
-                Box::new(Expr::Add(
-                    Box::new(Expr::Const(1)),
-                    Box::new(Expr::Mul(Box::new(Expr::Const(2)), Box::new(Expr::Var(i))))
-                )),
-                Box::new(Expr::Const(3))
-            )
-        );
+        let mut want = ExprArena::new();
+        let (one, two, iv) = (want.constant(1), want.constant(2), want.var(i));
+        let product = want.mul(two, iv);
+        let sum = want.add(one, product);
+        let three = want.constant(3);
+        let w = want.sub(sum, three);
+        assert!(x.same(e, &want, w));
     }
 
     #[test]
     fn parens_and_negation() {
         let mut t = SymbolTable::new();
-        let e = parse_expr("-(i + 1) * 2", &mut t).unwrap();
+        let (e, x) = parsed("-(i + 1) * 2", &mut t);
         let i = t.intern("i");
-        assert_eq!(
-            e,
-            Expr::Mul(
-                Box::new(Expr::Neg(Box::new(Expr::Add(
-                    Box::new(Expr::Var(i)),
-                    Box::new(Expr::Const(1))
-                )))),
-                Box::new(Expr::Const(2))
-            )
-        );
+        let mut want = ExprArena::new();
+        let (iv, one) = (want.var(i), want.constant(1));
+        let sum = want.add(iv, one);
+        let neg = want.push(Node::Neg(sum));
+        let two = want.constant(2);
+        let w = want.mul(neg, two);
+        assert!(x.same(e, &want, w));
+    }
+
+    #[test]
+    fn nodes_follow_their_operands_in_source_order() {
+        let p = parse_program("for i = 1 to 9 { a[b[i] + 1][i] = a[i] * 2; }").unwrap();
+        // Bounds, then the target's subscripts, then the value: each
+        // node after its operands, nothing in between.
+        let shapes: Vec<&str> = p
+            .exprs
+            .nodes()
+            .iter()
+            .map(|n| match n {
+                Node::Const(_) => "c",
+                Node::Var(_) => "v",
+                Node::Read(_) => "r",
+                Node::Add(..) => "+",
+                Node::Mul(..) => "*",
+                Node::Neg(_) | Node::Sub(..) => "?",
+            })
+            .collect();
+        assert_eq!(shapes.concat(), "ccvrc+vvrc*");
     }
 
     #[test]
     fn identifier_errors_name_the_identifier() {
         let err = parse_program("for i = 1 to 10 { a[i] = b c; }").unwrap_err();
         assert_eq!(err.message, "expected `;`, found identifier `c`");
-        let err = parse_expr("i j", &mut SymbolTable::new()).unwrap_err();
+        let err = parse_expr("i j", &mut SymbolTable::new(), &mut ExprArena::new()).unwrap_err();
         assert_eq!(err.message, "unexpected identifier `j` after expression");
     }
 

@@ -12,19 +12,25 @@
 //! which access extraction marks non-affine (a sound assumed-dependent
 //! verdict) instead of letting a chain of temporaries such as
 //! `t1 = t0 + t0; t2 = t1 + t1; …` build exponentially large trees.
+//!
+//! A definition is the id of its right-hand side in the arena.
+//! Substitution appends rewritten copies and never changes a node in
+//! place, so the id stays valid for as long as the definition lives.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use crate::arena::{Expr, ExprArena};
 use crate::ast::{Program, Stmt};
-use crate::expr::Expr;
-use crate::passes::rewrite::{any_var, for_each_assigned, is_pure, larger_than, subst_with};
+use crate::passes::rewrite::{for_each_assigned, subst_with};
 use crate::passes::MAX_NODES;
 use crate::symbol::Sym;
 
 /// One recorded definition: its closed right-hand side and the scalars
 /// that right-hand side mentions (sorted, deduplicated), so a kill does
-/// not re-walk the tree.
+/// not re-walk the expression.
 pub(super) struct Def {
     pub(super) value: Expr,
     vars: Vec<Sym>,
@@ -53,14 +59,14 @@ impl Defs {
     }
 
     /// Whether `e` mentions a scalar with a live definition.
-    pub(super) fn used_in(&self, e: &Expr) -> bool {
-        !self.is_empty() && any_var(e, &|v| self.defs.contains_key(&v))
+    pub(super) fn used_in(&self, exprs: &ExprArena, e: Expr) -> bool {
+        !self.is_empty() && exprs.any_var(e, &|v| self.defs.contains_key(&v))
     }
 
     /// Substitutes every live definition into `e`; returns whether
     /// anything changed.
-    pub(super) fn apply(&self, e: &mut Expr) -> bool {
-        !self.is_empty() && subst_with(e, &|v| self.defs.get(&v).map(|d| &d.value))
+    pub(super) fn apply(&self, exprs: &mut ExprArena, e: &mut Expr) -> bool {
+        !self.is_empty() && subst_with(exprs, e, &|v| self.defs.get(&v).map(|d| d.value))
     }
 
     fn remove(&mut self, name: Sym) {
@@ -106,16 +112,24 @@ impl Defs {
     /// Kills `name`, then records `name = value` if `value` is pure, does
     /// not mention `name` (that is an induction update such as
     /// `k = k + 1`), and is no larger than [`MAX_NODES`]. `finish`
-    /// rewrites the recorded copy (the induction pass folds it).
-    pub(super) fn assign(&mut self, name: Sym, value: &Expr, finish: impl FnOnce(&mut Expr)) {
+    /// gives the expression to record (the induction pass folds it).
+    pub(super) fn assign(
+        &mut self,
+        exprs: &mut ExprArena,
+        name: Sym,
+        value: Expr,
+        finish: impl FnOnce(&mut ExprArena, Expr) -> Expr,
+    ) {
         self.kill(name);
-        if !is_pure(value) || any_var(value, &|v| v == name) || larger_than(value, MAX_NODES) {
+        if !exprs.is_pure(value)
+            || exprs.any_var(value, &|v| v == name)
+            || exprs.larger_than(value, MAX_NODES)
+        {
             return;
         }
-        let mut value = value.clone();
-        finish(&mut value);
+        let value = finish(exprs, value);
         let mut vars: Vec<Sym> = Vec::new();
-        value.for_each_var(&mut |v| {
+        exprs.for_each_var(value, &mut |v| {
             if let Err(at) = vars.binary_search(&v) {
                 vars.insert(at, v);
             }
@@ -127,40 +141,44 @@ impl Defs {
     }
 }
 
-fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
+fn walk(stmts: &mut [Stmt], exprs: &mut ExprArena, defs: &mut Defs) -> bool {
     let mut changed = false;
     for s in stmts.iter_mut() {
         match s {
             Stmt::Read(n) => defs.kill(*n),
             Stmt::ScalarAssign(a) => {
-                changed |= defs.apply(&mut a.value);
-                defs.assign(a.name, &a.value, |_| {});
+                changed |= defs.apply(exprs, &mut a.value);
+                defs.assign(exprs, a.name, a.value, |_, v| v);
             }
             Stmt::ArrayAssign(a) => {
-                for sub in &mut a.target.subscripts {
-                    changed |= defs.apply(sub);
+                for k in a.target.positions() {
+                    let mut sub = exprs.sub_at(k);
+                    if defs.apply(exprs, &mut sub) {
+                        exprs.set_sub(k, sub);
+                        changed = true;
+                    }
                 }
-                changed |= defs.apply(&mut a.value);
+                changed |= defs.apply(exprs, &mut a.value);
             }
             Stmt::If(i) => {
-                changed |= defs.apply(&mut i.lhs);
-                changed |= defs.apply(&mut i.rhs);
+                changed |= defs.apply(exprs, &mut i.lhs);
+                changed |= defs.apply(exprs, &mut i.rhs);
                 // Definitions valid here hold at entry to both branches;
                 // anything either branch assigns is unknown afterwards.
-                changed |= walk(&mut i.then_body, &mut defs.clone());
-                changed |= walk(&mut i.else_body, &mut defs.clone());
+                changed |= walk(&mut i.then_body, exprs, &mut defs.clone());
+                changed |= walk(&mut i.else_body, exprs, &mut defs.clone());
                 defs.kill_assigned_in(&i.then_body);
                 defs.kill_assigned_in(&i.else_body);
             }
             Stmt::For(l) => {
-                changed |= defs.apply(&mut l.lower);
-                changed |= defs.apply(&mut l.upper);
+                changed |= defs.apply(exprs, &mut l.lower);
+                changed |= defs.apply(exprs, &mut l.upper);
                 // Definitions invalidated inside the loop must not flow in:
                 // a use in iteration 2 would see the *new* value.
                 let mut inner = defs.clone();
                 inner.kill_assigned_in(&l.body);
                 inner.kill(l.var);
-                changed |= walk(&mut l.body, &mut inner);
+                changed |= walk(&mut l.body, exprs, &mut inner);
                 // After the loop, anything assigned inside is unknown.
                 defs.kill_assigned_in(&l.body);
                 defs.kill(l.var);
@@ -184,7 +202,7 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```
 pub fn forward_substitute(program: &mut Program) -> bool {
-    walk(&mut program.stmts, &mut Defs::default())
+    walk(&mut program.stmts, &mut program.exprs, &mut Defs::default())
 }
 
 #[cfg(test)]

@@ -16,22 +16,25 @@
 //! loop); only the *uses* are rewritten, which is what makes the subscripts
 //! affine.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use crate::arena::{Expr, ExprArena, Node};
 use crate::ast::{ForLoop, Program, Stmt};
-use crate::expr::Expr;
 use crate::passes::forward_subst::Defs;
-use crate::passes::rewrite::{any_var, fold, for_each_assigned, rewrite_exprs, subst_scalar};
+use crate::passes::rewrite::{folded, for_each_assigned, rewrite_exprs, subst_and_fold};
 use crate::symbol::Sym;
 
 /// Matches `k = k + c` / `k = c + k` / `k = k - c`, returning `c`.
-fn increment_of(name: Sym, rhs: &Expr) -> Option<i64> {
-    match rhs {
-        Expr::Add(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Var(v), Expr::Const(c)) if *v == name => Some(*c),
-            (Expr::Const(c), Expr::Var(v)) if *v == name => Some(*c),
+fn increment_of(exprs: &ExprArena, name: Sym, rhs: Expr) -> Option<i64> {
+    let pair = |a: Expr, b: Expr| (exprs.node(a), exprs.node(b));
+    match exprs.node(rhs) {
+        Node::Add(a, b) => match pair(a, b) {
+            (Node::Var(v), Node::Const(c)) if v == name => Some(c),
+            (Node::Const(c), Node::Var(v)) if v == name => Some(c),
             _ => None,
         },
-        Expr::Sub(a, b) => match (a.as_ref(), b.as_ref()) {
-            (Expr::Var(v), Expr::Const(c)) if *v == name => c.checked_neg(),
+        Node::Sub(a, b) => match pair(a, b) {
+            (Node::Var(v), Node::Const(c)) if v == name => c.checked_neg(),
             _ => None,
         },
         _ => None,
@@ -52,54 +55,50 @@ fn assigns(stmts: &[Stmt], name: Sym) -> bool {
     found
 }
 
-/// Builds `init + c * (i - lower + extra)`, folded.
-fn closed_form(init: &Expr, c: i64, loop_var: Sym, lower: &Expr, extra: i64) -> Expr {
-    let iterations = Expr::Add(
-        Box::new(Expr::Sub(
-            Box::new(Expr::Var(loop_var)),
-            Box::new(lower.clone()),
-        )),
-        Box::new(Expr::Const(extra)),
-    );
-    let mut e = Expr::Add(
-        Box::new(init.clone()),
-        Box::new(Expr::Mul(Box::new(Expr::Const(c)), Box::new(iterations))),
-    );
-    fold(&mut e);
-    e
+/// Appends `init + c * (i - lower + extra)`, folded.
+fn closed_form(
+    exprs: &mut ExprArena,
+    init: Expr,
+    c: i64,
+    loop_var: Sym,
+    lower: Expr,
+    extra: i64,
+) -> Expr {
+    let i = exprs.var(loop_var);
+    let since_lower = exprs.sub(i, lower);
+    let extra = exprs.constant(extra);
+    let iterations = exprs.add(since_lower, extra);
+    let c = exprs.constant(c);
+    let steps = exprs.mul(c, iterations);
+    let e = exprs.add(init, steps);
+    folded(exprs, e)
 }
 
-fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
+fn walk(stmts: &mut [Stmt], exprs: &mut ExprArena, defs: &mut Defs) -> bool {
     let mut changed = false;
     for s in stmts.iter_mut() {
         match s {
             Stmt::Read(n) => defs.kill(*n),
             Stmt::ScalarAssign(a) => {
-                // Close the RHS over current defs before recording.
-                let closed;
-                let value = if defs.used_in(&a.value) {
-                    let mut value = a.value.clone();
-                    defs.apply(&mut value);
-                    closed = value;
-                    &closed
-                } else {
-                    &a.value
-                };
-                defs.assign(a.name, value, |v| {
-                    fold(v);
-                });
+                // Close the RHS over current defs (in a copy) before
+                // recording it.
+                let mut value = a.value;
+                if defs.used_in(exprs, value) {
+                    defs.apply(exprs, &mut value);
+                }
+                defs.assign(exprs, a.name, value, folded);
             }
             Stmt::ArrayAssign(_) => {}
             Stmt::If(i) => {
                 // Conservative: walk each branch with a copy, then drop
                 // anything either branch may have assigned.
-                changed |= walk(&mut i.then_body, &mut defs.clone());
-                changed |= walk(&mut i.else_body, &mut defs.clone());
+                changed |= walk(&mut i.then_body, exprs, &mut defs.clone());
+                changed |= walk(&mut i.else_body, exprs, &mut defs.clone());
                 defs.kill_assigned_in(&i.then_body);
                 defs.kill_assigned_in(&i.else_body);
             }
             Stmt::For(l) => {
-                changed |= rewrite_loop(l, defs);
+                changed |= rewrite_loop(l, exprs, defs);
                 defs.kill_assigned_in(&l.body);
                 defs.kill(l.var);
             }
@@ -108,7 +107,7 @@ fn walk(stmts: &mut [Stmt], defs: &mut Defs) -> bool {
     changed
 }
 
-fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
+fn rewrite_loop(l: &mut ForLoop, exprs: &mut ExprArena, defs: &Defs) -> bool {
     // Find induction candidates at the top level of the body: scalars
     // assigned exactly once in the body, by the increment itself. The
     // closed form counts one increment per iteration, which requires a
@@ -118,7 +117,7 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
     let candidates = if l.step == 1 { l.body.as_slice() } else { &[] };
     for (pos, s) in candidates.iter().enumerate() {
         let Stmt::ScalarAssign(a) = s else { continue };
-        let Some(c) = increment_of(a.name, &a.value) else {
+        let Some(c) = increment_of(exprs, a.name, a.value) else {
             continue;
         };
         if !assigned_once(&l.body, a.name) {
@@ -128,23 +127,25 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
             continue;
         };
         // The init expression must be invariant over the loop.
-        if any_var(&init.value, &|v| v == l.var || assigns(&l.body, v)) {
+        if exprs.any_var(init.value, &|v| v == l.var || assigns(&l.body, v)) {
             continue;
         }
-        let before = closed_form(&init.value, c, l.var, &l.lower, 0);
-        let after = closed_form(&init.value, c, l.var, &l.lower, 1);
+        let before = closed_form(exprs, init.value, c, l.var, l.lower, 0);
+        let after = closed_form(exprs, init.value, c, l.var, l.lower, 1);
         rewrites.push((pos, a.name, before, after));
     }
 
     let mut changed = false;
-    for (pos, name, before, after) in &rewrites {
+    for &(pos, name, before, after) in &rewrites {
         for (idx, stmt) in l.body.iter_mut().enumerate() {
-            if idx == *pos {
+            if idx == pos {
                 continue; // keep the increment itself intact
             }
-            let replacement = if idx < *pos { before } else { after };
+            let replacement = if idx < pos { before } else { after };
             let one = std::slice::from_mut(stmt);
-            changed |= rewrite_exprs(one, &mut |e| subst_scalar(e, *name, replacement) | fold(e));
+            changed |= rewrite_exprs(one, exprs, &mut |x, e| {
+                subst_and_fold(x, e, name, replacement)
+            });
         }
     }
 
@@ -152,7 +153,7 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
     let mut inner = defs.clone();
     inner.kill_assigned_in(&l.body);
     inner.kill(l.var);
-    changed | walk(&mut l.body, &mut inner)
+    changed | walk(&mut l.body, exprs, &mut inner)
 }
 
 /// Rewrites uses of simple induction variables (`k = k ± c` once per
@@ -176,7 +177,7 @@ fn rewrite_loop(l: &mut ForLoop, defs: &Defs) -> bool {
 /// # Ok::<(), dda_ir::ParseError>(())
 /// ```
 pub fn substitute_induction_variables(program: &mut Program) -> bool {
-    walk(&mut program.stmts, &mut Defs::default())
+    walk(&mut program.stmts, &mut program.exprs, &mut Defs::default())
 }
 
 #[cfg(test)]

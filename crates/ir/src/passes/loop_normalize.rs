@@ -8,13 +8,20 @@
 //! the trip count is a fresh never-assigned scalar, which the access
 //! extractor then treats as a symbolic constant — a sound over-approximation
 //! of the iteration space.
+//!
+//! The new nodes — `L + s·i'`, its copies in the body, the new bounds —
+//! are appended to the arena; what they replace stays behind, unreachable,
+//! until [`crate::Program::compact`].
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::arena::{Expr, ExprArena, Node};
 use crate::ast::{Program, Stmt};
-use crate::expr::{AffineExpr, Expr};
-use crate::passes::rewrite::{fold, larger_than, rewrite_exprs, subst_scalar};
+use crate::expr::AffineExpr;
+use crate::passes::rewrite::{folded, rewrite_exprs, subst_and_fold};
 use crate::passes::MAX_NODES;
 use crate::symbol::{Sym, SymbolTable};
 
@@ -63,33 +70,51 @@ fn trip_count(lo: i64, up: i64, step: i64) -> Option<i64> {
     i64::try_from(floor).ok()
 }
 
-/// `c₀ + Σ cᵥ·v` as an expression: `c·v` terms in name order, then
-/// the constant (omitted when zero, unless it is all there is).
-fn affine_to_expr(a: &AffineExpr, symbols: &SymbolTable) -> Expr {
+/// Appends `c₀ + Σ cᵥ·v` as an expression: `c·v` terms in name order,
+/// then the constant (omitted when zero, unless it is all there is).
+fn affine_to_expr(a: &AffineExpr, symbols: &SymbolTable, exprs: &mut ExprArena) -> Expr {
     let mut terms: Vec<(Sym, i64)> = a.iter_terms().collect();
     terms.sort_by(|x, y| symbols.name(x.0).cmp(symbols.name(y.0)));
     let mut out: Option<Expr> = None;
     for (v, c) in terms {
+        let var = exprs.var(v);
         let term = if c == 1 {
-            Expr::Var(v)
+            var
         } else {
-            Expr::Mul(Box::new(Expr::Const(c)), Box::new(Expr::Var(v)))
+            let c = exprs.constant(c);
+            exprs.mul(c, var)
         };
         out = Some(match out {
-            Some(sum) => Expr::Add(Box::new(sum), Box::new(term)),
+            Some(sum) => exprs.add(sum, term),
             None => term,
         });
     }
     match out {
         Some(sum) if a.constant_part() == 0 => sum,
-        Some(sum) => Expr::Add(Box::new(sum), Box::new(Expr::Const(a.constant_part()))),
-        None => Expr::Const(a.constant_part()),
+        Some(sum) => {
+            let c = exprs.constant(a.constant_part());
+            exprs.add(sum, c)
+        }
+        None => exprs.constant(a.constant_part()),
     }
+}
+
+/// The constant `e` folds to, if it folds to one.
+fn folded_constant(exprs: &mut ExprArena, e: Expr) -> Option<i64> {
+    let mark = exprs.mark();
+    let e = folded(exprs, e);
+    let value = match exprs.node(e) {
+        Node::Const(c) => Some(c),
+        _ => None,
+    };
+    exprs.truncate(mark);
+    value
 }
 
 struct Normalizer<'p> {
     /// The program's table, copied on the first new name if shared.
     symbols: &'p mut Arc<SymbolTable>,
+    exprs: &'p mut ExprArena,
     /// Names a fresh symbol must not reuse: every loop variable, scalar
     /// assigned or read, and fresh symbol so far.
     taken: BTreeSet<Sym>,
@@ -97,13 +122,14 @@ struct Normalizer<'p> {
 }
 
 impl Normalizer<'_> {
-    fn fresh(&mut self, stem: &str) -> Sym {
+    /// Appends a fresh scalar named `_{stem}N`, unused anywhere else.
+    fn fresh_var(&mut self, stem: &str) -> Expr {
         loop {
             let name = format!("_{stem}{}", self.counter);
             self.counter += 1;
             let sym = Arc::make_mut(self.symbols).intern(&name);
             if self.taken.insert(sym) {
-                return sym;
+                return self.exprs.var(sym);
             }
         }
     }
@@ -117,41 +143,34 @@ impl Normalizer<'_> {
             }
             if let Stmt::For(l) = s {
                 if l.step != 1 {
-                    let step = l.step;
-                    let mut lower = l.lower.clone();
-                    let mut upper = l.upper.clone();
+                    let (step, var) = (l.step, l.var);
+                    let x = &mut *self.exprs;
                     // i := L + s * i'  (reusing the same variable name keeps
                     // the program readable; the *meaning* of the name
                     // changes to the normalized counter).
-                    let mut mapped = Expr::Add(
-                        Box::new(lower.clone()),
-                        Box::new(Expr::Mul(
-                            Box::new(Expr::Const(step)),
-                            Box::new(Expr::Var(l.var)),
-                        )),
-                    );
-                    fold(&mut mapped);
+                    let (s, v) = (x.constant(step), x.var(var));
+                    let scaled = x.mul(s, v);
+                    let sum = x.add(l.lower, scaled);
+                    let mut mapped = folded(x, sum);
                     // A bound that repeats an enclosing strided variable
                     // doubles at every level of such a nest; substitute
                     // its affine normal form instead, which is small.
-                    if larger_than(&mapped, MAX_NODES) {
-                        if let Some(affine) = AffineExpr::from_expr(&mapped) {
-                            mapped = affine_to_expr(&affine, self.symbols);
+                    if x.larger_than(mapped, MAX_NODES) {
+                        if let Some(affine) = AffineExpr::from_expr(x, mapped) {
+                            mapped = affine_to_expr(&affine, self.symbols, x);
                         }
                     }
-                    let var = l.var;
-                    rewrite_exprs(&mut l.body, &mut |e| {
-                        subst_scalar(e, var, &mapped) | fold(e)
+                    rewrite_exprs(&mut l.body, x, &mut |x, e| {
+                        subst_and_fold(x, e, var, mapped)
                     });
-                    l.lower = Expr::Const(0);
-                    fold(&mut lower);
-                    fold(&mut upper);
-                    l.upper = match (lower, upper) {
-                        (Expr::Const(lo), Expr::Const(up)) => match trip_count(lo, up, step) {
-                            Some(t) => Expr::Const(t),
-                            None => Expr::Var(self.fresh("trip")),
+                    let bounds = (folded_constant(x, l.lower), folded_constant(x, l.upper));
+                    l.lower = x.constant(0);
+                    l.upper = match bounds {
+                        (Some(lo), Some(up)) => match trip_count(lo, up, step) {
+                            Some(t) => self.exprs.constant(t),
+                            None => self.fresh_var("trip"),
                         },
-                        _ => Expr::Var(self.fresh("trip")),
+                        _ => self.fresh_var("trip"),
                     };
                     l.step = 1;
                 }
@@ -186,6 +205,7 @@ pub fn normalize_loops(program: &mut Program) -> bool {
     collect_names(&program.stmts, &mut taken);
     let mut n = Normalizer {
         symbols: &mut program.symbols,
+        exprs: &mut program.exprs,
         taken,
         counter: 0,
     };
@@ -205,8 +225,8 @@ mod tests {
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
         assert_eq!(l.step, 1);
-        assert_eq!(l.lower, Expr::Const(0));
-        assert_eq!(l.upper, Expr::Const(3)); // iterations 1, 4, 7, 10
+        assert_eq!(p.exprs.node(l.lower), Node::Const(0));
+        assert_eq!(p.exprs.node(l.upper), Node::Const(3)); // iterations 1, 4, 7, 10
         let set = extract_accesses(&p);
         let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
         assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 3);
@@ -218,7 +238,7 @@ mod tests {
         let mut p = parse_program("for i = 10 to 1 step -1 { a[i] = 0; }").unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert_eq!(l.upper, Expr::Const(9));
+        assert_eq!(p.exprs.node(l.upper), Node::Const(9));
         let set = extract_accesses(&p);
         let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
         assert_eq!(sub.coeff_by_name(&set.symbols, "i"), -1);
@@ -230,7 +250,7 @@ mod tests {
         let mut p = parse_program("for i = 1 to n step 2 { a[i] = 0; }").unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert!(matches!(&l.upper, Expr::Var(v) if p.symbols.name(*v) == "_trip0"));
+        assert!(matches!(p.exprs.node(l.upper), Node::Var(v) if p.symbols.name(v) == "_trip0"));
         let set = extract_accesses(&p);
         // The fresh trip symbol is never assigned, so it is symbolic.
         assert!(set.is_symbolic("_trip0"));
@@ -242,7 +262,7 @@ mod tests {
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
         // Trip count floor((1-10)/2) = -5: an empty normalized range.
-        assert_eq!(l.upper, Expr::Const(-5));
+        assert_eq!(p.exprs.node(l.upper), Node::Const(-5));
     }
 
     #[test]
@@ -254,14 +274,16 @@ mod tests {
         .unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert_eq!(l.upper, Expr::Const(i64::MAX));
+        assert_eq!(p.exprs.node(l.upper), Node::Const(i64::MAX));
         let mut p = parse_program(
             "for i = 9223372036854775807 to -9223372036854775807 step -1 { a[i] = 0; }",
         )
         .unwrap();
         normalize_loops(&mut p);
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
-        assert!(matches!(&l.upper, Expr::Var(v) if p.symbols.name(*v).starts_with("_trip")));
+        assert!(
+            matches!(p.exprs.node(l.upper), Node::Var(v) if p.symbols.name(v).starts_with("_trip"))
+        );
     }
 
     #[test]

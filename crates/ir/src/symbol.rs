@@ -133,8 +133,8 @@ impl fmt::Debug for SymbolTable {
 }
 
 /// A value displayed with the names of its symbols; see the `display`
-/// methods of [`Expr`](crate::Expr), [`AffineExpr`](crate::AffineExpr)
-/// and [`Access`](crate::Access).
+/// methods of [`AffineExpr`](crate::AffineExpr) and
+/// [`Access`](crate::Access).
 #[derive(Debug, Clone, Copy)]
 pub struct Named<'a, T: ?Sized> {
     pub(crate) value: &'a T,

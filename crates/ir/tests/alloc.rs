@@ -8,6 +8,11 @@
 //!   sets. So `passes::normalize` over an already-normalized program
 //!   without scalar assignments — the synthetic PERFECT programs — must
 //!   not touch the heap at all.
+//! - Parsing allocates nothing per expression node: every expression
+//!   goes into the program's arena, each node after its operands. What
+//!   is left is one statement list per loop or branch body, one name per
+//!   distinct identifier, and the amortized growth of the token, node and
+//!   statement arrays.
 //! - Access extraction allocates a fixed number of blocks per access,
 //!   however many affine terms its subscripts and bounds have: names are
 //!   symbols, and affine terms live inline.
@@ -20,7 +25,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dda_ir::{extract_accesses, passes, Program, Stmt};
+use dda_ir::{extract_accesses, parse_program, passes, Program, Stmt};
 
 struct CountingAllocator;
 
@@ -92,6 +97,37 @@ fn normalizing_a_normalized_program_never_allocates() {
             "normalizing {name} again allocated {allocations} time(s) in every window"
         );
     }
+}
+
+/// Allocations per statement that parsing may make: one statement list
+/// per loop or branch body, one name per distinct identifier (the
+/// synthetic PERFECT suite gives each nest an array of its own), plus
+/// amortized growth. A boxed expression tree made 2.9: a box per
+/// operand and a vector per subscript list.
+const PARSE_ALLOCATIONS_PER_STMT: f64 = 1.25;
+
+#[test]
+fn parsing_allocates_nothing_per_expression_node() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let suite = dda_perfect::perfect_suite(0.1);
+    let (mut allocations, mut stmts) = (0, 0);
+    let mut each = String::new();
+    for sp in &suite {
+        let n = min_allocations(|| {
+            std::hint::black_box(parse_program(&sp.source).expect("parses"));
+        });
+        each.push_str(&format!(" {} {n}/{};", sp.name(), sp.program.num_stmts()));
+        allocations += n;
+        stmts += sp.program.num_stmts();
+    }
+    // Over the suite: the smallest programs (17 statements) would
+    // measure mostly the fixed cost of a table and three arrays.
+    let per_stmt = allocations as f64 / stmts as f64;
+    assert!(
+        per_stmt <= PARSE_ALLOCATIONS_PER_STMT,
+        "{allocations} allocations for {stmts} statements ({per_stmt:.2} each), more than \
+         {PARSE_ALLOCATIONS_PER_STMT}; per program:{each}"
+    );
 }
 
 /// Allocations per access that extraction may make: one subscript list

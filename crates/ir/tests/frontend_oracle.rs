@@ -266,69 +266,80 @@ mod model {
 mod resolve {
     use std::collections::BTreeSet;
 
-    use dda_ir::SymbolTable;
+    use dda_ir::{ExprArena, Node, SymbolTable};
 
     use crate::model;
 
+    /// A program's names and expressions, which its statements refer to.
+    struct Ctx<'a> {
+        t: &'a SymbolTable,
+        x: &'a ExprArena,
+    }
+
     pub fn program(p: &dda_ir::Program) -> model::Program {
+        let c = Ctx {
+            t: &p.symbols,
+            x: &p.exprs,
+        };
         model::Program {
-            stmts: stmts(&p.symbols, &p.stmts),
+            stmts: stmts(&c, &p.stmts),
         }
     }
 
-    fn stmts(t: &SymbolTable, stmts: &[dda_ir::Stmt]) -> Vec<model::Stmt> {
-        stmts.iter().map(|s| stmt(t, s)).collect()
+    fn stmts(c: &Ctx, stmts: &[dda_ir::Stmt]) -> Vec<model::Stmt> {
+        stmts.iter().map(|s| stmt(c, s)).collect()
     }
 
     fn name(t: &SymbolTable, s: dda_ir::Sym) -> String {
         t.name(s).to_owned()
     }
 
-    fn stmt(t: &SymbolTable, s: &dda_ir::Stmt) -> model::Stmt {
+    fn stmt(c: &Ctx, s: &dda_ir::Stmt) -> model::Stmt {
+        let t = c.t;
         match s {
             dda_ir::Stmt::For(l) => model::Stmt::For(model::ForLoop {
                 var: name(t, l.var),
-                lower: expr(t, &l.lower),
-                upper: expr(t, &l.upper),
+                lower: expr(c, l.lower),
+                upper: expr(c, l.upper),
                 step: l.step,
-                body: stmts(t, &l.body),
+                body: stmts(c, &l.body),
             }),
             dda_ir::Stmt::ArrayAssign(a) => model::Stmt::ArrayAssign(model::ArrayAssign {
-                target: array_ref(t, &a.target),
-                value: expr(t, &a.value),
+                target: array_ref(c, &a.target),
+                value: expr(c, a.value),
             }),
             dda_ir::Stmt::ScalarAssign(a) => model::Stmt::ScalarAssign(model::ScalarAssign {
                 name: name(t, a.name),
-                value: expr(t, &a.value),
+                value: expr(c, a.value),
             }),
             dda_ir::Stmt::Read(n) => model::Stmt::Read(name(t, *n)),
             dda_ir::Stmt::If(i) => model::Stmt::If(model::IfStmt {
-                lhs: expr(t, &i.lhs),
+                lhs: expr(c, i.lhs),
                 op: i.op,
-                rhs: expr(t, &i.rhs),
-                then_body: stmts(t, &i.then_body),
-                else_body: stmts(t, &i.else_body),
+                rhs: expr(c, i.rhs),
+                then_body: stmts(c, &i.then_body),
+                else_body: stmts(c, &i.else_body),
             }),
         }
     }
 
-    fn array_ref(t: &SymbolTable, r: &dda_ir::ArrayRef) -> model::ArrayRef {
+    fn array_ref(c: &Ctx, r: &dda_ir::ArrayRef) -> model::ArrayRef {
         model::ArrayRef {
-            array: name(t, r.array),
-            subscripts: r.subscripts.iter().map(|e| expr(t, e)).collect(),
+            array: name(c.t, r.array),
+            subscripts: c.x.subscripts(r).iter().map(|&e| expr(c, e)).collect(),
         }
     }
 
-    fn expr(t: &SymbolTable, e: &dda_ir::Expr) -> model::Expr {
-        let b = |x: &dda_ir::Expr| Box::new(expr(t, x));
-        match e {
-            dda_ir::Expr::Const(c) => model::Expr::Const(*c),
-            dda_ir::Expr::Var(v) => model::Expr::Var(name(t, *v)),
-            dda_ir::Expr::ArrayRead(r) => model::Expr::ArrayRead(array_ref(t, r)),
-            dda_ir::Expr::Neg(x) => model::Expr::Neg(b(x)),
-            dda_ir::Expr::Add(x, y) => model::Expr::Add(b(x), b(y)),
-            dda_ir::Expr::Sub(x, y) => model::Expr::Sub(b(x), b(y)),
-            dda_ir::Expr::Mul(x, y) => model::Expr::Mul(b(x), b(y)),
+    fn expr(c: &Ctx, e: dda_ir::Expr) -> model::Expr {
+        let b = |x: dda_ir::Expr| Box::new(expr(c, x));
+        match c.x.node(e) {
+            Node::Const(v) => model::Expr::Const(v),
+            Node::Var(v) => model::Expr::Var(name(c.t, v)),
+            Node::Read(r) => model::Expr::ArrayRead(array_ref(c, &r)),
+            Node::Neg(x) => model::Expr::Neg(b(x)),
+            Node::Add(x, y) => model::Expr::Add(b(x), b(y)),
+            Node::Sub(x, y) => model::Expr::Sub(b(x), b(y)),
+            Node::Mul(x, y) => model::Expr::Mul(b(x), b(y)),
         }
     }
 

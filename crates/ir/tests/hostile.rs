@@ -3,11 +3,12 @@
 //! of millions of nodes (a doubling chain), and subscripts whose
 //! lowering overflows `i64`. Each must normalize within a second and
 //! extract to a non-affine subscript: a sound assumed-dependent pair.
+//! A normalized program's arena holds only what its statements reach.
 
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use dda_ir::{extract_accesses, parse_program, passes, AccessSet};
+use dda_ir::{extract_accesses, parse_program, passes, AccessSet, Program};
 
 fn front_end(src: &str) -> (AccessSet, Duration) {
     let mut p = parse_program(src).expect("parses");
@@ -72,5 +73,43 @@ fn overflowing_subscripts_are_not_affine() {
             "{name}: {}",
             set.accesses[0].display(&set.symbols)
         );
+    }
+}
+
+/// How much larger than parsed a normalized arena may be. Substitution
+/// grows an expression to at most the passes' 128-node budget; the
+/// chains reach 22 times their parsed size. Without the budget, the
+/// doubling chain would reach 2^23 nodes and each bound of the strided
+/// nest 2^12, far past this.
+const GROWTH: usize = 32;
+
+#[test]
+fn normalized_arenas_stay_bounded_and_hold_no_garbage() {
+    for name in [
+        "chain_doubling.loop",
+        "chain_linear.loop",
+        "strided_nest12.loop",
+    ] {
+        let mut p: Program = parse_program(&hostile(name)).expect("parses");
+        let parsed = p.exprs.len();
+        passes::normalize(&mut p);
+        let normalized = p.exprs.len();
+        assert!(
+            normalized <= GROWTH * parsed,
+            "{name}: {normalized} nodes after normalizing, {parsed} parsed"
+        );
+        // Compaction kept only the reachable nodes: a second one drops
+        // nothing.
+        p.compact();
+        assert_eq!(p.exprs.len(), normalized, "{name}: garbage survived");
+        let set = extract_accesses(&p);
+        if name.starts_with("chain") {
+            // The cutoff left the chain's last link a mutated scalar.
+            assert!(!set.accesses[0].is_affine(), "{name}");
+        } else {
+            // Past the budget, loop normalization substituted affine
+            // normal forms, which lower.
+            assert!(set.accesses.iter().all(|a| a.is_affine()), "{name}");
+        }
     }
 }
