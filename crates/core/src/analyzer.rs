@@ -1,8 +1,8 @@
 //! The whole-program dependence analyzer.
 //!
 //! Ties every piece together the way the paper's SUIF implementation does:
-//! enumerate reference pairs and run each through the shared per-pair
-//! step ([`steps::resolve_pair`]) — short-circuit constant subscripts,
+//! enumerate reference pairs and run them through the wave plan of
+//! [`driver`] on the calling thread — short-circuit constant subscripts,
 //! memoize, run extended-GCD preprocessing, cascade the exact tests,
 //! refine direction vectors with pruning — keeping the statistics behind
 //! Tables 1–5 and 7.
@@ -13,14 +13,13 @@ use std::sync::Arc;
 use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
 
 use crate::certificate::Certificate;
+use crate::driver::{self, Inline};
 use crate::fourier_motzkin::FmLimits;
-use crate::gcd::{EqOutcome, Lattice};
-use crate::memo::{MemoMark, SharedMemo};
+use crate::memo::SharedMemo;
 use crate::pipeline::{NullProbe, PipelineConfig, Probe};
-use crate::problem::DependenceProblem;
 use crate::result::{DependenceResult, DirectionVector, DistanceVector, LevelVec};
 use crate::stats::AnalysisStats;
-use crate::steps::{self, MemoSource, MemoUse, ReduceEffects};
+use crate::steps;
 
 /// Memoization flavour (Section 5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -121,8 +120,7 @@ pub struct ProgramReport {
 
 impl ProgramReport {
     /// Assembles a report from per-pair reports (in enumeration order)
-    /// and the program's statistics delta. Used by the batch engine,
-    /// which assembles both from its waves.
+    /// and the program's statistics delta.
     #[must_use]
     pub fn from_parts(pairs: Vec<PairReport>, stats: AnalysisStats) -> ProgramReport {
         ProgramReport { pairs, stats }
@@ -168,6 +166,8 @@ pub struct CachedOutcome {
 
 /// The paper's dependence analyzer.
 ///
+/// It runs the wave plan of [`driver`] on the calling thread, one call
+/// per program; the batch engine runs the same plan on a worker pool.
 /// The analyzer owns its memo tables, so reusing one instance across
 /// programs models the paper's "store the hash table across compilations"
 /// extension. They are the same [`SharedMemo`] the batch engine uses, in
@@ -290,7 +290,7 @@ impl DependenceAnalyzer {
     }
 
     /// Analyzes every reference pair of `program`, reporting every step to
-    /// `probe`. With [`NullProbe`] this is exactly
+    /// `probe` in pair order. With [`NullProbe`] this is exactly
     /// [`analyze_program`](Self::analyze_program); events never influence
     /// answers.
     pub fn analyze_program_probed<P: Probe>(
@@ -298,128 +298,35 @@ impl DependenceAnalyzer {
         program: &Program,
         probe: &mut P,
     ) -> ProgramReport {
-        let before = self.stats;
         let set = extract_accesses(program);
         let pairs = reference_pairs(&set, self.config.include_input_deps);
-        // Entries this call inserts serve later pairs as plain hits; the
-        // ones already there are warm.
-        let mark = self.memo.mark();
-        let mut reports = Vec::with_capacity(pairs.len());
-        for pair in pairs {
-            reports.push(self.resolve(pair, mark, probe));
-        }
-        ProgramReport {
-            pairs: reports,
-            stats: self.stats.since(&before),
-        }
+        self.run(&pairs, probe)
     }
 
     /// Analyzes a single pair of accesses.
     pub fn analyze_pair(&mut self, pair: RefPair<'_>) -> PairReport {
-        self.analyze_pair_probed(pair, &mut NullProbe)
+        // One pair in, one report out.
+        let mut reports = self.run(&[pair], &mut NullProbe).pairs;
+        reports.pop().unwrap_or_else(|| steps::pair_template(pair))
     }
 
-    /// Analyzes a single pair, reporting every step to `probe`.
-    pub fn analyze_pair_probed<P: Probe>(
-        &mut self,
-        pair: RefPair<'_>,
-        probe: &mut P,
-    ) -> PairReport {
-        let mark = self.memo.mark();
-        self.resolve(pair, mark, probe)
-    }
-
-    /// Runs one pair through the shared step; memo entries older than
-    /// `mark` count as warm.
-    fn resolve<P: Probe>(
-        &mut self,
-        pair: RefPair<'_>,
-        mark: MemoMark,
-        probe: &mut P,
-    ) -> PairReport {
-        let classified = steps::classify_pair(pair, self.config.symbolic);
-        let mut source = OnTheSpot {
-            config: &self.config,
-            memo: &self.memo,
-            mark,
-        };
-        let out = steps::resolve_pair(&self.config, pair, &classified, &mut source, probe);
-        self.stats.add(&out.stats);
-        self.spliced += u64::from(out.spliced);
-        out.report
-    }
-}
-
-/// The serial analyzer's [`MemoSource`]: looks up, solves and inserts on
-/// the spot. Entries older than `mark` are served as warm, like the
-/// engine's entries from a warm start or an earlier batch.
-struct OnTheSpot<'a> {
-    config: &'a AnalyzerConfig,
-    memo: &'a SharedMemo,
-    mark: MemoMark,
-}
-
-/// How a lookup that found an entry served it.
-fn hit_use(warm: bool) -> MemoUse {
-    if warm {
-        MemoUse::Warm
-    } else {
-        MemoUse::Hit
-    }
-}
-
-impl MemoSource for OnTheSpot<'_> {
-    fn gcd(&mut self, problem: &DependenceProblem) -> Option<(Option<EqOutcome>, MemoUse)> {
-        let key = steps::gcd_key(self.config, problem);
-        let (canonical, used) = match &key {
-            None => (steps::solve_gcd(problem, None), MemoUse::Unkeyed),
-            Some(nk) => match self.memo.lookup_gcd_since(&nk.key, self.mark) {
-                Some((hit, warm)) => (Some(hit), hit_use(warm)),
-                None => {
-                    let solved = steps::solve_gcd(problem, Some(nk));
-                    // Overflows are not cached: a later pair recomputes.
-                    if let Some(v) = &solved {
-                        self.memo.gcd.insert(nk.key.clone(), v.clone());
-                    }
-                    (solved, MemoUse::Miss)
-                }
-            },
-        };
-        Some((
-            steps::expand_gcd(problem, key.as_ref(), canonical.as_ref()),
-            used,
-        ))
-    }
-
-    fn full<P: Probe>(
-        &mut self,
-        problem: &DependenceProblem,
-        lattice: &Lattice,
-        template: PairReport,
-        probe: &mut P,
-    ) -> Option<(PairReport, ReduceEffects, MemoUse)> {
-        // See `steps::full_key` for the symmetric canonicalization
-        // contract.
-        let key = steps::full_key(self.config, problem);
-        if let Some((ck, flipped)) = &key {
-            if let Some((cached, warm)) = self.memo.lookup_full_since(&ck.key, self.mark) {
-                let report =
-                    steps::rehydrate_hit(self.config.memo, &cached, ck, *flipped, template);
-                return Some((report, ReduceEffects::default(), hit_use(warm)));
-            }
-        }
-        let mut fx = ReduceEffects::default();
-        let report =
-            steps::analyze_reduced_probed(self.config, problem, lattice, template, &mut fx, probe);
-        let used = match key {
-            None => MemoUse::Unkeyed,
-            Some((ck, flipped)) => {
-                let outcome = steps::canonical_outcome(&report, &ck, flipped);
-                self.memo.full.insert(ck.key, outcome);
-                MemoUse::Miss
-            }
-        };
-        Some((report, fx, used))
+    /// Runs the wave plan over `pairs` on the calling thread. Memo
+    /// entries from before the call are warm: a verdict served from one
+    /// is spliced.
+    fn run<P: Probe>(&mut self, pairs: &[RefPair<'_>], probe: &mut P) -> ProgramReport {
+        let run = driver::run(
+            &self.config,
+            &self.memo,
+            &Inline,
+            pairs,
+            &[pairs.len()],
+            probe,
+        );
+        self.spliced += run.spliced;
+        // One program in, one report out.
+        let report = run.reports.into_iter().next().unwrap_or_default();
+        self.stats.add(&report.stats);
+        report
     }
 }
 

@@ -57,6 +57,7 @@ pub mod analyzer;
 pub mod cascade;
 pub mod certificate;
 pub mod direction;
+pub mod driver;
 pub mod explain;
 pub mod fourier_motzkin;
 pub mod gcd;

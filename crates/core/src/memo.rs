@@ -491,10 +491,6 @@ struct Entry<V> {
     /// Second-chance bit: set by [`ShardedMemoTable::get`], cleared
     /// when the eviction hand passes over the entry.
     referenced: bool,
-    /// Position in the table's insert history (see
-    /// [`ShardedMemoTable::mark`]); 0 for an entry loaded from a
-    /// persisted memo, which predates every mark.
-    born: u64,
 }
 
 /// A concurrent memo table: `N` mutex-guarded shards, with the shard
@@ -503,10 +499,11 @@ struct Entry<V> {
 /// This is the substrate behind `dda-engine`'s batch parallelism: worker
 /// threads insert leader results and read cached outcomes through `&self`,
 /// so the table can be shared across a `std::thread::scope` without a
-/// global lock. Query/hit counters are atomic and count *table traffic*
-/// (one consult per pair in the serial analyzer, per distinct key per
-/// batch in the engine), which is a different notion from the per-pair
-/// accounting in [`AnalysisStats`](crate::stats::AnalysisStats).
+/// global lock. Query/hit counters are atomic and count *table traffic*:
+/// the analysis driver consults the table once per distinct key per run
+/// (a program in the serial analyzer, a batch in the engine), which is a
+/// different notion from the per-pair accounting in
+/// [`AnalysisStats`](crate::stats::AnalysisStats).
 ///
 /// # Bounded capacity
 ///
@@ -601,29 +598,12 @@ impl<V> ShardedMemoTable<V> {
     where
         V: Clone,
     {
-        self.get_since(key, 0).map(|(v, _)| v)
-    }
-
-    /// The current point in the table's insert history: every entry
-    /// inserted from now on is newer than the mark.
-    #[must_use]
-    pub fn mark(&self) -> u64 {
-        self.inserts().wrapping_add(1)
-    }
-
-    /// [`get`](Self::get), also telling whether the entry predates
-    /// `mark` (from [`mark`](Self::mark)): inserted before the mark was
-    /// taken, or loaded from a persisted memo.
-    pub fn get_since(&self, key: &MemoKey, mark: u64) -> Option<(V, bool)>
-    where
-        V: Clone,
-    {
         self.queries.fetch_add(1, Ordering::Relaxed);
         let hit = {
             let mut shard = self.shard(key);
             shard.map.get_mut(key).map(|e| {
                 e.referenced = true;
-                (e.value.clone(), e.born < mark)
+                e.value.clone()
             })
         };
         if hit.is_some() {
@@ -639,20 +619,12 @@ impl<V> ShardedMemoTable<V> {
     where
         V: MemoWeight,
     {
-        let born = self.inserts.fetch_add(1, Ordering::Relaxed).wrapping_add(1);
-        self.insert_born(key, value, born);
-    }
-
-    fn insert_born(&self, key: MemoKey, value: V, born: u64)
-    where
-        V: MemoWeight,
-    {
+        self.inserts.fetch_add(1, Ordering::Relaxed);
         let weight = key_bytes(&key) + value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
         let entry = Entry {
             value,
             weight,
             referenced: false,
-            born,
         };
         let mut shard = self.shard(&key);
         match shard.map.insert(key.clone(), entry) {
@@ -700,8 +672,7 @@ impl<V> ShardedMemoTable<V> {
         V: MemoWeight,
     {
         self.warm_loads.fetch_add(1, Ordering::Relaxed);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.insert_born(key, value, 0);
+        self.insert(key, value);
     }
 
     /// Number of distinct entries across all shards.
@@ -847,14 +818,6 @@ pub struct SharedMemo {
     archive_faults: AtomicU64,
 }
 
-/// A point in a [`SharedMemo`]'s insert history (see
-/// [`SharedMemo::mark`]): the entries it predates are the warm ones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MemoMark {
-    full: u64,
-    gcd: u64,
-}
-
 /// Telemetry for memo warm starts: one row per [`SharedMemo`], covering
 /// its archive loads (the first attached lazily, any later one decoded
 /// eagerly) plus archive faults.
@@ -906,64 +869,29 @@ impl SharedMemo {
     /// of the archive stays hot.
     #[must_use]
     pub fn lookup_full(&self, key: &MemoKey) -> Option<crate::analyzer::CachedOutcome> {
-        self.lookup_full_since(key, MemoMark::default())
-            .map(|(v, _)| v)
+        self.lookup_tiered(&self.full, key, |a| a.get_full(key))
     }
 
     /// Looks up a gcd entry through both residency tiers (see
     /// [`SharedMemo::lookup_full`]).
     #[must_use]
     pub fn lookup_gcd(&self, key: &MemoKey) -> Option<crate::gcd::EqOutcome> {
-        self.lookup_gcd_since(key, MemoMark::default())
-            .map(|(v, _)| v)
-    }
-
-    /// The current point in both tables' insert histories.
-    #[must_use]
-    pub fn mark(&self) -> MemoMark {
-        MemoMark {
-            full: self.full.mark(),
-            gcd: self.gcd.mark(),
-        }
-    }
-
-    /// [`lookup_full`](Self::lookup_full), also telling whether the
-    /// entry predates `mark`: inserted before the mark was taken, loaded
-    /// from a memo file, or faulted from the archive tier.
-    #[must_use]
-    pub fn lookup_full_since(
-        &self,
-        key: &MemoKey,
-        mark: MemoMark,
-    ) -> Option<(crate::analyzer::CachedOutcome, bool)> {
-        self.lookup_tiered(&self.full, key, mark.full, |a| a.get_full(key))
-    }
-
-    /// [`lookup_gcd`](Self::lookup_gcd), telling whether the entry
-    /// predates `mark` (see [`SharedMemo::lookup_full_since`]).
-    #[must_use]
-    pub fn lookup_gcd_since(
-        &self,
-        key: &MemoKey,
-        mark: MemoMark,
-    ) -> Option<(crate::gcd::EqOutcome, bool)> {
-        self.lookup_tiered(&self.gcd, key, mark.gcd, |a| a.get_gcd(key))
+        self.lookup_tiered(&self.gcd, key, |a| a.get_gcd(key))
     }
 
     fn lookup_tiered<V: Clone + MemoWeight>(
         &self,
         table: &ShardedMemoTable<V>,
         key: &MemoKey,
-        mark: u64,
         fault: impl FnOnce(&crate::persist::MemoArchive) -> Option<V>,
-    ) -> Option<(V, bool)> {
-        if let Some(hit) = table.get_since(key, mark) {
+    ) -> Option<V> {
+        if let Some(hit) = table.get(key) {
             return Some(hit);
         }
         let v = fault(self.archive.get()?)?;
         self.archive_faults.fetch_add(1, Ordering::Relaxed);
         table.insert_warm(key.clone(), v.clone());
-        Some((v, true))
+        Some(v)
     }
 
     /// Warm-start telemetry for this table.

@@ -75,6 +75,10 @@ pub trait Probe {
     /// Receives one event.
     fn record(&mut self, event: TraceEvent);
 
+    /// Called by the analysis driver before the first pair of program
+    /// `index` of a run (programs count from 0 in every run).
+    fn enter_program(&mut self, _index: usize) {}
+
     /// The request trace this probe attributes its events to, when the
     /// probe was built for one (see [`TraceId`]). The pipeline never
     /// calls this — it exists so downstream renderers (span JSONL, the

@@ -1,19 +1,17 @@
-//! The per-pair analysis step shared by every driver.
+//! The per-pair analysis step and the pure pieces it is built from.
 //!
-//! [`resolve_pair`] is the paper's single pass over one reference pair:
+//! `resolve_pair` is the paper's single pass over one reference pair:
 //! classify, consult the memo, run the extended GCD, cascade the exact
 //! tests, refine directions, count. It is the one place the per-pair
-//! counting rules live. Both drivers call it and differ only in their
-//! [`MemoSource`]: the serial
-//! [`DependenceAnalyzer`](crate::analyzer::DependenceAnalyzer) looks up,
-//! solves and inserts on the spot, while the batch engine (`dda-engine`)
-//! hands back what its parallel leader waves already computed.
+//! counting rules live. Its one caller is the assembly of the wave plan
+//! in [`driver`](crate::driver), which hands it what the waves already
+//! computed for the pair: the memo's answers, or a leader's solve.
 //!
-//! The other functions are the pure pieces the step and the engine's
-//! waves are built from. Every one is deterministic: same inputs, same
-//! output, no hidden state. That property is what makes the engine's
-//! leader-election parallelism sound — any thread may compute a key's
-//! result and every other pair with that key can reuse it verbatim.
+//! The other functions are the pure pieces the waves are built from.
+//! Every one is deterministic: same inputs, same output, no hidden
+//! state. That property is what makes leader election sound — any
+//! thread may compute a key's result and every other pair with that key
+//! can reuse it verbatim.
 
 use dda_ir::RefPair;
 
@@ -390,9 +388,8 @@ pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) 
 }
 
 /// Statistics side-effects of [`analyze_reduced`], captured explicitly so
-/// callers can attribute them wherever the pair lives (the serial
-/// analyzer applies them immediately; the engine applies them to the
-/// leader pair's program during in-order assembly).
+/// callers can attribute them wherever the pair lives (the wave plan
+/// applies them to the leader pair's program during in-order assembly).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReduceEffects {
     /// The lattice substitution overflowed: dependence assumed.
@@ -569,10 +566,10 @@ pub fn note_outcome(stats: &mut AnalysisStats, report: &PairReport) {
     stats.direction_vectors_found += report.direction_vectors.len() as u64;
 }
 
-/// How a [`MemoSource`] served one lookup — all the per-pair counting
-/// rules need to know about the memo.
+/// How a memo lookup served one pair — all the per-pair counting rules
+/// need to know about the memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MemoUse {
+pub(crate) enum MemoUse {
     /// No memo key (memoization off): the pair solved for itself.
     Unkeyed,
     /// The memo was consulted and missed; the value was computed fresh.
@@ -580,7 +577,7 @@ pub enum MemoUse {
     /// The memo answered with an entry written during this run.
     Hit,
     /// The memo answered with an entry that predates this run (a warm
-    /// start or an earlier batch): the verdict is spliced, not re-solved.
+    /// start or an earlier run): the verdict is spliced, not re-solved.
     Warm,
 }
 
@@ -600,51 +597,65 @@ impl MemoUse {
     }
 }
 
-/// Where [`resolve_pair`] gets a pair's memoized values from. Each method
-/// answers `None` when a deadline cancelled the computation it needed.
-pub trait MemoSource {
-    /// The pair's extended-GCD outcome, expanded to every problem
-    /// variable (see [`expand_gcd`]; an inner `None` is an overflow).
-    fn gcd(&mut self, problem: &DependenceProblem) -> Option<(Option<EqOutcome>, MemoUse)>;
+/// One pair's extended-GCD answer, as the GCD wave hands it to
+/// [`resolve_pair`].
+#[derive(Debug)]
+pub(crate) struct GcdAnswer {
+    /// The outcome expanded onto the pair's problem (see [`expand_gcd`]);
+    /// `None` is an overflowed solve.
+    pub(crate) outcome: Option<EqOutcome>,
+    /// How the memo served it.
+    pub(crate) used: MemoUse,
+    /// Wall time of the solve this pair ran; 0 when it ran none.
+    pub(crate) nanos: u64,
+}
 
-    /// The full analysis of a pair whose equalities have `lattice`: a
-    /// memo hit rehydrated onto `template` (with no statistics effects),
-    /// or a fresh [`analyze_reduced_probed`] report and its effects.
-    fn full<P: Probe>(
-        &mut self,
-        problem: &DependenceProblem,
-        lattice: &Lattice,
-        template: PairReport,
-        probe: &mut P,
-    ) -> Option<(PairReport, ReduceEffects, MemoUse)>;
+/// What a full-wave solver computed for its own pair: the fresh
+/// [`analyze_reduced_probed`] report, its statistics effects, and the
+/// probe events of the solve for [`resolve_pair`] to replay in pair
+/// order (empty unless the run is traced).
+pub(crate) type Computed = (PairReport, ReduceEffects, Vec<TraceEvent>);
+
+/// One pair's full-analysis answer, as the full wave hands it to
+/// [`resolve_pair`].
+#[derive(Debug)]
+pub(crate) enum FullAnswer {
+    /// Computed by this pair: an elected leader, or a pair without a key.
+    Computed(Box<Computed>, MemoUse),
+    /// Served from a memo entry (a warm one, or a leader's fresh insert)
+    /// under the pair's key, mirrored or not, and rehydrated onto the
+    /// pair's template.
+    Cached(Arc<CachedOutcome>, CanonicalKey, bool, MemoUse),
 }
 
 /// What [`resolve_pair`] produced for one pair.
 #[derive(Debug)]
-pub struct Resolution {
+pub(crate) struct Resolution {
     /// The pair's report.
-    pub report: PairReport,
+    pub(crate) report: PairReport,
     /// The pair's statistics delta.
-    pub stats: AnalysisStats,
+    pub(crate) stats: AnalysisStats,
     /// The verdict came straight from a warm memo entry (the incremental
     /// fast path); otherwise the pair was resolved in this run.
-    pub spliced: bool,
+    pub(crate) spliced: bool,
     /// A deadline cancelled a computation the pair needed: the report is
     /// the bare conservative template.
-    pub cancelled: bool,
+    pub(crate) cancelled: bool,
 }
 
-/// Analyzes one classified pair, reporting every step to `probe`: the
-/// memo and solver work comes from `source`, and every statistics
-/// counter of the pair is decided here.
+/// Analyzes one classified pair from the waves' answers, reporting every
+/// step to `probe`: every statistics counter of the pair is decided
+/// here. `gcd` and `full` are `None` where the pair never reached the
+/// wave, or where a deadline cancelled the computation it needed.
 ///
 /// A cancelled pair comes back as the conservative template, counted as
 /// assumed, with none of the memo accounting a completed visit would do.
-pub fn resolve_pair<S: MemoSource, P: Probe>(
+pub(crate) fn resolve_pair<P: Probe>(
     config: &AnalyzerConfig,
     pair: RefPair<'_>,
     classified: &Classified,
-    source: &mut S,
+    gcd: Option<GcdAnswer>,
+    full: Option<FullAnswer>,
     probe: &mut P,
 ) -> Resolution {
     let common = pair.common;
@@ -688,7 +699,7 @@ pub fn resolve_pair<S: MemoSource, P: Probe>(
                 equations: problem.eq_coeffs.len(),
                 bounds: problem.bounds.len(),
             });
-            match resolve_problem(problem, template, source, probe, &mut stats) {
+            match resolve_problem(config, problem, template, gcd, full, probe, &mut stats) {
                 Some((report, spliced)) => (report, spliced, false),
                 None => {
                     stats = AnalysisStats {
@@ -721,27 +732,29 @@ pub fn resolve_pair<S: MemoSource, P: Probe>(
 /// not, exactly like the paper's Table 2 "without bounds" column — then
 /// the full-result memo or a fresh cascade. Returns the report and
 /// whether it was spliced, or `None` when cancelled.
-fn resolve_problem<S: MemoSource, P: Probe>(
+fn resolve_problem<P: Probe>(
+    config: &AnalyzerConfig,
     problem: &DependenceProblem,
     template: PairReport,
-    source: &mut S,
+    gcd: Option<GcdAnswer>,
+    full: Option<FullAnswer>,
     probe: &mut P,
     stats: &mut AnalysisStats,
 ) -> Option<(PairReport, bool)> {
-    let gcd_start = P::ACTIVE.then(Instant::now);
-    let (eq_outcome, gcd_use) = source.gcd(problem)?;
-    gcd_use.count(&mut stats.gcd_memo_queries, &mut stats.gcd_memo_hits);
+    let GcdAnswer {
+        outcome,
+        used,
+        nanos,
+    } = gcd?;
+    used.count(&mut stats.gcd_memo_queries, &mut stats.gcd_memo_hits);
     if P::ACTIVE {
-        let nanos = gcd_start.map_or(0, |s| {
-            u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        });
         probe.record(TraceEvent::Gcd {
-            verdict: gcd_verdict(eq_outcome.as_ref()),
-            cached: gcd_use.is_hit(),
+            verdict: gcd_verdict(outcome.as_ref()),
+            cached: used.is_hit(),
             nanos,
         });
     }
-    let lattice = match eq_outcome {
+    match outcome {
         None => {
             stats.assumed += 1;
             return Some((template, false)); // overflow: assume dependent
@@ -752,12 +765,24 @@ fn resolve_problem<S: MemoSource, P: Probe>(
             // refactorize only when none transferred.
             let refutation = refutation.or_else(|| refute_equalities(problem));
             let report = gcd_independent_report(template, refutation);
-            return Some((report, gcd_use == MemoUse::Warm));
+            return Some((report, used == MemoUse::Warm));
         }
-        Some(EqOutcome::Lattice(l)) => l,
-    };
+        Some(EqOutcome::Lattice(_)) => {}
+    }
 
-    let (report, fx, full_use) = source.full(problem, &lattice, template, probe)?;
+    let (report, fx, full_use) = match full? {
+        FullAnswer::Computed(computed, used) => {
+            let (report, fx, events) = *computed;
+            for event in events {
+                probe.record(event);
+            }
+            (report, fx, used)
+        }
+        FullAnswer::Cached(outcome, key, flipped, used) => {
+            let report = rehydrate_hit(config.memo, &outcome, &key, flipped, template);
+            (report, ReduceEffects::default(), used)
+        }
+    };
     full_use.count(&mut stats.memo_queries, &mut stats.memo_hits);
     if P::ACTIVE && full_use.is_hit() {
         probe.record(TraceEvent::CacheHit);

@@ -1,43 +1,22 @@
 //! Parallel batch dependence-analysis engine.
 //!
-//! [`Engine`] analyzes a batch of programs by fanning their reference
-//! pairs across scoped worker threads, sharing work through the sharded
-//! concurrent memo tables of [`dda_core::SharedMemo`] — and still
-//! produces output *bit-identical* to running a single serial
-//! [`DependenceAnalyzer`] over the same programs in order: the same
-//! [`PairReport`]s, the same per-program [`AnalysisStats`], regardless
-//! of worker count.
+//! [`Engine`] analyzes a batch of programs by running the wave plan of
+//! [`dda_core::driver`] — the same plan [`DependenceAnalyzer`] runs on
+//! the calling thread — with every wave fanned across scoped worker
+//! threads, sharing work through the sharded concurrent memo tables of
+//! [`dda_core::SharedMemo`]. Its output is *bit-identical* to running a
+//! serial [`DependenceAnalyzer`] over the same programs as one batch: the
+//! same [`PairReport`]s, the same per-program [`AnalysisStats`],
+//! regardless of worker count.
 //!
-//! # How determinism survives parallelism
-//!
-//! Every per-pair piece (classification, key construction, the extended
-//! GCD solve, the cascade) is a pure function in [`dda_core::steps`], so
-//! results depend only on inputs, never on schedule. The engine runs in
-//! waves:
-//!
-//! 1. **Classify** every pair in parallel (constant short-circuit or
-//!    integer-problem construction).
-//! 2. **Extended GCD**: compute no-bounds memo keys in parallel, then
-//!    elect — serially, in global enumeration order — a *leader* per
-//!    distinct key (the first pair that would reach the table in a
-//!    serial run). Leaders solve in parallel; every other pair with the
-//!    same key reuses the leader's result, exactly as a serial run would
-//!    have found it in the table. With memoization off no pair has a
-//!    key, and each solves for itself.
-//! 3. **Full analysis**: the same election over full-result keys;
-//!    leaders run the test cascade and direction refinement in parallel.
-//! 4. **Assemble** serially, in enumeration order: every pair goes
-//!    through the same per-pair step as the serial analyzer,
-//!    [`dda_core::steps::resolve_pair`], whose memo source hands back
-//!    what the waves computed. That one function decides every counter.
-//!
-//! Because a leader is always the *first* occurrence in enumeration
-//! order, the hit/miss pattern — and therefore every statistics counter —
-//! matches the serial analyzer's exactly. An unresolvable GCD solve
-//! (overflow, `None`) is never inserted into the table, and since the
-//! solve is deterministic per key, later pairs with that key are counted
-//! as misses that recompute the identical `None` — again matching the
-//! serial analyzer.
+//! Every per-pair piece is a pure function of [`dda_core::steps`],
+//! leaders are elected and pairs assembled serially in enumeration
+//! order, and each wave result lands in its item's slot, so worker and
+//! shard counts change nothing but wall time. Around the plan this
+//! crate adds the worker pool and its metering into a
+//! [`MetricsRegistry`], wall-clock [`Deadline`]s, the independent
+//! certificate check ([`check_batch`]), dependence-graph construction
+//! ([`graph_batch`]) and the `--check` reproducer minimizer.
 //!
 //! # Example
 //!
@@ -64,20 +43,15 @@
 
 mod pool;
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dda_check::{check_pair, CheckOutcome};
-use dda_core::gcd::{EqOutcome, Lattice};
-use dda_core::memo::{CanonicalKey, MemoKey, NoBoundsKey};
-use dda_core::problem::DependenceProblem;
+use dda_core::driver::{self, Executor};
 use dda_core::stats::AnalysisStats;
-use dda_core::steps::{self, Classified, MemoSource, MemoUse, ReduceEffects};
 use dda_core::{
-    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, DependenceKind, MemoMode, NullProbe,
-    PairReport, Probe, ProgramReport, SharedMemo,
+    AnalyzerConfig, DependenceAnalyzer, DependenceKind, MemoMode, NullProbe, PairReport, Probe,
+    ProgramReport, SharedMemo,
 };
 use dda_graph::{build_graph, ProgramGraph};
 use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
@@ -85,20 +59,51 @@ use dda_obs::{MemoTableKind, MetricsProbe, MetricsRegistry, StageTimings, TraceC
 
 use pool::par_map_metered;
 
-/// [`par_map`] with the wave folded into the metrics registry. Empty
-/// slices are skipped entirely so idle waves don't inflate the counts.
-fn par_map_obs<T, R, F>(obs: MetricsProbe<'_>, workers: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
+/// The engine's [`Executor`]: waves run on up to `workers` threads, and
+/// each one (and every solver's probe event) is recorded into the
+/// metrics registry. Empty waves are skipped entirely so idle waves
+/// don't inflate the counts.
+#[derive(Debug, Clone, Copy)]
+struct Pool<'a> {
+    workers: usize,
+    obs: MetricsProbe<'a>,
+}
+
+impl<'a> Pool<'a> {
+    /// The pool `config` asks for, recording into `obs` and, with a
+    /// request scope, into the scope too.
+    fn new(
+        config: &EngineConfig,
+        obs: &'a MetricsRegistry,
+        trace: Option<&'a TraceContext>,
+    ) -> Self {
+        Pool {
+            workers: config.effective_workers(),
+            obs: MetricsProbe::scoped(obs, trace),
+        }
     }
-    let (out, wave) = par_map_metered(workers, items, f);
-    obs.record_wave(&wave);
-    out
+}
+
+impl<'a> Executor for Pool<'a> {
+    type Sink = MetricsProbe<'a>;
+
+    fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+    {
+        if items.is_empty() {
+            return Vec::new();
+        }
+        let (out, wave) = par_map_metered(self.workers, items, f);
+        self.obs.record_wave(&wave);
+        out
+    }
+
+    fn sink(&self) -> MetricsProbe<'a> {
+        self.obs
+    }
 }
 
 /// Batch-engine configuration.
@@ -160,12 +165,12 @@ impl EngineConfig {
     }
 }
 
-/// A wall-clock cancellation point threaded through the engine's wave
-/// loop. `Deadline::none()` never expires; [`Deadline::after`] expires a
-/// fixed duration from now.
+/// A wall-clock cancellation point for a batch. `Deadline::none()` never
+/// expires; [`Deadline::after`] expires a fixed duration from now.
 ///
-/// Expiry is checked between waves, before every *leader* solve, and
-/// inside direction refinement and Fourier–Motzkin branch-and-bound, so
+/// Expiry is checked before every *leader* solve, after every full
+/// solve, and inside direction refinement and Fourier–Motzkin
+/// branch-and-bound (see [`dda_core::driver`]), so
 /// a timed-out batch returns promptly with partial results: pairs whose
 /// computation was skipped or cut short come back as assumed
 /// dependences with
@@ -187,18 +192,6 @@ impl Deadline {
     #[must_use]
     pub fn after(limit: Duration) -> Deadline {
         Deadline(Some(Instant::now() + limit))
-    }
-
-    /// At a specific instant.
-    #[must_use]
-    pub fn at(instant: Instant) -> Deadline {
-        Deadline(Some(instant))
-    }
-
-    /// Whether the deadline has passed.
-    #[must_use]
-    pub fn expired(&self) -> bool {
-        self.0.is_some_and(|t| Instant::now() >= t)
     }
 }
 
@@ -242,104 +235,6 @@ impl Default for Engine {
     fn default() -> Engine {
         Engine::with_config(EngineConfig::default())
     }
-}
-
-/// Where a memoizable job's value comes from, decided serially in
-/// enumeration order (see [`elect_leaders`]).
-enum Src<V> {
-    /// The shared table already had it (warm start / earlier batch):
-    /// read once per key, shared by every job with that key.
-    Warm(Arc<V>),
-    /// First occurrence of the key: this job computes.
-    Leader,
-    /// Reuse the result of the leader job at this index.
-    Share(usize),
-}
-
-/// One job's extended-GCD answer as [`MemoSource::gcd`] hands it over:
-/// `None` when the deadline cancelled the solve (and for jobs without a
-/// problem, which never ask).
-type GcdServed = Option<(Option<EqOutcome>, MemoUse)>;
-
-/// One job's full-analysis answer from the full wave.
-enum FullRes {
-    /// Computed by this job (a solver, rare): its report and statistics
-    /// effects.
-    Computed(Box<(PairReport, ReduceEffects)>, MemoUse),
-    /// Served from a memo entry (warm, or a leader's fresh insert),
-    /// shared with every job of its key; rehydrated onto the job's
-    /// template during assembly.
-    Cached(Arc<CachedOutcome>, CanonicalKey, bool, MemoUse),
-}
-
-/// The engine's [`MemoSource`]: hands one job's wave results to the
-/// shared per-pair step.
-struct Replay {
-    memo_mode: MemoMode,
-    gcd: GcdServed,
-    /// `None` when the deadline cancelled the job's cascade (and for jobs
-    /// that never reach the full phase).
-    full: Option<FullRes>,
-}
-
-impl MemoSource for Replay {
-    fn gcd(&mut self, _: &DependenceProblem) -> GcdServed {
-        self.gcd.take()
-    }
-
-    fn full<P: Probe>(
-        &mut self,
-        _: &DependenceProblem,
-        _: &Lattice,
-        template: PairReport,
-        _: &mut P,
-    ) -> Option<(PairReport, ReduceEffects, MemoUse)> {
-        Some(match self.full.take()? {
-            FullRes::Computed(computed, used) => {
-                let (report, fx) = *computed;
-                (report, fx, used)
-            }
-            FullRes::Cached(cached, ck, flipped, used) => {
-                let report = steps::rehydrate_hit(self.memo_mode, &cached, &ck, flipped, template);
-                (report, ReduceEffects::default(), used)
-            }
-        })
-    }
-}
-
-/// For each job's (optional) memo key, decide — serially, in enumeration
-/// order — whether the value comes from the warm memo (resident table or
-/// cold archive tier, via `lookup`), from this job as the elected
-/// leader, or from an earlier leader. The memo is consulted exactly once
-/// per distinct key, so its own traffic counters track *table* load, not
-/// per-pair accounting.
-fn elect_leaders<V>(
-    keys: &[Option<&MemoKey>],
-    lookup: impl Fn(&MemoKey) -> Option<V>,
-) -> Vec<Option<Src<V>>> {
-    let mut seen: HashMap<&MemoKey, Src<V>> = HashMap::new();
-    let mut plan = Vec::with_capacity(keys.len());
-    for (i, key) in keys.iter().enumerate() {
-        let Some(k) = key else {
-            plan.push(None);
-            continue;
-        };
-        if let Some(prior) = seen.get(k) {
-            plan.push(Some(match prior {
-                Src::Warm(v) => Src::Warm(Arc::clone(v)),
-                Src::Share(j) => Src::Share(*j),
-                Src::Leader => unreachable!("leaders are recorded as Share"),
-            }));
-        } else if let Some(v) = lookup(k) {
-            let v = Arc::new(v);
-            seen.insert(k, Src::Warm(Arc::clone(&v)));
-            plan.push(Some(Src::Warm(v)));
-        } else {
-            seen.insert(k, Src::Share(i));
-            plan.push(Some(Src::Leader));
-        }
-    }
-    plan
 }
 
 impl Engine {
@@ -452,34 +347,50 @@ impl Engine {
     }
 
     /// Analyzes a batch of programs and returns one report per program,
-    /// in input order — bit-identical to looping a serial
-    /// [`DependenceAnalyzer`] (with
-    /// [`EngineConfig::effective_analyzer_config`] and the same warm
-    /// state) over the batch, for any worker or shard count.
+    /// in input order — bit-identical to a serial [`DependenceAnalyzer`]
+    /// (with [`EngineConfig::effective_analyzer_config`] and the same
+    /// warm state) over the batch, for any worker or shard count.
     pub fn analyze_programs(&mut self, programs: &[Program]) -> Vec<ProgramReport> {
-        let out = analyze_batch(
+        self.analyze_programs_probed(programs, &mut NullProbe)
+    }
+
+    /// [`analyze_programs`](Self::analyze_programs), reporting every
+    /// pair's steps to `probe` in enumeration order, and each program's
+    /// start, at any worker count.
+    pub fn analyze_programs_probed<P: Probe>(
+        &mut self,
+        programs: &[Program],
+        probe: &mut P,
+    ) -> Vec<ProgramReport> {
+        self.run(programs, probe).reports
+    }
+
+    /// Runs a batch without a deadline, folding its statistics into the
+    /// engine's.
+    fn run<P: Probe>(&mut self, programs: &[Program], probe: &mut P) -> BatchOutcome {
+        let pool = Pool::new(&self.config, &self.obs, None);
+        let out = run_batch(
             &self.config,
             &self.memo,
-            &self.obs,
+            pool,
             programs,
             Deadline::none(),
-            None,
+            probe,
         );
         self.stats.add(&out.stats);
-        out.reports
+        out
     }
 }
 
 /// Analyzes a batch of programs against an externally owned memo table
 /// and metrics registry — the long-running service entry point.
 ///
-/// With [`Deadline::none()`] this is exactly [`Engine::analyze_programs`]
-/// (which delegates here): bit-identical to a serial
-/// [`DependenceAnalyzer`] with the same warm state, for any worker or
-/// shard count. The difference is ownership — `memo` and `obs` outlive
-/// any engine, so a caller like `dda serve` keeps one warm
-/// [`SharedMemo`] across requests while each request brings its own
-/// config and deadline.
+/// With [`Deadline::none()`] this is exactly [`Engine::analyze_programs`]:
+/// bit-identical to a serial [`DependenceAnalyzer`] with the same warm
+/// state, for any worker or shard count. The difference is ownership —
+/// `memo` and `obs` outlive any engine, so a caller like `dda serve`
+/// keeps one warm [`SharedMemo`] across requests while each request
+/// brings its own config and deadline.
 ///
 /// When `deadline` expires mid-batch, remaining computation is skipped:
 /// every affected pair reports `Answer::Unknown`, resolved-by-assumed,
@@ -507,63 +418,50 @@ pub fn analyze_batch(
     deadline: Deadline,
     trace: Option<&TraceContext>,
 ) -> BatchOutcome {
-    let obs = MetricsProbe::scoped(obs, trace);
-    let mut cfg = config.effective_analyzer_config();
-    // Direction refinement and Fourier–Motzkin branch-and-bound give up
-    // past the deadline; the full wave discards what they computed then.
-    cfg.fm_limits.deadline = deadline.0;
-    let workers = config.effective_workers();
+    let pool = Pool::new(config, obs, trace);
+    run_batch(config, memo, pool, programs, deadline, &mut NullProbe)
+}
 
-    // Flatten the batch into one global job list; each program owns a
-    // contiguous range, so enumeration order is (program, pair).
+/// [`analyze_batch`] on `pool`, with an assembly probe (see
+/// [`Engine::analyze_programs_probed`]).
+fn run_batch<P: Probe>(
+    config: &EngineConfig,
+    memo: &SharedMemo,
+    pool: Pool<'_>,
+    programs: &[Program],
+    deadline: Deadline,
+    probe: &mut P,
+) -> BatchOutcome {
+    let mut cfg = config.effective_analyzer_config();
+    // The plan cancels solves past the deadline, and direction
+    // refinement and Fourier–Motzkin branch-and-bound give up past it.
+    cfg.fm_limits.deadline = deadline.0;
+
+    // Flatten the batch into one job list; each program owns a
+    // contiguous run, so enumeration order is (program, pair).
     let sets: Vec<_> = programs.iter().map(extract_accesses).collect();
     let mut jobs: Vec<RefPair<'_>> = Vec::new();
-    let mut ranges = Vec::with_capacity(programs.len());
+    let mut lens = Vec::with_capacity(programs.len());
     for set in &sets {
         let start = jobs.len();
         jobs.extend(reference_pairs(set, cfg.include_input_deps));
-        ranges.push(start..jobs.len());
+        lens.push(jobs.len() - start);
     }
 
-    // Wave 1: classify every pair (pure).
-    let classified = par_map_obs(obs, workers, &jobs, |_, j| {
-        steps::classify_pair(*j, cfg.symbolic)
-    });
-    // Waves 2 and 3: extended GCD, then full analysis of the lattice jobs.
-    let gcd = gcd_wave(obs, memo, &cfg, workers, &jobs, &classified, deadline);
-    let full = full_wave(obs, memo, &cfg, workers, &jobs, &classified, &gcd, deadline);
-
-    // Wave 4: serial in-order assembly through the shared per-pair step.
-    let mut batch_stats = AnalysisStats::default();
-    let mut deadline_exceeded = false;
-    let mut batch_spliced = 0u64;
-    let mut reports = Vec::with_capacity(programs.len());
-    let mut answers = gcd.into_iter().zip(full);
-    for range in ranges {
-        let mut delta = AnalysisStats::default();
-        let mut pair_reports = Vec::with_capacity(range.len());
-        for i in range {
-            let (gcd, full) = answers.next().expect("one answer per job");
-            let mut source = Replay {
-                memo_mode: cfg.memo,
-                gcd,
-                full,
-            };
-            let pair =
-                steps::resolve_pair(&cfg, jobs[i], &classified[i], &mut source, &mut NullProbe);
-            delta.add(&pair.stats);
-            deadline_exceeded |= pair.cancelled;
-            batch_spliced += u64::from(pair.spliced);
-            pair_reports.push(pair.report);
-        }
-        batch_stats.add(&delta);
-        reports.push(ProgramReport::from_parts(pair_reports, delta));
+    let run = driver::run(&cfg, memo, &pool, &jobs, &lens, probe);
+    pool.obs
+        .record_leader_elections(MemoTableKind::Gcd, run.gcd_leaders);
+    pool.obs
+        .record_leader_elections(MemoTableKind::Full, run.full_leaders);
+    let mut stats = AnalysisStats::default();
+    for report in &run.reports {
+        stats.add(&report.stats);
     }
     // Every pair is either spliced or resolved.
-    let batch_resolved = batch_stats.pairs - batch_spliced;
-    obs.record_incremental(batch_spliced, batch_resolved);
-    if config.check && !deadline_exceeded {
-        let summary = check_batch_obs(config, obs, programs, &reports);
+    let resolved = stats.pairs - run.spliced;
+    pool.obs.record_incremental(run.spliced, resolved);
+    if config.check && !run.cancelled {
+        let summary = check_reports(config, pool, programs, &run.reports);
         assert!(
             summary.failures.is_empty(),
             "certificate check failed: {:?}",
@@ -571,195 +469,12 @@ pub fn analyze_batch(
         );
     }
     BatchOutcome {
-        reports,
-        stats: batch_stats,
-        deadline_exceeded,
-        spliced: batch_spliced,
-        resolved: batch_resolved,
+        reports: run.reports,
+        stats,
+        deadline_exceeded: run.cancelled,
+        spliced: run.spliced,
+        resolved,
     }
-}
-
-/// The jobs that compute for themselves: elected leaders, plus every job
-/// that reached the phase without a key (memoization off).
-fn solvers<V>(plan: &[Option<Src<V>>], reached: impl Fn(usize) -> bool) -> Vec<usize> {
-    plan.iter()
-        .enumerate()
-        .filter_map(|(i, src)| match src {
-            Some(Src::Leader) => Some(i),
-            Some(_) => None,
-            None => reached(i).then_some(i),
-        })
-        .collect()
-}
-
-/// Number of elected leaders in a plan.
-fn leader_count<V>(plan: &[Option<Src<V>>]) -> u64 {
-    plan.iter()
-        .filter(|s| matches!(s, Some(Src::Leader)))
-        .count() as u64
-}
-
-/// The extended-GCD wave: parallel key construction, serial leader
-/// election, parallel solves, parallel per-job expansion. A solver whose
-/// turn comes after `deadline` skips its solve; it and every job sharing
-/// its key are cancelled.
-fn gcd_wave(
-    obs: MetricsProbe<'_>,
-    memo: &SharedMemo,
-    cfg: &AnalyzerConfig,
-    workers: usize,
-    jobs: &[RefPair<'_>],
-    classified: &[Classified],
-    deadline: Deadline,
-) -> Vec<GcdServed> {
-    let keys: Vec<Option<NoBoundsKey>> = par_map_obs(obs, workers, jobs, |i, _| {
-        classified[i].problem().and_then(|p| steps::gcd_key(cfg, p))
-    });
-    let key_refs: Vec<Option<&MemoKey>> = keys
-        .iter()
-        .map(|nk| nk.as_ref().map(|nk| &nk.key))
-        .collect();
-    let plan = elect_leaders(&key_refs, |k| memo.lookup_gcd(k));
-    let solvers = solvers(&plan, |i| classified[i].problem().is_some());
-    obs.record_leader_elections(MemoTableKind::Gcd, leader_count(&plan));
-    let solved = par_map_obs(obs, workers, &solvers, |_, &i| {
-        if deadline.expired() {
-            return None;
-        }
-        let p = classified[i].problem().expect("solvers have a problem");
-        let start = Instant::now();
-        let out = steps::solve_gcd(p, keys[i].as_ref());
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        Some((out, nanos))
-    });
-    // Solvers absent from the map were cancelled by the deadline.
-    let mut solved_by: HashMap<usize, Option<EqOutcome>> = HashMap::with_capacity(solvers.len());
-    for (slot, &i) in solved.into_iter().zip(&solvers) {
-        let Some((v, nanos)) = slot else {
-            continue;
-        };
-        obs.record_gcd(steps::gcd_verdict(v.as_ref()), false, nanos);
-        // Overflows are not cached, as in the serial analyzer.
-        if let (Some(v), Some(nk)) = (&v, &keys[i]) {
-            memo.gcd.insert(nk.key.clone(), v.clone());
-        }
-        solved_by.insert(i, v);
-    }
-
-    par_map_obs(obs, workers, jobs, |i, _| {
-        let p = classified[i].problem()?;
-        let (canonical, used) = match &plan[i] {
-            None => (solved_by.get(&i)?.as_ref(), MemoUse::Unkeyed),
-            Some(Src::Leader) => (solved_by.get(&i)?.as_ref(), MemoUse::Miss),
-            Some(Src::Warm(v)) => (Some(&**v), MemoUse::Warm),
-            // The leader's overflow was not inserted, so a serial run
-            // would miss here and recompute the identical `None`;
-            // anything cached is a hit.
-            Some(Src::Share(j)) => {
-                let v = solved_by.get(j)?.as_ref();
-                let used = if v.is_some() {
-                    MemoUse::Hit
-                } else {
-                    MemoUse::Miss
-                };
-                (v, used)
-            }
-        };
-        // Telemetry: shared and warm jobs were served without solving
-        // (solvers were recorded when they solved).
-        if matches!(plan[i], Some(Src::Warm(_) | Src::Share(_))) {
-            obs.record_gcd(steps::gcd_verdict(canonical), true, 0);
-        }
-        Some((steps::expand_gcd(p, keys[i].as_ref(), canonical), used))
-    })
-}
-
-/// The full-analysis wave over lattice jobs, elected like the GCD wave.
-/// Solvers whose turn comes after `deadline` skip the cascade; they and
-/// every job sharing their key are cancelled.
-#[allow(clippy::too_many_arguments)]
-fn full_wave(
-    obs: MetricsProbe<'_>,
-    memo: &SharedMemo,
-    cfg: &AnalyzerConfig,
-    workers: usize,
-    jobs: &[RefPair<'_>],
-    classified: &[Classified],
-    gcd: &[GcdServed],
-    deadline: Deadline,
-) -> Vec<Option<FullRes>> {
-    let lattice = |i: usize| match &gcd[i] {
-        Some((Some(EqOutcome::Lattice(l)), _)) => Some(l),
-        _ => None,
-    };
-    let keys = par_map_obs(obs, workers, jobs, |i, _| {
-        lattice(i)?;
-        steps::full_key(cfg, classified[i].problem()?)
-    });
-    let key_refs: Vec<Option<&MemoKey>> = keys
-        .iter()
-        .map(|f| f.as_ref().map(|(ck, _)| &ck.key))
-        .collect();
-    let plan = elect_leaders(&key_refs, |k| memo.lookup_full(k));
-    let solvers = solvers(&plan, |i| lattice(i).is_some());
-    obs.record_leader_elections(MemoTableKind::Full, leader_count(&plan));
-    let computed = par_map_obs(obs, workers, &solvers, |_, &i| {
-        if deadline.expired() {
-            return None;
-        }
-        let job = &jobs[i];
-        let p = classified[i].problem().expect("solvers have a problem");
-        let l = lattice(i).expect("solvers have a lattice");
-        let template = steps::pair_template(*job);
-        let mut fx = ReduceEffects::default();
-        let mut probe = obs;
-        let report = steps::analyze_reduced_probed(cfg, p, l, template, &mut fx, &mut probe);
-        // A cascade that ran past the deadline may have been cut short:
-        // the pair is cancelled like one whose solve never started.
-        if deadline.expired() {
-            return None;
-        }
-        let cached = keys[i]
-            .as_ref()
-            .map(|(ck, flipped)| steps::canonical_outcome(&report, ck, *flipped));
-        Some((report, fx, cached))
-    });
-
-    // Solvers absent from the maps were cancelled by the deadline.
-    let mut own: HashMap<usize, Box<(PairReport, ReduceEffects)>> =
-        HashMap::with_capacity(solvers.len());
-    let mut shared: HashMap<usize, Arc<CachedOutcome>> = HashMap::new();
-    for (slot, &i) in computed.into_iter().zip(&solvers) {
-        let Some((report, fx, cached)) = slot else {
-            continue;
-        };
-        if let (Some(cached), Some((ck, _))) = (cached, &keys[i]) {
-            memo.full.insert(ck.key.clone(), cached.clone());
-            shared.insert(i, Arc::new(cached));
-        }
-        own.insert(i, Box::new((report, fx)));
-    }
-
-    plan.into_iter()
-        .zip(keys)
-        .enumerate()
-        .map(|(i, (src, key))| {
-            let used = match src {
-                None => MemoUse::Unkeyed,
-                Some(Src::Leader) => MemoUse::Miss,
-                Some(Src::Warm(c)) => {
-                    let (ck, flipped) = key.expect("planned jobs have a key");
-                    return Some(FullRes::Cached(c, ck, flipped, MemoUse::Warm));
-                }
-                Some(Src::Share(j)) => {
-                    let (ck, flipped) = key.expect("planned jobs have a key");
-                    let c = Arc::clone(shared.get(&j)?);
-                    return Some(FullRes::Cached(c, ck, flipped, MemoUse::Hit));
-                }
-            };
-            Some(FullRes::Computed(own.remove(&i)?, used))
-        })
-        .collect()
 }
 
 /// One pair whose certificate failed independent verification — either
@@ -834,14 +549,14 @@ pub fn check_batch(
     programs: &[Program],
     reports: &[ProgramReport],
 ) -> CheckSummary {
-    check_batch_obs(config, MetricsProbe::new(obs), programs, reports)
+    check_reports(config, Pool::new(config, obs, None), programs, reports)
 }
 
-/// [`check_batch`] through a [`MetricsProbe`] sink, so a traced
-/// batch's auto-check waves are teed into the request scope too.
-fn check_batch_obs(
+/// [`check_batch`] on a given pool, so a traced batch's auto-check
+/// waves are teed into the request scope too.
+fn check_reports(
     config: &EngineConfig,
-    obs: MetricsProbe<'_>,
+    pool: Pool<'_>,
     programs: &[Program],
     reports: &[ProgramReport],
 ) -> CheckSummary {
@@ -850,7 +565,6 @@ fn check_batch_obs(
         memo: MemoMode::Off,
         ..cfg
     };
-    let workers = config.effective_workers();
 
     struct CheckJob<'a> {
         program: usize,
@@ -887,7 +601,7 @@ fn check_batch_obs(
         }
     }
 
-    let outcomes = par_map_obs(obs, workers, &jobs, |_, j| {
+    let outcomes = pool.map(&jobs, |_, j| {
         if j.report.a_access != j.pair.a.id || j.report.b_access != j.pair.b.id {
             return Resolved::Failed("report pair does not match the enumeration".into());
         }
@@ -973,10 +687,14 @@ pub fn graph_batch(
     trace: Option<&TraceContext>,
 ) -> GraphOutcome {
     let batch = analyze_batch(config, memo, obs, programs, deadline, trace);
-    let obs = MetricsProbe::scoped(obs, trace);
-    let workers = config.effective_workers();
+    build_graphs(Pool::new(config, obs, trace), programs, batch)
+}
+
+/// Lowers every report of `batch` to its program's dependence graph on
+/// `pool`, recording per-graph telemetry.
+fn build_graphs(pool: Pool<'_>, programs: &[Program], batch: BatchOutcome) -> GraphOutcome {
     let items: Vec<(&Program, &ProgramReport)> = programs.iter().zip(&batch.reports).collect();
-    let built = par_map_obs(obs, workers, &items, |_, (program, report)| {
+    let built = pool.map(&items, |_, (program, report)| {
         let start = Instant::now();
         let graph = build_graph(program, report);
         let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -996,7 +714,7 @@ pub fn graph_batch(
                 sequential += 1;
             }
         }
-        obs.record_graph(by_kind, parallel, sequential, nanos);
+        pool.obs.record_graph(by_kind, parallel, sequential, nanos);
         graphs.push(graph);
     }
     GraphOutcome { graphs, batch }
@@ -1009,16 +727,20 @@ impl Engine {
     /// [`analyze_programs`](Self::analyze_programs) would.
     #[must_use]
     pub fn graph_programs(&mut self, programs: &[Program]) -> GraphOutcome {
-        let out = graph_batch(
-            &self.config,
-            &self.memo,
-            &self.obs,
-            programs,
-            Deadline::none(),
-            None,
-        );
-        self.stats.add(&out.batch.stats);
-        out
+        self.graph_programs_probed(programs, &mut NullProbe)
+    }
+
+    /// [`graph_programs`](Self::graph_programs), reporting the analysis
+    /// to `probe` as [`analyze_programs_probed`](Self::analyze_programs_probed)
+    /// does.
+    #[must_use]
+    pub fn graph_programs_probed<P: Probe>(
+        &mut self,
+        programs: &[Program],
+        probe: &mut P,
+    ) -> GraphOutcome {
+        let batch = self.run(programs, probe);
+        build_graphs(Pool::new(&self.config, &self.obs, None), programs, batch)
     }
 }
 

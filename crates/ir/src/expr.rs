@@ -84,8 +84,11 @@ impl Shown<'_, Expr> {
 
     fn fmt_add_rhs(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The right operand of a left-associative `+`/`-` chain needs
-        // parentheses around a nested `+`/`-`.
-        if matches!(self.node(), Node::Add(..) | Node::Sub(..)) {
+        // parentheses around a nested `+`/`-`, which `i64::MIN` prints as.
+        if matches!(
+            self.node(),
+            Node::Add(..) | Node::Sub(..) | Node::Const(i64::MIN)
+        ) {
             write!(f, "({self})")
         } else {
             write!(f, "{self}")
@@ -96,6 +99,10 @@ impl Shown<'_, Expr> {
 impl fmt::Display for Shown<'_, Expr> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.node() {
+            // The lexer reads no literal beyond `i64::MAX`, so the one
+            // constant without a literal of its own prints as a
+            // difference that folds back to it.
+            Node::Const(i64::MIN) => write!(f, "-{} - 1", i64::MAX),
             Node::Const(c) => write!(f, "{c}"),
             Node::Var(v) => f.write_str(self.symbols.name(v)),
             Node::Read(r) => write!(f, "{}", self.exprs.display_ref(r, self.symbols)),

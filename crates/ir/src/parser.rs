@@ -628,6 +628,40 @@ mod tests {
     }
 
     #[test]
+    fn folded_i64_min_displays_as_source_that_reparses() {
+        // Folding can reach `i64::MIN`, which has no literal. In every
+        // operand position its display must reparse and fold back to the
+        // same program.
+        for (src, shown) in [
+            (
+                "for i = 1 to 3 { a[-9223372036854775807 - 1] = a[i]; }",
+                "a[-9223372036854775807 - 1] = a[i];",
+            ),
+            (
+                "for i = 1 to 3 { a[i * (-9223372036854775807 - 1)] = 0; }",
+                "a[i * (-9223372036854775807 - 1)] = 0;",
+            ),
+            (
+                "for i = 1 to 3 { a[i - (-9223372036854775807 - 1)] = 0; }",
+                "a[i - (-9223372036854775807 - 1)] = 0;",
+            ),
+            (
+                "for i = 1 to 3 { a[-(-9223372036854775807 - 1)] = 0; }",
+                "a[-(-9223372036854775807 - 1)] = 0;",
+            ),
+        ] {
+            let mut p = parse_program(src).unwrap();
+            crate::passes::normalize(&mut p);
+            let text = p.to_string();
+            assert!(text.contains(shown), "{src} displays as\n{text}");
+            let mut again = parse_program(&text)
+                .unwrap_or_else(|e| panic!("{src}: display does not reparse: {e}\n{text}"));
+            crate::passes::normalize(&mut again);
+            assert_eq!(again.to_string(), text, "{src}");
+        }
+    }
+
+    #[test]
     fn display_fixpoint_on_tricky_shapes() {
         // Negative constants and nested arithmetic: display must reach a
         // fixpoint after one reparse (ASTs may differ once, e.g.

@@ -9,9 +9,9 @@
 //!
 //! Each mutant must give either a located error (a span inside the
 //! source, rendered without a panic) or a program that normalizes,
-//! extracts and pairs without a panic, and whose display reaches a
-//! fixpoint after one reparse. Run with `PROPTEST_SEED=<n>` for a fixed
-//! stream of cases.
+//! extracts and pairs without a panic, whose normalized display
+//! reparses, and whose display reaches a fixpoint after one reparse. Run
+//! with `PROPTEST_SEED=<n>` for a fixed stream of cases.
 
 use std::path::Path;
 use std::sync::OnceLock;
@@ -19,8 +19,13 @@ use std::sync::OnceLock;
 use dda_ir::{extract_accesses, parse_program, passes, reference_pairs};
 use proptest::prelude::*;
 
-/// The programs mutants start from: the lines of the PERFECT suite,
-/// then the checked-in `.loop` files.
+/// Lines seeded beside the PERFECT suite's: inputs that once broke the
+/// property. A subscript that folds to `i64::MIN` displayed as a literal
+/// the lexer refuses.
+const EXTRA_LINES: &[&str] = &["for i = 1 to 3 { a[-9223372036854775807 - 1] = a[i]; }"];
+
+/// The programs mutants start from: the lines of the PERFECT suite and
+/// [`EXTRA_LINES`], then the checked-in `.loop` files.
 struct Seeds {
     lines: Vec<String>,
     files: Vec<String>,
@@ -46,6 +51,7 @@ fn seeds() -> &'static Seeds {
             .iter()
             .flat_map(|sp| sp.source.lines().map(str::to_owned).collect::<Vec<_>>())
             .filter(|line| !line.trim().is_empty())
+            .chain(EXTRA_LINES.iter().map(|&line| line.to_owned()))
             .collect();
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         let mut dirs = vec![root.join("examples/loops"), root.join("tests/corpus")];
@@ -192,6 +198,8 @@ fn check(src: &str) -> Result<(), String> {
     passes::normalize(&mut normalized);
     let set = extract_accesses(&normalized);
     let _ = reference_pairs(&set, true);
+    parse_program(&normalized.to_string())
+        .map_err(|e| format!("normalized display does not reparse: {e}\n{normalized}"))?;
 
     let once = parse_program(&program.to_string())
         .map_err(|e| format!("display does not reparse: {e}\n{program}"))?;

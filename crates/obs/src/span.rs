@@ -47,6 +47,9 @@ pub struct SpanRecorder {
     stack: Vec<usize>,
     next_seq: u64,
     trace: Option<TraceId>,
+    /// Root labels of the programs of a run, by index (see
+    /// [`for_programs`](Self::for_programs)).
+    programs: Vec<String>,
 }
 
 impl SpanRecorder {
@@ -62,6 +65,17 @@ impl SpanRecorder {
     pub fn with_trace(trace: TraceId) -> Self {
         SpanRecorder {
             trace: Some(trace),
+            ..Self::default()
+        }
+    }
+
+    /// Creates an empty recorder that opens a program root named
+    /// `analyze:<labels[i]>` when the analysis driver enters program `i`
+    /// of a run (see [`Probe::enter_program`]). A plain recorder leaves
+    /// that to [`begin_program`](Self::begin_program).
+    pub fn for_programs(labels: &[String]) -> Self {
+        SpanRecorder {
+            programs: labels.to_vec(),
             ..Self::default()
         }
     }
@@ -232,6 +246,12 @@ impl Probe for SpanRecorder {
                 self.close_to(1);
             }
             _ => {}
+        }
+    }
+
+    fn enter_program(&mut self, index: usize) {
+        if let Some(label) = self.programs.get(index).cloned() {
+            self.begin_program(&label);
         }
     }
 

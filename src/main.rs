@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 use dda::core::json::json_escape;
 use dda::core::pipeline::{ClassifiedKind, Probe, TraceEvent};
-use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe};
+use dda::core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, RecordingProbe, SharedMemo};
 use dda::engine::{Engine, EngineConfig};
 use dda::graph::render::{annotate_source, graph_json_line, parallel_json_line, to_dot};
 use dda::ir::{parse_program, passes, Program};
@@ -117,8 +117,8 @@ OPTIONS:
                          (hierarchical analyze → pair → stage spans
                          with monotonic seq numbers) and
                          `profile.folded` (flamegraph folded stacks).
-                         Batch profiles replay the programs serially so
-                         span nesting is deterministic
+                         Spans come in pair order from the run itself,
+                         so a profile is the same at any --workers
     --tests <LIST>       comma-separated exact-test pipeline, in order
                          (svpc,acyclic,residue,fm — default all four);
                          partial lists are ablations and may assume
@@ -602,13 +602,16 @@ fn check_engine_config(opts: &Options) -> EngineConfig {
 /// proof-checking kernel. Rejections are listed on stderr; for each
 /// failing program a greedily minimized reproducer is dumped as
 /// `dda-check-repro-<k>.loop`, and the run returns an error (nonzero
-/// exit).
+/// exit). Without `--check`, nothing.
 fn run_check(
     opts: &Options,
     labels: &[String],
     programs: &[Program],
     reports: &[dda::core::ProgramReport],
 ) -> Result<(), String> {
+    if !opts.check {
+        return Ok(());
+    }
     let engine = Engine::with_config(check_engine_config(opts));
     let summary = engine.check_programs(programs, reports);
     eprintln!(
@@ -686,55 +689,24 @@ fn load_batch_input(opts: &Options, input: &str, out: &mut BatchInput) -> Result
     manifest::load_input_file(input, opts.normalize, out)
 }
 
-/// `--profile` for `dda batch`: replay the batch through a serial
-/// analyzer (same analyzer configuration and warm start as the engine's
-/// workers) with a [`SpanRecorder`] attached. The replay is what makes
-/// the span hierarchy deterministic — engine waves interleave pairs
-/// across threads, while the serial replay produces the same verdicts
-/// (pinned by the engine's equivalence proptests) with stable nesting.
-fn profile_batch(opts: &Options, files: &[String], programs: &[Program]) -> Result<(), String> {
-    let dir = opts.profile.as_deref().expect("caller checked --profile");
-    let config = check_engine_config(opts).effective_analyzer_config();
-    let mut analyzer = DependenceAnalyzer::with_config(config);
-    if let Some(path) = &opts.memo_load {
-        analyzer
-            .load_memo_file(path)
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    let mut spans = SpanRecorder::new();
-    for (file, program) in files.iter().zip(programs) {
-        spans.begin_program(file);
-        analyzer.analyze_program_probed(program, &mut spans);
-    }
-    spans.finish();
-    write_profile_dir(dir, &spans)
-}
-
-/// The shared tail of `batch`, `graph` and `parallel`: the `--metrics`
-/// snapshot, the `--profile` replay, `--memo-save` and `--check`, in
-/// that order.
-fn finish_engine_run(
+/// The shared outputs of every analysis command after its listing: the
+/// `--metrics` snapshot, the `--profile` files from the run's spans and
+/// `--memo-save`, in that order (`--check` follows, see [`run_check`]).
+fn write_outputs(
     opts: &Options,
-    engine: &Engine,
-    files: &[String],
-    programs: &[Program],
-    reports: &[dda::core::ProgramReport],
+    snapshot: &MetricsSnapshot<'_>,
+    memo: &SharedMemo,
+    spans: &SpanRecorder,
 ) -> Result<(), String> {
     if let Some(format) = opts.metrics {
-        let snapshot = MetricsSnapshot::new(engine.metrics(), engine.stats(), engine.memo(), None);
-        emit_metrics(format, &snapshot);
+        emit_metrics(format, snapshot);
     }
-    if opts.profile.is_some() {
-        profile_batch(opts, files, programs)?;
+    if let Some(dir) = &opts.profile {
+        write_profile_dir(dir, spans)?;
     }
-
     if let Some(path) = &opts.memo_save {
-        engine
-            .save_memo_file_v3(path, opts.shards)
+        memo.save_memo_file_v3(path, opts.shards)
             .map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.check {
-        run_check(opts, files, programs, reports)?;
     }
     Ok(())
 }
@@ -755,7 +727,14 @@ fn run_batch(opts: &Options) -> Result<(), String> {
             .load_memo_file(path)
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    let reports = engine.analyze_programs(&programs);
+    // With --profile, the run records its spans, one root per program.
+    let mut spans = SpanRecorder::for_programs(&files);
+    let reports = if opts.profile.is_some() {
+        engine.analyze_programs_probed(&programs, &mut spans)
+    } else {
+        engine.analyze_programs(&programs)
+    };
+    spans.finish();
 
     let mut stdout = String::new();
     for (file, report) in files.iter().zip(&reports) {
@@ -786,7 +765,9 @@ fn run_batch(opts: &Options) -> Result<(), String> {
         eprintln!("stage times: {}", engine.stage_timings());
     }
 
-    finish_engine_run(opts, &engine, &files, &programs, &reports)
+    let snapshot = MetricsSnapshot::new(engine.metrics(), engine.stats(), engine.memo(), None);
+    write_outputs(opts, &snapshot, engine.memo(), &spans)?;
+    run_check(opts, &files, &programs, &reports)
 }
 
 /// `dda graph` / `dda parallel`: build the dependence graph for every
@@ -815,7 +796,13 @@ fn run_graph(opts: &Options) -> Result<(), String> {
             .load_memo_file(path)
             .map_err(|e| format!("{path}: {e}"))?;
     }
-    let out = engine.graph_programs(&programs);
+    let mut spans = SpanRecorder::for_programs(&files);
+    let out = if opts.profile.is_some() {
+        engine.graph_programs_probed(&programs, &mut spans)
+    } else {
+        engine.graph_programs(&programs)
+    };
+    spans.finish();
 
     let mut stdout = String::new();
     for ((file, program), graph) in files.iter().zip(&programs).zip(&out.graphs) {
@@ -852,7 +839,9 @@ fn run_graph(opts: &Options) -> Result<(), String> {
         eprintln!("stage times: {}", engine.stage_timings());
     }
 
-    finish_engine_run(opts, &engine, &files, &programs, &out.batch.reports)
+    let snapshot = MetricsSnapshot::new(engine.metrics(), engine.stats(), engine.memo(), None);
+    write_outputs(opts, &snapshot, engine.memo(), &spans)?;
+    run_check(opts, &files, &programs, &out.batch.reports)
 }
 
 /// `dda serve`: run the persistent analysis service until SIGTERM,
@@ -1106,35 +1095,22 @@ fn run(opts: &Options) -> Result<(), String> {
         println!("stage times: {}", registry.stage_timings());
     }
 
-    if let Some(format) = opts.metrics {
-        let snapshot = MetricsSnapshot::new(&registry, &report.stats, analyzer.memo(), None);
-        emit_metrics(format, &snapshot);
-    }
-    if let Some(dir) = &opts.profile {
-        let mut spans = SpanRecorder::new();
+    let mut spans = SpanRecorder::new();
+    if opts.profile.is_some() {
         spans.begin_program(&opts.file);
         for event in &recorder.events {
             spans.record(event.clone());
         }
         spans.finish();
-        write_profile_dir(dir, &spans)?;
     }
-
-    if let Some(path) = &opts.memo_save {
-        analyzer
-            .memo()
-            .save_memo_file_v3(path, opts.shards)
-            .map_err(|e| format!("{path}: {e}"))?;
-    }
-    if opts.check {
-        run_check(
-            opts,
-            std::slice::from_ref(&opts.file),
-            std::slice::from_ref(&program),
-            std::slice::from_ref(&report),
-        )?;
-    }
-    Ok(())
+    let snapshot = MetricsSnapshot::new(&registry, &report.stats, analyzer.memo(), None);
+    write_outputs(opts, &snapshot, analyzer.memo(), &spans)?;
+    run_check(
+        opts,
+        std::slice::from_ref(&opts.file),
+        std::slice::from_ref(&program),
+        std::slice::from_ref(&report),
+    )
 }
 
 fn main() -> ExitCode {

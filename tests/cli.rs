@@ -473,6 +473,87 @@ fn trace_emits_jsonl_event_stream() {
     assert_eq!(normalized, expected, "full stream:\n{stdout}");
 }
 
+/// The `.loop` files directly in `dir` (relative to the repository),
+/// sorted.
+fn loop_files_in(dir: &str) -> Vec<std::path::PathBuf> {
+    let mut paths: Vec<_> = std::fs::read_dir(repo_path(dir))
+        .unwrap_or_else(|e| panic!("{dir}: {e}"))
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "loop"))
+        .collect();
+    paths.sort();
+    paths
+}
+
+/// A pinned stream under `tests/corpus/trace/`, one line per element.
+fn pinned_stream(rel: &str) -> Vec<String> {
+    let path = repo_path(&format!("tests/corpus/trace/{rel}"));
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{path}: {e}"))
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The `--trace` event streams of every checked-in example and corpus
+/// program (cold, and warm from the v3 fixture) and the span profile of
+/// a batch at one and at four workers equal the streams pinned under
+/// `tests/corpus/trace/` (see its README), nanos zeroed.
+#[test]
+fn trace_and_profile_streams_match_the_pinned_files() {
+    let memo = repo_path("tests/corpus/memo/loops.v3.memo");
+    let runs = [
+        ("examples/loops", "loops", false),
+        ("examples/loops", "loops_warm", true),
+        ("tests/corpus", "corpus", false),
+        ("tests/corpus/symbol_order", "symbol_order", false),
+    ];
+    let mut compared = 0;
+    for (dir, pinned, warm) in runs {
+        for path in loop_files_in(dir) {
+            let file = path.to_string_lossy().into_owned();
+            let mut args = vec!["analyze", &file, "--trace"];
+            if warm {
+                args.extend(["--memo-load", &memo]);
+            }
+            let (stdout, stderr, ok) = run_cli(&args, "");
+            assert!(ok, "{file}: {stderr}");
+            let got: Vec<String> = stdout.lines().map(normalize_nanos).collect();
+            let stem = path.file_stem().expect("file name").to_string_lossy();
+            let want = pinned_stream(&format!("{pinned}/{stem}.jsonl"));
+            assert_eq!(got, want, "{pinned}/{stem}.jsonl");
+            compared += 1;
+        }
+    }
+    assert!(compared >= 22, "only {compared} streams compared");
+
+    let manifest = repo_path("examples/loops/manifest.txt");
+    let want = pinned_stream("spans.jsonl");
+    for workers in ["1", "4"] {
+        let dir = std::env::temp_dir().join(format!(
+            "dda_cli_pinned_spans_{}_{workers}",
+            std::process::id()
+        ));
+        let dir_str = dir.to_string_lossy().into_owned();
+        let (_, stderr, ok) = run_cli(
+            &[
+                "batch",
+                &manifest,
+                "--workers",
+                workers,
+                "--profile",
+                &dir_str,
+            ],
+            "",
+        );
+        assert!(ok, "{stderr}");
+        let spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans.jsonl written");
+        std::fs::remove_dir_all(&dir).ok();
+        let got: Vec<String> = spans.lines().map(normalize_nanos).collect();
+        assert_eq!(got, want, "spans.jsonl at --workers {workers}");
+    }
+}
+
 #[test]
 fn trace_and_plain_analyze_agree() {
     // The probe must not change the verdict: the traced run's final event

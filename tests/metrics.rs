@@ -300,6 +300,66 @@ fn serial_warm_start_reports_the_incremental_split() {
 }
 
 #[test]
+fn analyze_and_batch_consult_the_memo_alike() {
+    // Three loops share one full-result key and two share one GCD key:
+    // both commands consult each table once per distinct key, so the
+    // table traffic (queries, hits, per-shard operations) is the same,
+    // beside the per-pair series counted by `AnalysisStats`.
+    let file = scratch("repeated.loop");
+    std::fs::write(
+        &file,
+        "for i = 1 to 100 { a[i + 10] = a[i] + 1; }\n\
+         for i = 1 to 100 { b[i + 10] = b[i] + 2; }\n\
+         for i = 1 to 100 { c[i + 10] = c[i] + 3; }\n\
+         for i = 1 to 10 { d[2 * i] = d[2 * i + 1]; }\n\
+         for i = 1 to 10 { e[2 * i] = e[2 * i + 1]; }\n",
+    )
+    .expect("scratch program written");
+    let file_str = file.to_string_lossy().into_owned();
+    let exposition = |command: &str| {
+        let (_, stderr, ok) = run_cli(&[command, &file_str, "--metrics=prom"], "");
+        assert!(ok, "{command}: {stderr}");
+        parse_exposition(&stderr).unwrap_or_else(|e| panic!("invalid exposition: {e}\n{stderr}"))
+    };
+    let (analyze, batch) = (exposition("analyze"), exposition("batch"));
+    let _ = std::fs::remove_file(&file);
+    let value = |exp: &Exposition, name: &str, table: &str| {
+        exp.value(name, &[("table", table)])
+            .unwrap_or_else(|| panic!("{name}{{table={table}}} missing"))
+    };
+    let shard_ops = |exp: &Exposition, table: &str| -> f64 {
+        exp.samples_named("dda_memo_shard_ops_total")
+            .filter(|s| s.labels.iter().any(|(k, v)| k == "table" && v == table))
+            .map(|s| s.value)
+            .sum()
+    };
+    for table in ["full", "gcd"] {
+        for name in [
+            "dda_memo_queries_total",
+            "dda_memo_hits_total",
+            "dda_pair_memo_queries_total",
+            "dda_pair_memo_hits_total",
+        ] {
+            assert_eq!(
+                value(&analyze, name, table),
+                value(&batch, name, table),
+                "{name}{{table={table}}}: analyze and batch disagree"
+            );
+        }
+        assert_eq!(
+            shard_ops(&analyze, table),
+            shard_ops(&batch, table),
+            "{table}"
+        );
+        assert!(
+            value(&batch, "dda_memo_queries_total", table)
+                < value(&batch, "dda_pair_memo_queries_total", table),
+            "{table}: a repeated key was consulted more than once"
+        );
+    }
+}
+
+#[test]
 fn metrics_json_is_emitted_on_stderr_for_serial_analyze() {
     let (stdout, stderr, ok) = run_cli(
         &["analyze", "-", "--metrics=json"],
