@@ -54,9 +54,9 @@ impl BaselineReport {
 /// extension.
 #[must_use]
 pub fn baseline_pair(pair: RefPair<'_>, directions: bool, tests_run: &mut u64) -> BaselinePair {
-    let RefPair { a, b, common, .. } = pair;
+    let common = pair.common;
     let array = Arc::clone(pair.array_name());
-    if let Some(dependent) = constant_compare(a, b) {
+    if let Some(dependent) = constant_compare(pair) {
         return BaselinePair {
             array,
             independent: !dependent,
@@ -67,7 +67,7 @@ pub fn baseline_pair(pair: RefPair<'_>, directions: bool, tests_run: &mut u64) -
             },
         };
     }
-    let Some(model) = build_model(a, b, common) else {
+    let Some(model) = build_model(pair) else {
         return BaselinePair {
             array,
             independent: false,

@@ -125,7 +125,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        build_model(pairs[0].a, pairs[0].b, pairs[0].common).unwrap()
+        build_model(pairs[0]).unwrap()
     }
 
     #[test]

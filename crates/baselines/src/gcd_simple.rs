@@ -27,7 +27,7 @@ use crate::model::PairModel;
 /// let p = parse_program("for i = 1 to 10 { a[2 * i] = a[2 * i + 1]; }")?;
 /// let set = extract_accesses(&p);
 /// let pairs = reference_pairs(&set, false);
-/// let m = build_model(pairs[0].a, pairs[0].b, pairs[0].common).unwrap();
+/// let m = build_model(pairs[0]).unwrap();
 /// assert!(simple_gcd_independent(&m)); // gcd(2,2) = 2 does not divide 1
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -65,7 +65,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        let m = build_model(pairs[0].a, pairs[0].b, pairs[0].common).unwrap();
+        let m = build_model(pairs[0]).unwrap();
         simple_gcd_independent(&m)
     }
 

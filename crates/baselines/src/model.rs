@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use dda_ir::{Access, AffineExpr, Bound, Sym};
+use dda_ir::{Access, RefPair, Row, Rows};
 
 use crate::interval::Interval;
 
@@ -43,119 +43,109 @@ pub struct PairModel {
     pub level_coupled: Vec<bool>,
 }
 
-/// Interval-evaluates an affine bound expression over known loop
-/// intervals; symbolic variables make it unbounded.
-fn eval_interval(e: &AffineExpr, env: &BTreeMap<Sym, Interval>) -> Interval {
-    let mut acc = Interval::point(e.constant_part());
-    for (v, c) in e.iter_terms() {
-        let vi = env.get(&v).copied().unwrap_or(Interval::UNBOUNDED);
-        acc = acc.add(&vi.scale(c));
+/// Interval-evaluates a bound row over the intervals of the loop levels
+/// outside it; symbolic terms make it unbounded.
+fn eval_interval(row: Row<'_>, env: &[Interval]) -> Interval {
+    let mut acc = Interval::point(row.constant());
+    for (k, &c) in row.levels().iter().enumerate() {
+        if c != 0 {
+            acc = acc.add(&env[k].scale(c));
+        }
+    }
+    for (_, c) in row.symbolic_terms() {
+        acc = acc.add(&Interval::UNBOUNDED.scale(c));
     }
     acc
 }
 
 /// Computes the value interval of every loop in `acc`'s stack,
 /// outermost-in.
-fn loop_intervals(acc: &Access) -> Vec<Interval> {
-    let mut env: BTreeMap<Sym, Interval> = BTreeMap::new();
-    let mut out = Vec::with_capacity(acc.loops.len());
+fn loop_intervals(rows: &Rows, acc: &Access) -> Vec<Interval> {
+    let mut out: Vec<Interval> = Vec::with_capacity(acc.loops.len());
     for l in acc.loops.iter() {
-        let lo = match &l.lower {
-            Bound::Affine(e) => eval_interval(e, &env).lo,
-            Bound::NonAffine => None,
-        };
-        let hi = match &l.upper {
-            Bound::Affine(e) => eval_interval(e, &env).hi,
-            Bound::NonAffine => None,
-        };
-        let iv = Interval { lo, hi };
-        env.insert(l.var, iv);
-        out.push(iv);
+        let lo = rows.get(l.lower).and_then(|r| eval_interval(r, &out).lo);
+        let hi = rows.get(l.upper).and_then(|r| eval_interval(r, &out).hi);
+        out.push(Interval { lo, hi });
     }
     out
 }
 
 /// Builds the baseline model for a pair. Returns `None` when a subscript
 /// is non-affine (the baselines then assume dependence, like everyone
-/// else) or the references disagree on rank.
+/// else), the references disagree on rank, or a dimension's constant
+/// difference overflows `i64`.
 #[must_use]
-pub fn build_model(a: &Access, b: &Access, common: usize) -> Option<PairModel> {
-    if a.subscripts.len() != b.subscripts.len() {
+pub fn build_model(pair: RefPair<'_>) -> Option<PairModel> {
+    let RefPair { a, b, common, set } = pair;
+    let rows = &set.rows;
+    if a.rank() != b.rank() {
         return None;
     }
-    let ivs_a = loop_intervals(a);
-    let ivs_b = loop_intervals(b);
+    let ivs_a = loop_intervals(rows, a);
+    let ivs_b = loop_intervals(rows, b);
 
-    let pos_a: BTreeMap<Sym, usize> = a
-        .loops
-        .iter()
-        .enumerate()
-        .map(|(k, l)| (l.var, k))
-        .collect();
-    let pos_b: BTreeMap<Sym, usize> = b
-        .loops
-        .iter()
-        .enumerate()
-        .map(|(k, l)| (l.var, k))
-        .collect();
-
-    let mut dims = Vec::with_capacity(a.subscripts.len());
-    for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
-        let ea = sa.as_affine()?;
-        let eb = sb.as_affine()?;
+    let mut dims = Vec::with_capacity(a.rank());
+    for (ra, rb) in rows.subscripts(a).zip(rows.subscripts(b)) {
+        let (ra, rb) = (ra?, rb?);
         let mut common_terms = vec![(0i64, 0i64); common];
         let mut extra: Vec<(i64, Interval)> = Vec::new();
-        let mut symbolic: BTreeMap<Sym, i64> = BTreeMap::new();
+        let mut symbolic: BTreeMap<usize, i128> = BTreeMap::new();
 
-        for (v, c) in ea.iter_terms() {
-            match pos_a.get(&v) {
-                Some(&k) if k < common => common_terms[k].0 += c,
-                Some(&k) => extra.push((c, ivs_a[k])),
-                None => *symbolic.entry(v).or_insert(0) += c,
+        for (k, &c) in ra.levels().iter().enumerate() {
+            match k {
+                _ if c == 0 => {}
+                k if k < common => common_terms[k].0 = c,
+                k => extra.push((c, ivs_a[k])),
             }
         }
-        for (v, c) in eb.iter_terms() {
-            match pos_b.get(&v) {
-                Some(&k) if k < common => common_terms[k].1 += c,
-                Some(&k) => extra.push((-c, ivs_b[k])),
-                None => *symbolic.entry(v).or_insert(0) -= c,
+        for (k, &c) in rb.levels().iter().enumerate() {
+            match k {
+                _ if c == 0 => {}
+                k if k < common => common_terms[k].1 = c,
+                k => extra.push((c.checked_neg()?, ivs_b[k])),
             }
+        }
+        for (s, c) in ra.symbolic_terms() {
+            *symbolic.entry(s).or_insert(0) += i128::from(c);
+        }
+        for (s, c) in rb.symbolic_terms() {
+            *symbolic.entry(s).or_insert(0) -= i128::from(c);
         }
         dims.push(DimTerms {
             common: common_terms,
             extra,
             has_symbolic: symbolic.values().any(|&c| c != 0),
-            constant: ea.constant_part() - eb.constant_part(),
+            constant: ra.constant().checked_sub(rb.constant())?,
         });
     }
 
     let common_intervals = ivs_a.iter().take(common).copied().collect();
-    let _ = ivs_b;
 
     let mut level_coupled = vec![false; common];
     for acc in [a, b] {
         for (k, l) in acc.loops.iter().enumerate() {
-            let mut mentioned: Vec<Sym> = Vec::new();
-            for bnd in [&l.lower, &l.upper] {
-                match bnd {
-                    Bound::Affine(e) => mentioned.extend(e.vars()),
-                    Bound::NonAffine => {
-                        if k < common {
-                            level_coupled[k] = true;
+            let mut mentions_any = false;
+            for id in [l.lower, l.upper] {
+                let Some(row) = rows.get(id) else {
+                    if k < common {
+                        level_coupled[k] = true;
+                    }
+                    continue;
+                };
+                mentions_any |= row.has_symbolics();
+                for (kk, &c) in row.levels().iter().enumerate() {
+                    if c != 0 {
+                        mentions_any = true;
+                        // Any common loop referenced by this loop's
+                        // bounds is coupled.
+                        if kk < common {
+                            level_coupled[kk] = true;
                         }
                     }
                 }
             }
-            if k < common && !mentioned.is_empty() {
+            if k < common && mentions_any {
                 level_coupled[k] = true;
-            }
-            // Any common loop referenced by this loop's bounds is coupled.
-            for v in mentioned {
-                if let Some(&kk) = (if std::ptr::eq(acc, a) { &pos_a } else { &pos_b }).get(&v) {
-                    if kk < common {
-                        level_coupled[kk] = true;
-                    }
-                }
             }
         }
     }
@@ -178,7 +168,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        build_model(pairs[0].a, pairs[0].b, pairs[0].common).unwrap()
+        build_model(pairs[0]).unwrap()
     }
 
     #[test]
@@ -210,6 +200,15 @@ mod tests {
         let m = model("for i = 1 to n { a[i] = a[i + 1]; }");
         assert_eq!(m.common_intervals[0].lo, Some(1));
         assert_eq!(m.common_intervals[0].hi, None);
+    }
+
+    #[test]
+    fn a_shadowing_loop_bound_reads_the_outer_variable() {
+        // The inner `i` starts at the outer `i` + 5, so it spans 6..=20.
+        let m = model("for i = 1 to 10 { for i = i + 5 to 20 { a[i] = a[i + 3] + 1; } }");
+        assert_eq!(m.common_intervals[1], Interval::new(6, 20));
+        assert_eq!(m.dims[0].common, vec![(0, 0), (1, 1)]);
+        assert_eq!(m.level_coupled, vec![true, true]);
     }
 
     #[test]

@@ -94,7 +94,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        let m = build_model(pairs[0].a, pairs[0].b, pairs[0].common).unwrap();
+        let m = build_model(pairs[0]).unwrap();
         let (vs, _) = wolfe_direction_vectors(&m);
         let mut out: Vec<String> = vs.iter().map(ToString::to_string).collect();
         out.sort();

@@ -104,7 +104,7 @@ proptest! {
         let set = extract_accesses(&program);
         let pairs = reference_pairs(&set, false);
         for p in &pairs {
-            if let Some(m) = model::build_model(p.a, p.b, p.common) {
+            if let Some(m) = model::build_model(*p) {
                 let gcd_ind = gcd_simple::simple_gcd_independent(&m);
                 let ban_ind = banerjee::banerjee_independent_star(&m);
                 let combined = analyze_with_baselines(&program, false);

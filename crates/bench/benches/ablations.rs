@@ -33,7 +33,7 @@ fn bench_cascade_vs_fm(c: &mut Criterion) {
             let p = parse_program(src).unwrap();
             let set = extract_accesses(&p);
             let pairs = reference_pairs(&set, false);
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+            build_problem(pairs[0], true).unwrap()
         })
         .collect();
     let reduced: Vec<_> = problems

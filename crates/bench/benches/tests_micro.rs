@@ -18,7 +18,7 @@ fn problem_for(src: &str) -> DependenceProblem {
     let p = parse_program(src).expect("parse");
     let set = extract_accesses(&p);
     let pairs = reference_pairs(&set, false);
-    build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).expect("affine")
+    build_problem(pairs[0], true).expect("affine")
 }
 
 fn reduced_for(src: &str) -> Reduced {

@@ -67,8 +67,7 @@ fn reduced_system(src: &str) -> System {
     let program = parse_program(src).expect("pattern parses");
     let set = extract_accesses(&program);
     let pairs = reference_pairs(&set, false);
-    let problem = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true)
-        .expect("pattern is affine");
+    let problem = build_problem(pairs[0], true).expect("pattern is affine");
     let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
         panic!("pattern must reach the cascade");
     };

@@ -179,8 +179,7 @@ mod tests {
         let p = parse_program("for i = 1 to 10 { a[i] = a[i + 3]; }").unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        let problem =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem = build_problem(pairs[0], true).unwrap();
         let sys = xspace_system(&problem);
         // a[i] meets a[i′ + 3] when i = i′ + 3: (7, 4) is a witness.
         assert_eq!(sys.is_satisfied_by(&[7, 4]), Some(true));

@@ -63,7 +63,7 @@ use dda_core::certificate::{Certificate, DirTree, FmTree, RefProof, Rule, System
 use dda_core::problem::{build_problem, DependenceProblem, XVar};
 use dda_core::result::Answer;
 use dda_core::{PairReport, ProgramReport};
-use dda_ir::{extract_accesses, reference_pairs, Access, Program, RefPair};
+use dda_ir::{extract_accesses, reference_pairs, Access, Program, RefPair, Rows};
 use dda_linalg::Matrix;
 
 /// The kernel's judgement on one pair's certificate.
@@ -310,8 +310,7 @@ fn rebuild_problem(pair: RefPair<'_>) -> Result<DependenceProblem, String> {
     // symbolics disabled answer conservatively for such pairs and never
     // emit a checkable certificate, so rebuilding in the more general
     // model is safe and keeps the kernel configuration-free.
-    build_problem(pair.symbols, pair.a, pair.b, pair.common, true)
-        .map_err(|e| format!("problem construction failed: {e}"))
+    build_problem(pair, true).map_err(|e| format!("problem construction failed: {e}"))
 }
 
 fn check_witness(problem: &DependenceProblem, x: &[i64]) -> Result<(), String> {
@@ -335,20 +334,21 @@ fn check_witness(problem: &DependenceProblem, x: &[i64]) -> Result<(), String> {
     Ok(())
 }
 
-fn constant_subscripts(access: &Access) -> Option<Vec<i64>> {
-    access
-        .subscripts
-        .iter()
-        .map(|s| {
-            let e = s.as_affine()?;
-            e.is_constant().then(|| e.constant_part())
+fn constant_subscripts(rows: &Rows, access: &Access) -> Option<Vec<i64>> {
+    rows.subscripts(access)
+        .map(|row| {
+            let row = row?;
+            row.is_constant().then(|| row.constant())
         })
         .collect()
 }
 
-fn check_constants(a: &Access, b: &Access, want_equal: bool) -> Result<(), String> {
-    let ca = constant_subscripts(a).ok_or("first reference's subscripts are not all constant")?;
-    let cb = constant_subscripts(b).ok_or("second reference's subscripts are not all constant")?;
+fn check_constants(pair: RefPair<'_>, want_equal: bool) -> Result<(), String> {
+    let rows = &pair.set.rows;
+    let ca = constant_subscripts(rows, pair.a)
+        .ok_or("first reference's subscripts are not all constant")?;
+    let cb = constant_subscripts(rows, pair.b)
+        .ok_or("second reference's subscripts are not all constant")?;
     if ca.len() != cb.len() {
         return Err("references differ in rank".into());
     }
@@ -703,7 +703,6 @@ fn verify_dirtree(
 // ---------------------------------------------------------------------
 
 fn verify_claim(pair: RefPair<'_>, answer: &Answer, cert: &Certificate) -> Result<(), String> {
-    let (a, b) = (pair.a, pair.b);
     let claims_independent = matches!(
         cert,
         Certificate::ConstantsDiffer
@@ -721,8 +720,8 @@ fn verify_claim(pair: RefPair<'_>, answer: &Answer, cert: &Certificate) -> Resul
             unreachable!("dispatched in check_pair")
         }
         Certificate::Witness { x } => check_witness(&rebuild_problem(pair)?, x),
-        Certificate::ConstantsEqual => check_constants(a, b, true),
-        Certificate::ConstantsDiffer => check_constants(a, b, false),
+        Certificate::ConstantsEqual => check_constants(pair, true),
+        Certificate::ConstantsDiffer => check_constants(pair, false),
         Certificate::GcdRefutation { numer, denom } => {
             check_gcd_refutation(&rebuild_problem(pair)?, numer, *denom)
         }

@@ -530,8 +530,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        let problem =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem = build_problem(pairs[0], true).unwrap();
         let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).unwrap() else {
             panic!("GCD-independent: no directions to analyze");
         };
@@ -592,8 +591,7 @@ mod tests {
         dda_ir::passes::normalize(&mut p);
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        let problem =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem = build_problem(pairs[0], true).unwrap();
         let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).unwrap() else {
             panic!("the nest is dependent");
         };
@@ -747,8 +745,7 @@ mod tests {
         let p = parse_program("for i = 1 to 10 { a[i] = a[i + 20] + 1; }").unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        let problem =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem = build_problem(pairs[0], true).unwrap();
         let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).unwrap() else {
             panic!("reaches the cascade");
         };

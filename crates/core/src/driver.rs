@@ -2,13 +2,20 @@
 //!
 //! The paper makes one memoized pass per reference pair (§5). [`run`]
 //! makes it over the pairs of a list of programs as a fixed sequence of
-//! waves: classify every pair; compute its no-bounds (GCD) key; elect a
-//! leader per distinct key; let the leaders solve, and expand every
-//! pair's outcome; then the same over the full-result table for the
-//! pairs whose GCD left a lattice, whose leaders run the cascade and
-//! direction refinement. Assembly follows, serially in enumeration
-//! order: every pair goes through the per-pair step of [`steps`], which
-//! decides every counter.
+//! waves: classify every pair from its subscript rows, writing its
+//! no-bounds (GCD) key and its full key into buffers shared by a chunk
+//! of pairs; elect a leader per distinct GCD key; let the leaders solve,
+//! and read every pair's outcome off its leader's; then the same over
+//! the full-result table for the pairs whose GCD left a lattice, whose
+//! leaders run the cascade and direction refinement. Assembly follows,
+//! serially in enumeration order: every pair goes through the per-pair
+//! step of [`steps`], which decides every counter.
+//!
+//! A pair's system is written from its rows into reused buffers
+//! ([`PairSystem`](crate::problem::PairSystem)) wherever it is needed.
+//! A [`DependenceProblem`] is built only to solve: by a leader and by a
+//! job without a key, inside its solving wave. A key is probed borrowed
+//! and copied into a [`MemoKey`] only when a leader inserts.
 //!
 //! An election runs serially in enumeration order and consults the memo
 //! once per distinct key, before anything is inserted: a key the memo
@@ -31,17 +38,25 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use dda_ir::RefPair;
 
-use crate::analyzer::{AnalyzerConfig, ProgramReport};
-use crate::gcd::EqOutcome;
-use crate::memo::{MemoKey, SharedMemo};
+use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, ProgramReport};
+use crate::gcd::{
+    expand_lattice, refute_equalities, solve_equalities, solve_system_restricted,
+    witness_for_problem, EqOutcome, Lattice,
+};
+use crate::memo::{nobounds_columns, write_full_key, write_nobounds_key, MemoKey, SharedMemo};
 use crate::pipeline::{NullProbe, Probe, TraceEvent};
+use crate::problem::{build_problem, DependenceProblem};
+use crate::result::LevelVec;
 use crate::stats::AnalysisStats;
-use crate::steps::{self, Classified, FullAnswer, GcdAnswer, MemoUse, ReduceEffects};
+use crate::steps::{
+    self, Class, Computed, FullAnswer, GcdAnswer, GcdOutcome, MemoUse, ReduceEffects,
+};
 
 /// Runs the waves of the plan.
 pub trait Executor {
@@ -111,15 +126,53 @@ pub fn run<X: Executor, P: Probe>(
     programs: &[usize],
     probe: &mut P,
 ) -> Run {
-    let classified = exec.map(jobs, |_, pair| steps::classify_pair(*pair, config.symbolic));
-    let (gcd, gcd_leaders) = gcd_wave(config, memo, exec, &classified);
-    let (full, full_leaders) = full_wave(config, memo, exec, jobs, &classified, &gcd, P::ACTIVE);
-    // Problems stay allocated until every report is assembled: freeing
-    // each one during assembly measured slower on PERFECT.
-    let mut pending = jobs.iter().zip(&classified).zip(gcd).zip(full);
+    let keyed = config.memo != MemoMode::Off;
+    let improved = config.memo == MemoMode::Improved;
+    // Classify every pair from its rows, writing both of its keys: the
+    // full key of a pair whose GCD refutes it is never read, but writing
+    // it here costs less than lowering the pair again later.
+    let classified = exec.map(&chunks(jobs.len()), |_, r| {
+        let mut classes = Vec::with_capacity(r.len());
+        let mut gcd_keys = Keys::with_capacity(r.len());
+        let mut full_keys = Keys::with_capacity(r.len());
+        let mut spare = Vec::new();
+        for pair in &jobs[r.clone()] {
+            let mut has_keys = false;
+            let class = steps::classify_rows(*pair, config.symbolic, |system| {
+                if keyed {
+                    let kept = nobounds_columns(system, improved);
+                    gcd_keys.write(|out| write_nobounds_key(system, &kept, out));
+                    full_keys.write(|out| {
+                        write_full_key(system, improved, config.memo_symmetry, out, &mut spare)
+                    });
+                    has_keys = true;
+                }
+            });
+            if !has_keys {
+                gcd_keys.skip();
+                full_keys.skip();
+            }
+            classes.push(class);
+        }
+        (classes, gcd_keys, full_keys)
+    });
+    let mut classes = Vec::with_capacity(jobs.len());
+    let (mut gcd_keys, mut full_keys) = (Vec::new(), Vec::new());
+    for (c, g, f) in classified {
+        classes.extend(c);
+        gcd_keys.push(g);
+        full_keys.push(f);
+    }
+    let gcd_keys = Chunked(gcd_keys);
+    let gcd = gcd_wave(config, memo, exec, jobs, &classes, &gcd_keys);
+    drop(gcd_keys);
+    let full_keys = Chunked(full_keys);
+    let (full, full_leaders) = full_wave(config, memo, exec, jobs, &full_keys, &gcd, P::ACTIVE);
+    drop(full_keys);
+    let mut pending = jobs.iter().zip(&classes).zip(gcd.answers).zip(full);
     let mut run = Run {
         reports: Vec::with_capacity(programs.len()),
-        gcd_leaders,
+        gcd_leaders: gcd.leaders,
         full_leaders,
         spliced: 0,
         cancelled: false,
@@ -128,16 +181,77 @@ pub fn run<X: Executor, P: Probe>(
         probe.enter_program(i);
         let mut stats = AnalysisStats::default();
         let mut reports = Vec::with_capacity(len);
-        for (((pair, classified), gcd), full) in pending.by_ref().take(len) {
-            let r = steps::resolve_pair(config, *pair, classified, gcd, full, probe);
-            stats.add(&r.stats);
+        for (((pair, class), gcd), full) in pending.by_ref().take(len) {
+            let r = steps::resolve_pair(
+                config,
+                *pair,
+                *class,
+                gcd,
+                full,
+                probe,
+                &mut stats,
+                &mut reports,
+            );
             run.spliced += u64::from(r.spliced);
             run.cancelled |= r.cancelled;
-            reports.push(r.report);
         }
         run.reports.push(ProgramReport::from_parts(reports, stats));
     }
     run
+}
+
+/// Jobs per chunk of the classification wave: each chunk writes its
+/// keys into buffers of its own, so a pair's keys cost no allocation.
+const CHUNK: usize = 256;
+
+/// The job ranges of the classification wave.
+fn chunks(jobs: usize) -> Vec<Range<usize>> {
+    (0..jobs)
+        .step_by(CHUNK)
+        .map(|start| start..(start + CHUNK).min(jobs))
+        .collect()
+}
+
+/// The memo keys of one chunk of jobs, written back to back into one
+/// buffer, each with what else its job needs from the key.
+struct Keys<M> {
+    data: Vec<i64>,
+    /// Per job: its key's range in `data` and the extra, if it has one.
+    spans: Vec<Option<(Range<usize>, M)>>,
+}
+
+impl<M> Keys<M> {
+    fn with_capacity(jobs: usize) -> Keys<M> {
+        Keys {
+            data: Vec::new(),
+            spans: Vec::with_capacity(jobs),
+        }
+    }
+
+    /// Appends the next job's key, which `write` appends to the buffer,
+    /// returning the key's extra.
+    fn write(&mut self, write: impl FnOnce(&mut Vec<i64>) -> M) {
+        let start = self.data.len();
+        let extra = write(&mut self.data);
+        self.spans.push(Some((start..self.data.len(), extra)));
+    }
+
+    /// The next job has no key.
+    fn skip(&mut self) {
+        self.spans.push(None);
+    }
+}
+
+/// The keys of every job, by chunk.
+struct Chunked<M>(Vec<Keys<M>>);
+
+impl<M> Chunked<M> {
+    /// Job `i`'s key and extra, if it has a key.
+    fn get(&self, i: usize) -> Option<(&[i64], &M)> {
+        let keys = &self.0[i / CHUNK];
+        let (range, extra) = keys.spans.get(i % CHUNK)?.as_ref()?;
+        Some((&keys.data[range.clone()], extra))
+    }
 }
 
 /// Where a keyed job's value comes from.
@@ -157,47 +271,19 @@ enum Seen<V> {
     Leader(usize),
 }
 
-/// Each job's key (`None` for a job without one) and where its value
-/// comes from.
-struct Plan<K, V> {
-    keys: Vec<Option<K>>,
-    srcs: Vec<Option<Src<V>>>,
-}
-
-impl<K, V> Plan<K, V> {
-    /// Job `i`'s key and source; `None` when it has no key.
-    fn get(&self, i: usize) -> Option<(&K, &Src<V>)> {
-        self.keys[i].as_ref().zip(self.srcs[i].as_ref())
-    }
-}
-
-/// One memoized wave up to its solves: elects serially over `keys`
-/// (consulting the memo through `lookup` once per distinct key), then
-/// runs `solve` on the executor for every leader and every keyless job,
-/// with what `input` gives for the job (a job it gives nothing for does
-/// not reach the wave). Returns the plan, the leader count and the
-/// solves in job order, without those `solve` cancelled (`None`).
-fn memo_wave<X, K, V, D, S>(
-    exec: &X,
-    keys: Vec<Option<K>>,
-    memo_key: fn(&K) -> &MemoKey,
-    lookup: impl Fn(&MemoKey) -> Option<V>,
-    input: impl Fn(usize) -> Option<D>,
-    solve: impl Fn(&D, Option<&K>) -> Option<S> + Sync,
-) -> (Plan<K, V>, u64, Vec<(usize, S)>)
-where
-    X: Executor,
-    K: Sync,
-    D: Sync,
-    S: Send,
-{
-    let mut seen: HashMap<&MemoKey, Seen<V>> = HashMap::new();
+/// Elects serially over the jobs' keys (`None` for a job without one),
+/// consulting the memo through `lookup` once per distinct key: each
+/// keyed job's source, and the leader count.
+fn elect<'k, V>(
+    jobs: usize,
+    key: impl Fn(usize) -> Option<&'k [i64]>,
+    lookup: impl Fn(&[i64]) -> Option<V>,
+) -> (Vec<Option<Src<V>>>, u64) {
+    let mut seen: HashMap<&[i64], Seen<V>> = HashMap::new();
     let mut leaders = 0;
-    let srcs: Vec<Option<Src<V>>> = keys
-        .iter()
-        .enumerate()
-        .map(|(i, key)| {
-            let k = memo_key(key.as_ref()?);
+    let srcs = (0..jobs)
+        .map(|i| {
+            let k = key(i)?;
             Some(match seen.get(k) {
                 Some(Seen::Warm(v)) => Src::Warm(Arc::clone(v)),
                 Some(Seen::Leader(j)) => Src::Share(*j),
@@ -216,25 +302,36 @@ where
             })
         })
         .collect();
-    drop(seen);
-    let plan = Plan { keys, srcs };
-    let solvers: Vec<(usize, Option<&K>, D)> = (0..plan.keys.len())
-        .filter_map(|job| {
-            let key = match plan.get(job) {
-                None => None,
-                Some((key, Src::Leader)) => Some(key),
-                Some(_) => return None,
-            };
-            Some((job, key, input(job)?))
+    (srcs, leaders)
+}
+
+/// Runs `solve` on the executor for every job `reaches` admits that
+/// leads its key or has none (`srcs[job]` is `None`), and returns the
+/// solves in job order, without those `solve` cancelled (`None`).
+fn solve_wave<X, V, S>(
+    exec: &X,
+    srcs: &[Option<Src<V>>],
+    reaches: impl Fn(usize) -> bool,
+    solve: impl Fn(usize, bool) -> Option<S> + Sync,
+) -> Vec<(usize, S)>
+where
+    X: Executor,
+    S: Send,
+{
+    let solvers: Vec<(usize, bool)> = (0..srcs.len())
+        .filter(|&job| reaches(job))
+        .filter_map(|job| match &srcs[job] {
+            None => Some((job, false)),
+            Some(Src::Leader) => Some((job, true)),
+            Some(_) => None,
         })
         .collect();
-    let solved = exec.map(&solvers, |_, (_, key, input)| solve(input, *key));
-    let solved = solvers
+    let solved = exec.map(&solvers, |_, &(job, keyed)| solve(job, keyed));
+    solvers
         .iter()
         .zip(solved)
-        .filter_map(|((job, _, _), s)| Some((*job, s?)))
-        .collect();
-    (plan, leaders, solved)
+        .filter_map(|(&(job, _), s)| Some((job, s?)))
+        .collect()
 }
 
 /// Reports one extended-GCD verdict to an executor's sink.
@@ -249,49 +346,105 @@ fn record_gcd<S: Probe>(mut sink: S, outcome: Option<&EqOutcome>, cached: bool, 
     }
 }
 
-/// The extended-GCD wave: every problem's answer (`None` for jobs
-/// without a problem, and for cancelled ones), and the leader count.
+/// What the GCD wave leaves: every pair's answer (`None` for pairs
+/// without a system, and for cancelled ones), where each keyed pair's
+/// canonical outcome came from, and the solves.
+struct GcdWave {
+    answers: Vec<Option<GcdAnswer>>,
+    srcs: Vec<Option<Src<EqOutcome>>>,
+    /// A leader's outcome is over its key's kept columns; a keyless
+    /// job's is over its own problem's.
+    solved: HashMap<usize, (Option<EqOutcome>, u64)>,
+    leaders: u64,
+}
+
+impl GcdWave {
+    /// The outcome job `i`'s answer came from: its own solve's, a
+    /// leader's or a warm entry's.
+    fn source(&self, i: usize) -> Option<&EqOutcome> {
+        let from_solve = |j: usize| self.solved.get(&j)?.0.as_ref();
+        match &self.srcs[i] {
+            None | Some(Src::Leader) => from_solve(i),
+            Some(Src::Share(j)) => from_solve(*j),
+            Some(Src::Warm(v)) => Some(v),
+        }
+    }
+}
+
+/// The extended-GCD wave. A leader or a keyless job builds its problem
+/// to solve; every other pair's answer is read off the canonical
+/// outcome, with a refutation witness reordered onto the pair's rows.
 fn gcd_wave<X: Executor>(
     cfg: &AnalyzerConfig,
     memo: &SharedMemo,
     exec: &X,
-    classified: &[Classified],
-) -> (Vec<Option<GcdAnswer>>, u64) {
-    let keys = exec.map(classified, |_, c| steps::gcd_key(cfg, c.problem()?));
+    jobs: &[RefPair<'_>],
+    classes: &[Class],
+    keys: &Chunked<()>,
+) -> GcdWave {
+    let improved = cfg.memo == MemoMode::Improved;
     let sink = exec.sink();
-    let (plan, leaders, solved) = memo_wave(
-        exec,
-        keys,
-        |nk| &nk.key,
+    let (srcs, leaders) = elect(
+        classes.len(),
+        |i| Some(keys.get(i)?.0),
         |k| memo.lookup_gcd(k),
-        |i| classified[i].problem(),
-        |problem, key| {
-            if cfg.fm_limits.past_deadline() {
-                return None;
-            }
-            let start = Instant::now();
-            let outcome = steps::solve_gcd(problem, key);
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            record_gcd(sink, outcome.as_ref(), false, nanos);
-            Some((outcome, nanos))
-        },
     );
-    let mut solved_by = HashMap::with_capacity(solved.len());
+    let has_system = |i: usize| matches!(classes[i], Class::System { .. });
+    let solved = solve_wave(exec, &srcs, has_system, |job, keyed| {
+        if cfg.fm_limits.past_deadline() {
+            return None;
+        }
+        // A leader solves its key's canonical system, read off its rows;
+        // a keyless job solves its problem as built.
+        let timed = |solve: &dyn Fn() -> Option<EqOutcome>| {
+            let start = Instant::now();
+            let outcome = solve();
+            (
+                outcome,
+                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+            )
+        };
+        let (outcome, nanos) = if keyed {
+            steps::with_system(jobs[job], cfg.symbolic, |system| {
+                let kept = nobounds_columns(system, improved);
+                timed(&|| solve_system_restricted(system, &kept))
+            })
+        } else {
+            build_problem(jobs[job], cfg.symbolic)
+                .ok()
+                .map(|problem| timed(&|| solve_equalities(&problem)))
+        }
+        .unwrap_or((None, 0));
+        record_gcd(sink, outcome.as_ref(), false, nanos);
+        Some((outcome, nanos))
+    });
+    let mut wave = GcdWave {
+        answers: Vec::new(),
+        srcs,
+        solved: HashMap::with_capacity(solved.len()),
+        leaders,
+    };
     for (job, (outcome, nanos)) in solved {
         // Overflows are not cached: a later pair with the key recomputes.
-        if let (Some(v), Some((nk, _))) = (&outcome, plan.get(job)) {
-            memo.gcd.insert(nk.key.clone(), v.clone());
+        if let (Some(v), Some((key, _))) = (&outcome, keys.get(job)) {
+            memo.gcd.insert(MemoKey::from_vec(key.to_vec()), v.clone());
         }
-        solved_by.insert(job, (outcome, nanos));
+        wave.solved.insert(job, (outcome, nanos));
     }
 
-    let answers = exec.map(classified, |i, c| {
-        let problem = c.problem()?;
-        let planned = plan.get(i);
-        let (canonical, used, nanos) = match planned.map(|(_, src)| src) {
+    let answers = exec.map(classes, |i, _| {
+        if !has_system(i) {
+            return None;
+        }
+        let keyed = wave.srcs[i].is_some();
+        let (outcome, used, nanos) = match &wave.srcs[i] {
             None | Some(Src::Leader) => {
-                let (v, nanos) = solved_by.get(&i)?;
-                let used = planned.map_or(MemoUse::Unkeyed, |_| MemoUse::Miss);
+                let (v, nanos) = wave.solved.get(&i)?;
+                let used = if keyed {
+                    MemoUse::Miss
+                } else {
+                    MemoUse::Unkeyed
+                };
                 (v.as_ref(), used, *nanos)
             }
             Some(Src::Warm(v)) => {
@@ -302,19 +455,39 @@ fn gcd_wave<X: Executor>(
             // pass would miss here and recompute the same `None`;
             // anything cached is a hit.
             Some(Src::Share(j)) => {
-                let v = solved_by.get(j)?.0.as_ref();
+                let v = wave.solved.get(j)?.0.as_ref();
                 record_gcd(sink, v, true, 0);
                 (v, v.map_or(MemoUse::Miss, |_| MemoUse::Hit), 0)
             }
         };
-        let key = planned.map(|(key, _)| key);
+        let outcome = match outcome {
+            None => GcdOutcome::Overflow,
+            Some(EqOutcome::Lattice(_)) => GcdOutcome::Lattice,
+            Some(EqOutcome::Independent { refutation }) => {
+                // A keyed witness is in canonical row order: reorder it
+                // onto the pair's rows, or refactorize when none
+                // transferred.
+                let refutation = steps::with_system(jobs[i], cfg.symbolic, |system| {
+                    let transferred = match refutation {
+                        Some(w) if keyed => {
+                            let kept = nobounds_columns(system, improved);
+                            witness_for_problem(system, &kept, w)
+                        }
+                        other => other.clone(),
+                    };
+                    transferred.or_else(|| refute_equalities(system))
+                });
+                GcdOutcome::Independent(refutation.flatten())
+            }
+        };
         Some(GcdAnswer {
-            outcome: steps::expand_gcd(problem, key, canonical),
+            outcome,
             used,
             nanos,
         })
     });
-    (answers, leaders)
+    wave.answers = answers;
+    wave
 }
 
 /// A full solver's probe in a traced run: every event goes to the
@@ -334,89 +507,108 @@ impl<S: Probe> Probe for Buffered<S> {
     }
 }
 
+/// The lattice a full solver reduces `problem` through: a keyed job's
+/// canonical one expanded onto the problem, a keyless job's as solved.
+fn problem_lattice(
+    gcd: &GcdWave,
+    job: usize,
+    keyed: bool,
+    problem: &DependenceProblem,
+    improved: bool,
+) -> Option<Lattice> {
+    let EqOutcome::Lattice(lattice) = gcd.source(job)? else {
+        return None;
+    };
+    Some(if keyed {
+        let kept = nobounds_columns(problem, improved);
+        expand_lattice(lattice, &kept, problem.num_vars())
+    } else {
+        lattice.clone()
+    })
+}
+
 /// The full-analysis wave over the jobs whose GCD left a lattice: their
 /// answers (`None` for jobs that never reach the wave, and for cancelled
-/// ones), and the leader count. Solvers buffer their events when
+/// ones), and the leader count. `keys` holds every pair's full key, as
+/// classification wrote it from the pair's rows, with the levels it
+/// keeps and whether it is the mirror's; a leader or a keyless job
+/// builds its problem to solve. Solvers buffer their events when
 /// `traced`.
 fn full_wave<X: Executor>(
     cfg: &AnalyzerConfig,
     memo: &SharedMemo,
     exec: &X,
     jobs: &[RefPair<'_>],
-    classified: &[Classified],
-    gcd: &[Option<GcdAnswer>],
+    keys: &Chunked<(LevelVec<usize>, bool)>,
+    gcd: &GcdWave,
     traced: bool,
 ) -> (Vec<Option<FullAnswer>>, u64) {
-    let input = |i: usize| match (&classified[i], &gcd[i]) {
-        (
-            Classified::Problem(problem),
+    let improved = cfg.memo == MemoMode::Improved;
+    let reaches = |i: usize| {
+        matches!(
+            gcd.answers[i],
             Some(GcdAnswer {
-                outcome: Some(EqOutcome::Lattice(lattice)),
+                outcome: GcdOutcome::Lattice,
                 ..
-            }),
-        ) => Some((jobs[i], &**problem, lattice)),
-        _ => None,
+            })
+        )
     };
-    let keys = exec.map(classified, |i, _| {
-        let (_, problem, _) = input(i)?;
-        steps::full_key(cfg, problem)
-    });
     let sink = exec.sink();
-    let (plan, leaders, solved) = memo_wave(
-        exec,
-        keys,
-        |(ck, _)| &ck.key,
-        |k| memo.lookup_full(k),
-        input,
-        |&(pair, problem, lattice), key| {
-            if cfg.fm_limits.past_deadline() {
-                return None;
-            }
-            let template = steps::pair_template(pair);
-            let mut fx = ReduceEffects::default();
-            let (report, events) = if traced {
-                let mut probe = Buffered {
-                    sink,
-                    events: Vec::new(),
-                };
-                let report = steps::analyze_reduced_probed(
-                    cfg, problem, lattice, template, &mut fx, &mut probe,
-                );
-                (report, probe.events)
-            } else {
-                let mut probe = sink;
-                let report = steps::analyze_reduced_probed(
-                    cfg, problem, lattice, template, &mut fx, &mut probe,
-                );
-                (report, Vec::new())
+    let key = |i: usize| Some(keys.get(i).filter(|_| reaches(i))?.0);
+    let (srcs, leaders) = elect(jobs.len(), key, |k| memo.lookup_full(k));
+    let solved = solve_wave(exec, &srcs, reaches, |job, keyed| {
+        if cfg.fm_limits.past_deadline() {
+            return None;
+        }
+        let pair = jobs[job];
+        let problem = build_problem(pair, cfg.symbolic).ok()?;
+        let lattice = problem_lattice(gcd, job, keyed, &problem, improved)?;
+        let template = steps::pair_template(pair);
+        let mut fx = ReduceEffects::default();
+        let (report, events) = if traced {
+            let mut probe = Buffered {
+                sink,
+                events: Vec::new(),
             };
-            // A cascade that ran past the deadline may have been cut
-            // short: the pair is cancelled like one whose solve never
-            // started.
-            if cfg.fm_limits.past_deadline() {
-                return None;
-            }
-            let cached = key.map(|(ck, flipped)| steps::canonical_outcome(&report, ck, *flipped));
-            Some(((report, fx, events), cached))
-        },
-    );
+            let report = steps::analyze_reduced_probed(
+                cfg, &problem, &lattice, template, &mut fx, &mut probe,
+            );
+            (report, probe.events)
+        } else {
+            let mut probe = sink;
+            let report = steps::analyze_reduced_probed(
+                cfg, &problem, &lattice, template, &mut fx, &mut probe,
+            );
+            (report, Vec::new())
+        };
+        // A cascade that ran past the deadline may have been cut
+        // short: the pair is cancelled like one whose solve never
+        // started.
+        if cfg.fm_limits.past_deadline() {
+            return None;
+        }
+        let cached = keys
+            .get(job)
+            .map(|(_, (levels, flipped))| steps::outcome_in_key_space(&report, levels, *flipped));
+        let computed: Computed = (report, fx, events);
+        Some((computed, cached))
+    });
     let mut own = HashMap::with_capacity(solved.len());
-    let mut shared = HashMap::new();
+    let mut shared: HashMap<usize, Arc<CachedOutcome>> = HashMap::new();
     for (job, (computed, cached)) in solved {
-        if let (Some(cached), Some(((ck, _), _))) = (cached, plan.get(job)) {
-            memo.full.insert(ck.key.clone(), cached.clone());
+        if let (Some(cached), Some((key, _))) = (cached, keys.get(job)) {
+            memo.full
+                .insert(MemoKey::from_vec(key.to_vec()), cached.clone());
             shared.insert(job, Arc::new(cached));
         }
         own.insert(job, Box::new(computed));
     }
 
-    let answers = plan
-        .keys
+    let answers = srcs
         .into_iter()
-        .zip(plan.srcs)
         .enumerate()
-        .map(|(i, (key, src))| {
-            let Some(((key, flipped), src)) = key.zip(src) else {
+        .map(|(i, src)| {
+            let Some(((_, (levels, flipped)), src)) = keys.get(i).zip(src) else {
                 return Some(FullAnswer::Computed(own.remove(&i)?, MemoUse::Unkeyed));
             };
             let (outcome, used) = match src {
@@ -424,7 +616,7 @@ fn full_wave<X: Executor>(
                 Src::Share(j) => (Arc::clone(shared.get(&j)?), MemoUse::Hit),
                 Src::Warm(outcome) => (outcome, MemoUse::Warm),
             };
-            Some(FullAnswer::Cached(outcome, key, flipped, used))
+            Some(FullAnswer::Cached(outcome, levels.clone(), *flipped, used))
         })
         .collect();
     (answers, leaders)

@@ -17,8 +17,8 @@ use dda_ir::RefPair;
 use crate::analyzer::AnalyzerConfig;
 use crate::gcd::{solve_equalities, EqOutcome};
 use crate::pipeline::{RecordingProbe, StageVerdict, TraceEvent};
-use crate::problem::{build_problem, constant_compare, DependenceProblem};
-use crate::steps::{self, ReduceEffects};
+use crate::problem::{build_problem, BuildError, DependenceProblem};
+use crate::steps::{self, classify_pair, Classified, ReduceEffects};
 
 /// Formats one linear row over the problem's variables.
 fn linear(problem: &DependenceProblem, coeffs: &[i64]) -> String {
@@ -88,37 +88,34 @@ pub fn explain_pair(pair: RefPair<'_>, symbolic: bool) -> String {
 /// giving up — it does not silently re-run with different limits.
 #[must_use]
 pub fn explain_pair_with(config: &AnalyzerConfig, pair: RefPair<'_>) -> String {
-    let RefPair {
-        a,
-        b,
-        common,
-        symbols,
-    } = pair;
+    let RefPair { a, b, common, set } = pair;
     let mut out = String::new();
     let w = &mut out;
     let _ = writeln!(
         w,
         "pair: {}  vs  {}  ({common} common loop(s))",
-        a.display(symbols),
-        b.display(symbols)
+        a.display(set),
+        b.display(set)
     );
 
-    if let Some(dependent) = constant_compare(a, b) {
-        let _ = writeln!(
-            w,
-            "constant subscripts: compared directly -> {}",
-            if dependent {
-                "DEPENDENT (same element every time)"
-            } else {
-                "INDEPENDENT (different elements)"
-            }
-        );
-        return out;
-    }
-
-    let problem = match build_problem(symbols, a, b, common, config.symbolic) {
-        Ok(p) => p,
-        Err(e) => {
+    let problem = match classify_pair(pair, config.symbolic) {
+        Classified::Constant { dependent } => {
+            let _ = writeln!(
+                w,
+                "constant subscripts: compared directly -> {}",
+                if dependent {
+                    "DEPENDENT (same element every time)"
+                } else {
+                    "INDEPENDENT (different elements)"
+                }
+            );
+            return out;
+        }
+        Classified::Problem(p) => p,
+        Classified::Unbuildable => {
+            let e = build_problem(pair, config.symbolic)
+                .err()
+                .unwrap_or(BuildError::NonAffine);
             let _ = writeln!(w, "cannot build an affine system ({e}): ASSUMED dependent");
             return out;
         }

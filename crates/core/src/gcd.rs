@@ -17,6 +17,7 @@
 
 use dda_linalg::{diophantine, num, Matrix};
 
+use crate::memo::{ColumnVec, KeyRows};
 use crate::problem::DependenceProblem;
 use crate::system::{Constraint, System};
 
@@ -160,39 +161,36 @@ pub fn solve_equalities(problem: &DependenceProblem) -> Option<EqOutcome> {
     }
 }
 
-/// The permutation sorting equality rows into the canonical order used
-/// by [`nobounds_key`](crate::memo::nobounds_key): `order[j]` is the
-/// index of the row providing canonical row `j` (ascending by restricted
-/// coefficients then right-hand side; duplicate rows are interchangeable).
-#[must_use]
-pub fn canonical_row_order(rows: &[Vec<i64>], rhs: &[i64], kept: &[usize]) -> Vec<usize> {
-    let segments: Vec<Vec<i64>> = rows
-        .iter()
-        .zip(rhs)
-        .map(|(row, r)| {
-            let mut seg: Vec<i64> = kept.iter().map(|&k| row[k]).collect();
-            seg.push(*r);
-            seg
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_by(|&a, &b| segments[a].cmp(&segments[b]));
+/// The permutation sorting `n` equality rows, read through `row`, into
+/// the canonical order used by [`nobounds_key`](crate::memo::nobounds_key):
+/// `order[j]` is the index of the row providing canonical row `j`
+/// (ascending by coefficients restricted to `kept`, then right-hand side;
+/// duplicate rows are interchangeable).
+fn row_order<'a>(n: usize, row: impl Fn(usize) -> (&'a [i64], i64), kept: &[usize]) -> ColumnVec {
+    let segment = |i: usize| {
+        let (coeffs, rhs) = row(i);
+        kept.iter()
+            .map(move |&k| coeffs[k])
+            .chain(std::iter::once(rhs))
+    };
+    let mut order: ColumnVec = (0..n).collect();
+    order.sort_by(|&a, &b| segment(a).cmp(segment(b)));
     order
 }
 
 /// Reorders a canonical-row-order refutation witness onto a concrete
-/// problem's rows. Problems sharing a no-bounds key list the same row
+/// system's rows. Systems sharing a no-bounds key list the same row
 /// multiset (restricted to `kept`, whose complement is all-zero), so the
-/// reordered multiplier refutes this problem's full system too. `None`
+/// reordered multiplier refutes this system's full equalities too. `None`
 /// when the arities disagree — a corrupt warm entry; callers fall back
 /// to [`refute_equalities`].
 #[must_use]
-pub fn witness_for_problem(
-    problem: &DependenceProblem,
+pub fn witness_for_problem<S: KeyRows + ?Sized>(
+    system: &S,
     kept: &[usize],
     canonical: &(Vec<i64>, i64),
 ) -> Option<(Vec<i64>, i64)> {
-    let order = canonical_row_order(&problem.eq_coeffs, &problem.eq_rhs, kept);
+    let order = row_order(system.num_equations(), |i| system.equation(i), kept);
     if canonical.0.len() != order.len() {
         return None;
     }
@@ -245,16 +243,35 @@ pub fn solve_equalities_restricted(
     rhs: &[i64],
     kept: &[usize],
 ) -> Option<EqOutcome> {
-    let restricted: Vec<Vec<i64>> = rows
-        .iter()
-        .map(|row| kept.iter().map(|&k| row[k]).collect())
-        .collect();
-    let a = if restricted.is_empty() {
-        Matrix::zeros(0, kept.len())
-    } else {
-        Matrix::try_from_rows(&restricted).ok()?
-    };
-    match diophantine::solve(&a, rhs) {
+    solve_restricted(rows.len(), |i| (&rows[i], rhs[i]), kept)
+}
+
+/// [`solve_equalities_restricted`] over the equality rows of `system`,
+/// read in place.
+#[must_use]
+pub fn solve_system_restricted<S: KeyRows + ?Sized>(
+    system: &S,
+    kept: &[usize],
+) -> Option<EqOutcome> {
+    solve_restricted(system.num_equations(), |i| system.equation(i), kept)
+}
+
+/// [`solve_equalities_restricted`] over `n` rows read through `row`.
+fn solve_restricted<'a>(
+    n: usize,
+    row: impl Fn(usize) -> (&'a [i64], i64),
+    kept: &[usize],
+) -> Option<EqOutcome> {
+    let mut a = Matrix::zeros(n, kept.len());
+    let mut rhs = Vec::with_capacity(n);
+    for i in 0..n {
+        let (coeffs, b) = row(i);
+        for (j, &k) in kept.iter().enumerate() {
+            a[(i, j)] = coeffs[k];
+        }
+        rhs.push(b);
+    }
+    match diophantine::solve(&a, &rhs) {
         Ok(Some(s)) => Some(EqOutcome::Lattice(Lattice {
             particular: s.particular().to_vec(),
             basis: s.basis().clone(),
@@ -262,8 +279,8 @@ pub fn solve_equalities_restricted(
         Ok(None) => {
             // A multiplier for the restricted system refutes the full
             // one verbatim: the dropped columns are all-zero.
-            let refutation = diophantine::refute(&a, rhs).map(|(numer, denom)| {
-                let order = canonical_row_order(rows, rhs, kept);
+            let refutation = diophantine::refute(&a, &rhs).map(|(numer, denom)| {
+                let order = row_order(n, &row, kept);
                 (order.iter().map(|&i| numer[i]).collect(), denom)
             });
             Some(EqOutcome::Independent { refutation })
@@ -281,13 +298,26 @@ pub fn solve_equalities_restricted(
 /// entries, or witnesses that overflowed `i64` at solve time. It is
 /// evidence, never the verdict itself.
 #[must_use]
-pub fn refute_equalities(problem: &DependenceProblem) -> Option<(Vec<i64>, i64)> {
-    let a = if problem.eq_coeffs.is_empty() {
-        Matrix::zeros(0, problem.num_vars())
+pub fn refute_equalities<S: KeyRows + ?Sized>(system: &S) -> Option<(Vec<i64>, i64)> {
+    let rows = system.num_equations();
+    let n = if rows == 0 {
+        system.layout().num_vars()
     } else {
-        Matrix::try_from_rows(&problem.eq_coeffs).ok()?
+        system.equation(0).0.len()
     };
-    diophantine::refute(&a, &problem.eq_rhs)
+    let mut a = Matrix::zeros(rows, n);
+    let mut rhs = Vec::with_capacity(rows);
+    for i in 0..rows {
+        let (coeffs, b) = system.equation(i);
+        if coeffs.len() != n {
+            return None; // ragged rows
+        }
+        for (j, &c) in coeffs.iter().enumerate() {
+            a[(i, j)] = c;
+        }
+        rhs.push(b);
+    }
+    diophantine::refute(&a, &rhs)
 }
 
 /// Rewrites the problem's bound constraints over the lattice's free
@@ -325,7 +355,7 @@ pub fn reduce_with_lattice(problem: &DependenceProblem, lattice: &Lattice) -> Op
 /// let p = parse_program("for i = 1 to 10 { a[2 * i] = a[2 * i + 1]; }")?;
 /// let set = extract_accesses(&p);
 /// let pairs = reference_pairs(&set, false);
-/// let problem = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true)?;
+/// let problem = build_problem(pairs[0], true)?;
 /// assert!(matches!(
 ///     gcd_preprocess(&problem),
 ///     Some(GcdOutcome::Independent)
@@ -356,8 +386,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        let problem =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let problem = build_problem(pairs[0], true).unwrap();
         gcd_preprocess(&problem).unwrap()
     }
 

@@ -19,6 +19,7 @@
 //! "chosen so that symmetrical or partially symmetrical references would
 //! not collide"; equality on the full key vector resolves the rest.
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +27,7 @@ use std::sync::Mutex;
 
 use dda_linalg::SmallVec;
 
-use crate::problem::{DependenceProblem, XVar};
+use crate::problem::{DependenceProblem, Layout, XVar};
 use crate::result::LevelVec;
 use crate::system::Constraint;
 
@@ -129,16 +130,67 @@ impl BuildHasher for PaperHashBuilder {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MemoKey(Vec<i64>);
 
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Hash element-wise so the paper's 2^i weighting applies (the
-        // derived impl would hash the slice as one byte blob).
-        state.write_usize(self.0.len());
-        for &v in &self.0 {
-            state.write_i64(v);
-        }
+/// Hashes a key's elements one by one, so the paper's `2^i` weighting
+/// applies (a slice's own impl would hash them as one byte blob).
+fn hash_elems<H: Hasher>(elems: &[i64], state: &mut H) {
+    state.write_usize(elems.len());
+    for &v in elems {
+        state.write_i64(v);
     }
 }
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_elems(&self.0, state);
+    }
+}
+
+impl AsRef<[i64]> for MemoKey {
+    fn as_ref(&self) -> &[i64] {
+        &self.0
+    }
+}
+
+/// A key's elements, however they are held: a stored [`MemoKey`], or a
+/// key written into a reused buffer. A table is probed through this
+/// view, whose hash and equality are [`MemoKey`]'s, so a probe allocates
+/// no key.
+pub trait KeyElems {
+    /// The encoded elements.
+    fn elems(&self) -> &[i64];
+}
+
+impl KeyElems for MemoKey {
+    fn elems(&self) -> &[i64] {
+        &self.0
+    }
+}
+
+impl KeyElems for &[i64] {
+    fn elems(&self) -> &[i64] {
+        self
+    }
+}
+
+impl<'a> Borrow<dyn KeyElems + 'a> for MemoKey {
+    fn borrow(&self) -> &(dyn KeyElems + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyElems + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        hash_elems(self.elems(), state);
+    }
+}
+
+impl PartialEq for dyn KeyElems + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.elems() == other.elems()
+    }
+}
+
+impl Eq for dyn KeyElems + '_ {}
 
 impl MemoKey {
     /// The raw encoded vector (exposed for the benchmark harness).
@@ -160,8 +212,10 @@ impl MemoKey {
 /// by every element (the raw `h(x) = size + Σ 2ⁱ·xᵢ` concentrates
 /// low-index elements in the low bits). Shared by [`ShardedMemoTable`]
 /// and the v3 archive writer so both partition keys identically.
-pub(crate) fn route_hash(key: &MemoKey) -> u64 {
-    let mut h = PaperHashBuilder.hash_one(key);
+pub(crate) fn route_hash(key: &[i64]) -> u64 {
+    let mut hasher = PaperHasher::default();
+    hash_elems(key, &mut hasher);
+    let mut h = hasher.finish();
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
     h ^= h >> 33;
@@ -171,13 +225,61 @@ pub(crate) fn route_hash(key: &MemoKey) -> u64 {
 /// Problem columns kept in a key, inline for the dominant small systems.
 pub type ColumnVec = SmallVec<usize, 8>;
 
+/// A dependence system as the key writers read it: its columns in the
+/// structural order of [`Layout`], its equality rows `coeffs · x = rhs`
+/// and its bound rows `coeffs · x ≤ rhs`. A [`DependenceProblem`] is
+/// one; a [`PairSystem`](crate::problem::PairSystem), written from a
+/// pair's rows into reused buffers, is the other, so the driver writes
+/// every key without building a problem.
+pub trait KeyRows {
+    /// The column layout.
+    fn layout(&self) -> Layout;
+    /// Number of equality rows.
+    fn num_equations(&self) -> usize;
+    /// Equality row `i`: coefficients and right-hand side.
+    fn equation(&self, i: usize) -> (&[i64], i64);
+    /// Number of bound rows.
+    fn num_bounds(&self) -> usize;
+    /// Bound row `i`: coefficients and right-hand side.
+    fn bound(&self, i: usize) -> (&[i64], i64);
+}
+
+impl KeyRows for DependenceProblem {
+    fn layout(&self) -> Layout {
+        let count = |f: fn(&XVar) -> bool| self.vars.iter().filter(|v| f(v)).count();
+        Layout {
+            common: self.num_common,
+            extra_a: count(|v| matches!(v, XVar::ExtraA(_))),
+            extra_b: count(|v| matches!(v, XVar::ExtraB(_))),
+            symbolics: count(|v| matches!(v, XVar::Symbolic(_))),
+        }
+    }
+
+    fn num_equations(&self) -> usize {
+        self.eq_coeffs.len()
+    }
+
+    fn equation(&self, i: usize) -> (&[i64], i64) {
+        (&self.eq_coeffs[i], self.eq_rhs[i])
+    }
+
+    fn num_bounds(&self) -> usize {
+        self.bounds.len()
+    }
+
+    fn bound(&self, i: usize) -> (&[i64], i64) {
+        let c: &Constraint = &self.bounds[i];
+        (&c.coeffs, c.rhs)
+    }
+}
+
 /// Computes the set of *used* variables: those in a subscript equation,
 /// closed under co-occurrence in bound constraints.
-fn used_mask(problem: &DependenceProblem) -> SmallVec<bool, 8> {
-    let n = problem.num_vars();
+fn used_mask<S: KeyRows + ?Sized>(s: &S) -> SmallVec<bool, 8> {
+    let n = s.layout().num_vars();
     let mut used = SmallVec::from_elem(false, n);
-    for row in &problem.eq_coeffs {
-        for (v, &c) in row.iter().enumerate() {
+    for i in 0..s.num_equations() {
+        for (v, &c) in s.equation(i).0.iter().enumerate() {
             if c != 0 {
                 used[v] = true;
             }
@@ -185,10 +287,11 @@ fn used_mask(problem: &DependenceProblem) -> SmallVec<bool, 8> {
     }
     loop {
         let mut changed = false;
-        for c in &problem.bounds {
-            let touches_used = c.coeffs.iter().enumerate().any(|(v, &a)| a != 0 && used[v]);
+        for i in 0..s.num_bounds() {
+            let coeffs = s.bound(i).0;
+            let touches_used = coeffs.iter().enumerate().any(|(v, &a)| a != 0 && used[v]);
             if touches_used {
-                for (v, &a) in c.coeffs.iter().enumerate() {
+                for (v, &a) in coeffs.iter().enumerate() {
                     if a != 0 && !used[v] {
                         used[v] = true;
                         changed = true;
@@ -238,31 +341,49 @@ pub struct NoBoundsKey {
     pub kept_vars: ColumnVec,
 }
 
+/// The columns a no-bounds key keeps: with `improved`, only those some
+/// equation uses (the others are pure lattice freedom, so patterns under
+/// different numbers of irrelevant loops share the factorization).
+#[must_use]
+pub fn nobounds_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> ColumnVec {
+    let n = s.layout().num_vars();
+    if improved {
+        (0..n)
+            .filter(|&v| (0..s.num_equations()).any(|i| s.equation(i).0[v] != 0))
+            .collect()
+    } else {
+        (0..n).collect()
+    }
+}
+
+/// Appends the no-bounds (GCD table) key of `s` over `kept` (see
+/// [`nobounds_columns`]) to `out`.
+pub fn write_nobounds_key<S: KeyRows + ?Sized>(s: &S, kept: &[usize], out: &mut Vec<i64>) {
+    let width = kept.len() + 1;
+    let start = out.len();
+    out.reserve(2 + s.num_equations() * width);
+    out.push(kept.len() as i64);
+    out.push(s.num_equations() as i64);
+    for i in 0..s.num_equations() {
+        let (row, rhs) = s.equation(i);
+        out.extend(kept.iter().map(|&k| row[k]));
+        out.push(rhs);
+    }
+    // Equations are a *set*: sort their encodings so semantically equal
+    // systems (e.g. dimensions listed in another order, or a mirrored
+    // pair) produce identical keys.
+    sort_segments(&mut out[start + 2..], width);
+}
+
 /// Encodes the equality system only (the GCD table key). With `improved`,
 /// variables absent from every equation are dropped first — they are pure
 /// lattice freedom, so patterns under different numbers of irrelevant
 /// loops share the factorization.
 #[must_use]
 pub fn nobounds_key(problem: &DependenceProblem, improved: bool) -> NoBoundsKey {
-    let kept_vars: ColumnVec = if improved {
-        (0..problem.num_vars())
-            .filter(|&v| problem.eq_coeffs.iter().any(|row| row[v] != 0))
-            .collect()
-    } else {
-        (0..problem.num_vars()).collect()
-    };
-    let width = kept_vars.len() + 1;
-    let mut v = Vec::with_capacity(2 + problem.eq_coeffs.len() * width);
-    v.push(kept_vars.len() as i64);
-    v.push(problem.eq_coeffs.len() as i64);
-    for (row, &rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
-        v.extend(kept_vars.iter().map(|&k| row[k]));
-        v.push(rhs);
-    }
-    // Equations are a *set*: sort their encodings so semantically equal
-    // systems (e.g. dimensions listed in another order, or a mirrored
-    // pair) produce identical keys.
-    sort_segments(&mut v[2..], width);
+    let kept_vars = nobounds_columns(problem, improved);
+    let mut v = Vec::new();
+    write_nobounds_key(problem, &kept_vars, &mut v);
     NoBoundsKey {
         key: MemoKey(v),
         kept_vars,
@@ -283,45 +404,43 @@ pub struct CanonicalKey {
 
 /// The columns a with-bounds key keeps, in problem order, and the common
 /// levels they touch. With `improved`, unused variables are dropped.
-fn kept_columns(problem: &DependenceProblem, improved: bool) -> (ColumnVec, LevelVec<usize>) {
+fn kept_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> (ColumnVec, LevelVec<usize>) {
+    let layout = s.layout();
     if !improved {
         return (
-            (0..problem.num_vars()).collect(),
-            (0..problem.num_common).collect(),
+            (0..layout.num_vars()).collect(),
+            (0..layout.common).collect(),
         );
     }
-    let used = used_mask(problem);
-    let keep = (0..problem.num_vars()).filter(|&v| used[v]).collect();
-    let kept_levels = (0..problem.num_common)
-        .filter(|&k| {
-            let ia = problem
-                .var_index(&XVar::CommonA(k))
-                .expect("common var present");
-            let ib = problem
-                .var_index(&XVar::CommonB(k))
-                .expect("common var present");
-            used[ia] || used[ib]
-        })
+    let used = used_mask(s);
+    let keep = (0..layout.num_vars()).filter(|&v| used[v]).collect();
+    // Common level `k` is column `k` on the first side and
+    // `common + k` on the second.
+    let kept_levels = (0..layout.common)
+        .filter(|&k| used[k] || used[layout.common + k])
         .collect();
     (keep, kept_levels)
 }
 
-/// Writes the with-bounds key over `columns` (the key's `i`-th variable
-/// is problem column `columns[i]`), negating the equality section when
-/// `negate_equalities`. `None` when a negation overflows.
-fn encode_bounds(
-    problem: &DependenceProblem,
+/// Appends the with-bounds key over `columns` (the key's `i`-th variable
+/// is column `columns[i]` of `s`) to `out`, negating the equality
+/// section when `negate_equalities`. `None` when a negation overflows
+/// (`out` then ends in a partial key).
+fn encode_bounds<S: KeyRows + ?Sized>(
+    s: &S,
     columns: &[usize],
     kept_levels: usize,
     negate_equalities: bool,
-) -> Option<Vec<i64>> {
+    out: &mut Vec<i64>,
+) -> Option<()> {
     let width = columns.len() + 1;
-    let touches_kept = |c: &&Constraint| columns.iter().any(|&k| c.coeffs[k] != 0);
-    let bound_rows = problem.bounds.iter().filter(touches_kept).count();
-    let mut v = Vec::with_capacity(4 + (problem.eq_coeffs.len() + bound_rows) * width);
-    v.push(columns.len() as i64);
-    v.push(kept_levels as i64);
-    v.push(problem.eq_coeffs.len() as i64);
+    let touches_kept = |i: &usize| columns.iter().any(|&k| s.bound(*i).0[k] != 0);
+    let bound_rows = (0..s.num_bounds()).filter(touches_kept).count();
+    let start = out.len();
+    out.reserve(4 + (s.num_equations() + bound_rows) * width);
+    out.push(columns.len() as i64);
+    out.push(kept_levels as i64);
+    out.push(s.num_equations() as i64);
     let sign = |x: i64| {
         if negate_equalities {
             x.checked_neg()
@@ -329,24 +448,26 @@ fn encode_bounds(
             Some(x)
         }
     };
-    for (row, &rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
+    for i in 0..s.num_equations() {
+        let (row, rhs) = s.equation(i);
         for &k in columns {
-            v.push(sign(row[k])?);
+            out.push(sign(row[k])?);
         }
-        v.push(sign(rhs)?);
+        out.push(sign(rhs)?);
     }
     // Both sections are constraint *sets*: sort their encodings so
     // semantically equal systems (reordered dimensions or bounds, e.g.
     // from a mirrored pair) produce identical keys.
-    sort_segments(&mut v[3..], width);
-    v.push(SECTION_MARKER);
-    let bounds_at = v.len();
-    for c in problem.bounds.iter().filter(touches_kept) {
-        v.extend(columns.iter().map(|&k| c.coeffs[k]));
-        v.push(c.rhs);
+    sort_segments(&mut out[start + 3..], width);
+    out.push(SECTION_MARKER);
+    let bounds_at = out.len();
+    for i in (0..s.num_bounds()).filter(touches_kept) {
+        let (row, rhs) = s.bound(i);
+        out.extend(columns.iter().map(|&k| row[k]));
+        out.push(rhs);
     }
-    sort_segments(&mut v[bounds_at..], width);
-    Some(v)
+    sort_segments(&mut out[bounds_at..], width);
+    Some(())
 }
 
 /// Encodes the whole problem. With `improved`, unused variables (and
@@ -355,7 +476,8 @@ fn encode_bounds(
 #[must_use]
 pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
     let (keep, kept_levels) = kept_columns(problem, improved);
-    let v = encode_bounds(problem, &keep, kept_levels.len(), false)
+    let mut v = Vec::new();
+    encode_bounds(problem, &keep, kept_levels.len(), false, &mut v)
         .expect("an unnegated key cannot overflow");
     CanonicalKey {
         key: MemoKey(v),
@@ -366,25 +488,67 @@ pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
 /// [`bounds_key`] of the problem's mirror (the pair with its references
 /// swapped), written straight from the original: `mirror[i]` is the
 /// original column of the mirror's `i`-th variable (see
-/// [`symmetry::mirror_columns`](crate::symmetry::mirror_columns)), and
-/// the mirror's equalities are the original's negated. The mirror keeps
-/// the same levels, so only its key is returned; `None` when negating an
-/// equality overflows.
+/// [`Layout::mirror_columns`]), and the mirror's equalities are the
+/// original's negated. The mirror keeps the same levels, so only its key
+/// is returned; `None` when negating an equality overflows.
 #[must_use]
 pub fn mirror_bounds_key(
     problem: &DependenceProblem,
     mirror: &[usize],
     improved: bool,
 ) -> Option<MemoKey> {
-    // Usage is a property of the variable, so the mirror keeps the
-    // positions whose original column is kept, and the same levels.
     let (keep, kept_levels) = kept_columns(problem, improved);
+    let mut v = Vec::new();
+    encode_mirror(problem, mirror, &keep, kept_levels.len(), &mut v)?;
+    Some(MemoKey(v))
+}
+
+/// Appends the mirror's with-bounds key to `out`. Usage is a property
+/// of the variable, so the mirror keeps the positions whose original
+/// column is kept, and the same levels.
+fn encode_mirror<S: KeyRows + ?Sized>(
+    s: &S,
+    mirror: &[usize],
+    keep: &[usize],
+    kept_levels: usize,
+    out: &mut Vec<i64>,
+) -> Option<()> {
     let columns: ColumnVec = mirror
         .iter()
         .copied()
         .filter(|c| keep.contains(c))
         .collect();
-    encode_bounds(problem, &columns, kept_levels.len(), true).map(MemoKey)
+    encode_bounds(s, &columns, kept_levels, true, out)
+}
+
+/// Appends the full-result (with-bounds) key of `s` to `out`, and
+/// returns the common levels it keeps and whether it is the mirror's
+/// key. With `symmetric`, a system and its mirror share the
+/// lexicographically smaller key; `spare` is scratch for the mirror's.
+/// A mirror that overflows to write just skips canonicalization.
+pub fn write_full_key<S: KeyRows + ?Sized>(
+    s: &S,
+    improved: bool,
+    symmetric: bool,
+    out: &mut Vec<i64>,
+    spare: &mut Vec<i64>,
+) -> (LevelVec<usize>, bool) {
+    let (keep, kept_levels) = kept_columns(s, improved);
+    let start = out.len();
+    // An unnegated key cannot overflow.
+    let _ = encode_bounds(s, &keep, kept_levels.len(), false, out);
+    if symmetric {
+        if let Some(mirror) = s.layout().mirror_columns() {
+            spare.clear();
+            let written = encode_mirror(s, &mirror, &keep, kept_levels.len(), spare);
+            if written.is_some() && spare[..] < out[start..] {
+                out.truncate(start);
+                out.extend_from_slice(spare);
+                return (kept_levels, true);
+            }
+        }
+    }
+    (kept_levels, false)
 }
 
 /// Estimated resident size of a memo value, used by the byte accounting
@@ -580,12 +744,12 @@ impl<V> ShardedMemoTable<V> {
     }
 
     /// Shard index for a key (see [`route_hash`]).
-    fn shard_of(&self, key: &MemoKey) -> usize {
+    fn shard_of(&self, key: &[i64]) -> usize {
         (route_hash(key) % self.shards.len() as u64) as usize
     }
 
     /// Locks the shard for `key`, counting the operation against it.
-    fn shard(&self, key: &MemoKey) -> std::sync::MutexGuard<'_, Shard<V>> {
+    fn shard(&self, key: &[i64]) -> std::sync::MutexGuard<'_, Shard<V>> {
         let idx = self.shard_of(key);
         self.shard_ops[idx].fetch_add(1, Ordering::Relaxed);
         self.shards[idx].lock().expect("memo shard poisoned")
@@ -593,15 +757,16 @@ impl<V> ShardedMemoTable<V> {
 
     /// Looks up a key, counting the query (and the hit) atomically. A
     /// hit sets the entry's second-chance bit, shielding it from the
-    /// next eviction sweep.
-    pub fn get(&self, key: &MemoKey) -> Option<V>
+    /// next eviction sweep. The key may be borrowed from any buffer.
+    pub fn get<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<V>
     where
         V: Clone,
     {
+        let key = key.as_ref();
         self.queries.fetch_add(1, Ordering::Relaxed);
         let hit = {
             let mut shard = self.shard(key);
-            shard.map.get_mut(key).map(|e| {
+            shard.map.get_mut(&key as &dyn KeyElems).map(|e| {
                 e.referenced = true;
                 e.value.clone()
             })
@@ -626,7 +791,7 @@ impl<V> ShardedMemoTable<V> {
             weight,
             referenced: false,
         };
-        let mut shard = self.shard(&key);
+        let mut shard = self.shard(&key.0);
         match shard.map.insert(key.clone(), entry) {
             Some(old) => shard.bytes = shard.bytes - old.weight + weight,
             None => {
@@ -868,21 +1033,26 @@ impl SharedMemo {
     /// resident — and so the byte-capped CLOCK eviction governs how much
     /// of the archive stays hot.
     #[must_use]
-    pub fn lookup_full(&self, key: &MemoKey) -> Option<crate::analyzer::CachedOutcome> {
+    pub fn lookup_full<K: AsRef<[i64]> + ?Sized>(
+        &self,
+        key: &K,
+    ) -> Option<crate::analyzer::CachedOutcome> {
+        let key = key.as_ref();
         self.lookup_tiered(&self.full, key, |a| a.get_full(key))
     }
 
     /// Looks up a gcd entry through both residency tiers (see
     /// [`SharedMemo::lookup_full`]).
     #[must_use]
-    pub fn lookup_gcd(&self, key: &MemoKey) -> Option<crate::gcd::EqOutcome> {
+    pub fn lookup_gcd<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<crate::gcd::EqOutcome> {
+        let key = key.as_ref();
         self.lookup_tiered(&self.gcd, key, |a| a.get_gcd(key))
     }
 
     fn lookup_tiered<V: Clone + MemoWeight>(
         &self,
         table: &ShardedMemoTable<V>,
-        key: &MemoKey,
+        key: &[i64],
         fault: impl FnOnce(&crate::persist::MemoArchive) -> Option<V>,
     ) -> Option<V> {
         if let Some(hit) = table.get(key) {
@@ -890,7 +1060,7 @@ impl SharedMemo {
         }
         let v = fault(self.archive.get()?)?;
         self.archive_faults.fetch_add(1, Ordering::Relaxed);
-        table.insert_warm(key.clone(), v.clone());
+        table.insert_warm(MemoKey(key.to_vec()), v.clone());
         Some(v)
     }
 
@@ -1070,7 +1240,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(pairs[0], true).unwrap()
     }
 
     #[test]

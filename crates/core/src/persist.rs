@@ -824,7 +824,7 @@ fn partition<V>(
 ) -> io::Result<Vec<(Vec<u8>, u64)>> {
     let mut shards: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); shard_count];
     for (k, v) in entries {
-        let h = route_hash(k);
+        let h = route_hash(k.as_slice());
         let mut blob = Vec::new();
         enc_key(&mut blob, k);
         enc(&mut blob, v);
@@ -1246,7 +1246,7 @@ impl MemoArchive {
     fn lookup<T>(
         &self,
         shards: &[Shard],
-        key: &MemoKey,
+        key: &[i64],
         dec: impl Fn(&mut Cur<'_>) -> Result<T, PersistV3Error>,
     ) -> Option<T> {
         let h = route_hash(key);
@@ -1268,7 +1268,7 @@ impl MemoArchive {
             let rec_len = u32le(&payload[e + 12..]) as usize;
             let rec = &payload[rec_off..rec_off + rec_len];
             let mut cur = Cur::new(rec, (shard.offset + rec_off) as u64);
-            match key_matches(&mut cur, key.as_slice()) {
+            match key_matches(&mut cur, key) {
                 Ok(true) => {
                     let v = dec(&mut cur).ok()?;
                     cur.finish().ok()?;
@@ -1290,15 +1290,15 @@ impl MemoArchive {
     /// them as misses, and [`for_each_gcd`](Self::for_each_gcd) reports
     /// them with their location.
     #[must_use]
-    pub fn get_gcd(&self, key: &MemoKey) -> Option<EqOutcome> {
-        self.lookup(&self.gcd_shards, key, dec_gcd_value)
+    pub fn get_gcd<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<EqOutcome> {
+        self.lookup(&self.gcd_shards, key.as_ref(), dec_gcd_value)
     }
 
     /// Looks up one full record without decoding anything else. Same
     /// miss semantics as [`MemoArchive::get_gcd`].
     #[must_use]
-    pub fn get_full(&self, key: &MemoKey) -> Option<CachedOutcome> {
-        self.lookup(&self.full_shards, key, dec_full_value)
+    pub fn get_full<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<CachedOutcome> {
+        self.lookup(&self.full_shards, key.as_ref(), dec_full_value)
     }
 
     /// Decodes every record of `shards` and hands it to `f` with its
@@ -1697,7 +1697,7 @@ mod tests {
         let mut seen = Vec::new();
         archive
             .for_each_record(|section, shard, key, _| {
-                assert_eq!(shard as u64, route_hash(key) % 4);
+                assert_eq!(shard as u64, route_hash(key.as_slice()) % 4);
                 seen.push(section);
             })
             .unwrap();

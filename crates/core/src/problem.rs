@@ -6,14 +6,23 @@
 //! variable per side, `i` and `i′`), plus one shared variable per symbolic
 //! constant; one equality per array dimension; and two inequalities per
 //! loop bound.
+//!
+//! The system is written from the pair's subscript and bound rows (see
+//! [`dda_ir::Rows`]), in which every loop variable is already resolved to
+//! its level, into the reused buffers of a [`PairSystem`]. The memo keys
+//! are written from that (see [`KeyRows`]), and a [`DependenceProblem`] is
+//! built from it only for a pair that solves. Every row operation is
+//! checked: a row that does not fit in `i64` makes the pair unbuildable
+//! ([`BuildError::Overflow`]), so dependence is assumed.
 
 use std::fmt;
 use std::sync::Arc;
 
-use dda_ir::{Access, AffineExpr, Bound, LoopInfo, Subscript, Sym, SymbolTable};
+use dda_ir::{Access, AccessSet, RefPair, Row};
 
 use dda_linalg::CoeffVec;
 
+use crate::memo::{ColumnVec, KeyRows};
 use crate::system::Constraint;
 
 /// Identity of one problem variable in the original (`x`) space.
@@ -60,6 +69,8 @@ pub enum BuildError {
     /// The pair uses symbolic constants but symbolic analysis is disabled
     /// (Section 8 ablation).
     SymbolicDisabled,
+    /// An equality or bound row does not fit in `i64`.
+    Overflow,
 }
 
 impl fmt::Display for BuildError {
@@ -70,6 +81,7 @@ impl fmt::Display for BuildError {
             BuildError::SymbolicDisabled => {
                 f.write_str("symbolic terms present but symbolic analysis disabled")
             }
+            BuildError::Overflow => f.write_str("a subscript or bound row overflows i64"),
         }
     }
 }
@@ -129,6 +141,54 @@ impl DependenceProblem {
     }
 }
 
+/// How a pair's problem columns are laid out: the common loops as the
+/// first reference sees them, then as the second does, the loops
+/// enclosing only the first, only the second, and the symbolics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Layout {
+    /// Number of common loops.
+    pub common: usize,
+    /// Loops enclosing only the first reference.
+    pub extra_a: usize,
+    /// Loops enclosing only the second reference.
+    pub extra_b: usize,
+    /// Symbolic constants.
+    pub symbolics: usize,
+}
+
+impl Layout {
+    /// Number of problem variables.
+    #[must_use]
+    pub fn num_vars(&self) -> usize {
+        2 * self.common + self.extra_a + self.extra_b + self.symbolics
+    }
+
+    /// The mirror's column permutation: `columns[i]` is the column whose
+    /// variable sits at position `i` of the mirror problem (the pair
+    /// with its references swapped). The mirror maps `CommonA(k)` ↔
+    /// `CommonB(k)` and `ExtraA(k)` ↔ `ExtraB(k)` and leaves symbolics in
+    /// place; its bounds are the original's with columns permuted, and
+    /// its equality rows are permuted and negated
+    /// (`f_b − f_a = −(f_a − f_b)`). Memo keys are written from this
+    /// permutation directly, so no mirror problem is ever built.
+    ///
+    /// `None` when the mirror is not well-defined: swapping the extra
+    /// blocks must be a permutation, which requires the two references
+    /// to have the same number of non-common enclosing loops.
+    #[must_use]
+    pub fn mirror_columns(&self) -> Option<ColumnVec> {
+        if self.extra_a != self.extra_b {
+            return None;
+        }
+        let (c, e) = (self.common, self.extra_a);
+        let mut columns = ColumnVec::new();
+        columns.extend((c..2 * c).chain(0..c));
+        columns.extend((2 * c + e..2 * c + 2 * e).chain(2 * c..2 * c + e));
+        columns.extend(2 * c + 2 * e..self.num_vars());
+        Some(columns)
+    }
+}
+
 /// If both references have all-constant subscripts, decides dependence by
 /// direct comparison — the paper's "Constant" column, "handled without
 /// dependence testing".
@@ -136,26 +196,26 @@ impl DependenceProblem {
 /// Returns `Some(true)` for dependent (all dimensions equal), `Some(false)`
 /// for independent, and `None` when any subscript involves a variable.
 #[must_use]
-pub fn constant_compare(a: &Access, b: &Access) -> Option<bool> {
-    let mut all_equal = true;
-    if a.subscripts.len() != b.subscripts.len() {
+pub fn constant_compare(pair: RefPair<'_>) -> Option<bool> {
+    let rows = &pair.set.rows;
+    if pair.a.rank() != pair.b.rank() {
         return None;
     }
-    for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
-        let (ea, eb) = (sa.as_affine()?, sb.as_affine()?);
-        if !ea.is_constant() || !eb.is_constant() {
+    let mut all_equal = true;
+    for (ra, rb) in rows.subscripts(pair.a).zip(rows.subscripts(pair.b)) {
+        let (ra, rb) = (ra?, rb?);
+        if !ra.is_constant() || !rb.is_constant() {
             return None;
         }
-        if ea.constant_part() != eb.constant_part() {
-            all_equal = false;
-        }
+        all_equal &= ra.constant() == rb.constant();
     }
     Some(all_equal)
 }
 
-/// How one reference's variables map to problem columns.
+/// How one reference's loop levels map to problem columns.
+#[derive(Clone, Copy)]
 struct Side<'a> {
-    loops: &'a [LoopInfo],
+    access: &'a Access,
     /// Column of the first common loop.
     common_at: usize,
     /// Column of the first loop below the common nest.
@@ -164,51 +224,257 @@ struct Side<'a> {
 }
 
 impl Side<'_> {
-    /// The column of loop variable `v`, the innermost loop of that name
-    /// shadowing the outer ones.
-    fn loop_column(&self, v: Sym) -> Option<usize> {
-        let k = self.loops.iter().rposition(|l| l.var == v)?;
-        Some(if k < self.common {
-            self.common_at + k
+    fn column(&self, level: usize) -> usize {
+        if level < self.common {
+            self.common_at + level
         } else {
-            self.extra_at + (k - self.common)
-        })
+            self.extra_at + (level - self.common)
+        }
     }
 }
 
-/// The symbolic constants of one problem, in column order (by name).
-struct Symbolics {
-    syms: Vec<Sym>,
-    /// Column of the first symbolic.
+/// One pair's dependence system, written densely from its rows into
+/// buffers that are reused from pair to pair: the equality and bound
+/// rows of the pair's [`DependenceProblem`], in the same column order,
+/// each [`width`](Self::width) wide with the right-hand side last.
+/// Classification and the memo keys read it; a problem is built from it
+/// only for a pair that solves.
+#[derive(Debug, Clone, Default)]
+pub struct PairSystem {
+    layout: Layout,
+    /// The pair's symbolics as indexes into [`Rows::symbolics`](dda_ir::Rows::symbolics),
+    /// ascending, which is name order.
+    symbolics: Vec<usize>,
+    eqs: Vec<i64>,
+    bounds: Vec<i64>,
+}
+
+impl PairSystem {
+    /// Writes the system of `pair`, replacing the one held. With
+    /// `allow_symbolics` off (the Section 8 ablation), a symbolic term in
+    /// any subscript or bound of either side is
+    /// [`BuildError::SymbolicDisabled`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BuildError`] when the pair cannot be expressed in the
+    /// paper's model, including an equality or bound row that overflows
+    /// `i64`; the caller assumes dependence.
+    pub fn lower(&mut self, pair: RefPair<'_>, allow_symbolics: bool) -> Result<(), BuildError> {
+        let RefPair { a, b, common, set } = pair;
+        let rows = &set.rows;
+        if a.rank() != b.rank() {
+            return Err(BuildError::DimensionMismatch);
+        }
+        // The symbolics used anywhere in either side.
+        self.symbolics.clear();
+        for acc in [a, b] {
+            for row in rows.subscripts(acc) {
+                note_symbolics(&mut self.symbolics, row.ok_or(BuildError::NonAffine)?);
+            }
+            for l in acc.loops.iter() {
+                for id in [l.lower, l.upper] {
+                    if let Some(row) = rows.get(id) {
+                        note_symbolics(&mut self.symbolics, row);
+                    }
+                }
+            }
+        }
+        if !allow_symbolics && !self.symbolics.is_empty() {
+            return Err(BuildError::SymbolicDisabled);
+        }
+
+        let extra_a = a.loops.len() - common;
+        self.layout = Layout {
+            common,
+            extra_a,
+            extra_b: b.loops.len() - common,
+            symbolics: self.symbolics.len(),
+        };
+        let width = self.width();
+        let side_a = Side {
+            access: a,
+            common_at: 0,
+            extra_at: 2 * common,
+            common,
+        };
+        let side_b = Side {
+            access: b,
+            common_at: common,
+            extra_at: 2 * common + extra_a,
+            common,
+        };
+
+        // Equalities: f_d(i) − f′_d(i′) = 0 per dimension.
+        let symbolics = Symbolics {
+            syms: &self.symbolics,
+            at: 2 * common + extra_a + self.layout.extra_b,
+        };
+        self.eqs.clear();
+        self.eqs.resize(a.rank() * width, 0);
+        for (d, (ra, rb)) in rows.subscripts(a).zip(rows.subscripts(b)).enumerate() {
+            let (ra, rb) = (
+                ra.ok_or(BuildError::NonAffine)?,
+                rb.ok_or(BuildError::NonAffine)?,
+            );
+            let out = &mut self.eqs[d * width..(d + 1) * width];
+            add_row(out, ra, side_a, &symbolics, false)?;
+            add_row(out, rb, side_b, &symbolics, true)?;
+            out[width - 1] = checked(rb.constant().checked_sub(ra.constant()))?;
+        }
+
+        // Bounds: L ≤ i and i ≤ U for every loop instance on each side.
+        // A loop's bound rows use only the levels outside it, so its own
+        // column starts at zero.
+        self.bounds.clear();
+        for side in [side_a, side_b] {
+            for (k, l) in side.access.loops.iter().enumerate() {
+                let column = side.column(k);
+                if let Some(lo) = rows.get(l.lower) {
+                    // L(x) ≤ i  ⇔  L_coeffs·x − i ≤ −L_const
+                    let at = self.bounds.len();
+                    self.bounds.resize(at + width, 0);
+                    let out = &mut self.bounds[at..];
+                    add_row(out, lo, side, &symbolics, false)?;
+                    out[column] = checked(out[column].checked_sub(1))?;
+                    out[width - 1] = checked(lo.constant().checked_neg())?;
+                }
+                if let Some(up) = rows.get(l.upper) {
+                    // i ≤ U(x)  ⇔  i − U_coeffs·x ≤ U_const
+                    let at = self.bounds.len();
+                    self.bounds.resize(at + width, 0);
+                    let out = &mut self.bounds[at..];
+                    add_row(out, up, side, &symbolics, true)?;
+                    out[column] = checked(out[column].checked_add(1))?;
+                    out[width - 1] = up.constant();
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Width of one row: a coefficient per problem variable, then the
+    /// right-hand side.
+    #[must_use]
+    pub fn width(&self) -> usize {
+        self.layout.num_vars() + 1
+    }
+
+    /// The problem this system writes out, with the symbolics of `set`
+    /// (the pair's set) named.
+    #[must_use]
+    pub fn to_problem(&self, set: &AccessSet) -> DependenceProblem {
+        let Layout {
+            common,
+            extra_a,
+            extra_b,
+            ..
+        } = self.layout;
+        let mut vars = Vec::with_capacity(self.layout.num_vars());
+        vars.extend((0..common).map(XVar::CommonA));
+        vars.extend((0..common).map(XVar::CommonB));
+        vars.extend((0..extra_a).map(XVar::ExtraA));
+        vars.extend((0..extra_b).map(XVar::ExtraB));
+        vars.extend(self.symbolics.iter().map(|&s| {
+            let sym = set.rows.symbolics()[s];
+            XVar::Symbolic(Arc::clone(set.symbols.shared_name(sym)))
+        }));
+        let n = self.layout.num_vars();
+        DependenceProblem {
+            vars,
+            eq_coeffs: self
+                .eqs
+                .chunks_exact(n + 1)
+                .map(|r| r[..n].to_vec())
+                .collect(),
+            eq_rhs: self.eqs.chunks_exact(n + 1).map(|r| r[n]).collect(),
+            bounds: self
+                .bounds
+                .chunks_exact(n + 1)
+                .map(|r| Constraint::new(r[..n].iter().copied().collect::<CoeffVec>(), r[n]))
+                .collect(),
+            num_common: common,
+        }
+    }
+}
+
+/// The symbolic columns of a pair: its symbolics (indexes into
+/// [`Rows::symbolics`](dda_ir::Rows::symbolics), ascending) from column `at` on.
+struct Symbolics<'a> {
+    syms: &'a [usize],
     at: usize,
 }
 
-/// Maps an affine expression over one side's loop variables into problem
-/// coordinates. Returns the coefficient row, inline for the dominant
-/// small systems, and the constant part.
-fn map_expr(
-    expr: &AffineExpr,
-    side: &Side<'_>,
-    symbolics: &Symbolics,
-    num_vars: usize,
-) -> Result<(CoeffVec, i64), BuildError> {
-    let mut row = CoeffVec::from_elem(0, num_vars);
-    for (v, coeff) in expr.iter_terms() {
-        let idx = side
-            .loop_column(v)
-            .or_else(|| {
-                let k = symbolics.syms.iter().position(|&s| s == v)?;
-                Some(symbolics.at + k)
-            })
-            .ok_or(BuildError::NonAffine)?;
-        row[idx] += coeff;
-    }
-    Ok((row, expr.constant_part()))
+fn checked(v: Option<i64>) -> Result<i64, BuildError> {
+    v.ok_or(BuildError::Overflow)
 }
 
-/// Builds the dependence problem for accesses `a` and `b` sharing
-/// `common` enclosing loops. `symbols` is the table of the program the
-/// accesses come from; it orders the symbolic constants by name.
+/// Adds (or with `negate`, subtracts) `row`'s terms, as `side` sees
+/// them, into `out`.
+fn add_row(
+    out: &mut [i64],
+    row: Row<'_>,
+    side: Side<'_>,
+    symbolics: &Symbolics<'_>,
+    negate: bool,
+) -> Result<(), BuildError> {
+    let add = |x: &mut i64, c: i64| -> Result<(), BuildError> {
+        *x = checked(if negate {
+            x.checked_sub(c)
+        } else {
+            x.checked_add(c)
+        })?;
+        Ok(())
+    };
+    for (k, &c) in row.levels().iter().enumerate() {
+        if c != 0 {
+            add(&mut out[side.column(k)], c)?;
+        }
+    }
+    for (s, c) in row.symbolic_terms() {
+        // Every symbolic of the pair was noted, so the search finds it.
+        let j = symbolics.syms.binary_search(&s).unwrap_or(0);
+        add(&mut out[symbolics.at + j], c)?;
+    }
+    Ok(())
+}
+
+/// Adds the symbolics `row` uses to the ascending set `syms`.
+fn note_symbolics(syms: &mut Vec<usize>, row: Row<'_>) {
+    for (s, _) in row.symbolic_terms() {
+        if let Err(at) = syms.binary_search(&s) {
+            syms.insert(at, s);
+        }
+    }
+}
+
+impl KeyRows for PairSystem {
+    fn layout(&self) -> Layout {
+        self.layout
+    }
+
+    fn num_equations(&self) -> usize {
+        self.eqs.len() / self.width()
+    }
+
+    fn equation(&self, i: usize) -> (&[i64], i64) {
+        let w = self.width();
+        let r = &self.eqs[i * w..(i + 1) * w];
+        (&r[..w - 1], r[w - 1])
+    }
+
+    fn num_bounds(&self) -> usize {
+        self.bounds.len() / self.width()
+    }
+
+    fn bound(&self, i: usize) -> (&[i64], i64) {
+        let w = self.width();
+        let r = &self.bounds[i * w..(i + 1) * w];
+        (&r[..w - 1], r[w - 1])
+    }
+}
+
+/// Builds the dependence problem for `pair` from its rows.
 ///
 /// `allow_symbolics` gates Section 8 support: when `false`, any
 /// loop-invariant unknown in a subscript or bound yields
@@ -219,120 +485,12 @@ fn map_expr(
 /// Returns a [`BuildError`] when the pair cannot be expressed in the
 /// paper's model; the caller assumes dependence.
 pub fn build_problem(
-    symbols: &SymbolTable,
-    a: &Access,
-    b: &Access,
-    common: usize,
+    pair: RefPair<'_>,
     allow_symbolics: bool,
 ) -> Result<DependenceProblem, BuildError> {
-    if a.subscripts.len() != b.subscripts.len() {
-        return Err(BuildError::DimensionMismatch);
-    }
-
-    // Collect the symbolics used anywhere in either side.
-    let mut syms: Vec<Sym> = Vec::new();
-    for acc in [a, b] {
-        let mut note = |e: &AffineExpr| {
-            for v in e.vars() {
-                if !acc.loops.iter().any(|l| l.var == v) && !syms.contains(&v) {
-                    syms.push(v);
-                }
-            }
-        };
-        for s in &acc.subscripts {
-            match s {
-                Subscript::Affine(e) => note(e),
-                Subscript::NonAffine => return Err(BuildError::NonAffine),
-            }
-        }
-        for l in acc.loops.iter() {
-            for bnd in [&l.lower, &l.upper] {
-                if let Bound::Affine(e) = bnd {
-                    note(e);
-                }
-            }
-        }
-    }
-    if !allow_symbolics && !syms.is_empty() {
-        return Err(BuildError::SymbolicDisabled);
-    }
-    // Column order must not depend on first appearance: it reaches the
-    // memo key.
-    syms.sort_by(|&x, &y| symbols.name(x).cmp(symbols.name(y)));
-
-    // Structural variable order.
-    let extra_a = a.loops.len() - common;
-    let extra_b = b.loops.len() - common;
-    let mut vars = Vec::with_capacity(2 * common + extra_a + extra_b + syms.len());
-    vars.extend((0..common).map(XVar::CommonA));
-    vars.extend((0..common).map(XVar::CommonB));
-    vars.extend((0..extra_a).map(XVar::ExtraA));
-    vars.extend((0..extra_b).map(XVar::ExtraB));
-    vars.extend(
-        syms.iter()
-            .map(|&s| XVar::Symbolic(Arc::clone(symbols.shared_name(s)))),
-    );
-    let num_vars = vars.len();
-
-    let side_a = Side {
-        loops: &a.loops,
-        common_at: 0,
-        extra_at: 2 * common,
-        common,
-    };
-    let side_b = Side {
-        loops: &b.loops,
-        common_at: common,
-        extra_at: 2 * common + extra_a,
-        common,
-    };
-    let symbolics = Symbolics {
-        syms,
-        at: 2 * common + extra_a + extra_b,
-    };
-
-    // Equalities: f_d(i) − f′_d(i′) = 0 per dimension.
-    let mut eq_coeffs = Vec::with_capacity(a.subscripts.len());
-    let mut eq_rhs = Vec::with_capacity(a.subscripts.len());
-    for (sa, sb) in a.subscripts.iter().zip(&b.subscripts) {
-        let ea = sa.as_affine().ok_or(BuildError::NonAffine)?;
-        let eb = sb.as_affine().ok_or(BuildError::NonAffine)?;
-        let (row_a, ca) = map_expr(ea, &side_a, &symbolics, num_vars)?;
-        let (row_b, cb) = map_expr(eb, &side_b, &symbolics, num_vars)?;
-        eq_coeffs.push(row_a.iter().zip(&row_b).map(|(x, y)| x - y).collect());
-        eq_rhs.push(cb - ca);
-    }
-
-    // Bounds: L ≤ i and i ≤ U for every loop instance on each side.
-    let mut bounds = Vec::with_capacity(2 * (a.loops.len() + b.loops.len()));
-    for side in [&side_a, &side_b] {
-        for l in side.loops {
-            let var_idx = side.loop_column(l.var).ok_or(BuildError::NonAffine)?;
-            if let Bound::Affine(lo) = &l.lower {
-                // L(x) ≤ i  ⇔  L_coeffs·x − i ≤ −L_const
-                let (mut row, c) = map_expr(lo, side, &symbolics, num_vars)?;
-                row[var_idx] -= 1;
-                bounds.push(Constraint::new(row, -c));
-            }
-            if let Bound::Affine(up) = &l.upper {
-                // i ≤ U(x)  ⇔  i − U_coeffs·x ≤ U_const
-                let (mut row, c) = map_expr(up, side, &symbolics, num_vars)?;
-                for v in &mut row {
-                    *v = -*v;
-                }
-                row[var_idx] += 1;
-                bounds.push(Constraint::new(row, c));
-            }
-        }
-    }
-
-    Ok(DependenceProblem {
-        vars,
-        eq_coeffs,
-        eq_rhs,
-        bounds,
-        num_common: common,
-    })
+    let mut system = PairSystem::default();
+    system.lower(pair, allow_symbolics)?;
+    Ok(system.to_problem(pair.set))
 }
 
 #[cfg(test)]
@@ -345,7 +503,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1, "expected exactly one pair");
-        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(pairs[0], true).unwrap()
     }
 
     #[test]
@@ -413,7 +571,7 @@ mod tests {
         let prog = parse_program(src).unwrap();
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
-        let err = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, false);
+        let err = build_problem(pairs[0], false);
         assert_eq!(err.unwrap_err(), BuildError::SymbolicDisabled);
     }
 
@@ -423,10 +581,9 @@ mod tests {
         let prog = parse_program(src).unwrap();
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
-        let err = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, false);
+        let err = build_problem(pairs[0], false);
         assert_eq!(err.unwrap_err(), BuildError::SymbolicDisabled);
-        let ok =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let ok = build_problem(pairs[0], true).unwrap();
         assert!(ok.has_symbolics());
     }
 
@@ -452,12 +609,12 @@ mod tests {
         let named = |name: &str| set.symbols.get(name).unwrap();
         let pa = pairs.iter().find(|p| p.a.array == named("a")).unwrap();
         let pb = pairs.iter().find(|p| p.a.array == named("b")).unwrap();
-        assert_eq!(constant_compare(pa.a, pa.b), Some(false));
-        assert_eq!(constant_compare(pb.a, pb.b), Some(true));
+        assert_eq!(constant_compare(*pa), Some(false));
+        assert_eq!(constant_compare(*pb), Some(true));
         let prog2 = parse_program("for i = 1 to 10 { c[i] = c[3]; }").unwrap();
         let set2 = extract_accesses(&prog2);
         let pairs2 = reference_pairs(&set2, false);
-        assert_eq!(constant_compare(pairs2[0].a, pairs2[0].b), None);
+        assert_eq!(constant_compare(pairs2[0]), None);
     }
 
     #[test]
@@ -467,7 +624,7 @@ mod tests {
         let set = extract_accesses(&prog);
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
-        let p = build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let p = build_problem(pairs[0], true).unwrap();
         assert_eq!(p.num_common, 0);
         assert_eq!(p.num_vars(), 2); // one ExtraA, one ExtraB
         assert_eq!(p.vars[0], XVar::ExtraA(0));

@@ -15,6 +15,7 @@
 
 use dda_ir::RefPair;
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,22 +23,21 @@ use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, PairReport};
 use crate::cascade::CascadeOutcome;
 use crate::certificate::Certificate;
 use crate::direction::{analyze_directions, DirectionAnalysis, DirectionConfig};
-use crate::gcd::{
-    expand_lattice, reduce_with_lattice, refute_equalities, solve_equalities,
-    solve_equalities_restricted, witness_for_problem, EqOutcome, Lattice,
-};
-use crate::memo::{bounds_key, mirror_bounds_key, nobounds_key, CanonicalKey, NoBoundsKey};
+use crate::gcd::{reduce_with_lattice, EqOutcome, Lattice};
+use crate::memo::{write_full_key, CanonicalKey, KeyRows, MemoKey};
 use crate::pipeline::{
     run_pipeline_collect, ClassifiedKind, GcdVerdict, NullProbe, Probe, TraceEvent,
 };
-use crate::problem::{build_problem, constant_compare, DependenceProblem};
+use crate::problem::{build_problem, constant_compare, DependenceProblem, PairSystem};
 use crate::result::{
-    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, ResolvedBy, TestKind,
+    Answer, DependenceResult, Direction, DirectionVector, DistanceVector, LevelVec, ResolvedBy,
+    TestKind,
 };
 use crate::stats::{AnalysisStats, TestCounts};
 use crate::symmetry;
 
-/// How a pair classifies before any dependence testing.
+/// How a pair classifies before any dependence testing, with the
+/// problem built: the form `--explain` narrates.
 #[derive(Debug, Clone)]
 pub enum Classified {
     /// All subscripts constant: the verdict is a comparison.
@@ -45,34 +45,87 @@ pub enum Classified {
         /// Whether the constant subscripts coincide (dependent).
         dependent: bool,
     },
-    /// The integer system could not be built (non-affine subscript, or a
-    /// symbolic term with symbolic support off): dependence is assumed.
+    /// The integer system could not be built (non-affine subscript, a
+    /// symbolic term with symbolic support off, or a row overflowing
+    /// `i64`): dependence is assumed.
     Unbuildable,
     /// A well-formed integer dependence problem, ready for testing.
-    Problem(Box<DependenceProblem>),
-}
-
-impl Classified {
-    /// The problem, when one was built.
-    #[must_use]
-    pub fn problem(&self) -> Option<&DependenceProblem> {
-        match self {
-            Classified::Problem(p) => Some(p),
-            _ => None,
-        }
-    }
+    Problem(DependenceProblem),
 }
 
 /// Classifies one pair: constant short-circuit, then system construction.
 #[must_use]
 pub fn classify_pair(pair: RefPair<'_>, symbolic: bool) -> Classified {
-    if let Some(dependent) = constant_compare(pair.a, pair.b) {
+    if let Some(dependent) = constant_compare(pair) {
         return Classified::Constant { dependent };
     }
-    match build_problem(pair.symbols, pair.a, pair.b, pair.common, symbolic) {
-        Ok(p) => Classified::Problem(Box::new(p)),
+    match build_problem(pair, symbolic) {
+        Ok(p) => Classified::Problem(p),
         Err(_) => Classified::Unbuildable,
     }
+}
+
+/// How the wave plan classifies a pair, read from its rows: the size of
+/// its system instead of the system itself, which the plan writes from
+/// the rows again wherever it needs it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Class {
+    /// All subscripts constant.
+    Constant {
+        /// Whether the constant subscripts coincide (dependent).
+        dependent: bool,
+    },
+    /// No integer system (see [`Classified::Unbuildable`]).
+    Unbuildable,
+    /// A well-formed system of `vars` variables, `equations` equalities
+    /// and `bounds` bound rows.
+    System {
+        vars: u32,
+        equations: u32,
+        bounds: u32,
+    },
+}
+
+thread_local! {
+    /// Each thread's reused system buffers.
+    static SCRATCH: RefCell<PairSystem> = RefCell::new(PairSystem::default());
+}
+
+/// Runs `f` on `pair`'s system, written into this thread's reused
+/// buffers; `None` when the system cannot be built. `f` must not call
+/// back into this function.
+pub(crate) fn with_system<R>(
+    pair: RefPair<'_>,
+    symbolic: bool,
+    f: impl FnOnce(&PairSystem) -> R,
+) -> Option<R> {
+    SCRATCH.with(|scratch| {
+        let mut system = scratch.borrow_mut();
+        system.lower(pair, symbolic).ok()?;
+        Some(f(&system))
+    })
+}
+
+/// Classifies one pair from its rows, handing a buildable pair's system
+/// to `keyed` (which writes its memo key).
+pub(crate) fn classify_rows(
+    pair: RefPair<'_>,
+    symbolic: bool,
+    keyed: impl FnOnce(&PairSystem),
+) -> Class {
+    if let Some(dependent) = constant_compare(pair) {
+        return Class::Constant { dependent };
+    }
+    let class = with_system(pair, symbolic, |system| {
+        keyed(system);
+        let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        Class::System {
+            vars: count(system.layout().num_vars()),
+            equations: count(system.num_equations()),
+            bounds: count(system.num_bounds()),
+        }
+    });
+    class.unwrap_or(Class::Unbuildable)
 }
 
 /// The blank report every step fills in: identity fields set, verdict
@@ -155,51 +208,6 @@ pub fn gcd_independent_report(
     template
 }
 
-/// The no-bounds (GCD) memo key for a problem, or `None` when
-/// memoization is off.
-#[must_use]
-pub fn gcd_key(config: &AnalyzerConfig, problem: &DependenceProblem) -> Option<NoBoundsKey> {
-    (config.memo != MemoMode::Off).then(|| nobounds_key(problem, config.memo == MemoMode::Improved))
-}
-
-/// Runs the extended GCD test. With a memo key it solves the canonical
-/// system over the key's kept variables (the form the memo stores);
-/// without one it solves the problem as built.
-#[must_use]
-pub fn solve_gcd(problem: &DependenceProblem, key: Option<&NoBoundsKey>) -> Option<EqOutcome> {
-    match key {
-        Some(nk) => solve_equalities_restricted(&problem.eq_coeffs, &problem.eq_rhs, &nk.kept_vars),
-        None => solve_equalities(problem),
-    }
-}
-
-/// Maps a [`solve_gcd`] outcome for `key` back onto `problem`: lattices
-/// expand to every problem variable, and refutation witnesses (kept in
-/// canonical row order) are reordered onto the problem's rows — an arity
-/// mismatch degrades to `None`, and the caller refactorizes. Keyless
-/// outcomes are already in problem space. The outcome is borrowed, so a
-/// memoized one is read in place, never cloned first.
-#[must_use]
-pub fn expand_gcd(
-    problem: &DependenceProblem,
-    key: Option<&NoBoundsKey>,
-    outcome: Option<&EqOutcome>,
-) -> Option<EqOutcome> {
-    let Some(nk) = key else {
-        return outcome.cloned();
-    };
-    outcome.map(|eq| match eq {
-        EqOutcome::Independent { refutation } => EqOutcome::Independent {
-            refutation: refutation
-                .as_ref()
-                .and_then(|w| witness_for_problem(problem, &nk.kept_vars, w)),
-        },
-        EqOutcome::Lattice(l) => {
-            EqOutcome::Lattice(expand_lattice(l, &nk.kept_vars, problem.num_vars()))
-        }
-    })
-}
-
 /// The telemetry verdict of one extended-GCD outcome (`None` is an
 /// overflowed solve).
 #[must_use]
@@ -214,10 +222,8 @@ pub fn gcd_verdict(outcome: Option<&EqOutcome>) -> GcdVerdict {
 /// The full-result memo key for a problem, or `None` when memoization is
 /// off. With symmetric canonicalization enabled, a pair and its mirror
 /// share the lexicographically smaller key; the returned flag records
-/// whether *this* problem is the mirror of what the table stores. The
-/// mirror's key is written straight from the column permutation (see
-/// [`symmetry::mirror_columns`]); a pair and its mirror keep the same
-/// levels.
+/// whether *this* problem is the mirror of what the table stores (see
+/// [`write_full_key`]). A pair and its mirror keep the same levels.
 #[must_use]
 pub fn full_key(
     config: &AnalyzerConfig,
@@ -226,21 +232,19 @@ pub fn full_key(
     if config.memo == MemoMode::Off {
         return None;
     }
-    let improved = config.memo == MemoMode::Improved;
-    let own = bounds_key(problem, improved);
-    if config.memo_symmetry {
-        // A mirror that overflows to build just skips canonicalization.
-        let mirror = symmetry::mirror_columns(problem)
-            .and_then(|columns| mirror_bounds_key(problem, &columns, improved));
-        if let Some(mirror) = mirror.filter(|m| *m < own.key) {
-            let ck = CanonicalKey {
-                key: mirror,
-                kept_levels: own.kept_levels,
-            };
-            return Some((ck, true));
-        }
-    }
-    Some((own, false))
+    let (mut key, mut spare) = (Vec::new(), Vec::new());
+    let (kept_levels, flipped) = write_full_key(
+        problem,
+        config.memo == MemoMode::Improved,
+        config.memo_symmetry,
+        &mut key,
+        &mut spare,
+    );
+    let ck = CanonicalKey {
+        key: MemoKey::from_vec(key),
+        kept_levels,
+    };
+    Some((ck, flipped))
 }
 
 /// A direction as the stored (`flipped`: mirrored) orientation has it.
@@ -334,6 +338,17 @@ pub fn rehydrate_hit(
     cached: &CachedOutcome,
     ck: &CanonicalKey,
     flipped: bool,
+    template: PairReport,
+) -> PairReport {
+    rehydrate(memo, cached, &ck.kept_levels, flipped, template)
+}
+
+/// [`rehydrate_hit`] under a key that kept `kept_levels`.
+fn rehydrate(
+    memo: MemoMode,
+    cached: &CachedOutcome,
+    kept_levels: &[usize],
+    flipped: bool,
     mut template: PairReport,
 ) -> PairReport {
     let common = template.distance.0.len();
@@ -346,8 +361,8 @@ pub fn rehydrate_hit(
         cached.witness.clone()
     };
     template.direction_vectors =
-        expand_vectors(&cached.direction_vectors, &ck.kept_levels, common, flipped);
-    template.distance = expand_distance(&cached.distance, &ck.kept_levels, common, flipped);
+        expand_vectors(&cached.direction_vectors, kept_levels, common, flipped);
+    template.distance = expand_distance(&cached.distance, kept_levels, common, flipped);
     template.from_cache = true;
     // Certificates speak about one concrete problem. Only a Simple-mode,
     // unflipped hit is guaranteed to be the same problem (same equations,
@@ -368,6 +383,15 @@ pub fn rehydrate_hit(
 /// report: restricted to canonical space, mirrored when the key was.
 #[must_use]
 pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) -> CachedOutcome {
+    outcome_in_key_space(report, &ck.kept_levels, flipped)
+}
+
+/// [`canonical_outcome`] under a key that kept `kept_levels`.
+pub(crate) fn outcome_in_key_space(
+    report: &PairReport,
+    kept_levels: &[usize],
+    flipped: bool,
+) -> CachedOutcome {
     CachedOutcome {
         result: report.result.clone(),
         witness: if flipped {
@@ -375,8 +399,8 @@ pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) 
         } else {
             report.witness.clone()
         },
-        direction_vectors: restrict_vectors(&report.direction_vectors, &ck.kept_levels, flipped),
-        distance: restrict_distance(&report.distance, &ck.kept_levels, flipped),
+        direction_vectors: restrict_vectors(&report.direction_vectors, kept_levels, flipped),
+        distance: restrict_distance(&report.distance, kept_levels, flipped),
         certificate: if flipped {
             // The stored verdict describes the mirror problem; this
             // pair's evidence does not.
@@ -597,13 +621,24 @@ impl MemoUse {
     }
 }
 
+/// What the extended GCD said about one pair's equalities.
+#[derive(Debug)]
+pub(crate) enum GcdOutcome {
+    /// The solve overflowed: dependence is assumed.
+    Overflow,
+    /// No integer solution, with the divisibility witness over the
+    /// pair's own rows (see [`gcd_independent_report`]).
+    Independent(Option<(Vec<i64>, i64)>),
+    /// The solutions form a lattice: the pair goes on to the full wave.
+    Lattice,
+}
+
 /// One pair's extended-GCD answer, as the GCD wave hands it to
 /// [`resolve_pair`].
 #[derive(Debug)]
 pub(crate) struct GcdAnswer {
-    /// The outcome expanded onto the pair's problem (see [`expand_gcd`]);
-    /// `None` is an overflowed solve.
-    pub(crate) outcome: Option<EqOutcome>,
+    /// The outcome, over the pair's own rows.
+    pub(crate) outcome: GcdOutcome,
     /// How the memo served it.
     pub(crate) used: MemoUse,
     /// Wall time of the solve this pair ran; 0 when it ran none.
@@ -623,18 +658,14 @@ pub(crate) enum FullAnswer {
     /// Computed by this pair: an elected leader, or a pair without a key.
     Computed(Box<Computed>, MemoUse),
     /// Served from a memo entry (a warm one, or a leader's fresh insert)
-    /// under the pair's key, mirrored or not, and rehydrated onto the
-    /// pair's template.
-    Cached(Arc<CachedOutcome>, CanonicalKey, bool, MemoUse),
+    /// under the pair's key, which kept these levels, mirrored or not,
+    /// and rehydrated onto the pair's template.
+    Cached(Arc<CachedOutcome>, LevelVec<usize>, bool, MemoUse),
 }
 
-/// What [`resolve_pair`] produced for one pair.
-#[derive(Debug)]
+/// How [`resolve_pair`] resolved one pair.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Resolution {
-    /// The pair's report.
-    pub(crate) report: PairReport,
-    /// The pair's statistics delta.
-    pub(crate) stats: AnalysisStats,
     /// The verdict came straight from a warm memo entry (the incremental
     /// fast path); otherwise the pair was resolved in this run.
     pub(crate) spliced: bool,
@@ -645,18 +676,22 @@ pub(crate) struct Resolution {
 
 /// Analyzes one classified pair from the waves' answers, reporting every
 /// step to `probe`: every statistics counter of the pair is decided
-/// here. `gcd` and `full` are `None` where the pair never reached the
-/// wave, or where a deadline cancelled the computation it needed.
+/// here, and added to `stats`, and its report is pushed onto `reports`.
+/// `gcd` and `full` are `None` where the pair never reached the wave, or
+/// where a deadline cancelled the computation it needed.
 ///
 /// A cancelled pair comes back as the conservative template, counted as
 /// assumed, with none of the memo accounting a completed visit would do.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve_pair<P: Probe>(
     config: &AnalyzerConfig,
     pair: RefPair<'_>,
-    classified: &Classified,
+    class: Class,
     gcd: Option<GcdAnswer>,
     full: Option<FullAnswer>,
     probe: &mut P,
+    stats: &mut AnalysisStats,
+    reports: &mut Vec<PairReport>,
 ) -> Resolution {
     let common = pair.common;
     let template = pair_template(pair);
@@ -668,63 +703,56 @@ pub(crate) fn resolve_pair<P: Probe>(
             common,
         });
     }
-    let mut stats = AnalysisStats {
-        pairs: 1,
-        ..AnalysisStats::default()
-    };
+    stats.pairs += 1;
     let mut classified_as = |kind| {
         if P::ACTIVE {
             probe.record(TraceEvent::Classified { kind });
         }
     };
-    let (report, spliced, cancelled) = match classified {
+    let (report, spliced, cancelled) = match class {
         // Constant subscripts: no dependence testing at all.
-        Classified::Constant { dependent } => {
+        Class::Constant { dependent } => {
             stats.constant += 1;
-            classified_as(ClassifiedKind::Constant {
-                dependent: *dependent,
-            });
-            let report = constant_report(template, *dependent, config.compute_directions);
+            classified_as(ClassifiedKind::Constant { dependent });
+            let report = constant_report(template, dependent, config.compute_directions);
             (report, false, false)
         }
-        Classified::Unbuildable => {
+        Class::Unbuildable => {
             stats.assumed += 1;
             classified_as(ClassifiedKind::Unbuildable);
             let report = assumed_report(template, config.compute_directions);
             (report, false, false)
         }
-        Classified::Problem(problem) => {
+        Class::System {
+            vars,
+            equations,
+            bounds,
+        } => {
             classified_as(ClassifiedKind::Problem {
-                vars: problem.num_vars(),
-                equations: problem.eq_coeffs.len(),
-                bounds: problem.bounds.len(),
+                vars: vars as usize,
+                equations: equations as usize,
+                bounds: bounds as usize,
             });
-            match resolve_problem(config, problem, template, gcd, full, probe, &mut stats) {
+            let before = *stats;
+            match resolve_problem(config, template, gcd, full, probe, stats) {
                 Some((report, spliced)) => (report, spliced, false),
                 None => {
-                    stats = AnalysisStats {
-                        pairs: 1,
-                        assumed: 1,
-                        ..AnalysisStats::default()
-                    };
+                    *stats = before;
+                    stats.assumed += 1;
                     (pair_template(pair), false, true)
                 }
             }
         }
     };
-    note_outcome(&mut stats, &report);
+    note_outcome(stats, &report);
     if P::ACTIVE {
         probe.record(TraceEvent::PairFinished {
             result: report.result.clone(),
             from_cache: report.from_cache,
         });
     }
-    Resolution {
-        report,
-        stats,
-        spliced,
-        cancelled,
-    }
+    reports.push(report);
+    Resolution { spliced, cancelled }
 }
 
 /// The memoized part of [`resolve_pair`]: the extended GCD through the
@@ -734,7 +762,6 @@ pub(crate) fn resolve_pair<P: Probe>(
 /// whether it was spliced, or `None` when cancelled.
 fn resolve_problem<P: Probe>(
     config: &AnalyzerConfig,
-    problem: &DependenceProblem,
     template: PairReport,
     gcd: Option<GcdAnswer>,
     full: Option<FullAnswer>,
@@ -748,26 +775,28 @@ fn resolve_problem<P: Probe>(
     } = gcd?;
     used.count(&mut stats.gcd_memo_queries, &mut stats.gcd_memo_hits);
     if P::ACTIVE {
+        let verdict = match outcome {
+            GcdOutcome::Overflow => GcdVerdict::Overflow,
+            GcdOutcome::Independent(_) => GcdVerdict::Independent,
+            GcdOutcome::Lattice => GcdVerdict::Lattice,
+        };
         probe.record(TraceEvent::Gcd {
-            verdict: gcd_verdict(outcome.as_ref()),
+            verdict,
             cached: used.is_hit(),
             nanos,
         });
     }
     match outcome {
-        None => {
+        GcdOutcome::Overflow => {
             stats.assumed += 1;
             return Some((template, false)); // overflow: assume dependent
         }
-        Some(EqOutcome::Independent { refutation }) => {
+        GcdOutcome::Independent(refutation) => {
             stats.gcd_independent += 1;
-            // The witness rode along with the (possibly cached) outcome;
-            // refactorize only when none transferred.
-            let refutation = refutation.or_else(|| refute_equalities(problem));
             let report = gcd_independent_report(template, refutation);
             return Some((report, used == MemoUse::Warm));
         }
-        Some(EqOutcome::Lattice(_)) => {}
+        GcdOutcome::Lattice => {}
     }
 
     let (report, fx, full_use) = match full? {
@@ -778,8 +807,8 @@ fn resolve_problem<P: Probe>(
             }
             (report, fx, used)
         }
-        FullAnswer::Cached(outcome, key, flipped, used) => {
-            let report = rehydrate_hit(config.memo, &outcome, &key, flipped, template);
+        FullAnswer::Cached(outcome, kept_levels, flipped, used) => {
+            let report = rehydrate(config.memo, &outcome, &kept_levels, flipped, template);
             (report, ReduceEffects::default(), used)
         }
     };

@@ -11,41 +11,20 @@
 
 #![warn(clippy::arithmetic_side_effects)]
 
-use crate::memo::ColumnVec;
-use crate::problem::{DependenceProblem, XVar};
+use crate::memo::{ColumnVec, KeyRows};
+use crate::problem::DependenceProblem;
 use crate::result::{Direction, DistanceVector};
 
-/// The mirror's column permutation: `columns[i]` is the column of `p`
-/// whose variable sits at position `i` of the mirror problem (the pair
-/// with its references swapped).
-///
-/// Variables keep the structural order (common-A block first, then
-/// common-B, extras, symbolics), so the mirror maps `CommonA(k)` ↔
-/// `CommonB(k)` and `ExtraA(k)` ↔ `ExtraB(k)` and leaves symbolics in
-/// place. Its bounds are `p`'s with columns permuted, and its equality
-/// rows are `p`'s permuted and negated (`f_b − f_a = −(f_a − f_b)`).
-/// Memo keys are written from this permutation directly
-/// ([`mirror_bounds_key`](crate::memo::mirror_bounds_key)), so no mirror
-/// problem is ever built.
+/// The mirror's column permutation of `p`: `columns[i]` is the column of
+/// `p` whose variable sits at position `i` of the mirror problem (the
+/// pair with its references swapped); see
+/// [`Layout::mirror_columns`](crate::problem::Layout::mirror_columns).
 ///
 /// Returns `None` when the mirror is not well-defined (see
 /// [`swappable`]).
 #[must_use]
 pub fn mirror_columns(p: &DependenceProblem) -> Option<ColumnVec> {
-    if !swappable(p) {
-        return None;
-    }
-    p.vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| match v {
-            XVar::CommonA(k) => p.var_index(&XVar::CommonB(*k)),
-            XVar::CommonB(k) => p.var_index(&XVar::CommonA(*k)),
-            XVar::ExtraA(k) => p.var_index(&XVar::ExtraB(*k)),
-            XVar::ExtraB(k) => p.var_index(&XVar::ExtraA(*k)),
-            XVar::Symbolic(_) => Some(i),
-        })
-        .collect()
+    p.layout().mirror_columns()
 }
 
 /// Whether the mirror is well-defined: swapping the ExtraA/ExtraB blocks
@@ -53,17 +32,8 @@ pub fn mirror_columns(p: &DependenceProblem) -> Option<ColumnVec> {
 /// same number of non-common enclosing loops.
 #[must_use]
 pub fn swappable(p: &DependenceProblem) -> bool {
-    let extra_a = p
-        .vars
-        .iter()
-        .filter(|v| matches!(v, XVar::ExtraA(_)))
-        .count();
-    let extra_b = p
-        .vars
-        .iter()
-        .filter(|v| matches!(v, XVar::ExtraB(_)))
-        .count();
-    extra_a == extra_b
+    let layout = p.layout();
+    layout.extra_a == layout.extra_b
 }
 
 /// Reverses a direction (the mirror pair's `<` is the original's `>`).
@@ -103,7 +73,7 @@ mod tests {
         let p = parse_program(src).unwrap();
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
-        build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+        build_problem(pairs[0], true).unwrap()
     }
 
     #[test]
@@ -159,8 +129,7 @@ mod tests {
         let set = extract_accesses(&p);
         let pairs = reference_pairs(&set, false);
         // The (w1, w2) pair has one ExtraA level and two ExtraB levels.
-        let prob =
-            build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap();
+        let prob = build_problem(pairs[0], true).unwrap();
         assert!(!swappable(&prob));
     }
 }

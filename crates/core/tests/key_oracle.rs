@@ -7,16 +7,29 @@
 //! oracle: one vector per constraint row, sorted as a `Vec<Vec<i64>>`,
 //! and the mirror key read off a mirror problem that is actually built
 //! ([`swap_problem`]).
+//!
+//! The analysis driver writes a pair's keys from its program's rows,
+//! through a [`PairSystem`] and key buffers reused from pair to pair,
+//! and builds a problem only for a pair that solves. Over generated
+//! programs, those keys must equal the keys of the built problem byte
+//! for byte, and a pair must fail to lower exactly when it is
+//! unbuildable — checked against [`naive_problem`], a straightforward
+//! builder over the rows in `i128`, so an equality or bound row that
+//! overflows `i64` is caught independently of the checked arithmetic.
 
 use std::sync::Arc;
 
-use dda_core::memo::{bounds_key, nobounds_key, MemoKey};
-use dda_core::problem::{build_problem, DependenceProblem, XVar};
-use dda_core::steps::full_key;
+use std::collections::BTreeSet;
+
+use dda_core::memo::{
+    bounds_key, nobounds_columns, nobounds_key, write_full_key, write_nobounds_key, MemoKey,
+};
+use dda_core::problem::{build_problem, DependenceProblem, PairSystem, XVar};
+use dda_core::steps::{classify_pair, full_key, Classified};
 use dda_core::symmetry::swappable;
 use dda_core::system::Constraint;
 use dda_core::{AnalyzerConfig, MemoMode};
-use dda_ir::{extract_accesses, parse_program, reference_pairs};
+use dda_ir::{extract_accesses, parse_program, reference_pairs, RefPair, Row};
 use proptest::prelude::*;
 
 /// The mirror problem: reference roles swapped. Variables keep the
@@ -253,7 +266,7 @@ fn problem(src: &str) -> DependenceProblem {
     let p = parse_program(src).unwrap();
     let set = extract_accesses(&p);
     let pairs = reference_pairs(&set, false);
-    build_problem(&set.symbols, pairs[0].a, pairs[0].b, pairs[0].common, true).unwrap()
+    build_problem(pairs[0], true).unwrap()
 }
 
 #[test]
@@ -302,4 +315,266 @@ fn a_mirror_pair_is_served_flipped() {
     let (ck, flipped) = full_key(&symmetric(MemoMode::Improved), &p).unwrap();
     assert!(flipped);
     assert_eq!(ck, bounds_key(&mirror, true));
+}
+
+// ---------------------------------------------------------------------
+// Keys written from rows, over generated programs.
+// ---------------------------------------------------------------------
+
+/// The problem of `pair` built the plain way over its rows: every sum in
+/// `i128`, and `None` when a value does not fit in `i64` or the pair has
+/// no system (non-affine, ranks differ, symbolics while they are off).
+fn naive_problem(pair: RefPair<'_>, symbolic: bool) -> Option<DependenceProblem> {
+    let RefPair { a, b, common, set } = pair;
+    let rows = &set.rows;
+    if a.rank() != b.rank() {
+        return None;
+    }
+    let mut syms = BTreeSet::new();
+    for acc in [a, b] {
+        let bounds = acc.loops.iter().flat_map(|l| [l.lower, l.upper]);
+        for row in rows
+            .subscripts(acc)
+            .collect::<Option<Vec<Row<'_>>>>()?
+            .into_iter()
+            .chain(bounds.filter_map(|id| rows.get(id)))
+        {
+            syms.extend(row.symbolic_terms().map(|(s, _)| s));
+        }
+    }
+    if !symbolic && !syms.is_empty() {
+        return None;
+    }
+    let syms: Vec<usize> = syms.into_iter().collect();
+    let (extra_a, extra_b) = (a.loops.len() - common, b.loops.len() - common);
+    let n = 2 * common + extra_a + extra_b + syms.len();
+    let column = |second: bool, k: usize| match (second, k < common) {
+        (false, true) => k,
+        (true, true) => common + k,
+        (false, false) => 2 * common + k - common,
+        (true, false) => 2 * common + extra_a + k - common,
+    };
+    // `sign · row`, as the side (`second`) sees it, over all columns.
+    let terms = |row: Row<'_>, second: bool, sign: i128| -> Vec<i128> {
+        let mut out = vec![0i128; n];
+        for (k, &c) in row.levels().iter().enumerate() {
+            out[column(second, k)] += sign * i128::from(c);
+        }
+        for (s, c) in row.symbolic_terms() {
+            let j = syms.iter().position(|&x| x == s).expect("noted");
+            out[2 * common + extra_a + extra_b + j] += sign * i128::from(c);
+        }
+        out
+    };
+    let fit =
+        |v: &[i128]| -> Option<Vec<i64>> { v.iter().map(|&x| i64::try_from(x).ok()).collect() };
+    let (mut eq_coeffs, mut eq_rhs) = (Vec::new(), Vec::new());
+    for (ra, rb) in rows.subscripts(a).zip(rows.subscripts(b)) {
+        let (ra, rb) = (ra?, rb?);
+        let mut row = terms(ra, false, 1);
+        for (x, y) in row.iter_mut().zip(terms(rb, true, -1)) {
+            *x += y;
+        }
+        eq_coeffs.push(fit(&row)?);
+        eq_rhs.push(i64::try_from(i128::from(rb.constant()) - i128::from(ra.constant())).ok()?);
+    }
+    let mut bounds = Vec::new();
+    for (second, acc) in [(false, a), (true, b)] {
+        for (k, l) in acc.loops.iter().enumerate() {
+            if let Some(lo) = rows.get(l.lower) {
+                let mut row = terms(lo, second, 1);
+                row[column(second, k)] -= 1;
+                let rhs = i64::try_from(-i128::from(lo.constant())).ok()?;
+                bounds.push(Constraint::new(fit(&row)?, rhs));
+            }
+            if let Some(up) = rows.get(l.upper) {
+                let mut row = terms(up, second, -1);
+                row[column(second, k)] += 1;
+                bounds.push(Constraint::new(fit(&row)?, up.constant()));
+            }
+        }
+    }
+    let mut vars = Vec::with_capacity(n);
+    vars.extend((0..common).map(XVar::CommonA));
+    vars.extend((0..common).map(XVar::CommonB));
+    vars.extend((0..extra_a).map(XVar::ExtraA));
+    vars.extend((0..extra_b).map(XVar::ExtraB));
+    vars.extend(syms.iter().map(|&s| {
+        let sym = rows.symbolics()[s];
+        XVar::Symbolic(Arc::clone(set.symbols.shared_name(sym)))
+    }));
+    Some(DependenceProblem {
+        vars,
+        eq_coeffs,
+        eq_rhs,
+        bounds,
+        num_common: common,
+    })
+}
+
+/// A subscript coefficient: small, or one that overflows a row once
+/// two of them are subtracted.
+fn row_coeff() -> impl Strategy<Value = i64> {
+    proptest::sample::select(vec![
+        0,
+        0,
+        1,
+        1,
+        -1,
+        2,
+        3,
+        9_223_372_036_854_775_807,
+        -9_223_372_036_854_775_807,
+    ])
+}
+
+/// The names a generated expression may use: the symbolics `n` and `m`
+/// and the loop variables.
+const NAMES: [&str; 5] = ["n", "m", "i", "j", "k"];
+
+/// An affine expression: a coefficient per name of [`NAMES`] and a
+/// constant.
+type Terms = (Vec<i64>, i64);
+
+fn arb_terms() -> impl Strategy<Value = Terms> {
+    (
+        proptest::collection::vec(row_coeff(), NAMES.len()),
+        -4i64..=4,
+    )
+}
+
+/// `terms` over the names in `scope` (the others are dropped).
+fn render((coeffs, c): &Terms, scope: &[&str]) -> String {
+    let mut s = c.to_string();
+    for (name, &k) in NAMES.iter().zip(coeffs) {
+        if k != 0 && scope.contains(name) {
+            s.push_str(&format!(" + {k} * {name}"));
+        }
+    }
+    s
+}
+
+/// A statement `a[..] = a[..] + 1` of rank one or two.
+fn arb_stmt() -> impl Strategy<Value = (usize, Vec<Terms>, Vec<Terms>)> {
+    (
+        1usize..=2,
+        proptest::collection::vec(arb_terms(), 2),
+        proptest::collection::vec(arb_terms(), 2),
+    )
+}
+
+/// A program of one nest, one to three loops deep over the names `i`,
+/// `j` and `k` (a name may repeat, so an inner loop can shadow an outer
+/// one), with bounds that may read an outer loop or a symbolic, a
+/// statement in the innermost loop, one after the inner loops and a
+/// sibling nest with a single loop — so pairs have common and extra
+/// levels, symbolics, ranks that differ and rows that overflow.
+fn arb_row_program() -> impl Strategy<Value = String> {
+    (
+        1usize..=3,
+        proptest::collection::vec(2usize..5, 3),
+        proptest::collection::vec((arb_terms(), arb_terms()), 3),
+        arb_stmt(),
+        arb_stmt(),
+        arb_stmt(),
+    )
+        .prop_map(|(depth, picks, bounds, inner, outer, sibling)| {
+            let access = |(rank, w, r): &(usize, Vec<Terms>, Vec<Terms>), scope: &[&str]| {
+                let sub = |v: &[Terms]| -> String {
+                    v.iter()
+                        .take(*rank)
+                        .map(|t| format!("[{}]", render(t, scope)))
+                        .collect()
+                };
+                format!("a{} = a{} + 1; ", sub(w), sub(r))
+            };
+            let mut scope = vec!["n", "m"];
+            let mut src = String::from("read(n); ");
+            for (&pick, (lo, hi)) in picks[..depth].iter().zip(&bounds) {
+                let name = NAMES[pick];
+                src.push_str(&format!(
+                    "for {name} = {} to {} {{ ",
+                    render(lo, &scope),
+                    render(hi, &scope)
+                ));
+                scope.push(name);
+            }
+            src.push_str(&access(&inner, &scope));
+            for k in (0..depth).rev() {
+                if k == 0 {
+                    src.push_str(&access(&outer, &scope[..3]));
+                }
+                src.push_str("} ");
+            }
+            src.push_str(&format!(
+                "for i = 1 to m {{ {}}}",
+                access(&sibling, &["n", "m", "i"])
+            ));
+            src
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn keys_from_rows_match_keys_of_the_built_problem(src in arb_row_program()) {
+        let program = parse_program(&src).expect("generated programs parse");
+        let set = extract_accesses(&program);
+        let pairs = reference_pairs(&set, true);
+        // One system and one key buffer for every pair, as in the driver.
+        let mut system = PairSystem::default();
+        let (mut keys, mut spare) = (Vec::new(), Vec::new());
+        for pair in pairs {
+            for symbolic in [true, false] {
+                let lowered = system.lower(pair, symbolic);
+                let built = build_problem(pair, symbolic);
+                let naive = naive_problem(pair, symbolic);
+                prop_assert_eq!(built.as_ref().ok(), naive.as_ref(), "{}", src);
+                prop_assert_eq!(lowered.is_ok(), built.is_ok());
+                // The driver's classification agrees with the one that
+                // builds the problem.
+                let classified = classify_pair(pair, symbolic);
+                prop_assert_eq!(
+                    matches!(classified, Classified::Unbuildable),
+                    built.is_err() && !matches!(classified, Classified::Constant { .. })
+                );
+                let Ok(problem) = built else { continue };
+                for improved in [false, true] {
+                    let kept = nobounds_columns(&system, improved);
+                    let start = keys.len();
+                    write_nobounds_key(&system, &kept, &mut keys);
+                    let nk = nobounds_key(&problem, improved);
+                    prop_assert_eq!(&keys[start..], nk.key.as_slice());
+                    prop_assert_eq!(kept, nk.kept_vars);
+                    for memo_symmetry in [false, true] {
+                        let memo = if improved { MemoMode::Improved } else { MemoMode::Simple };
+                        let config = AnalyzerConfig { memo, memo_symmetry, ..AnalyzerConfig::default() };
+                        let start = keys.len();
+                        let (levels, flipped) =
+                            write_full_key(&system, improved, memo_symmetry, &mut keys, &mut spare);
+                        let (ck, want_flipped) = full_key(&config, &problem).expect("memo on");
+                        prop_assert_eq!(&keys[start..], ck.key.as_slice());
+                        prop_assert_eq!(levels, ck.kept_levels);
+                        prop_assert_eq!(flipped, want_flipped);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn an_overflowing_equation_row_is_unbuildable() {
+    let src = "read(n); for i = 1 to 10 { \
+               a[9223372036854775807 * n + i] = a[-9223372036854775807 * n + i] + 1; }";
+    let set = extract_accesses(&parse_program(src).unwrap());
+    let pairs = reference_pairs(&set, false);
+    assert!(set.accesses.iter().all(|a| a.is_affine()));
+    assert!(naive_problem(pairs[0], true).is_none());
+    assert!(build_problem(pairs[0], true).is_err());
+    assert!(matches!(
+        classify_pair(pairs[0], true),
+        Classified::Unbuildable
+    ));
 }

@@ -251,7 +251,7 @@ pub fn build_graph(program: &Program, report: &ProgramReport) -> ProgramGraph {
         .iter()
         .map(|a| GraphNode {
             access: a.id,
-            label: a.display(&set.symbols).to_string(),
+            label: a.display(&set).to_string(),
             is_write: a.is_write,
             stmt_index: a.stmt_index,
         })

@@ -13,26 +13,171 @@ use std::sync::Arc;
 
 use crate::arena::{ArrayRef, Expr, ExprArena};
 use crate::ast::{Program, Stmt};
-use crate::expr::AffineExpr;
-use crate::symbol::{Named, Sym, SymbolTable};
+use crate::expr::{fmt_affine, AffineExpr};
+use crate::symbol::{Sym, SymbolTable};
 
-/// A loop bound in affine form, or a marker that it could not be lowered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Bound {
-    /// An affine function of outer loop variables and symbolic constants.
-    Affine(AffineExpr),
-    /// Not analyzable (non-linear, or uses a mutated scalar).
-    NonAffine,
+/// Identifies one lowered subscript or loop bound in its program's
+/// [`Rows`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RowId(u32);
+
+/// Where one row's numbers sit in [`Rows`]: `1 + levels + 2 * syms`
+/// values from `at`, or no values at all for a non-affine row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Span {
+    at: usize,
+    levels: u32,
+    syms: u32,
 }
 
-impl Bound {
-    /// The affine payload, if any.
+/// The `levels` of a row that could not be lowered.
+const NON_AFFINE: u32 = u32::MAX;
+
+/// Every subscript and loop bound of one program, lowered to affine form
+/// once, at extraction, into one flat `i64` table.
+///
+/// A row holds its constant, one coefficient per enclosing loop level,
+/// and its symbolic terms. A loop variable is resolved to the level of
+/// the loop that binds it where the expression stands: a loop's bounds
+/// are lowered before the loop opens, so `for i = i + 5 to 20` nested in
+/// another `i` loop reads the outer `i` in its bound. Coefficients past
+/// the innermost level a row uses are not stored (they are zero), so a
+/// constant row has no level coefficients at all.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Rows {
+    spans: Vec<Span>,
+    /// `[constant, level coefficients.., (symbolic, coefficient)..]` per
+    /// row, back to back; symbolic terms ascend by symbolic.
+    data: Vec<i64>,
+    /// The program's symbolic constants in name order: a row's symbolic
+    /// term names one by its index here.
+    symbolics: Vec<Sym>,
+}
+
+/// One affine row of a [`Rows`] table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Row<'a> {
+    values: &'a [i64],
+    levels: usize,
+}
+
+impl<'a> Row<'a> {
+    /// The constant part.
     #[must_use]
-    pub fn as_affine(&self) -> Option<&AffineExpr> {
-        match self {
-            Bound::Affine(e) => Some(e),
-            Bound::NonAffine => None,
+    pub fn constant(&self) -> i64 {
+        self.values[0]
+    }
+
+    /// The coefficients of loop levels `0..n`, outermost first, where
+    /// level `n - 1` is the innermost level the row uses; every deeper
+    /// level has coefficient zero.
+    #[must_use]
+    pub fn levels(&self) -> &'a [i64] {
+        &self.values[1..=self.levels]
+    }
+
+    /// The symbolic terms as `(symbolic, coefficient)`, the symbolic an
+    /// index into [`Rows::symbolics`], ascending.
+    pub fn symbolic_terms(&self) -> impl Iterator<Item = (usize, i64)> + 'a {
+        self.values[1 + self.levels..]
+            .chunks_exact(2)
+            .map(|t| (t[0] as usize, t[1]))
+    }
+
+    /// Whether the row has no symbolic terms.
+    #[must_use]
+    pub fn has_symbolics(&self) -> bool {
+        self.values.len() > 1 + self.levels
+    }
+
+    /// Whether the row is a constant: no level or symbolic terms.
+    #[must_use]
+    pub fn is_constant(&self) -> bool {
+        self.values.len() == 1
+    }
+}
+
+impl Rows {
+    /// Row `id`, or `None` when it could not be lowered (non-linear, a
+    /// read of an array or a mutated scalar, or an overflow of `i64`).
+    #[must_use]
+    pub fn get(&self, id: RowId) -> Option<Row<'_>> {
+        let span = self.spans[id.0 as usize];
+        if span.levels == NON_AFFINE {
+            return None;
         }
+        let levels = span.levels as usize;
+        let len = 1 + levels + 2 * span.syms as usize;
+        Some(Row {
+            values: &self.data[span.at..span.at + len],
+            levels,
+        })
+    }
+
+    /// The rows of `access`'s subscripts, one per dimension.
+    pub fn subscripts(&self, access: &Access) -> impl ExactSizeIterator<Item = Option<Row<'_>>> {
+        access.subscripts.iter().map(|id| self.get(id))
+    }
+
+    /// The symbolic constants in name order; [`Row::symbolic_terms`]
+    /// index into this.
+    #[must_use]
+    pub fn symbolics(&self) -> &[Sym] {
+        &self.symbolics
+    }
+
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Whether the table has no rows.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.spans.is_empty()
+    }
+
+    fn push_non_affine(&mut self) -> RowId {
+        self.push_span(Span {
+            at: self.data.len(),
+            levels: NON_AFFINE,
+            syms: 0,
+        })
+    }
+
+    fn push_span(&mut self, span: Span) -> RowId {
+        // Rows number fewer than the program's expression nodes, whose
+        // ids are `u32`.
+        let id = RowId(u32::try_from(self.spans.len()).unwrap_or(u32::MAX));
+        self.spans.push(span);
+        id
+    }
+}
+
+/// A run of consecutive rows: an access's subscripts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRange {
+    start: u32,
+    end: u32,
+}
+
+impl RowRange {
+    /// Number of rows.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    /// Whether the range is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The rows, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = RowId> {
+        (self.start..self.end).map(RowId)
     }
 }
 
@@ -44,30 +189,10 @@ pub struct LoopInfo {
     pub id: usize,
     /// The induction variable.
     pub var: Sym,
-    /// Inclusive lower bound.
-    pub lower: Bound,
-    /// Inclusive upper bound.
-    pub upper: Bound,
-}
-
-/// A subscript in affine form, or a marker that it could not be lowered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Subscript {
-    /// Affine in loop variables and symbolic constants.
-    Affine(AffineExpr),
-    /// Not analyzable.
-    NonAffine,
-}
-
-impl Subscript {
-    /// The affine payload, if any.
-    #[must_use]
-    pub fn as_affine(&self) -> Option<&AffineExpr> {
-        match self {
-            Subscript::Affine(e) => Some(e),
-            Subscript::NonAffine => None,
-        }
-    }
+    /// Inclusive lower bound, over the levels outside this loop.
+    pub lower: RowId,
+    /// Inclusive upper bound, over the levels outside this loop.
+    pub upper: RowId,
 }
 
 /// A single array access (read or write) with its loop context.
@@ -77,8 +202,9 @@ pub struct Access {
     pub id: usize,
     /// The array.
     pub array: Sym,
-    /// Lowered subscripts, one per dimension.
-    pub subscripts: Vec<Subscript>,
+    /// Lowered subscripts, one row per dimension (see
+    /// [`Rows::subscripts`]).
+    pub subscripts: RowRange,
     /// Enclosing loops, outermost first. Accesses directly inside the
     /// same loop share one allocation.
     pub loops: Arc<[LoopInfo]>,
@@ -89,15 +215,20 @@ pub struct Access {
     /// Whether the access sits under an `if`: it may not execute on every
     /// iteration, so "dependent" answers are may-dependences for it.
     pub conditional: bool,
+    affine: bool,
 }
 
 impl Access {
     /// Whether every subscript is affine.
     #[must_use]
     pub fn is_affine(&self) -> bool {
-        self.subscripts
-            .iter()
-            .all(|s| matches!(s, Subscript::Affine(_)))
+        self.affine
+    }
+
+    /// Number of dimensions.
+    #[must_use]
+    pub fn rank(&self) -> usize {
+        self.subscripts.len()
     }
 
     /// Loop nesting depth of the access.
@@ -106,25 +237,45 @@ impl Access {
         self.loops.len()
     }
 
-    /// Displays the access with the names in `symbols`.
+    /// Displays the access with the names and rows of `set`, the set it
+    /// was extracted into.
     #[must_use]
-    pub fn display<'a>(&'a self, symbols: &'a SymbolTable) -> Named<'a, Access> {
-        Named {
-            value: self,
-            symbols,
-        }
+    pub fn display<'a>(&'a self, set: &'a AccessSet) -> AccessDisplay<'a> {
+        AccessDisplay { access: self, set }
     }
 }
 
-impl fmt::Display for Named<'_, Access> {
+/// An access displayed with the names of its set; see
+/// [`Access::display`].
+#[derive(Debug, Clone, Copy)]
+pub struct AccessDisplay<'a> {
+    access: &'a Access,
+    set: &'a AccessSet,
+}
+
+impl fmt::Display for AccessDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let a = self.value;
-        f.write_str(self.symbols.name(a.array))?;
-        for s in &a.subscripts {
-            match s {
-                Subscript::Affine(e) => write!(f, "[{}]", e.display(self.symbols))?,
-                Subscript::NonAffine => write!(f, "[?]")?,
+        let (a, set) = (self.access, self.set);
+        let symbols = &set.symbols;
+        f.write_str(symbols.name(a.array))?;
+        let mut terms: Vec<(&str, i64)> = Vec::new();
+        for row in set.rows.subscripts(a) {
+            let Some(row) = row else {
+                f.write_str("[?]")?;
+                continue;
+            };
+            terms.clear();
+            for (k, &c) in row.levels().iter().enumerate() {
+                if c != 0 {
+                    terms.push((symbols.name(a.loops[k].var), c));
+                }
             }
+            for (s, c) in row.symbolic_terms() {
+                terms.push((symbols.name(set.rows.symbolics[s]), c));
+            }
+            f.write_str("[")?;
+            fmt_affine(f, &mut terms, row.constant())?;
+            f.write_str("]")?;
         }
         write!(f, " ({})", if a.is_write { "write" } else { "read" })
     }
@@ -140,9 +291,38 @@ pub struct AccessSet {
     pub symbolics: Vec<Sym>,
     /// The program's symbol table, which names every [`Sym`] above.
     pub symbols: Arc<SymbolTable>,
+    /// Every subscript and loop bound, lowered.
+    pub rows: Rows,
 }
 
 impl AccessSet {
+    /// Row `id` of `access` (one of its subscripts, or a bound of one of
+    /// its loops) as an affine function of named symbols: each level's
+    /// coefficient on that loop's variable, each symbolic's on the
+    /// symbolic. A loop that shadows an outer one of the same name adds
+    /// to that name's coefficient, so read the [`Row`] itself where that
+    /// matters. `None` for a non-affine row, or a sum that overflows.
+    #[must_use]
+    pub fn affine(&self, access: &Access, id: RowId) -> Option<AffineExpr> {
+        let row = self.rows.get(id)?;
+        let levels = row
+            .levels()
+            .iter()
+            .enumerate()
+            .map(|(k, &c)| (access.loops[k].var, c));
+        let syms = row
+            .symbolic_terms()
+            .map(|(s, c)| (self.rows.symbolics[s], c));
+        AffineExpr::from_terms(levels.chain(syms), row.constant())
+    }
+
+    /// `access`'s subscript in dimension `d` as an affine function (see
+    /// [`AccessSet::affine`]).
+    #[must_use]
+    pub fn subscript(&self, access: &Access, d: usize) -> Option<AffineExpr> {
+        self.affine(access, access.subscripts.iter().nth(d)?)
+    }
+
     /// Whether `name` is a symbolic constant of the program.
     #[must_use]
     pub fn is_symbolic(&self, name: &str) -> bool {
@@ -161,8 +341,8 @@ pub struct RefPair<'a> {
     pub b: &'a Access,
     /// Number of loops enclosing *both* accesses (shared prefix length).
     pub common: usize,
-    /// The table naming the symbols of both accesses.
-    pub symbols: &'a SymbolTable,
+    /// The set both accesses come from: their names and rows.
+    pub set: &'a AccessSet,
 }
 
 impl RefPair<'_> {
@@ -170,7 +350,7 @@ impl RefPair<'_> {
     /// copy the text.
     #[must_use]
     pub fn array_name(&self) -> &Arc<str> {
-        self.symbols.shared_name(self.a.array)
+        self.set.symbols.shared_name(self.a.array)
     }
 }
 
@@ -192,55 +372,67 @@ struct Extractor<'p> {
     /// [`DECLARED`] by `read`, and [`USED`] as a free scalar in an
     /// affine subscript or bound; indexed by [`Sym::index`].
     facts: Vec<u8>,
+    rows: Rows,
     next_loop_id: usize,
     stmt_index: usize,
     cond_depth: usize,
 }
 
 impl Extractor<'_> {
-    fn is_loop_var(&self, v: Sym) -> bool {
-        self.loop_stack.iter().any(|l| l.var == v)
+    /// The level of the innermost open loop binding `v`.
+    fn level_of(&self, v: Sym) -> Option<usize> {
+        self.loop_stack.iter().rposition(|l| l.var == v)
     }
 
-    /// Lowers `e` to affine form valid in the current loop context: every
-    /// variable must be a loop variable in scope or an immutable scalar.
-    /// Notes the scalars an affine result uses.
-    fn lower(&mut self, e: Expr) -> Option<AffineExpr> {
-        let affine = AffineExpr::from_expr(self.exprs, e)?;
+    /// Lowers `e` into a row valid in the current loop context: every
+    /// variable must be a loop variable in scope, resolved to its level,
+    /// or an immutable scalar, kept as a symbolic term (numbered by
+    /// [`Sym`] until [`Extractor::finish`] renumbers it). Notes the
+    /// scalars an affine row uses.
+    fn lower(&mut self, e: Expr) -> RowId {
+        let Some(affine) = AffineExpr::from_expr(self.exprs, e) else {
+            return self.rows.push_non_affine();
+        };
+        let mut levels = 0;
+        let mut syms = 0;
         for v in affine.vars() {
-            if !self.is_loop_var(v) && self.facts[v.index()] & ASSIGNED != 0 {
-                return None; // mutated scalar: not a symbolic constant
+            match self.level_of(v) {
+                Some(k) => levels = levels.max(k + 1),
+                // A mutated scalar is not a symbolic constant.
+                None if self.facts[v.index()] & ASSIGNED != 0 => {
+                    return self.rows.push_non_affine();
+                }
+                None => syms += 1,
             }
         }
-        for v in affine.vars() {
-            if !self.is_loop_var(v) {
-                self.facts[v.index()] |= USED;
+        let at = self.rows.data.len();
+        self.rows.data.push(affine.constant_part());
+        self.rows.data.resize(at + 1 + levels, 0);
+        for (v, c) in affine.iter_terms() {
+            match self.level_of(v) {
+                Some(k) => self.rows.data[at + 1 + k] = c,
+                None => {
+                    self.facts[v.index()] |= USED;
+                    self.rows.data.extend([v.index() as i64, c]);
+                }
             }
         }
-        Some(affine)
-    }
-
-    fn lower_subscript(&mut self, e: Expr) -> Subscript {
-        match self.lower(e) {
-            Some(a) => Subscript::Affine(a),
-            None => Subscript::NonAffine,
-        }
-    }
-
-    fn lower_bound(&mut self, e: Expr) -> Bound {
-        match self.lower(e) {
-            Some(a) => Bound::Affine(a),
-            None => Bound::NonAffine,
-        }
+        self.rows.push_span(Span {
+            at,
+            levels: levels as u32,
+            syms,
+        })
     }
 
     fn record(&mut self, r: &ArrayRef, is_write: bool) {
         let exprs = self.exprs;
-        let subscripts: Vec<Subscript> = exprs
-            .subscripts(r)
-            .iter()
-            .map(|&s| self.lower_subscript(s))
-            .collect();
+        let start = self.rows.spans.len() as u32;
+        let mut affine = true;
+        for &s in exprs.subscripts(r) {
+            let id = self.lower(s);
+            affine &= self.rows.spans[id.0 as usize].levels != NON_AFFINE;
+        }
+        let end = self.rows.spans.len() as u32;
         let depth = self.loop_stack.len();
         let loops = Arc::clone(
             self.contexts[depth].get_or_insert_with(|| Arc::from(self.loop_stack.as_slice())),
@@ -248,11 +440,12 @@ impl Extractor<'_> {
         self.accesses.push(Access {
             id: self.accesses.len(),
             array: r.array,
-            subscripts,
+            subscripts: RowRange { start, end },
             loops,
             is_write,
             stmt_index: self.stmt_index,
             conditional: self.cond_depth > 0,
+            affine,
         });
     }
 
@@ -292,8 +485,10 @@ impl Extractor<'_> {
                     self.cond_depth -= 1;
                 }
                 Stmt::For(l) => {
-                    let lower = self.lower_bound(l.lower);
-                    let upper = self.lower_bound(l.upper);
+                    // Bounds are lowered in the enclosing scope, before
+                    // the loop's own variable is bound.
+                    let lower = self.lower(l.lower);
+                    let upper = self.lower(l.upper);
                     self.loop_stack.push(LoopInfo {
                         id: self.next_loop_id,
                         var: l.var,
@@ -308,6 +503,51 @@ impl Extractor<'_> {
                 }
             }
         }
+    }
+
+    /// The symbolic constants (declared via `read`, plus every used
+    /// scalar that is never assigned: a free parameter), in [`Sym`]
+    /// order; and the rows with their symbolic terms renumbered into
+    /// name order.
+    fn finish(mut self, symbols: &SymbolTable) -> (Vec<Access>, Vec<Sym>, Rows) {
+        let symbolics: Vec<Sym> = self
+            .facts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &f)| f & DECLARED != 0 || f & (USED | ASSIGNED) == USED)
+            .map(|(k, _)| Sym::from_index(k))
+            .collect();
+        if symbolics.is_empty() {
+            return (self.accesses, symbolics, self.rows);
+        }
+        let mut by_name = symbolics.clone();
+        by_name.sort_unstable_by(|&x, &y| symbols.name(x).cmp(symbols.name(y)));
+        // Each symbolic's rank in name order.
+        let mut rank = vec![0i64; self.facts.len()];
+        for (r, s) in by_name.iter().enumerate() {
+            rank[s.index()] = r as i64;
+        }
+        for span in &self.rows.spans {
+            if span.levels == NON_AFFINE || span.syms == 0 {
+                continue;
+            }
+            let at = span.at + 1 + span.levels as usize;
+            let terms = &mut self.rows.data[at..at + 2 * span.syms as usize];
+            for t in terms.chunks_exact_mut(2) {
+                t[0] = rank[t[0] as usize];
+            }
+            // Insertion sort by rank: rows hold a handful of terms.
+            for i in 1..span.syms as usize {
+                let mut j = i;
+                while j > 0 && terms[2 * (j - 1)] > terms[2 * j] {
+                    terms.swap(2 * (j - 1), 2 * j);
+                    terms.swap(2 * j - 1, 2 * j + 1);
+                    j -= 1;
+                }
+            }
+        }
+        self.rows.symbolics = by_name;
+        (self.accesses, symbolics, self.rows)
     }
 }
 
@@ -357,25 +597,18 @@ pub fn extract_accesses(program: &Program) -> AccessSet {
         loop_stack: Vec::new(),
         contexts: vec![None],
         facts,
+        rows: Rows::default(),
         next_loop_id: 0,
         stmt_index: 0,
         cond_depth: 0,
     };
     ex.walk(&program.stmts);
-
-    // Symbolics: declared via read(), plus any used scalar that is never
-    // assigned (a free parameter).
-    let symbolics = ex
-        .facts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &f)| f & DECLARED != 0 || f & (USED | ASSIGNED) == USED)
-        .map(|(k, _)| Sym::from_index(k))
-        .collect();
+    let (accesses, symbolics, rows) = ex.finish(&program.symbols);
     AccessSet {
-        accesses: ex.accesses,
+        accesses,
         symbolics,
         symbols: Arc::clone(&program.symbols),
+        rows,
     }
 }
 
@@ -418,12 +651,7 @@ pub fn reference_pairs(set: &AccessSet, include_input_deps: bool) -> Vec<RefPair
                         .take_while(|(x, y)| x.id == y.id)
                         .count()
                 };
-                pairs.push(RefPair {
-                    a,
-                    b,
-                    common,
-                    symbols: &set.symbols,
-                });
+                pairs.push(RefPair { a, b, common, set });
             }
         }
     }
@@ -494,8 +722,54 @@ mod tests {
             parse_program("for i = 1 to 10 { for j = i to 10 { a[i][j] = a[j][i]; } }").unwrap();
         let set = extract_accesses(&p);
         let inner = &set.accesses[0].loops[1];
-        let lower = inner.lower.as_affine().unwrap();
-        assert_eq!(lower.coeff(p.symbols.get("i").unwrap()), 1);
+        let lower = set.rows.get(inner.lower).unwrap();
+        assert_eq!(lower.levels(), [1]);
+        assert_eq!(lower.constant(), 0);
+        let upper = set.rows.get(inner.upper).unwrap();
+        assert!(upper.is_constant());
+        assert_eq!(upper.constant(), 10);
+    }
+
+    #[test]
+    fn a_shadowed_loop_variable_resolves_to_its_level() {
+        let p = parse_program("for i = 1 to 10 { for i = i + 5 to 20 { a[i] = a[i + 3] + 1; } }")
+            .unwrap();
+        let set = extract_accesses(&p);
+        let inner = &set.accesses[0].loops[1];
+        // The inner loop's bound reads the outer `i` (level 0) ...
+        let lower = set.rows.get(inner.lower).unwrap();
+        assert_eq!((lower.levels(), lower.constant()), (&[1][..], 5));
+        // ... and the subscripts read the inner one (level 1).
+        let sub = set
+            .rows
+            .subscripts(&set.accesses[1])
+            .next()
+            .unwrap()
+            .unwrap();
+        assert_eq!((sub.levels(), sub.constant()), (&[0, 1][..], 3));
+    }
+
+    #[test]
+    fn symbolic_terms_are_numbered_in_name_order() {
+        let p =
+            parse_program("read(z); read(a); for i = 1 to n { x[z + 2 * a + i] = 0; }").unwrap();
+        let set = extract_accesses(&p);
+        let names: Vec<&str> = set
+            .rows
+            .symbolics()
+            .iter()
+            .map(|&s| set.symbols.name(s))
+            .collect();
+        assert_eq!(names, ["a", "n", "z"]);
+        let sub = set
+            .rows
+            .subscripts(&set.accesses[0])
+            .next()
+            .unwrap()
+            .unwrap();
+        let terms: Vec<(usize, i64)> = sub.symbolic_terms().collect();
+        assert_eq!(terms, [(0, 2), (2, 1)]);
+        assert_eq!(sub.levels(), [1]);
     }
 
     #[test]
@@ -503,7 +777,7 @@ mod tests {
         let p = parse_program("read(z); read(a); for i = 1 to 10 { x[z + a + i] = 0; }").unwrap();
         let set = extract_accesses(&p);
         assert_eq!(
-            set.accesses[0].display(&set.symbols).to_string(),
+            set.accesses[0].display(&set).to_string(),
             "x[a + i + z] (write)"
         );
     }
@@ -512,7 +786,8 @@ mod tests {
     fn nonlinear_subscript_marked() {
         let p = parse_program("for i = 1 to 10 { a[i * i] = 0; }").unwrap();
         let set = extract_accesses(&p);
-        assert_eq!(set.accesses[0].subscripts[0], Subscript::NonAffine);
+        assert!(!set.accesses[0].is_affine());
+        assert_eq!(set.rows.subscripts(&set.accesses[0]).next(), Some(None));
     }
 
     #[test]

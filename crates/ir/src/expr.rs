@@ -345,6 +345,26 @@ impl AffineExpr {
         Some(AffineExpr { terms, constant })
     }
 
+    /// The function `constant + Σ c·v` over `terms`, a variable that
+    /// repeats summing its coefficients; `None` when a sum does not fit
+    /// in `i64`.
+    #[must_use]
+    pub fn from_terms(
+        terms: impl Iterator<Item = (Sym, i64)>,
+        constant: i64,
+    ) -> Option<AffineExpr> {
+        let mut wide: SmallVec<(Sym, i128), INLINE_TERMS> = SmallVec::new();
+        for (v, c) in terms {
+            wide.push((v, i128::from(c)));
+        }
+        canonicalize(&mut wide, 0)?;
+        let mut out = AffineExpr::constant(constant);
+        for &(v, c) in wide.iter() {
+            out.terms.push((v, fit(c)?));
+        }
+        Some(out)
+    }
+
     /// Displays the function with the names in `symbols`, terms in name
     /// order.
     #[must_use]
@@ -445,40 +465,49 @@ impl fmt::Display for Named<'_, AffineExpr> {
             .iter_terms()
             .map(|(v, c)| (self.symbols.name(v), c))
             .collect();
-        terms.sort_unstable_by_key(|t| t.0);
-        let mut first = true;
-        for &(v, c) in terms.iter() {
-            if first {
-                if c == 1 {
-                    write!(f, "{v}")?;
-                } else if c == -1 {
-                    write!(f, "-{v}")?;
-                } else {
-                    write!(f, "{c}*{v}")?;
-                }
-                first = false;
-            } else if c >= 0 {
-                if c == 1 {
-                    write!(f, " + {v}")?;
-                } else {
-                    write!(f, " + {c}*{v}")?;
-                }
-            } else if c == -1 {
-                write!(f, " - {v}")?;
-            } else {
-                write!(f, " - {}*{v}", -c)?;
-            }
-        }
-        let constant = self.value.constant;
-        if first {
-            write!(f, "{constant}")?;
-        } else if constant > 0 {
-            write!(f, " + {constant}")?;
-        } else if constant < 0 {
-            write!(f, " - {}", -constant)?;
-        }
-        Ok(())
+        fmt_affine(f, &mut terms, self.value.constant)
     }
+}
+
+/// Writes `Σ c·v + constant`, the named terms sorted into name order
+/// first.
+pub(crate) fn fmt_affine(
+    f: &mut fmt::Formatter<'_>,
+    terms: &mut [(&str, i64)],
+    constant: i64,
+) -> fmt::Result {
+    terms.sort_unstable_by_key(|t| t.0);
+    let mut first = true;
+    for &(v, c) in terms.iter() {
+        if first {
+            if c == 1 {
+                write!(f, "{v}")?;
+            } else if c == -1 {
+                write!(f, "-{v}")?;
+            } else {
+                write!(f, "{c}*{v}")?;
+            }
+            first = false;
+        } else if c >= 0 {
+            if c == 1 {
+                write!(f, " + {v}")?;
+            } else {
+                write!(f, " + {c}*{v}")?;
+            }
+        } else if c == -1 {
+            write!(f, " - {v}")?;
+        } else {
+            write!(f, " - {}*{v}", c.unsigned_abs())?;
+        }
+    }
+    if first {
+        write!(f, "{constant}")?;
+    } else if constant > 0 {
+        write!(f, " + {constant}")?;
+    } else if constant < 0 {
+        write!(f, " - {}", constant.unsigned_abs())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -23,10 +23,13 @@
 //!    definition too large to substitute (past a fixed node budget) is
 //!    left as a mutated scalar instead of growing the program without
 //!    bound.
-//! 3. [`extract_accesses`] — lowers subscripts and bounds to
-//!    [`AffineExpr`], identifies symbolic constants. A subscript or
-//!    bound whose lowering overflows `i64` is non-affine, so its pairs
-//!    are assumed dependent rather than aborting the analysis.
+//! 3. [`extract_accesses`] — lowers every subscript and bound through
+//!    [`AffineExpr`] into the program's [`Rows`]: one flat `i64` table
+//!    with a coefficient per enclosing loop level (each loop variable
+//!    resolved to its level in scope), the symbolic terms and the
+//!    constant. It also identifies the symbolic constants. A subscript
+//!    or bound whose lowering overflows `i64` is non-affine, so its
+//!    pairs are assumed dependent rather than aborting the analysis.
 //! 4. [`reference_pairs`] — enumerates the pairs to test.
 //!
 //! # Examples
@@ -66,7 +69,8 @@ pub mod passes;
 mod symbol;
 
 pub use access::{
-    extract_accesses, reference_pairs, Access, AccessSet, Bound, LoopInfo, RefPair, Subscript,
+    extract_accesses, reference_pairs, Access, AccessDisplay, AccessSet, LoopInfo, RefPair, Row,
+    RowId, RowRange, Rows,
 };
 pub use arena::{ArrayRef, Expr, ExprArena, Node};
 pub use ast::{ArrayAssign, ForLoop, IfStmt, Program, RelOp, ScalarAssign, Stmt};

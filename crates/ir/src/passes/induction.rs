@@ -171,7 +171,7 @@ fn rewrite_loop(l: &mut ForLoop, exprs: &mut ExprArena, defs: &Defs) -> bool {
 /// )?;
 /// assert!(substitute_induction_variables(&mut p));
 /// let set = extract_accesses(&p);
-/// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+/// let sub = set.subscript(&set.accesses[0], 0).expect("affine");
 /// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
 /// assert_eq!(sub.constant_part(), 0);
 /// # Ok::<(), dda_ir::ParseError>(())
@@ -210,7 +210,7 @@ mod tests {
         substitute_induction_variables(&mut p);
         crate::passes::rewrite::fold_program(&mut p);
         let set = extract_accesses(&p);
-        let sub = set.accesses[idx].subscripts[0].as_affine().cloned()?;
+        let sub = set.subscript(&set.accesses[idx], 0)?;
         Some(Lowered(sub, set.symbols))
     }
 

@@ -192,7 +192,7 @@ impl Normalizer<'_> {
 /// assert!(normalize_loops(&mut p));
 /// // Now: for i = 0 to 4 { a[1 + 2*i] = 0; }
 /// let set = extract_accesses(&p);
-/// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+/// let sub = set.subscript(&set.accesses[0], 0).expect("affine");
 /// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
 /// assert_eq!(sub.constant_part(), 1);
 /// # Ok::<(), dda_ir::ParseError>(())
@@ -228,7 +228,7 @@ mod tests {
         assert_eq!(p.exprs.node(l.lower), Node::Const(0));
         assert_eq!(p.exprs.node(l.upper), Node::Const(3)); // iterations 1, 4, 7, 10
         let set = extract_accesses(&p);
-        let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
+        let sub = set.subscript(&set.accesses[0], 0).unwrap();
         assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 3);
         assert_eq!(sub.constant_part(), 1);
     }
@@ -240,7 +240,7 @@ mod tests {
         let Stmt::For(l) = &p.stmts[0] else { panic!() };
         assert_eq!(p.exprs.node(l.upper), Node::Const(9));
         let set = extract_accesses(&p);
-        let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
+        let sub = set.subscript(&set.accesses[0], 0).unwrap();
         assert_eq!(sub.coeff_by_name(&set.symbols, "i"), -1);
         assert_eq!(sub.constant_part(), 10);
     }
@@ -307,7 +307,7 @@ mod tests {
         let set = extract_accesses(&p);
         // v_k = 2·v_(k-1) + 2·v_k', so the subscript v_23 weighs v0' by
         // 2^24 and v_23' by 2.
-        let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+        let sub = set.subscript(&set.accesses[0], 0).expect("affine");
         assert_eq!(sub.coeff_by_name(&set.symbols, "v0"), 1 << depth);
         assert_eq!(
             sub.coeff_by_name(&set.symbols, &format!("v{}", depth - 1)),
@@ -333,7 +333,7 @@ mod tests {
                 .unwrap();
         normalize_loops(&mut p);
         let set = extract_accesses(&p);
-        let sub = set.accesses[0].subscripts[0].as_affine().unwrap();
+        let sub = set.subscript(&set.accesses[0], 0).unwrap();
         assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 2);
         assert_eq!(sub.coeff_by_name(&set.symbols, "j"), 5);
     }
@@ -345,7 +345,7 @@ mod tests {
         normalize_loops(&mut p);
         let set = extract_accesses(&p);
         let inner = &set.accesses[0].loops[1];
-        let lo = inner.lower.as_affine().unwrap();
+        let lo = set.affine(&set.accesses[0], inner.lower).unwrap();
         // j's lower bound i became 1 + 2*i.
         assert_eq!(lo.coeff_by_name(&set.symbols, "i"), 2);
         assert_eq!(lo.constant_part(), 1);

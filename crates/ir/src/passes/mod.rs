@@ -81,7 +81,7 @@ fn has_scalar_assignment(stmts: &[Stmt]) -> bool {
 /// )?;
 /// normalize(&mut p);
 /// let set = extract_accesses(&p);
-/// let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+/// let sub = set.subscript(&set.accesses[0], 0).expect("affine");
 /// assert_eq!(sub.coeff_by_name(&set.symbols, "i"), 1);
 /// assert_eq!(sub.constant_part(), 3);
 /// # Ok::<(), dda_ir::ParseError>(())

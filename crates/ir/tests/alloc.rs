@@ -13,9 +13,11 @@
 //!   is left is one statement list per loop or branch body, one name per
 //!   distinct identifier, and the amortized growth of the token, node and
 //!   statement arrays.
-//! - Access extraction allocates a fixed number of blocks per access,
-//!   however many affine terms its subscripts and bounds have: names are
-//!   symbols, and affine terms live inline.
+//! - Access extraction allocates a fixed number of blocks per program
+//!   and loop, however many accesses the program has and however many
+//!   affine terms their subscripts and bounds have: every subscript and
+//!   bound is a row of one per-program table, names are symbols, and a
+//!   loop's accesses share one context.
 //!
 //! The counter is process-global, so the tests take turns through
 //! [`MEASURING`], set-up included: a sibling test allocating
@@ -25,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dda_ir::{extract_accesses, parse_program, passes, Program, Stmt};
+use dda_ir::{extract_accesses, loop_table, parse_program, passes, Program, Stmt};
 
 struct CountingAllocator;
 
@@ -130,14 +132,19 @@ fn parsing_allocates_nothing_per_expression_node() {
     );
 }
 
-/// Allocations per access that extraction may make: one subscript list
-/// per access, plus a loop context shared by the accesses directly in
-/// each loop (one per loop, so at most one per access). The result
-/// vector's growth and the per-symbol tables add a few per program.
-const ALLOCATIONS_PER_ACCESS: u64 = 2;
+/// Allocations extraction may make per loop: the loop context the
+/// accesses directly inside it share (a loop whose body is only another
+/// loop makes none).
+const ALLOCATIONS_PER_LOOP: u64 = 1;
+
+/// Allocations extraction may make per program, beside the growth of its
+/// three growing arrays (accesses, rows and the row values): the loop
+/// stack and context stack, the per-symbol facts, the symbolic lists
+/// and their name ranks, and the top-level context.
+const ALLOCATIONS_PER_PROGRAM: u64 = 12;
 
 #[test]
-fn extraction_allocates_a_constant_per_access() {
+fn extraction_allocates_a_constant_per_program_and_loop() {
     let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let mut programs: Vec<(&str, Program)> = dda_perfect::perfect_suite(0.1)
         .into_iter()
@@ -146,26 +153,34 @@ fn extraction_allocates_a_constant_per_access() {
     for (_, p) in &mut programs {
         passes::normalize(p);
     }
+    // Growing a vector to `n` elements doubles it: log2 of `n`.
+    let growth = |n: usize| u64::from(usize::BITS - n.leading_zeros());
     for (name, p) in &programs {
-        let accesses = extract_accesses(p).accesses.len() as u64;
-        let terms: usize = extract_accesses(p)
+        let set = extract_accesses(p);
+        let accesses = set.accesses.len();
+        let rows = set.rows.len();
+        let terms: usize = set
             .accesses
             .iter()
-            .flat_map(|a| &a.subscripts)
-            .filter_map(|s| s.as_affine())
-            .map(|e| e.iter_terms().count())
+            .flat_map(|a| set.rows.subscripts(a))
+            .flatten()
+            .map(|r| r.levels().iter().filter(|&&c| c != 0).count() + r.symbolic_terms().count())
             .sum();
         assert!(accesses > 0 && terms > 0, "{name}");
+        let loops = loop_table(p).len() as u64;
         let allocations = min_allocations(|| {
             std::hint::black_box(extract_accesses(p));
         });
-        // Growing the access vector doubles it: log2 of the count.
-        let growth = u64::from(u64::BITS - accesses.leading_zeros());
-        let bound = ALLOCATIONS_PER_ACCESS * accesses + growth + 4;
+        // The row values number at most a few per row.
+        let bound = ALLOCATIONS_PER_LOOP * loops
+            + ALLOCATIONS_PER_PROGRAM
+            + growth(accesses)
+            + growth(rows)
+            + growth(8 * rows);
         assert!(
             allocations <= bound,
-            "{name}: {allocations} allocations for {accesses} accesses ({terms} affine \
-             terms), more than {bound}"
+            "{name}: {allocations} allocations for {loops} loops, {accesses} accesses and \
+             {rows} rows ({terms} affine terms), more than {bound}"
         );
     }
 }

@@ -69,7 +69,7 @@ fn branch_accesses_marked_conditional() {
         .iter()
         .filter(|a| set.symbols.name(a.array) == "a")
     {
-        assert!(a.conditional, "{}", a.display(&set.symbols));
+        assert!(a.conditional, "{}", a.display(&set));
     }
 }
 
@@ -140,11 +140,7 @@ fn forward_subst_does_not_leak_across_branches() {
     passes::normalize(&mut p);
     let set = extract_accesses(&p);
     let a = &set.accesses[0];
-    assert!(
-        !a.is_affine(),
-        "k is branch-dependent: {}",
-        a.display(&set.symbols)
-    );
+    assert!(!a.is_affine(), "k is branch-dependent: {}", a.display(&set));
 }
 
 #[test]
@@ -156,7 +152,7 @@ fn defs_flow_into_both_branches() {
     let subs: Vec<i64> = set
         .accesses
         .iter()
-        .map(|a| a.subscripts[0].as_affine().unwrap().constant_part())
+        .map(|a| set.subscript(a, 0).unwrap().constant_part())
         .collect();
     assert_eq!(subs, vec![7, 8]);
 }

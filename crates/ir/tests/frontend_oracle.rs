@@ -351,18 +351,14 @@ mod resolve {
         out
     }
 
-    fn bound(t: &SymbolTable, b: &dda_ir::Bound) -> model::Bound {
-        match b.as_affine() {
-            Some(e) => model::Bound::Affine(affine(t, e)),
-            None => model::Bound::NonAffine,
-        }
-    }
-
-    fn subscript(t: &SymbolTable, s: &dda_ir::Subscript) -> model::Subscript {
-        match s.as_affine() {
-            Some(e) => model::Subscript::Affine(affine(t, e)),
-            None => model::Subscript::NonAffine,
-        }
+    /// Row `id` of access `a`, in the oracle's form: each level's term
+    /// named after its loop variable.
+    fn row(
+        set: &dda_ir::AccessSet,
+        a: &dda_ir::Access,
+        id: dda_ir::RowId,
+    ) -> Option<model::AffineExpr> {
+        set.affine(a, id).map(|e| affine(&set.symbols, &e))
     }
 
     /// One access of `set`, in the oracle's form.
@@ -371,15 +367,28 @@ mod resolve {
         super::old::Access {
             id: a.id,
             array: name(t, a.array),
-            subscripts: a.subscripts.iter().map(|s| subscript(t, s)).collect(),
+            subscripts: a
+                .subscripts
+                .iter()
+                .map(|id| match row(set, a, id) {
+                    Some(e) => model::Subscript::Affine(e),
+                    None => model::Subscript::NonAffine,
+                })
+                .collect(),
             loops: a
                 .loops
                 .iter()
-                .map(|l| model::LoopInfo {
-                    id: l.id,
-                    var: name(t, l.var),
-                    lower: bound(t, &l.lower),
-                    upper: bound(t, &l.upper),
+                .map(|l| {
+                    let bound = |id| match row(set, a, id) {
+                        Some(e) => model::Bound::Affine(e),
+                        None => model::Bound::NonAffine,
+                    };
+                    model::LoopInfo {
+                        id: l.id,
+                        var: name(t, l.var),
+                        lower: bound(l.lower),
+                        upper: bound(l.upper),
+                    }
                 })
                 .collect(),
             is_write: a.is_write,

@@ -34,12 +34,12 @@ fn scalar_chains_normalize_within_a_second() {
         assert!(
             !set.accesses[0].is_affine(),
             "{name}: {}",
-            set.accesses[0].display(&set.symbols)
+            set.accesses[0].display(&set)
         );
         assert!(
             set.accesses[1].is_affine(),
             "{name}: {}",
-            set.accesses[1].display(&set.symbols)
+            set.accesses[1].display(&set)
         );
     }
 }
@@ -52,7 +52,7 @@ fn a_moderate_chain_is_still_substituted_in_full() {
     }
     src.push_str("for i = 1 to 10 { a[i + t40] = a[i] + 1; }");
     let (set, _) = front_end(&src);
-    let sub = set.accesses[0].subscripts[0].as_affine().expect("affine");
+    let sub = set.subscript(&set.accesses[0], 0).expect("affine");
     assert_eq!(
         (
             sub.coeff_by_name(&set.symbols, "i"),
@@ -71,7 +71,7 @@ fn overflowing_subscripts_are_not_affine() {
         assert!(
             !set.accesses[0].is_affine(),
             "{name}: {}",
-            set.accesses[0].display(&set.symbols)
+            set.accesses[0].display(&set)
         );
     }
 }

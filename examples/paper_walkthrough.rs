@@ -23,7 +23,7 @@ fn show(title: &str, src: &str) -> Result<(), Box<dyn std::error::Error>> {
     let set = extract_accesses(&program);
     let pairs = reference_pairs(&set, false);
     let pair = &pairs[0];
-    let problem = build_problem(&set.symbols, pair.a, pair.b, pair.common, true)?;
+    let problem = build_problem(*pair, true)?;
 
     println!(
         "  variables: {:?}",

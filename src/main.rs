@@ -8,7 +8,8 @@
 //! echo 'for i = 1 to 9 { a[i+1] = a[i]; }' | dda analyze -
 //! ```
 
-use std::io::Read;
+use std::fmt;
+use std::io::{self, Read, Write};
 use std::process::ExitCode;
 
 use dda::core::json::json_escape;
@@ -21,6 +22,41 @@ use dda::obs::registry::{gcd_verdict_index, GCD_VERDICT_LABELS};
 use dda::obs::{MetricsProbe, MetricsRegistry, MetricsSnapshot, SpanRecorder};
 use dda::serve::manifest::{self, BatchInput};
 use dda::serve::render::batch_json_line;
+
+/// Standard output, locked once and buffered: every subcommand prints
+/// through it. When the reader has gone (`dda analyze big.loop --trace
+/// | head`), the program stops quietly with exit 0 instead of
+/// panicking; any other write error is a located exit 1.
+struct Out(io::BufWriter<io::StdoutLock<'static>>);
+
+impl Out {
+    fn new() -> Out {
+        Out(io::BufWriter::new(io::stdout().lock()))
+    }
+
+    /// Makes `Out` a target of `write!`/`writeln!`, which then cannot
+    /// fail.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) {
+        if let Err(e) = self.0.write_fmt(args) {
+            gone(&e);
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Err(e) = self.0.flush() {
+            gone(&e);
+        }
+    }
+}
+
+/// Ends the program after a failed write to standard output.
+fn gone(e: &io::Error) -> ! {
+    if e.kind() == io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing standard output: {e}");
+    std::process::exit(1);
+}
 
 const USAGE: &str = "\
 dda — efficient and exact data dependence analysis (PLDI 1991)
@@ -713,7 +749,7 @@ fn write_outputs(
 
 /// `dda batch`: analyze every program from the inputs with the parallel
 /// engine and emit one JSON report per line, in input order.
-fn run_batch(opts: &Options) -> Result<(), String> {
+fn run_batch(opts: &Options, out: &mut Out) -> Result<(), String> {
     let mut batch = BatchInput::default();
     load_batch_input(opts, &opts.file, &mut batch)?;
     for input in &opts.extra_files {
@@ -736,12 +772,10 @@ fn run_batch(opts: &Options) -> Result<(), String> {
     };
     spans.finish();
 
-    let mut stdout = String::new();
     for (file, report) in files.iter().zip(&reports) {
-        stdout.push_str(&batch_json_line(file, report));
-        stdout.push('\n');
+        writeln!(out, "{}", batch_json_line(file, report));
     }
-    print!("{stdout}");
+    out.flush();
 
     if opts.stats {
         let s = engine.stats();
@@ -778,7 +812,7 @@ fn run_batch(opts: &Options) -> Result<(), String> {
 /// construction is a pure function of each (program, report), so the
 /// rendered output is byte-identical for any --workers/--shards and to
 /// the service's `/parallel` endpoint on a cold memo.
-fn run_graph(opts: &Options) -> Result<(), String> {
+fn run_graph(opts: &Options, out: &mut Out) -> Result<(), String> {
     let mut batch = BatchInput::default();
     for input in std::iter::once(&opts.file).chain(&opts.extra_files) {
         if input == "-" {
@@ -797,37 +831,34 @@ fn run_graph(opts: &Options) -> Result<(), String> {
             .map_err(|e| format!("{path}: {e}"))?;
     }
     let mut spans = SpanRecorder::for_programs(&files);
-    let out = if opts.profile.is_some() {
+    let graphs = if opts.profile.is_some() {
         engine.graph_programs_probed(&programs, &mut spans)
     } else {
         engine.graph_programs(&programs)
     };
     spans.finish();
 
-    let mut stdout = String::new();
-    for ((file, program), graph) in files.iter().zip(&programs).zip(&out.graphs) {
+    for ((file, program), graph) in files.iter().zip(&programs).zip(&graphs.graphs) {
         if opts.command == "graph" {
             if opts.json {
-                stdout.push_str(&graph_json_line(file, graph));
-                stdout.push('\n');
+                writeln!(out, "{}", graph_json_line(file, graph));
             } else {
-                stdout.push_str(&to_dot(graph));
+                write!(out, "{}", to_dot(graph));
             }
         } else if opts.annotate {
-            stdout.push_str(&annotate_source(program, graph));
+            write!(out, "{}", annotate_source(program, graph));
         } else {
-            stdout.push_str(&parallel_json_line(file, graph));
-            stdout.push('\n');
+            writeln!(out, "{}", parallel_json_line(file, graph));
         }
     }
-    print!("{stdout}");
+    out.flush();
 
     if opts.stats {
         let s = engine.stats();
-        let edges: usize = out.graphs.iter().map(|g| g.edges.len()).sum();
+        let edges: usize = graphs.graphs.iter().map(|g| g.edges.len()).sum();
         eprintln!(
             "graph: {} programs, {} edges | {} parallel loops, {} sequential",
-            out.graphs.len(),
+            graphs.graphs.len(),
             edges,
             engine.metrics().graph_parallel_loops(),
             engine.metrics().graph_sequential_loops()
@@ -841,7 +872,7 @@ fn run_graph(opts: &Options) -> Result<(), String> {
 
     let snapshot = MetricsSnapshot::new(engine.metrics(), engine.stats(), engine.memo(), None);
     write_outputs(opts, &snapshot, engine.memo(), &spans)?;
-    run_check(opts, &files, &programs, &out.batch.reports)
+    run_check(opts, &files, &programs, &graphs.batch.reports)
 }
 
 /// `dda serve`: run the persistent analysis service until SIGTERM,
@@ -872,12 +903,12 @@ fn run_serve(opts: &Options) -> Result<(), String> {
 /// then each shard's offset, length, record count and checksum — then
 /// decode every record and print one line per record. A corrupt file,
 /// or a record that does not decode, fails with the located error.
-fn memo_inspect(path: &str) -> Result<(), String> {
+fn memo_inspect(path: &str, out: &mut Out) -> Result<(), String> {
     use std::fmt::Write as _;
     let archive = dda::core::MemoArchive::open(path).map_err(|e| format!("{path}: {e}"))?;
     // Buffered, so an archive with an undecodable record prints nothing
     // but the error.
-    let mut out = format!(
+    let mut text = format!(
         "{path}: dda-memo v3, {} shards/section, {} records, {} bytes\n",
         archive.shard_count(),
         archive.total_records(),
@@ -885,7 +916,7 @@ fn memo_inspect(path: &str) -> Result<(), String> {
     );
     for s in archive.shard_infos() {
         let _ = writeln!(
-            out,
+            text,
             "  {} shard {:>4}: offset {:#x}, {} bytes, {} records, checksum {:#018x}",
             s.section, s.shard, s.offset, s.len, s.records, s.checksum
         );
@@ -893,19 +924,19 @@ fn memo_inspect(path: &str) -> Result<(), String> {
     archive
         .for_each_record(|section, shard, key, value| {
             let _ = writeln!(
-                out,
+                text,
                 "  {section} shard {shard:>4} record {:?}: {value:?}",
                 key.as_slice()
             );
         })
         .map_err(|e| format!("{path}: {e}"))?;
-    print!("{out}");
+    write!(out, "{text}");
     Ok(())
 }
 
 /// `dda bench`: record a benchmark snapshot or gate one against a
 /// committed baseline.
-fn run_bench(opts: &Options) -> Result<(), String> {
+fn run_bench(opts: &Options, out: &mut Out) -> Result<(), String> {
     use dda::bench::record as bench;
     match opts.file.as_str() {
         "record" => {
@@ -940,10 +971,10 @@ fn run_bench(opts: &Options) -> Result<(), String> {
             let base = std::fs::read_to_string(baseline).map_err(|e| format!("{baseline}: {e}"))?;
             let report = bench::gate(&cur, &base, opts.tolerance_pct)?;
             for line in &report.lines {
-                println!("{line}");
+                writeln!(out, "{line}");
             }
             if report.passed() {
-                println!("bench gate: pass (tolerance {}%)", opts.tolerance_pct);
+                writeln!(out, "bench gate: pass (tolerance {}%)", opts.tolerance_pct);
                 Ok(())
             } else {
                 for failure in &report.failures {
@@ -963,33 +994,33 @@ fn run_bench(opts: &Options) -> Result<(), String> {
 }
 
 /// `dda memo`: inspect persisted memo files.
-fn run_memo(opts: &Options) -> Result<(), String> {
+fn run_memo(opts: &Options, out: &mut Out) -> Result<(), String> {
     match opts.file.as_str() {
         "inspect" => {
             let [path] = opts.extra_files.as_slice() else {
                 return Err("memo inspect needs exactly one file".into());
             };
-            memo_inspect(path)
+            memo_inspect(path, out)
         }
         other => Err(format!("unknown memo subcommand `{other}` (inspect)")),
     }
 }
 
-fn run(opts: &Options) -> Result<(), String> {
+fn run(opts: &Options, out: &mut Out) -> Result<(), String> {
     if opts.command == "serve" {
         return run_serve(opts);
     }
     if opts.command == "memo" {
-        return run_memo(opts);
+        return run_memo(opts, out);
     }
     if opts.command == "bench" {
-        return run_bench(opts);
+        return run_bench(opts, out);
     }
     if opts.command == "batch" {
-        return run_batch(opts);
+        return run_batch(opts, out);
     }
     if opts.command == "graph" || opts.command == "parallel" {
-        return run_graph(opts);
+        return run_graph(opts, out);
     }
     let source = read_source(&opts.file).map_err(|e| format!("{}: {e}", opts.file))?;
     let mut program = parse_program(&source).map_err(|e| e.render(&source))?;
@@ -1032,27 +1063,28 @@ fn run(opts: &Options) -> Result<(), String> {
     match opts.command.as_str() {
         "analyze" if opts.trace => {
             for (seq, event) in recorder.events.iter().enumerate() {
-                println!("{}", trace_json_line(seq as u64, event));
+                writeln!(out, "{}", trace_json_line(seq as u64, event));
             }
         }
         "analyze" if opts.explain => {
             let set = dda::ir::extract_accesses(&program);
             let pairs = dda::ir::reference_pairs(&set, opts.config.include_input_deps);
             for p in &pairs {
-                print!(
+                writeln!(
+                    out,
                     "{}",
                     dda::core::explain::explain_pair_with(&opts.config, *p)
                 );
-                println!();
             }
         }
         "analyze" => {
             if report.pairs().is_empty() {
-                println!("no reference pairs to test");
+                writeln!(out, "no reference pairs to test");
             }
             for pair in report.pairs() {
                 let cache = if pair.from_cache { " [cached]" } else { "" };
-                println!(
+                writeln!(
+                    out,
                     "{} #{} vs #{}: {:?} (by {}){}",
                     pair.array,
                     pair.a_access,
@@ -1067,7 +1099,8 @@ fn run(opts: &Options) -> Result<(), String> {
                         .iter()
                         .map(ToString::to_string)
                         .collect();
-                    println!(
+                    writeln!(
+                        out,
                         "    directions: {}   distance: {}",
                         vecs.join(" "),
                         pair.distance
@@ -1080,11 +1113,13 @@ fn run(opts: &Options) -> Result<(), String> {
 
     if opts.stats {
         let s = &report.stats;
-        println!(
+        writeln!(
+            out,
             "\nstats: {} pairs | constant {} | gcd-independent {} | assumed {}",
             s.pairs, s.constant, s.gcd_independent, s.assumed
         );
-        println!(
+        writeln!(
+            out,
             "tests: {} base + {} direction | memo {}/{} hits | {} direction vectors",
             s.base_tests.total(),
             s.direction_tests.total(),
@@ -1092,8 +1127,9 @@ fn run(opts: &Options) -> Result<(), String> {
             s.memo_queries,
             s.direction_vectors_found
         );
-        println!("stage times: {}", registry.stage_timings());
+        writeln!(out, "stage times: {}", registry.stage_timings());
     }
+    out.flush();
 
     let mut spans = SpanRecorder::new();
     if opts.profile.is_some() {
@@ -1115,18 +1151,24 @@ fn run(opts: &Options) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = Out::new();
     match parse_args(&args) {
         Ok(opts) if opts.command == "help" => {
-            print!("{USAGE}");
+            write!(out, "{USAGE}");
+            out.flush();
             ExitCode::SUCCESS
         }
-        Ok(opts) => match run(&opts) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
+        Ok(opts) => {
+            let result = run(&opts, &mut out);
+            out.flush();
+            match result {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    ExitCode::FAILURE
+                }
             }
-        },
+        }
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             ExitCode::FAILURE

@@ -618,6 +618,84 @@ fn overflowing_subscripts_are_assumed_dependent() {
     }
 }
 
+/// A reader that stops early (`dda … | head`) closes the pipe under
+/// the binary's output, which is far larger than the pipe's buffer: the
+/// binary stops quietly with exit 0, never with a panic.
+#[test]
+fn a_closed_output_pipe_is_a_quiet_exit() {
+    use std::io::Read;
+
+    let mut src = String::from("for i = 1 to 100 { for j = 1 to 100 {\n");
+    for k in 0..20 {
+        src.push_str(&format!("a[i + {k}][j] = a[i][j + {k}] + 1;\n"));
+    }
+    src.push_str("} }\n");
+    for args in [
+        &["analyze", "-", "--trace"][..],
+        &["analyze", "-", "--explain"][..],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_dda"))
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs");
+        let mut stdin = child.stdin.take().expect("stdin piped");
+        stdin.write_all(src.as_bytes()).expect("write stdin");
+        drop(stdin);
+        let mut stdout = child.stdout.take().expect("stdout piped");
+        let mut head = [0u8; 64];
+        stdout.read_exact(&mut head).expect("some output");
+        drop(stdout);
+        let out = child.wait_with_output().expect("wait");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?}\n{stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+/// Two pairs whose systems the front end once got wrong: a loop that
+/// shadows its enclosing loop's variable (its bounds read the outer one,
+/// so the pair is dependent, not independent), and an equality row whose
+/// difference overflows `i64` (dependence is assumed, not an exact
+/// verdict over a wrapped row). `--check` verifies what is claimed.
+#[test]
+fn rows_the_front_end_once_got_wrong_get_sound_verdicts() {
+    let (code, stdout, stderr) = run_cli_code(&[
+        "analyze",
+        &repo_path("tests/corpus/hostile/shadowed_loop_variable.loop"),
+        "--check",
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.starts_with("a #0 vs #1: Dependent(None) (by Acyclic)"),
+        "{stdout}"
+    );
+    assert!(stdout.contains("distance: (?, -3)"), "{stdout}");
+    assert!(stderr.contains("0 rejected"), "{stderr}");
+
+    let (code, stdout, stderr) = run_cli_code(&[
+        "analyze",
+        &repo_path("tests/corpus/hostile/overflow_equation_row.loop"),
+    ]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.starts_with("a #0 vs #1: Unknown (by assumed)"),
+        "{stdout}"
+    );
+    let (code, stdout, _) = run_cli_code(&[
+        "analyze",
+        &repo_path("tests/corpus/hostile/overflow_equation_row.loop"),
+        "--explain",
+    ]);
+    assert_eq!(code, 0);
+    assert!(
+        stdout.contains("cannot build an affine system (a subscript or bound row overflows i64)"),
+        "{stdout}"
+    );
+}
+
 /// Every checked-in hostile input is answered, quickly: the overflow
 /// cases and chains of scalar temporaries that used to run for minutes.
 #[test]

@@ -6,10 +6,10 @@
 //! analyzer's verdicts, direction vectors, and distances against the
 //! ground truth — on a fixed corpus and on thousands of random programs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dda::core::{AnalyzerConfig, DependenceAnalyzer, Direction};
-use dda::ir::interp::execute;
+use dda::ir::interp::{execute, Touch};
 use dda::ir::{extract_accesses, parse_program, passes, Program};
 use proptest::prelude::*;
 
@@ -29,33 +29,54 @@ fn direction_of(a: i64, b: i64) -> Direction {
     }
 }
 
-fn ground_truth(
-    touches: &[dda::ir::interp::Touch],
-    a_id: usize,
-    b_id: usize,
-    common: usize,
-) -> Truth {
+/// One execution's touches, grouped by access and, within an access, by
+/// the element touched: the pairs of touches that overlap are then found
+/// by a join on the element instead of comparing every touch of one
+/// access with every touch of the other.
+struct Touches<'a> {
+    by_access: HashMap<usize, HashMap<&'a [i64], Vec<&'a Touch>>>,
+}
+
+impl<'a> Touches<'a> {
+    fn new(touches: &'a [Touch]) -> Touches<'a> {
+        let mut by_access: HashMap<usize, HashMap<&[i64], Vec<&Touch>>> = HashMap::new();
+        for t in touches {
+            by_access
+                .entry(t.access_id)
+                .or_default()
+                .entry(&t.element)
+                .or_default()
+                .push(t);
+        }
+        Touches { by_access }
+    }
+}
+
+fn ground_truth(touches: &Touches<'_>, a_id: usize, b_id: usize, common: usize) -> Truth {
     let mut truth = Truth {
         dependent: false,
         directions: BTreeSet::new(),
         distances: BTreeSet::new(),
     };
-    let ta: Vec<_> = touches.iter().filter(|t| t.access_id == a_id).collect();
-    let tb: Vec<_> = touches.iter().filter(|t| t.access_id == b_id).collect();
-    for x in &ta {
-        for y in &tb {
-            if x.element != y.element {
-                continue;
+    let (Some(ta), Some(tb)) = (touches.by_access.get(&a_id), touches.by_access.get(&b_id)) else {
+        return truth;
+    };
+    for (element, xs) in ta {
+        let Some(ys) = tb.get(element) else {
+            continue;
+        };
+        for x in xs {
+            for y in ys {
+                truth.dependent = true;
+                let dirs: Vec<Direction> = (0..common)
+                    .map(|k| direction_of(x.iteration[k], y.iteration[k]))
+                    .collect();
+                let dist: Vec<i64> = (0..common)
+                    .map(|k| y.iteration[k] - x.iteration[k])
+                    .collect();
+                truth.directions.insert(dirs);
+                truth.distances.insert(dist);
             }
-            truth.dependent = true;
-            let dirs: Vec<Direction> = (0..common)
-                .map(|k| direction_of(x.iteration[k], y.iteration[k]))
-                .collect();
-            let dist: Vec<i64> = (0..common)
-                .map(|k| y.iteration[k] - x.iteration[k])
-                .collect();
-            truth.directions.insert(dirs);
-            truth.distances.insert(dist);
         }
     }
     truth
@@ -86,6 +107,7 @@ fn check_program_with(
         Ok(t) => t,
         Err(e) => panic!("oracle execution failed: {e}\n{program}"),
     };
+    let touches = Touches::new(&touches);
     let set = extract_accesses(program);
     let has_symbolics = !set.symbolics.is_empty();
 
@@ -198,6 +220,10 @@ fn fixed_corpus() {
         "k = 0; for i = 1 to 10 { k = k + 2; a[k] = a[k - 1]; }",
         "for i = 1 to 3 { a[b[i]] = a[i] + 1; }", // non-affine: assumed dep
         "for i = 1 to 5 { a[3] = a[4] + a[3]; }",
+        // A loop that shadows its enclosing loop's variable: its bounds
+        // read the outer `i`, its body the inner one. The same element is
+        // written at (1, 9) and read at (1, 6).
+        "for i = 1 to 10 { for i = i + 5 to 20 { a[i] = a[i + 3] + 1; } }",
     ] {
         check_source(src);
     }
@@ -218,7 +244,7 @@ fn symbolic_independence_holds_for_every_binding() {
         let mut env = BTreeMap::new();
         env.insert("n".to_owned(), n);
         let touches = execute(&program, &env, 100_000).unwrap();
-        let truth = ground_truth(&touches, 0, 1, 1);
+        let truth = ground_truth(&Touches::new(&touches), 0, 1, 1);
         assert!(!truth.dependent, "n = {n}");
     }
 }
@@ -238,7 +264,7 @@ fn symbolic_dependence_realized_by_some_binding() {
         let mut env = BTreeMap::new();
         env.insert("n".to_owned(), n);
         let touches = execute(&program, &env, 100_000).unwrap();
-        if ground_truth(&touches, 0, 1, 1).dependent {
+        if ground_truth(&Touches::new(&touches), 0, 1, 1).dependent {
             found = true;
             break;
         }
@@ -274,10 +300,14 @@ fn arb_subscript(depth: usize) -> impl Strategy<Value = String> {
 
 /// A whole random program: one nest of `depth` loops with small constant
 /// (possibly triangular) bounds and 1–3 statements of 1–2-D references.
+/// A loop below the outermost sometimes reuses its enclosing loop's
+/// name: its bounds then read the outer variable and everything inside
+/// reads its own.
 fn arb_program() -> impl Strategy<Value = String> {
     (1usize..=3)
         .prop_flat_map(|depth| {
-            let bounds = proptest::collection::vec((0i64..=2, 2i64..=5, prop::bool::ANY), depth);
+            let bounds =
+                proptest::collection::vec((0i64..=2, 2i64..=5, prop::bool::ANY, 0u8..4), depth);
             let dims = 1usize..=2;
             let stmts = proptest::collection::vec(
                 (
@@ -289,23 +319,48 @@ fn arb_program() -> impl Strategy<Value = String> {
             (Just(depth), bounds, dims, stmts)
         })
         .prop_map(|(depth, bounds, dims, stmts)| {
+            let mut names: Vec<String> = Vec::with_capacity(depth);
             let mut src = String::new();
-            for (k, (lo, hi, triangular)) in bounds.iter().enumerate() {
+            for (k, (lo, hi, triangular, shadow)) in bounds.iter().enumerate() {
                 let lower = if *triangular && k > 0 {
-                    format!("v{}", k - 1)
+                    names[k - 1].clone()
                 } else {
                     lo.to_string()
                 };
-                src.push_str(&format!("for v{k} = {lower} to {hi} {{ "));
+                let name = if *shadow == 0 && k > 0 {
+                    names[k - 1].clone()
+                } else {
+                    format!("v{k}")
+                };
+                src.push_str(&format!("for {name} = {lower} to {hi} {{ "));
+                names.push(name);
             }
+            // Subscripts name levels `v0..`: a level hidden by a loop of
+            // the same name reads as the inner loop's variable, and a
+            // name no loop binds stays out of the program.
+            let bound = |s: &str| -> String {
+                let mut s = s.to_owned();
+                for k in (0..depth).rev() {
+                    s = s.replace(&format!("v{k}"), &names[k]);
+                }
+                s
+            };
             for (n, (wsubs, rsubs)) in stmts.iter().enumerate() {
-                let w: Vec<String> = wsubs.iter().take(dims).map(|s| format!("[{s}]")).collect();
-                let r: Vec<String> = rsubs.iter().take(dims).map(|s| format!("[{s}]")).collect();
+                let w: Vec<String> = wsubs
+                    .iter()
+                    .take(dims)
+                    .map(|s| format!("[{}]", bound(s)))
+                    .collect();
+                let r: Vec<String> = rsubs
+                    .iter()
+                    .take(dims)
+                    .map(|s| format!("[{}]", bound(s)))
+                    .collect();
                 let stmt = format!("arr{} = arr{} + 1; ", w.concat(), r.concat());
                 if n == 1 {
                     // Exercise the conditional extension: guard the second
                     // statement on the outermost index.
-                    src.push_str(&format!("if (v0 != 2) {{ {stmt}}} "));
+                    src.push_str(&format!("if ({} != 2) {{ {stmt}}} ", names[0]));
                 } else {
                     src.push_str(&stmt);
                 }

@@ -188,7 +188,7 @@ fn assert_blocking_certificates_check(program: &Program, report: &ProgramReport)
                 a: &set.accesses[pair.a_access],
                 b: &set.accesses[pair.b_access],
                 common: pair.common_loop_ids.len(),
-                symbols: &set.symbols,
+                set: &set,
             };
             let outcome = check_pair(ref_pair, pair_report);
             assert!(
