@@ -101,13 +101,13 @@ pub fn total<F: Fn(&ProgramRun) -> u64>(runs: &[ProgramRun], f: F) -> u64 {
 pub fn xspace_system(problem: &dda_core::problem::DependenceProblem) -> System {
     let n = problem.num_vars();
     let mut system = System::new(n);
-    for (row, &rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
-        system.push(Constraint::new(row.clone(), rhs));
+    for (row, rhs) in problem.equations() {
+        system.push(Constraint::new(row, rhs));
         let neg: Vec<i64> = row.iter().map(|&c| -c).collect();
         system.push(Constraint::new(neg, -rhs));
     }
-    for b in &problem.bounds {
-        system.push(b.clone());
+    for (row, rhs) in problem.bounds() {
+        system.push(Constraint::new(row, rhs));
     }
     system
 }

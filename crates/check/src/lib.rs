@@ -60,7 +60,7 @@
 #![warn(clippy::arithmetic_side_effects)]
 
 use dda_core::certificate::{Certificate, DirTree, FmTree, RefProof, Rule, SystemRefutation};
-use dda_core::problem::{build_problem, DependenceProblem, XVar};
+use dda_core::problem::{build_problem, DependenceProblem};
 use dda_core::result::Answer;
 use dda_core::{PairReport, ProgramReport};
 use dda_ir::{extract_accesses, reference_pairs, Access, Program, RefPair, Rows};
@@ -321,13 +321,13 @@ fn check_witness(problem: &DependenceProblem, x: &[i64]) -> Result<(), String> {
             problem.num_vars()
         ));
     }
-    for (i, (row, &rhs)) in problem.eq_coeffs.iter().zip(&problem.eq_rhs).enumerate() {
+    for (i, (row, rhs)) in problem.equations().enumerate() {
         if dot128(row, x).ok_or(OVERFLOW)? != i128::from(rhs) {
             return Err(format!("witness violates subscript equation {i}"));
         }
     }
-    for (i, c) in problem.bounds.iter().enumerate() {
-        if dot128(&c.coeffs, x).ok_or(OVERFLOW)? > i128::from(c.rhs) {
+    for (i, (row, rhs)) in problem.bounds().enumerate() {
+        if dot128(row, x).ok_or(OVERFLOW)? > i128::from(rhs) {
             return Err(format!("witness violates bound row {i}"));
         }
     }
@@ -367,20 +367,17 @@ fn check_gcd_refutation(
     if denom < 1 {
         return Err("refutation denominator must be positive".into());
     }
-    if numer.len() != problem.eq_coeffs.len() {
+    if numer.len() != problem.num_equations() {
         return Err(format!(
             "multiplier has {} entries, system has {} equality rows",
             numer.len(),
-            problem.eq_coeffs.len()
+            problem.num_equations()
         ));
     }
     let nv = problem.num_vars();
     let mut col_sums = vec![0i128; nv];
     let mut rhs_sum: i128 = 0;
-    for (&y, (row, &rhs)) in numer
-        .iter()
-        .zip(problem.eq_coeffs.iter().zip(&problem.eq_rhs))
-    {
+    for (&y, (row, rhs)) in numer.iter().zip(problem.equations()) {
         if row.len() != nv {
             return Err("equality row arity mismatch".into());
         }
@@ -494,7 +491,7 @@ fn column_echelon(
 /// reduction of `A` under a unimodular transform `U`; since `x = U·y`
 /// ranges over all of ℤⁿ, the `U`-columns paired with the zero columns
 /// of the reduced `A` generate exactly the integer kernel lattice.
-fn kernel_basis(eq: &[Vec<i64>], nv: usize) -> Result<Vec<Vec<i128>>, String> {
+fn kernel_basis(eq: &[&[i64]], nv: usize) -> Result<Vec<Vec<i128>>, String> {
     let mut cols: Vec<Vec<i128>> = (0..nv)
         .map(|j| eq.iter().map(|row| i128::from(row[j])).collect())
         .collect();
@@ -546,7 +543,7 @@ fn check_lattice(problem: &DependenceProblem, x0: &[i64], basis: &Matrix) -> Res
     if x0.len() != nv || basis.rows() != nv {
         return Err("lattice dimensions do not match the problem".into());
     }
-    for (r, (row, &rhs)) in problem.eq_coeffs.iter().zip(&problem.eq_rhs).enumerate() {
+    for (r, (row, rhs)) in problem.equations().enumerate() {
         if row.len() != nv {
             return Err("equality row arity mismatch".into());
         }
@@ -575,7 +572,8 @@ fn check_lattice(problem: &DependenceProblem, x0: &[i64], basis: &Matrix) -> Res
         .map(|j| (0..nv).map(|i| i128::from(basis[(i, j)])).collect())
         .collect();
     column_echelon(&mut bcols, None)?;
-    for (k, gen) in kernel_basis(&problem.eq_coeffs, nv)?.iter().enumerate() {
+    let rows: Vec<&[i64]> = problem.equations().map(|(row, _)| row).collect();
+    for (k, gen) in kernel_basis(&rows, nv)?.iter().enumerate() {
         if !lattice_contains(&bcols, gen)? {
             return Err(format!(
                 "basis spans a strict sub-lattice: kernel generator {k} is not an \
@@ -613,13 +611,13 @@ fn translate_bounds(
     basis: &Matrix,
 ) -> Result<Vec<Row>, String> {
     let nt = basis.cols();
-    let mut out = Vec::with_capacity(problem.bounds.len());
-    for c in &problem.bounds {
-        if c.coeffs.len() != problem.num_vars() {
+    let mut out = Vec::with_capacity(problem.num_bounds());
+    for (coeffs, rhs) in problem.bounds() {
+        if coeffs.len() != problem.num_vars() {
             return Err("bound row arity mismatch".into());
         }
         let mut t_coeffs = vec![0i128; nt];
-        for (i, &ci) in c.coeffs.iter().enumerate() {
+        for (i, &ci) in coeffs.iter().enumerate() {
             if ci == 0 {
                 continue;
             }
@@ -633,8 +631,8 @@ fn translate_bounds(
                     .ok_or(OVERFLOW)?;
             }
         }
-        let shift = dot128(&c.coeffs, x0).ok_or(OVERFLOW)?;
-        let rhs = i128::from(c.rhs).checked_sub(shift).ok_or(OVERFLOW)?;
+        let shift = dot128(coeffs, x0).ok_or(OVERFLOW)?;
+        let rhs = i128::from(rhs).checked_sub(shift).ok_or(OVERFLOW)?;
         out.push(normalize_row((t_coeffs, rhs))?);
     }
     Ok(out)
@@ -653,15 +651,11 @@ fn verify_dirtree(
     match tree {
         DirTree::Refuted(refutation) => verify_rows_refutation(basis.cols(), pool, refutation),
         DirTree::Split { level, lt, eq, gt } => {
-            if *level >= problem.num_common {
+            let layout = problem.layout();
+            if *level >= layout.common {
                 return Err(format!("split level {level} exceeds the common nest depth"));
             }
-            let ia = problem
-                .var_index(&XVar::CommonA(*level))
-                .ok_or_else(|| format!("level {level} has no first-reference index variable"))?;
-            let ib = problem
-                .var_index(&XVar::CommonB(*level))
-                .ok_or_else(|| format!("level {level} has no second-reference index variable"))?;
+            let (ia, ib) = layout.common_columns(*level);
             // `D(t) = i′ − i` over the lattice: coeffs B[ib]−B[ia],
             // constant x₀[ib]−x₀[ia].
             let mut d_coeffs = Vec::with_capacity(basis.cols());
@@ -1004,7 +998,7 @@ mod tests {
     #[test]
     fn kernel_basis_and_membership() {
         // ker([1, -1]) is generated by (1, 1).
-        let gens = kernel_basis(&[vec![1, -1]], 2).unwrap();
+        let gens = kernel_basis(&[&[1, -1]], 2).unwrap();
         assert_eq!(gens.len(), 1);
         assert!(gens[0] == vec![1, 1] || gens[0] == vec![-1, -1]);
         // No equations: the kernel is all of ℤⁿ.

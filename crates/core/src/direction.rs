@@ -21,7 +21,7 @@ use crate::certificate::DirTree;
 use crate::fourier_motzkin::FmLimits;
 use crate::gcd::Reduced;
 use crate::pipeline::{run_pipeline_collect, PipelineConfig, Probe};
-use crate::problem::{DependenceProblem, XVar};
+use crate::problem::DependenceProblem;
 use crate::result::{Answer, Direction, DirectionVector, DistanceVector};
 use crate::stats::TestCounts;
 use crate::system::{Constraint, System};
@@ -99,8 +99,7 @@ fn distance_expr(
     reduced: &Reduced,
     level: usize,
 ) -> Option<(Vec<i64>, i64)> {
-    let ia = problem.var_index(&XVar::CommonA(level))?;
-    let ib = problem.var_index(&XVar::CommonB(level))?;
+    let (ia, ib) = problem.layout().common_columns(level);
     let (ca, ka) = reduced.x_as_t(ia);
     let (cb, kb) = reduced.x_as_t(ib);
     let coeffs: Option<Vec<i64>> = cb.iter().zip(&ca).map(|(b, a)| b.checked_sub(*a)).collect();
@@ -111,20 +110,15 @@ fn distance_expr(
 /// no subscript equation and in no bound constraint that also involves
 /// another variable.
 fn level_unused(problem: &DependenceProblem, level: usize) -> bool {
-    let Some(ia) = problem.var_index(&XVar::CommonA(level)) else {
-        return false;
-    };
-    let Some(ib) = problem.var_index(&XVar::CommonB(level)) else {
-        return false;
-    };
-    for row in &problem.eq_coeffs {
+    let (ia, ib) = problem.layout().common_columns(level);
+    for (row, _) in problem.equations() {
         if row[ia] != 0 || row[ib] != 0 {
             return false;
         }
     }
-    for c in &problem.bounds {
-        let involves = c.coeffs[ia] != 0 || c.coeffs[ib] != 0;
-        if involves && c.num_nonzero() > 1 {
+    for (row, _) in problem.bounds() {
+        let involves = row[ia] != 0 || row[ib] != 0;
+        if involves && row.iter().filter(|&&c| c != 0).count() > 1 {
             return false; // coupled to another variable's bound
         }
     }
@@ -167,7 +161,7 @@ pub fn analyze_directions<P: Probe>(
     counts: &mut TestCounts,
     probe: &mut P,
 ) -> DirectionAnalysis {
-    let levels = problem.num_common;
+    let levels = problem.layout().common;
     let mut distance = DistanceVector::unknown(levels);
     let mut plans = Vec::with_capacity(levels);
     let mut exprs = Vec::with_capacity(levels);

@@ -11,11 +11,10 @@
 //! serially in enumeration order: every pair goes through the per-pair
 //! step of [`steps`], which decides every counter.
 //!
-//! A pair's system is written from its rows into reused buffers
-//! ([`PairSystem`](crate::problem::PairSystem)) wherever it is needed.
-//! A [`DependenceProblem`] is built only to solve: by a leader and by a
-//! job without a key, inside its solving wave. A key is probed borrowed
-//! and copied into a [`MemoKey`] only when a leader inserts.
+//! A pair's [`DependenceProblem`] is written from its rows into each
+//! thread's reused buffers wherever it is needed: to classify and key
+//! it, to solve it and to read its answer onto its rows. A key is probed
+//! borrowed and copied into a [`MemoKey`] only when a leader inserts.
 //!
 //! An election runs serially in enumeration order and consults the memo
 //! once per distinct key, before anything is inserted: a key the memo
@@ -23,7 +22,7 @@
 //! later ones share its result (an overflowed GCD solve is not inserted,
 //! so they count as misses). So every statistic is the one a pair-by-pair
 //! pass over the same memo produces. Without memoization no pair has a
-//! key, and each solves for itself.
+//! key: each solves for itself, as a leader would, and inserts nothing.
 //!
 //! An [`Executor`] may run a wave's items in any order and on any thread:
 //! [`Inline`] runs them on the calling thread for
@@ -46,12 +45,12 @@ use dda_ir::RefPair;
 
 use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, ProgramReport};
 use crate::gcd::{
-    expand_lattice, refute_equalities, solve_equalities, solve_system_restricted,
-    witness_for_problem, EqOutcome, Lattice,
+    expand_lattice, refute_equalities, solve_system_restricted, witness_for_problem, EqOutcome,
+    Lattice,
 };
 use crate::memo::{nobounds_columns, write_full_key, write_nobounds_key, MemoKey, SharedMemo};
 use crate::pipeline::{NullProbe, Probe, TraceEvent};
-use crate::problem::{build_problem, DependenceProblem};
+use crate::problem::DependenceProblem;
 use crate::result::LevelVec;
 use crate::stats::AnalysisStats;
 use crate::steps::{
@@ -312,25 +311,20 @@ fn solve_wave<X, V, S>(
     exec: &X,
     srcs: &[Option<Src<V>>],
     reaches: impl Fn(usize) -> bool,
-    solve: impl Fn(usize, bool) -> Option<S> + Sync,
+    solve: impl Fn(usize) -> Option<S> + Sync,
 ) -> Vec<(usize, S)>
 where
     X: Executor,
     S: Send,
 {
-    let solvers: Vec<(usize, bool)> = (0..srcs.len())
-        .filter(|&job| reaches(job))
-        .filter_map(|job| match &srcs[job] {
-            None => Some((job, false)),
-            Some(Src::Leader) => Some((job, true)),
-            Some(_) => None,
-        })
+    let solvers: Vec<usize> = (0..srcs.len())
+        .filter(|&job| reaches(job) && matches!(srcs[job], None | Some(Src::Leader)))
         .collect();
-    let solved = exec.map(&solvers, |_, &(job, keyed)| solve(job, keyed));
+    let solved = exec.map(&solvers, |_, &job| solve(job));
     solvers
-        .iter()
+        .into_iter()
         .zip(solved)
-        .filter_map(|(&(job, _), s)| Some((job, s?)))
+        .filter_map(|(job, s)| Some((job, s?)))
         .collect()
 }
 
@@ -352,8 +346,8 @@ fn record_gcd<S: Probe>(mut sink: S, outcome: Option<&EqOutcome>, cached: bool, 
 struct GcdWave {
     answers: Vec<Option<GcdAnswer>>,
     srcs: Vec<Option<Src<EqOutcome>>>,
-    /// A leader's outcome is over its key's kept columns; a keyless
-    /// job's is over its own problem's.
+    /// A solver's outcome is over its key's kept columns (every column,
+    /// without a key).
     solved: HashMap<usize, (Option<EqOutcome>, u64)>,
     leaders: u64,
 }
@@ -371,9 +365,10 @@ impl GcdWave {
     }
 }
 
-/// The extended-GCD wave. A leader or a keyless job builds its problem
-/// to solve; every other pair's answer is read off the canonical
-/// outcome, with a refutation witness reordered onto the pair's rows.
+/// The extended-GCD wave. A leader or a keyless job solves the canonical
+/// system of its key, read off its rows; every pair's answer is read off
+/// the canonical outcome, with a refutation witness reordered onto the
+/// pair's rows.
 fn gcd_wave<X: Executor>(
     cfg: &AnalyzerConfig,
     memo: &SharedMemo,
@@ -390,30 +385,21 @@ fn gcd_wave<X: Executor>(
         |k| memo.lookup_gcd(k),
     );
     let has_system = |i: usize| matches!(classes[i], Class::System { .. });
-    let solved = solve_wave(exec, &srcs, has_system, |job, keyed| {
+    let solved = solve_wave(exec, &srcs, has_system, |job| {
         if cfg.fm_limits.past_deadline() {
             return None;
         }
-        // A leader solves its key's canonical system, read off its rows;
-        // a keyless job solves its problem as built.
-        let timed = |solve: &dyn Fn() -> Option<EqOutcome>| {
+        // Solve the key's canonical system, read off the pair's rows
+        // (every column, without a key).
+        let (outcome, nanos) = steps::with_system(jobs[job], cfg.symbolic, |system| {
+            let kept = nobounds_columns(system, improved);
             let start = Instant::now();
-            let outcome = solve();
+            let outcome = solve_system_restricted(system, &kept);
             (
                 outcome,
                 u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
             )
-        };
-        let (outcome, nanos) = if keyed {
-            steps::with_system(jobs[job], cfg.symbolic, |system| {
-                let kept = nobounds_columns(system, improved);
-                timed(&|| solve_system_restricted(system, &kept))
-            })
-        } else {
-            build_problem(jobs[job], cfg.symbolic)
-                .ok()
-                .map(|problem| timed(&|| solve_equalities(&problem)))
-        }
+        })
         .unwrap_or((None, 0));
         record_gcd(sink, outcome.as_ref(), false, nanos);
         Some((outcome, nanos))
@@ -436,11 +422,10 @@ fn gcd_wave<X: Executor>(
         if !has_system(i) {
             return None;
         }
-        let keyed = wave.srcs[i].is_some();
         let (outcome, used, nanos) = match &wave.srcs[i] {
             None | Some(Src::Leader) => {
                 let (v, nanos) = wave.solved.get(&i)?;
-                let used = if keyed {
+                let used = if wave.srcs[i].is_some() {
                     MemoUse::Miss
                 } else {
                     MemoUse::Unkeyed
@@ -464,18 +449,14 @@ fn gcd_wave<X: Executor>(
             None => GcdOutcome::Overflow,
             Some(EqOutcome::Lattice(_)) => GcdOutcome::Lattice,
             Some(EqOutcome::Independent { refutation }) => {
-                // A keyed witness is in canonical row order: reorder it
-                // onto the pair's rows, or refactorize when none
-                // transferred.
+                // The witness is in canonical row order: reorder it onto
+                // the pair's rows, or refactorize when none transferred.
                 let refutation = steps::with_system(jobs[i], cfg.symbolic, |system| {
-                    let transferred = match refutation {
-                        Some(w) if keyed => {
-                            let kept = nobounds_columns(system, improved);
-                            witness_for_problem(system, &kept, w)
-                        }
-                        other => other.clone(),
-                    };
-                    transferred.or_else(|| refute_equalities(system))
+                    let kept = nobounds_columns(system, improved);
+                    refutation
+                        .as_ref()
+                        .and_then(|w| witness_for_problem(system, &kept, w))
+                        .or_else(|| refute_equalities(system))
                 });
                 GcdOutcome::Independent(refutation.flatten())
             }
@@ -507,24 +488,19 @@ impl<S: Probe> Probe for Buffered<S> {
     }
 }
 
-/// The lattice a full solver reduces `problem` through: a keyed job's
-/// canonical one expanded onto the problem, a keyless job's as solved.
+/// The lattice a full solver reduces `problem` through: the canonical
+/// one expanded onto the problem's columns.
 fn problem_lattice(
     gcd: &GcdWave,
     job: usize,
-    keyed: bool,
     problem: &DependenceProblem,
     improved: bool,
 ) -> Option<Lattice> {
     let EqOutcome::Lattice(lattice) = gcd.source(job)? else {
         return None;
     };
-    Some(if keyed {
-        let kept = nobounds_columns(problem, improved);
-        expand_lattice(lattice, &kept, problem.num_vars())
-    } else {
-        lattice.clone()
-    })
+    let kept = nobounds_columns(problem, improved);
+    Some(expand_lattice(lattice, &kept, problem.num_vars()))
 }
 
 /// The full-analysis wave over the jobs whose GCD left a lattice: their
@@ -532,8 +508,8 @@ fn problem_lattice(
 /// ones), and the leader count. `keys` holds every pair's full key, as
 /// classification wrote it from the pair's rows, with the levels it
 /// keeps and whether it is the mirror's; a leader or a keyless job
-/// builds its problem to solve. Solvers buffer their events when
-/// `traced`.
+/// solves its problem as written into its thread's buffers. Solvers
+/// buffer their events when `traced`.
 fn full_wave<X: Executor>(
     cfg: &AnalyzerConfig,
     memo: &SharedMemo,
@@ -556,31 +532,33 @@ fn full_wave<X: Executor>(
     let sink = exec.sink();
     let key = |i: usize| Some(keys.get(i).filter(|_| reaches(i))?.0);
     let (srcs, leaders) = elect(jobs.len(), key, |k| memo.lookup_full(k));
-    let solved = solve_wave(exec, &srcs, reaches, |job, keyed| {
+    let solved = solve_wave(exec, &srcs, reaches, |job| {
         if cfg.fm_limits.past_deadline() {
             return None;
         }
         let pair = jobs[job];
-        let problem = build_problem(pair, cfg.symbolic).ok()?;
-        let lattice = problem_lattice(gcd, job, keyed, &problem, improved)?;
-        let template = steps::pair_template(pair);
-        let mut fx = ReduceEffects::default();
-        let (report, events) = if traced {
-            let mut probe = Buffered {
-                sink,
-                events: Vec::new(),
+        let (report, fx, events) = steps::with_system(pair, cfg.symbolic, |problem| {
+            let lattice = problem_lattice(gcd, job, problem, improved)?;
+            let template = steps::pair_template(pair);
+            let mut fx = ReduceEffects::default();
+            let (report, events) = if traced {
+                let mut probe = Buffered {
+                    sink,
+                    events: Vec::new(),
+                };
+                let report = steps::analyze_reduced_probed(
+                    cfg, problem, &lattice, template, &mut fx, &mut probe,
+                );
+                (report, probe.events)
+            } else {
+                let mut probe = sink;
+                let report = steps::analyze_reduced_probed(
+                    cfg, problem, &lattice, template, &mut fx, &mut probe,
+                );
+                (report, Vec::new())
             };
-            let report = steps::analyze_reduced_probed(
-                cfg, &problem, &lattice, template, &mut fx, &mut probe,
-            );
-            (report, probe.events)
-        } else {
-            let mut probe = sink;
-            let report = steps::analyze_reduced_probed(
-                cfg, &problem, &lattice, template, &mut fx, &mut probe,
-            );
-            (report, Vec::new())
-        };
+            Some((report, fx, events))
+        })??;
         // A cascade that ran past the deadline may have been cut
         // short: the pair is cancelled like one whose solve never
         // started.

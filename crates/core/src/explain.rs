@@ -10,6 +10,8 @@
 //! [`TraceEvent`] stream, and renders it. Nothing here mutates analyzer
 //! state or memo tables.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt::Write as _;
 
 use dda_ir::RefPair;
@@ -17,35 +19,33 @@ use dda_ir::RefPair;
 use crate::analyzer::AnalyzerConfig;
 use crate::gcd::{solve_equalities, EqOutcome};
 use crate::pipeline::{RecordingProbe, StageVerdict, TraceEvent};
-use crate::problem::{build_problem, BuildError, DependenceProblem};
-use crate::steps::{self, classify_pair, Classified, ReduceEffects};
+use crate::problem::{build_problem, constant_compare, XVar};
+use crate::steps::{self, ReduceEffects};
 
 /// Formats one linear row over the problem's variables.
-fn linear(problem: &DependenceProblem, coeffs: &[i64]) -> String {
+fn linear(vars: &[XVar], coeffs: &[i64]) -> String {
     let mut s = String::new();
-    for (v, &c) in coeffs.iter().enumerate() {
+    for (name, &c) in vars.iter().zip(coeffs) {
         if c == 0 {
             continue;
         }
-        let name = problem.vars[v].to_string();
-        if s.is_empty() {
+        let _ = if s.is_empty() {
             match c {
                 1 => write!(s, "{name}"),
                 -1 => write!(s, "-{name}"),
                 _ => write!(s, "{c}*{name}"),
             }
-            .expect("string write");
         } else if c > 0 {
             if c == 1 {
-                write!(s, " + {name}").expect("string write");
+                write!(s, " + {name}")
             } else {
-                write!(s, " + {c}*{name}").expect("string write");
+                write!(s, " + {c}*{name}")
             }
         } else if c == -1 {
-            write!(s, " - {name}").expect("string write");
+            write!(s, " - {name}")
         } else {
-            write!(s, " - {}*{name}", -c).expect("string write");
-        }
+            write!(s, " - {}*{name}", -c)
+        };
     }
     if s.is_empty() {
         s.push('0');
@@ -98,46 +98,42 @@ pub fn explain_pair_with(config: &AnalyzerConfig, pair: RefPair<'_>) -> String {
         b.display(set)
     );
 
-    let problem = match classify_pair(pair, config.symbolic) {
-        Classified::Constant { dependent } => {
-            let _ = writeln!(
-                w,
-                "constant subscripts: compared directly -> {}",
-                if dependent {
-                    "DEPENDENT (same element every time)"
-                } else {
-                    "INDEPENDENT (different elements)"
-                }
-            );
-            return out;
-        }
-        Classified::Problem(p) => p,
-        Classified::Unbuildable => {
-            let e = build_problem(pair, config.symbolic)
-                .err()
-                .unwrap_or(BuildError::NonAffine);
+    if let Some(dependent) = constant_compare(pair) {
+        let _ = writeln!(
+            w,
+            "constant subscripts: compared directly -> {}",
+            if dependent {
+                "DEPENDENT (same element every time)"
+            } else {
+                "INDEPENDENT (different elements)"
+            }
+        );
+        return out;
+    }
+    let problem = match build_problem(pair, config.symbolic) {
+        Ok(p) => p,
+        Err(e) => {
             let _ = writeln!(w, "cannot build an affine system ({e}): ASSUMED dependent");
             return out;
         }
     };
 
+    let vars = problem.vars(set);
     let _ = writeln!(
         w,
         "variables: {}",
-        problem
-            .vars
-            .iter()
+        vars.iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", ")
     );
     let _ = writeln!(w, "subscript equations:");
-    for (row, rhs) in problem.eq_coeffs.iter().zip(&problem.eq_rhs) {
-        let _ = writeln!(w, "    {} = {rhs}", linear(&problem, row));
+    for (row, rhs) in problem.equations() {
+        let _ = writeln!(w, "    {} = {rhs}", linear(&vars, row));
     }
     let _ = writeln!(w, "loop-bound constraints:");
-    for c in &problem.bounds {
-        let _ = writeln!(w, "    {} <= {}", linear(&problem, &c.coeffs), c.rhs);
+    for (row, rhs) in problem.bounds() {
+        let _ = writeln!(w, "    {} <= {rhs}", linear(&vars, row));
     }
 
     let lattice = match solve_equalities(&problem) {
@@ -203,8 +199,7 @@ pub fn explain_pair_with(config: &AnalyzerConfig, pair: RefPair<'_>) -> String {
                 StageVerdict::Pass => {}
             },
             TraceEvent::Witness { x } => {
-                let pairs: Vec<String> = problem
-                    .vars
+                let pairs: Vec<String> = vars
                     .iter()
                     .zip(x)
                     .map(|(v, val)| format!("{v} = {val}"))

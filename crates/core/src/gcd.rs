@@ -14,10 +14,11 @@
 //! the SVPC test wants.
 
 #![warn(clippy::arithmetic_side_effects)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use dda_linalg::{diophantine, num, Matrix};
 
-use crate::memo::{ColumnVec, KeyRows};
+use crate::memo::ColumnVec;
 use crate::problem::DependenceProblem;
 use crate::system::{Constraint, System};
 
@@ -73,9 +74,9 @@ impl Reduced {
     ///
     /// Returns `None` on overflow.
     #[must_use]
-    pub fn x_constraint_to_t(&self, c: &Constraint) -> Option<Constraint> {
+    pub fn x_constraint_to_t(&self, coeffs: &[i64], rhs: i64) -> Option<Constraint> {
         let mut t_coeffs = vec![0i64; self.num_t()];
-        for (xi, &a) in c.coeffs.iter().enumerate() {
+        for (xi, &a) in coeffs.iter().enumerate() {
             if a == 0 {
                 continue;
             }
@@ -83,8 +84,8 @@ impl Reduced {
                 *tc = tc.checked_add(a.checked_mul(self.x_basis[(xi, j)])?)?;
             }
         }
-        let shift = num::dot(&c.coeffs, &self.x_particular).ok()?;
-        Some(Constraint::new(t_coeffs, c.rhs.checked_sub(shift)?))
+        let shift = num::dot(coeffs, &self.x_particular).ok()?;
+        Some(Constraint::new(t_coeffs, rhs.checked_sub(shift)?))
     }
 }
 
@@ -124,7 +125,7 @@ pub enum EqOutcome {
         /// The divisibility refutation witness `(numer, denom)` behind
         /// the verdict, computed once at solve time so memo hits reuse
         /// it instead of refactorizing. From
-        /// [`solve_equalities_restricted`] the multiplier entries are in
+        /// [`solve_system_restricted`] the multiplier entries are in
         /// *canonical* (key-sorted) row order — the only order that
         /// transfers between problems sharing a memo key; rehydrate with
         /// [`witness_for_problem`]. From [`solve_equalities`] they are in
@@ -144,36 +145,51 @@ pub enum EqOutcome {
 /// Returns `None` on arithmetic overflow.
 #[must_use]
 pub fn solve_equalities(problem: &DependenceProblem) -> Option<EqOutcome> {
-    let a = if problem.eq_coeffs.is_empty() {
-        Matrix::zeros(0, problem.num_vars())
-    } else {
-        Matrix::try_from_rows(&problem.eq_coeffs).ok()?
-    };
-    match diophantine::solve(&a, &problem.eq_rhs) {
+    let (a, rhs) = equality_matrix(problem, &all_columns(problem));
+    match diophantine::solve(&a, &rhs) {
         Ok(Some(s)) => Some(EqOutcome::Lattice(Lattice {
             particular: s.particular().to_vec(),
             basis: s.basis().clone(),
         })),
         Ok(None) => Some(EqOutcome::Independent {
-            refutation: diophantine::refute(&a, &problem.eq_rhs),
+            refutation: diophantine::refute(&a, &rhs),
         }),
         Err(_) => None,
     }
 }
 
-/// The permutation sorting `n` equality rows, read through `row`, into
-/// the canonical order used by [`nobounds_key`](crate::memo::nobounds_key):
+/// Every column of `problem`.
+fn all_columns(problem: &DependenceProblem) -> ColumnVec {
+    (0..problem.num_vars()).collect()
+}
+
+/// The equality rows of `problem`, restricted to the `kept` columns, as
+/// a matrix and a right-hand side.
+fn equality_matrix(problem: &DependenceProblem, kept: &[usize]) -> (Matrix, Vec<i64>) {
+    let mut a = Matrix::zeros(problem.num_equations(), kept.len());
+    let mut rhs = Vec::with_capacity(problem.num_equations());
+    for (i, (coeffs, b)) in problem.equations().enumerate() {
+        for (j, &k) in kept.iter().enumerate() {
+            a[(i, j)] = coeffs[k];
+        }
+        rhs.push(b);
+    }
+    (a, rhs)
+}
+
+/// The permutation sorting the equality rows of `problem` into the
+/// canonical order used by [`nobounds_key`](crate::memo::nobounds_key):
 /// `order[j]` is the index of the row providing canonical row `j`
 /// (ascending by coefficients restricted to `kept`, then right-hand side;
 /// duplicate rows are interchangeable).
-fn row_order<'a>(n: usize, row: impl Fn(usize) -> (&'a [i64], i64), kept: &[usize]) -> ColumnVec {
+fn row_order(problem: &DependenceProblem, kept: &[usize]) -> ColumnVec {
     let segment = |i: usize| {
-        let (coeffs, rhs) = row(i);
+        let (coeffs, rhs) = problem.equation(i);
         kept.iter()
             .map(move |&k| coeffs[k])
             .chain(std::iter::once(rhs))
     };
-    let mut order: ColumnVec = (0..n).collect();
+    let mut order: ColumnVec = (0..problem.num_equations()).collect();
     order.sort_by(|&a, &b| segment(a).cmp(segment(b)));
     order
 }
@@ -185,12 +201,12 @@ fn row_order<'a>(n: usize, row: impl Fn(usize) -> (&'a [i64], i64), kept: &[usiz
 /// when the arities disagree — a corrupt warm entry; callers fall back
 /// to [`refute_equalities`].
 #[must_use]
-pub fn witness_for_problem<S: KeyRows + ?Sized>(
-    system: &S,
+pub fn witness_for_problem(
+    problem: &DependenceProblem,
     kept: &[usize],
     canonical: &(Vec<i64>, i64),
 ) -> Option<(Vec<i64>, i64)> {
-    let order = row_order(system.num_equations(), |i| system.equation(i), kept);
+    let order = row_order(problem, kept);
     if canonical.0.len() != order.len() {
         return None;
     }
@@ -230,47 +246,16 @@ pub fn expand_lattice(lattice: &Lattice, kept: &[usize], n: usize) -> Lattice {
     Lattice { particular, basis }
 }
 
-/// Solves an explicit equality system `rows · x = rhs` over `n` variables
-/// restricted to the `kept` columns — the canonical form stored in the
-/// no-bounds memo table. An independent outcome carries its refutation
-/// witness with multipliers in canonical (key-sorted) row order, so the
-/// cached value is reusable by every problem sharing the key.
+/// Solves the equality rows of `problem` restricted to the `kept`
+/// columns — the canonical form stored in the no-bounds memo table. An
+/// independent outcome carries its refutation witness with multipliers
+/// in canonical (key-sorted) row order, so the cached value is reusable
+/// by every problem sharing the key.
 ///
 /// Returns `None` on arithmetic overflow.
 #[must_use]
-pub fn solve_equalities_restricted(
-    rows: &[Vec<i64>],
-    rhs: &[i64],
-    kept: &[usize],
-) -> Option<EqOutcome> {
-    solve_restricted(rows.len(), |i| (&rows[i], rhs[i]), kept)
-}
-
-/// [`solve_equalities_restricted`] over the equality rows of `system`,
-/// read in place.
-#[must_use]
-pub fn solve_system_restricted<S: KeyRows + ?Sized>(
-    system: &S,
-    kept: &[usize],
-) -> Option<EqOutcome> {
-    solve_restricted(system.num_equations(), |i| system.equation(i), kept)
-}
-
-/// [`solve_equalities_restricted`] over `n` rows read through `row`.
-fn solve_restricted<'a>(
-    n: usize,
-    row: impl Fn(usize) -> (&'a [i64], i64),
-    kept: &[usize],
-) -> Option<EqOutcome> {
-    let mut a = Matrix::zeros(n, kept.len());
-    let mut rhs = Vec::with_capacity(n);
-    for i in 0..n {
-        let (coeffs, b) = row(i);
-        for (j, &k) in kept.iter().enumerate() {
-            a[(i, j)] = coeffs[k];
-        }
-        rhs.push(b);
-    }
+pub fn solve_system_restricted(problem: &DependenceProblem, kept: &[usize]) -> Option<EqOutcome> {
+    let (a, rhs) = equality_matrix(problem, kept);
     match diophantine::solve(&a, &rhs) {
         Ok(Some(s)) => Some(EqOutcome::Lattice(Lattice {
             particular: s.particular().to_vec(),
@@ -280,7 +265,7 @@ fn solve_restricted<'a>(
             // A multiplier for the restricted system refutes the full
             // one verbatim: the dropped columns are all-zero.
             let refutation = diophantine::refute(&a, &rhs).map(|(numer, denom)| {
-                let order = row_order(n, &row, kept);
+                let order = row_order(problem, kept);
                 (order.iter().map(|&i| numer[i]).collect(), denom)
             });
             Some(EqOutcome::Independent { refutation })
@@ -298,25 +283,8 @@ fn solve_restricted<'a>(
 /// entries, or witnesses that overflowed `i64` at solve time. It is
 /// evidence, never the verdict itself.
 #[must_use]
-pub fn refute_equalities<S: KeyRows + ?Sized>(system: &S) -> Option<(Vec<i64>, i64)> {
-    let rows = system.num_equations();
-    let n = if rows == 0 {
-        system.layout().num_vars()
-    } else {
-        system.equation(0).0.len()
-    };
-    let mut a = Matrix::zeros(rows, n);
-    let mut rhs = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let (coeffs, b) = system.equation(i);
-        if coeffs.len() != n {
-            return None; // ragged rows
-        }
-        for (j, &c) in coeffs.iter().enumerate() {
-            a[(i, j)] = c;
-        }
-        rhs.push(b);
-    }
+pub fn refute_equalities(problem: &DependenceProblem) -> Option<(Vec<i64>, i64)> {
+    let (a, rhs) = equality_matrix(problem, &all_columns(problem));
     diophantine::refute(&a, &rhs)
 }
 
@@ -332,8 +300,8 @@ pub fn reduce_with_lattice(problem: &DependenceProblem, lattice: &Lattice) -> Op
         x_basis: lattice.basis.clone(),
     };
     let mut system = System::new(lattice.basis.cols());
-    for c in &problem.bounds {
-        system.push(shell.x_constraint_to_t(c)?);
+    for (coeffs, rhs) in problem.bounds() {
+        system.push(shell.x_constraint_to_t(coeffs, rhs)?);
     }
     system.normalize();
     Some(Reduced { system, ..shell })
@@ -449,7 +417,7 @@ mod tests {
         };
         // x0 - x1 ≤ -1 in x-space.
         let c = Constraint::new(vec![1, -1], -1);
-        let tc = r.x_constraint_to_t(&c).unwrap();
+        let tc = r.x_constraint_to_t(&c.coeffs, c.rhs).unwrap();
         for t in -5..5 {
             let x = r.x_at(&[t]).unwrap();
             assert_eq!(
@@ -464,15 +432,12 @@ mod tests {
     fn no_equations_everything_free() {
         // Different constant dimensions never reach GCD in the analyzer,
         // but the preprocessing must still behave: build a problem by hand.
-        use crate::problem::DependenceProblem;
-        use crate::problem::XVar;
-        let p = DependenceProblem {
-            vars: vec![XVar::CommonA(0), XVar::CommonB(0)],
-            eq_coeffs: vec![],
-            eq_rhs: vec![],
-            bounds: vec![Constraint::new(vec![1, 0], 10)],
-            num_common: 1,
+        use crate::problem::{DependenceProblem, Layout};
+        let layout = Layout {
+            common: 1,
+            ..Layout::default()
         };
+        let p = DependenceProblem::from_rows(layout, vec![], vec![], vec![1, 0, 10]);
         let GcdOutcome::Reduced(r) = gcd_preprocess(&p).unwrap() else {
             panic!();
         };

@@ -27,9 +27,8 @@ use std::sync::Mutex;
 
 use dda_linalg::SmallVec;
 
-use crate::problem::{DependenceProblem, Layout, XVar};
+use crate::problem::DependenceProblem;
 use crate::result::LevelVec;
-use crate::system::Constraint;
 
 /// The paper's hash function over a stream of integers.
 #[derive(Debug, Clone, Copy, Default)]
@@ -225,61 +224,12 @@ pub(crate) fn route_hash(key: &[i64]) -> u64 {
 /// Problem columns kept in a key, inline for the dominant small systems.
 pub type ColumnVec = SmallVec<usize, 8>;
 
-/// A dependence system as the key writers read it: its columns in the
-/// structural order of [`Layout`], its equality rows `coeffs · x = rhs`
-/// and its bound rows `coeffs · x ≤ rhs`. A [`DependenceProblem`] is
-/// one; a [`PairSystem`](crate::problem::PairSystem), written from a
-/// pair's rows into reused buffers, is the other, so the driver writes
-/// every key without building a problem.
-pub trait KeyRows {
-    /// The column layout.
-    fn layout(&self) -> Layout;
-    /// Number of equality rows.
-    fn num_equations(&self) -> usize;
-    /// Equality row `i`: coefficients and right-hand side.
-    fn equation(&self, i: usize) -> (&[i64], i64);
-    /// Number of bound rows.
-    fn num_bounds(&self) -> usize;
-    /// Bound row `i`: coefficients and right-hand side.
-    fn bound(&self, i: usize) -> (&[i64], i64);
-}
-
-impl KeyRows for DependenceProblem {
-    fn layout(&self) -> Layout {
-        let count = |f: fn(&XVar) -> bool| self.vars.iter().filter(|v| f(v)).count();
-        Layout {
-            common: self.num_common,
-            extra_a: count(|v| matches!(v, XVar::ExtraA(_))),
-            extra_b: count(|v| matches!(v, XVar::ExtraB(_))),
-            symbolics: count(|v| matches!(v, XVar::Symbolic(_))),
-        }
-    }
-
-    fn num_equations(&self) -> usize {
-        self.eq_coeffs.len()
-    }
-
-    fn equation(&self, i: usize) -> (&[i64], i64) {
-        (&self.eq_coeffs[i], self.eq_rhs[i])
-    }
-
-    fn num_bounds(&self) -> usize {
-        self.bounds.len()
-    }
-
-    fn bound(&self, i: usize) -> (&[i64], i64) {
-        let c: &Constraint = &self.bounds[i];
-        (&c.coeffs, c.rhs)
-    }
-}
-
 /// Computes the set of *used* variables: those in a subscript equation,
 /// closed under co-occurrence in bound constraints.
-fn used_mask<S: KeyRows + ?Sized>(s: &S) -> SmallVec<bool, 8> {
-    let n = s.layout().num_vars();
-    let mut used = SmallVec::from_elem(false, n);
-    for i in 0..s.num_equations() {
-        for (v, &c) in s.equation(i).0.iter().enumerate() {
+fn used_mask(s: &DependenceProblem) -> SmallVec<bool, 8> {
+    let mut used = SmallVec::from_elem(false, s.num_vars());
+    for (row, _) in s.equations() {
+        for (v, &c) in row.iter().enumerate() {
             if c != 0 {
                 used[v] = true;
             }
@@ -287,8 +237,7 @@ fn used_mask<S: KeyRows + ?Sized>(s: &S) -> SmallVec<bool, 8> {
     }
     loop {
         let mut changed = false;
-        for i in 0..s.num_bounds() {
-            let coeffs = s.bound(i).0;
+        for (coeffs, _) in s.bounds() {
             let touches_used = coeffs.iter().enumerate().any(|(v, &a)| a != 0 && used[v]);
             if touches_used {
                 for (v, &a) in coeffs.iter().enumerate() {
@@ -345,11 +294,11 @@ pub struct NoBoundsKey {
 /// equation uses (the others are pure lattice freedom, so patterns under
 /// different numbers of irrelevant loops share the factorization).
 #[must_use]
-pub fn nobounds_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> ColumnVec {
-    let n = s.layout().num_vars();
+pub fn nobounds_columns(s: &DependenceProblem, improved: bool) -> ColumnVec {
+    let n = s.num_vars();
     if improved {
         (0..n)
-            .filter(|&v| (0..s.num_equations()).any(|i| s.equation(i).0[v] != 0))
+            .filter(|&v| s.equations().any(|(row, _)| row[v] != 0))
             .collect()
     } else {
         (0..n).collect()
@@ -358,14 +307,13 @@ pub fn nobounds_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> ColumnVec
 
 /// Appends the no-bounds (GCD table) key of `s` over `kept` (see
 /// [`nobounds_columns`]) to `out`.
-pub fn write_nobounds_key<S: KeyRows + ?Sized>(s: &S, kept: &[usize], out: &mut Vec<i64>) {
+pub fn write_nobounds_key(s: &DependenceProblem, kept: &[usize], out: &mut Vec<i64>) {
     let width = kept.len() + 1;
     let start = out.len();
     out.reserve(2 + s.num_equations() * width);
     out.push(kept.len() as i64);
     out.push(s.num_equations() as i64);
-    for i in 0..s.num_equations() {
-        let (row, rhs) = s.equation(i);
+    for (row, rhs) in s.equations() {
         out.extend(kept.iter().map(|&k| row[k]));
         out.push(rhs);
     }
@@ -404,7 +352,7 @@ pub struct CanonicalKey {
 
 /// The columns a with-bounds key keeps, in problem order, and the common
 /// levels they touch. With `improved`, unused variables are dropped.
-fn kept_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> (ColumnVec, LevelVec<usize>) {
+fn kept_columns(s: &DependenceProblem, improved: bool) -> (ColumnVec, LevelVec<usize>) {
     let layout = s.layout();
     if !improved {
         return (
@@ -414,10 +362,11 @@ fn kept_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> (ColumnVec, Level
     }
     let used = used_mask(s);
     let keep = (0..layout.num_vars()).filter(|&v| used[v]).collect();
-    // Common level `k` is column `k` on the first side and
-    // `common + k` on the second.
     let kept_levels = (0..layout.common)
-        .filter(|&k| used[k] || used[layout.common + k])
+        .filter(|&k| {
+            let (a, b) = layout.common_columns(k);
+            used[a] || used[b]
+        })
         .collect();
     (keep, kept_levels)
 }
@@ -426,16 +375,16 @@ fn kept_columns<S: KeyRows + ?Sized>(s: &S, improved: bool) -> (ColumnVec, Level
 /// is column `columns[i]` of `s`) to `out`, negating the equality
 /// section when `negate_equalities`. `None` when a negation overflows
 /// (`out` then ends in a partial key).
-fn encode_bounds<S: KeyRows + ?Sized>(
-    s: &S,
+fn encode_bounds(
+    s: &DependenceProblem,
     columns: &[usize],
     kept_levels: usize,
     negate_equalities: bool,
     out: &mut Vec<i64>,
 ) -> Option<()> {
     let width = columns.len() + 1;
-    let touches_kept = |i: &usize| columns.iter().any(|&k| s.bound(*i).0[k] != 0);
-    let bound_rows = (0..s.num_bounds()).filter(touches_kept).count();
+    let touches_kept = |(row, _): &(&[i64], i64)| columns.iter().any(|&k| row[k] != 0);
+    let bound_rows = s.bounds().filter(touches_kept).count();
     let start = out.len();
     out.reserve(4 + (s.num_equations() + bound_rows) * width);
     out.push(columns.len() as i64);
@@ -448,8 +397,7 @@ fn encode_bounds<S: KeyRows + ?Sized>(
             Some(x)
         }
     };
-    for i in 0..s.num_equations() {
-        let (row, rhs) = s.equation(i);
+    for (row, rhs) in s.equations() {
         for &k in columns {
             out.push(sign(row[k])?);
         }
@@ -461,8 +409,7 @@ fn encode_bounds<S: KeyRows + ?Sized>(
     sort_segments(&mut out[start + 3..], width);
     out.push(SECTION_MARKER);
     let bounds_at = out.len();
-    for i in (0..s.num_bounds()).filter(touches_kept) {
-        let (row, rhs) = s.bound(i);
+    for (row, rhs) in s.bounds().filter(touches_kept) {
         out.extend(columns.iter().map(|&k| row[k]));
         out.push(rhs);
     }
@@ -488,7 +435,7 @@ pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
 /// [`bounds_key`] of the problem's mirror (the pair with its references
 /// swapped), written straight from the original: `mirror[i]` is the
 /// original column of the mirror's `i`-th variable (see
-/// [`Layout::mirror_columns`]), and the mirror's equalities are the
+/// [`Layout::mirror_columns`](crate::problem::Layout::mirror_columns)), and the mirror's equalities are the
 /// original's negated. The mirror keeps the same levels, so only its key
 /// is returned; `None` when negating an equality overflows.
 #[must_use]
@@ -506,8 +453,8 @@ pub fn mirror_bounds_key(
 /// Appends the mirror's with-bounds key to `out`. Usage is a property
 /// of the variable, so the mirror keeps the positions whose original
 /// column is kept, and the same levels.
-fn encode_mirror<S: KeyRows + ?Sized>(
-    s: &S,
+fn encode_mirror(
+    s: &DependenceProblem,
     mirror: &[usize],
     keep: &[usize],
     kept_levels: usize,
@@ -526,8 +473,8 @@ fn encode_mirror<S: KeyRows + ?Sized>(
 /// key. With `symmetric`, a system and its mirror share the
 /// lexicographically smaller key; `spare` is scratch for the mirror's.
 /// A mirror that overflows to write just skips canonicalization.
-pub fn write_full_key<S: KeyRows + ?Sized>(
-    s: &S,
+pub fn write_full_key(
+    s: &DependenceProblem,
     improved: bool,
     symmetric: bool,
     out: &mut Vec<i64>,

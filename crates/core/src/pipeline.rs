@@ -110,8 +110,9 @@ impl Probe for RecordingProbe {
     }
 }
 
-/// How a pair classified before any dependence testing (mirror of
-/// [`crate::steps::Classified`], without the payload).
+/// How a pair classified before any dependence testing: by constant
+/// comparison, as unbuildable, or as an integer system of the sizes
+/// given.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClassifiedKind {
     /// All subscripts constant; `dependent` is the comparison verdict.

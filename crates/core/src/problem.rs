@@ -9,23 +9,23 @@
 //!
 //! The system is written from the pair's subscript and bound rows (see
 //! [`dda_ir::Rows`]), in which every loop variable is already resolved to
-//! its level, into the reused buffers of a [`PairSystem`]. The memo keys
-//! are written from that (see [`KeyRows`]), and a [`DependenceProblem`] is
-//! built from it only for a pair that solves. Every row operation is
-//! checked: a row that does not fit in `i64` makes the pair unbuildable
+//! its level, into the dense rows of a [`DependenceProblem`], whose
+//! buffers are reused from pair to pair. Classification, the memo keys
+//! and the solvers all read those rows. Every row operation is checked:
+//! a row that does not fit in `i64` makes the pair unbuildable
 //! ([`BuildError::Overflow`]), so dependence is assumed.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::fmt;
 use std::sync::Arc;
 
 use dda_ir::{Access, AccessSet, RefPair, Row};
 
-use dda_linalg::CoeffVec;
+use crate::memo::ColumnVec;
 
-use crate::memo::{ColumnVec, KeyRows};
-use crate::system::Constraint;
-
-/// Identity of one problem variable in the original (`x`) space.
+/// The name of one problem variable in the original (`x`) space, for
+/// printing (see [`DependenceProblem::vars`]).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum XVar {
     /// Iteration variable of common loop `level` as seen by the first
@@ -88,57 +88,155 @@ impl fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// The full dependence problem in the original variable space.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One pair's dependence system in the original (`x`) space, dense: the
+/// columns in the structural order of its [`Layout`], one equality row
+/// `coeffs · x = rhs` per dimension and one bound row `coeffs · x ≤ rhs`
+/// per loop bound, each row [`num_vars`](Self::num_vars)` + 1` wide with
+/// the right-hand side last. [`lower`](Self::lower) writes a pair's system
+/// into the buffers held, so one problem serves pair after pair.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DependenceProblem {
-    /// The variables, in a fixed structural order: common-A, common-B,
-    /// extra-A, extra-B, symbolics (sorted by name).
-    pub vars: Vec<XVar>,
-    /// Equality rows: `eq_coeffs[d] · x = eq_rhs[d]`, one per dimension.
-    pub eq_coeffs: Vec<Vec<i64>>,
-    /// Equality right-hand sides.
-    pub eq_rhs: Vec<i64>,
-    /// Loop-bound inequalities `a · x ≤ b`.
-    pub bounds: Vec<Constraint>,
-    /// Number of common loops.
-    pub num_common: usize,
+    layout: Layout,
+    /// The pair's symbolics as indexes into [`Rows::symbolics`](dda_ir::Rows::symbolics),
+    /// ascending, which is name order.
+    symbolics: Vec<usize>,
+    eqs: Vec<i64>,
+    bounds: Vec<i64>,
 }
 
 impl DependenceProblem {
-    /// Index of a variable in the structural order.
+    /// A problem over `layout`'s columns, its symbolic columns standing
+    /// for `symbolics` (indexes into the pair's
+    /// [`Rows::symbolics`](dda_ir::Rows::symbolics), ascending), with the
+    /// flat equality and bound rows given.
+    ///
+    /// # Panics
+    ///
+    /// When `symbolics` does not fill the layout's symbolic columns, or a
+    /// row section is not a whole number of rows.
     #[must_use]
-    pub fn var_index(&self, v: &XVar) -> Option<usize> {
-        self.vars.iter().position(|x| x == v)
+    pub fn from_rows(
+        layout: Layout,
+        symbolics: Vec<usize>,
+        equations: Vec<i64>,
+        bounds: Vec<i64>,
+    ) -> DependenceProblem {
+        let width = layout.num_vars() + 1;
+        assert_eq!(
+            symbolics.len(),
+            layout.symbolics,
+            "one id per symbolic column"
+        );
+        assert!(
+            equations.len().is_multiple_of(width) && bounds.len().is_multiple_of(width),
+            "rows are {width} wide"
+        );
+        DependenceProblem {
+            layout,
+            symbolics,
+            eqs: equations,
+            bounds,
+        }
+    }
+
+    /// How the columns are laid out.
+    #[must_use]
+    pub fn layout(&self) -> Layout {
+        self.layout
     }
 
     /// Number of problem variables.
     #[must_use]
     pub fn num_vars(&self) -> usize {
-        self.vars.len()
+        self.layout.num_vars()
     }
 
-    /// Whether the problem involves symbolic constants.
+    /// The symbolic columns' symbolics, as indexes into the pair's
+    /// [`Rows::symbolics`](dda_ir::Rows::symbolics).
     #[must_use]
-    pub fn has_symbolics(&self) -> bool {
-        self.vars.iter().any(|v| matches!(v, XVar::Symbolic(_)))
+    pub fn symbolics(&self) -> &[usize] {
+        &self.symbolics
+    }
+
+    /// Number of equality rows.
+    #[must_use]
+    pub fn num_equations(&self) -> usize {
+        self.eqs.len() / self.width()
+    }
+
+    /// Equality row `i`: coefficients and right-hand side.
+    #[must_use]
+    pub fn equation(&self, i: usize) -> (&[i64], i64) {
+        row_at(&self.eqs, self.width(), i)
+    }
+
+    /// The equality rows, in dimension order.
+    pub fn equations(&self) -> impl ExactSizeIterator<Item = (&[i64], i64)> {
+        split_rows(&self.eqs, self.width())
+    }
+
+    /// Number of bound rows.
+    #[must_use]
+    pub fn num_bounds(&self) -> usize {
+        self.bounds.len() / self.width()
+    }
+
+    /// The bound rows: per side, per loop outermost first, its lower
+    /// bound row and then its upper one.
+    pub fn bounds(&self) -> impl ExactSizeIterator<Item = (&[i64], i64)> {
+        split_rows(&self.bounds, self.width())
+    }
+
+    /// The variables, named, with the symbolics of `set` (the pair's
+    /// set): for printing.
+    #[must_use]
+    pub fn vars(&self, set: &AccessSet) -> Vec<XVar> {
+        let Layout {
+            common,
+            extra_a,
+            extra_b,
+            ..
+        } = self.layout;
+        let mut vars = Vec::with_capacity(self.num_vars());
+        vars.extend((0..common).map(XVar::CommonA));
+        vars.extend((0..common).map(XVar::CommonB));
+        vars.extend((0..extra_a).map(XVar::ExtraA));
+        vars.extend((0..extra_b).map(XVar::ExtraB));
+        vars.extend(self.symbolics.iter().map(|&s| {
+            let sym = set.rows.symbolics()[s];
+            XVar::Symbolic(Arc::clone(set.symbols.shared_name(sym)))
+        }));
+        vars
     }
 
     /// Checks a witness: every equality and bound must hold.
     #[must_use]
     pub fn is_witness(&self, x: &[i64]) -> bool {
-        if x.len() != self.vars.len() {
-            return false;
-        }
-        for (row, &rhs) in self.eq_coeffs.iter().zip(&self.eq_rhs) {
-            match dda_linalg::num::dot(row, x) {
-                Ok(v) if v == rhs => {}
-                _ => return false,
-            }
-        }
-        self.bounds
-            .iter()
-            .all(|c| c.is_satisfied_by(x) == Some(true))
+        let dot = |row: &[i64]| dda_linalg::num::dot(row, x).ok();
+        x.len() == self.num_vars()
+            && self.equations().all(|(row, rhs)| dot(row) == Some(rhs))
+            && self
+                .bounds()
+                .all(|(row, rhs)| dot(row).is_some_and(|v| v <= rhs))
     }
+
+    /// Width of one row: a coefficient per problem variable, then the
+    /// right-hand side.
+    fn width(&self) -> usize {
+        self.layout.num_vars() + 1
+    }
+}
+
+/// Row `i` of the `width`-wide rows `rows`.
+fn row_at(rows: &[i64], width: usize, i: usize) -> (&[i64], i64) {
+    let r = &rows[i * width..(i + 1) * width];
+    (&r[..width - 1], r[width - 1])
+}
+
+/// The `width`-wide rows of `rows`.
+fn split_rows(rows: &[i64], width: usize) -> impl ExactSizeIterator<Item = (&[i64], i64)> {
+    rows.chunks_exact(width)
+        .map(move |r| (&r[..width - 1], r[width - 1]))
 }
 
 /// How a pair's problem columns are laid out: the common loops as the
@@ -161,6 +259,13 @@ impl Layout {
     #[must_use]
     pub fn num_vars(&self) -> usize {
         2 * self.common + self.extra_a + self.extra_b + self.symbolics
+    }
+
+    /// The columns of common level `level` as the first and as the second
+    /// reference see it (`i` and `i′`).
+    #[must_use]
+    pub fn common_columns(&self, level: usize) -> (usize, usize) {
+        (level, self.common + level)
     }
 
     /// The mirror's column permutation: `columns[i]` is the column whose
@@ -233,23 +338,7 @@ impl Side<'_> {
     }
 }
 
-/// One pair's dependence system, written densely from its rows into
-/// buffers that are reused from pair to pair: the equality and bound
-/// rows of the pair's [`DependenceProblem`], in the same column order,
-/// each [`width`](Self::width) wide with the right-hand side last.
-/// Classification and the memo keys read it; a problem is built from it
-/// only for a pair that solves.
-#[derive(Debug, Clone, Default)]
-pub struct PairSystem {
-    layout: Layout,
-    /// The pair's symbolics as indexes into [`Rows::symbolics`](dda_ir::Rows::symbolics),
-    /// ascending, which is name order.
-    symbolics: Vec<usize>,
-    eqs: Vec<i64>,
-    bounds: Vec<i64>,
-}
-
-impl PairSystem {
+impl DependenceProblem {
     /// Writes the system of `pair`, replacing the one held. With
     /// `allow_symbolics` off (the Section 8 ablation), a symbolic term in
     /// any subscript or bound of either side is
@@ -259,8 +348,21 @@ impl PairSystem {
     ///
     /// Returns a [`BuildError`] when the pair cannot be expressed in the
     /// paper's model, including an equality or bound row that overflows
-    /// `i64`; the caller assumes dependence.
+    /// `i64`; the caller assumes dependence. The problem is then left
+    /// empty: no columns and no rows.
     pub fn lower(&mut self, pair: RefPair<'_>, allow_symbolics: bool) -> Result<(), BuildError> {
+        let lowered = self.write_system(pair, allow_symbolics);
+        if lowered.is_err() {
+            self.layout = Layout::default();
+            self.symbolics.clear();
+            self.eqs.clear();
+            self.bounds.clear();
+        }
+        lowered
+    }
+
+    /// The body of [`lower`](Self::lower), which may fail partway.
+    fn write_system(&mut self, pair: RefPair<'_>, allow_symbolics: bool) -> Result<(), BuildError> {
         let RefPair { a, b, common, set } = pair;
         let rows = &set.rows;
         if a.rank() != b.rank() {
@@ -352,50 +454,6 @@ impl PairSystem {
         }
         Ok(())
     }
-
-    /// Width of one row: a coefficient per problem variable, then the
-    /// right-hand side.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.layout.num_vars() + 1
-    }
-
-    /// The problem this system writes out, with the symbolics of `set`
-    /// (the pair's set) named.
-    #[must_use]
-    pub fn to_problem(&self, set: &AccessSet) -> DependenceProblem {
-        let Layout {
-            common,
-            extra_a,
-            extra_b,
-            ..
-        } = self.layout;
-        let mut vars = Vec::with_capacity(self.layout.num_vars());
-        vars.extend((0..common).map(XVar::CommonA));
-        vars.extend((0..common).map(XVar::CommonB));
-        vars.extend((0..extra_a).map(XVar::ExtraA));
-        vars.extend((0..extra_b).map(XVar::ExtraB));
-        vars.extend(self.symbolics.iter().map(|&s| {
-            let sym = set.rows.symbolics()[s];
-            XVar::Symbolic(Arc::clone(set.symbols.shared_name(sym)))
-        }));
-        let n = self.layout.num_vars();
-        DependenceProblem {
-            vars,
-            eq_coeffs: self
-                .eqs
-                .chunks_exact(n + 1)
-                .map(|r| r[..n].to_vec())
-                .collect(),
-            eq_rhs: self.eqs.chunks_exact(n + 1).map(|r| r[n]).collect(),
-            bounds: self
-                .bounds
-                .chunks_exact(n + 1)
-                .map(|r| Constraint::new(r[..n].iter().copied().collect::<CoeffVec>(), r[n]))
-                .collect(),
-            num_common: common,
-        }
-    }
 }
 
 /// The symbolic columns of a pair: its symbolics (indexes into
@@ -448,32 +506,6 @@ fn note_symbolics(syms: &mut Vec<usize>, row: Row<'_>) {
     }
 }
 
-impl KeyRows for PairSystem {
-    fn layout(&self) -> Layout {
-        self.layout
-    }
-
-    fn num_equations(&self) -> usize {
-        self.eqs.len() / self.width()
-    }
-
-    fn equation(&self, i: usize) -> (&[i64], i64) {
-        let w = self.width();
-        let r = &self.eqs[i * w..(i + 1) * w];
-        (&r[..w - 1], r[w - 1])
-    }
-
-    fn num_bounds(&self) -> usize {
-        self.bounds.len() / self.width()
-    }
-
-    fn bound(&self, i: usize) -> (&[i64], i64) {
-        let w = self.width();
-        let r = &self.bounds[i * w..(i + 1) * w];
-        (&r[..w - 1], r[w - 1])
-    }
-}
-
 /// Builds the dependence problem for `pair` from its rows.
 ///
 /// `allow_symbolics` gates Section 8 support: when `false`, any
@@ -488,9 +520,9 @@ pub fn build_problem(
     pair: RefPair<'_>,
     allow_symbolics: bool,
 ) -> Result<DependenceProblem, BuildError> {
-    let mut system = PairSystem::default();
-    system.lower(pair, allow_symbolics)?;
-    Ok(system.to_problem(pair.set))
+    let mut problem = DependenceProblem::default();
+    problem.lower(pair, allow_symbolics)?;
+    Ok(problem)
 }
 
 #[cfg(test)]
@@ -511,10 +543,9 @@ mod tests {
         // a[i] = a[i+10]: i − i′ = 10, bounds 1..10 each side.
         let p = problem_for("for i = 1 to 10 { a[i] = a[i + 10] + 3; }");
         assert_eq!(p.num_vars(), 2);
-        assert_eq!(p.eq_coeffs, vec![vec![1, -1]]);
-        assert_eq!(p.eq_rhs, vec![10]);
-        assert_eq!(p.bounds.len(), 4);
-        assert_eq!(p.num_common, 1);
+        assert_eq!(p.equations().collect::<Vec<_>>(), [(&[1, -1][..], 10)]);
+        assert_eq!(p.num_bounds(), 4);
+        assert_eq!(p.layout().common, 1);
         // (i, i') = (11, 1) solves the equality but violates bounds.
         assert!(!p.is_witness(&[11, 1]));
     }
@@ -523,7 +554,7 @@ mod tests {
     fn second_paper_loop_has_witness() {
         // a[i+1] = a[i]: i + 1 = i′ ⇒ i − i′ = −1.
         let p = problem_for("for i = 1 to 10 { a[i + 1] = a[i] + 3; }");
-        assert_eq!(p.eq_rhs, vec![-1]);
+        assert_eq!(p.equation(0).1, -1);
         assert!(p.is_witness(&[1, 2]));
         assert!(!p.is_witness(&[10, 11])); // i' out of bounds
     }
@@ -537,32 +568,35 @@ mod tests {
             } }",
         );
         assert_eq!(p.num_vars(), 4); // i1, i2, i1', i2'
-        assert_eq!(p.eq_coeffs.len(), 2);
+        assert_eq!(p.num_equations(), 2);
         // dim 0: i1 − i2′ = 10
-        assert_eq!(p.eq_coeffs[0], vec![1, 0, 0, -1]);
-        assert_eq!(p.eq_rhs[0], 10);
+        assert_eq!(p.equation(0), (&[1, 0, 0, -1][..], 10));
         // dim 1: i2 − i1′ = 9
-        assert_eq!(p.eq_coeffs[1], vec![0, 1, -1, 0]);
-        assert_eq!(p.eq_rhs[1], 9);
+        assert_eq!(p.equation(1), (&[0, 1, -1, 0][..], 9));
     }
 
     #[test]
     fn symbolic_constant_shared() {
         let p = problem_for("read(n); for i = 1 to 10 { a[i + n] = a[i + 2 * n + 1]; }");
         assert_eq!(p.num_vars(), 3);
-        assert!(p.has_symbolics());
+        assert_eq!(p.layout().symbolics, 1);
         // i + n = i' + 2n + 1  ⇒  i − i′ − n = 1
-        assert_eq!(p.eq_coeffs, vec![vec![1, -1, -1]]);
-        assert_eq!(p.eq_rhs, vec![1]);
+        assert_eq!(p.equations().collect::<Vec<_>>(), [(&[1, -1, -1][..], 1)]);
     }
 
     #[test]
     fn symbolics_are_ordered_by_name_not_first_appearance() {
-        let p = problem_for("read(z); read(a); for i = 1 to 10 { x[i + z] = x[i + 2 * a]; }");
-        let names: Vec<String> = p.vars.iter().map(ToString::to_string).collect();
+        let src = "read(z); read(a); for i = 1 to 10 { x[i + z] = x[i + 2 * a]; }";
+        let set = extract_accesses(&parse_program(src).unwrap());
+        let pairs = reference_pairs(&set, false);
+        let p = build_problem(pairs[0], true).unwrap();
+        let names: Vec<String> = p.vars(&set).iter().map(ToString::to_string).collect();
         assert_eq!(names, ["i0", "i0'", "a", "z"]);
         // i + z = i′ + 2a  ⇒  i − i′ − 2a + z = 0
-        assert_eq!(p.eq_coeffs, vec![vec![1, -1, -2, 1]]);
+        assert_eq!(
+            p.equations().collect::<Vec<_>>(),
+            [(&[1, -1, -2, 1][..], 0)]
+        );
     }
 
     #[test]
@@ -584,21 +618,20 @@ mod tests {
         let err = build_problem(pairs[0], false);
         assert_eq!(err.unwrap_err(), BuildError::SymbolicDisabled);
         let ok = build_problem(pairs[0], true).unwrap();
-        assert!(ok.has_symbolics());
+        assert_eq!(ok.layout().symbolics, 1);
     }
 
     #[test]
     fn triangular_bounds_reference_outer_var() {
         let p = problem_for("for i = 1 to 10 { for j = i to 10 { a[i][j] = a[i - 1][j]; } }");
         // j's lower bound i ≤ j: row has +1 on i and −1 on j.
-        let idx_i = p.var_index(&XVar::CommonA(0)).unwrap();
-        let idx_j = p.var_index(&XVar::CommonA(1)).unwrap();
-        let tri = p
-            .bounds
-            .iter()
-            .find(|c| c.coeffs[idx_i] == 1 && c.coeffs[idx_j] == -1)
+        let (idx_i, _) = p.layout().common_columns(0);
+        let (idx_j, _) = p.layout().common_columns(1);
+        let (_, rhs) = p
+            .bounds()
+            .find(|(c, _)| c[idx_i] == 1 && c[idx_j] == -1)
             .expect("triangular bound present");
-        assert_eq!(tri.rhs, 0);
+        assert_eq!(rhs, 0);
     }
 
     #[test]
@@ -625,9 +658,20 @@ mod tests {
         let pairs = reference_pairs(&set, false);
         assert_eq!(pairs.len(), 1);
         let p = build_problem(pairs[0], true).unwrap();
-        assert_eq!(p.num_common, 0);
-        assert_eq!(p.num_vars(), 2); // one ExtraA, one ExtraB
-        assert_eq!(p.vars[0], XVar::ExtraA(0));
-        assert_eq!(p.vars[1], XVar::ExtraB(0));
+        assert_eq!(p.layout().common, 0);
+        assert_eq!(p.vars(&set), [XVar::ExtraA(0), XVar::ExtraB(0)]);
+    }
+
+    #[test]
+    fn a_problem_from_rows_reads_back_its_rows() {
+        let layout = Layout {
+            common: 1,
+            symbolics: 1,
+            ..Layout::default()
+        };
+        let p = DependenceProblem::from_rows(layout, vec![0], vec![1, -1, 2, 5], vec![0, 1, 0, 9]);
+        assert_eq!(p.equation(0), (&[1, -1, 2][..], 5));
+        assert_eq!(p.bounds().collect::<Vec<_>>(), [(&[0, 1, 0][..], 9)]);
+        assert_eq!(p.symbolics(), [0]);
     }
 }

@@ -13,6 +13,8 @@
 //! thread may compute a key's result and every other pair with that key
 //! can reuse it verbatim.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use dda_ir::RefPair;
 
 use std::cell::RefCell;
@@ -24,11 +26,11 @@ use crate::cascade::CascadeOutcome;
 use crate::certificate::Certificate;
 use crate::direction::{analyze_directions, DirectionAnalysis, DirectionConfig};
 use crate::gcd::{reduce_with_lattice, EqOutcome, Lattice};
-use crate::memo::{write_full_key, CanonicalKey, KeyRows, MemoKey};
+use crate::memo::{write_full_key, CanonicalKey, MemoKey};
 use crate::pipeline::{
     run_pipeline_collect, ClassifiedKind, GcdVerdict, NullProbe, Probe, TraceEvent,
 };
-use crate::problem::{build_problem, constant_compare, DependenceProblem, PairSystem};
+use crate::problem::{constant_compare, DependenceProblem};
 use crate::result::{
     Answer, DependenceResult, Direction, DirectionVector, DistanceVector, LevelVec, ResolvedBy,
     TestKind,
@@ -36,38 +38,9 @@ use crate::result::{
 use crate::stats::{AnalysisStats, TestCounts};
 use crate::symmetry;
 
-/// How a pair classifies before any dependence testing, with the
-/// problem built: the form `--explain` narrates.
-#[derive(Debug, Clone)]
-pub enum Classified {
-    /// All subscripts constant: the verdict is a comparison.
-    Constant {
-        /// Whether the constant subscripts coincide (dependent).
-        dependent: bool,
-    },
-    /// The integer system could not be built (non-affine subscript, a
-    /// symbolic term with symbolic support off, or a row overflowing
-    /// `i64`): dependence is assumed.
-    Unbuildable,
-    /// A well-formed integer dependence problem, ready for testing.
-    Problem(DependenceProblem),
-}
-
-/// Classifies one pair: constant short-circuit, then system construction.
-#[must_use]
-pub fn classify_pair(pair: RefPair<'_>, symbolic: bool) -> Classified {
-    if let Some(dependent) = constant_compare(pair) {
-        return Classified::Constant { dependent };
-    }
-    match build_problem(pair, symbolic) {
-        Ok(p) => Classified::Problem(p),
-        Err(_) => Classified::Unbuildable,
-    }
-}
-
-/// How the wave plan classifies a pair, read from its rows: the size of
-/// its system instead of the system itself, which the plan writes from
-/// the rows again wherever it needs it.
+/// How a pair classifies before any dependence testing, read from its
+/// rows: the size of its system instead of the system itself, which the
+/// wave plan writes from the rows again wherever it needs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Class {
     /// All subscripts constant.
@@ -75,7 +48,9 @@ pub(crate) enum Class {
         /// Whether the constant subscripts coincide (dependent).
         dependent: bool,
     },
-    /// No integer system (see [`Classified::Unbuildable`]).
+    /// The integer system could not be built (non-affine subscript, a
+    /// symbolic term with symbolic support off, or a row overflowing
+    /// `i64`): dependence is assumed.
     Unbuildable,
     /// A well-formed system of `vars` variables, `equations` equalities
     /// and `bounds` bound rows.
@@ -88,7 +63,7 @@ pub(crate) enum Class {
 
 thread_local! {
     /// Each thread's reused system buffers.
-    static SCRATCH: RefCell<PairSystem> = RefCell::new(PairSystem::default());
+    static SCRATCH: RefCell<DependenceProblem> = RefCell::new(DependenceProblem::default());
 }
 
 /// Runs `f` on `pair`'s system, written into this thread's reused
@@ -97,7 +72,7 @@ thread_local! {
 pub(crate) fn with_system<R>(
     pair: RefPair<'_>,
     symbolic: bool,
-    f: impl FnOnce(&PairSystem) -> R,
+    f: impl FnOnce(&DependenceProblem) -> R,
 ) -> Option<R> {
     SCRATCH.with(|scratch| {
         let mut system = scratch.borrow_mut();
@@ -111,7 +86,7 @@ pub(crate) fn with_system<R>(
 pub(crate) fn classify_rows(
     pair: RefPair<'_>,
     symbolic: bool,
-    keyed: impl FnOnce(&PairSystem),
+    keyed: impl FnOnce(&DependenceProblem),
 ) -> Class {
     if let Some(dependent) = constant_compare(pair) {
         return Class::Constant { dependent };
@@ -120,7 +95,7 @@ pub(crate) fn classify_rows(
         keyed(system);
         let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Class::System {
-            vars: count(system.layout().num_vars()),
+            vars: count(system.num_vars()),
             equations: count(system.num_equations()),
             bounds: count(system.num_bounds()),
         }
@@ -189,7 +164,7 @@ pub fn assumed_report(mut template: PairReport, compute_directions: bool) -> Pai
 
 /// Finishes a pair the extended GCD test proved independent.
 /// `refutation` is the divisibility witness from
-/// [`refute_equalities`]; `None` degrades
+/// [`refute_equalities`](crate::gcd::refute_equalities); `None` degrades
 /// the certificate to [`Certificate::Unverified`] without touching the
 /// verdict.
 #[must_use]

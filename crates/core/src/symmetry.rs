@@ -11,7 +11,7 @@
 
 #![warn(clippy::arithmetic_side_effects)]
 
-use crate::memo::{ColumnVec, KeyRows};
+use crate::memo::ColumnVec;
 use crate::problem::DependenceProblem;
 use crate::result::{Direction, DistanceVector};
 

@@ -4,7 +4,7 @@
 //! before the serial analyzer and the engine were merged onto one
 //! per-pair step: `pair_inner` and `gcd_phase` copied verbatim, over
 //! plain `HashMap` memo tables, calling only the public pure steps of
-//! `dda_core::{steps, gcd, memo}`. Two additions model the engine's
+//! `dda_core::{problem, steps, gcd, memo}`. Two additions model the engine's
 //! batch semantics, which the old serial analyzer never had:
 //!
 //! - *splices*: a memo hit on an entry that was present before the batch
@@ -35,13 +35,13 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dda_core::gcd::{
-    expand_lattice, refute_equalities, solve_equalities, solve_equalities_restricted,
+    expand_lattice, refute_equalities, solve_equalities, solve_system_restricted,
     witness_for_problem, EqOutcome,
 };
 use dda_core::memo::{nobounds_key, CanonicalKey, MemoKey, SharedMemo};
-use dda_core::problem::DependenceProblem;
+use dda_core::problem::{build_problem, constant_compare, DependenceProblem};
 use dda_core::stats::AnalysisStats;
-use dda_core::steps::{self, Classified, ReduceEffects};
+use dda_core::steps::{self, ReduceEffects};
 use dda_core::{
     AnalyzerConfig, CachedOutcome, DependenceAnalyzer, MemoMode, PairReport, ProgramReport,
 };
@@ -196,21 +196,21 @@ impl Oracle {
         self.stats.pairs += 1;
         let template = steps::pair_template(pair);
 
-        let problem = match steps::classify_pair(pair, self.config.symbolic) {
-            Classified::Constant { dependent } => {
-                self.stats.constant += 1;
-                let report =
-                    steps::constant_report(template, dependent, self.config.compute_directions);
-                steps::note_outcome(&mut self.stats, &report);
-                return Some((report, false));
-            }
-            Classified::Unbuildable => {
+        if let Some(dependent) = constant_compare(pair) {
+            self.stats.constant += 1;
+            let report =
+                steps::constant_report(template, dependent, self.config.compute_directions);
+            steps::note_outcome(&mut self.stats, &report);
+            return Some((report, false));
+        }
+        let problem = match build_problem(pair, self.config.symbolic) {
+            Err(_) => {
                 self.stats.assumed += 1;
                 let report = steps::assumed_report(template, self.config.compute_directions);
                 steps::note_outcome(&mut self.stats, &report);
                 return Some((report, false));
             }
-            Classified::Problem(p) => p,
+            Ok(p) => p,
         };
 
         let (eq_outcome, gcd_warm) = self.gcd_phase(&problem)?;
@@ -283,8 +283,7 @@ impl Oracle {
             if self.expired {
                 return None;
             }
-            let computed =
-                solve_equalities_restricted(&problem.eq_coeffs, &problem.eq_rhs, &nk.kept_vars);
+            let computed = solve_system_restricted(problem, &nk.kept_vars);
             if let Some(v) = &computed {
                 self.fresh_gcd.insert(nk.key.clone());
                 self.gcd_memo.insert(nk.key.clone(), v.clone());

@@ -28,7 +28,7 @@ fn show(title: &str, src: &str) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  variables: {:?}",
         problem
-            .vars
+            .vars(&set)
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -41,7 +41,7 @@ fn show(title: &str, src: &str) -> Result<(), Box<dyn std::error::Error>> {
         GcdOutcome::Reduced(reduced) => {
             println!(
                 "  extended GCD: {} equalities eliminated, {} free variable(s); constraints:",
-                problem.eq_coeffs.len(),
+                problem.num_equations(),
                 reduced.num_t()
             );
             for c in &reduced.system.constraints {
