@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use dda_core::fourier_motzkin::FmLimits;
 use dda_core::gcd::{gcd_preprocess, GcdOutcome, Reduced};
-use dda_core::memo::{bounds_key, nobounds_key};
+use dda_core::memo::{nobounds_columns, write_full_key, write_nobounds_key};
 use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use dda_core::problem::{build_problem, DependenceProblem};
 use dda_ir::{extract_accesses, parse_program, reference_pairs};
@@ -78,16 +78,26 @@ fn bench_gcd(c: &mut Criterion) {
 
 fn bench_memo_keys(c: &mut Criterion) {
     let problem = problem_for("for i = 1 to 10 { for j = 1 to 10 { a[i][j + 2] = a[i][j] + 1; } }");
+    // Keys are written into reused buffers, as the analysis driver does.
+    let (mut key, mut spare) = (Vec::new(), Vec::new());
     let mut group = c.benchmark_group("memo");
     group.bench_function("nobounds_key", |b| {
-        b.iter(|| std::hint::black_box(nobounds_key(&problem, true)))
+        b.iter(|| {
+            key.clear();
+            let kept = nobounds_columns(&problem, true);
+            write_nobounds_key(&problem, &kept, &mut key);
+            std::hint::black_box((&key, kept));
+        })
     });
-    group.bench_function("bounds_key_simple", |b| {
-        b.iter(|| std::hint::black_box(bounds_key(&problem, false)))
-    });
-    group.bench_function("bounds_key_improved", |b| {
-        b.iter(|| std::hint::black_box(bounds_key(&problem, true)))
-    });
+    for (name, improved) in [("bounds_key_simple", false), ("bounds_key_improved", true)] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                key.clear();
+                let levels = write_full_key(&problem, improved, false, &mut key, &mut spare);
+                std::hint::black_box((&key, levels));
+            })
+        });
+    }
     group.finish();
 }
 

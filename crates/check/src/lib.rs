@@ -745,12 +745,22 @@ fn verify_claim(pair: RefPair<'_>, answer: &Answer, cert: &Certificate) -> Resul
 /// Checks one pair's certificate against the accesses it was computed
 /// from.
 ///
-/// Conservative claims of dependence are trivially sound and come back
+/// A report that names other accesses or another array than `pair` does
+/// not belong to it and comes back
+/// [`Rejected`](CheckOutcome::Rejected). Conservative claims of
+/// dependence are trivially sound and come back
 /// [`Verified`](CheckOutcome::Verified); an *independence* verdict
 /// without checkable evidence comes back
 /// [`Unverified`](CheckOutcome::Unverified).
 #[must_use]
 pub fn check_pair(pair: RefPair<'_>, report: &PairReport) -> CheckOutcome {
+    let array = pair.array_name();
+    if report.a_access != pair.a.id || report.b_access != pair.b.id || report.array != *array {
+        return CheckOutcome::Rejected(format!(
+            "the report is for {}[{} vs {}], not {array}[{} vs {}]",
+            report.array, report.a_access, report.b_access, pair.a.id, pair.b.id
+        ));
+    }
     match &report.certificate {
         Certificate::Conservative => {
             if report.result.is_independent() {
@@ -773,13 +783,14 @@ pub fn check_pair(pair: RefPair<'_>, report: &PairReport) -> CheckOutcome {
 
 /// Checks every pair of a program's report, re-enumerating the reference
 /// pairs from the program text. Returns one outcome per pair, in report
-/// order.
+/// order; a pair report that names other accesses or another array than
+/// the program's pair at its position is rejected (see [`check_pair`]).
 ///
 /// # Errors
 ///
-/// Fails when the report does not line up with the program's pair
-/// enumeration (wrong count, or mismatched access ids / array names) —
-/// a sign the report belongs to a different program.
+/// Fails when the report covers another number of pairs than the
+/// program enumerates — a sign the report belongs to a different
+/// program.
 pub fn check_program(
     program: &Program,
     include_input_deps: bool,
@@ -794,17 +805,11 @@ pub fn check_program(
             pairs.len()
         ));
     }
-    pairs
+    Ok(pairs
         .iter()
         .zip(report.pairs())
-        .enumerate()
-        .map(|(i, (p, r))| {
-            if r.a_access != p.a.id || r.b_access != p.b.id || r.array != *p.array_name() {
-                return Err(format!("pair {i} does not match the program's enumeration"));
-            }
-            Ok(check_pair(*p, r))
-        })
-        .collect()
+        .map(|(p, r)| check_pair(*p, r))
+        .collect())
 }
 
 #[cfg(test)]
@@ -894,6 +899,29 @@ mod tests {
             .find(|p| p.a.id == report.a_access && p.b.id == report.b_access)
             .expect("pair exists");
         check_pair(*pair, report)
+    }
+
+    #[test]
+    fn a_report_of_another_pair_is_rejected() {
+        let (program, report) = analyze("for i = 1 to 10 { a[i + 1] = a[i] + 1; }");
+        let set = extract_accesses(&program);
+        let pair = reference_pairs(&set, false)[0];
+        let good = &report.pairs()[0];
+        assert_eq!(check_pair(pair, good), CheckOutcome::Verified);
+        let mut renamed = good.clone();
+        renamed.array = "b".into();
+        let mut swapped = good.clone();
+        std::mem::swap(&mut swapped.a_access, &mut swapped.b_access);
+        for forged in [&renamed, &swapped] {
+            assert!(
+                matches!(check_pair(pair, forged), CheckOutcome::Rejected(_)),
+                "{forged:?}"
+            );
+        }
+        // A program check rejects the pair at its position.
+        let forged = ProgramReport::from_parts(vec![renamed], report.stats);
+        let outcomes = check_program(&program, false, &forged).expect("one pair each");
+        assert!(matches!(outcomes[..], [CheckOutcome::Rejected(_)]));
     }
 
     #[test]

@@ -59,19 +59,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Which variables the trace eliminates.
-    #[must_use]
-    pub fn eliminated_vars(&self) -> Vec<usize> {
-        self.events
-            .iter()
-            .map(|e| match e {
-                Event::Fixed { var, .. }
-                | Event::DeferredLow { var, .. }
-                | Event::DeferredHigh { var, .. } => *var,
-            })
-            .collect()
-    }
-
     /// Appends the events of `later`, a trace recorded *after* this one
     /// on the already-simplified system. [`Trace::complete`] walks events
     /// in reverse, so the later eliminations are (correctly) undone first.
@@ -594,7 +581,12 @@ mod tests {
             panic!("expected stuck");
         };
         assert_eq!(residual.len(), 2, "cycle constraints remain");
-        assert_eq!(trace.eliminated_vars(), vec![2]);
+        assert!(matches!(
+            trace.events[..],
+            [Event::Fixed { var: 2, .. }
+                | Event::DeferredLow { var: 2, .. }
+                | Event::DeferredHigh { var: 2, .. }]
+        ));
     }
 
     #[test]

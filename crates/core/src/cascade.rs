@@ -10,7 +10,6 @@
 
 use crate::acyclic::Trace;
 use crate::result::{Answer, TestKind};
-use crate::system::{Constraint, VarBounds};
 
 /// Result of running the cascade on a `t`-space system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,33 +28,12 @@ pub fn complete_with_trace(trace: &Trace, sample: &mut [i64]) -> Option<()> {
     trace.complete(sample)
 }
 
-/// Helper: bounds → explicit single-variable constraints (used by
-/// benchmarks and ablations).
-#[must_use]
-pub fn bounds_to_constraints(bounds: &VarBounds) -> Vec<Constraint> {
-    let n = bounds.len();
-    let mut out = Vec::new();
-    for v in 0..n {
-        if let Some(u) = bounds.ub[v] {
-            let mut row = vec![0i64; n];
-            row[v] = 1;
-            out.push(Constraint::new(row, u));
-        }
-        if let Some(l) = bounds.lb[v] {
-            let mut row = vec![0i64; n];
-            row[v] = -1;
-            out.push(Constraint::new(row, l.saturating_neg()));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fourier_motzkin::FmLimits;
     use crate::pipeline::{run_pipeline, NullProbe, PipelineConfig};
-    use crate::system::System;
+    use crate::system::{Constraint, System};
 
     fn full_cascade(s: &System) -> CascadeOutcome {
         run_pipeline(

@@ -196,16 +196,6 @@ pub enum Certificate {
     },
 }
 
-impl Certificate {
-    /// Whether this certificate carries a checkable payload (as opposed
-    /// to the [`Conservative`](Certificate::Conservative) /
-    /// [`Unverified`](Certificate::Unverified) markers).
-    #[must_use]
-    pub fn is_checkable(&self) -> bool {
-        !matches!(self, Certificate::Conservative | Certificate::Unverified)
-    }
-}
-
 // --- provenance tracking (solver side) ------------------------------------
 
 use dda_linalg::SmallVec;
@@ -325,15 +315,6 @@ impl Trail {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkable_partition() {
-        assert!(!Certificate::Conservative.is_checkable());
-        assert!(!Certificate::Unverified.is_checkable());
-        assert!(Certificate::Witness { x: vec![1] }.is_checkable());
-        assert!(Certificate::ConstantsEqual.is_checkable());
-        assert!(Certificate::ConstantsDiffer.is_checkable());
-    }
 
     #[test]
     fn trail_seals_only_when_ok() {

@@ -23,6 +23,10 @@
 //! so they count as misses). So every statistic is the one a pair-by-pair
 //! pass over the same memo produces. Without memoization no pair has a
 //! key: each solves for itself, as a leader would, and inserts nothing.
+//! Both tables run through one routine, `keyed_wave`: every outcome is
+//! one `Arc`, shared by the memo and by every pair that reads it, and
+//! leaders insert serially in job order, so a byte-capped memo evicts
+//! the same entries on any executor.
 //!
 //! An [`Executor`] may run a wave's items in any order and on any thread:
 //! [`Inline`] runs them on the calling thread for
@@ -43,12 +47,15 @@ use std::time::Instant;
 
 use dda_ir::RefPair;
 
-use crate::analyzer::{AnalyzerConfig, CachedOutcome, MemoMode, ProgramReport};
+use crate::analyzer::{AnalyzerConfig, MemoMode, ProgramReport};
 use crate::gcd::{
     expand_lattice, refute_equalities, solve_system_restricted, witness_for_problem, EqOutcome,
     Lattice,
 };
-use crate::memo::{nobounds_columns, write_full_key, write_nobounds_key, MemoKey, SharedMemo};
+use crate::memo::{
+    nobounds_columns, write_full_key, write_nobounds_key, MemoKey, MemoWeight, ShardedMemoTable,
+    SharedMemo,
+};
 use crate::pipeline::{NullProbe, Probe, TraceEvent};
 use crate::problem::DependenceProblem;
 use crate::result::LevelVec;
@@ -276,7 +283,7 @@ enum Seen<V> {
 fn elect<'k, V>(
     jobs: usize,
     key: impl Fn(usize) -> Option<&'k [i64]>,
-    lookup: impl Fn(&[i64]) -> Option<V>,
+    lookup: impl Fn(&[i64]) -> Option<Arc<V>>,
 ) -> (Vec<Option<Src<V>>>, u64) {
     let mut seen: HashMap<&[i64], Seen<V>> = HashMap::new();
     let mut leaders = 0;
@@ -288,7 +295,6 @@ fn elect<'k, V>(
                 Some(Seen::Leader(j)) => Src::Share(*j),
                 None => match lookup(k) {
                     Some(v) => {
-                        let v = Arc::new(v);
                         seen.insert(k, Seen::Warm(Arc::clone(&v)));
                         Src::Warm(v)
                     }
@@ -304,28 +310,90 @@ fn elect<'k, V>(
     (srcs, leaders)
 }
 
-/// Runs `solve` on the executor for every job `reaches` admits that
-/// leads its key or has none (`srcs[job]` is `None`), and returns the
-/// solves in job order, without those `solve` cancelled (`None`).
-fn solve_wave<X, V, S>(
+/// How a keyed wave served one job.
+struct Served<V, E> {
+    /// The outcome the job reads, shared: a warm entry's, its leader's
+    /// or its own solve's; `None` when that solve left nothing to share.
+    value: Option<Arc<V>>,
+    /// How the memo served it.
+    used: MemoUse,
+    /// What the job's own solve left beside the outcome (a leader or a
+    /// keyless job); `None` for a job served from the memo.
+    own: Option<E>,
+}
+
+/// One table's wave over `jobs` jobs, the ones `reaches` admits taking
+/// part. Elects over their keys (`key(i)` is `None` for a keyless job),
+/// consulting `table` through `lookup` once per distinct key; runs
+/// `solve` on the executor for every leader and keyless job; inserts each
+/// leader's outcome into `table` serially, in job order (under a byte cap
+/// the insertion order decides evictions, so it must not depend on the
+/// executor); and leaves one slot per job: `None` for a job outside the
+/// wave, or whose solve, or whose leader's, was cancelled (`solve`
+/// returned `None`). A solve whose outcome is `None` inserts nothing, so
+/// a job sharing it counts as a miss. Returns the slots and the leader
+/// count.
+fn keyed_wave<'k, X, V, E>(
     exec: &X,
-    srcs: &[Option<Src<V>>],
+    table: &ShardedMemoTable<V>,
+    lookup: impl Fn(&[i64]) -> Option<Arc<V>>,
+    jobs: usize,
     reaches: impl Fn(usize) -> bool,
-    solve: impl Fn(usize) -> Option<S> + Sync,
-) -> Vec<(usize, S)>
+    key: impl Fn(usize) -> Option<&'k [i64]>,
+    solve: impl Fn(usize) -> Option<(Option<V>, E)> + Sync,
+) -> (Vec<Option<Served<V, E>>>, u64)
 where
     X: Executor,
-    S: Send,
+    V: MemoWeight + Send,
+    E: Send,
 {
-    let solvers: Vec<usize> = (0..srcs.len())
-        .filter(|&job| reaches(job) && matches!(srcs[job], None | Some(Src::Leader)))
+    let key = |i: usize| key(i).filter(|_| reaches(i));
+    let (srcs, leaders) = elect(jobs, key, lookup);
+    let solvers: Vec<usize> = (0..jobs)
+        .filter(|&i| reaches(i) && matches!(srcs[i], None | Some(Src::Leader)))
         .collect();
     let solved = exec.map(&solvers, |_, &job| solve(job));
-    solvers
-        .into_iter()
-        .zip(solved)
-        .filter_map(|(job, s)| Some((job, s?)))
-        .collect()
+    let mut slots: Vec<Option<Served<V, E>>> = (0..jobs).map(|_| None).collect();
+    for (job, solved) in solvers.into_iter().zip(solved) {
+        let Some((value, own)) = solved else {
+            continue;
+        };
+        let value = value.map(Arc::new);
+        let used = match key(job) {
+            Some(k) => {
+                if let Some(v) = &value {
+                    table.insert(MemoKey::from_vec(k.to_vec()), Arc::clone(v));
+                }
+                MemoUse::Miss
+            }
+            None => MemoUse::Unkeyed,
+        };
+        slots[job] = Some(Served {
+            value,
+            used,
+            own: Some(own),
+        });
+    }
+    for (i, src) in srcs.into_iter().enumerate() {
+        slots[i] = match src {
+            Some(Src::Warm(v)) => Some(Served {
+                value: Some(v),
+                used: MemoUse::Warm,
+                own: None,
+            }),
+            Some(Src::Share(j)) => slots[j].as_ref().map(|leader| Served {
+                value: leader.value.clone(),
+                used: if leader.value.is_some() {
+                    MemoUse::Hit
+                } else {
+                    MemoUse::Miss
+                },
+                own: None,
+            }),
+            None | Some(Src::Leader) => continue,
+        };
+    }
+    (slots, leaders)
 }
 
 /// Reports one extended-GCD verdict to an executor's sink.
@@ -341,28 +409,14 @@ fn record_gcd<S: Probe>(mut sink: S, outcome: Option<&EqOutcome>, cached: bool, 
 }
 
 /// What the GCD wave leaves: every pair's answer (`None` for pairs
-/// without a system, and for cancelled ones), where each keyed pair's
-/// canonical outcome came from, and the solves.
+/// without a system, and for cancelled ones), and the canonical outcome
+/// each answer came from.
 struct GcdWave {
     answers: Vec<Option<GcdAnswer>>,
-    srcs: Vec<Option<Src<EqOutcome>>>,
-    /// A solver's outcome is over its key's kept columns (every column,
-    /// without a key).
-    solved: HashMap<usize, (Option<EqOutcome>, u64)>,
+    /// Per job: its own solve's outcome, a leader's or a warm entry's,
+    /// over its key's kept columns (every column, without a key).
+    source: Vec<Option<Arc<EqOutcome>>>,
     leaders: u64,
-}
-
-impl GcdWave {
-    /// The outcome job `i`'s answer came from: its own solve's, a
-    /// leader's or a warm entry's.
-    fn source(&self, i: usize) -> Option<&EqOutcome> {
-        let from_solve = |j: usize| self.solved.get(&j)?.0.as_ref();
-        match &self.srcs[i] {
-            None | Some(Src::Leader) => from_solve(i),
-            Some(Src::Share(j)) => from_solve(*j),
-            Some(Src::Warm(v)) => Some(v),
-        }
-    }
 }
 
 /// The extended-GCD wave. A leader or a keyless job solves the canonical
@@ -379,72 +433,43 @@ fn gcd_wave<X: Executor>(
 ) -> GcdWave {
     let improved = cfg.memo == MemoMode::Improved;
     let sink = exec.sink();
-    let (srcs, leaders) = elect(
-        classes.len(),
-        |i| Some(keys.get(i)?.0),
-        |k| memo.lookup_gcd(k),
-    );
     let has_system = |i: usize| matches!(classes[i], Class::System { .. });
-    let solved = solve_wave(exec, &srcs, has_system, |job| {
-        if cfg.fm_limits.past_deadline() {
-            return None;
-        }
-        // Solve the key's canonical system, read off the pair's rows
-        // (every column, without a key).
-        let (outcome, nanos) = steps::with_system(jobs[job], cfg.symbolic, |system| {
-            let kept = nobounds_columns(system, improved);
-            let start = Instant::now();
-            let outcome = solve_system_restricted(system, &kept);
-            (
-                outcome,
-                u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            )
-        })
-        .unwrap_or((None, 0));
-        record_gcd(sink, outcome.as_ref(), false, nanos);
-        Some((outcome, nanos))
-    });
-    let mut wave = GcdWave {
-        answers: Vec::new(),
-        srcs,
-        solved: HashMap::with_capacity(solved.len()),
-        leaders,
-    };
-    for (job, (outcome, nanos)) in solved {
-        // Overflows are not cached: a later pair with the key recomputes.
-        if let (Some(v), Some((key, _))) = (&outcome, keys.get(job)) {
-            memo.gcd.insert(MemoKey::from_vec(key.to_vec()), v.clone());
-        }
-        wave.solved.insert(job, (outcome, nanos));
-    }
+    let (slots, leaders) = keyed_wave(
+        exec,
+        &memo.gcd,
+        |k| memo.lookup_gcd(k),
+        jobs.len(),
+        has_system,
+        |i| Some(keys.get(i)?.0),
+        |job| {
+            if cfg.fm_limits.past_deadline() {
+                return None;
+            }
+            // Solve the key's canonical system, read off the pair's rows
+            // (every column, without a key).
+            let (outcome, nanos) = steps::with_system(jobs[job], cfg.symbolic, |system| {
+                let kept = nobounds_columns(system, improved);
+                let start = Instant::now();
+                let outcome = solve_system_restricted(system, &kept);
+                (
+                    outcome,
+                    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                )
+            })
+            .unwrap_or((None, 0));
+            record_gcd(sink, outcome.as_ref(), false, nanos);
+            // Overflows are not cached: a later pair with the key
+            // recomputes.
+            Some((outcome, nanos))
+        },
+    );
 
-    let answers = exec.map(classes, |i, _| {
-        if !has_system(i) {
-            return None;
+    let answers = exec.map(&slots, |i, slot| {
+        let Served { value, used, own } = slot.as_ref()?;
+        let outcome = value.as_deref();
+        if own.is_none() {
+            record_gcd(sink, outcome, true, 0);
         }
-        let (outcome, used, nanos) = match &wave.srcs[i] {
-            None | Some(Src::Leader) => {
-                let (v, nanos) = wave.solved.get(&i)?;
-                let used = if wave.srcs[i].is_some() {
-                    MemoUse::Miss
-                } else {
-                    MemoUse::Unkeyed
-                };
-                (v.as_ref(), used, *nanos)
-            }
-            Some(Src::Warm(v)) => {
-                record_gcd(sink, Some(v), true, 0);
-                (Some(&**v), MemoUse::Warm, 0)
-            }
-            // The leader's overflow was not inserted, so a pair-by-pair
-            // pass would miss here and recompute the same `None`;
-            // anything cached is a hit.
-            Some(Src::Share(j)) => {
-                let v = wave.solved.get(j)?.0.as_ref();
-                record_gcd(sink, v, true, 0);
-                (v, v.map_or(MemoUse::Miss, |_| MemoUse::Hit), 0)
-            }
-        };
         let outcome = match outcome {
             None => GcdOutcome::Overflow,
             Some(EqOutcome::Lattice(_)) => GcdOutcome::Lattice,
@@ -463,12 +488,18 @@ fn gcd_wave<X: Executor>(
         };
         Some(GcdAnswer {
             outcome,
-            used,
-            nanos,
+            used: *used,
+            nanos: own.unwrap_or(0),
         })
     });
-    wave.answers = answers;
-    wave
+    GcdWave {
+        answers,
+        source: slots
+            .into_iter()
+            .map(|slot| slot.and_then(|s| s.value))
+            .collect(),
+        leaders,
+    }
 }
 
 /// A full solver's probe in a traced run: every event goes to the
@@ -496,7 +527,7 @@ fn problem_lattice(
     problem: &DependenceProblem,
     improved: bool,
 ) -> Option<Lattice> {
-    let EqOutcome::Lattice(lattice) = gcd.source(job)? else {
+    let EqOutcome::Lattice(lattice) = gcd.source[job].as_deref()? else {
         return None;
     };
     let kept = nobounds_columns(problem, improved);
@@ -530,71 +561,64 @@ fn full_wave<X: Executor>(
         )
     };
     let sink = exec.sink();
-    let key = |i: usize| Some(keys.get(i).filter(|_| reaches(i))?.0);
-    let (srcs, leaders) = elect(jobs.len(), key, |k| memo.lookup_full(k));
-    let solved = solve_wave(exec, &srcs, reaches, |job| {
-        if cfg.fm_limits.past_deadline() {
-            return None;
-        }
-        let pair = jobs[job];
-        let (report, fx, events) = steps::with_system(pair, cfg.symbolic, |problem| {
-            let lattice = problem_lattice(gcd, job, problem, improved)?;
-            let template = steps::pair_template(pair);
-            let mut fx = ReduceEffects::default();
-            let (report, events) = if traced {
-                let mut probe = Buffered {
-                    sink,
-                    events: Vec::new(),
+    let (slots, leaders) = keyed_wave(
+        exec,
+        &memo.full,
+        |k| memo.lookup_full(k),
+        jobs.len(),
+        reaches,
+        |i| Some(keys.get(i)?.0),
+        |job| {
+            if cfg.fm_limits.past_deadline() {
+                return None;
+            }
+            let pair = jobs[job];
+            let (report, fx, events) = steps::with_system(pair, cfg.symbolic, |problem| {
+                let lattice = problem_lattice(gcd, job, problem, improved)?;
+                let template = steps::pair_template(pair);
+                let mut fx = ReduceEffects::default();
+                let (report, events) = if traced {
+                    let mut probe = Buffered {
+                        sink,
+                        events: Vec::new(),
+                    };
+                    let report = steps::analyze_reduced_probed(
+                        cfg, problem, &lattice, template, &mut fx, &mut probe,
+                    );
+                    (report, probe.events)
+                } else {
+                    let mut probe = sink;
+                    let report = steps::analyze_reduced_probed(
+                        cfg, problem, &lattice, template, &mut fx, &mut probe,
+                    );
+                    (report, Vec::new())
                 };
-                let report = steps::analyze_reduced_probed(
-                    cfg, problem, &lattice, template, &mut fx, &mut probe,
-                );
-                (report, probe.events)
-            } else {
-                let mut probe = sink;
-                let report = steps::analyze_reduced_probed(
-                    cfg, problem, &lattice, template, &mut fx, &mut probe,
-                );
-                (report, Vec::new())
-            };
-            Some((report, fx, events))
-        })??;
-        // A cascade that ran past the deadline may have been cut
-        // short: the pair is cancelled like one whose solve never
-        // started.
-        if cfg.fm_limits.past_deadline() {
-            return None;
-        }
-        let cached = keys
-            .get(job)
-            .map(|(_, (levels, flipped))| steps::outcome_in_key_space(&report, levels, *flipped));
-        let computed: Computed = (report, fx, events);
-        Some((computed, cached))
-    });
-    let mut own = HashMap::with_capacity(solved.len());
-    let mut shared: HashMap<usize, Arc<CachedOutcome>> = HashMap::new();
-    for (job, (computed, cached)) in solved {
-        if let (Some(cached), Some((key, _))) = (cached, keys.get(job)) {
-            memo.full
-                .insert(MemoKey::from_vec(key.to_vec()), cached.clone());
-            shared.insert(job, Arc::new(cached));
-        }
-        own.insert(job, Box::new(computed));
-    }
+                Some((report, fx, events))
+            })??;
+            // A cascade that ran past the deadline may have been cut
+            // short: the pair is cancelled like one whose solve never
+            // started.
+            if cfg.fm_limits.past_deadline() {
+                return None;
+            }
+            let cached = keys.get(job).map(|(_, (levels, flipped))| {
+                steps::outcome_in_key_space(&report, levels, *flipped)
+            });
+            let computed: Computed = (report, fx, events);
+            Some((cached, Box::new(computed)))
+        },
+    );
 
-    let answers = srcs
+    let answers = slots
         .into_iter()
         .enumerate()
-        .map(|(i, src)| {
-            let Some(((_, (levels, flipped)), src)) = keys.get(i).zip(src) else {
-                return Some(FullAnswer::Computed(own.remove(&i)?, MemoUse::Unkeyed));
-            };
-            let (outcome, used) = match src {
-                Src::Leader => return Some(FullAnswer::Computed(own.remove(&i)?, MemoUse::Miss)),
-                Src::Share(j) => (Arc::clone(shared.get(&j)?), MemoUse::Hit),
-                Src::Warm(outcome) => (outcome, MemoUse::Warm),
-            };
-            Some(FullAnswer::Cached(outcome, levels.clone(), *flipped, used))
+        .map(|(i, slot)| {
+            let Served { value, used, own } = slot?;
+            if let Some(computed) = own {
+                return Some(FullAnswer::Computed(computed, used));
+            }
+            let (_, (levels, flipped)) = keys.get(i)?;
+            Some(FullAnswer::Cached(value?, levels.clone(), *flipped, used))
         })
         .collect();
     (answers, leaders)

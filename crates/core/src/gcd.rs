@@ -178,10 +178,11 @@ fn equality_matrix(problem: &DependenceProblem, kept: &[usize]) -> (Matrix, Vec<
 }
 
 /// The permutation sorting the equality rows of `problem` into the
-/// canonical order used by [`nobounds_key`](crate::memo::nobounds_key):
-/// `order[j]` is the index of the row providing canonical row `j`
-/// (ascending by coefficients restricted to `kept`, then right-hand side;
-/// duplicate rows are interchangeable).
+/// canonical order of the no-bounds key
+/// ([`write_nobounds_key`](crate::memo::write_nobounds_key)): `order[j]`
+/// is the index of the row providing canonical row `j` (ascending by
+/// coefficients restricted to `kept`, then right-hand side; duplicate
+/// rows are interchangeable).
 fn row_order(problem: &DependenceProblem, kept: &[usize]) -> ColumnVec {
     let segment = |i: usize| {
         let (coeffs, rhs) = problem.equation(i);

@@ -18,12 +18,17 @@
 //! Keys hash with the paper's function `h(x) = size(x) + Σ 2ⁱ·xᵢ`,
 //! "chosen so that symmetrical or partially symmetrical references would
 //! not collide"; equality on the full key vector resolves the rest.
+//!
+//! A table stores each value once, behind an [`Arc`]: a hit hands out
+//! that shared handle, so reading an outcome never copies it.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use dda_linalg::SmallVec;
 
@@ -278,18 +283,6 @@ fn sort_segments(v: &mut [i64], width: usize) {
     }
 }
 
-/// A canonicalized no-bounds key: the equality system, optionally with
-/// equation-unused variables dropped, plus the variable mapping needed to
-/// rehydrate a cached solution lattice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NoBoundsKey {
-    /// The hashable encoding.
-    pub key: MemoKey,
-    /// Variables that survived elimination (all of them under the simple
-    /// scheme). Cached lattices are expressed over exactly these.
-    pub kept_vars: ColumnVec,
-}
-
 /// The columns a no-bounds key keeps: with `improved`, only those some
 /// equation uses (the others are pure lattice freedom, so patterns under
 /// different numbers of irrelevant loops share the factorization).
@@ -321,33 +314,6 @@ pub fn write_nobounds_key(s: &DependenceProblem, kept: &[usize], out: &mut Vec<i
     // systems (e.g. dimensions listed in another order, or a mirrored
     // pair) produce identical keys.
     sort_segments(&mut out[start + 2..], width);
-}
-
-/// Encodes the equality system only (the GCD table key). With `improved`,
-/// variables absent from every equation are dropped first — they are pure
-/// lattice freedom, so patterns under different numbers of irrelevant
-/// loops share the factorization.
-#[must_use]
-pub fn nobounds_key(problem: &DependenceProblem, improved: bool) -> NoBoundsKey {
-    let kept_vars = nobounds_columns(problem, improved);
-    let mut v = Vec::new();
-    write_nobounds_key(problem, &kept_vars, &mut v);
-    NoBoundsKey {
-        key: MemoKey(v),
-        kept_vars,
-    }
-}
-
-/// A canonicalized with-bounds key, plus the mapping needed to translate
-/// cached results (which live in canonical space) back to a concrete
-/// problem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CanonicalKey {
-    /// The hashable encoding.
-    pub key: MemoKey,
-    /// Common loop levels that survived unused-variable elimination, in
-    /// order. Direction-vector components for other levels are a free `*`.
-    pub kept_levels: LevelVec<usize>,
 }
 
 /// The columns a with-bounds key keeps, in problem order, and the common
@@ -417,57 +383,6 @@ fn encode_bounds(
     Some(())
 }
 
-/// Encodes the whole problem. With `improved`, unused variables (and
-/// bound constraints touching only them) are eliminated first, so
-/// patterns differing only in irrelevant enclosing loops collapse.
-#[must_use]
-pub fn bounds_key(problem: &DependenceProblem, improved: bool) -> CanonicalKey {
-    let (keep, kept_levels) = kept_columns(problem, improved);
-    let mut v = Vec::new();
-    encode_bounds(problem, &keep, kept_levels.len(), false, &mut v)
-        .expect("an unnegated key cannot overflow");
-    CanonicalKey {
-        key: MemoKey(v),
-        kept_levels,
-    }
-}
-
-/// [`bounds_key`] of the problem's mirror (the pair with its references
-/// swapped), written straight from the original: `mirror[i]` is the
-/// original column of the mirror's `i`-th variable (see
-/// [`Layout::mirror_columns`](crate::problem::Layout::mirror_columns)), and the mirror's equalities are the
-/// original's negated. The mirror keeps the same levels, so only its key
-/// is returned; `None` when negating an equality overflows.
-#[must_use]
-pub fn mirror_bounds_key(
-    problem: &DependenceProblem,
-    mirror: &[usize],
-    improved: bool,
-) -> Option<MemoKey> {
-    let (keep, kept_levels) = kept_columns(problem, improved);
-    let mut v = Vec::new();
-    encode_mirror(problem, mirror, &keep, kept_levels.len(), &mut v)?;
-    Some(MemoKey(v))
-}
-
-/// Appends the mirror's with-bounds key to `out`. Usage is a property
-/// of the variable, so the mirror keeps the positions whose original
-/// column is kept, and the same levels.
-fn encode_mirror(
-    s: &DependenceProblem,
-    mirror: &[usize],
-    keep: &[usize],
-    kept_levels: usize,
-    out: &mut Vec<i64>,
-) -> Option<()> {
-    let columns: ColumnVec = mirror
-        .iter()
-        .copied()
-        .filter(|c| keep.contains(c))
-        .collect();
-    encode_bounds(s, &columns, kept_levels, true, out)
-}
-
 /// Appends the full-result (with-bounds) key of `s` to `out`, and
 /// returns the common levels it keeps and whether it is the mirror's
 /// key. With `symmetric`, a system and its mirror share the
@@ -486,8 +401,17 @@ pub fn write_full_key(
     let _ = encode_bounds(s, &keep, kept_levels.len(), false, out);
     if symmetric {
         if let Some(mirror) = s.layout().mirror_columns() {
+            // The mirror's `i`-th variable is column `mirror[i]`, and its
+            // equalities are the original's negated. Usage is a property
+            // of the variable, so the mirror keeps the positions whose
+            // original column is kept, and the same levels.
+            let columns: ColumnVec = mirror
+                .iter()
+                .copied()
+                .filter(|c| keep.contains(c))
+                .collect();
             spare.clear();
-            let written = encode_mirror(s, &mirror, &keep, kept_levels.len(), spare);
+            let written = encode_bounds(s, &columns, kept_levels.len(), true, spare);
             if written.is_some() && spare[..] < out[start..] {
                 out.truncate(start);
                 out.extend_from_slice(spare);
@@ -538,7 +462,8 @@ const ENTRY_OVERHEAD_BYTES: u64 = 64;
 
 /// Estimated bytes held by a stored key. The key vector is kept twice
 /// under eviction (map slot and ring slot); the overhead constant
-/// absorbs the second header.
+/// absorbs the second header. An unbounded table keeps no ring, but is
+/// charged the same, so its byte count reads as a capped table's.
 fn key_bytes(key: &MemoKey) -> u64 {
     2 * vec_i64_bytes(&key.0)
 }
@@ -576,7 +501,8 @@ impl MemoCounters {
 struct Shard<V> {
     map: HashMap<MemoKey, Entry<V>, PaperHashBuilder>,
     /// Second-chance (CLOCK) ring: keys in insertion order. The "hand"
-    /// is the front; [`Entry::referenced`] is the chance bit.
+    /// is the front; [`Entry::referenced`] is the chance bit. Only a
+    /// capped table keeps it: nothing else reads it.
     ring: VecDeque<MemoKey>,
     /// Estimated bytes held by this shard's entries.
     bytes: u64,
@@ -595,7 +521,7 @@ impl<V> Shard<V> {
 /// A stored value plus the bookkeeping eviction needs.
 #[derive(Debug)]
 struct Entry<V> {
-    value: V,
+    value: Arc<V>,
     /// Estimated bytes (key, value, and fixed overhead), frozen at
     /// insert so removal subtracts exactly what insertion added.
     weight: u64,
@@ -605,7 +531,8 @@ struct Entry<V> {
 }
 
 /// A concurrent memo table: `N` mutex-guarded shards, with the shard
-/// chosen by the paper's own hash of the key.
+/// chosen by the paper's own hash of the key. Each value is stored once,
+/// as an `Arc<V>`, and every hit shares it.
 ///
 /// This is the substrate behind `dda-engine`'s batch parallelism: worker
 /// threads insert leader results and read cached outcomes through `&self`,
@@ -696,26 +623,24 @@ impl<V> ShardedMemoTable<V> {
     }
 
     /// Locks the shard for `key`, counting the operation against it.
-    fn shard(&self, key: &[i64]) -> std::sync::MutexGuard<'_, Shard<V>> {
+    fn shard(&self, key: &[i64]) -> MutexGuard<'_, Shard<V>> {
         let idx = self.shard_of(key);
         self.shard_ops[idx].fetch_add(1, Ordering::Relaxed);
-        self.shards[idx].lock().expect("memo shard poisoned")
+        lock(&self.shards[idx])
     }
 
     /// Looks up a key, counting the query (and the hit) atomically. A
     /// hit sets the entry's second-chance bit, shielding it from the
-    /// next eviction sweep. The key may be borrowed from any buffer.
-    pub fn get<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<V>
-    where
-        V: Clone,
-    {
+    /// next eviction sweep, and shares the stored value. The key may be
+    /// borrowed from any buffer.
+    pub fn get<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<Arc<V>> {
         let key = key.as_ref();
         self.queries.fetch_add(1, Ordering::Relaxed);
         let hit = {
             let mut shard = self.shard(key);
             shard.map.get_mut(&key as &dyn KeyElems).map(|e| {
                 e.referenced = true;
-                e.value.clone()
+                Arc::clone(&e.value)
             })
         };
         if hit.is_some() {
@@ -727,7 +652,7 @@ impl<V> ShardedMemoTable<V> {
     /// Inserts a computed result (last writer wins on collision; values
     /// for equal keys are identical by construction, so order is moot),
     /// then evicts via second chance until the shard fits its budget.
-    pub fn insert(&self, key: MemoKey, value: V)
+    pub fn insert(&self, key: MemoKey, value: Arc<V>)
     where
         V: MemoWeight,
     {
@@ -738,12 +663,13 @@ impl<V> ShardedMemoTable<V> {
             weight,
             referenced: false,
         };
+        let ring_key = (self.shard_budget > 0).then(|| key.clone());
         let mut shard = self.shard(&key.0);
-        match shard.map.insert(key.clone(), entry) {
+        match shard.map.insert(key, entry) {
             Some(old) => shard.bytes = shard.bytes - old.weight + weight,
             None => {
                 shard.bytes += weight;
-                shard.ring.push_back(key);
+                shard.ring.extend(ring_key);
             }
         }
         if self.shard_budget > 0 {
@@ -761,14 +687,15 @@ impl<V> ShardedMemoTable<V> {
                         e.referenced = false;
                         shard.ring.push_back(hand);
                     }
-                    Some(_) => {
-                        let e = shard.map.remove(&hand).expect("entry present");
-                        shard.bytes -= e.weight;
-                        evicted += 1;
+                    // Unreferenced: evict. A ring slot always has a live
+                    // entry today; one without is skipped, so a future
+                    // removal path cannot wedge the sweep.
+                    _ => {
+                        if let Some(e) = shard.map.remove(&hand) {
+                            shard.bytes -= e.weight;
+                            evicted += 1;
+                        }
                     }
-                    // Ring slots always have a live entry today; guard
-                    // so a future removal path cannot wedge the sweep.
-                    None => {}
                 }
             }
             if evicted > 0 {
@@ -779,7 +706,7 @@ impl<V> ShardedMemoTable<V> {
 
     /// Inserts an entry loaded from a persisted memo file, counting it
     /// as a warm-start load on top of the regular insert accounting.
-    pub fn insert_warm(&self, key: MemoKey, value: V)
+    pub fn insert_warm(&self, key: MemoKey, value: Arc<V>)
     where
         V: MemoWeight,
     {
@@ -790,19 +717,13 @@ impl<V> ShardedMemoTable<V> {
     /// Number of distinct entries across all shards.
     #[must_use]
     pub fn unique_entries(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").map.len())
-            .sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Estimated bytes held across all shards.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").bytes)
-            .sum()
+        self.shards.iter().map(|s| lock(s).bytes).sum()
     }
 
     /// Whether the table holds no entries.
@@ -868,7 +789,7 @@ impl<V> ShardedMemoTable<V> {
     /// Clears contents and counters (the configured capacity stays).
     pub fn clear(&self) {
         for s in &self.shards {
-            let mut shard = s.lock().expect("memo shard poisoned");
+            let mut shard = lock(s);
             shard.map.clear();
             shard.ring.clear();
             shard.bytes = 0;
@@ -883,28 +804,31 @@ impl<V> ShardedMemoTable<V> {
         }
     }
 
-    /// A sorted snapshot of every entry — the deterministic basis for
-    /// persistence (see `persist`).
+    /// A sorted snapshot of every entry, sharing the stored values — the
+    /// deterministic basis for persistence (see `persist`).
     #[must_use]
-    pub fn snapshot(&self) -> Vec<(MemoKey, V)>
-    where
-        V: Clone,
-    {
-        let mut out: Vec<(MemoKey, V)> = self
+    pub fn snapshot(&self) -> Vec<(MemoKey, Arc<V>)> {
+        let mut out: Vec<(MemoKey, Arc<V>)> = self
             .shards
             .iter()
             .flat_map(|s| {
-                s.lock()
-                    .expect("memo shard poisoned")
+                lock(s)
                     .map
                     .iter()
-                    .map(|(k, e)| (k.clone(), e.value.clone()))
+                    .map(|(k, e)| (k.clone(), Arc::clone(&e.value)))
                     .collect::<Vec<_>>()
             })
             .collect();
         out.sort_by(|(a, _), (b, _)| a.cmp(b));
         out
     }
+}
+
+/// Locks a shard, reading through poisoning: a panic under the lock
+/// leaves every stored value whole (each is a pure function of its key,
+/// inserted complete), so at worst the byte accounting is off.
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The memo of every analysis driver: the no-bounds (GCD) table and the
@@ -978,12 +902,14 @@ impl SharedMemo {
     /// resident table first, then the attached v3 archive (if any),
     /// faulting an archive hit into the table so repeat lookups are
     /// resident — and so the byte-capped CLOCK eviction governs how much
-    /// of the archive stays hot.
+    /// of the archive stays hot. Either way the stored value is shared:
+    /// a fault decodes its record once, and that copy is the one the
+    /// table keeps.
     #[must_use]
     pub fn lookup_full<K: AsRef<[i64]> + ?Sized>(
         &self,
         key: &K,
-    ) -> Option<crate::analyzer::CachedOutcome> {
+    ) -> Option<Arc<crate::analyzer::CachedOutcome>> {
         let key = key.as_ref();
         self.lookup_tiered(&self.full, key, |a| a.get_full(key))
     }
@@ -991,23 +917,26 @@ impl SharedMemo {
     /// Looks up a gcd entry through both residency tiers (see
     /// [`SharedMemo::lookup_full`]).
     #[must_use]
-    pub fn lookup_gcd<K: AsRef<[i64]> + ?Sized>(&self, key: &K) -> Option<crate::gcd::EqOutcome> {
+    pub fn lookup_gcd<K: AsRef<[i64]> + ?Sized>(
+        &self,
+        key: &K,
+    ) -> Option<Arc<crate::gcd::EqOutcome>> {
         let key = key.as_ref();
         self.lookup_tiered(&self.gcd, key, |a| a.get_gcd(key))
     }
 
-    fn lookup_tiered<V: Clone + MemoWeight>(
+    fn lookup_tiered<V: MemoWeight>(
         &self,
         table: &ShardedMemoTable<V>,
         key: &[i64],
         fault: impl FnOnce(&crate::persist::MemoArchive) -> Option<V>,
-    ) -> Option<V> {
+    ) -> Option<Arc<V>> {
         if let Some(hit) = table.get(key) {
             return Some(hit);
         }
-        let v = fault(self.archive.get()?)?;
+        let v = Arc::new(fault(self.archive.get()?)?);
         self.archive_faults.fetch_add(1, Ordering::Relaxed);
-        table.insert_warm(MemoKey(key.to_vec()), v.clone());
+        table.insert_warm(MemoKey(key.to_vec()), Arc::clone(&v));
         Some(v)
     }
 
@@ -1190,6 +1119,18 @@ mod tests {
         build_problem(pairs[0], true).unwrap()
     }
 
+    fn gcd_key(p: &DependenceProblem, improved: bool) -> Vec<i64> {
+        let mut key = Vec::new();
+        write_nobounds_key(p, &nobounds_columns(p, improved), &mut key);
+        key
+    }
+
+    fn full_key(p: &DependenceProblem, improved: bool) -> Vec<i64> {
+        let mut key = Vec::new();
+        write_full_key(p, improved, false, &mut key, &mut Vec::new());
+        key
+    }
+
     #[test]
     fn paper_hash_matches_formula() {
         let key = MemoKey(vec![3, -1, 4]);
@@ -1278,10 +1219,10 @@ mod tests {
         let keys: Vec<MemoKey> = (0..64).map(|i| MemoKey(vec![i, i * 3 - 7, 2])).collect();
         for (i, k) in keys.iter().enumerate() {
             assert!(t.get(k).is_none());
-            t.insert(k.clone(), i as u32);
+            t.insert(k.clone(), Arc::new(i as u32));
         }
         for (i, k) in keys.iter().enumerate() {
-            assert_eq!(t.get(k), Some(i as u32));
+            assert_eq!(t.get(k).as_deref(), Some(&(i as u32)));
         }
         assert_eq!(t.unique_entries(), 64);
         assert_eq!(t.queries(), 128);
@@ -1298,8 +1239,8 @@ mod tests {
     fn sharded_table_zero_shards_clamped() {
         let t: ShardedMemoTable<u8> = ShardedMemoTable::new(0);
         assert_eq!(t.shard_count(), 1);
-        t.insert(MemoKey(vec![1]), 9);
-        assert_eq!(t.get(&MemoKey(vec![1])), Some(9));
+        t.insert(MemoKey(vec![1]), Arc::new(9));
+        assert_eq!(t.get(&MemoKey(vec![1])).as_deref(), Some(&9));
     }
 
     #[test]
@@ -1313,7 +1254,7 @@ mod tests {
                         let key = MemoKey(vec![i % 50, (i * 7) % 31]);
                         // Values for equal keys agree by construction, as
                         // in the engine's leader-election protocol.
-                        t.insert(key.clone(), (i % 50) * 1000 + (i * 7) % 31);
+                        t.insert(key.clone(), Arc::new((i % 50) * 1000 + (i * 7) % 31));
                         let _ = t.get(&key);
                         let _ = w;
                     }
@@ -1323,7 +1264,10 @@ mod tests {
         assert!(t.unique_entries() <= 200);
         for i in 0..200i64 {
             let key = MemoKey(vec![i % 50, (i * 7) % 31]);
-            assert_eq!(t.get(&key), Some((i % 50) * 1000 + (i * 7) % 31));
+            assert_eq!(
+                t.get(&key).as_deref(),
+                Some(&((i % 50) * 1000 + (i * 7) % 31))
+            );
         }
     }
 
@@ -1344,18 +1288,18 @@ mod tests {
     fn identical_pairs_share_keys() {
         let p1 = problem("for i = 1 to 10 { a[i + 10] = a[i] + 3; }");
         let p2 = problem("for i = 1 to 10 { b[i + 10] = b[i] + 7; }");
-        assert_eq!(bounds_key(&p1, false).key, bounds_key(&p2, false).key);
-        assert_eq!(nobounds_key(&p1, false).key, nobounds_key(&p2, false).key);
-        assert_eq!(nobounds_key(&p1, true).key, nobounds_key(&p2, true).key);
+        assert_eq!(full_key(&p1, false), full_key(&p2, false));
+        assert_eq!(gcd_key(&p1, false), gcd_key(&p2, false));
+        assert_eq!(gcd_key(&p1, true), gcd_key(&p2, true));
     }
 
     #[test]
     fn different_bounds_differ_with_bounds_only() {
         let p1 = problem("for i = 1 to 10 { a[i + 10] = a[i]; }");
         let p2 = problem("for i = 1 to 20 { a[i + 10] = a[i]; }");
-        assert_eq!(nobounds_key(&p1, false).key, nobounds_key(&p2, false).key);
-        assert_eq!(nobounds_key(&p1, true).key, nobounds_key(&p2, true).key);
-        assert_ne!(bounds_key(&p1, false).key, bounds_key(&p2, false).key);
+        assert_eq!(gcd_key(&p1, false), gcd_key(&p2, false));
+        assert_eq!(gcd_key(&p1, true), gcd_key(&p2, true));
+        assert_ne!(full_key(&p1, false), full_key(&p2, false));
     }
 
     #[test]
@@ -1365,12 +1309,12 @@ mod tests {
         let two_a = problem("for i = 1 to 10 { for j = 1 to 10 { a[i + 10] = a[i] + 3; } }");
         let two_b = problem("for i = 1 to 10 { for j = 1 to 10 { a[j + 10] = a[j] + 3; } }");
         let one = problem("for i = 1 to 10 { a[i + 10] = a[i] + 3; }");
-        assert_ne!(bounds_key(&two_a, false).key, bounds_key(&one, false).key);
+        assert_ne!(full_key(&two_a, false), full_key(&one, false));
         // two_a uses i (outer), two_b uses j (inner): simple keys differ.
-        assert_ne!(bounds_key(&two_a, false).key, bounds_key(&two_b, false).key);
+        assert_ne!(full_key(&two_a, false), full_key(&two_b, false));
         // Improved keys all coincide.
-        assert_eq!(bounds_key(&two_a, true).key, bounds_key(&one, true).key);
-        assert_eq!(bounds_key(&two_b, true).key, bounds_key(&one, true).key);
+        assert_eq!(full_key(&two_a, true), full_key(&one, true));
+        assert_eq!(full_key(&two_b, true), full_key(&one, true));
     }
 
     #[test]
@@ -1379,7 +1323,7 @@ mod tests {
         // though it appears in no subscript.
         let p = problem("for i = 1 to 10 { for j = i to 10 { a[j + 5] = a[j]; } }");
         let flat = problem("for j = 1 to 10 { a[j + 5] = a[j]; }");
-        assert_ne!(bounds_key(&p, true).key, bounds_key(&flat, true).key);
+        assert_ne!(full_key(&p, true), full_key(&flat, true));
     }
 
     #[test]
@@ -1387,11 +1331,11 @@ mod tests {
         let t: ShardedMemoTable<u32> = ShardedMemoTable::new(3);
         let warm = MemoKey(vec![9, 9]);
         let cold = MemoKey(vec![1, 2]);
-        t.insert_warm(warm.clone(), 7);
+        t.insert_warm(warm.clone(), Arc::new(7));
         assert!(t.get(&cold).is_none()); // miss
-        assert_eq!(t.get(&warm), Some(7)); // hit (warm entry)
-        t.insert(cold.clone(), 3);
-        assert_eq!(t.get(&cold), Some(3)); // hit
+        assert_eq!(t.get(&warm).as_deref(), Some(&7)); // hit (warm entry)
+        t.insert(cold.clone(), Arc::new(3));
+        assert_eq!(t.get(&cold).as_deref(), Some(&3)); // hit
         let c = t.counters();
         assert_eq!(
             c,
@@ -1420,13 +1364,13 @@ mod tests {
     fn byte_accounting_tracks_inserts_and_replacements() {
         let t: ShardedMemoTable<u32> = ShardedMemoTable::new(2);
         assert_eq!(t.bytes(), 0);
-        t.insert(MemoKey(vec![1, 2]), 5);
+        t.insert(MemoKey(vec![1, 2]), Arc::new(5));
         let one = t.bytes();
         assert!(one > 0);
         // Replacing the same key must not grow the accounting.
-        t.insert(MemoKey(vec![1, 2]), 9);
+        t.insert(MemoKey(vec![1, 2]), Arc::new(9));
         assert_eq!(t.bytes(), one);
-        t.insert(MemoKey(vec![3]), 1);
+        t.insert(MemoKey(vec![3]), Arc::new(1));
         assert!(t.bytes() > one);
         t.clear();
         assert_eq!(t.bytes(), 0);
@@ -1438,11 +1382,11 @@ mod tests {
         // one-element key weighs the same; cap the table to roughly
         // three entries and insert ten.
         let probe: ShardedMemoTable<u32> = ShardedMemoTable::new(1);
-        probe.insert(MemoKey(vec![0]), 0);
+        probe.insert(MemoKey(vec![0]), Arc::new(0));
         let per_entry = probe.bytes();
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 3 * per_entry);
         for i in 0..10 {
-            t.insert(MemoKey(vec![i]), i as u32);
+            t.insert(MemoKey(vec![i]), Arc::new(i as u32));
         }
         assert!(t.bytes() <= 3 * per_entry, "byte cap enforced");
         assert_eq!(t.unique_entries(), 3);
@@ -1451,25 +1395,29 @@ mod tests {
         // The survivors are the most recent inserts (nothing was read,
         // so no second chances were granted).
         for i in 7..10 {
-            assert_eq!(t.get(&MemoKey(vec![i])), Some(i as u32));
+            assert_eq!(t.get(&MemoKey(vec![i])).as_deref(), Some(&(i as u32)));
         }
     }
 
     #[test]
     fn second_chance_shields_referenced_entries() {
         let probe: ShardedMemoTable<u32> = ShardedMemoTable::new(1);
-        probe.insert(MemoKey(vec![0]), 0);
+        probe.insert(MemoKey(vec![0]), Arc::new(0));
         let per_entry = probe.bytes();
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 3 * per_entry);
-        t.insert(MemoKey(vec![1]), 1);
-        t.insert(MemoKey(vec![2]), 2);
-        t.insert(MemoKey(vec![3]), 3);
+        t.insert(MemoKey(vec![1]), Arc::new(1));
+        t.insert(MemoKey(vec![2]), Arc::new(2));
+        t.insert(MemoKey(vec![3]), Arc::new(3));
         // Touch the oldest entry: the hit sets its chance bit.
-        assert_eq!(t.get(&MemoKey(vec![1])), Some(1));
+        assert_eq!(t.get(&MemoKey(vec![1])).as_deref(), Some(&1));
         // The next insert overflows the budget. Without second chance
         // key [1] (the oldest) would go; with it, [2] goes instead.
-        t.insert(MemoKey(vec![4]), 4);
-        assert_eq!(t.get(&MemoKey(vec![1])), Some(1), "referenced entry kept");
+        t.insert(MemoKey(vec![4]), Arc::new(4));
+        assert_eq!(
+            t.get(&MemoKey(vec![1])).as_deref(),
+            Some(&1),
+            "referenced entry kept"
+        );
         assert!(
             t.get(&MemoKey(vec![2])).is_none(),
             "unreferenced oldest evicted"
@@ -1483,10 +1431,10 @@ mod tests {
         // after insertion; the sweep terminates and the table stays
         // usable.
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 8);
-        t.insert(MemoKey(vec![1, 2, 3, 4, 5, 6, 7, 8]), 1);
+        t.insert(MemoKey(vec![1, 2, 3, 4, 5, 6, 7, 8]), Arc::new(1));
         assert_eq!(t.unique_entries(), 0);
         assert!(t.evictions() >= 1);
-        t.insert(MemoKey(vec![9]), 2);
+        t.insert(MemoKey(vec![9]), Arc::new(2));
         assert_eq!(t.unique_entries(), 0, "still over budget, still evicts");
     }
 
@@ -1497,7 +1445,7 @@ mod tests {
         // (values are pure functions of keys). Model that here: evict,
         // re-insert the recomputed value, and observe the same reads.
         let probe: ShardedMemoTable<u32> = ShardedMemoTable::new(1);
-        probe.insert(MemoKey(vec![0]), 0);
+        probe.insert(MemoKey(vec![0]), Arc::new(0));
         let per_entry = probe.bytes();
         let value_of = |k: i64| (k * k) as u32;
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 2 * per_entry);
@@ -1505,10 +1453,10 @@ mod tests {
             for k in 0..6i64 {
                 let key = MemoKey(vec![k]);
                 let got = match t.get(&key) {
-                    Some(v) => v,
+                    Some(v) => *v,
                     None => {
                         let v = value_of(k);
-                        t.insert(key, v);
+                        t.insert(key, Arc::new(v));
                         v
                     }
                 };
@@ -1532,7 +1480,7 @@ mod tests {
     fn shard_ops_not_polluted_by_snapshots_or_entry_counts() {
         let t: ShardedMemoTable<u32> = ShardedMemoTable::new(2);
         for i in 0..10 {
-            t.insert(MemoKey(vec![i]), i as u32);
+            t.insert(MemoKey(vec![i]), Arc::new(i as u32));
         }
         let before: u64 = t.shard_ops().iter().sum();
         let _ = t.unique_entries();

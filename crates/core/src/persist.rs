@@ -65,6 +65,7 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use dda_linalg::Matrix;
 
@@ -818,7 +819,7 @@ fn build_payload(mut entries: Vec<(u64, Vec<u8>)>) -> io::Result<Vec<u8>> {
 }
 
 fn partition<V>(
-    entries: &[(MemoKey, V)],
+    entries: &[(MemoKey, Arc<V>)],
     shard_count: usize,
     enc: impl Fn(&mut Vec<u8>, &V),
 ) -> io::Result<Vec<(Vec<u8>, u64)>> {
@@ -893,8 +894,8 @@ fn assemble(
 /// is deterministic byte-for-byte.
 fn write_memo_v3(
     path: &Path,
-    gcd: &[(MemoKey, EqOutcome)],
-    full: &[(MemoKey, CachedOutcome)],
+    gcd: &[(MemoKey, Arc<EqOutcome>)],
+    full: &[(MemoKey, Arc<CachedOutcome>)],
     shard_count: usize,
 ) -> io::Result<()> {
     let shard_count = shard_count.clamp(1, MAX_SHARDS);
@@ -1401,16 +1402,22 @@ impl SharedMemo {
     #[allow(clippy::type_complexity)]
     pub fn merged_entries(
         &self,
-    ) -> Result<(Vec<(MemoKey, EqOutcome)>, Vec<(MemoKey, CachedOutcome)>), PersistV3Error> {
+    ) -> Result<
+        (
+            Vec<(MemoKey, Arc<EqOutcome>)>,
+            Vec<(MemoKey, Arc<CachedOutcome>)>,
+        ),
+        PersistV3Error,
+    > {
         use std::collections::BTreeMap;
-        let mut gcd: BTreeMap<MemoKey, EqOutcome> = BTreeMap::new();
-        let mut full: BTreeMap<MemoKey, CachedOutcome> = BTreeMap::new();
+        let mut gcd: BTreeMap<MemoKey, Arc<EqOutcome>> = BTreeMap::new();
+        let mut full: BTreeMap<MemoKey, Arc<CachedOutcome>> = BTreeMap::new();
         if let Some(archive) = self.archive_ref() {
             archive.for_each_gcd(|k, v| {
-                gcd.insert(k, v);
+                gcd.insert(k, Arc::new(v));
             })?;
             archive.for_each_full(|k, v| {
-                full.insert(k, v);
+                full.insert(k, Arc::new(v));
             })?;
         }
         for (k, v) in self.gcd.snapshot() {
@@ -1453,8 +1460,8 @@ impl SharedMemo {
         let (records, bytes) = (archive.total_records(), archive.file_len());
         if let Err(second) = self.attach_archive(archive) {
             second
-                .for_each_gcd(|k, v| self.gcd.insert_warm(k, v))
-                .and_then(|()| second.for_each_full(|k, v| self.full.insert_warm(k, v)))
+                .for_each_gcd(|k, v| self.gcd.insert_warm(k, Arc::new(v)))
+                .and_then(|()| second.for_each_full(|k, v| self.full.insert_warm(k, Arc::new(v))))
                 .map_err(invalid_data)?;
         }
         self.note_load(records, bytes, started.elapsed().as_nanos() as u64);
@@ -1679,17 +1686,19 @@ mod tests {
 
         // Point lookups find every record with the exact stored value.
         for (k, v) in memo.gcd.snapshot() {
-            assert_eq!(archive.get_gcd(&k), Some(v));
+            assert_eq!(archive.get_gcd(&k).as_ref(), Some(&*v));
         }
         for (k, v) in memo.full.snapshot() {
-            assert_eq!(archive.get_full(&k), Some(v));
+            assert_eq!(archive.get_full(&k).as_ref(), Some(&*v));
         }
         // And miss on a key that was never stored.
         assert_eq!(archive.get_gcd(&MemoKey::from_vec(vec![99, 98, 97])), None);
 
         // Full iteration recovers the same entry sets.
         let mut gcd = Vec::new();
-        archive.for_each_gcd(|k, v| gcd.push((k, v))).unwrap();
+        archive
+            .for_each_gcd(|k, v| gcd.push((k, Arc::new(v))))
+            .unwrap();
         gcd.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(gcd, memo.gcd.snapshot());
         // Every record once, gcd shards first, each in the shard its

@@ -354,13 +354,6 @@ impl PipelineConfig {
     pub fn enabled(&self, kind: TestKind) -> bool {
         self.tests().any(|t| t == kind)
     }
-
-    /// Whether every test is enabled (in any order). Exactness of
-    /// "assumed" answers is only guaranteed in this case.
-    #[must_use]
-    pub fn includes_all(&self) -> bool {
-        TestKind::ALL.iter().all(|&t| self.enabled(t))
-    }
 }
 
 impl fmt::Display for PipelineConfig {
@@ -707,8 +700,6 @@ mod tests {
                 TestKind::FourierMotzkin
             ]
         );
-        assert!(!cfg.includes_all());
-        assert!(PipelineConfig::full().includes_all());
     }
 
     #[test]

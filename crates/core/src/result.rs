@@ -115,13 +115,6 @@ impl Answer {
         matches!(self, Answer::Dependent(_))
     }
 
-    /// Whether the compiler must treat the pair as dependent (definitive
-    /// or assumed).
-    #[must_use]
-    pub fn must_assume_dependent(&self) -> bool {
-        !self.is_independent()
-    }
-
     /// Whether the answer is exact (not an assumption).
     #[must_use]
     pub fn is_exact(&self) -> bool {
@@ -297,7 +290,6 @@ mod tests {
         assert!(Answer::Dependent(None).is_dependent());
         assert!(Answer::Dependent(None).is_exact());
         assert!(!Answer::Unknown.is_exact());
-        assert!(Answer::Unknown.must_assume_dependent());
     }
 
     #[test]

@@ -26,10 +26,7 @@ use crate::cascade::CascadeOutcome;
 use crate::certificate::Certificate;
 use crate::direction::{analyze_directions, DirectionAnalysis, DirectionConfig};
 use crate::gcd::{reduce_with_lattice, EqOutcome, Lattice};
-use crate::memo::{write_full_key, CanonicalKey, MemoKey};
-use crate::pipeline::{
-    run_pipeline_collect, ClassifiedKind, GcdVerdict, NullProbe, Probe, TraceEvent,
-};
+use crate::pipeline::{run_pipeline_collect, ClassifiedKind, GcdVerdict, Probe, TraceEvent};
 use crate::problem::{constant_compare, DependenceProblem};
 use crate::result::{
     Answer, DependenceResult, Direction, DirectionVector, DistanceVector, LevelVec, ResolvedBy,
@@ -194,34 +191,6 @@ pub fn gcd_verdict(outcome: Option<&EqOutcome>) -> GcdVerdict {
     }
 }
 
-/// The full-result memo key for a problem, or `None` when memoization is
-/// off. With symmetric canonicalization enabled, a pair and its mirror
-/// share the lexicographically smaller key; the returned flag records
-/// whether *this* problem is the mirror of what the table stores (see
-/// [`write_full_key`]). A pair and its mirror keep the same levels.
-#[must_use]
-pub fn full_key(
-    config: &AnalyzerConfig,
-    problem: &DependenceProblem,
-) -> Option<(CanonicalKey, bool)> {
-    if config.memo == MemoMode::Off {
-        return None;
-    }
-    let (mut key, mut spare) = (Vec::new(), Vec::new());
-    let (kept_levels, flipped) = write_full_key(
-        problem,
-        config.memo == MemoMode::Improved,
-        config.memo_symmetry,
-        &mut key,
-        &mut spare,
-    );
-    let ck = CanonicalKey {
-        key: MemoKey::from_vec(key),
-        kept_levels,
-    };
-    Some((ck, flipped))
-}
-
 /// A direction as the stored (`flipped`: mirrored) orientation has it.
 fn orient(d: Direction, flipped: bool) -> Direction {
     if flipped {
@@ -304,22 +273,12 @@ fn expand_distance(
     full
 }
 
-/// Rehydrates a full-memo hit into a concrete report for this pair. The
-/// cached outcome is borrowed: a hit copies out only what the report
-/// keeps.
+/// Rehydrates a full-memo hit into a concrete report for this pair,
+/// whose key kept `kept_levels` and is the mirror's when `flipped` (see
+/// [`write_full_key`](crate::memo::write_full_key)). The cached outcome
+/// is borrowed: a hit copies out only what the report keeps.
 #[must_use]
-pub fn rehydrate_hit(
-    memo: MemoMode,
-    cached: &CachedOutcome,
-    ck: &CanonicalKey,
-    flipped: bool,
-    template: PairReport,
-) -> PairReport {
-    rehydrate(memo, cached, &ck.kept_levels, flipped, template)
-}
-
-/// [`rehydrate_hit`] under a key that kept `kept_levels`.
-fn rehydrate(
+pub fn rehydrate(
     memo: MemoMode,
     cached: &CachedOutcome,
     kept_levels: &[usize],
@@ -355,14 +314,10 @@ fn rehydrate(
 }
 
 /// What to insert into the full-result table for a freshly computed
-/// report: restricted to canonical space, mirrored when the key was.
+/// report under a key that kept `kept_levels`: restricted to canonical
+/// space, mirrored when the key was (`flipped`).
 #[must_use]
-pub fn canonical_outcome(report: &PairReport, ck: &CanonicalKey, flipped: bool) -> CachedOutcome {
-    outcome_in_key_space(report, &ck.kept_levels, flipped)
-}
-
-/// [`canonical_outcome`] under a key that kept `kept_levels`.
-pub(crate) fn outcome_in_key_space(
+pub fn outcome_in_key_space(
     report: &PairReport,
     kept_levels: &[usize],
     flipped: bool,
@@ -386,9 +341,10 @@ pub(crate) fn outcome_in_key_space(
     }
 }
 
-/// Statistics side-effects of [`analyze_reduced`], captured explicitly so
-/// callers can attribute them wherever the pair lives (the wave plan
-/// applies them to the leader pair's program during in-order assembly).
+/// Statistics side-effects of [`analyze_reduced_probed`], captured
+/// explicitly so callers can attribute them wherever the pair lives (the
+/// wave plan applies them to the leader pair's program during in-order
+/// assembly).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReduceEffects {
     /// The lattice substitution overflowed: dependence assumed.
@@ -414,21 +370,10 @@ impl ReduceEffects {
 
 /// The compute path of a memo miss: reduce through the GCD lattice, run
 /// the cascade, refine direction vectors. Pure; side-effects land in
-/// `fx`.
-#[must_use]
-pub fn analyze_reduced(
-    config: &AnalyzerConfig,
-    problem: &DependenceProblem,
-    lattice: &Lattice,
-    report: PairReport,
-    fx: &mut ReduceEffects,
-) -> PairReport {
-    analyze_reduced_probed(config, problem, lattice, report, fx, &mut NullProbe)
-}
-
-/// [`analyze_reduced`] with an explicit [`Probe`]. The probe observes the
-/// lattice reduction, every pipeline stage of the base query, the
-/// witness, and the direction refinement; it never changes the report.
+/// `fx`. The probe ([`NullProbe`](crate::pipeline::NullProbe) for none)
+/// observes the lattice reduction, every pipeline stage of the base
+/// query, the witness, and the direction refinement; it never changes
+/// the report.
 #[must_use]
 pub fn analyze_reduced_probed<P: Probe>(
     config: &AnalyzerConfig,

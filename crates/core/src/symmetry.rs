@@ -11,21 +11,8 @@
 
 #![warn(clippy::arithmetic_side_effects)]
 
-use crate::memo::ColumnVec;
 use crate::problem::DependenceProblem;
 use crate::result::{Direction, DistanceVector};
-
-/// The mirror's column permutation of `p`: `columns[i]` is the column of
-/// `p` whose variable sits at position `i` of the mirror problem (the
-/// pair with its references swapped); see
-/// [`Layout::mirror_columns`](crate::problem::Layout::mirror_columns).
-///
-/// Returns `None` when the mirror is not well-defined (see
-/// [`swappable`]).
-#[must_use]
-pub fn mirror_columns(p: &DependenceProblem) -> Option<ColumnVec> {
-    p.layout().mirror_columns()
-}
 
 /// Whether the mirror is well-defined: swapping the ExtraA/ExtraB blocks
 /// must be a permutation, which requires the two references to have the
@@ -65,7 +52,7 @@ pub fn flip_distance(d: &DistanceVector) -> DistanceVector {
 #[allow(clippy::arithmetic_side_effects)]
 mod tests {
     use super::*;
-    use crate::memo::{bounds_key, mirror_bounds_key};
+    use crate::memo::write_full_key;
     use crate::problem::build_problem;
     use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
@@ -84,7 +71,7 @@ mod tests {
             "read(n); for i = 1 to 10 { a[i + n] = a[i]; }",
         ] {
             let p = problem(src);
-            let mirror = mirror_columns(&p).expect("swappable");
+            let mirror = p.layout().mirror_columns().expect("swappable");
             for (i, &c) in mirror.iter().enumerate() {
                 assert_eq!(mirror[c], i, "{src}");
             }
@@ -96,16 +83,20 @@ mod tests {
         // a[i+1] = a[i]  vs  a[i] = a[i+1]: mirrors of each other.
         let p1 = problem("for i = 1 to 10 { a[i + 1] = a[i]; }");
         let p2 = problem("for i = 1 to 10 { a[i] = a[i + 1]; }");
-        assert_ne!(bounds_key(&p1, true).key, bounds_key(&p2, true).key);
-        let canonical = |p: &DependenceProblem| {
-            let mirror = mirror_bounds_key(p, &mirror_columns(p).unwrap(), true).unwrap();
-            bounds_key(p, true).key.min(mirror)
+        let key = |p: &DependenceProblem, symmetric: bool| {
+            let mut key = Vec::new();
+            let (_, flipped) = write_full_key(p, true, symmetric, &mut key, &mut Vec::new());
+            (key, flipped)
         };
-        assert_eq!(canonical(&p1), canonical(&p2));
-        assert_eq!(
-            mirror_bounds_key(&p1, &mirror_columns(&p1).unwrap(), true),
-            Some(bounds_key(&p2, true).key)
-        );
+        assert_ne!(key(&p1, false).0, key(&p2, false).0);
+        let (k1, flipped1) = key(&p1, true);
+        let (k2, flipped2) = key(&p2, true);
+        assert_eq!(k1, k2);
+        // Exactly one of them is served through its mirror, whose key
+        // is the other pair's own.
+        assert_ne!(flipped1, flipped2);
+        let own = if flipped1 { &p2 } else { &p1 };
+        assert_eq!(k1, key(own, false).0);
     }
 
     #[test]

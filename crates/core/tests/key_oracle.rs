@@ -22,13 +22,9 @@ use std::sync::Arc;
 
 use std::collections::BTreeSet;
 
-use dda_core::memo::{
-    bounds_key, nobounds_columns, nobounds_key, write_full_key, write_nobounds_key, MemoKey,
-};
+use dda_core::memo::{nobounds_columns, write_full_key, write_nobounds_key};
 use dda_core::problem::{build_problem, BuildError, DependenceProblem, Layout, XVar};
-use dda_core::steps::full_key;
 use dda_core::symmetry::swappable;
-use dda_core::{AnalyzerConfig, MemoMode};
 use dda_ir::{extract_accesses, parse_program, reference_pairs, RefPair, Row};
 use proptest::prelude::*;
 
@@ -221,12 +217,16 @@ fn arb_problem() -> impl Strategy<Value = DependenceProblem> {
         )
 }
 
-fn symmetric(memo: MemoMode) -> AnalyzerConfig {
-    AnalyzerConfig {
-        memo,
-        memo_symmetry: true,
-        ..AnalyzerConfig::default()
-    }
+/// [`write_full_key`] into fresh buffers: the key, the common levels it
+/// keeps and whether it is the mirror's.
+fn full_key(
+    p: &DependenceProblem,
+    improved: bool,
+    symmetric: bool,
+) -> (Vec<i64>, Vec<usize>, bool) {
+    let mut key = Vec::new();
+    let (levels, flipped) = write_full_key(p, improved, symmetric, &mut key, &mut Vec::new());
+    (key, levels.to_vec(), flipped)
 }
 
 proptest! {
@@ -234,14 +234,17 @@ proptest! {
 
     #[test]
     fn flat_keys_match_row_by_row_encoding(p in arb_problem(), improved in proptest::bool::ANY) {
-        let nk = nobounds_key(&p, improved);
-        let (raw, kept) = nobounds_oracle(&p, improved);
-        prop_assert_eq!(nk.key, MemoKey::from_vec(raw));
-        prop_assert_eq!(nk.kept_vars.to_vec(), kept);
-        let ck = bounds_key(&p, improved);
-        let (raw, kept_levels) = bounds_oracle(&p, improved);
-        prop_assert_eq!(ck.key, MemoKey::from_vec(raw));
-        prop_assert_eq!(ck.kept_levels.to_vec(), kept_levels);
+        let kept = nobounds_columns(&p, improved);
+        let mut key = Vec::new();
+        write_nobounds_key(&p, &kept, &mut key);
+        let (raw, oracle_kept) = nobounds_oracle(&p, improved);
+        prop_assert_eq!(key, raw);
+        prop_assert_eq!(kept.to_vec(), oracle_kept);
+        let (key, kept_levels, flipped) = full_key(&p, improved, false);
+        let (raw, oracle_levels) = bounds_oracle(&p, improved);
+        prop_assert_eq!(key, raw);
+        prop_assert_eq!(kept_levels, oracle_levels);
+        prop_assert!(!flipped);
     }
 
     #[test]
@@ -249,21 +252,17 @@ proptest! {
         p in arb_problem(),
         improved in proptest::bool::ANY,
     ) {
-        let memo = if improved { MemoMode::Improved } else { MemoMode::Simple };
-        let own = bounds_key(&p, improved);
+        let (own, own_levels) = bounds_oracle(&p, improved);
         let mirror = if swappable(&p) {
-            swap_problem(&p).map(|m| bounds_key(&m, improved))
+            swap_problem(&p).map(|m| bounds_oracle(&m, improved))
         } else {
             None
         };
         let expected = match mirror {
-            Some(m) if m.key < own.key => (m, true),
-            _ => (own.clone(), false),
+            Some((m, levels)) if m < own => (m, levels, true),
+            _ => (own, own_levels, false),
         };
-        prop_assert_eq!(full_key(&symmetric(memo), &p), Some(expected));
-        // Without symmetry the pair keeps its own key.
-        let plain = AnalyzerConfig { memo, ..AnalyzerConfig::default() };
-        prop_assert_eq!(full_key(&plain, &p), Some((own, false)));
+        prop_assert_eq!(full_key(&p, improved, true), expected);
     }
 }
 
@@ -305,11 +304,8 @@ fn an_overflowing_mirror_keeps_the_pairs_own_key() {
     let equations = flat(p.equations().map(|(row, _)| (row, i64::MIN)));
     let p = DependenceProblem::from_rows(p.layout(), vec![], equations, flat(p.bounds()));
     assert!(swap_problem(&p).is_none());
-    let own = bounds_key(&p, true);
-    assert_eq!(
-        full_key(&symmetric(MemoMode::Improved), &p),
-        Some((own, false))
-    );
+    let (own, levels) = bounds_oracle(&p, true);
+    assert_eq!(full_key(&p, true, true), (own, levels, false));
 }
 
 #[test]
@@ -318,9 +314,9 @@ fn a_mirror_pair_is_served_flipped() {
     // smaller one.
     let p = problem("for i = 1 to 10 { a[i] = a[i + 1]; }");
     let mirror = problem("for i = 1 to 10 { a[i + 1] = a[i]; }");
-    let (ck, flipped) = full_key(&symmetric(MemoMode::Improved), &p).unwrap();
+    let (key, levels, flipped) = full_key(&p, true, true);
     assert!(flipped);
-    assert_eq!(ck, bounds_key(&mirror, true));
+    assert_eq!((key, levels), bounds_oracle(&mirror, true));
 }
 
 // ---------------------------------------------------------------------

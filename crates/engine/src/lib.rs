@@ -601,29 +601,24 @@ fn check_reports(
         }
     }
 
-    let outcomes = pool.map(&jobs, |_, j| {
-        if j.report.a_access != j.pair.a.id || j.report.b_access != j.pair.b.id {
-            return Resolved::Failed("report pair does not match the enumeration".into());
-        }
-        match check_pair(j.pair, j.report) {
-            CheckOutcome::Verified => Resolved::Verified,
-            CheckOutcome::Rejected(e) => Resolved::Failed(e),
-            CheckOutcome::Unverified => {
-                let fresh = DependenceAnalyzer::with_config(resolve_cfg).analyze_pair(j.pair);
-                if std::mem::discriminant(&fresh.result.answer)
-                    != std::mem::discriminant(&j.report.result.answer)
-                {
-                    return Resolved::Failed(format!(
-                        "memo-free re-analysis answered {:?} but the report says {:?}",
-                        fresh.result.answer, j.report.result.answer
-                    ));
-                }
-                match check_pair(j.pair, &fresh) {
-                    CheckOutcome::Verified => Resolved::Verified,
-                    CheckOutcome::Unverified => Resolved::Unverified,
-                    CheckOutcome::Rejected(e) => {
-                        Resolved::Failed(format!("fresh certificate rejected: {e}"))
-                    }
+    let outcomes = pool.map(&jobs, |_, j| match check_pair(j.pair, j.report) {
+        CheckOutcome::Verified => Resolved::Verified,
+        CheckOutcome::Rejected(e) => Resolved::Failed(e),
+        CheckOutcome::Unverified => {
+            let fresh = DependenceAnalyzer::with_config(resolve_cfg).analyze_pair(j.pair);
+            if std::mem::discriminant(&fresh.result.answer)
+                != std::mem::discriminant(&j.report.result.answer)
+            {
+                return Resolved::Failed(format!(
+                    "memo-free re-analysis answered {:?} but the report says {:?}",
+                    fresh.result.answer, j.report.result.answer
+                ));
+            }
+            match check_pair(j.pair, &fresh) {
+                CheckOutcome::Verified => Resolved::Verified,
+                CheckOutcome::Unverified => Resolved::Unverified,
+                CheckOutcome::Rejected(e) => {
+                    Resolved::Failed(format!("fresh certificate rejected: {e}"))
                 }
             }
         }
@@ -1075,6 +1070,23 @@ mod tests {
         assert_eq!(summary.failures.len(), 1, "{summary:?}");
         assert_eq!(summary.failures[0].program, 0);
         assert_eq!(summary.failures[0].pair, 0);
+    }
+
+    #[test]
+    fn check_programs_rejects_a_report_naming_another_array() {
+        let programs = batch();
+        let mut engine = Engine::with_config(EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        });
+        let reports = engine.analyze_programs(&programs);
+        let mut pairs: Vec<PairReport> = reports[1].pairs().to_vec();
+        pairs[0].array = "renamed".into();
+        let forged = ProgramReport::from_parts(pairs, reports[1].stats);
+        let summary = engine.check_programs(&programs[1..2], std::slice::from_ref(&forged));
+        assert_eq!(summary.failures.len(), 1, "{summary:?}");
+        assert_eq!(summary.failures[0].pair, 0);
+        assert_eq!(summary.failures[0].array, "renamed");
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! statistics, since `ProgramReport: PartialEq` covers them all), same
 //! cumulative statistics, same memo-table population — for every memo
 //! mode, with and without symmetric canonicalization, at 1, 2 and 8
-//! workers.
+//! workers. A byte-capped memo, too, evicts the same entries at any
+//! worker count.
 
-use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, ProgramReport};
-use dda_engine::{Engine, EngineConfig};
+use dda_core::memo::MemoKey;
+use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, ProgramReport, SharedMemo};
+use dda_engine::{analyze_batch, Deadline, Engine, EngineConfig};
+use dda_ir::{passes, Program};
+use dda_obs::MetricsRegistry;
 use proptest::prelude::*;
 
 mod common;
@@ -117,5 +121,57 @@ proptest! {
             programs.iter().map(|p| one_by_one.analyze_program(p)).collect();
         assert_eq!(got, want, "sources: {sources:#?}");
         assert_eq!(one_by_one.stats(), batched.stats());
+    }
+}
+
+/// Three consecutive batches over one byte-capped memo: leaders insert
+/// serially in job order, so the CLOCK ring, and with it every eviction,
+/// is the same at any worker count. Reports, statistics, splices, the
+/// eviction count and the surviving keys must not move with it, at one
+/// shard and at sixteen.
+#[test]
+fn a_capped_memo_evicts_the_same_entries_at_any_worker_count() {
+    let programs: Vec<Program> = dda_perfect::perfect_suite(0.05)
+        .into_iter()
+        .map(|sp| {
+            let mut p = sp.program;
+            passes::normalize(&mut p);
+            p
+        })
+        .collect();
+    // Later batches revisit the patterns of earlier ones.
+    let batches: Vec<Vec<Program>> = (0..3)
+        .map(|b| programs.iter().skip(b).step_by(3).cloned().collect())
+        .collect();
+    let run = |workers: usize, memo: &SharedMemo| {
+        let config = EngineConfig {
+            workers,
+            ..EngineConfig::default()
+        };
+        let obs = MetricsRegistry::new();
+        let outcomes: Vec<_> = batches
+            .iter()
+            .map(|batch| {
+                let out = analyze_batch(&config, memo, &obs, batch, Deadline::none(), None);
+                (out.reports, out.stats, out.spliced)
+            })
+            .collect();
+        let gcd: Vec<MemoKey> = memo.gcd.snapshot().into_iter().map(|(k, _)| k).collect();
+        let full: Vec<MemoKey> = memo.full.snapshot().into_iter().map(|(k, _)| k).collect();
+        (outcomes, memo.evictions(), gcd, full)
+    };
+    let unbounded = SharedMemo::new(1);
+    run(1, &unbounded);
+    let cap = unbounded.bytes() / 3;
+    for shards in [1, 16] {
+        let capped = |workers| run(workers, &SharedMemo::with_capacity(shards, cap));
+        let want = capped(1);
+        assert!(want.1 > 0, "the cap must evict at {shards} shard(s)");
+        for workers in [2, 8] {
+            assert!(
+                capped(workers) == want,
+                "{workers} workers diverge from one at {shards} shard(s)"
+            );
+        }
     }
 }

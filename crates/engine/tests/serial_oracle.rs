@@ -32,18 +32,23 @@
 
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use dda_core::gcd::{
     expand_lattice, refute_equalities, solve_equalities, solve_system_restricted,
     witness_for_problem, EqOutcome,
 };
-use dda_core::memo::{nobounds_key, CanonicalKey, MemoKey, SharedMemo};
+use dda_core::memo::{
+    nobounds_columns, write_full_key, write_nobounds_key, ColumnVec, MemoKey, SharedMemo,
+};
 use dda_core::problem::{build_problem, constant_compare, DependenceProblem};
+use dda_core::result::LevelVec;
 use dda_core::stats::AnalysisStats;
 use dda_core::steps::{self, ReduceEffects};
 use dda_core::{
-    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, MemoMode, PairReport, ProgramReport,
+    AnalyzerConfig, CachedOutcome, DependenceAnalyzer, MemoMode, NullProbe, PairReport,
+    ProgramReport,
 };
 use dda_engine::{analyze_batch, Deadline, Engine, EngineConfig};
 use dda_ir::{extract_accesses, reference_pairs, Program, RefPair};
@@ -135,6 +140,8 @@ impl Oracle {
         let memo = SharedMemo::new(1);
         memo.load_memo_file(path).expect("saved tables load");
         let (gcd, full) = memo.merged_entries().expect("saved tables decode");
+        let gcd = gcd.into_iter().map(|(k, v)| (k, Arc::unwrap_or_clone(v)));
+        let full = full.into_iter().map(|(k, v)| (k, Arc::unwrap_or_clone(v)));
         self.gcd_memo.extend(gcd);
         self.full_memo.extend(full);
     }
@@ -230,15 +237,20 @@ impl Oracle {
             Some(EqOutcome::Lattice(l)) => l,
         };
 
-        let full_key: Option<(CanonicalKey, bool)> = steps::full_key(&self.config, &problem);
+        let full_key: Option<(CanonicalKey, bool)> = full_key(&self.config, &problem);
         if let Some((ck, flipped)) = &full_key {
             self.stats.memo_queries += 1;
             if let Some(cached) = self.full_memo.get(&ck.key) {
                 self.stats.memo_hits += 1;
                 let warm = !self.fresh_full.contains(&ck.key);
                 let cached = cached.clone();
-                let report =
-                    steps::rehydrate_hit(self.config.memo, &cached, ck, *flipped, template);
+                let report = steps::rehydrate(
+                    self.config.memo,
+                    &cached,
+                    &ck.kept_levels,
+                    *flipped,
+                    template,
+                );
                 steps::note_outcome(&mut self.stats, &report);
                 return Some((report, warm));
             }
@@ -248,13 +260,20 @@ impl Oracle {
         }
 
         let mut fx = ReduceEffects::default();
-        let report = steps::analyze_reduced(&self.config, &problem, &lattice, template, &mut fx);
+        let report = steps::analyze_reduced_probed(
+            &self.config,
+            &problem,
+            &lattice,
+            template,
+            &mut fx,
+            &mut NullProbe,
+        );
         fx.apply_to(&mut self.stats);
         if let Some((ck, flipped)) = full_key {
             self.fresh_full.insert(ck.key.clone());
             self.full_memo.insert(
                 ck.key.clone(),
-                steps::canonical_outcome(&report, &ck, flipped),
+                steps::outcome_in_key_space(&report, &ck.kept_levels, flipped),
             );
         }
         steps::note_outcome(&mut self.stats, &report);
@@ -305,6 +324,45 @@ impl Oracle {
     fn entries(&self) -> (usize, usize) {
         (self.gcd_memo.len(), self.full_memo.len())
     }
+}
+
+/// An owned full-result key and the common levels it keeps.
+struct CanonicalKey {
+    key: MemoKey,
+    kept_levels: LevelVec<usize>,
+}
+
+/// The full-result memo key for a problem, or `None` when memoization is
+/// off, and whether it is the problem's mirror's (see `write_full_key`).
+fn full_key(config: &AnalyzerConfig, problem: &DependenceProblem) -> Option<(CanonicalKey, bool)> {
+    if config.memo == MemoMode::Off {
+        return None;
+    }
+    let mut key = Vec::new();
+    let (kept_levels, flipped) = write_full_key(
+        problem,
+        config.memo == MemoMode::Improved,
+        config.memo_symmetry,
+        &mut key,
+        &mut Vec::new(),
+    );
+    let key = MemoKey::from_vec(key);
+    Some((CanonicalKey { key, kept_levels }, flipped))
+}
+
+/// An owned no-bounds key and the columns it keeps.
+struct NoBoundsKey {
+    key: MemoKey,
+    kept_vars: ColumnVec,
+}
+
+/// The no-bounds (GCD table) key for a problem.
+fn nobounds_key(problem: &DependenceProblem, improved: bool) -> NoBoundsKey {
+    let kept_vars = nobounds_columns(problem, improved);
+    let mut key = Vec::new();
+    write_nobounds_key(problem, &kept_vars, &mut key);
+    let key = MemoKey::from_vec(key);
+    NoBoundsKey { key, kept_vars }
 }
 
 /// `(gcd, full)` entry counts of a memo — the population of both

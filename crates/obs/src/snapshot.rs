@@ -768,8 +768,8 @@ mod tests {
         let memo = SharedMemo::new(2);
         for n in 0..8 {
             let key = MemoKey::from_vec(vec![n]);
-            memo.gcd
-                .insert(key.clone(), EqOutcome::Independent { refutation: None });
+            let value = EqOutcome::Independent { refutation: None };
+            memo.gcd.insert(key.clone(), std::sync::Arc::new(value));
             assert!(memo.gcd.get(&key).is_some());
         }
         assert!(memo.full.get(&MemoKey::from_vec(vec![99])).is_none());

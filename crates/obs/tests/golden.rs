@@ -10,6 +10,8 @@
 //! rendering is written next to the test binary's scratch directory and
 //! its path is named in the panic message.
 
+use std::sync::Arc;
+
 use dda_core::gcd::EqOutcome;
 use dda_core::memo::MemoKey;
 use dda_core::pipeline::{GcdVerdict, StageVerdict};
@@ -128,7 +130,7 @@ fn full_memo() -> SharedMemo {
     let path = std::env::temp_dir().join(format!("dda-obs-golden-{}.memo", std::process::id()));
     let source = SharedMemo::new(1);
     for n in 1..=3 {
-        source.gcd.insert(key(n), independent());
+        source.gcd.insert(key(n), Arc::new(independent()));
     }
     source.save_memo_file_v3(&path, 1).expect("save archive");
 
@@ -141,7 +143,7 @@ fn full_memo() -> SharedMemo {
     assert!(memo.lookup_gcd(&key(40)).is_none(), "miss");
     assert!(memo.lookup_full(&key(41)).is_none(), "miss");
     for n in 10..30 {
-        memo.gcd.insert(key(n), independent());
+        memo.gcd.insert(key(n), Arc::new(independent()));
     }
     memo
 }
