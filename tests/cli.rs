@@ -554,6 +554,55 @@ fn trace_and_profile_streams_match_the_pinned_files() {
     }
 }
 
+/// The loop tables that `parallel`, `parallel --annotate` and `graph
+/// --json` print for every checked-in example, corpus and hostile
+/// program equal the outputs pinned under `tests/corpus/loop_ids/`
+/// (see its README). Inputs are named relative to the repository root,
+/// as in the pinned `file` fields.
+#[test]
+fn loop_ids_match_the_pinned_files() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    for (dir, pinned) in [
+        ("examples/loops", "loops"),
+        ("tests/corpus", "corpus"),
+        ("tests/corpus/hostile", "hostile"),
+    ] {
+        let files: Vec<String> = loop_files_in(dir)
+            .iter()
+            .map(|p| {
+                let name = p.file_name().expect("file name").to_string_lossy();
+                format!("{dir}/{name}")
+            })
+            .collect();
+        for (command, flag, suffix) in [
+            ("parallel", None, "parallel.jsonl"),
+            ("parallel", Some("--annotate"), "annotate.txt"),
+            ("graph", Some("--json"), "graph.jsonl"),
+        ] {
+            let out = Command::new(env!("CARGO_BIN_EXE_dda"))
+                .current_dir(root)
+                .arg(command)
+                .args(&files)
+                .args(flag)
+                .stdin(Stdio::null())
+                .output()
+                .expect("binary runs");
+            assert!(
+                out.status.success(),
+                "{command} {dir}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let path = repo_path(&format!("tests/corpus/loop_ids/{pinned}.{suffix}"));
+            let want = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert!(
+                out.stdout == want,
+                "{pinned}.{suffix} differs:\n{}",
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
+    }
+}
+
 #[test]
 fn trace_and_plain_analyze_agree() {
     // The probe must not change the verdict: the traced run's final event
