@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use dda_ir::{Access, RefPair, Row, Rows};
+use dda_ir::{Access, AccessSet, RefPair, Row};
 
 use crate::interval::Interval;
 
@@ -60,9 +60,11 @@ fn eval_interval(row: Row<'_>, env: &[Interval]) -> Interval {
 
 /// Computes the value interval of every loop in `acc`'s stack,
 /// outermost-in.
-fn loop_intervals(rows: &Rows, acc: &Access) -> Vec<Interval> {
-    let mut out: Vec<Interval> = Vec::with_capacity(acc.loops.len());
-    for l in acc.loops.iter() {
+fn loop_intervals(set: &AccessSet, acc: &Access) -> Vec<Interval> {
+    let (rows, path) = (&set.rows, set.loops_of(acc));
+    let mut out: Vec<Interval> = Vec::with_capacity(path.len());
+    for &l in path {
+        let l = &set.loops[l];
         let lo = rows.get(l.lower).and_then(|r| eval_interval(r, &out).lo);
         let hi = rows.get(l.upper).and_then(|r| eval_interval(r, &out).hi);
         out.push(Interval { lo, hi });
@@ -81,8 +83,8 @@ pub fn build_model(pair: RefPair<'_>) -> Option<PairModel> {
     if a.rank() != b.rank() {
         return None;
     }
-    let ivs_a = loop_intervals(rows, a);
-    let ivs_b = loop_intervals(rows, b);
+    let ivs_a = loop_intervals(set, a);
+    let ivs_b = loop_intervals(set, b);
 
     let mut dims = Vec::with_capacity(a.rank());
     for (ra, rb) in rows.subscripts(a).zip(rows.subscripts(b)) {
@@ -123,7 +125,8 @@ pub fn build_model(pair: RefPair<'_>) -> Option<PairModel> {
 
     let mut level_coupled = vec![false; common];
     for acc in [a, b] {
-        for (k, l) in acc.loops.iter().enumerate() {
+        for (k, &l) in set.loops_of(acc).iter().enumerate() {
+            let l = &set.loops[l];
             let mut mentions_any = false;
             for id in [l.lower, l.upper] {
                 let Some(row) = rows.get(id) else {

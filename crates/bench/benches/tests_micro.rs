@@ -7,11 +7,13 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use dda_bench::calibrated_system;
 use dda_core::fourier_motzkin::FmLimits;
-use dda_core::gcd::{gcd_preprocess, GcdOutcome, Reduced};
+use dda_core::gcd::gcd_preprocess;
 use dda_core::memo::{nobounds_columns, write_full_key, write_nobounds_key};
 use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
 use dda_core::problem::{build_problem, DependenceProblem};
+use dda_core::TestKind;
 use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
 fn problem_for(src: &str) -> DependenceProblem {
@@ -21,37 +23,20 @@ fn problem_for(src: &str) -> DependenceProblem {
     build_problem(pairs[0], true).expect("affine")
 }
 
-fn reduced_for(src: &str) -> Reduced {
-    let problem = problem_for(src);
-    match gcd_preprocess(&problem).expect("no overflow") {
-        GcdOutcome::Reduced(r) => r,
-        GcdOutcome::Independent => panic!("pattern must reach the cascade"),
-    }
-}
-
 fn bench_cascade(c: &mut Criterion) {
     let cases = [
-        ("svpc", "for i = 1 to 10 { a[i + 3] = a[i] + 1; }"),
-        (
-            "acyclic",
-            "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
-        ),
-        (
-            "loop_residue",
-            "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
-        ),
-        (
-            "fourier_motzkin",
-            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }",
-        ),
+        ("svpc", TestKind::Svpc),
+        ("acyclic", TestKind::Acyclic),
+        ("loop_residue", TestKind::LoopResidue),
+        ("fourier_motzkin", TestKind::FourierMotzkin),
     ];
     let mut group = c.benchmark_group("cascade");
-    for (name, src) in cases {
-        let reduced = reduced_for(src);
+    for (name, kind) in cases {
+        let system = calibrated_system(kind);
         group.bench_function(name, |b| {
             b.iter(|| {
                 std::hint::black_box(run_pipeline(
-                    &reduced.system,
+                    &system,
                     &PipelineConfig::full(),
                     FmLimits::default(),
                     &mut NullProbe,

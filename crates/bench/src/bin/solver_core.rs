@@ -21,13 +21,11 @@ use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use dda_bench::calibrated_system;
 use dda_core::fourier_motzkin::{fourier_motzkin_with, FmLimits, FmOutcome};
-use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::{run_pipeline, NullProbe};
-use dda_core::problem::build_problem;
-use dda_core::system::{Constraint, System};
+use dda_core::system::Constraint;
 use dda_core::{PipelineConfig, TestKind};
-use dda_ir::{extract_accesses, parse_program, reference_pairs};
 
 struct CountingAllocator;
 
@@ -50,30 +48,6 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 const WARMUP: usize = 200;
 const SAMPLES: usize = 5_000;
 
-/// The calibrated source pattern each cascade stage resolves (identical
-/// to `stage_times`, the Table 6-comparable view).
-fn pattern(kind: TestKind) -> &'static str {
-    match kind {
-        TestKind::Svpc => "for i = 1 to 10 { a[i + 3] = a[i] + 1; }",
-        TestKind::Acyclic => "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
-        TestKind::LoopResidue => "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
-        TestKind::FourierMotzkin => {
-            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }"
-        }
-    }
-}
-
-fn reduced_system(src: &str) -> System {
-    let program = parse_program(src).expect("pattern parses");
-    let set = extract_accesses(&program);
-    let pairs = reference_pairs(&set, false);
-    let problem = build_problem(pairs[0], true).expect("pattern is affine");
-    let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
-        panic!("pattern must reach the cascade");
-    };
-    reduced.system
-}
-
 struct Quantiles {
     mean: f64,
     p50: f64,
@@ -92,7 +66,7 @@ fn quantiles(mut nanos: Vec<u64>) -> Quantiles {
 }
 
 fn resolving_row(kind: TestKind) -> (Quantiles, u64) {
-    let system = reduced_system(pattern(kind));
+    let system = calibrated_system(kind);
     let config = PipelineConfig::full();
     let limits = FmLimits::default();
     for _ in 0..WARMUP {

@@ -21,13 +21,10 @@
 //! Quantiles are log2-bucket upper bounds (see [`Histogram`]), so p50
 //! and p99 read as "at most" figures with power-of-two resolution.
 
-use dda_bench::suite_from_env;
+use dda_bench::{calibrated_system, suite_from_env};
 use dda_core::fourier_motzkin::FmLimits;
-use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::run_pipeline;
-use dda_core::problem::build_problem;
 use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, PipelineConfig, TestKind};
-use dda_ir::{extract_accesses, parse_program, reference_pairs};
 use dda_obs::{Histogram, LatencySummary, MetricsProbe, MetricsRegistry};
 
 /// Latency distribution of the pipeline resolving `kind`'s calibrated
@@ -35,28 +32,14 @@ use dda_obs::{Histogram, LatencySummary, MetricsProbe, MetricsRegistry};
 /// tests pass first, then `kind` decides) — the paper's notion of
 /// per-test latency.
 fn resolving_latency(kind: TestKind) -> LatencySummary {
-    let src = match kind {
-        TestKind::Svpc => "for i = 1 to 10 { a[i + 3] = a[i] + 1; }",
-        TestKind::Acyclic => "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
-        TestKind::LoopResidue => "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
-        TestKind::FourierMotzkin => {
-            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }"
-        }
-    };
-    let program = parse_program(src).expect("pattern parses");
-    let set = extract_accesses(&program);
-    let pairs = reference_pairs(&set, false);
-    let problem = build_problem(pairs[0], true).expect("pattern is affine");
-    let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
-        panic!("pattern must reach the cascade");
-    };
+    let system = calibrated_system(kind);
     let config = PipelineConfig::full();
     let histogram = Histogram::new();
     let registry = MetricsRegistry::new();
     let mut probe = MetricsProbe::new(&registry);
     for _ in 0..100 {
         std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &config,
             FmLimits::default(),
             &mut probe,
@@ -66,7 +49,7 @@ fn resolving_latency(kind: TestKind) -> LatencySummary {
     for _ in 0..2_000 {
         let before = stage_nanos();
         let out = std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &config,
             FmLimits::default(),
             &mut probe,

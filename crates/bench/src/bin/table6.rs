@@ -11,37 +11,21 @@
 
 use std::time::{Duration, Instant};
 
-use dda_bench::{run_suite, suite_from_env};
+use dda_bench::{calibrated_system, run_suite, suite_from_env};
 use dda_core::fourier_motzkin::FmLimits;
-use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::{run_pipeline, NullProbe, PipelineConfig};
-use dda_core::problem::build_problem;
 use dda_core::{AnalyzerConfig, MemoMode, TestKind};
-use dda_ir::{extract_accesses, parse_program, passes, reference_pairs};
+use dda_ir::{extract_accesses, parse_program, passes};
 
 /// Measures the average latency of a cascade that resolves via `kind`,
 /// using a calibrated representative pattern.
 fn time_test(kind: TestKind) -> Duration {
-    let src = match kind {
-        TestKind::Svpc => "for i = 1 to 10 { a[i + 3] = a[i] + 1; }",
-        TestKind::Acyclic => "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
-        TestKind::LoopResidue => "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
-        TestKind::FourierMotzkin => {
-            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }"
-        }
-    };
-    let program = parse_program(src).expect("pattern parses");
-    let set = extract_accesses(&program);
-    let pairs = reference_pairs(&set, false);
-    let problem = build_problem(pairs[0], true).expect("pattern is affine");
-    let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
-        panic!("pattern must reach the cascade");
-    };
+    let system = calibrated_system(kind);
     // Warm up, then measure.
     let iters = 2_000u32;
     for _ in 0..100 {
         std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &PipelineConfig::full(),
             FmLimits::default(),
             &mut NullProbe,
@@ -50,7 +34,7 @@ fn time_test(kind: TestKind) -> Duration {
     let start = Instant::now();
     for _ in 0..iters {
         let out = std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &PipelineConfig::full(),
             FmLimits::default(),
             &mut NullProbe,

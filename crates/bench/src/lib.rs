@@ -16,8 +16,11 @@ pub mod record;
 
 use std::time::{Duration, Instant};
 
+use dda_core::gcd::{gcd_preprocess, GcdOutcome};
+use dda_core::problem::build_problem;
 use dda_core::system::{Constraint, System};
-use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode};
+use dda_core::{AnalyzerConfig, DependenceAnalyzer, MemoMode, TestKind};
+use dda_ir::{extract_accesses, parse_program, reference_pairs};
 use dda_perfect::{perfect_suite, SyntheticProgram};
 
 pub use dda_core::stats::AnalysisStats;
@@ -110,6 +113,35 @@ pub fn xspace_system(problem: &dda_core::problem::DependenceProblem) -> System {
         system.push(Constraint::new(row, rhs));
     }
     system
+}
+
+/// The reduced system of the calibrated pattern `kind` resolves: the
+/// earlier cascade tests pass on it and `kind` decides, so one
+/// `run_pipeline` over it is `kind`'s resolving latency (the Table 6
+/// view of `table6`, `stage_times`, `solver_core`, the recorded snapshot
+/// and the `cascade` micro-benchmarks).
+///
+/// # Panics
+///
+/// If the pattern no longer parses, lowers or reaches the cascade.
+#[must_use]
+pub fn calibrated_system(kind: TestKind) -> System {
+    let src = match kind {
+        TestKind::Svpc => "for i = 1 to 10 { a[i + 3] = a[i] + 1; }",
+        TestKind::Acyclic => "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
+        TestKind::LoopResidue => "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
+        TestKind::FourierMotzkin => {
+            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }"
+        }
+    };
+    let program = parse_program(src).expect("pattern parses");
+    let set = extract_accesses(&program);
+    let pairs = reference_pairs(&set, false);
+    let problem = build_problem(pairs[0], true).expect("pattern is affine");
+    let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
+        panic!("pattern must reach the cascade");
+    };
+    reduced.system
 }
 
 /// Formats a measured/paper column pair, e.g. `613 (613)`.

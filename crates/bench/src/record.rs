@@ -25,12 +25,10 @@
 use std::time::{Instant, SystemTime};
 
 use dda_core::fourier_motzkin::FmLimits;
-use dda_core::gcd::{gcd_preprocess, GcdOutcome};
 use dda_core::pipeline::run_pipeline;
-use dda_core::problem::build_problem;
 use dda_core::{DependenceAnalyzer, MemoArchive, PipelineConfig, TestKind};
 use dda_engine::{Engine, EngineConfig};
-use dda_ir::{extract_accesses, parse_program, reference_pairs, Program};
+use dda_ir::{parse_program, Program};
 use dda_obs::{MetricsProbe, MetricsRegistry};
 use dda_perfect::perfect_suite;
 
@@ -113,27 +111,13 @@ pub struct BenchReport {
 /// `kind` decides — the same patterns `stage_times` uses, but with raw
 /// samples kept for exact percentiles.
 fn resolving_samples(kind: TestKind, reps: usize) -> Vec<u64> {
-    let src = match kind {
-        TestKind::Svpc => "for i = 1 to 10 { a[i + 3] = a[i] + 1; }",
-        TestKind::Acyclic => "for i = 1 to 10 { for j = i to 10 { a[j + 2] = a[j] + 1; } }",
-        TestKind::LoopResidue => "for i = 1 to 10 { for j = i to i + 3 { a[j] = a[j + 1] + 1; } }",
-        TestKind::FourierMotzkin => {
-            "for i = 1 to 10 { for j = 1 to 10 { a[2 * i + j] = a[i + 2 * j + 1] + 1; } }"
-        }
-    };
-    let program = parse_program(src).expect("pattern parses");
-    let set = extract_accesses(&program);
-    let pairs = reference_pairs(&set, false);
-    let problem = build_problem(pairs[0], true).expect("pattern is affine");
-    let GcdOutcome::Reduced(reduced) = gcd_preprocess(&problem).expect("no overflow") else {
-        panic!("pattern must reach the cascade");
-    };
+    let system = crate::calibrated_system(kind);
     let config = PipelineConfig::full();
     let registry = MetricsRegistry::new();
     let mut probe = MetricsProbe::new(&registry);
     for _ in 0..(reps / 10).max(20) {
         std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &config,
             FmLimits::default(),
             &mut probe,
@@ -144,7 +128,7 @@ fn resolving_samples(kind: TestKind, reps: usize) -> Vec<u64> {
     for _ in 0..reps {
         let before = stage_nanos();
         let out = std::hint::black_box(run_pipeline(
-            &reduced.system,
+            &system,
             &config,
             FmLimits::default(),
             &mut probe,

@@ -460,12 +460,11 @@ pub(crate) const VEC_HEADER_BYTES: u64 = 24;
 /// slot, and entry metadata. An estimate, like [`MemoWeight`] itself.
 const ENTRY_OVERHEAD_BYTES: u64 = 64;
 
-/// Estimated bytes held by a stored key. The key vector is kept twice
-/// under eviction (map slot and ring slot); the overhead constant
-/// absorbs the second header. An unbounded table keeps no ring, but is
-/// charged the same, so its byte count reads as a capped table's.
-fn key_bytes(key: &MemoKey) -> u64 {
-    2 * vec_i64_bytes(&key.0)
+/// Estimated bytes held by a stored key: the map slot's copy, and the
+/// ring slot's when the table keeps a ring (a capped table); the
+/// overhead constant absorbs the second header.
+fn key_bytes(key: &MemoKey, ring: bool) -> u64 {
+    (1 + u64::from(ring)) * vec_i64_bytes(&key.0)
 }
 
 /// A point-in-time read of one [`ShardedMemoTable`]'s traffic counters.
@@ -657,13 +656,14 @@ impl<V> ShardedMemoTable<V> {
         V: MemoWeight,
     {
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        let weight = key_bytes(&key) + value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
+        let ring = self.shard_budget > 0;
+        let weight = key_bytes(&key, ring) + value.weight_bytes() + ENTRY_OVERHEAD_BYTES;
         let entry = Entry {
             value,
             weight,
             referenced: false,
         };
-        let ring_key = (self.shard_budget > 0).then(|| key.clone());
+        let ring_key = ring.then(|| key.clone());
         let mut shard = self.shard(&key.0);
         match shard.map.insert(key, entry) {
             Some(old) => shard.bytes = shard.bytes - old.weight + weight,
@@ -1380,8 +1380,9 @@ mod tests {
     fn capped_table_evicts_to_budget() {
         // One shard so the budget math is exact. Each u32 entry with a
         // one-element key weighs the same; cap the table to roughly
-        // three entries and insert ten.
-        let probe: ShardedMemoTable<u32> = ShardedMemoTable::new(1);
+        // three entries and insert ten. The probe is capped too: only a
+        // capped table is charged its ring's copy of each key.
+        let probe: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, u64::MAX);
         probe.insert(MemoKey(vec![0]), Arc::new(0));
         let per_entry = probe.bytes();
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 3 * per_entry);
@@ -1401,7 +1402,7 @@ mod tests {
 
     #[test]
     fn second_chance_shields_referenced_entries() {
-        let probe: ShardedMemoTable<u32> = ShardedMemoTable::new(1);
+        let probe: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, u64::MAX);
         probe.insert(MemoKey(vec![0]), Arc::new(0));
         let per_entry = probe.bytes();
         let t: ShardedMemoTable<u32> = ShardedMemoTable::with_capacity(1, 3 * per_entry);

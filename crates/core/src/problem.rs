@@ -374,7 +374,8 @@ impl DependenceProblem {
             for row in rows.subscripts(acc) {
                 note_symbolics(&mut self.symbolics, row.ok_or(BuildError::NonAffine)?);
             }
-            for l in acc.loops.iter() {
+            for &l in set.loops_of(acc) {
+                let l = &set.loops[l];
                 for id in [l.lower, l.upper] {
                     if let Some(row) = rows.get(id) {
                         note_symbolics(&mut self.symbolics, row);
@@ -386,11 +387,11 @@ impl DependenceProblem {
             return Err(BuildError::SymbolicDisabled);
         }
 
-        let extra_a = a.loops.len() - common;
+        let extra_a = a.depth() - common;
         self.layout = Layout {
             common,
             extra_a,
-            extra_b: b.loops.len() - common,
+            extra_b: b.depth() - common,
             symbolics: self.symbolics.len(),
         };
         let width = self.width();
@@ -430,7 +431,8 @@ impl DependenceProblem {
         // column starts at zero.
         self.bounds.clear();
         for side in [side_a, side_b] {
-            for (k, l) in side.access.loops.iter().enumerate() {
+            for (k, &l) in set.loops_of(side.access).iter().enumerate() {
+                let l = &set.loops[l];
                 let column = side.column(k);
                 if let Some(lo) = rows.get(l.lower) {
                     // L(x) ≤ i  ⇔  L_coeffs·x − i ≤ −L_const

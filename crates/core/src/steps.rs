@@ -109,7 +109,10 @@ pub fn pair_template(pair: RefPair<'_>) -> PairReport {
         array: Arc::clone(pair.array_name()),
         a_access: pair.a.id,
         b_access: pair.b.id,
-        common_loop_ids: pair.a.loops.iter().take(common).map(|l| l.id).collect(),
+        common_loop_ids: pair.set.loops_of(pair.a)[..common]
+            .iter()
+            .copied()
+            .collect(),
         result: DependenceResult {
             answer: Answer::Unknown,
             resolved_by: ResolvedBy::Assumed,

@@ -334,7 +334,10 @@ fn naive_problem(pair: RefPair<'_>, symbolic: bool) -> Option<DependenceProblem>
     }
     let mut syms = BTreeSet::new();
     for acc in [a, b] {
-        let bounds = acc.loops.iter().flat_map(|l| [l.lower, l.upper]);
+        let bounds = set
+            .loops_of(acc)
+            .iter()
+            .flat_map(|&l| [set.loops[l].lower, set.loops[l].upper]);
         for row in rows
             .subscripts(acc)
             .collect::<Option<Vec<Row<'_>>>>()?
@@ -348,7 +351,7 @@ fn naive_problem(pair: RefPair<'_>, symbolic: bool) -> Option<DependenceProblem>
         return None;
     }
     let syms: Vec<usize> = syms.into_iter().collect();
-    let (extra_a, extra_b) = (a.loops.len() - common, b.loops.len() - common);
+    let (extra_a, extra_b) = (a.depth() - common, b.depth() - common);
     let n = 2 * common + extra_a + extra_b + syms.len();
     let column = |second: bool, k: usize| match (second, k < common) {
         (false, true) => k,
@@ -382,7 +385,8 @@ fn naive_problem(pair: RefPair<'_>, symbolic: bool) -> Option<DependenceProblem>
     }
     let mut bounds = Vec::new();
     for (second, acc) in [(false, a), (true, b)] {
-        for (k, l) in acc.loops.iter().enumerate() {
+        for (k, &l) in set.loops_of(acc).iter().enumerate() {
+            let l = &set.loops[l];
             if let Some(lo) = rows.get(l.lower) {
                 let mut row = terms(lo, second, 1);
                 row[column(second, k)] -= 1;

@@ -341,9 +341,10 @@ impl Engine {
 
     /// Analyzes one program (a batch of one).
     pub fn analyze_program(&mut self, program: &Program) -> ProgramReport {
+        // One program in, one report out.
         self.analyze_programs(std::slice::from_ref(program))
             .pop()
-            .expect("one program in, one report out")
+            .unwrap_or_default()
     }
 
     /// Analyzes a batch of programs and returns one report per program,
@@ -702,8 +703,8 @@ fn build_graphs(pool: Pool<'_>, programs: &[Program], batch: BatchOutcome) -> Gr
             by_kind[edge_kind_index(e.kind)] += 1;
         }
         let (mut parallel, mut sequential) = (0u64, 0u64);
-        for l in graph.loops.loops() {
-            if graph.is_parallel(l.id) {
+        for id in 0..graph.loops.len() {
+            if graph.is_parallel(id) {
                 parallel += 1;
             } else {
                 sequential += 1;

@@ -88,11 +88,11 @@ mod resolve {
                     if !include_input_deps && !a.is_write && !b.is_write {
                         continue;
                     }
-                    let common = a
-                        .loops
+                    let common = set
+                        .loops_of(a)
                         .iter()
-                        .zip(b.loops.iter())
-                        .take_while(|(x, y)| x.id == y.id)
+                        .zip(set.loops_of(b))
+                        .take_while(|(x, y)| x == y)
                         .count();
                     pairs.push((name.clone(), a.id, b.id, common));
                 }

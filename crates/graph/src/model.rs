@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use dda_core::symmetry::{flip_direction, flip_distance};
 use dda_core::{DependenceKind, Direction, DirectionVector, DistanceVector, ProgramReport};
-use dda_ir::{extract_accesses, loop_table, AccessSet, LoopTable, Program, SymbolTable};
+use dda_ir::{extract_accesses, AccessSet, Loop, Program, SymbolTable};
 
 /// One oriented dependence edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,8 +229,9 @@ pub struct ProgramGraph {
     /// Oriented dependence edges, in pair then vector order —
     /// deterministic for a given report.
     pub edges: Vec<DependenceEdge>,
-    /// The program's loops, keyed by pre-order id.
-    pub loops: LoopTable,
+    /// The program's loops in pre-order, as access extraction numbers
+    /// them: a loop's id is its index.
+    pub loops: Vec<Loop>,
     /// The program's symbol table, naming the loop variables.
     pub symbols: Arc<SymbolTable>,
     /// Per-pair context, indexed by [`DependenceEdge::pair`].
@@ -269,7 +270,7 @@ pub fn build_graph(program: &Program, report: &ProgramReport) -> ProgramGraph {
     ProgramGraph {
         nodes,
         edges,
-        loops: loop_table(program),
+        loops: set.loops,
         pairs,
         symbols: Arc::clone(&program.symbols),
     }
@@ -323,10 +324,8 @@ impl ProgramGraph {
     /// Verdicts for every loop, in pre-order id order.
     #[must_use]
     pub fn loop_verdicts(&self) -> Vec<LoopVerdict> {
-        self.loops
-            .loops()
-            .iter()
-            .map(|l| self.loop_verdict(l.id))
+        (0..self.loops.len())
+            .map(|id| self.loop_verdict(id))
             .collect()
     }
 
@@ -342,11 +341,8 @@ impl ProgramGraph {
     /// the rule).
     #[must_use]
     pub fn carried_loops(&self) -> BTreeSet<usize> {
-        self.loops
-            .loops()
-            .iter()
-            .filter(|l| !self.is_parallel(l.id))
-            .map(|l| l.id)
+        (0..self.loops.len())
+            .filter(|&id| !self.is_parallel(id))
             .collect()
     }
 
@@ -397,7 +393,7 @@ impl ProgramGraph {
     /// blocking edges).
     #[must_use]
     pub fn interchange_legal(&self, outer: usize, inner: usize) -> InterchangeVerdict {
-        if !self.loops.directly_nested(outer, inner) {
+        if self.loops.get(inner).and_then(|l| l.parent) != Some(outer) {
             return InterchangeVerdict {
                 outer,
                 inner,
@@ -425,9 +421,9 @@ impl ProgramGraph {
     #[must_use]
     pub fn interchange_verdicts(&self) -> Vec<InterchangeVerdict> {
         self.loops
-            .loops()
             .iter()
-            .filter_map(|l| l.parent.map(|outer| self.interchange_legal(outer, l.id)))
+            .enumerate()
+            .filter_map(|(id, l)| l.parent.map(|outer| self.interchange_legal(outer, id)))
             .collect()
     }
 }

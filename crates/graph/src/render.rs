@@ -124,14 +124,14 @@ pub fn graph_json_line(file: &str, graph: &ProgramGraph) -> String {
         );
     }
     line.push_str("],\"loops\":[");
-    for (i, l) in graph.loops.loops().iter().enumerate() {
-        if i > 0 {
+    for (id, l) in graph.loops.iter().enumerate() {
+        if id > 0 {
             line.push(',');
         }
         let _ = write!(
             line,
             "{{\"id\":{},\"var\":\"{}\",\"depth\":{},\"parent\":{}}}",
-            l.id,
+            id,
             json_escape(graph.symbols.name(l.var)),
             l.depth,
             l.parent.map_or("null".to_owned(), |p| p.to_string())
@@ -149,15 +149,15 @@ pub fn graph_json_line(file: &str, graph: &ProgramGraph) -> String {
 #[must_use]
 pub fn parallel_json_line(file: &str, graph: &ProgramGraph) -> String {
     let mut line = format!("{{\"file\":\"{}\",\"loops\":[", json_escape(file));
-    for (i, l) in graph.loops.loops().iter().enumerate() {
-        if i > 0 {
+    for (id, l) in graph.loops.iter().enumerate() {
+        if id > 0 {
             line.push(',');
         }
-        let verdict = graph.loop_verdict(l.id);
+        let verdict = graph.loop_verdict(id);
         let _ = write!(
             line,
             "{{\"id\":{},\"var\":\"{}\",\"depth\":{},\"parallel\":{},\"blocking\":[",
-            l.id,
+            id,
             json_escape(graph.symbols.name(l.var)),
             l.depth,
             verdict.is_parallel()
@@ -171,7 +171,7 @@ pub fn parallel_json_line(file: &str, graph: &ProgramGraph) -> String {
                 let level = graph
                     .pairs
                     .get(e.pair)
-                    .and_then(|p| p.common_loop_ids.iter().position(|&id| id == l.id));
+                    .and_then(|p| p.common_loop_ids.iter().position(|&x| x == id));
                 line.push_str(&edge_object(graph, ei, e, level));
             }
         }
@@ -202,19 +202,19 @@ pub fn parallel_json_line(file: &str, graph: &ProgramGraph) -> String {
 /// Prints the program source with every loop header annotated
 /// `// parallel` or `// sequential` according to the graph's verdicts.
 ///
-/// The walk mirrors [`dda_ir::loop_table`] (statement order, both `if`
-/// branches), so the counter it carries reproduces the pre-order loop
-/// ids.
+/// The walk visits loops in the order access extraction numbers them
+/// into [`ProgramGraph::loops`] (statement order, an `if`'s then-branch
+/// before its else-branch), so the counter it carries reproduces the
+/// pre-order loop ids.
 #[must_use]
 pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
-    let carried = graph.carried_loops();
     fn go(
         out: &mut String,
         p: &Program,
         stmts: &[Stmt],
         depth: usize,
         next_id: &mut usize,
-        carried: &BTreeSet<usize>,
+        graph: &ProgramGraph,
     ) {
         let indent = depth.saturating_mul(4);
         let t = &p.symbols;
@@ -229,10 +229,10 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                 }) => {
                     let id = *next_id;
                     *next_id = next_id.saturating_add(1);
-                    let tag = if carried.contains(&id) {
-                        "sequential"
-                    } else {
+                    let tag = if graph.is_parallel(id) {
                         "parallel"
+                    } else {
+                        "sequential"
                     };
                     let _ = writeln!(
                         out,
@@ -242,7 +242,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         p.display_expr(*lower),
                         p.display_expr(*upper)
                     );
-                    go(out, p, body, depth.saturating_add(1), next_id, carried);
+                    go(out, p, body, depth.saturating_add(1), next_id, graph);
                     let _ = writeln!(out, "{:indent$}}}", "");
                 }
                 Stmt::ArrayAssign(a) => {
@@ -281,7 +281,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                         &i.then_body,
                         depth.saturating_add(1),
                         next_id,
-                        carried,
+                        graph,
                     );
                     if !i.else_body.is_empty() {
                         let _ = writeln!(out, "{:indent$}}} else {{", "");
@@ -291,7 +291,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
                             &i.else_body,
                             depth.saturating_add(1),
                             next_id,
-                            carried,
+                            graph,
                         );
                     }
                     let _ = writeln!(out, "{:indent$}}}", "");
@@ -301,7 +301,7 @@ pub fn annotate_source(program: &Program, graph: &ProgramGraph) -> String {
     }
     let mut out = String::new();
     let mut next_id = 0;
-    go(&mut out, program, &program.stmts, 0, &mut next_id, &carried);
+    go(&mut out, program, &program.stmts, 0, &mut next_id, graph);
     out
 }
 

@@ -181,18 +181,44 @@ impl RowRange {
     }
 }
 
-/// One enclosing loop of an access.
+/// One `for` loop of a program. Extraction numbers the loops in
+/// pre-order (statements in order, an `if`'s then-branch before its
+/// else-branch), loops without accesses included: a loop's id is its
+/// index in [`AccessSet::loops`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LoopInfo {
-    /// Unique id of this loop instance within the program walk. Two
-    /// accesses share an enclosing loop exactly when the ids match.
-    pub id: usize,
+pub struct Loop {
     /// The induction variable.
     pub var: Sym,
+    /// Nesting depth (0 = outermost).
+    pub depth: usize,
+    /// Id of the directly enclosing loop, if any.
+    pub parent: Option<usize>,
     /// Inclusive lower bound, over the levels outside this loop.
     pub lower: RowId,
     /// Inclusive upper bound, over the levels outside this loop.
     pub upper: RowId,
+}
+
+/// An access's enclosing loops: a run of its set's loop paths, read
+/// with [`AccessSet::loops_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopPath {
+    start: usize,
+    end: usize,
+}
+
+impl LoopPath {
+    /// Number of loops.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.end - self.start
+    }
+
+    /// Whether the access is outside every loop.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
 }
 
 /// A single array access (read or write) with its loop context.
@@ -205,9 +231,9 @@ pub struct Access {
     /// Lowered subscripts, one row per dimension (see
     /// [`Rows::subscripts`]).
     pub subscripts: RowRange,
-    /// Enclosing loops, outermost first. Accesses directly inside the
-    /// same loop share one allocation.
-    pub loops: Arc<[LoopInfo]>,
+    /// Enclosing loops, outermost first (see [`AccessSet::loops_of`]).
+    /// Accesses directly inside the same loop share one path.
+    pub loops: LoopPath,
     /// Whether this access writes the element.
     pub is_write: bool,
     /// Index of the owning statement in a pre-order statement numbering.
@@ -257,6 +283,7 @@ impl fmt::Display for AccessDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (a, set) = (self.access, self.set);
         let symbols = &set.symbols;
+        let path = set.loops_of(a);
         f.write_str(symbols.name(a.array))?;
         let mut terms: Vec<(&str, i64)> = Vec::new();
         for row in set.rows.subscripts(a) {
@@ -267,7 +294,7 @@ impl fmt::Display for AccessDisplay<'_> {
             terms.clear();
             for (k, &c) in row.levels().iter().enumerate() {
                 if c != 0 {
-                    terms.push((symbols.name(a.loops[k].var), c));
+                    terms.push((symbols.name(set.loops[path[k]].var), c));
                 }
             }
             for (s, c) in row.symbolic_terms() {
@@ -281,11 +308,17 @@ impl fmt::Display for AccessDisplay<'_> {
     }
 }
 
-/// All accesses of a program, plus the symbolic constants in scope.
+/// All accesses and loops of a program, plus the symbolic constants in
+/// scope.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AccessSet {
     /// Extracted accesses in program order.
     pub accesses: Vec<Access>,
+    /// Every loop of the program in pre-order: a loop's id is its index.
+    pub loops: Vec<Loop>,
+    /// The loop ids of every access's [`LoopPath`], outermost first,
+    /// back to back.
+    paths: Vec<usize>,
     /// Scalars treated as loop-invariant unknowns (declared with `read(x);`
     /// or never assigned), in [`Sym`] order.
     pub symbolics: Vec<Sym>,
@@ -296,6 +329,13 @@ pub struct AccessSet {
 }
 
 impl AccessSet {
+    /// The ids of `access`'s enclosing loops, outermost first: indexes
+    /// into [`AccessSet::loops`].
+    #[must_use]
+    pub fn loops_of(&self, access: &Access) -> &[usize] {
+        &self.paths[access.loops.start..access.loops.end]
+    }
+
     /// Row `id` of `access` (one of its subscripts, or a bound of one of
     /// its loops) as an affine function of named symbols: each level's
     /// coefficient on that loop's variable, each symbolic's on the
@@ -305,11 +345,12 @@ impl AccessSet {
     #[must_use]
     pub fn affine(&self, access: &Access, id: RowId) -> Option<AffineExpr> {
         let row = self.rows.get(id)?;
+        let path = self.loops_of(access);
         let levels = row
             .levels()
             .iter()
             .enumerate()
-            .map(|(k, &c)| (access.loops[k].var, c));
+            .map(|(k, &c)| (self.loops[path[k]].var, c));
         let syms = row
             .symbolic_terms()
             .map(|(s, c)| (self.rows.symbolics[s], c));
@@ -362,18 +403,20 @@ const USED: u8 = 4;
 struct Extractor<'p> {
     exprs: &'p ExprArena,
     accesses: Vec<Access>,
-    loop_stack: Vec<LoopInfo>,
-    /// `loop_stack` as shared by the accesses recorded at each depth:
-    /// one entry per open loop, plus the outermost context. An entry is
-    /// built when the first access at its depth is recorded, so a loop
-    /// whose body is only another loop allocates none.
-    contexts: Vec<Option<Arc<[LoopInfo]>>>,
+    loops: Vec<Loop>,
+    /// The ids of the open loops, outermost first: level `k` is bound
+    /// by loop `open[k]`.
+    open: Vec<usize>,
+    paths: Vec<usize>,
+    /// `open` as a run of `paths`, copied there when the first access
+    /// directly inside the innermost open loop is recorded; a loop
+    /// whose body is only another loop copies none.
+    path: Option<LoopPath>,
     /// [`ASSIGNED`] (anywhere in the program, loop variables included),
     /// [`DECLARED`] by `read`, and [`USED`] as a free scalar in an
     /// affine subscript or bound; indexed by [`Sym::index`].
     facts: Vec<u8>,
     rows: Rows,
-    next_loop_id: usize,
     stmt_index: usize,
     cond_depth: usize,
 }
@@ -381,7 +424,7 @@ struct Extractor<'p> {
 impl Extractor<'_> {
     /// The level of the innermost open loop binding `v`.
     fn level_of(&self, v: Sym) -> Option<usize> {
-        self.loop_stack.iter().rposition(|l| l.var == v)
+        self.open.iter().rposition(|&id| self.loops[id].var == v)
     }
 
     /// Lowers `e` into a row valid in the current loop context: every
@@ -433,10 +476,14 @@ impl Extractor<'_> {
             affine &= self.rows.spans[id.0 as usize].levels != NON_AFFINE;
         }
         let end = self.rows.spans.len() as u32;
-        let depth = self.loop_stack.len();
-        let loops = Arc::clone(
-            self.contexts[depth].get_or_insert_with(|| Arc::from(self.loop_stack.as_slice())),
-        );
+        let loops = *self.path.get_or_insert_with(|| {
+            let start = self.paths.len();
+            self.paths.extend_from_slice(&self.open);
+            LoopPath {
+                start,
+                end: self.paths.len(),
+            }
+        });
         self.accesses.push(Access {
             id: self.accesses.len(),
             array: r.array,
@@ -489,27 +536,31 @@ impl Extractor<'_> {
                     // the loop's own variable is bound.
                     let lower = self.lower(l.lower);
                     let upper = self.lower(l.upper);
-                    self.loop_stack.push(LoopInfo {
-                        id: self.next_loop_id,
+                    let id = self.loops.len();
+                    self.loops.push(Loop {
                         var: l.var,
+                        depth: self.open.len(),
+                        parent: self.open.last().copied(),
                         lower,
                         upper,
                     });
-                    self.contexts.push(None);
-                    self.next_loop_id += 1;
+                    self.open.push(id);
+                    // The body builds its own path; the enclosing
+                    // loop's comes back after it.
+                    let outer = self.path.take();
                     self.walk(&l.body);
-                    self.contexts.pop();
-                    self.loop_stack.pop();
+                    self.path = outer;
+                    self.open.pop();
                 }
             }
         }
     }
 
-    /// The symbolic constants (declared via `read`, plus every used
-    /// scalar that is never assigned: a free parameter), in [`Sym`]
-    /// order; and the rows with their symbolic terms renumbered into
-    /// name order.
-    fn finish(mut self, symbols: &SymbolTable) -> (Vec<Access>, Vec<Sym>, Rows) {
+    /// The set, with the symbolic constants (declared via `read`, plus
+    /// every used scalar that is never assigned: a free parameter) in
+    /// [`Sym`] order, and the rows with their symbolic terms renumbered
+    /// into name order.
+    fn finish(mut self, symbols: &Arc<SymbolTable>) -> AccessSet {
         let symbolics: Vec<Sym> = self
             .facts
             .iter()
@@ -517,10 +568,23 @@ impl Extractor<'_> {
             .filter(|&(_, &f)| f & DECLARED != 0 || f & (USED | ASSIGNED) == USED)
             .map(|(k, _)| Sym::from_index(k))
             .collect();
-        if symbolics.is_empty() {
-            return (self.accesses, symbolics, self.rows);
+        if !symbolics.is_empty() {
+            self.rank_symbolics(&symbolics, symbols);
         }
-        let mut by_name = symbolics.clone();
+        AccessSet {
+            accesses: self.accesses,
+            loops: self.loops,
+            paths: self.paths,
+            symbolics,
+            symbols: Arc::clone(symbols),
+            rows: self.rows,
+        }
+    }
+
+    /// Renumbers the symbolic terms of every row from [`Sym`] order
+    /// into the name order of `symbolics`.
+    fn rank_symbolics(&mut self, symbolics: &[Sym], symbols: &SymbolTable) {
+        let mut by_name = symbolics.to_vec();
         by_name.sort_unstable_by(|&x, &y| symbols.name(x).cmp(symbols.name(y)));
         // Each symbolic's rank in name order.
         let mut rank = vec![0i64; self.facts.len()];
@@ -547,7 +611,6 @@ impl Extractor<'_> {
             }
         }
         self.rows.symbolics = by_name;
-        (self.accesses, symbolics, self.rows)
     }
 }
 
@@ -594,22 +657,17 @@ pub fn extract_accesses(program: &Program) -> AccessSet {
     let mut ex = Extractor {
         exprs: &program.exprs,
         accesses: Vec::new(),
-        loop_stack: Vec::new(),
-        contexts: vec![None],
+        loops: Vec::new(),
+        open: Vec::new(),
+        paths: Vec::new(),
+        path: None,
         facts,
         rows: Rows::default(),
-        next_loop_id: 0,
         stmt_index: 0,
         cond_depth: 0,
     };
     ex.walk(&program.stmts);
-    let (accesses, symbolics, rows) = ex.finish(&program.symbols);
-    AccessSet {
-        accesses,
-        symbolics,
-        symbols: Arc::clone(&program.symbols),
-        rows,
-    }
+    ex.finish(&program.symbols)
 }
 
 /// Enumerates the reference pairs a dependence analyzer must test: pairs of
@@ -642,15 +700,12 @@ pub fn reference_pairs(set: &AccessSet, include_input_deps: bool) -> Vec<RefPair
                 if !include_input_deps && !a.is_write && !b.is_write {
                     continue;
                 }
-                let common = if Arc::ptr_eq(&a.loops, &b.loops) {
-                    a.loops.len()
-                } else {
-                    a.loops
-                        .iter()
-                        .zip(b.loops.iter())
-                        .take_while(|(x, y)| x.id == y.id)
-                        .count()
-                };
+                let common = set
+                    .loops_of(a)
+                    .iter()
+                    .zip(set.loops_of(b))
+                    .take_while(|(x, y)| x == y)
+                    .count();
                 pairs.push(RefPair { a, b, common, set });
             }
         }
@@ -672,7 +727,7 @@ mod tests {
         assert_eq!(set.accesses.len(), 2);
         assert!(set.accesses[0].is_write);
         assert!(!set.accesses[1].is_write);
-        assert_eq!(set.accesses[0].loops.len(), 1);
+        assert_eq!(set.accesses[0].depth(), 1);
     }
 
     #[test]
@@ -709,6 +764,46 @@ mod tests {
     }
 
     #[test]
+    fn every_loop_is_numbered_in_pre_order() {
+        // Loops in sequence, under both branches of an `if`, nested, a
+        // loop whose body is only a loop, and loops without accesses.
+        let p = parse_program(
+            "for i = 1 to 10 { a[i] = 1; }
+             if (1 < 2) { for j = 1 to 5 { a[j] = 2; } } else { for m = 1 to 2 { } }
+             for k = 1 to 3 { for l = k to 9 { a[k] = a[l]; } for q = 1 to 2 { } }",
+        )
+        .unwrap();
+        let set = extract_accesses(&p);
+        let table: Vec<(&str, usize, Option<usize>)> = set
+            .loops
+            .iter()
+            .map(|l| (set.symbols.name(l.var), l.depth, l.parent))
+            .collect();
+        assert_eq!(
+            table,
+            [
+                ("i", 0, None),
+                ("j", 0, None),
+                ("m", 0, None),
+                ("k", 0, None),
+                ("l", 1, Some(3)),
+                ("q", 1, Some(3)),
+            ]
+        );
+        let paths: Vec<&[usize]> = set.accesses.iter().map(|a| set.loops_of(a)).collect();
+        assert_eq!(paths, [&[0][..], &[1], &[3, 4], &[3, 4]]);
+        // The two accesses directly inside `l` share one path.
+        assert_eq!(set.accesses[2].loops, set.accesses[3].loops);
+    }
+
+    #[test]
+    fn loopless_program_has_no_loops() {
+        let set = extract_accesses(&parse_program("a[1] = 2;").unwrap());
+        assert!(set.loops.is_empty());
+        assert!(set.loops_of(&set.accesses[0]).is_empty());
+    }
+
+    #[test]
     fn read_read_pairs_opt_in() {
         let p = parse_program("for i = 1 to 10 { b[i] = a[i] + a[i + 1]; }").unwrap();
         let set = extract_accesses(&p);
@@ -721,7 +816,7 @@ mod tests {
         let p =
             parse_program("for i = 1 to 10 { for j = i to 10 { a[i][j] = a[j][i]; } }").unwrap();
         let set = extract_accesses(&p);
-        let inner = &set.accesses[0].loops[1];
+        let inner = &set.loops[set.loops_of(&set.accesses[0])[1]];
         let lower = set.rows.get(inner.lower).unwrap();
         assert_eq!(lower.levels(), [1]);
         assert_eq!(lower.constant(), 0);
@@ -735,7 +830,7 @@ mod tests {
         let p = parse_program("for i = 1 to 10 { for i = i + 5 to 20 { a[i] = a[i + 3] + 1; } }")
             .unwrap();
         let set = extract_accesses(&p);
-        let inner = &set.accesses[0].loops[1];
+        let inner = &set.loops[set.loops_of(&set.accesses[0])[1]];
         // The inner loop's bound reads the outer `i` (level 0) ...
         let lower = set.rows.get(inner.lower).unwrap();
         assert_eq!((lower.levels(), lower.constant()), (&[1][..], 5));

@@ -27,9 +27,12 @@
 //!    [`AffineExpr`] into the program's [`Rows`]: one flat `i64` table
 //!    with a coefficient per enclosing loop level (each loop variable
 //!    resolved to its level in scope), the symbolic terms and the
-//!    constant. It also identifies the symbolic constants. A subscript
-//!    or bound whose lowering overflows `i64` is non-affine, so its
-//!    pairs are assumed dependent rather than aborting the analysis.
+//!    constant. It also identifies the symbolic constants, and numbers
+//!    every loop in pre-order into the set's one loop table
+//!    ([`AccessSet::loops`]), which each access's enclosing-loop path
+//!    ([`AccessSet::loops_of`]) indexes. A subscript or bound whose
+//!    lowering overflows `i64` is non-affine, so its pairs are assumed
+//!    dependent rather than aborting the analysis.
 //! 4. [`reference_pairs`] — enumerates the pairs to test.
 //!
 //! # Examples
@@ -63,19 +66,17 @@ mod ast;
 mod expr;
 pub mod interp;
 mod lexer;
-mod loops;
 mod parser;
 pub mod passes;
 mod symbol;
 
 pub use access::{
-    extract_accesses, reference_pairs, Access, AccessDisplay, AccessSet, LoopInfo, RefPair, Row,
-    RowId, RowRange, Rows,
+    extract_accesses, reference_pairs, Access, AccessDisplay, AccessSet, Loop, LoopPath, RefPair,
+    Row, RowId, RowRange, Rows,
 };
 pub use arena::{ArrayRef, Expr, ExprArena, Node};
 pub use ast::{ArrayAssign, ForLoop, IfStmt, Program, RelOp, ScalarAssign, Stmt};
 pub use expr::{AffineExpr, Shown};
 pub use lexer::{tokenize, SpannedToken, Token};
-pub use loops::{loop_table, LoopHeader, LoopMeta, LoopTable};
 pub use parser::{parse_expr, parse_program, ParseError, Span};
 pub use symbol::{Named, Sym, SymbolTable};

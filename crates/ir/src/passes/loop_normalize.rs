@@ -344,7 +344,7 @@ mod tests {
             parse_program("for i = 1 to 9 step 2 { for j = i to 10 { a[j] = 0; } }").unwrap();
         normalize_loops(&mut p);
         let set = extract_accesses(&p);
-        let inner = &set.accesses[0].loops[1];
+        let inner = &set.loops[set.loops_of(&set.accesses[0])[1]];
         let lo = set.affine(&set.accesses[0], inner.lower).unwrap();
         // j's lower bound i became 1 + 2*i.
         assert_eq!(lo.coeff_by_name(&set.symbols, "i"), 2);

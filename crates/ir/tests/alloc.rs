@@ -13,11 +13,12 @@
 //!   is left is one statement list per loop or branch body, one name per
 //!   distinct identifier, and the amortized growth of the token, node and
 //!   statement arrays.
-//! - Access extraction allocates a fixed number of blocks per program
-//!   and loop, however many accesses the program has and however many
+//! - Access extraction allocates a fixed number of blocks per program,
+//!   however many loops and accesses the program has and however many
 //!   affine terms their subscripts and bounds have: every subscript and
-//!   bound is a row of one per-program table, names are symbols, and a
-//!   loop's accesses share one context.
+//!   bound is a row of one per-program table, names are symbols, every
+//!   loop is an entry of one loop table, and every access's enclosing
+//!   loops are a run of one path table.
 //!
 //! The counter is process-global, so the tests take turns through
 //! [`MEASURING`], set-up included: a sibling test allocating
@@ -27,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dda_ir::{extract_accesses, loop_table, parse_program, passes, Program, Stmt};
+use dda_ir::{extract_accesses, parse_program, passes, Program, Stmt};
 
 struct CountingAllocator;
 
@@ -132,19 +133,14 @@ fn parsing_allocates_nothing_per_expression_node() {
     );
 }
 
-/// Allocations extraction may make per loop: the loop context the
-/// accesses directly inside it share (a loop whose body is only another
-/// loop makes none).
-const ALLOCATIONS_PER_LOOP: u64 = 1;
-
 /// Allocations extraction may make per program, beside the growth of its
-/// three growing arrays (accesses, rows and the row values): the loop
-/// stack and context stack, the per-symbol facts, the symbolic lists
-/// and their name ranks, and the top-level context.
-const ALLOCATIONS_PER_PROGRAM: u64 = 12;
+/// five growing arrays (accesses, loops, loop paths, rows and the row
+/// values): the open-loop stack, the per-symbol facts, the two symbolic
+/// lists and their name ranks.
+const ALLOCATIONS_PER_PROGRAM: u64 = 5;
 
 #[test]
-fn extraction_allocates_a_constant_per_program_and_loop() {
+fn extraction_allocates_a_constant_per_program() {
     let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let mut programs: Vec<(&str, Program)> = dda_perfect::perfect_suite(0.1)
         .into_iter()
@@ -167,14 +163,17 @@ fn extraction_allocates_a_constant_per_program_and_loop() {
             .map(|r| r.levels().iter().filter(|&&c| c != 0).count() + r.symbolic_terms().count())
             .sum();
         assert!(accesses > 0 && terms > 0, "{name}");
-        let loops = loop_table(p).len() as u64;
+        let loops = set.loops.len();
+        // Each loop's path is copied at most once, by its first access.
+        let path_ids: usize = set.loops.iter().map(|l| l.depth + 1).sum();
         let allocations = min_allocations(|| {
             std::hint::black_box(extract_accesses(p));
         });
         // The row values number at most a few per row.
-        let bound = ALLOCATIONS_PER_LOOP * loops
-            + ALLOCATIONS_PER_PROGRAM
+        let bound = ALLOCATIONS_PER_PROGRAM
             + growth(accesses)
+            + growth(loops)
+            + growth(path_ids)
             + growth(rows)
             + growth(8 * rows);
         assert!(

@@ -375,16 +375,17 @@ mod resolve {
                     None => model::Subscript::NonAffine,
                 })
                 .collect(),
-            loops: a
-                .loops
+            loops: set
+                .loops_of(a)
                 .iter()
-                .map(|l| {
+                .map(|&id| {
+                    let l = &set.loops[id];
                     let bound = |id| match row(set, a, id) {
                         Some(e) => model::Bound::Affine(e),
                         None => model::Bound::NonAffine,
                     };
                     model::LoopInfo {
-                        id: l.id,
+                        id,
                         var: name(t, l.var),
                         lower: bound(l.lower),
                         upper: bound(l.upper),

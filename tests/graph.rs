@@ -139,31 +139,27 @@ fn assert_verdicts_consistent(program: &Program, report: &ProgramReport) {
     let graph = build_graph(program, report);
     let carried = carried_dependence_loops(report);
     assert_eq!(graph.carried_loops(), carried);
-    for l in graph.loops.loops() {
-        match graph.loop_verdict(l.id) {
+    for id in 0..graph.loops.len() {
+        match graph.loop_verdict(id) {
             LoopVerdict::Parallel => {
                 assert!(
-                    !carried.contains(&l.id),
-                    "loop {} marked parallel but the report carries a dependence there",
-                    l.id
+                    !carried.contains(&id),
+                    "loop {id} marked parallel but the report carries a dependence there"
                 );
             }
             LoopVerdict::Sequential { blocking_edges } => {
                 assert!(
-                    carried.contains(&l.id),
-                    "loop {} marked sequential but no report carries a dependence there",
-                    l.id
+                    carried.contains(&id),
+                    "loop {id} marked sequential but no report carries a dependence there"
                 );
                 assert!(
                     !blocking_edges.is_empty(),
-                    "sequential verdict for loop {} cites no blocking edge",
-                    l.id
+                    "sequential verdict for loop {id} cites no blocking edge"
                 );
                 for &e in &blocking_edges {
                     assert!(
-                        graph.edge_carries_at(&graph.edges[e], l.id),
-                        "cited edge {e} is not carried at loop {}",
-                        l.id
+                        graph.edge_carries_at(&graph.edges[e], id),
+                        "cited edge {e} is not carried at loop {id}"
                     );
                 }
             }
@@ -176,8 +172,8 @@ fn assert_verdicts_consistent(program: &Program, report: &ProgramReport) {
 fn assert_blocking_certificates_check(program: &Program, report: &ProgramReport) {
     let graph = build_graph(program, report);
     let set = extract_accesses(program);
-    for l in graph.loops.loops() {
-        let LoopVerdict::Sequential { blocking_edges } = graph.loop_verdict(l.id) else {
+    for id in 0..graph.loops.len() {
+        let LoopVerdict::Sequential { blocking_edges } = graph.loop_verdict(id) else {
             continue;
         };
         for e in blocking_edges {
@@ -193,8 +189,7 @@ fn assert_blocking_certificates_check(program: &Program, report: &ProgramReport)
             let outcome = check_pair(ref_pair, pair_report);
             assert!(
                 !matches!(outcome, CheckOutcome::Rejected(_)),
-                "blocking edge {e} of loop {} rests on a rejected certificate: {outcome:?}",
-                l.id
+                "blocking edge {e} of loop {id} rests on a rejected certificate: {outcome:?}"
             );
         }
     }
